@@ -3,9 +3,9 @@
 Subpackages:
 
 * ``numerics``  -- stable softmax / KL / CE primitives and their gradients
-* ``partition`` -- right-vs-bias batch split via the teacher mask
 * ``rectify``   -- two-step rectification of biased teacher targets
-* ``schedule``  -- dynamic easy/hard loss weighting (gamma = e/E)
+* ``schedule``  -- the batched loss core: partition, rectified hard
+  targets, dynamic easy/hard weighting (gamma = e/E), loss and gradient
 * ``model``     -- minimal MLPs, SGD, checkpoints
 * ``data``      -- blob datasets, CSV I/O, deterministic batching
 * ``analysis``  -- two-class closed-form / descent verification
@@ -20,7 +20,6 @@ __all__ = [
     "errors",
     "model",
     "numerics",
-    "partition",
     "rectify",
     "rng",
     "schedule",

@@ -29,18 +29,6 @@ class RectifyNotApplicableError(RectiDistillError, ValueError):
     """Rectification requested for a sample the teacher already predicts correctly."""
 
 
-class InvalidPartnerError(RectiDistillError, ValueError):
-    """The rectification partner index b is not the teacher argmax."""
-
-
-class DegeneratePairError(RectiDistillError, ValueError):
-    """Rectification pair carries zero total mass; the step-c scale would zero class a."""
-
-
-class InvalidSubsetError(RectiDistillError, ValueError):
-    """A bias subset contains a correctly-predicted sample (partition contract violated)."""
-
-
 class InvalidScheduleError(RectiDistillError, ValueError):
     """Epoch schedule outside 0 <= e < E."""
 

@@ -1,6 +1,7 @@
 """Stable probability, loss, and gradient primitives.
 
-All functions are pure and operate on 1-D float64 vectors. Softmax uses
+All functions are pure and operate on 1-D float64 vectors, except the
+row-wise ``softmax_rows`` and ``as_prob_rows``. Softmax uses
 max-subtraction; KL and CE raise rather than return infinities; the two
 analytic gradients are paired with a central finite-difference oracle so
 each can be checked against an independent path.
@@ -30,19 +31,36 @@ def as_logits(z) -> np.ndarray:
     return z
 
 
+def as_prob_rows(p) -> np.ndarray:
+    """Validate each row of a (n, k) array, k >= 2, as a point on the simplex.
+
+    The error names the first bad row.
+    """
+    p = np.asarray(p, dtype=np.float64)
+    if p.ndim != 2 or p.shape[1] < 2:
+        raise InvalidInputError(f"probability rows must be (n, k) with k >= 2, got shape {p.shape}")
+    finite = np.isfinite(p).all(axis=1)
+    negative = (p < 0.0).any(axis=1)
+    totals = p.sum(axis=1)
+    bad = ~finite | negative | (np.abs(totals - 1.0) > PROB_SUM_TOL)
+    if bad.any():
+        i = int(np.argmax(bad))
+        if not finite[i]:
+            problem = "contains non-finite entries"
+        elif negative[i]:
+            problem = "has negative entries"
+        else:
+            problem = f"sums to {float(totals[i])}, not 1"
+        raise InvalidInputError(f"sample {i}: probability vector {problem}")
+    return p
+
+
 def as_prob_vector(p) -> np.ndarray:
     """Validate a point on the probability simplex (sum within 1e-9 of 1)."""
     p = np.asarray(p, dtype=np.float64)
-    if p.ndim != 1 or p.shape[0] < 2:
-        raise InvalidInputError(f"probability vector must be 1-D with length >= 2, got shape {p.shape}")
-    if not np.all(np.isfinite(p)):
-        raise InvalidInputError("probability vector contains non-finite entries")
-    if np.any(p < 0.0):
-        raise InvalidInputError("probability vector has negative entries")
-    total = float(p.sum())
-    if abs(total - 1.0) > PROB_SUM_TOL:
-        raise InvalidInputError(f"probability vector sums to {total}, not 1")
-    return p
+    if p.ndim != 1:
+        raise InvalidInputError(f"probability vector must be 1-D, got shape {p.shape}")
+    return as_prob_rows(p[None, :])[0]
 
 
 def _check_class_index(c: int, n: int) -> int:

@@ -9,20 +9,15 @@ For a sample whose teacher argmax b contradicts its label a:
   so the vector re-sums to 1 while every other class stays bit-identical.
 
 Step-b outputs are kept around (unnormalized) because the ablation mode
-distills directly against them.
+distills directly against them. ``rectify_rows`` is the one implementation
+of this arithmetic; ``rectify_sample`` is its checked batch-of-one form.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (
-    DegeneratePairError,
-    InvalidInputError,
-    InvalidPartnerError,
-    InvalidSubsetError,
-    RectifyNotApplicableError,
-)
+from .errors import InvalidInputError, RectifyNotApplicableError
 from .numerics import as_prob_vector
 
 STEP_B = "step_b"
@@ -39,59 +34,37 @@ class RectifiedTarget:
     b: int  # teacher-argmax index
 
 
-def rectify_step_b(t, a: int, b: int) -> RectifiedTarget:
-    """Average entry a with 1 and halve entry b; all other entries untouched."""
-    t = as_prob_vector(t)
-    a, b = int(a), int(b)
-    if a == b:
-        raise RectifyNotApplicableError(f"teacher already predicts the true class {a}")
-    if b != int(np.argmax(t)):
-        raise InvalidPartnerError(f"partner index {b} is not the teacher argmax {int(np.argmax(t))}")
-    if not 0 <= a < t.shape[0]:
-        raise InvalidInputError(f"true-class index {a} outside [0, {t.shape[0]})")
-    values = t.copy()
-    values[a] = (t[a] + 1.0) / 2.0
-    values[b] = t[b] / 2.0
-    return RectifiedTarget(values=values, stage=STEP_B, a=a, b=b)
+def rectify_rows(teacher_probs: np.ndarray, labels: np.ndarray, stage: str = STEP_C) -> np.ndarray:
+    """Rectify every row of a bias subset at once; b is each row's argmax.
 
-
-def rectify_step_c(step_b_result: RectifiedTarget, t_a: float, t_b: float) -> RectifiedTarget:
-    """Rescale the (a, b) pair so the vector re-sums to 1; pair mass is conserved."""
-    if step_b_result.stage != STEP_B:
-        raise InvalidInputError(f"expected a step_b target, got stage {step_b_result.stage!r}")
-    pair_mass = t_a + t_b
-    if pair_mass == 0.0:
-        raise DegeneratePairError("t_a + t_b = 0: the step-c scale would zero out class a")
-    scale = pair_mass / ((pair_mass + 1.0) / 2.0)
-    values = step_b_result.values.copy()
-    values[step_b_result.a] *= scale
-    values[step_b_result.b] *= scale
-    return RectifiedTarget(values=values, stage=STEP_C, a=step_b_result.a, b=step_b_result.b)
+    The caller guarantees valid simplex rows and labels in range with
+    argmax(row) != label. Other entries come back bit-identical.
+    """
+    if stage not in (STEP_B, STEP_C):
+        raise InvalidInputError(f"unknown rectification mode {stage!r}")
+    rows = np.arange(labels.shape[0])
+    b = np.argmax(teacher_probs, axis=1)
+    t_a = teacher_probs[rows, labels]
+    t_b = teacher_probs[rows, b]
+    values = teacher_probs.copy()
+    values[rows, labels] = (t_a + 1.0) / 2.0
+    values[rows, b] = t_b / 2.0
+    if stage == STEP_C:
+        # t_b >= 1/k > 0 as the argmax, so the pair mass is never 0
+        pair_mass = t_a + t_b
+        scale = pair_mass / ((pair_mass + 1.0) / 2.0)
+        values[rows, labels] *= scale
+        values[rows, b] *= scale
+    return values
 
 
 def rectify_sample(t, label: int, mode: str = STEP_C) -> RectifiedTarget:
     """Full rectification of one wrong prediction; b is recomputed as argmax."""
     t = as_prob_vector(t)
-    b = int(np.argmax(t))
-    result = rectify_step_b(t, label, b)
-    if mode == STEP_B:
-        return result
-    if mode == STEP_C:
-        return rectify_step_c(result, float(t[label]), float(t[b]))
-    raise InvalidInputError(f"unknown rectification mode {mode!r}")
-
-
-def rectify_batch(teacher_probs, labels, mode: str = STEP_C) -> list[RectifiedTarget]:
-    """Rectify a bias subset; every sample must have argmax != label."""
-    teacher_probs = np.asarray(teacher_probs, dtype=np.float64)
-    labels = np.asarray(labels, dtype=np.int64)
-    if teacher_probs.shape[:1] != labels.shape:
-        raise InvalidInputError(
-            f"batch size mismatch: probs {teacher_probs.shape}, labels {labels.shape}"
-        )
-    out = []
-    for i, (row, label) in enumerate(zip(teacher_probs, labels)):
-        if int(np.argmax(row)) == int(label):
-            raise InvalidSubsetError(f"sample {i} is correctly predicted; not a bias sample")
-        out.append(rectify_sample(row, int(label), mode=mode))
-    return out
+    a, b = int(label), int(np.argmax(t))
+    if a == b:
+        raise RectifyNotApplicableError(f"teacher already predicts the true class {a}")
+    if not 0 <= a < t.shape[0]:
+        raise InvalidInputError(f"true-class index {a} outside [0, {t.shape[0]})")
+    values = rectify_rows(t[None, :], np.array([a]), mode)[0]
+    return RectifiedTarget(values=values, stage=mode, a=a, b=b)

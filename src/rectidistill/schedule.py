@@ -12,6 +12,16 @@ with the correctness mask and taking the batch mean; averaging over the
 subset size instead makes the hard term explode whenever the bias subset
 is small and destabilizes the end of training, where gamma -> 1.
 
+A sample carries right knowledge when the teacher's argmax matches its
+label (ties broken toward the lowest class index, everywhere). The two
+subsets are gathered by index instead of multiplying by a 0/1 mask: the
+loss values are identical, but index gathering never produces 0*ln(0/0)
+terms, and it fixes the summation order the outputs depend on.
+
+``compute_batch_loss`` is the one batched core: it validates the batch
+once, partitions it, rectifies all biased rows in one array operation and
+returns the loss terms together with their gradient w.r.t. the logits.
+
 Modes:
 
 * ``full``            -- elimination + rectification + dynamic gamma.
@@ -36,6 +46,7 @@ from .errors import (
     InvalidParameterError,
     InvalidScheduleError,
 )
+from .numerics import as_prob_rows
 from .numerics import softmax_rows as _batch_softmax_rows
 
 MODES = (
@@ -79,10 +90,7 @@ class LossBreakdown:
     l_all: float
     n_right: int
     n_bias: int
-
-
-def _batch_softmax(logits: np.ndarray, tau: float) -> np.ndarray:
-    return _batch_softmax_rows(logits, tau)
+    grad: np.ndarray  # d l_all / d student logits, shape (n, k)
 
 
 def _safe_log(p: np.ndarray) -> np.ndarray:
@@ -120,25 +128,19 @@ def _validate_batch(student_logits, teacher_probs, labels, tau, mode):
         )
     if labels.shape != (student_logits.shape[0],):
         raise InvalidBatchError(f"labels shape {labels.shape} does not match batch")
+    k = student_logits.shape[1]
+    out_of_range = (labels < 0) | (labels >= k)
+    if out_of_range.any():
+        bad = int(np.argmax(out_of_range))
+        raise InvalidBatchError(f"sample {bad}: label {int(labels[bad])} outside [0, {k})")
     if not np.all(np.isfinite(student_logits)):
         raise InvalidBatchError("student logits contain non-finite entries")
+    as_prob_rows(teacher_probs)
     if not np.isfinite(tau) or tau <= 0.0:
         raise InvalidParameterError(f"temperature must be positive, got {tau}")
     if mode not in MODES:
         raise InvalidParameterError(f"unknown mode {mode!r}; expected one of {MODES}")
     return student_logits, teacher_probs, labels
-
-
-def _rectified_targets(teacher_probs, labels, bias_idx, stage) -> np.ndarray:
-    targets = np.empty((bias_idx.shape[0], teacher_probs.shape[1]))
-    for row, i in enumerate(bias_idx):
-        try:
-            targets[row] = rectify.rectify_sample(
-                teacher_probs[i], int(labels[i]), mode=stage
-            ).values
-        except Exception as exc:
-            raise type(exc)(f"sample {int(i)}: {exc}") from exc
-    return targets
 
 
 def compute_batch_loss(
@@ -150,40 +152,50 @@ def compute_batch_loss(
     mode: str = "full",
     fixed_gamma: float | None = None,
 ) -> LossBreakdown:
-    """Per-batch loss components and the assembled total."""
+    """Per-batch loss components, the assembled total and its logit gradient."""
     student_logits, teacher_probs, labels = _validate_batch(
         student_logits, teacher_probs, labels, tau, mode
     )
-    from .partition import build_mask, split_batch
-
     n = student_logits.shape[0]
+    rows = np.arange(n)
     g = _resolve_gamma(mode, sched, fixed_gamma)
-    s = _batch_softmax(student_logits, tau)
-    split = split_batch(build_mask(teacher_probs, labels))
-    right, bias = split.right_indices, split.bias_indices
+    s = _batch_softmax_rows(student_logits, tau)
+    right_mask = np.argmax(teacher_probs, axis=1) == labels
+    right, bias = rows[right_mask], rows[~right_mask]
 
-    if np.any(s[np.arange(n), labels] == 0.0):
-        bad = int(np.flatnonzero(s[np.arange(n), labels] == 0.0)[0])
+    s_true = s[rows, labels]
+    if np.any(s_true == 0.0):
+        bad = int(np.flatnonzero(s_true == 0.0)[0])
         raise DivergenceInfiniteError(f"sample {bad}: zero student probability at the true class")
-    l_ce = float(-_safe_log(s[np.arange(n), labels]).mean())
+    l_ce = float(-_safe_log(s_true).mean())
+    onehot = np.zeros_like(s)
+    onehot[rows, labels] = 1.0
+    grad = (1.0 - g) / n * (s - onehot) / tau
 
     if mode == "vanilla_kd":
         l_easy = float(_kl_rows(teacher_probs, s).mean())
         l_hard = 0.0
+        grad += (s - teacher_probs) / (tau * n)
     elif mode == "rectify_only":
         targets = teacher_probs.copy()
-        if bias.size:
-            targets[bias] = _rectified_targets(teacher_probs, labels, bias, rectify.STEP_C)
+        targets[bias] = rectify.rectify_rows(teacher_probs[bias], labels[bias], rectify.STEP_C)
         l_easy = float(_kl_rows(targets, s).mean())
         l_hard = 0.0
+        grad += (s - targets) / (tau * n)
     else:
-        l_easy = float(_kl_rows(teacher_probs[right], s[right]).sum() / n) if right.size else 0.0
+        l_easy = 0.0
+        if right.size:
+            l_easy = float(_kl_rows(teacher_probs[right], s[right]).sum() / n)
+            grad[right] += (1.0 - g) / n * (s[right] - teacher_probs[right]) / tau
         if mode == "eliminate_only" or not bias.size:
             l_hard = 0.0
         else:
             stage = rectify.STEP_B if mode == "step_b_ablation" else rectify.STEP_C
-            hard_targets = _rectified_targets(teacher_probs, labels, bias, stage)
+            hard_targets = rectify.rectify_rows(teacher_probs[bias], labels[bias], stage)
             l_hard = float(_kl_rows(hard_targets, s[bias]).sum() / n)
+            if g != 0.0:
+                mass = hard_targets.sum(axis=1, keepdims=True)
+                grad[bias] += g / n * (mass * s[bias] - hard_targets) / tau
 
     l_all = (1.0 - g) * (l_ce + l_easy) + g * l_hard
     return LossBreakdown(
@@ -194,6 +206,7 @@ def compute_batch_loss(
         l_all=l_all,
         n_right=int(right.size),
         n_bias=int(bias.size),
+        grad=grad,
     )
 
 
@@ -207,34 +220,6 @@ def batch_loss_gradient(
     fixed_gamma: float | None = None,
 ) -> np.ndarray:
     """Gradient of the assembled batch loss w.r.t. each student logit vector."""
-    student_logits, teacher_probs, labels = _validate_batch(
-        student_logits, teacher_probs, labels, tau, mode
-    )
-    from .partition import build_mask, split_batch
-
-    n = student_logits.shape[0]
-    g = _resolve_gamma(mode, sched, fixed_gamma)
-    s = _batch_softmax(student_logits, tau)
-    split = split_batch(build_mask(teacher_probs, labels))
-    right, bias = split.right_indices, split.bias_indices
-
-    onehot = np.zeros_like(s)
-    onehot[np.arange(n), labels] = 1.0
-    grad = (1.0 - g) / n * (s - onehot) / tau
-
-    if mode == "vanilla_kd":
-        grad += (s - teacher_probs) / (tau * n)
-    elif mode == "rectify_only":
-        targets = teacher_probs.copy()
-        if bias.size:
-            targets[bias] = _rectified_targets(teacher_probs, labels, bias, rectify.STEP_C)
-        grad += (s - targets) / (tau * n)
-    else:
-        if right.size:
-            grad[right] += (1.0 - g) / n * (s[right] - teacher_probs[right]) / tau
-        if mode != "eliminate_only" and bias.size and g != 0.0:
-            stage = rectify.STEP_B if mode == "step_b_ablation" else rectify.STEP_C
-            hard_targets = _rectified_targets(teacher_probs, labels, bias, stage)
-            mass = hard_targets.sum(axis=1, keepdims=True)
-            grad[bias] += g / n * (mass * s[bias] - hard_targets) / tau
-    return grad
+    return compute_batch_loss(
+        student_logits, teacher_probs, labels, sched, tau, mode, fixed_gamma
+    ).grad

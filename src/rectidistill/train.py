@@ -13,7 +13,7 @@ from . import model
 from .data import Dataset, batch_iter
 from .errors import ConfigError, InvalidParameterError
 from .numerics import softmax_rows
-from .schedule import EpochSchedule, batch_loss_gradient, compute_batch_loss
+from .schedule import EpochSchedule, compute_batch_loss
 
 METRICS_COLUMNS = (
     "epoch",
@@ -118,10 +118,7 @@ def distill(
             breakdown = compute_batch_loss(
                 student_logits, teacher_probs, y, sched, cfg.tau, cfg.mode, cfg.fixed_gamma
             )
-            upstream = batch_loss_gradient(
-                student_logits, teacher_probs, y, sched, cfg.tau, cfg.mode, cfg.fixed_gamma
-            )
-            grads = model.backward(student, x, upstream)
+            grads = model.backward(student, x, breakdown.grad)
             model.sgd_step(student, grads, velocity, cfg.learning_rate, cfg.momentum)
             w = len(idx)
             sums["loss_total"] += breakdown.l_all * w

@@ -20,6 +20,8 @@ from rectidistill.errors import (
     OracleFailureError,
 )
 from rectidistill.numerics import (
+    PROB_SUM_TOL,
+    as_prob_vector,
     ce_softmax_gradient,
     cross_entropy,
     finite_difference_gradient,
@@ -107,6 +109,19 @@ class TestSoftmax:
         rows = softmax_rows(z, 0.7)
         for i in range(5):
             np.testing.assert_allclose(rows[i], softmax(z[i], 0.7), atol=1e-15)
+
+
+class TestProbVector:
+    def test_accepts_sum_within_tolerance(self):
+        p = as_prob_vector([0.5, 0.5 + PROB_SUM_TOL / 2])
+        assert p.dtype == np.float64 and p.shape == (2,)
+
+    @pytest.mark.parametrize(
+        "p", [[0.6, 0.5], [1.1, -0.1], [float("nan"), 1.0], [1.0], [[0.5, 0.5]]]
+    )
+    def test_rejects_off_simplex(self, p):
+        with pytest.raises(InvalidInputError):
+            as_prob_vector(p)
 
 
 class TestKlDivergence:

@@ -1,48 +1,72 @@
+"""The right/bias partition as the batch loss core applies it.
+
+A sample carries right knowledge when the teacher argmax equals its label,
+ties broken toward the lowest class index; ``compute_batch_loss`` reports
+the two subset sizes as ``n_right`` and ``n_bias``.
+"""
+
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 from rectidistill.errors import InvalidBatchError
-from rectidistill.partition import build_mask, split_batch
+from rectidistill.numerics import kl_divergence, softmax
+from rectidistill.rectify import rectify_sample
+from rectidistill.schedule import EpochSchedule, compute_batch_loss
+
+
+def split_sizes(teacher, labels):
+    teacher = np.asarray(teacher, dtype=np.float64)
+    logits = np.zeros_like(teacher)
+    out = compute_batch_loss(logits, teacher, labels, EpochSchedule(1, 2), mode="full")
+    return out.n_right, out.n_bias
 
 
 def test_mask_direct_argmax():
-    mask = build_mask([[0.2, 0.8], [0.6, 0.4]], [1, 0])
-    assert mask.tolist() == [True, True]
+    assert split_sizes([[0.2, 0.8], [0.6, 0.4]], [1, 0]) == (2, 0)
 
 
 def test_mask_mismatch():
-    assert build_mask([[0.2, 0.8]], [0]).tolist() == [False]
+    assert split_sizes([[0.2, 0.8]], [0]) == (0, 1)
 
 
 def test_tie_breaks_toward_lowest_index():
     # exhaustive 2-class tie check: class 0 wins the tie
-    assert build_mask([[0.5, 0.5]], [0]).tolist() == [True]
-    assert build_mask([[0.5, 0.5]], [1]).tolist() == [False]
+    assert split_sizes([[0.5, 0.5]], [0]) == (1, 0)
+    assert split_sizes([[0.5, 0.5]], [1]) == (0, 1)
 
 
 def test_size_mismatch_raises():
     with pytest.raises(InvalidBatchError):
-        build_mask([[0.5, 0.5]], [0, 1])
+        split_sizes([[0.5, 0.5]], [0, 1])
 
 
 def test_split_preserves_order():
-    split = split_batch([True, False, True])
-    assert split.right_indices.tolist() == [0, 2]
-    assert split.bias_indices.tolist() == [1]
+    # rows 0 and 2 are right, row 1 is bias: each term must use its own row
+    logits = np.array([[0.3, -0.2, 0.1], [0.5, 0.0, -0.4], [-0.1, 0.2, 0.6]])
+    teacher = np.array([[0.6, 0.3, 0.1], [0.2, 0.5, 0.3], [0.1, 0.2, 0.7]])
+    labels = np.array([0, 2, 2])
+    out = compute_batch_loss(logits, teacher, labels, EpochSchedule(1, 2), mode="full")
+    s = [softmax(z) for z in logits]
+    l_easy = (kl_divergence(teacher[0], s[0]) + kl_divergence(teacher[2], s[2])) / 3
+    l_hard = kl_divergence(rectify_sample(teacher[1], 2).values, s[1]) / 3
+    assert (out.n_right, out.n_bias) == (2, 1)
+    assert out.l_easy == pytest.approx(l_easy, abs=1e-12)
+    assert out.l_hard == pytest.approx(l_hard, abs=1e-12)
 
 
 def test_split_all_true_and_all_false():
-    assert split_batch([True, True]).bias_indices.size == 0
-    assert split_batch([False, False]).right_indices.size == 0
+    teacher = [[0.7, 0.3], [0.1, 0.9]]
+    assert split_sizes(teacher, [0, 1]) == (2, 0)
+    assert split_sizes(teacher, [1, 0]) == (0, 2)
 
 
 @given(st.lists(st.booleans(), min_size=1, max_size=50))
 def test_split_is_a_partition(flags):
-    split = split_batch(flags)
-    merged = sorted(split.right_indices.tolist() + split.bias_indices.tolist())
-    assert merged == list(range(len(flags)))
+    teacher = np.tile([0.8, 0.2], (len(flags), 1))
+    labels = np.where(flags, 0, 1)
+    assert split_sizes(teacher, labels) == (sum(flags), len(flags) - sum(flags))
 
 
 @given(
@@ -60,15 +84,16 @@ def test_split_is_a_partition(flags):
 def test_mask_fraction_equals_top1_accuracy(batch):
     probs = np.array([np.asarray(p) / np.sum(p) for p, _ in batch])
     labels = np.array([lab for _, lab in batch])
-    mask = build_mask(probs, labels)
-    top1 = np.mean(np.argmax(probs, axis=1) == labels)
-    assert mask.mean() == top1
+    n_right, _ = split_sizes(probs, labels)
+    assert n_right == np.sum(np.argmax(probs, axis=1) == labels)
 
 
 def test_mask_is_deterministic():
     rng = np.random.default_rng(11)
     probs = rng.dirichlet(np.ones(4), size=32)
     labels = rng.integers(0, 4, size=32)
-    a = build_mask(probs, labels)
-    b = build_mask(probs, labels)
-    assert np.array_equal(a, b)
+    logits = rng.normal(size=(32, 4))
+    a = compute_batch_loss(logits, probs, labels, EpochSchedule(1, 2))
+    b = compute_batch_loss(logits, probs, labels, EpochSchedule(1, 2))
+    assert (a.n_right, a.l_all) == (b.n_right, b.l_all)
+    assert np.array_equal(a.grad, b.grad)

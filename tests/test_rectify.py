@@ -5,21 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rectidistill.errors import (
-    DegeneratePairError,
-    InvalidInputError,
-    InvalidPartnerError,
-    InvalidSubsetError,
-    RectifyNotApplicableError,
-)
-from rectidistill.rectify import (
-    STEP_B,
-    STEP_C,
-    rectify_batch,
-    rectify_sample,
-    rectify_step_b,
-    rectify_step_c,
-)
+from rectidistill.errors import InvalidInputError, RectifyNotApplicableError
+from rectidistill.rectify import STEP_B, STEP_C, rectify_rows, rectify_sample
 
 
 @st.composite
@@ -34,7 +21,8 @@ def wrong_prediction(draw, min_classes=2, max_classes=20):
 
 
 def test_step_b_hand_example():
-    out = rectify_step_b(np.array([0.1, 0.7, 0.2]), a=0, b=1)
+    out = rectify_sample(np.array([0.1, 0.7, 0.2]), 0, mode=STEP_B)
+    assert (out.a, out.b, out.stage) == (0, 1, STEP_B)
     np.testing.assert_allclose(out.values, [0.55, 0.35, 0.2], atol=1e-15)
     assert out.values.sum() == pytest.approx(1.1, abs=1e-15)
     # entry a is the mean of t[a] and 1
@@ -42,60 +30,51 @@ def test_step_b_hand_example():
 
 
 def test_step_b_extreme_bias_already_normalized():
-    out = rectify_step_b(np.array([0.0, 1.0]), a=0, b=1)
+    out = rectify_sample(np.array([0.0, 1.0]), 0, mode=STEP_B)
     np.testing.assert_allclose(out.values, [0.5, 0.5], atol=0)
     assert out.values.sum() == pytest.approx(1.0, abs=0)
 
 
 def test_step_b_four_class_example():
-    out = rectify_step_b(np.array([0.0, 0.5, 0.45, 0.05]), a=0, b=1)
+    out = rectify_sample(np.array([0.0, 0.5, 0.45, 0.05]), 0, mode=STEP_B)
     np.testing.assert_allclose(out.values, [0.5, 0.25, 0.45, 0.05], atol=1e-15)
 
 
 def test_step_b_rejects_correct_teacher():
     with pytest.raises(RectifyNotApplicableError):
-        rectify_step_b(np.array([0.7, 0.3]), a=0, b=0)
+        rectify_sample(np.array([0.7, 0.3]), 0, mode=STEP_B)
 
 
-def test_step_b_rejects_wrong_partner():
-    with pytest.raises(InvalidPartnerError):
-        rectify_step_b(np.array([0.1, 0.7, 0.2]), a=0, b=2)
+def test_sample_rejects_bad_label_and_mode():
+    t = np.array([0.1, 0.7, 0.2])
+    for label in (-1, 3):
+        with pytest.raises(InvalidInputError):
+            rectify_sample(t, label)
+    with pytest.raises(InvalidInputError):
+        rectify_sample(t, 0, mode="step_d")
 
 
 def test_step_c_hand_example():
     t = np.array([0.1, 0.7, 0.2])
-    out = rectify_step_c(rectify_step_b(t, 0, 1), 0.1, 0.7)
+    out = rectify_sample(t, 0, mode=STEP_C)
+    assert out.stage == STEP_C
     np.testing.assert_allclose(out.values, [0.55 * 8 / 9, 0.35 * 8 / 9, 0.2], atol=1e-15)
     assert out.values.sum() == pytest.approx(1.0, abs=1e-12)
 
 
 def test_step_c_fixed_point_when_pair_mass_is_one():
     t = np.array([0.0, 1.0])
-    out = rectify_step_c(rectify_step_b(t, 0, 1), 0.0, 1.0)
+    out = rectify_sample(t, 0, mode=STEP_C)
     np.testing.assert_allclose(out.values, [0.5, 0.5], atol=0)
 
 
 def test_step_c_does_not_guarantee_global_argmax():
     # class 2 (t_o = 0.45) stays the global argmax; only a > b is guaranteed
     t = np.array([0.0, 0.5, 0.45, 0.05])
-    out = rectify_step_c(rectify_step_b(t, 0, 1), 0.0, 0.5)
+    out = rectify_sample(t, 0, mode=STEP_C)
     np.testing.assert_allclose(out.values, [1 / 3, 1 / 6, 0.45, 0.05], atol=1e-15)
     assert int(np.argmax(out.values)) == 2
     assert out.values[0] > out.values[1]
-
-
-def test_step_c_rejects_step_c_input():
-    t = np.array([0.1, 0.7, 0.2])
-    done = rectify_step_c(rectify_step_b(t, 0, 1), 0.1, 0.7)
-    with pytest.raises(InvalidInputError):
-        rectify_step_c(done, 0.1, 0.7)
-
-
-def test_degenerate_pair_raises():
-    t = np.array([0.0, 1.0, 0.0])
-    step_b = rectify_step_b(t, 0, 1)
-    with pytest.raises(DegeneratePairError):
-        rectify_step_c(step_b, 0.0, 0.0)
 
 
 @settings(max_examples=500)
@@ -124,19 +103,28 @@ def test_invariants_on_random_wrong_predictions(case):
 
 
 def test_batch_empty_subset():
-    assert rectify_batch(np.empty((0, 3)), np.empty(0, dtype=int)) == []
+    assert rectify_rows(np.empty((0, 3)), np.empty(0, dtype=np.int64)).shape == (0, 3)
 
 
 def test_batch_of_one_matches_single_op():
     t = np.array([[0.1, 0.7, 0.2]])
-    batch = rectify_batch(t, [0])
+    batch = rectify_rows(t, np.array([0]))
     single = rectify_sample(t[0], 0)
-    np.testing.assert_array_equal(batch[0].values, single.values)
+    np.testing.assert_array_equal(batch[0], single.values)
 
 
-def test_batch_rejects_correct_sample():
-    with pytest.raises(InvalidSubsetError):
-        rectify_batch(np.array([[0.7, 0.3]]), [0])
+@settings(max_examples=200)
+@given(
+    st.integers(2, 8).flatmap(
+        lambda k: st.lists(wrong_prediction(min_classes=k, max_classes=k), min_size=1, max_size=16)
+    ),
+    st.sampled_from([STEP_B, STEP_C]),
+)
+def test_rows_equal_stacked_samples(batch, stage):
+    probs = np.array([t for t, _ in batch])
+    labels = np.array([label for _, label in batch])
+    stacked = np.array([rectify_sample(t, label, stage).values for t, label in batch])
+    assert np.array_equal(rectify_rows(probs, labels, stage), stacked)
 
 
 def test_batch_property_all_outputs_valid():

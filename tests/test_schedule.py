@@ -5,7 +5,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rectidistill.errors import InvalidParameterError, InvalidScheduleError
+from rectidistill.errors import (
+    InvalidBatchError,
+    InvalidInputError,
+    InvalidParameterError,
+    InvalidScheduleError,
+)
 from rectidistill.numerics import (
     cross_entropy,
     finite_difference_gradient,
@@ -152,6 +157,28 @@ class TestComputeBatchLoss:
         with pytest.raises(InvalidParameterError):
             compute_batch_loss(logits, teacher, labels, mode="bogus")
 
+    @pytest.mark.parametrize("mode", MODES)
+    @pytest.mark.parametrize("bad_label", [-1, 3])
+    def test_out_of_range_label_rejected(self, mode, bad_label):
+        rng = np.random.default_rng(7)
+        logits, teacher, labels = _random_batch(rng, 4, 3)
+        labels[2] = bad_label
+        with pytest.raises(InvalidBatchError, match="sample 2:"):
+            compute_batch_loss(logits, teacher, labels, EpochSchedule(1, 2), mode=mode,
+                               fixed_gamma=0.5)
+
+    @pytest.mark.parametrize("mode", MODES)
+    @pytest.mark.parametrize(
+        "bad_row", [[0.5, 0.3, 0.3], [0.6, 0.5, -0.1], [np.nan, 0.5, 0.5]]
+    )
+    def test_off_simplex_teacher_row_rejected(self, mode, bad_row):
+        rng = np.random.default_rng(8)
+        logits, teacher, labels = _random_batch(rng, 4, 3)
+        teacher[2] = bad_row
+        with pytest.raises(InvalidInputError, match="sample 2:"):
+            compute_batch_loss(logits, teacher, labels, EpochSchedule(1, 2), mode=mode,
+                               fixed_gamma=0.5)
+
     @settings(max_examples=100, deadline=None)
     @given(
         seed=st.integers(0, 10_000),
@@ -172,6 +199,7 @@ class TestComputeBatchLoss:
         rhs = (1 - out.gamma) * (out.l_ce + out.l_easy) + out.gamma * out.l_hard
         assert lhs == pytest.approx(rhs, abs=1e-12)
         assert out.l_ce >= 0 and out.l_easy >= -1e-12 and out.l_hard >= -1e-12
+        assert out.n_right == np.sum(np.argmax(teacher, axis=1) == labels)
         assert out.n_right + out.n_bias == n
 
 
