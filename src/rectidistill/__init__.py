@@ -2,7 +2,7 @@
 
 Subpackages:
 
-* ``numerics``  -- stable softmax / KL / CE primitives and their gradients
+* ``numerics``  -- the one log-space softmax / CE / KL core, 1-D wrappers
 * ``rectify``   -- two-step rectification of biased teacher targets
 * ``schedule``  -- the batched loss core: partition, rectified hard
   targets, dynamic easy/hard weighting (gamma = e/E), loss and gradient

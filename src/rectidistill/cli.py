@@ -169,14 +169,14 @@ def cmd_train_teacher(args) -> int:
     types = {"train": str, "val": str, "dims": str, "epochs": int, "lr": float,
              "momentum": float, "batch-size": int, "seed": int, "out": str}
     cfg = _merge_config(defaults, types, args)
-    train_ds, val_ds = _load_datasets(cfg)
-    os.makedirs(cfg["out"], exist_ok=True)
-    _persist_config(cfg, cfg["out"])
-
     tc = train.TrainConfig(
         learning_rate=cfg["lr"], momentum=cfg["momentum"], epochs=cfg["epochs"],
         batch_size=cfg["batch-size"], seed=cfg["seed"],
     )
+    train_ds, val_ds = _load_datasets(cfg)
+    os.makedirs(cfg["out"], exist_ok=True)
+    _persist_config(cfg, cfg["out"])
+
     params, rows = train.train_teacher(train_ds, _parse_dims(cfg["dims"]), tc, val_ds)
     model.save_checkpoint(params, os.path.join(cfg["out"], "teacher.ckpt"))
     train.write_metrics_csv(

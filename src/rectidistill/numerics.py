@@ -1,10 +1,11 @@
-"""Stable probability, loss, and gradient primitives.
+"""Stable probability, loss, and gradient primitives: the one numerical source.
 
-All functions are pure and operate on 1-D float64 vectors, except the
-row-wise ``softmax_rows`` and ``as_prob_rows``. Softmax uses
-max-subtraction; KL and CE raise rather than return infinities; the two
-analytic gradients are paired with a central finite-difference oracle so
-each can be checked against an independent path.
+Training runs the row-wise functions. CE and KL are taken from
+``log_softmax_rows`` (shifted logits minus their logsumexp) through
+``kl_rows``, so they stay finite where the softmax underflows, with no
+clamp. The 1-D ``softmax`` and ``kl_divergence`` are checked batch-of-one
+wrappers over them; the 1-D KL and CE raise rather than return infinities.
+Both analytic gradients are checked against a finite-difference oracle.
 """
 
 from collections.abc import Callable
@@ -70,24 +71,44 @@ def _check_class_index(c: int, n: int) -> int:
     return c
 
 
-def softmax(z, tau: float = 1.0) -> np.ndarray:
-    """softmax(z / tau) with max-subtraction; argmax is invariant in tau."""
-    z = as_logits(z)
-    if not np.isfinite(tau) or tau <= 0.0:
-        raise InvalidParameterError(f"temperature must be a positive finite scalar, got {tau}")
-    scaled = z / tau
-    e = np.exp(scaled - scaled.max())
-    return e / e.sum()
-
-
-def softmax_rows(logits, tau: float = 1.0) -> np.ndarray:
-    """Row-wise softmax(z / tau) over a (n, k) logit matrix."""
+def _shifted_rows(logits, tau: float) -> np.ndarray:
+    """z / tau minus its row maximum, over a (n, k) logit matrix."""
     logits = np.asarray(logits, dtype=np.float64)
     if not np.isfinite(tau) or tau <= 0.0:
         raise InvalidParameterError(f"temperature must be a positive finite scalar, got {tau}")
     scaled = logits / tau
-    e = np.exp(scaled - scaled.max(axis=1, keepdims=True))
+    return scaled - scaled.max(axis=1, keepdims=True)
+
+
+def softmax_rows(logits, tau: float = 1.0) -> np.ndarray:
+    """Row-wise softmax(z / tau) over a (n, k) logit matrix."""
+    e = np.exp(_shifted_rows(logits, tau))
     return e / e.sum(axis=1, keepdims=True)
+
+
+def log_softmax_rows(logits, tau: float = 1.0) -> np.ndarray:
+    """Row-wise ln softmax(z / tau): shifted logits minus their logsumexp.
+
+    Finite for every finite logit row, also where ``softmax_rows`` is 0.
+    """
+    shifted = _shifted_rows(logits, tau)
+    return shifted - np.log(np.exp(shifted).sum(axis=1, keepdims=True))
+
+
+def kl_rows(targets, log_probs) -> np.ndarray:
+    """Row-wise forward KL sum t_i (ln t_i - log_probs_i).
+
+    Target rows need not sum to 1 (the step-b ablation uses them
+    unnormalized); an entry with t_i = 0 adds exactly 0. ``log_probs``
+    must be finite, as ``log_softmax_rows`` is.
+    """
+    log_t = np.log(np.where(targets > 0.0, targets, 1.0))
+    return (targets * (log_t - log_probs)).sum(axis=1)
+
+
+def softmax(z, tau: float = 1.0) -> np.ndarray:
+    """softmax(z / tau) of one logit vector; argmax is invariant in tau."""
+    return softmax_rows(as_logits(z)[None, :], tau)[0]
 
 
 def kl_divergence(t, s) -> float:
@@ -96,10 +117,11 @@ def kl_divergence(t, s) -> float:
     s = as_prob_vector(s)
     if t.shape != s.shape:
         raise InvalidInputError(f"length mismatch: {t.shape[0]} vs {s.shape[0]}")
-    active = t > 0.0
-    if np.any(s[active] == 0.0):
+    if np.any(s[t > 0.0] == 0.0):
         raise DivergenceInfiniteError("target has mass where the second distribution is exactly 0")
-    return float(np.sum(t[active] * np.log(t[active] / s[active])))
+    # any remaining s_i = 0 has t_i = 0: ln 1 keeps its (zero) term finite
+    log_s = np.log(np.where(s > 0.0, s, 1.0))
+    return float(kl_rows(t[None, :], log_s[None, :])[0])
 
 
 def cross_entropy(class_index: int, s) -> float:

@@ -14,13 +14,14 @@ is small and destabilizes the end of training, where gamma -> 1.
 
 A sample carries right knowledge when the teacher's argmax matches its
 label (ties broken toward the lowest class index, everywhere). The two
-subsets are gathered by index instead of multiplying by a 0/1 mask: the
-loss values are identical, but index gathering never produces 0*ln(0/0)
-terms, and it fixes the summation order the outputs depend on.
+subsets are gathered by index instead of multiplying by a 0/1 mask, which
+fixes the summation order the outputs depend on.
 
 ``compute_batch_loss`` is the one batched core: it validates the batch
 once, partitions it, rectifies all biased rows in one array operation and
 returns the loss terms together with their gradient w.r.t. the logits.
+CE and KL come from ``numerics.log_softmax_rows``, so they stay finite
+where the student softmax underflows; the gradient uses the softmax.
 
 Modes:
 
@@ -41,12 +42,11 @@ import numpy as np
 
 from . import rectify
 from .errors import (
-    DivergenceInfiniteError,
     InvalidBatchError,
     InvalidParameterError,
     InvalidScheduleError,
 )
-from .numerics import as_prob_rows
+from .numerics import as_prob_rows, kl_rows, log_softmax_rows
 from .numerics import softmax_rows as _batch_softmax_rows
 
 MODES = (
@@ -57,9 +57,6 @@ MODES = (
     "step_b_ablation",
     "fixed_gamma",
 )
-
-# Clamp applied only inside logarithms, never to stored probabilities.
-_LOG_FLOOR = 1e-12
 
 
 @dataclass(frozen=True)
@@ -91,17 +88,6 @@ class LossBreakdown:
     n_right: int
     n_bias: int
     grad: np.ndarray  # d l_all / d student logits, shape (n, k)
-
-
-def _safe_log(p: np.ndarray) -> np.ndarray:
-    return np.log(np.maximum(p, _LOG_FLOOR))
-
-
-def _kl_rows(targets: np.ndarray, probs: np.ndarray) -> np.ndarray:
-    """Row-wise sum t_i ln(t_i / s_i); t rows need not be normalized (step b)."""
-    active = targets > 0.0
-    terms = np.where(active, targets * (_safe_log(targets) - _safe_log(probs)), 0.0)
-    return terms.sum(axis=1)
 
 
 def _resolve_gamma(mode: str, sched, fixed_gamma) -> float:
@@ -160,39 +146,36 @@ def compute_batch_loss(
     rows = np.arange(n)
     g = _resolve_gamma(mode, sched, fixed_gamma)
     s = _batch_softmax_rows(student_logits, tau)
+    log_s = log_softmax_rows(student_logits, tau)
     right_mask = np.argmax(teacher_probs, axis=1) == labels
     right, bias = rows[right_mask], rows[~right_mask]
 
-    s_true = s[rows, labels]
-    if np.any(s_true == 0.0):
-        bad = int(np.flatnonzero(s_true == 0.0)[0])
-        raise DivergenceInfiniteError(f"sample {bad}: zero student probability at the true class")
-    l_ce = float(-_safe_log(s_true).mean())
+    l_ce = float(-log_s[rows, labels].mean())
     onehot = np.zeros_like(s)
     onehot[rows, labels] = 1.0
     grad = (1.0 - g) / n * (s - onehot) / tau
 
     if mode == "vanilla_kd":
-        l_easy = float(_kl_rows(teacher_probs, s).mean())
+        l_easy = float(kl_rows(teacher_probs, log_s).mean())
         l_hard = 0.0
         grad += (s - teacher_probs) / (tau * n)
     elif mode == "rectify_only":
         targets = teacher_probs.copy()
         targets[bias] = rectify.rectify_rows(teacher_probs[bias], labels[bias], rectify.STEP_C)
-        l_easy = float(_kl_rows(targets, s).mean())
+        l_easy = float(kl_rows(targets, log_s).mean())
         l_hard = 0.0
         grad += (s - targets) / (tau * n)
     else:
         l_easy = 0.0
         if right.size:
-            l_easy = float(_kl_rows(teacher_probs[right], s[right]).sum() / n)
+            l_easy = float(kl_rows(teacher_probs[right], log_s[right]).sum() / n)
             grad[right] += (1.0 - g) / n * (s[right] - teacher_probs[right]) / tau
         if mode == "eliminate_only" or not bias.size:
             l_hard = 0.0
         else:
             stage = rectify.STEP_B if mode == "step_b_ablation" else rectify.STEP_C
             hard_targets = rectify.rectify_rows(teacher_probs[bias], labels[bias], stage)
-            l_hard = float(_kl_rows(hard_targets, s[bias]).sum() / n)
+            l_hard = float(kl_rows(hard_targets, log_s[bias]).sum() / n)
             if g != 0.0:
                 mass = hard_targets.sum(axis=1, keepdims=True)
                 grad[bias] += g / n * (mass * s[bias] - hard_targets) / tau

@@ -5,14 +5,15 @@ Single-threaded by contract; every run is fully determined by
 ever read through ``model.forward``.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import model
 from .data import Dataset, batch_iter
-from .errors import ConfigError, InvalidParameterError
-from .numerics import softmax_rows
+from .errors import ConfigError
+from .numerics import log_softmax_rows, softmax_rows
 from .schedule import EpochSchedule, compute_batch_loss
 
 METRICS_COLUMNS = (
@@ -42,14 +43,15 @@ class TrainConfig:
     fixed_gamma: float | None = None
 
     def __post_init__(self):
-        if self.learning_rate <= 0.0:
-            raise InvalidParameterError(f"learning rate must be positive, got {self.learning_rate}")
+        # chained comparisons are False for nan, so nan fails every check
+        if not 0.0 < self.learning_rate < math.inf:
+            raise ConfigError(f"learning rate must be finite and > 0, got {self.learning_rate}")
         if not 0.0 <= self.momentum < 1.0:
-            raise InvalidParameterError(f"momentum must lie in [0, 1), got {self.momentum}")
+            raise ConfigError(f"momentum must lie in [0, 1), got {self.momentum}")
         if self.epochs < 1 or self.batch_size < 1:
-            raise InvalidParameterError("epochs and batch size must be >= 1")
-        if self.tau <= 0.0:
-            raise InvalidParameterError(f"temperature must be positive, got {self.tau}")
+            raise ConfigError("epochs and batch size must be >= 1")
+        if not 0.0 < self.tau < math.inf:
+            raise ConfigError(f"temperature must be finite and > 0, got {self.tau}")
 
 
 def train_teacher(train_ds: Dataset, dims, cfg: TrainConfig, val_ds: Dataset | None = None):
@@ -62,17 +64,15 @@ def train_teacher(train_ds: Dataset, dims, cfg: TrainConfig, val_ds: Dataset | N
         for idx in batch_iter(train_ds, cfg.batch_size, cfg.seed, epoch):
             x, y = train_ds.features[idx], train_ds.labels[idx]
             logits = model.forward(params, x)
-            probs = softmax_rows(logits)
-            loss_sum += float(
-                -np.log(np.maximum(probs[np.arange(len(idx)), y], 1e-12)).sum()
-            )
-            upstream = probs.copy()
-            upstream[np.arange(len(idx)), y] -= 1.0
+            true_class = (np.arange(len(idx)), y)
+            loss_sum += float(-log_softmax_rows(logits)[true_class].sum())
+            upstream = softmax_rows(logits)
+            upstream[true_class] -= 1.0
             grads = model.backward(params, x, upstream / len(idx))
             model.sgd_step(params, grads, velocity, cfg.learning_rate, cfg.momentum)
-        train_acc, _ = model.evaluate(params, train_ds.features, train_ds.labels)
+        train_acc = model.evaluate(params, train_ds.features, train_ds.labels)
         val_acc = (
-            model.evaluate(params, val_ds.features, val_ds.labels)[0]
+            model.evaluate(params, val_ds.features, val_ds.labels)
             if val_ds is not None
             else float("nan")
         )
@@ -127,9 +127,9 @@ def distill(
             sums["loss_hard"] += breakdown.l_hard * w
             n_right += breakdown.n_right
             epoch_gamma = breakdown.gamma
-        train_acc, _ = model.evaluate(student, train_ds.features, train_ds.labels)
+        train_acc = model.evaluate(student, train_ds.features, train_ds.labels)
         val_acc = (
-            model.evaluate(student, val_ds.features, val_ds.labels)[0]
+            model.evaluate(student, val_ds.features, val_ds.labels)
             if val_ds is not None
             else float("nan")
         )

@@ -87,6 +87,16 @@ class TestTrainTeacher:
         assert rc == cli.EXIT_USAGE
         assert not out.exists()  # no partial outputs
 
+    def test_bad_flag_is_usage_error_before_any_output(self, tmp_path):
+        data = gen_tiny_data(tmp_path)
+        out = tmp_path / "teacher"
+        rc = cli.main([
+            "train-teacher", "--train", str(data / "train.csv"), "--lr", "nan",
+            "--out", str(out),
+        ])
+        assert rc == cli.EXIT_USAGE
+        assert not out.exists()
+
     def test_produces_checkpoint_and_metrics(self, tmp_path):
         data = gen_tiny_data(tmp_path)
         ckpt = train_tiny_teacher(tmp_path, data)
@@ -176,6 +186,37 @@ class TestDistill:
             "--teacher", str(tmp / "nope.ckpt"), "--out", str(tmp / "bad2"),
         ])
         assert rc == cli.EXIT_USAGE
+
+    def test_tiny_tau_runs_with_finite_losses(self, setup):
+        # at tau=1e-3 the student softmax underflows to 0 at the true class
+        out = self._run(setup, "full", "tiny-tau", extra=("--tau", "0.001"))
+        rows = (out / "metrics.csv").read_text().splitlines()
+        header = rows[0].split(",")
+        loss_cols = [i for i, name in enumerate(header) if name.startswith("loss_")]
+        assert len(loss_cols) == 4 and len(rows) == 1 + 8
+        for line in rows[1:]:
+            cells = line.split(",")
+            assert all(np.isfinite(float(cells[i])) for i in loss_cols)
+
+    @pytest.mark.parametrize(
+        "flag,value",
+        [
+            ("--lr", "nan"), ("--lr", "inf"), ("--lr", "0"), ("--lr", "-0.1"),
+            ("--momentum", "nan"), ("--momentum", "inf"), ("--momentum", "1"),
+            ("--momentum", "-0.5"),
+            ("--tau", "nan"), ("--tau", "inf"), ("--tau", "0"), ("--tau", "-1"),
+            ("--epochs", "0"), ("--batch-size", "0"),
+        ],
+    )
+    def test_bad_training_flag_is_usage_error(self, setup, flag, value):
+        tmp, data, teacher = setup
+        out = tmp / "bad-flag"
+        rc = cli.main([
+            "distill", "--train", str(data / "train.csv"), "--teacher", str(teacher),
+            "--dims", "2,4,3", "--epochs", "2", "--out", str(out), flag, value,
+        ])
+        assert rc == cli.EXIT_USAGE
+        assert not out.exists()
 
     def test_ablate_smoke(self, setup):
         tmp, data, teacher = setup

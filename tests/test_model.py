@@ -176,7 +176,7 @@ class TestEvaluate:
     def test_oracle_labels_as_logits(self):
         p = model.MlpParams(weights=[np.eye(3)], biases=[np.zeros(3)])
         feats = np.eye(3)
-        acc, _ = model.evaluate(p, feats, np.array([0, 1, 2]))
+        acc = model.evaluate(p, feats, np.array([0, 1, 2]))
         assert acc == 1.0
 
     def test_constant_logits_tie_rule(self):
@@ -184,7 +184,7 @@ class TestEvaluate:
         p = model.MlpParams(weights=[np.zeros((4, 2))], biases=[np.zeros(4)])
         feats = np.random.default_rng(0).normal(size=(40, 2))
         labels = np.tile(np.arange(4), 10)
-        acc, _ = model.evaluate(p, feats, labels)
+        acc = model.evaluate(p, feats, labels)
         assert acc == 0.25
 
     def test_matches_counting_oracle(self):
@@ -192,7 +192,7 @@ class TestEvaluate:
         rng = np.random.default_rng(7)
         feats = rng.normal(size=(100, 2))
         labels = rng.integers(0, 3, size=100)
-        acc, _ = model.evaluate(p, feats, labels)
+        acc = model.evaluate(p, feats, labels)
         logits = model.forward(p, feats)
         hits = sum(1 for i in range(100) if int(np.argmax(logits[i])) == labels[i])
         assert acc == hits / 100
@@ -258,4 +258,15 @@ class TestCheckpoint:
             "rectidistill-mlp v1\nlayers 1\nlayer 2 2\n1.0 oops\n0.0 0.0\n0.0 0.0\n"
         )
         with pytest.raises(CheckpointParseError, match=":4:"):
+            model.load_checkpoint(path)
+
+    @pytest.mark.parametrize(
+        "cells,lineno", [("inf 1", 4), ("1 nan", 4), ("0.0 -inf", 6), ("nan 0.0", 6)]
+    )
+    def test_non_finite_value_reports_line(self, tmp_path, cells, lineno):
+        rows = ["1.0 2.0", "0.0 0.0", "0.0 0.0"]
+        rows[lineno - 4] = cells
+        path = tmp_path / "bad.ckpt"
+        path.write_text("rectidistill-mlp v1\nlayers 1\nlayer 2 2\n" + "\n".join(rows) + "\n")
+        with pytest.raises(CheckpointParseError, match=f":{lineno}: non-finite"):
             model.load_checkpoint(path)

@@ -26,7 +26,9 @@ from rectidistill.numerics import (
     cross_entropy,
     finite_difference_gradient,
     kl_divergence,
+    kl_rows,
     kl_softmax_gradient,
+    log_softmax_rows,
     softmax,
     softmax_rows,
 )
@@ -38,6 +40,39 @@ def softmax_oracle(z, tau=1.0):
         e = [mpmath.exp(mpmath.mpf(v) / mpmath.mpf(tau)) for v in z]
         total = mpmath.fsum(e)
         return np.array([float(v / total) for v in e])
+
+
+def _mp_log_softmax(z, tau):
+    """ln softmax(z / tau) as mpmath numbers; call inside ``workdps``."""
+    scaled = [mpmath.mpf(v) / mpmath.mpf(tau) for v in z]
+    lse = mpmath.log(mpmath.fsum(mpmath.exp(v) for v in scaled))
+    return [v - lse for v in scaled]
+
+
+def log_softmax_oracle(z, tau):
+    """ln softmax(z / tau) at 50 decimal digits."""
+    with mpmath.workdps(50):
+        return np.array([float(v) for v in _mp_log_softmax(z, tau)])
+
+
+def kl_rows_oracle(t, z, tau):
+    """sum t_i (ln t_i - ln softmax(z / tau)_i) at 50 decimal digits."""
+    with mpmath.workdps(50):
+        log_s = _mp_log_softmax(z, tau)
+        terms = [mpmath.mpf(ti) * (mpmath.log(ti) - ls) for ti, ls in zip(t, log_s) if ti > 0]
+        return float(mpmath.fsum(terms))
+
+
+# logit rows spanning +-1e3: far beyond where softmax underflows to 0
+EXTREME_LOGITS = np.array(
+    [
+        [1000.0, -1000.0, 0.0, 3.0],
+        [-1000.0, -999.5, -1000.0, -998.0],
+        [0.0, 1e-3, -1e-3, 0.5],
+        [750.0, 745.0, -20.0, 1000.0],
+    ]
+)
+TAUS = (1e-4, 1e-2, 1.0, 10.0)
 
 
 def kl_oracle(t, s):
@@ -109,6 +144,62 @@ class TestSoftmax:
         rows = softmax_rows(z, 0.7)
         for i in range(5):
             np.testing.assert_allclose(rows[i], softmax(z[i], 0.7), atol=1e-15)
+
+
+class TestLogSoftmaxRows:
+    @pytest.mark.parametrize("tau", TAUS)
+    def test_matches_extended_precision_oracle(self, tau):
+        out = log_softmax_rows(EXTREME_LOGITS, tau)
+        assert np.all(np.isfinite(out))
+        for z, row in zip(EXTREME_LOGITS, out):
+            # an entry ~ -exp(-gap) below ulp(1) rounds to 0: absolute floor 1e-15
+            np.testing.assert_allclose(row, log_softmax_oracle(z, tau), rtol=1e-12, atol=1e-15)
+
+    @pytest.mark.parametrize("tau", TAUS)
+    def test_exp_matches_softmax_rows(self, tau):
+        np.testing.assert_allclose(
+            np.exp(log_softmax_rows(EXTREME_LOGITS, tau)),
+            softmax_rows(EXTREME_LOGITS, tau),
+            rtol=1e-12, atol=1e-300,
+        )
+
+    def test_finite_where_softmax_underflows(self):
+        logits = np.array([[0.0, 800.0]])
+        assert softmax_rows(logits)[0, 0] == 0.0
+        assert log_softmax_rows(logits)[0, 0] == -800.0
+
+    @pytest.mark.parametrize("tau", [0.0, -1.0, float("inf"), float("nan")])
+    def test_rejects_bad_temperature(self, tau):
+        with pytest.raises(InvalidParameterError):
+            log_softmax_rows([[1.0, 2.0]], tau)
+
+
+class TestKlRows:
+    @pytest.mark.parametrize("tau", TAUS)
+    def test_matches_extended_precision_oracle(self, tau):
+        teacher = np.array(
+            [[0.25, 0.25, 0.25, 0.25], [0.7, 0.0, 0.2, 0.1],
+             [1.0, 0.0, 0.0, 0.0], [0.1, 0.6, 0.3, 0.0]]
+        )
+        out = kl_rows(teacher, log_softmax_rows(EXTREME_LOGITS, tau))
+        assert np.all(np.isfinite(out))
+        for t, z, got in zip(teacher, EXTREME_LOGITS, out):
+            assert got == pytest.approx(kl_rows_oracle(t, z, tau), rel=1e-12, abs=1e-15)
+
+    def test_zero_target_entry_adds_exactly_zero(self):
+        log_probs = np.log([[0.2, 0.3, 0.5]])
+        with_zero = kl_rows(np.array([[0.0, 0.4, 0.6]]), log_probs)[0]
+        expected = 0.4 * (math.log(0.4) - log_probs[0, 1]) + 0.6 * (
+            math.log(0.6) - log_probs[0, 2]
+        )
+        assert with_zero == expected
+
+    def test_unnormalized_step_b_targets(self):
+        # step-b rows sum to less than 1; no renormalization happens
+        t = np.array([[0.35, 0.35, 0.2]])
+        log_probs = np.log([[0.5, 0.25, 0.25]])
+        expected = sum(ti * math.log(ti / si) for ti, si in zip(t[0], [0.5, 0.25, 0.25]))
+        assert kl_rows(t, log_probs)[0] == pytest.approx(expected, rel=1e-14)
 
 
 class TestProbVector:

@@ -77,6 +77,22 @@ class TestComputeBatchLoss:
         out = compute_batch_loss(logits, teacher, labels, EpochSchedule(1, 2), mode="full")
         assert out.l_all == pytest.approx(0.0, abs=1e-12)
 
+    @pytest.mark.parametrize("mode", MODES)
+    def test_true_class_softmax_underflow_stays_finite(self, mode):
+        # softmax([0, 800])[0] is exactly 0 in float64; ln of it is -800
+        logits = np.array([[0.0, 800.0]])
+        teacher = np.array([[0.75, 0.25]])
+        labels = np.array([0])
+        assert softmax_rows(logits)[0, 0] == 0.0
+        out = compute_batch_loss(logits, teacher, labels, EpochSchedule(1, 2), tau=1.0,
+                                 mode=mode, fixed_gamma=0.5)
+        assert out.l_ce == 800.0
+        # the teacher is right, so every mode takes KL(t || s) with ln s = [-800, 0]
+        assert out.l_easy == pytest.approx(
+            0.75 * (np.log(0.75) + 800.0) + 0.25 * np.log(0.25), rel=1e-14
+        )
+        assert np.isfinite(out.l_all) and np.all(np.isfinite(out.grad))
+
     def test_two_sample_composition_oracle(self):
         # one right, one wrong sample; oracle composes the primitives by hand
         logits = np.array([[1.0, 0.2, -0.5], [0.3, -0.1, 0.8]])
