@@ -23,6 +23,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .data import atomic_write
 from .errors import InvalidSetupError, RectifyNotApplicableError
 from .rectify import rectify_sample
 
@@ -199,8 +200,7 @@ def sweep(t_a_values, w_kl: float = 1.0, w_ce: float = 1.0) -> list[SweepRow]:
 
 
 def write_sweep_csv(rows: list[SweepRow], path) -> None:
-    lines = ["t_a,s_unrect,s_rect,s_ce_only,verdict"]
-    for r in rows:
-        lines.append(f"{r.t_a!r},{r.s_unrect!r},{r.s_rect!r},{r.s_ce_only!r},{r.verdict}")
-    with open(path, "w") as fh:
-        fh.write("\n".join(lines) + "\n")
+    with atomic_write(path) as fh:
+        fh.write("t_a,s_unrect,s_rect,s_ce_only,verdict\n")
+        for r in rows:
+            fh.write(f"{r.t_a!r},{r.s_unrect!r},{r.s_rect!r},{r.s_ce_only!r},{r.verdict}\n")

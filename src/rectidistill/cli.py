@@ -2,18 +2,22 @@
 
 Subcommands: gen-data, train-teacher, distill, ablate, prop-check.
 
-Configuration precedence: command-line flags override the ``--config``
-file (flat ``key=value`` lines, keys mirror long flag names) which
-overrides built-in defaults. The merged config is persisted verbatim into
-the output directory as ``config.txt``. The default output root is
-``$RECTIDISTILL_OUT`` or ``./runs``.
+Each subcommand's flags are declared once, in ``COMMANDS``; the parser,
+the config-file keys and types, and the defaults all come from that table.
+Command-line flags override the ``--config`` file (flat ``key=value``
+lines, keys mirror long flag names) which overrides the defaults. The
+merged config is persisted verbatim into the output directory as
+``config.txt``. The default output root is ``$RECTIDISTILL_OUT`` or
+``./runs``.
 
-Exit codes: 0 success, 1 internal error, 2 usage/config error,
-3 verification failure.
+Exit codes: 0 success, 1 internal error, 2 usage/config error (raised
+before any output is written), 3 verification failure.
 """
 
 import argparse
+import dataclasses
 import json
+import math
 import os
 import statistics
 import sys
@@ -21,7 +25,7 @@ import sys
 import numpy as np
 
 from . import analysis, model, train
-from .data import Dataset, load_csv, make_blobs, save_csv
+from .data import Dataset, atomic_write, load_csv, make_blobs, save_csv
 from .errors import ConfigError, RectiDistillError
 
 EXIT_OK = 0
@@ -85,25 +89,48 @@ def _read_config_file(path: str) -> dict[str, str]:
     return values
 
 
-def _merge_config(defaults: dict, types: dict, args: argparse.Namespace) -> dict:
+def _flags(command: str) -> dict:
+    """The command's table flags plus ``out``, its default resolved now."""
+    _, _, out_subdir, flags = COMMANDS[command]
+    return {**flags, "out": (str, os.path.join(_out_root(), out_subdir))}
+
+
+def _merge_config(args: argparse.Namespace) -> dict:
     """defaults < config file < explicit command-line flags."""
-    merged = dict(defaults)
-    if getattr(args, "config", None):
+    flags = _flags(args.command)
+    merged = {key: default for key, (_, default) in flags.items()}
+    if args.config:
         for key, raw in _read_config_file(args.config).items():
-            if key not in defaults:
-                raise ConfigError(f"unknown config key {key!r}")
-            merged[key] = types[key](raw)
-    for key in defaults:
-        cli_value = getattr(args, key.replace("-", "_"), None)
-        if cli_value is not None:
-            merged[key] = cli_value
+            if key not in flags:
+                raise ConfigError(f"{args.config}: unknown config key {key!r}")
+            typ = flags[key][0]
+            try:
+                merged[key] = typ(raw)
+            except ValueError:
+                raise ConfigError(
+                    f"{args.config}: {key}={raw!r} is not a valid {typ.__name__}"
+                ) from None
+    for key, (typ, _) in flags.items():
+        value = getattr(args, key.replace("-", "_"))
+        if value is None:
+            continue
+        if not isinstance(value, typ):  # argparse yields [] for --flag=--, skipping the type
+            raise ConfigError(f"--{key} needs a {typ.__name__} value, got {value!r}")
+        merged[key] = value
     return merged
 
 
-def _persist_config(merged: dict, out_dir: str) -> None:
-    lines = [f"{k}={merged[k]}" for k in sorted(merged)]
-    with open(os.path.join(out_dir, "config.txt"), "w") as fh:
-        fh.write("\n".join(lines) + "\n")
+def _persist_config(cfg: dict) -> None:
+    """Create the output directory and write the merged config to config.txt."""
+    os.makedirs(cfg["out"], exist_ok=True)
+    with atomic_write(os.path.join(cfg["out"], "config.txt")) as fh:
+        fh.writelines(f"{k}={cfg[k]}\n" for k in sorted(cfg))
+
+
+def _write_json(path: str, obj: dict) -> None:
+    with atomic_write(path) as fh:
+        json.dump(obj, fh, sort_keys=True)
+        fh.write("\n")
 
 
 def _require_file(path: str, what: str) -> None:
@@ -111,73 +138,69 @@ def _require_file(path: str, what: str) -> None:
         raise ConfigError(f"{what} not found: {path!r}")
 
 
-def _load_datasets(cfg: dict) -> tuple[Dataset, Dataset | None]:
-    _require_file(cfg["train"], "training dataset")
-    train_ds = load_csv(cfg["train"])
+def _load_dataset(path: str, what: str, width: int, n_classes: int) -> Dataset:
+    _require_file(path, what)
+    ds = load_csv(path, n_classes)
+    if ds.features.shape[1] != width:
+        raise ConfigError(f"{what} has {ds.features.shape[1]} features, dims start at {width}")
+    return ds
+
+
+def _load_datasets(cfg: dict, width: int, n_classes: int) -> tuple[Dataset, Dataset | None]:
+    """Load --train and --val; the model fixes the feature width and the class count."""
+    train_ds = _load_dataset(cfg["train"], "training dataset", width, n_classes)
     val_ds = None
-    if cfg.get("val"):
-        _require_file(cfg["val"], "validation dataset")
-        val_ds = load_csv(cfg["val"])
+    if cfg["val"]:
+        val_ds = _load_dataset(cfg["val"], "validation dataset", width, n_classes)
     return train_ds, val_ds
 
 
-def cmd_gen_data(args) -> int:
-    defaults = {
-        "classes": 4,
-        "per-class": 100,
-        "val-per-class": 500,
-        "dim": 2,
-        "spread": 1.2,
-        "seed": 1,
-        "out": os.path.join(_out_root(), "data"),
-    }
-    types = {"classes": int, "per-class": int, "val-per-class": int, "dim": int,
-             "spread": float, "seed": int, "out": str}
-    cfg = _merge_config(defaults, types, args)
-    os.makedirs(cfg["out"], exist_ok=True)
-    _persist_config(cfg, cfg["out"])
+def _load_distill_inputs(cfg: dict):
+    """Student dims, teacher and datasets; the class count is the teacher's output width."""
+    dims = _parse_dims(cfg["dims"])
+    _require_file(cfg["teacher"], "teacher checkpoint")
+    teacher = model.load_checkpoint(cfg["teacher"])
+    return (dims, teacher, *_load_datasets(cfg, dims[0], teacher.dims[-1]))
 
+
+def _train_config(cfg: dict, **extra) -> train.TrainConfig:
+    return train.TrainConfig(
+        learning_rate=cfg["lr"], momentum=cfg["momentum"], epochs=cfg["epochs"],
+        batch_size=cfg["batch-size"], seed=cfg["seed"], **extra,
+    )
+
+
+def cmd_gen_data(cfg: dict) -> int:
+    for key, low in (("classes", 2), ("per-class", 1), ("val-per-class", 1), ("dim", 1)):
+        if cfg[key] < low:
+            raise ConfigError(f"{key} must be >= {low}, got {cfg[key]}")
+    if not 0.0 < cfg["spread"] < math.inf:
+        raise ConfigError(f"spread must be finite and > 0, got {cfg['spread']}")
     # One draw shared by both splits so class centers match exactly.
     per_total = cfg["per-class"] + cfg["val-per-class"]
     full = make_blobs(cfg["classes"], per_total, cfg["dim"], cfg["spread"], cfg["seed"])
-    train_idx, val_idx = [], []
-    for c in range(cfg["classes"]):
-        start = c * per_total
-        train_idx.extend(range(start, start + cfg["per-class"]))
-        val_idx.extend(range(start + cfg["per-class"], start + per_total))
-    for name, idx in (("train", train_idx), ("val", val_idx)):
-        subset = Dataset(
-            features=full.features[idx],
-            labels=full.labels[idx],
-            n_classes=full.n_classes,
-        )
+    by_class = np.arange(full.n).reshape(cfg["classes"], per_total)
+    splits = {"train": by_class[:, :cfg["per-class"]], "val": by_class[:, cfg["per-class"]:]}
+
+    _persist_config(cfg)
+    for name, idx in splits.items():
+        idx = idx.ravel()
+        subset = Dataset(full.features[idx], full.labels[idx], full.n_classes)
         save_csv(subset, os.path.join(cfg["out"], f"{name}.csv"))
-    with open(os.path.join(cfg["out"], "manifest.json"), "w") as fh:
-        json.dump({k: cfg[k] for k in sorted(cfg) if k != "out"}, fh, sort_keys=True)
-        fh.write("\n")
+    manifest = {k: cfg[k] for k in cfg if k != "out"}
+    _write_json(os.path.join(cfg["out"], "manifest.json"), manifest)
     print(f"wrote train.csv ({cfg['classes'] * cfg['per-class']} rows) and "
           f"val.csv ({cfg['classes'] * cfg['val-per-class']} rows) to {cfg['out']}")
     return EXIT_OK
 
 
-def cmd_train_teacher(args) -> int:
-    defaults = {
-        "train": "", "val": "", "dims": "2,64,4", "epochs": 200, "lr": 0.1,
-        "momentum": 0.9, "batch-size": 32, "seed": 0,
-        "out": os.path.join(_out_root(), "teacher"),
-    }
-    types = {"train": str, "val": str, "dims": str, "epochs": int, "lr": float,
-             "momentum": float, "batch-size": int, "seed": int, "out": str}
-    cfg = _merge_config(defaults, types, args)
-    tc = train.TrainConfig(
-        learning_rate=cfg["lr"], momentum=cfg["momentum"], epochs=cfg["epochs"],
-        batch_size=cfg["batch-size"], seed=cfg["seed"],
-    )
-    train_ds, val_ds = _load_datasets(cfg)
-    os.makedirs(cfg["out"], exist_ok=True)
-    _persist_config(cfg, cfg["out"])
+def cmd_train_teacher(cfg: dict) -> int:
+    tc = _train_config(cfg)
+    dims = _parse_dims(cfg["dims"])
+    train_ds, val_ds = _load_datasets(cfg, dims[0], dims[-1])
+    _persist_config(cfg)
 
-    params, rows = train.train_teacher(train_ds, _parse_dims(cfg["dims"]), tc, val_ds)
+    params, rows = train.train_teacher(train_ds, dims, tc, val_ds)
     model.save_checkpoint(params, os.path.join(cfg["out"], "teacher.ckpt"))
     train.write_metrics_csv(
         rows, os.path.join(cfg["out"], "teacher_metrics.csv"),
@@ -188,37 +211,12 @@ def cmd_train_teacher(args) -> int:
     return EXIT_OK
 
 
-def _distill_once(cfg: dict, mode: str, fixed_gamma, seed: int):
-    train_ds, val_ds = _load_datasets(cfg)
-    teacher = model.load_checkpoint(cfg["teacher"])
-    tc = train.TrainConfig(
-        learning_rate=cfg["lr"], momentum=cfg["momentum"], epochs=cfg["epochs"],
-        batch_size=cfg["batch-size"], seed=seed, tau=cfg["tau"],
-        mode=mode, fixed_gamma=fixed_gamma,
-    )
-    return train.distill(teacher, _parse_dims(cfg["dims"]), train_ds, tc, val_ds)
-
-
-_DISTILL_DEFAULTS = {
-    "train": "", "val": "", "teacher": "", "dims": "2,8,4", "mode": "full",
-    "epochs": 60, "lr": 0.005, "momentum": 0.9, "batch-size": 32, "seed": 1,
-    "tau": 1.0,
-}
-_DISTILL_TYPES = {
-    "train": str, "val": str, "teacher": str, "dims": str, "mode": str,
-    "epochs": int, "lr": float, "momentum": float, "batch-size": int,
-    "seed": int, "tau": float, "out": str, "seeds": int,
-}
-
-
-def cmd_distill(args) -> int:
-    defaults = dict(_DISTILL_DEFAULTS, out=os.path.join(_out_root(), "distill"))
-    cfg = _merge_config(defaults, _DISTILL_TYPES, args)
+def cmd_distill(cfg: dict) -> int:
     mode, fixed_gamma = _parse_mode(cfg["mode"])
-    _require_file(cfg["teacher"], "teacher checkpoint")
-    student, rows = _distill_once(cfg, mode, fixed_gamma, cfg["seed"])
-    os.makedirs(cfg["out"], exist_ok=True)
-    _persist_config(cfg, cfg["out"])
+    tc = _train_config(cfg, tau=cfg["tau"], mode=mode, fixed_gamma=fixed_gamma)
+    dims, teacher, train_ds, val_ds = _load_distill_inputs(cfg)
+    student, rows = train.distill(teacher, dims, train_ds, tc, val_ds)
+    _persist_config(cfg)
     model.save_checkpoint(student, os.path.join(cfg["out"], "student.ckpt"))
     train.write_metrics_csv(rows, os.path.join(cfg["out"], "metrics.csv"))
     final = rows[-1]
@@ -227,51 +225,44 @@ def cmd_distill(args) -> int:
         "final_val_acc": final["val_acc"], "final_train_acc": final["train_acc"],
         "final_loss_total": final["loss_total"],
     }
-    with open(os.path.join(cfg["out"], "summary.json"), "w") as fh:
-        json.dump(summary, fh, sort_keys=True)
-        fh.write("\n")
+    _write_json(os.path.join(cfg["out"], "summary.json"), summary)
     print(f"distill mode={cfg['mode']} seed={cfg['seed']} "
           f"val_acc={final['val_acc']:.4f}")
     return EXIT_OK
 
 
-def cmd_ablate(args) -> int:
-    defaults = dict(_DISTILL_DEFAULTS, seeds=5, out=os.path.join(_out_root(), "ablate"))
-    del defaults["mode"]
-    cfg = _merge_config(defaults, _DISTILL_TYPES, args)
-    _require_file(cfg["teacher"], "teacher checkpoint")
-    os.makedirs(cfg["out"], exist_ok=True)
-    _persist_config(cfg, cfg["out"])
+def cmd_ablate(cfg: dict) -> int:
+    if cfg["seeds"] < 1:
+        raise ConfigError(f"seeds must be >= 1, got {cfg['seeds']}")
+    tc = _train_config(cfg, tau=cfg["tau"])
+    dims, teacher, train_ds, val_ds = _load_distill_inputs(cfg)
 
     results = []  # (seed, mode_label, val_acc)
-    for offset in range(cfg["seeds"]):
-        seed = cfg["seed"] + offset
+    for seed in range(cfg["seed"], cfg["seed"] + cfg["seeds"]):
         for label, mode in (("step-b", "step_b_ablation"), ("step-c", "full")):
-            _, rows = _distill_once(cfg, mode, None, seed)
+            run = dataclasses.replace(tc, seed=seed, mode=mode)
+            _, rows = train.distill(teacher, dims, train_ds, run, val_ds)
             results.append((seed, label, rows[-1]["val_acc"]))
+    medians = {
+        label: statistics.median(acc for _, m, acc in results if m == label)
+        for label in ("step-b", "step-c")
+    }
 
-    lines = ["seed,mode,val_acc"]
-    lines += [f"{s},{m},{acc!r}" for s, m, acc in results]
-    for label in ("step-b", "step-c"):
-        med = statistics.median(acc for _, m, acc in results if m == label)
-        lines.append(f"median,{label},{med!r}")
-    with open(os.path.join(cfg["out"], "ablation.csv"), "w") as fh:
-        fh.write("\n".join(lines) + "\n")
+    _persist_config(cfg)
+    with atomic_write(os.path.join(cfg["out"], "ablation.csv")) as fh:
+        fh.write("seed,mode,val_acc\n")
+        fh.writelines(f"{s},{m},{acc!r}\n" for s, m, acc in results)
+        fh.writelines(f"median,{label},{med!r}\n" for label, med in medians.items())
 
     print(f"{'seed':>6}  {'mode':<7} val_acc")
     for s, m, acc in results:
         print(f"{s:>6}  {m:<7} {acc:.4f}")
-    for label in ("step-b", "step-c"):
-        med = statistics.median(acc for _, m, acc in results if m == label)
+    for label, med in medians.items():
         print(f"{'median':>6}  {label:<7} {med:.4f}")
     return EXIT_OK
 
 
-def cmd_prop_check(args) -> int:
-    defaults = {"ta": None, "out": os.path.join(_out_root(), "prop-check")}
-    types = {"ta": float, "out": str}
-    cfg = _merge_config(defaults, types, args)
-
+def cmd_prop_check(cfg: dict) -> int:
     if cfg["ta"] is not None:
         ta = cfg["ta"]
         if not 0.0 < ta < 1.0:
@@ -280,8 +271,7 @@ def cmd_prop_check(args) -> int:
         print(f"t_a={ta} s*={s_star:.6f}")
         return EXIT_OK
 
-    os.makedirs(cfg["out"], exist_ok=True)
-    _persist_config(cfg, cfg["out"])
+    _persist_config(cfg)
     grid = [round(0.05 * i, 2) for i in range(1, 20)]
     rows = analysis.sweep(grid)
     analysis.write_sweep_csv(rows, os.path.join(cfg["out"], "sweep.csv"))
@@ -309,43 +299,41 @@ def cmd_prop_check(args) -> int:
     return EXIT_OK
 
 
-def _add_common(sub: argparse.ArgumentParser, keys: dict) -> None:
-    sub.add_argument("--config", help="flat key=value config file")
-    for key, typ in keys.items():
-        sub.add_argument(f"--{key}", type=typ, default=None, dest=key.replace("-", "_"))
+# Flags shared by distill and ablate (ablate is distill over seeds and the two steps).
+_STUDENT_FLAGS = {
+    "train": (str, ""), "val": (str, ""), "teacher": (str, ""), "dims": (str, "2,8,4"),
+    "epochs": (int, 60), "lr": (float, 0.005), "momentum": (float, 0.9),
+    "batch-size": (int, 32), "seed": (int, 1), "tau": (float, 1.0),
+}
+
+# subcommand -> (handler, help, default output subdirectory, {flag: (type, default)}).
+# Every subcommand also takes --config and --out.
+COMMANDS = {
+    "gen-data": (cmd_gen_data, "generate a blob classification dataset", "data", {
+        "classes": (int, 4), "per-class": (int, 100), "val-per-class": (int, 500),
+        "dim": (int, 2), "spread": (float, 1.2), "seed": (int, 1),
+    }),
+    "train-teacher": (cmd_train_teacher, "train the frozen teacher with plain CE", "teacher", {
+        "train": (str, ""), "val": (str, ""), "dims": (str, "2,64,4"), "epochs": (int, 200),
+        "lr": (float, 0.1), "momentum": (float, 0.9), "batch-size": (int, 32), "seed": (int, 0),
+    }),
+    "distill": (cmd_distill, "distill the teacher into a student", "distill",
+                {**_STUDENT_FLAGS, "mode": (str, "full")}),
+    "ablate": (cmd_ablate, "compare step-b vs step-c across seeds", "ablate",
+               {**_STUDENT_FLAGS, "seeds": (int, 5)}),
+    "prop-check": (cmd_prop_check, "verify the two-class bias analysis", "prop-check",
+                   {"ta": (float, None)}),
+}
 
 
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="rectidistill")
     subs = parser.add_subparsers(dest="command", required=True)
-
-    p = subs.add_parser("gen-data", help="generate a blob classification dataset")
-    _add_common(p, {"classes": int, "per-class": int, "val-per-class": int,
-                    "dim": int, "spread": float, "seed": int, "out": str})
-    p.set_defaults(func=cmd_gen_data)
-
-    p = subs.add_parser("train-teacher", help="train the frozen teacher with plain CE")
-    _add_common(p, {"train": str, "val": str, "dims": str, "epochs": int, "lr": float,
-                    "momentum": float, "batch-size": int, "seed": int, "out": str})
-    p.set_defaults(func=cmd_train_teacher)
-
-    p = subs.add_parser("distill", help="distill the teacher into a student")
-    _add_common(p, {"train": str, "val": str, "teacher": str, "dims": str,
-                    "mode": str, "epochs": int, "lr": float, "momentum": float,
-                    "batch-size": int, "seed": int, "tau": float, "out": str})
-    p.set_defaults(func=cmd_distill)
-
-    p = subs.add_parser("ablate", help="compare step-b vs step-c across seeds")
-    _add_common(p, {"train": str, "val": str, "teacher": str, "dims": str,
-                    "epochs": int, "lr": float, "momentum": float,
-                    "batch-size": int, "seed": int, "tau": float,
-                    "seeds": int, "out": str})
-    p.set_defaults(func=cmd_ablate)
-
-    p = subs.add_parser("prop-check", help="verify the two-class bias analysis")
-    _add_common(p, {"ta": float, "out": str})
-    p.set_defaults(func=cmd_prop_check)
-
+    for command, (_, help_text, _, _) in COMMANDS.items():
+        sub = subs.add_parser(command, help=help_text)
+        sub.add_argument("--config", help="flat key=value config file")
+        for key, (typ, _) in _flags(command).items():
+            sub.add_argument(f"--{key}", type=typ)
     return parser
 
 
@@ -356,7 +344,7 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return EXIT_USAGE if exc.code not in (0, None) else EXIT_OK
     try:
-        return args.func(args)
+        return COMMANDS[args.command][0](_merge_config(args))
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

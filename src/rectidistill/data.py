@@ -1,12 +1,15 @@
-"""Dataset generation, CSV load/save, and deterministic batching.
+"""Dataset generation, CSV load/save, atomic artifact writes, and deterministic batching.
 
 CSV schema: header ``label,f0,f1,...``; one sample per row; decimal text.
+Every artifact the package writes goes through ``atomic_write``.
 Batching permutes indices with an explicit Fisher-Yates shuffle driven by
 a PCG64 stream keyed by (seed, epoch), so every epoch visits each sample
 exactly once and the order is reproducible bit-for-bit.
 """
 
+import contextlib
 import csv
+import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -65,15 +68,29 @@ def make_blobs(n_classes: int, per_class: int, dim: int, spread: float, seed: in
     return Dataset(features=features, labels=labels, n_classes=n_classes)
 
 
+@contextlib.contextmanager
+def atomic_write(path):
+    """Stream into ``path.tmp``, then rename it over ``path``; on error the old file stays."""
+    tmp = f"{path}.tmp"
+    try:
+        with open(tmp, "w", newline="") as fh:
+            yield fh
+        os.replace(tmp, path)
+    finally:
+        with contextlib.suppress(FileNotFoundError):
+            os.remove(tmp)
+
+
 def save_csv(ds: Dataset, path) -> None:
-    with open(path, "w", newline="") as fh:
+    with atomic_write(path) as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(["label"] + [f"f{i}" for i in range(ds.features.shape[1])])
         for label, row in zip(ds.labels, ds.features):
             writer.writerow([int(label)] + [repr(float(v)) for v in row])
 
 
-def load_csv(path) -> Dataset:
+def load_csv(path, n_classes: int) -> Dataset:
+    """Parse a dataset CSV; ``n_classes`` comes from the model, not from the largest label."""
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
         try:
@@ -92,15 +109,14 @@ def load_csv(path) -> Dataset:
                 features.append([float(v) for v in row[1:]])
             except ValueError as exc:
                 raise DataParseError(f"{path}:{rowno}: non-numeric cell: {exc}") from exc
-            if labels[-1] < 0:
-                raise DataParseError(f"{path}:{rowno}: negative label {labels[-1]}")
+            if not 0 <= labels[-1] < n_classes:
+                raise DataParseError(f"{path}:{rowno}: label {labels[-1]} outside [0, {n_classes})")
     if not features:
         raise InvalidInputError(f"{path}: no data rows")
-    labels = np.asarray(labels, dtype=np.int64)
     return Dataset(
         features=np.asarray(features, dtype=np.float64),
-        labels=labels,
-        n_classes=int(labels.max()) + 1,
+        labels=np.asarray(labels, dtype=np.int64),
+        n_classes=n_classes,
     )
 
 

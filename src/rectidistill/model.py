@@ -14,11 +14,11 @@ human-readable text checkpoint format (documented in the README):
     ... repeated per layer
 """
 
-import os
 from dataclasses import dataclass
 
 import numpy as np
 
+from .data import atomic_write
 from .errors import (
     CheckpointParseError,
     InvalidArchitectureError,
@@ -164,10 +164,8 @@ def save_checkpoint(p: MlpParams, path) -> None:
         lines.append(f"layer {w.shape[0]} {w.shape[1]}")
         lines.extend(_fmt_row(row) for row in w)
         lines.append(_fmt_row(b))
-    tmp = f"{path}.tmp"
-    with open(tmp, "w") as fh:
+    with atomic_write(path) as fh:
         fh.write("\n".join(lines) + "\n")
-    os.replace(tmp, path)
 
 
 def load_checkpoint(path) -> MlpParams:

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import model
-from .data import Dataset, batch_iter
+from .data import Dataset, atomic_write, batch_iter
 from .errors import ConfigError
 from .numerics import log_softmax_rows, softmax_rows
 from .schedule import EpochSchedule, compute_batch_loss
@@ -151,12 +151,9 @@ def distill(
 
 def write_metrics_csv(rows, path, columns=METRICS_COLUMNS) -> None:
     """Deterministic decimal-text CSV, fixed column order."""
-    lines = [",".join(columns)]
-    for row in rows:
-        cells = []
-        for col in columns:
-            v = row[col]
-            cells.append(str(v) if isinstance(v, int) else repr(float(v)))
-        lines.append(",".join(cells))
-    with open(path, "w") as fh:
-        fh.write("\n".join(lines) + "\n")
+    with atomic_write(path) as fh:
+        fh.write(",".join(columns) + "\n")
+        for row in rows:
+            values = (row[col] for col in columns)
+            fh.write(",".join(str(v) if isinstance(v, int) else repr(float(v)) for v in values))
+            fh.write("\n")

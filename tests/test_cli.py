@@ -1,9 +1,13 @@
 """End-to-end CLI tests on tiny deterministic configurations."""
 
+import contextlib
+import io
 import json
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from rectidistill import cli
 
@@ -25,6 +29,11 @@ def gen_tiny_data(tmp_path, per_class=25, val_per_class=25):
     ])
     assert rc == cli.EXIT_OK
     return out
+
+
+def config_keys(out):
+    """Keys of a run's config.txt, in the order they were written."""
+    return [line.split("=", 1)[0] for line in (out / "config.txt").read_text().splitlines()]
 
 
 def train_tiny_teacher(tmp_path, data):
@@ -76,6 +85,24 @@ class TestGenData:
         conf.write_text("bogus=1\n")
         assert cli.main(["gen-data", "--config", str(conf)]) == cli.EXIT_USAGE
 
+    def test_config_txt_keys(self, tmp_path):
+        assert config_keys(gen_tiny_data(tmp_path)) == [
+            "classes", "dim", "out", "per-class", "seed", "spread", "val-per-class",
+        ]
+
+    @pytest.mark.parametrize(
+        "flag,value",
+        [
+            ("--classes", "1"), ("--per-class", "0"), ("--val-per-class", "0"),
+            ("--dim", "0"), ("--spread", "0"), ("--spread", "inf"), ("--spread", "nan"),
+        ],
+    )
+    def test_bad_count_or_spread_is_usage_error_before_output(self, tmp_path, capsys, flag, value):
+        out = tmp_path / "data"
+        assert cli.main(["gen-data", flag, value, "--out", str(out)]) == cli.EXIT_USAGE
+        assert f"{flag[2:]} must be" in capsys.readouterr().err  # names the flag's own value
+        assert not out.exists()
+
 
 class TestTrainTeacher:
     def test_missing_dataset_is_usage_error(self, tmp_path):
@@ -95,6 +122,33 @@ class TestTrainTeacher:
             "--out", str(out),
         ])
         assert rc == cli.EXIT_USAGE
+        assert not out.exists()
+
+    def test_config_txt_keys(self, setup):
+        _, _, teacher = setup
+        assert config_keys(teacher.parent) == [
+            "batch-size", "dims", "epochs", "lr", "momentum", "out", "seed", "train", "val",
+        ]
+
+    def test_dims_wider_than_features_is_usage_error_before_output(self, setup):
+        tmp, data, _ = setup
+        out = tmp / "teacher-3d"
+        rc = cli.main([
+            "train-teacher", "--train", str(data / "train.csv"), "--dims", "3,8,3",
+            "--out", str(out),
+        ])
+        assert rc == cli.EXIT_USAGE
+        assert not out.exists()
+
+    def test_label_beyond_output_width_names_the_row(self, setup, capsys):
+        tmp, data, _ = setup
+        out = tmp / "teacher-2-class"
+        rc = cli.main([
+            "train-teacher", "--train", str(data / "train.csv"), "--dims", "2,8,2",
+            "--out", str(out),
+        ])
+        assert rc == cli.EXIT_INTERNAL  # a data error, as for a negative label
+        assert "train.csv:52: label 2 outside [0, 2)" in capsys.readouterr().err
         assert not out.exists()
 
     def test_produces_checkpoint_and_metrics(self, tmp_path):
@@ -218,6 +272,59 @@ class TestDistill:
         assert rc == cli.EXIT_USAGE
         assert not out.exists()
 
+    def test_config_txt_keys(self, setup):
+        out = self._run(setup, "full", "keys")
+        assert config_keys(out) == [
+            "batch-size", "dims", "epochs", "lr", "mode", "momentum", "out", "seed", "tau",
+            "teacher", "train", "val",
+        ]
+
+    def test_dims_wider_than_features_is_usage_error_before_output(self, setup):
+        tmp, data, teacher = setup
+        out = tmp / "student-3d"
+        rc = cli.main([
+            "distill", "--train", str(data / "train.csv"), "--teacher", str(teacher),
+            "--dims", "3,4,3", "--out", str(out),
+        ])
+        assert rc == cli.EXIT_USAGE
+        assert not out.exists()
+
+    def test_split_lacking_top_class_takes_class_count_from_teacher(self, setup):
+        tmp, data, teacher = setup
+        lines = (data / "train.csv").read_text().splitlines()
+        two_class = tmp / "two-class.csv"
+        two_class.write_text("\n".join(line for line in lines if not line.startswith("2,")) + "\n")
+        out = tmp / "two-class"
+        rc = cli.main([
+            "distill", "--train", str(two_class), "--teacher", str(teacher),
+            "--dims", "2,4,3", "--epochs", "2", "--out", str(out),
+        ])
+        assert rc == cli.EXIT_OK
+        assert (out / "student.ckpt").exists()
+
+    def test_ablate_config_txt_keys(self, setup):
+        tmp, data, teacher = setup
+        out = tmp / "ablate-keys"
+        rc = cli.main([
+            "ablate", "--train", str(data / "train.csv"), "--teacher", str(teacher),
+            "--dims", "2,4,3", "--epochs", "1", "--seeds", "1", "--out", str(out),
+        ])
+        assert rc == cli.EXIT_OK
+        assert config_keys(out) == [
+            "batch-size", "dims", "epochs", "lr", "momentum", "out", "seed", "seeds", "tau",
+            "teacher", "train", "val",
+        ]
+
+    def test_ablate_zero_seeds_is_usage_error_before_output(self, setup):
+        tmp, data, teacher = setup
+        out = tmp / "ablate-0"
+        rc = cli.main([
+            "ablate", "--train", str(data / "train.csv"), "--teacher", str(teacher),
+            "--dims", "2,4,3", "--seeds", "0", "--out", str(out),
+        ])
+        assert rc == cli.EXIT_USAGE
+        assert not out.exists()
+
     def test_ablate_smoke(self, setup):
         tmp, data, teacher = setup
         out = tmp / "ablate"
@@ -235,6 +342,16 @@ class TestDistill:
         assert sum(line.startswith("median,") for line in lines) == 2
 
 
+@pytest.fixture(scope="module")
+def sweep_run(tmp_path_factory):
+    """One prop-check sweep: (exit code, stdout, output directory)."""
+    out = tmp_path_factory.mktemp("prop") / "prop"
+    stdout = io.StringIO()
+    with contextlib.redirect_stdout(stdout):
+        rc = cli.main(["prop-check", "--out", str(out)])
+    return rc, stdout.getvalue(), out
+
+
 class TestPropCheck:
     def test_single_point(self, capsys):
         assert cli.main(["prop-check", "--ta", "0.3"]) == cli.EXIT_OK
@@ -243,13 +360,18 @@ class TestPropCheck:
     def test_out_of_range_point(self):
         assert cli.main(["prop-check", "--ta", "1.5"]) == cli.EXIT_USAGE
 
-    def test_full_sweep_passes(self, tmp_path, capsys):
-        out = tmp_path / "prop"
-        assert cli.main(["prop-check", "--out", str(out)]) == cli.EXIT_OK
-        assert "PASS" in capsys.readouterr().out
+    def test_full_sweep_passes(self, sweep_run):
+        rc, stdout, out = sweep_run
+        assert rc == cli.EXIT_OK
+        assert "PASS" in stdout
         lines = (out / "sweep.csv").read_text().splitlines()
         assert lines[0] == "t_a,s_unrect,s_rect,s_ce_only,verdict"
         assert len(lines) == 1 + 19  # t_a grid 0.05..0.95
+
+    def test_config_txt_keys(self, sweep_run):
+        _, _, out = sweep_run
+        assert config_keys(out) == ["out", "ta"]
+        assert (out / "config.txt").read_text().endswith("\nta=None\n")
 
 
 class TestUsage:
@@ -258,3 +380,43 @@ class TestUsage:
 
     def test_unknown_command_is_usage_error(self):
         assert cli.main(["frobnicate"]) == cli.EXIT_USAGE
+
+
+# Every int/float flag of every subcommand, read off the flag table itself.
+NUMERIC_FLAGS = [
+    (command, flag, typ)
+    for command, (_, _, _, flags) in cli.COMMANDS.items()
+    for flag, (typ, _) in flags.items()
+    if typ in (int, float)
+]
+
+
+def parses(typ, text):
+    try:
+        typ(text)
+    except ValueError:
+        return False
+    return True
+
+
+@pytest.mark.parametrize("via", ["argv", "config"])
+@pytest.mark.parametrize("command,flag,typ", NUMERIC_FLAGS)
+@settings(max_examples=8, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=st.data())
+def test_unparsable_number_is_usage_error_before_output(tmp_path, command, flag, typ, via, data):
+    text = st.text(st.characters(min_codepoint=1, max_codepoint=127, exclude_characters="\r\n"))
+    value = data.draw(
+        st.one_of(st.sampled_from(["abc", "1.5", "", "1e", "0x10", "--"]), text).filter(
+            lambda v: not parses(typ, v) and not parses(typ, v.strip())
+        )
+    )
+    out = tmp_path / "out"
+    if via == "argv":
+        argv = [command, f"--{flag}={value}", "--out", str(out)]
+    else:
+        conf = tmp_path / "bad.conf"
+        conf.write_text(f"{flag}={value}\n", encoding="ascii")
+        argv = [command, "--config", str(conf), "--out", str(out)]
+    assert cli.main(argv) == cli.EXIT_USAGE
+    assert not out.exists()

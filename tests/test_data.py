@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from rectidistill.data import (
     Dataset,
+    atomic_write,
     batch_iter,
     class_centers,
     load_csv,
@@ -14,6 +15,7 @@ from rectidistill.data import (
     save_csv,
 )
 from rectidistill.errors import DataParseError, InvalidInputError, InvalidParameterError
+from rectidistill.train import TEACHER_METRICS_COLUMNS, write_metrics_csv
 
 
 def nearest_center_accuracy(ds: Dataset, centers: np.ndarray) -> float:
@@ -62,7 +64,7 @@ class TestCsv:
     def test_hand_fixture(self, tmp_path):
         path = tmp_path / "tiny.csv"
         path.write_text("label,f0,f1\n0,1.5,-2.0\n1,0.25,3.0\n1,0.0,0.0\n")
-        ds = load_csv(path)
+        ds = load_csv(path, 2)
         np.testing.assert_array_equal(
             ds.features, [[1.5, -2.0], [0.25, 3.0], [0.0, 0.0]]
         )
@@ -73,31 +75,42 @@ class TestCsv:
         path = tmp_path / "empty.csv"
         path.write_text("label,f0,f1\n")
         with pytest.raises(InvalidInputError):
-            load_csv(path)
+            load_csv(path, 2)
 
     def test_ragged_row_reports_row_number(self, tmp_path):
         path = tmp_path / "ragged.csv"
         path.write_text("label,f0,f1\n0,1.0,2.0\n1,3.0\n")
         with pytest.raises(DataParseError, match=":3:"):
-            load_csv(path)
+            load_csv(path, 2)
 
     def test_non_numeric_cell_raises(self, tmp_path):
         path = tmp_path / "bad.csv"
         path.write_text("label,f0\n0,abc\n")
         with pytest.raises(DataParseError, match=":2:"):
-            load_csv(path)
+            load_csv(path, 2)
 
     def test_negative_label_raises(self, tmp_path):
         path = tmp_path / "neg.csv"
         path.write_text("label,f0\n-1,0.5\n")
         with pytest.raises(DataParseError):
-            load_csv(path)
+            load_csv(path, 2)
+
+    def test_label_at_class_count_reports_row_number(self, tmp_path):
+        path = tmp_path / "wide.csv"
+        path.write_text("label,f0\n0,0.5\n1,0.5\n2,0.5\n")
+        with pytest.raises(DataParseError, match=":4: label 2 outside"):
+            load_csv(path, 2)
+
+    def test_class_count_comes_from_caller_not_largest_label(self, tmp_path):
+        path = tmp_path / "no-top-class.csv"
+        path.write_text("label,f0\n0,0.5\n1,0.5\n")
+        assert load_csv(path, 3).n_classes == 3
 
     def test_round_trip_of_blobs(self, tmp_path):
         ds = make_blobs(3, 20, 4, 0.8, seed=9)
         path = tmp_path / "blobs.csv"
         save_csv(ds, path)
-        back = load_csv(path)
+        back = load_csv(path, 3)
         # repr serialization round-trips float64 exactly
         assert np.array_equal(ds.features, back.features)
         assert np.array_equal(ds.labels, back.labels)
@@ -148,3 +161,24 @@ class TestBatchIter:
         ds = Dataset(feats, np.zeros(n, dtype=np.int64), 2)
         flat = np.concatenate(batch_iter(ds, batch, seed, epoch))
         assert sorted(flat.tolist()) == list(range(n))
+
+
+class TestAtomicWrite:
+    def test_success_replaces_file_and_leaves_no_tmp(self, tmp_path):
+        path = tmp_path / "out.txt"
+        path.write_text("old\n")
+        with atomic_write(path) as fh:
+            fh.write("new\n")
+        assert path.read_text() == "new\n"
+        assert list(tmp_path.iterdir()) == [path]
+
+    def test_writer_raising_mid_write_keeps_previous_file(self, tmp_path):
+        path = tmp_path / "metrics.csv"
+        good = [{"epoch": 0, "loss_ce": 1.0, "train_acc": 0.5, "val_acc": 0.5}]
+        write_metrics_csv(good, path, columns=TEACHER_METRICS_COLUMNS)
+        before = path.read_bytes()
+        # the second row lacks a column, so the writer raises after streaming the first
+        with pytest.raises(KeyError):
+            write_metrics_csv(good + [{"epoch": 1}], path, columns=TEACHER_METRICS_COLUMNS)
+        assert path.read_bytes() == before
+        assert list(tmp_path.iterdir()) == [path]
