@@ -126,18 +126,30 @@ def _verdict(t_a: float) -> str:
     return VERDICT_BOUNDARY
 
 
+def descend(targets, setup: TwoClassSetup) -> np.ndarray:
+    """Gradient descent on G softmax logit pairs at once, one per KL target row.
+
+    ``targets`` is a (G, 2) array; the weights, learning rate and step count
+    come from ``setup`` (its ``t_a`` is unused). Returns the true-class
+    probability before each step's update, shape (steps, G).
+    """
+    targets = np.asarray(targets, dtype=float)
+    label = np.array([1.0, 0.0])
+    z = np.zeros_like(targets)
+    trajectory = np.empty((setup.steps, len(targets)))
+    for step in range(setup.steps):
+        e = np.exp(z - z.max(axis=1, keepdims=True))
+        s = e / e.sum(axis=1, keepdims=True)
+        grad = setup.w_kl * (s - targets) + setup.w_ce * (s - label)
+        z = z - setup.learning_rate * grad
+        trajectory[step] = s[:, 0]
+    return trajectory
+
+
 def run_dynamics(setup: TwoClassSetup, kl_target: tuple[float, float] | None = None) -> DynamicsReport:
     """Gradient descent on a softmax logit pair; checked against the optimum."""
     target = np.array(kl_target if kl_target is not None else (setup.t_a, setup.t_b))
-    label = np.array([1.0, 0.0])
-    z = np.zeros(2)
-    trajectory = np.empty(setup.steps)
-    for step in range(setup.steps):
-        e = np.exp(z - z.max())
-        s = e / e.sum()
-        grad = setup.w_kl * (s - target) + setup.w_ce * (s - label)
-        z = z - setup.learning_rate * grad
-        trajectory[step] = s[0]
+    trajectory = descend(target[None, :], setup)[:, 0]
     optimum = two_class_optimum(setup, kl_target)
     final = float(trajectory[-1])
     converged = setup.w_kl > 0.0 and setup.w_ce > 0.0 and abs(final - optimum) <= 1e-4

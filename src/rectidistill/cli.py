@@ -70,6 +70,8 @@ def _parse_dims(text: str) -> list[int]:
         raise ConfigError(f"malformed dims {text!r}; expected e.g. 2,64,4") from None
     if len(dims) < 2 or any(d < 1 for d in dims):
         raise ConfigError(f"dims need >= 2 positive widths, got {dims}")
+    if dims[-1] < 2:
+        raise ConfigError(f"dims need an output width of >= 2 classes, got {dims}")
     return dims
 
 
@@ -160,6 +162,10 @@ def _load_distill_inputs(cfg: dict):
     dims = _parse_dims(cfg["dims"])
     _require_file(cfg["teacher"], "teacher checkpoint")
     teacher = model.load_checkpoint(cfg["teacher"])
+    if teacher.dims[0] != dims[0]:
+        raise ConfigError(
+            f"teacher checkpoint takes {teacher.dims[0]} inputs, dims start at {dims[0]}"
+        )
     return (dims, teacher, *_load_datasets(cfg, dims[0], teacher.dims[-1]))
 
 
@@ -276,11 +282,13 @@ def cmd_prop_check(cfg: dict) -> int:
     rows = analysis.sweep(grid)
     analysis.write_sweep_csv(rows, os.path.join(cfg["out"], "sweep.csv"))
 
+    # One descent over every (t_a, 1 - t_a) pair; the setup supplies the sweep's
+    # default weights, rate and steps.
+    targets = np.array([(row.t_a, 1.0 - row.t_a) for row in rows])
+    s_final = analysis.descend(targets, analysis.TwoClassSetup(t_a=grid[0]))[-1]
     failures = []
-    for row in rows:
-        setup = analysis.TwoClassSetup(t_a=row.t_a)
-        report = analysis.run_dynamics(setup)
-        if abs(report.s_converged - row.s_unrect) > 1e-4:
+    for row, s_converged in zip(rows, s_final):
+        if abs(s_converged - row.s_unrect) > 1e-4:
             failures.append((row.t_a, "descent disagrees with grid optimum"))
         if row.t_a > 0.5 and not (row.t_a < row.s_unrect < 1.0):
             failures.append((row.t_a, "correct-teacher ordering violated"))

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rectidistill.analysis import (
     DynamicsReport,
@@ -9,6 +11,7 @@ from rectidistill.analysis import (
     VERDICT_BETWEEN,
     VERDICT_PULLED_BELOW_CE,
     closed_form_optimum,
+    descend,
     objective,
     rectified_dynamics,
     rectified_kl_target,
@@ -32,6 +35,21 @@ def grid_oracle(setup: TwoClassSetup, kl_target=None) -> float:
         vals += setup.w_kl * tb * np.log(tb / (1.0 - GRID))
     vals += setup.w_ce * (-np.log(GRID))
     return float(GRID[np.argmin(vals)])
+
+
+def per_pair_descent(setup: TwoClassSetup, kl_target) -> np.ndarray:
+    """Oracle: the one-pair descent loop that ``descend`` batches, kept verbatim."""
+    target = np.array(kl_target)
+    label = np.array([1.0, 0.0])
+    z = np.zeros(2)
+    trajectory = np.empty(setup.steps)
+    for step in range(setup.steps):
+        e = np.exp(z - z.max())
+        s = e / e.sum()
+        grad = setup.w_kl * (s - target) + setup.w_ce * (s - label)
+        z = z - setup.learning_rate * grad
+        trajectory[step] = s[0]
+    return trajectory
 
 
 class TestOptimum:
@@ -93,10 +111,37 @@ class TestDynamics:
         assert np.all(report.s_trajectory < 1.0)
 
     def test_descent_agrees_with_closed_form_on_grid(self):
-        for ta in np.linspace(0.05, 0.95, 20):
-            setup = TwoClassSetup(t_a=float(ta))
-            report = run_dynamics(setup)
-            assert abs(report.s_converged - closed_form_optimum(setup)) <= 1e-4
+        t_a = np.linspace(0.05, 0.95, 20)
+        final = descend(np.column_stack([t_a, 1.0 - t_a]), TwoClassSetup(t_a=0.5))[-1]
+        for ta, s in zip(t_a, final):
+            assert abs(s - closed_form_optimum(TwoClassSetup(t_a=float(ta)))) <= 1e-4
+
+    def test_run_dynamics_is_a_batch_of_one(self):
+        setup = TwoClassSetup(t_a=0.3, steps=300)
+        report = run_dynamics(setup)
+        assert report.s_trajectory.shape == (300,)
+        assert np.array_equal(report.s_trajectory, descend([[0.3, 0.7]], setup)[:, 0])
+
+
+unit = st.floats(0.0, 1.0)
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    targets=st.lists(st.tuples(unit, unit), min_size=1, max_size=6),
+    w_kl=st.floats(0.0, 3.0),
+    w_ce=st.floats(0.01, 3.0),
+    learning_rate=st.floats(0.01, 1.0),
+    steps=st.integers(1, 500),
+)
+def test_descend_is_bit_identical_to_per_pair_loop(targets, w_kl, w_ce, learning_rate, steps):
+    setup = TwoClassSetup(
+        t_a=0.5, w_kl=w_kl, w_ce=w_ce, learning_rate=learning_rate, steps=steps
+    )
+    trajectory = descend(np.array(targets), setup)
+    assert trajectory.shape == (steps, len(targets))
+    for g, target in enumerate(targets):
+        assert np.array_equal(trajectory[:, g], per_pair_descent(setup, target))
 
 
 class TestRectifiedDynamics:

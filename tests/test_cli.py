@@ -140,6 +140,17 @@ class TestTrainTeacher:
         assert rc == cli.EXIT_USAGE
         assert not out.exists()
 
+    def test_output_width_one_is_usage_error_before_output(self, setup, capsys):
+        tmp, data, _ = setup
+        out = tmp / "teacher-1-class"
+        rc = cli.main([
+            "train-teacher", "--train", str(data / "train.csv"), "--dims", "2,8,1",
+            "--out", str(out),
+        ])
+        assert rc == cli.EXIT_USAGE
+        assert "output width of >= 2 classes" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_label_beyond_output_width_names_the_row(self, setup, capsys):
         tmp, data, _ = setup
         out = tmp / "teacher-2-class"
@@ -287,6 +298,35 @@ class TestDistill:
             "--dims", "3,4,3", "--out", str(out),
         ])
         assert rc == cli.EXIT_USAGE
+        assert not out.exists()
+
+    def test_output_width_one_is_usage_error_before_output(self, setup, capsys):
+        tmp, data, teacher = setup
+        out = tmp / "student-1-class"
+        rc = cli.main([
+            "distill", "--train", str(data / "train.csv"), "--teacher", str(teacher),
+            "--dims", "2,4,1", "--out", str(out),
+        ])
+        assert rc == cli.EXIT_USAGE
+        assert "output width of >= 2 classes" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["distill", "ablate"])
+    def test_teacher_input_width_mismatch_is_usage_error_before_output(
+        self, setup, capsys, command
+    ):
+        tmp, _, teacher = setup  # the teacher takes 2 inputs
+        data_3d = tmp / "data-3d"
+        assert cli.main([
+            "gen-data", "--classes", "3", "--dim", "3", "--out", str(data_3d),
+        ]) == cli.EXIT_OK
+        out = tmp / f"{command}-3d-teacher-2d"
+        rc = cli.main([
+            command, "--train", str(data_3d / "train.csv"), "--teacher", str(teacher),
+            "--dims", "3,4,3", "--out", str(out),
+        ])
+        assert rc == cli.EXIT_USAGE
+        assert "teacher checkpoint takes 2 inputs, dims start at 3" in capsys.readouterr().err
         assert not out.exists()
 
     def test_split_lacking_top_class_takes_class_count_from_teacher(self, setup):
