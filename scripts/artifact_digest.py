@@ -1,0 +1,116 @@
+#!/usr/bin/env python3
+"""sha256 of every artifact of the benchmark's CLI sequences, for byte-identity checks.
+
+    python3 scripts/artifact_digest.py <out>
+
+Runs gen-data -> train-teacher -> distill for the two benchmark shapes
+(paper-k4 in all six modes, wide-k100 in mode full) at seed 1, writing under
+<out>, which must not exist yet or be empty. Prints ``<sha256>  <path>`` for
+every file written, with paths relative to <out>, then ``<sha256>  listing``,
+the digest of those lines. The calls run inside <out> on relative paths, so
+``config.txt`` does not depend on where <out> is.
+
+The package is imported from the ``src/`` next to this script: a copy of the
+script in another checkout digests that checkout's code, and equal listing
+digests mean every CSV, checkpoint, metrics, summary and config file is
+byte-identical.
+"""
+
+import contextlib
+import hashlib
+import io
+import os
+import sys
+from pathlib import Path
+from typing import NamedTuple
+
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
+
+from rectidistill.cli import main as cli_main  # noqa: E402
+
+SEED = 1
+
+
+class Workload(NamedTuple):
+    name: str
+    classes: int
+    per_class: int
+    val_per_class: int
+    dim: int
+    teacher_dims: str
+    teacher_epochs: int
+    student_dims: str
+    distill_epochs: int
+    distill_lr: float
+    batch_size: int
+    modes: tuple
+
+
+# The shapes and flags of perfbench/run.py's two workloads.
+WORKLOADS = (
+    Workload("paper-k4", 4, 100, 500, 2, "2,64,4", 200, "2,8,4", 60, 0.005, 32,
+             ("full", "eliminate", "rectify", "vanilla", "step-b", "fixed-gamma=0.5")),
+    Workload("wide-k100", 100, 200, 50, 32, "32,256,100", 2, "32,32,100", 2, 0.05, 256,
+             ("full",)),
+)
+
+
+def _run(argv):
+    with contextlib.redirect_stdout(io.StringIO()):
+        rc = cli_main(argv)
+    if rc != 0:
+        raise SystemExit(f"rectidistill {' '.join(argv)} exited {rc}")
+
+
+def run_workload(wl: Workload) -> None:
+    """The CLI calls of one workload, into ``<wl.name>/`` under the current directory."""
+    data = f"{wl.name}/data"
+    _run(["gen-data", "--classes", str(wl.classes), "--per-class", str(wl.per_class),
+          "--val-per-class", str(wl.val_per_class), "--dim", str(wl.dim),
+          "--spread", "1.2", "--seed", str(SEED), "--out", data])
+    common = ["--train", f"{data}/train.csv", "--val", f"{data}/val.csv",
+              "--batch-size", str(wl.batch_size), "--seed", str(SEED)]
+    _run(["train-teacher", *common, "--dims", wl.teacher_dims,
+          "--epochs", str(wl.teacher_epochs), "--lr", "0.1", "--out", f"{wl.name}/teacher"])
+    for mode in wl.modes:
+        _run(["distill", *common, "--teacher", f"{wl.name}/teacher/teacher.ckpt",
+              "--dims", wl.student_dims, "--epochs", str(wl.distill_epochs),
+              "--lr", repr(wl.distill_lr), "--mode", mode,
+              "--out", f"{wl.name}/distill-{mode.replace('=', '-')}"])
+
+
+def artifact_digests(out, workloads=WORKLOADS) -> list[str]:
+    """Run ``workloads`` under ``out``; return one ``<sha256>  <path>`` line per file, sorted."""
+    out = Path(out)
+    out.mkdir(parents=True, exist_ok=True)
+    if any(out.iterdir()):
+        raise SystemExit(f"{out} is not empty")
+    cwd = os.getcwd()
+    os.chdir(out)
+    try:
+        for wl in workloads:
+            run_workload(wl)
+    finally:
+        os.chdir(cwd)
+    files = sorted(p for p in out.rglob("*") if p.is_file())
+    return [f"{hashlib.sha256(p.read_bytes()).hexdigest()}  {p.relative_to(out).as_posix()}"
+            for p in files]
+
+
+def listing_digest(lines: list[str]) -> str:
+    return hashlib.sha256("".join(line + "\n" for line in lines).encode()).hexdigest()
+
+
+def main(argv=None) -> int:
+    argv = sys.argv[1:] if argv is None else argv
+    if len(argv) != 1:
+        print("usage: artifact_digest.py <out>", file=sys.stderr)
+        return 2
+    lines = artifact_digests(argv[0])
+    print("\n".join(lines))
+    print(f"{listing_digest(lines)}  listing")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -1,15 +1,15 @@
 """Dataset generation, CSV load/save, atomic artifact writes, and deterministic batching.
 
-CSV schema: header ``label,f0,f1,...``; one sample per row; decimal text.
-Every artifact the package writes goes through ``atomic_write``.
-Batching permutes indices with an explicit Fisher-Yates shuffle driven by
-a PCG64 stream keyed by (seed, epoch), so every epoch visits each sample
-exactly once and the order is reproducible bit-for-bit.
+CSV schema: header ``label,f0,f1,...``; one sample per row; an integer label, then
+decimal floats. Every parse error names its file line, and every artifact the
+package writes goes through ``atomic_write``. Batching permutes indices with a
+Fisher-Yates shuffle whose swap indices come from one draw of a PCG64 stream keyed
+by (seed, epoch), so every epoch visits each sample once, reproducibly bit-for-bit.
 """
 
 import contextlib
-import csv
 import os
+import re
 from dataclasses import dataclass
 
 import numpy as np
@@ -58,13 +58,9 @@ def make_blobs(n_classes: int, per_class: int, dim: int, spread: float, seed: in
     if not spread > 0.0:
         raise InvalidParameterError(f"spread must be positive, got {spread}")
     centers = class_centers(n_classes, dim, seed)
-    rng = generator(seed, 0xB1)
-    features = np.empty((n_classes * per_class, dim))
-    labels = np.empty(n_classes * per_class, dtype=np.int64)
-    for c in range(n_classes):
-        sl = slice(c * per_class, (c + 1) * per_class)
-        features[sl] = centers[c] + spread * rng.standard_normal((per_class, dim))
-        labels[sl] = c
+    noise = generator(seed, 0xB1).standard_normal((n_classes * per_class, dim))
+    features = np.repeat(centers, per_class, axis=0) + spread * noise
+    labels = np.repeat(np.arange(n_classes, dtype=np.int64), per_class)
     return Dataset(features=features, labels=labels, n_classes=n_classes)
 
 
@@ -83,51 +79,60 @@ def atomic_write(path):
 
 def save_csv(ds: Dataset, path) -> None:
     with atomic_write(path) as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["label"] + [f"f{i}" for i in range(ds.features.shape[1])])
-        for label, row in zip(ds.labels, ds.features):
-            writer.writerow([int(label)] + [repr(float(v)) for v in row])
+        fh.write(",".join(["label"] + [f"f{i}" for i in range(ds.features.shape[1])]) + "\n")
+        fh.writelines(f"{label},{','.join(map(repr, row.tolist()))}\n"
+                      for label, row in zip(ds.labels.tolist(), ds.features))
+
+
+# loadtxt's bad-cell error, with its 0-based row among the lines given; ours never match.
+_CELL_ERROR = re.compile(r"(.*) at row (\d+), column (\d+)\.")
+
+
+def _data_lines(fh, path, n_cells: int):
+    """Yield the lines after the header; a blank or ragged line, or none at all, raises."""
+    lineno = 1
+    for lineno, line in enumerate(fh, start=2):
+        if line.count(",") != n_cells - 1:
+            got = f"{line.count(',') + 1} cells" if line.strip() else "a blank line"
+            raise DataParseError(f"{path}:{lineno}: expected {n_cells} cells, got {got}")
+        yield line
+    if lineno == 1:
+        raise InvalidInputError(f"{path}: no data rows")
 
 
 def load_csv(path, n_classes: int) -> Dataset:
     """Parse a dataset CSV; ``n_classes`` comes from the model, not from the largest label."""
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise DataParseError(f"{path}: empty file") from None
-        if len(header) < 2 or header[0] != "label":
+    with open(path) as fh:
+        names = fh.readline().rstrip("\r\n").split(",")
+        if len(names) < 2 or names[0] != "label":
             raise DataParseError(f"{path}:1: header must be 'label,f0,f1,...'")
-        d = len(header) - 1
-        features, labels = [], []
-        for rowno, row in enumerate(reader, start=2):
-            if len(row) != d + 1:
-                raise DataParseError(f"{path}:{rowno}: expected {d + 1} cells, got {len(row)}")
-            try:
-                labels.append(int(row[0]))
-                features.append([float(v) for v in row[1:]])
-            except ValueError as exc:
-                raise DataParseError(f"{path}:{rowno}: non-numeric cell: {exc}") from exc
-            if not 0 <= labels[-1] < n_classes:
-                raise DataParseError(f"{path}:{rowno}: label {labels[-1]} outside [0, {n_classes})")
-    if not features:
-        raise InvalidInputError(f"{path}: no data rows")
-    return Dataset(
-        features=np.asarray(features, dtype=np.float64),
-        labels=np.asarray(labels, dtype=np.int64),
-        n_classes=n_classes,
-    )
+        row_type = np.dtype([("label", np.int64), ("x", np.float64, (len(names) - 1,))])
+        try:
+            rows = np.loadtxt(_data_lines(fh, path, len(names)), dtype=row_type, delimiter=",",
+                              comments=None, quotechar=None, ndmin=1)
+        except ValueError as exc:
+            cell = _CELL_ERROR.fullmatch(str(exc))
+            if cell is None:
+                raise
+            raise DataParseError(f"{path}:{int(cell[2]) + 2}: non-numeric cell in column "
+                                 f"{cell[3]}: {cell[1]}") from exc
+    labels, features = rows["label"].copy(), np.ascontiguousarray(rows["x"])
+    finite = np.isfinite(features).all(axis=1)
+    bad = ~finite | (labels < 0) | (labels >= n_classes)
+    if bad.any():
+        i = int(np.argmax(bad))
+        what = f"label {labels[i]} outside [0, {n_classes})" if finite[i] else "non-finite feature"
+        raise DataParseError(f"{path}:{i + 2}: {what}")
+    return Dataset(features=features, labels=labels, n_classes=n_classes)
 
 
 def epoch_permutation(n: int, seed: int, epoch: int) -> np.ndarray:
-    """Fisher-Yates permutation of range(n) keyed by (seed, epoch)."""
-    rng = generator(seed, epoch)
-    perm = np.arange(n)
-    for i in range(n - 1, 0, -1):
-        j = int(rng.integers(0, i + 1))
+    """Fisher-Yates permutation of range(n) keyed by (seed, epoch); one draw gives every swap."""
+    swaps = generator(seed, epoch).integers(0, np.arange(n, 1, -1)).tolist()
+    perm = list(range(n))
+    for i, j in zip(range(n - 1, 0, -1), swaps):
         perm[i], perm[j] = perm[j], perm[i]
-    return perm
+    return np.array(perm, dtype=np.int64)
 
 
 def batch_iter(ds: Dataset, batch_size: int, seed: int, epoch: int) -> list[np.ndarray]:

@@ -154,7 +154,7 @@ def unflatten_params(template: MlpParams, vec) -> MlpParams:
 
 
 def _fmt_row(row: np.ndarray) -> str:
-    return " ".join(repr(float(v)) for v in row)
+    return " ".join(map(repr, row.tolist()))
 
 
 def save_checkpoint(p: MlpParams, path) -> None:
@@ -162,8 +162,7 @@ def save_checkpoint(p: MlpParams, path) -> None:
     lines = [_MAGIC, f"layers {len(p.weights)}"]
     for w, b in zip(p.weights, p.biases):
         lines.append(f"layer {w.shape[0]} {w.shape[1]}")
-        lines.extend(_fmt_row(row) for row in w)
-        lines.append(_fmt_row(b))
+        lines.extend(_fmt_row(row) for row in [*w, b])
     with atomic_write(path) as fh:
         fh.write("\n".join(lines) + "\n")
 

@@ -1,0 +1,40 @@
+"""scripts/artifact_digest.py: one sha256 listing per run, the same on every run."""
+
+import importlib.util
+from pathlib import Path
+
+import pytest
+
+SCRIPT = Path(__file__).resolve().parent.parent / "scripts" / "artifact_digest.py"
+spec = importlib.util.spec_from_file_location("artifact_digest", SCRIPT)
+artifact_digest = importlib.util.module_from_spec(spec)
+spec.loader.exec_module(artifact_digest)
+
+Workload = artifact_digest.Workload
+
+# The two benchmark shapes at toy size: few classes, rows and epochs.
+TOY = (
+    Workload("toy-k3", 3, 12, 6, 2, "2,8,3", 3, "2,4,3", 3, 0.05, 8,
+             ("full", "eliminate", "rectify", "vanilla", "step-b", "fixed-gamma=0.5")),
+    Workload("toy-wide", 6, 10, 4, 5, "5,8,6", 2, "5,4,6", 2, 0.05, 16, ("full",)),
+)
+
+
+def test_two_runs_give_the_same_listing_digest(tmp_path):
+    first = artifact_digest.artifact_digests(tmp_path / "a", TOY)
+    second = artifact_digest.artifact_digests(tmp_path / "b", TOY)
+    assert first == second
+    assert artifact_digest.listing_digest(first) == artifact_digest.listing_digest(second)
+    paths = [line.split("  ", 1)[1] for line in first]
+    assert "toy-k3/data/train.csv" in paths
+    assert "toy-k3/distill-fixed-gamma-0.5/student.ckpt" in paths
+    assert "toy-wide/teacher/teacher.ckpt" in paths
+    # per workload: gen-data 4 files, train-teacher 3, each distill 4
+    assert len(paths) == (4 + 3 + 4 * 6) + (4 + 3 + 4)
+    assert not any(path.endswith(".tmp") for path in paths)
+
+
+def test_refuses_a_non_empty_output_directory(tmp_path):
+    (tmp_path / "stale.txt").write_text("x\n")
+    with pytest.raises(SystemExit, match="not empty"):
+        artifact_digest.artifact_digests(tmp_path, TOY)

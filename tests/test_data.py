@@ -1,5 +1,8 @@
 """Blob generation, CSV round-trips, and deterministic batching."""
 
+import csv
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -10,12 +13,50 @@ from rectidistill.data import (
     atomic_write,
     batch_iter,
     class_centers,
+    epoch_permutation,
     load_csv,
     make_blobs,
     save_csv,
 )
 from rectidistill.errors import DataParseError, InvalidInputError, InvalidParameterError
+from rectidistill.rng import generator
 from rectidistill.train import TEACHER_METRICS_COLUMNS, write_metrics_csv
+
+# Values whose shortest repr is awkward: signed zero, the smallest subnormal,
+# a near-overflow magnitude, non-terminating binary fractions, a tiny negative.
+AWKWARD_FLOATS = [-0.0, 5e-324, 1e308, 0.1, 1 / 3, -1.5e-10]
+
+
+def csv_writer_save_csv(ds: Dataset, path) -> None:
+    """The csv.writer implementation save_csv replaced, kept as the byte oracle."""
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(["label"] + [f"f{i}" for i in range(ds.features.shape[1])])
+        for label, row in zip(ds.labels, ds.features):
+            writer.writerow([int(label)] + [repr(float(v)) for v in row])
+
+
+def per_class_blobs(n_classes, per_class, dim, spread, seed):
+    """The class-by-class loop make_blobs replaced, kept as the oracle."""
+    centers = class_centers(n_classes, dim, seed)
+    rng = generator(seed, 0xB1)
+    features = np.empty((n_classes * per_class, dim))
+    labels = np.empty(n_classes * per_class, dtype=np.int64)
+    for c in range(n_classes):
+        sl = slice(c * per_class, (c + 1) * per_class)
+        features[sl] = centers[c] + spread * rng.standard_normal((per_class, dim))
+        labels[sl] = c
+    return features, labels
+
+
+def scalar_fisher_yates(n: int, seed: int, epoch: int) -> np.ndarray:
+    """The one-draw-per-swap shuffle epoch_permutation replaced, kept as the oracle."""
+    rng = generator(seed, epoch)
+    perm = np.arange(n)
+    for i in range(n - 1, 0, -1):
+        j = int(rng.integers(0, i + 1))
+        perm[i], perm[j] = perm[j], perm[i]
+    return perm
 
 
 def nearest_center_accuracy(ds: Dataset, centers: np.ndarray) -> float:
@@ -51,6 +92,15 @@ class TestMakeBlobs:
         centers = class_centers(5, 7, seed=2)
         np.testing.assert_allclose(np.linalg.norm(centers, axis=1), 3.0, atol=1e-12)
 
+    @pytest.mark.parametrize(
+        "shape", [(2, 1, 1, 0.5, 0), (4, 100, 2, 1.2, 1), (7, 13, 5, 0.3, 42), (100, 20, 32, 1.2, 3)]
+    )
+    def test_matches_per_class_loop(self, shape):
+        ds = make_blobs(*shape)
+        features, labels = per_class_blobs(*shape)
+        assert np.array_equal(ds.features, features)
+        assert np.array_equal(ds.labels, labels) and ds.labels.dtype == np.int64
+
     def test_invalid_parameters_raise(self):
         with pytest.raises(InvalidParameterError):
             make_blobs(1, 10, 2, 0.5, seed=0)
@@ -74,8 +124,10 @@ class TestCsv:
     def test_empty_data_section_raises(self, tmp_path):
         path = tmp_path / "empty.csv"
         path.write_text("label,f0,f1\n")
-        with pytest.raises(InvalidInputError):
-            load_csv(path, 2)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(InvalidInputError, match="no data rows"):
+                load_csv(path, 2)
 
     def test_ragged_row_reports_row_number(self, tmp_path):
         path = tmp_path / "ragged.csv"
@@ -105,6 +157,79 @@ class TestCsv:
         path = tmp_path / "no-top-class.csv"
         path.write_text("label,f0\n0,0.5\n1,0.5\n")
         assert load_csv(path, 3).n_classes == 3
+
+    @pytest.mark.parametrize(
+        "text,lineno",
+        [
+            ("", 1),
+            ("label;f0;f1\n0;1.0;2.0\n", 1),
+            ("label,f0,f1\n0,1.0,2.0\n\n1,3.0,4.0\n", 3),
+            ("label,f0,f1\n0,1.0,2.0\n1,3.0,4.0\n\n", 4),
+            ("label,f0,f1\n0,1.0,2.0\n# note\n", 3),
+            ("label,f0,f1\n0,1.0,2.0\n#1,3.0,4.0\n", 3),
+            ("label,f0,f1\n0,1.0,2.0\n1.0,3.0,4.0\n", 3),
+            ("label,f0,f1\n1,3.0,4.0\n0,,2.0\n", 3),
+            ("label,f0,f1\n0,1.0,2.0\n1,3.0,4.0,\n", 3),
+        ],
+        ids=["empty-file", "bad-header", "blank-mid", "blank-last", "comment", "commented-row",
+             "float-label", "empty-cell", "trailing-comma"],
+    )
+    def test_malformed_line_reports_line_number(self, tmp_path, text, lineno):
+        path = tmp_path / "bad.csv"
+        path.write_text(text)
+        with pytest.raises(DataParseError, match=f":{lineno}:"):
+            load_csv(path, 2)
+
+    @pytest.mark.parametrize(
+        "text,lineno",
+        [
+            ('label,f0\n0,0.5\n"1",0.5\n', 3),
+            ('label,f0\n0,"0.5"\n', 2),
+            ("label,f0\n1_0,0.5\n", 2),
+        ],
+        ids=["quoted-label", "quoted-feature", "underscore-label"],
+    )
+    def test_quoted_and_underscore_cells_are_rejected(self, tmp_path, text, lineno):
+        path = tmp_path / "quirk.csv"
+        path.write_text(text)
+        with pytest.raises(DataParseError, match=f":{lineno}:"):
+            load_csv(path, 20)
+
+    @pytest.mark.parametrize("cell", ["nan", "inf", "-inf"])
+    def test_non_finite_feature_reports_line_number(self, tmp_path, cell):
+        path = tmp_path / "nonfinite.csv"
+        path.write_text(f"label,f0,f1\n0,1.0,2.0\n1,3.0,4.0\n1,0.5,{cell}\n")
+        with pytest.raises(DataParseError, match=":4: non-finite"):
+            load_csv(path, 2)
+
+    def test_single_row_and_crlf_line_endings(self, tmp_path):
+        path = tmp_path / "one.csv"
+        path.write_bytes(b"label,f0,f1\r\n1,0.5,-2.0\r\n")
+        ds = load_csv(path, 2)
+        np.testing.assert_array_equal(ds.features, [[0.5, -2.0]])
+        assert ds.labels.tolist() == [1]
+
+    @pytest.mark.parametrize(
+        "ds",
+        [
+            make_blobs(3, 20, 4, 0.8, seed=9),
+            Dataset(
+                np.array([AWKWARD_FLOATS, AWKWARD_FLOATS[::-1], [-x for x in AWKWARD_FLOATS]]),
+                np.array([2, 0, 1]),
+                3,
+            ),
+        ],
+        ids=["blobs", "awkward-floats"],
+    )
+    def test_save_is_byte_identical_to_csv_writer(self, tmp_path, ds):
+        save_csv(ds, tmp_path / "new.csv")
+        csv_writer_save_csv(ds, tmp_path / "oracle.csv")
+        assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "oracle.csv").read_bytes()
+        back = load_csv(tmp_path / "new.csv", 3)
+        assert np.array_equal(back.features, ds.features)
+        assert np.array_equal(np.signbit(back.features), np.signbit(ds.features))
+        assert np.array_equal(back.labels, ds.labels)
+        assert back.features.flags.c_contiguous
 
     def test_round_trip_of_blobs(self, tmp_path):
         ds = make_blobs(3, 20, 4, 0.8, seed=9)
@@ -144,6 +269,13 @@ class TestBatchIter:
         a1 = np.concatenate(batch_iter(ds, 7, seed=7, epoch=1))
         assert np.array_equal(a0, a0_again)
         assert not np.array_equal(a0, a1)
+
+    @pytest.mark.parametrize("seed,epoch", [(0, 0), (7, 3), (12345, 59)])
+    def test_permutation_matches_scalar_fisher_yates(self, seed, epoch):
+        for n in [*range(1, 300), 1000, 4097, 20000, 65537]:
+            got = epoch_permutation(n, seed, epoch)
+            assert got.dtype == np.int64
+            assert np.array_equal(got, scalar_fisher_yates(n, seed, epoch)), n
 
     def test_invalid_batch_size(self):
         with pytest.raises(InvalidParameterError):

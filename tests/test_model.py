@@ -223,6 +223,20 @@ class TestCheckpoint:
         q = model.load_checkpoint(path)
         assert model.evaluate(p, feats, labels) == model.evaluate(q, feats, labels)
 
+    def test_save_load_save_is_byte_identical_to_repr_format(self, tmp_path):
+        p = model.init([6, 3, 2], seed=13)
+        p.weights[0][0] = [-0.0, 5e-324, 1e308, 0.1, 1 / 3, -1.5e-10]
+        model.save_checkpoint(p, tmp_path / "a.ckpt")
+        model.save_checkpoint(model.load_checkpoint(tmp_path / "a.ckpt"), tmp_path / "b.ckpt")
+        # the format save_checkpoint has always written: one repr(float) per value
+        rows = ["rectidistill-mlp v1", "layers 2"]
+        for w, b in zip(p.weights, p.biases):
+            rows.append(f"layer {w.shape[0]} {w.shape[1]}")
+            rows += [" ".join(repr(float(v)) for v in r) for r in [*w, b]]
+        oracle = "\n".join(rows) + "\n"
+        assert (tmp_path / "a.ckpt").read_text() == oracle
+        assert (tmp_path / "b.ckpt").read_bytes() == (tmp_path / "a.ckpt").read_bytes()
+
     def test_truncated_file_raises_with_no_partial_model(self, tmp_path):
         p = model.init([2, 8, 4], seed=13)
         path = tmp_path / "net.ckpt"
