@@ -9,7 +9,7 @@ Subpackages:
 * ``model``     -- minimal MLPs, SGD, checkpoints
 * ``data``      -- blob datasets, CSV I/O, deterministic batching
 * ``analysis``  -- two-class closed-form / descent verification
-* ``train``     -- teacher training and distillation loops
+* ``train``     -- one SGD loop for teacher training and distillation
 * ``cli``       -- experiment driver (``rectidistill`` entry point)
 """
 

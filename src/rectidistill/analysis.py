@@ -19,7 +19,7 @@ converge there.
 """
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -58,17 +58,6 @@ class TwoClassSetup:
         return 1.0 - self.t_a
 
 
-@dataclass
-class DynamicsReport:
-    s_trajectory: np.ndarray
-    s_converged: float
-    s_ce_only: float
-    s_kl_only: float
-    ordering_verdict: str
-    converged: bool
-    kl_target: tuple[float, float] = field(default=(0.0, 0.0))
-
-
 def objective(setup: TwoClassSetup, s: float, kl_target: tuple[float, float] | None = None) -> float:
     """Joint two-class loss at student probability s for the true class."""
     ta, tb = kl_target if kl_target is not None else (setup.t_a, setup.t_b)
@@ -96,12 +85,6 @@ def _golden_section(f, lo: float, hi: float, tol: float = 1e-10) -> float:
             d = a + invphi * (b - a)
             fd = f(d)
     return (a + b) / 2.0
-
-
-def closed_form_optimum(setup: TwoClassSetup, kl_target: tuple[float, float] | None = None) -> float:
-    """Stationarity solution s* = (w_kl*ta + w_ce)/(w_kl + w_ce)."""
-    ta = kl_target[0] if kl_target is not None else setup.t_a
-    return (setup.w_kl * ta + setup.w_ce) / (setup.w_kl + setup.w_ce)
 
 
 def two_class_optimum(setup: TwoClassSetup, kl_target: tuple[float, float] | None = None) -> float:
@@ -146,24 +129,6 @@ def descend(targets, setup: TwoClassSetup) -> np.ndarray:
     return trajectory
 
 
-def run_dynamics(setup: TwoClassSetup, kl_target: tuple[float, float] | None = None) -> DynamicsReport:
-    """Gradient descent on a softmax logit pair; checked against the optimum."""
-    target = np.array(kl_target if kl_target is not None else (setup.t_a, setup.t_b))
-    trajectory = descend(target[None, :], setup)[:, 0]
-    optimum = two_class_optimum(setup, kl_target)
-    final = float(trajectory[-1])
-    converged = setup.w_kl > 0.0 and setup.w_ce > 0.0 and abs(final - optimum) <= 1e-4
-    return DynamicsReport(
-        s_trajectory=trajectory,
-        s_converged=final,
-        s_ce_only=1.0,
-        s_kl_only=setup.t_a,
-        ordering_verdict=_verdict(setup.t_a),
-        converged=converged,
-        kl_target=(float(target[0]), float(target[1])),
-    )
-
-
 def rectified_kl_target(setup: TwoClassSetup) -> tuple[float, float]:
     """Step b + c rectification of the wrong two-class teacher pair."""
     if setup.t_a >= 0.5:
@@ -172,12 +137,6 @@ def rectified_kl_target(setup: TwoClassSetup) -> tuple[float, float]:
         )
     rect = rectify_sample(np.array([setup.t_a, setup.t_b]), label=0)
     return float(rect.values[0]), float(rect.values[1])
-
-
-def rectified_dynamics(setup: TwoClassSetup, rectify: bool = True) -> DynamicsReport:
-    """Dynamics against the raw or rectified teacher pair (wrong teacher only)."""
-    target = rectified_kl_target(setup) if rectify else None
-    return run_dynamics(setup, kl_target=target)
 
 
 @dataclass(frozen=True)

@@ -14,7 +14,7 @@ class InvalidParameterError(RectiDistillError, ValueError):
 
 
 class DivergenceInfiniteError(RectiDistillError, ValueError):
-    """A KL/CE term is infinite (zero probability where mass is required)."""
+    """A KL term is infinite (zero probability where mass is required)."""
 
 
 class OracleFailureError(RectiDistillError, RuntimeError):

@@ -28,6 +28,7 @@ from .errors import (
 from .rng import generator
 
 _MAGIC = "rectidistill-mlp v1"
+EVAL_CHUNK_ROWS = 4096
 
 
 @dataclass
@@ -69,17 +70,14 @@ def _forward_cached(p: MlpParams, x: np.ndarray):
 
 
 def forward(p: MlpParams, x) -> np.ndarray:
-    """Logits for a single feature vector (d,) or a batch (n, d)."""
+    """Logits (n, k) for a batch of feature rows (n, d); one row is (1, d)."""
     x = np.asarray(x, dtype=np.float64)
-    single = x.ndim == 1
-    if single:
-        x = x[None, :]
     if x.ndim != 2 or x.shape[1] != p.weights[0].shape[1]:
         raise InvalidInputError(
-            f"input width {x.shape} does not match layer width {p.weights[0].shape[1]}"
+            f"input shape {x.shape} is not (n, {p.weights[0].shape[1]})"
         )
     logits, _ = _forward_cached(p, x)
-    return logits[0] if single else logits
+    return logits
 
 
 def backward(p: MlpParams, x, upstream) -> list[tuple[np.ndarray, np.ndarray]]:
@@ -90,12 +88,9 @@ def backward(p: MlpParams, x, upstream) -> list[tuple[np.ndarray, np.ndarray]]:
     """
     x = np.asarray(x, dtype=np.float64)
     upstream = np.asarray(upstream, dtype=np.float64)
-    if x.ndim == 1:
-        x = x[None, :]
-        upstream = upstream[None, :]
-    if upstream.shape != (x.shape[0], p.weights[-1].shape[0]):
+    if x.ndim != 2 or upstream.shape != (x.shape[0], p.weights[-1].shape[0]):
         raise InvalidInputError(
-            f"upstream shape {upstream.shape} does not match batch/output widths"
+            f"input {x.shape} and upstream {upstream.shape} are not an (n, d) and (n, k) batch"
         )
     _, acts = _forward_cached(p, x)
     grads: list[tuple[np.ndarray, np.ndarray]] = [None] * len(p.weights)  # type: ignore[list-item]
@@ -128,12 +123,24 @@ def sgd_step(p: MlpParams, grads, velocity, lr: float, momentum: float = 0.0) ->
 
 
 def evaluate(p: MlpParams, features, labels) -> float:
-    """Top-1 accuracy; argmax ties go to the lowest index."""
+    """Top-1 accuracy; argmax ties go to the lowest index.
+
+    The forward runs ``EVAL_CHUNK_ROWS`` rows at a time, so peak memory does
+    not grow with the split size.
+    """
     features = np.asarray(features, dtype=np.float64)
     labels = np.asarray(labels, dtype=np.int64)
-    if features.shape[0] == 0:
+    n = features.shape[0]
+    if n == 0:
         raise InvalidInputError("empty dataset")
-    return float(np.mean(np.argmax(forward(p, features), axis=1) == labels))
+    if labels.shape != (n,):
+        raise InvalidInputError(f"labels shape {labels.shape} is not ({n},)")
+    hits = 0
+    for start in range(0, n, EVAL_CHUNK_ROWS):
+        chunk = slice(start, start + EVAL_CHUNK_ROWS)
+        predicted = np.argmax(forward(p, features[chunk]), axis=1)
+        hits += int(np.count_nonzero(predicted == labels[chunk]))
+    return hits / n
 
 
 def flatten_params(p: MlpParams) -> np.ndarray:

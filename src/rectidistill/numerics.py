@@ -4,7 +4,7 @@ Training runs the row-wise functions. CE and KL are taken from
 ``log_softmax_rows`` (shifted logits minus their logsumexp) through
 ``kl_rows``, so they stay finite where the softmax underflows, with no
 clamp. The 1-D ``softmax`` and ``kl_divergence`` are checked batch-of-one
-wrappers over them; the 1-D KL and CE raise rather than return infinities.
+wrappers over them.
 Both analytic gradients are checked against a finite-difference oracle.
 """
 
@@ -64,13 +64,6 @@ def as_prob_vector(p) -> np.ndarray:
     return as_prob_rows(p[None, :])[0]
 
 
-def _check_class_index(c: int, n: int) -> int:
-    c = int(c)
-    if not 0 <= c < n:
-        raise InvalidInputError(f"class index {c} outside [0, {n})")
-    return c
-
-
 def _shifted_rows(logits, tau: float) -> np.ndarray:
     """z / tau minus its row maximum, over a (n, k) logit matrix."""
     logits = np.asarray(logits, dtype=np.float64)
@@ -124,19 +117,12 @@ def kl_divergence(t, s) -> float:
     return float(kl_rows(t[None, :], log_s[None, :])[0])
 
 
-def cross_entropy(class_index: int, s) -> float:
-    """-ln(s at the true class) for a one-hot label."""
-    s = as_prob_vector(s)
-    c = _check_class_index(class_index, s.shape[0])
-    if s[c] == 0.0:
-        raise DivergenceInfiniteError(f"zero probability at the true class {c}")
-    return float(-np.log(s[c]))
-
-
 def ce_softmax_gradient(z, class_index: int, tau: float = 1.0) -> np.ndarray:
     """Gradient of CE(onehot(c), softmax(z/tau)) w.r.t. z: (s - onehot(c)) / tau."""
     s = softmax(z, tau)
-    c = _check_class_index(class_index, s.shape[0])
+    c = int(class_index)
+    if not 0 <= c < s.shape[0]:
+        raise InvalidInputError(f"class index {c} outside [0, {s.shape[0]})")
     g = s.copy()
     g[c] -= 1.0
     return g / tau

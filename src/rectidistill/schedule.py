@@ -46,8 +46,7 @@ from .errors import (
     InvalidParameterError,
     InvalidScheduleError,
 )
-from .numerics import as_prob_rows, kl_rows, log_softmax_rows
-from .numerics import softmax_rows as _batch_softmax_rows
+from .numerics import as_prob_rows, kl_rows, log_softmax_rows, softmax_rows
 
 MODES = (
     "full",
@@ -90,7 +89,8 @@ class LossBreakdown:
     grad: np.ndarray  # d l_all / d student logits, shape (n, k)
 
 
-def _resolve_gamma(mode: str, sched, fixed_gamma) -> float:
+def resolve_gamma(mode: str, sched, fixed_gamma) -> float:
+    """The epoch's blend weight: e/E, the fixed constant, or 0 by mode."""
     if mode in ("full", "step_b_ablation"):
         if sched is None:
             raise InvalidParameterError(f"mode {mode!r} requires an epoch schedule")
@@ -144,8 +144,8 @@ def compute_batch_loss(
     )
     n = student_logits.shape[0]
     rows = np.arange(n)
-    g = _resolve_gamma(mode, sched, fixed_gamma)
-    s = _batch_softmax_rows(student_logits, tau)
+    g = resolve_gamma(mode, sched, fixed_gamma)
+    s = softmax_rows(student_logits, tau)
     log_s = log_softmax_rows(student_logits, tau)
     right_mask = np.argmax(teacher_probs, axis=1) == labels
     right, bias = rows[right_mask], rows[~right_mask]

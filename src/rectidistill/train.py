@@ -1,4 +1,4 @@
-"""Desk-scale training loops: plain-CE teacher training and distillation.
+"""Desk-scale training: plain-CE teacher training and distillation, one SGD loop.
 
 Single-threaded by contract; every run is fully determined by
 (config, datasets). The teacher is frozen during distillation: it is only
@@ -14,7 +14,7 @@ from . import model
 from .data import Dataset, atomic_write, batch_iter
 from .errors import ConfigError
 from .numerics import log_softmax_rows, softmax_rows
-from .schedule import EpochSchedule, compute_batch_loss
+from .schedule import EpochSchedule, compute_batch_loss, resolve_gamma
 
 METRICS_COLUMNS = (
     "epoch",
@@ -54,37 +54,43 @@ class TrainConfig:
             raise ConfigError(f"temperature must be finite and > 0, got {self.tau}")
 
 
-def train_teacher(train_ds: Dataset, dims, cfg: TrainConfig, val_ds: Dataset | None = None):
-    """Plain cross-entropy training; returns (params, per-epoch metric rows)."""
-    params = model.init(dims, cfg.seed)
+def _fit(params: model.MlpParams, train_ds: Dataset, cfg: TrainConfig, val_ds, batch_loss):
+    """The one SGD loop: trains ``params`` in place; returns (params, per-epoch rows).
+
+    ``batch_loss(epoch, x, y, logits)`` returns the logit gradient (already
+    carrying its 1/n weighting) and a dict of that batch's loss sums. Each
+    epoch row holds those sums divided by the training-set size, plus the
+    train and validation accuracies.
+    """
     velocity = model.init_velocity(params)
     rows = []
     for epoch in range(cfg.epochs):
-        loss_sum = 0.0
+        sums = {}
         for idx in batch_iter(train_ds, cfg.batch_size, cfg.seed, epoch):
             x, y = train_ds.features[idx], train_ds.labels[idx]
-            logits = model.forward(params, x)
-            true_class = (np.arange(len(idx)), y)
-            loss_sum += float(-log_softmax_rows(logits)[true_class].sum())
-            upstream = softmax_rows(logits)
-            upstream[true_class] -= 1.0
-            grads = model.backward(params, x, upstream / len(idx))
+            grad, batch_sums = batch_loss(epoch, x, y, model.forward(params, x))
+            grads = model.backward(params, x, grad)
             model.sgd_step(params, grads, velocity, cfg.learning_rate, cfg.momentum)
-        train_acc = model.evaluate(params, train_ds.features, train_ds.labels)
-        val_acc = (
-            model.evaluate(params, val_ds.features, val_ds.labels)
-            if val_ds is not None
-            else float("nan")
-        )
-        rows.append(
-            {
-                "epoch": epoch,
-                "loss_ce": loss_sum / train_ds.n,
-                "train_acc": train_acc,
-                "val_acc": val_acc,
-            }
-        )
+            for key, value in batch_sums.items():
+                sums[key] = sums.get(key, 0.0) + value
+        row = {"epoch": epoch, **{key: value / train_ds.n for key, value in sums.items()}}
+        for key, ds in (("train_acc", train_ds), ("val_acc", val_ds)):
+            row[key] = float("nan") if ds is None else model.evaluate(params, ds.features, ds.labels)
+        rows.append(row)
     return params, rows
+
+
+def train_teacher(train_ds: Dataset, dims, cfg: TrainConfig, val_ds: Dataset | None = None):
+    """Plain cross-entropy training; returns (params, per-epoch metric rows)."""
+
+    def ce_loss(epoch, x, y, logits):
+        true_class = (np.arange(len(y)), y)
+        loss_sum = float(-log_softmax_rows(logits)[true_class].sum())
+        upstream = softmax_rows(logits)
+        upstream[true_class] -= 1.0
+        return upstream / len(y), {"loss_ce": loss_sum}
+
+    return _fit(model.init(dims, cfg.seed), train_ds, cfg, val_ds, ce_loss)
 
 
 def distill(
@@ -95,57 +101,25 @@ def distill(
     val_ds: Dataset | None = None,
 ):
     """Distill the frozen teacher into a fresh student; returns (params, rows)."""
-    if teacher.dims[-1] != train_ds.n_classes:
-        raise ConfigError(
-            f"teacher output width {teacher.dims[-1]} != dataset classes {train_ds.n_classes}"
+    for role, width in (("teacher", teacher.dims[-1]), ("student", student_dims[-1])):
+        if width != train_ds.n_classes:
+            raise ConfigError(f"{role} output width {width} != dataset classes {train_ds.n_classes}")
+
+    def kd_loss(epoch, x, y, logits):
+        teacher_probs = softmax_rows(model.forward(teacher, x), cfg.tau)
+        out = compute_batch_loss(
+            logits, teacher_probs, y, EpochSchedule(epoch, cfg.epochs),
+            cfg.tau, cfg.mode, cfg.fixed_gamma,
         )
-    if student_dims[-1] != train_ds.n_classes:
-        raise ConfigError(
-            f"student output width {student_dims[-1]} != dataset classes {train_ds.n_classes}"
-        )
-    student = model.init(student_dims, cfg.seed)
-    velocity = model.init_velocity(student)
-    rows = []
-    for epoch in range(cfg.epochs):
-        sched = EpochSchedule(epoch=epoch, total_epochs=cfg.epochs)
-        sums = {"loss_total": 0.0, "loss_ce": 0.0, "loss_easy": 0.0, "loss_hard": 0.0}
-        n_right = 0
-        epoch_gamma = 0.0
-        for idx in batch_iter(train_ds, cfg.batch_size, cfg.seed, epoch):
-            x, y = train_ds.features[idx], train_ds.labels[idx]
-            teacher_probs = softmax_rows(model.forward(teacher, x), cfg.tau)
-            student_logits = model.forward(student, x)
-            breakdown = compute_batch_loss(
-                student_logits, teacher_probs, y, sched, cfg.tau, cfg.mode, cfg.fixed_gamma
-            )
-            grads = model.backward(student, x, breakdown.grad)
-            model.sgd_step(student, grads, velocity, cfg.learning_rate, cfg.momentum)
-            w = len(idx)
-            sums["loss_total"] += breakdown.l_all * w
-            sums["loss_ce"] += breakdown.l_ce * w
-            sums["loss_easy"] += breakdown.l_easy * w
-            sums["loss_hard"] += breakdown.l_hard * w
-            n_right += breakdown.n_right
-            epoch_gamma = breakdown.gamma
-        train_acc = model.evaluate(student, train_ds.features, train_ds.labels)
-        val_acc = (
-            model.evaluate(student, val_ds.features, val_ds.labels)
-            if val_ds is not None
-            else float("nan")
-        )
-        rows.append(
-            {
-                "epoch": epoch,
-                "gamma": epoch_gamma,
-                "loss_total": sums["loss_total"] / train_ds.n,
-                "loss_ce": sums["loss_ce"] / train_ds.n,
-                "loss_easy": sums["loss_easy"] / train_ds.n,
-                "loss_hard": sums["loss_hard"] / train_ds.n,
-                "train_acc": train_acc,
-                "val_acc": val_acc,
-                "teacher_right_fraction": n_right / train_ds.n,
-            }
-        )
+        w = len(y)
+        return out.grad, {"loss_total": out.l_all * w, "loss_ce": out.l_ce * w,
+                          "loss_easy": out.l_easy * w, "loss_hard": out.l_hard * w,
+                          "teacher_right_fraction": out.n_right}
+
+    student, rows = _fit(model.init(student_dims, cfg.seed), train_ds, cfg, val_ds, kd_loss)
+    for row in rows:
+        sched = EpochSchedule(row["epoch"], cfg.epochs)
+        row["gamma"] = resolve_gamma(cfg.mode, sched, cfg.fixed_gamma)
     return student, rows
 
 

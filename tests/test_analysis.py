@@ -6,16 +6,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rectidistill.analysis import (
-    DynamicsReport,
     TwoClassSetup,
     VERDICT_BETWEEN,
     VERDICT_PULLED_BELOW_CE,
-    closed_form_optimum,
     descend,
     objective,
-    rectified_dynamics,
     rectified_kl_target,
-    run_dynamics,
     sweep,
     two_class_optimum,
     write_sweep_csv,
@@ -35,6 +31,18 @@ def grid_oracle(setup: TwoClassSetup, kl_target=None) -> float:
         vals += setup.w_kl * tb * np.log(tb / (1.0 - GRID))
     vals += setup.w_ce * (-np.log(GRID))
     return float(GRID[np.argmin(vals)])
+
+
+def closed_form_optimum(setup: TwoClassSetup, kl_target=None) -> float:
+    """Stationarity solution s* = (w_kl*ta + w_ce)/(w_kl + w_ce)."""
+    ta = kl_target[0] if kl_target is not None else setup.t_a
+    return (setup.w_kl * ta + setup.w_ce) / (setup.w_kl + setup.w_ce)
+
+
+def descended(setup: TwoClassSetup, kl_target=None) -> float:
+    """Final true-class probability of one descent against the raw or given pair."""
+    target = kl_target if kl_target is not None else (setup.t_a, setup.t_b)
+    return float(descend([target], setup)[-1, 0])
 
 
 def per_pair_descent(setup: TwoClassSetup, kl_target) -> np.ndarray:
@@ -89,38 +97,32 @@ class TestOptimum:
 
 class TestDynamics:
     def test_correct_teacher_lands_between(self):
-        report = run_dynamics(TwoClassSetup(t_a=0.9))
-        assert report.s_converged == pytest.approx(0.95, abs=1e-4)
-        assert 0.9 < report.s_converged < 1.0
-        assert report.ordering_verdict == VERDICT_BETWEEN
-        assert report.converged
+        setup = TwoClassSetup(t_a=0.9)
+        s = descended(setup)
+        assert s == pytest.approx(0.95, abs=1e-4)
+        assert 0.9 < s < 1.0
+        assert abs(s - two_class_optimum(setup)) <= 1e-4
 
     def test_wrong_teacher_pulled_below_ce_optimum(self):
-        report = run_dynamics(TwoClassSetup(t_a=0.3))
-        assert report.s_converged == pytest.approx(0.65, abs=1e-4)
-        assert report.s_converged < report.s_ce_only == 1.0
-        assert report.ordering_verdict == VERDICT_PULLED_BELOW_CE
+        setup = TwoClassSetup(t_a=0.3)
+        s = descended(setup)
+        assert s == pytest.approx(0.65, abs=1e-4)
+        assert s < two_class_optimum(TwoClassSetup(t_a=0.3, w_kl=0.0)) == 1.0
+        assert abs(s - two_class_optimum(setup)) <= 1e-4
 
     def test_boundary_midpoint(self):
-        report = run_dynamics(TwoClassSetup(t_a=0.5))
-        assert report.s_converged == pytest.approx(0.75, abs=1e-4)
+        assert descended(TwoClassSetup(t_a=0.5)) == pytest.approx(0.75, abs=1e-4)
 
     def test_trajectory_stays_in_open_interval(self):
-        report = run_dynamics(TwoClassSetup(t_a=0.2))
-        assert np.all(report.s_trajectory > 0.0)
-        assert np.all(report.s_trajectory < 1.0)
+        trajectory = descend([[0.2, 0.8]], TwoClassSetup(t_a=0.2))
+        assert np.all(trajectory > 0.0)
+        assert np.all(trajectory < 1.0)
 
     def test_descent_agrees_with_closed_form_on_grid(self):
         t_a = np.linspace(0.05, 0.95, 20)
         final = descend(np.column_stack([t_a, 1.0 - t_a]), TwoClassSetup(t_a=0.5))[-1]
         for ta, s in zip(t_a, final):
             assert abs(s - closed_form_optimum(TwoClassSetup(t_a=float(ta)))) <= 1e-4
-
-    def test_run_dynamics_is_a_batch_of_one(self):
-        setup = TwoClassSetup(t_a=0.3, steps=300)
-        report = run_dynamics(setup)
-        assert report.s_trajectory.shape == (300,)
-        assert np.array_equal(report.s_trajectory, descend([[0.3, 0.7]], setup)[:, 0])
 
 
 unit = st.floats(0.0, 1.0)
@@ -148,11 +150,11 @@ class TestRectifiedDynamics:
     def test_worked_example_t_a_010(self):
         setup = TwoClassSetup(t_a=0.1)
         assert rectified_kl_target(setup) == pytest.approx((0.55, 0.45), abs=1e-12)
-        unrect = rectified_dynamics(setup, rectify=False)
-        rect = rectified_dynamics(setup, rectify=True)
-        assert unrect.s_converged == pytest.approx(0.55, abs=1e-4)
-        assert rect.s_converged == pytest.approx(0.775, abs=1e-4)
-        assert rect.s_converged > unrect.s_converged
+        unrect = descended(setup)
+        rect = descended(setup, rectified_kl_target(setup))
+        assert unrect == pytest.approx(0.55, abs=1e-4)
+        assert rect == pytest.approx(0.775, abs=1e-4)
+        assert rect > unrect
 
     def test_optimum_gap_is_quarter_of_teacher_error(self):
         # rectified target (t_a+1)/2 lifts s* by exactly (1-t_a)/4
@@ -176,7 +178,7 @@ class TestRectifiedDynamics:
 
     def test_correct_teacher_rejected(self):
         with pytest.raises(RectifyNotApplicableError):
-            rectified_dynamics(TwoClassSetup(t_a=0.7))
+            rectified_kl_target(TwoClassSetup(t_a=0.7))
 
     def test_wrong_teacher_monotone_pull(self):
         optima = [

@@ -68,18 +68,18 @@ class TestForward:
         p = model.init([2, 4, 3], seed=0)
         for w in p.weights:
             w[:] = 0.0
-        np.testing.assert_array_equal(model.forward(p, [1.0, 2.0]), np.zeros(3))
+        np.testing.assert_array_equal(model.forward(p, [[1.0, 2.0]]), np.zeros((1, 3)))
 
     def test_identity_single_layer(self):
         p = model.MlpParams(weights=[np.eye(3)], biases=[np.zeros(3)])
-        np.testing.assert_array_equal(model.forward(p, [1.0, -2.0, 3.0]), [1.0, -2.0, 3.0])
+        np.testing.assert_array_equal(model.forward(p, [[1.0, -2.0, 3.0]]), [[1.0, -2.0, 3.0]])
 
     def test_matches_naive_oracle(self):
         p = model.init([3, 5, 4], seed=11)
         rng = np.random.default_rng(12)
         for _ in range(10):
-            x = rng.normal(size=3)
-            np.testing.assert_allclose(model.forward(p, x), naive_forward(p, x), atol=1e-12)
+            x = rng.normal(size=(1, 3))
+            np.testing.assert_allclose(model.forward(p, x)[0], naive_forward(p, x[0]), atol=1e-12)
 
     def test_batch_agrees_with_single(self):
         p = model.init([2, 6, 3], seed=4)
@@ -87,18 +87,25 @@ class TestForward:
         batch = model.forward(p, x)
         for i in range(7):
             # BLAS may pick different kernels for 7-row vs 1-row matmuls
-            np.testing.assert_allclose(batch[i], model.forward(p, x[i]), atol=1e-12)
+            np.testing.assert_allclose(batch[i], model.forward(p, x[i : i + 1])[0], atol=1e-12)
 
     def test_dimension_mismatch_raises(self):
         p = model.init([2, 3], seed=0)
         with pytest.raises(InvalidInputError):
-            model.forward(p, [1.0, 2.0, 3.0])
+            model.forward(p, [[1.0, 2.0, 3.0]])
+
+    def test_1d_input_raises(self):
+        p = model.init([2, 3], seed=0)
+        with pytest.raises(InvalidInputError):
+            model.forward(p, [1.0, 2.0])
+        with pytest.raises(InvalidInputError):
+            model.backward(p, [1.0, 2.0], np.zeros(3))
 
 
 class TestBackward:
     def test_zero_upstream_gives_zero_grads(self):
         p = model.init([2, 4, 3], seed=0)
-        grads = model.backward(p, [1.0, 2.0], np.zeros(3))
+        grads = model.backward(p, [[1.0, 2.0]], np.zeros((1, 3)))
         for gw, gb in grads:
             assert np.all(gw == 0.0) and np.all(gb == 0.0)
 
@@ -106,11 +113,11 @@ class TestBackward:
         p = model.MlpParams(
             weights=[np.random.default_rng(1).normal(size=(3, 2))], biases=[np.zeros(3)]
         )
-        x = np.array([1.5, -0.5])
-        up = np.array([0.2, -0.1, 0.7])
+        x = np.array([[1.5, -0.5]])
+        up = np.array([[0.2, -0.1, 0.7]])
         (gw, gb), = model.backward(p, x, up)
         np.testing.assert_allclose(gw, np.outer(up, x), atol=1e-15)
-        np.testing.assert_allclose(gb, up, atol=1e-15)
+        np.testing.assert_allclose(gb, up[0], atol=1e-15)
 
     def test_full_pipeline_matches_finite_differences(self):
         # CE(softmax) loss through a 2-4-3 net, every parameter checked
@@ -201,6 +208,29 @@ class TestEvaluate:
         p = model.init([2, 3], seed=0)
         with pytest.raises(InvalidInputError):
             model.evaluate(p, np.empty((0, 2)), np.empty(0, dtype=int))
+
+    @pytest.mark.parametrize("shape", [(6, 1), (1,), (5,), (7,)])
+    def test_label_shape_mismatch_raises(self, shape):
+        # labels equal to the argmaxes score 1.0 only in their own (n,) shape
+        p = model.MlpParams(weights=[np.eye(3)], biases=[np.zeros(3)])
+        feats = np.eye(3)[[0, 1, 2, 0, 1, 2]]
+        labels = np.array([0, 1, 2, 0, 1, 2])
+        assert model.evaluate(p, feats, labels) == 1.0
+        with pytest.raises(InvalidInputError, match="labels shape"):
+            model.evaluate(p, feats, np.resize(labels, shape))
+
+    def test_chunked_forward_matches_whole_split(self, monkeypatch):
+        p = model.init([2, 5, 3], seed=6)
+        rng = np.random.default_rng(8)
+        feats = rng.normal(size=(103, 2))
+        labels = rng.integers(0, 3, size=103)
+        whole = model.evaluate(p, feats, labels)
+        calls = []
+        forward = model.forward
+        monkeypatch.setattr(model, "forward", lambda q, x: calls.append(len(x)) or forward(q, x))
+        monkeypatch.setattr(model, "EVAL_CHUNK_ROWS", 10)
+        assert model.evaluate(p, feats, labels) == whole
+        assert calls == [10] * 10 + [3]
 
 
 class TestCheckpoint:

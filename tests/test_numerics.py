@@ -23,7 +23,6 @@ from rectidistill.numerics import (
     PROB_SUM_TOL,
     as_prob_vector,
     ce_softmax_gradient,
-    cross_entropy,
     finite_difference_gradient,
     kl_divergence,
     kl_rows,
@@ -249,23 +248,22 @@ class TestKlDivergence:
 
 
 class TestCrossEntropy:
+    """CE against a one-hot label is ``-log_softmax_rows`` at the label."""
+
     def test_perfect_prediction_is_zero(self):
-        assert cross_entropy(0, [1.0, 0.0, 0.0]) == pytest.approx(0.0, abs=1e-15)
+        assert -log_softmax_rows([[800.0, 0.0, 0.0]])[0, 0] == pytest.approx(0.0, abs=1e-15)
 
     def test_half_probability_is_ln2(self):
-        assert cross_entropy(1, [0.5, 0.5]) == pytest.approx(math.log(2), abs=1e-14)
+        assert -log_softmax_rows([[0.0, 0.0]])[0, 1] == pytest.approx(math.log(2), abs=1e-14)
 
     def test_analytic_inverse(self):
-        s = [math.exp(-2), 1 - math.exp(-2)]
-        assert cross_entropy(0, s) == pytest.approx(2.0, abs=1e-12)
-
-    def test_zero_probability_raises(self):
-        with pytest.raises(DivergenceInfiniteError):
-            cross_entropy(1, [1.0, 0.0])
+        # softmax([0, ln(e^2 - 1)])[0] = e^-2
+        z = [[0.0, math.log(math.exp(2) - 1.0)]]
+        assert -log_softmax_rows(z)[0, 0] == pytest.approx(2.0, abs=1e-12)
 
     def test_out_of_range_class_raises(self):
         with pytest.raises(InvalidInputError):
-            cross_entropy(3, [0.5, 0.5])
+            ce_softmax_gradient([0.0, 0.0], 3)
 
 
 class TestGradients:
@@ -281,7 +279,7 @@ class TestGradients:
 
     def test_ce_gradient_matches_finite_differences(self):
         z = np.array([2.0, 1.0, 0.0])
-        fd = finite_difference_gradient(lambda v: cross_entropy(2, softmax(v)), z)
+        fd = finite_difference_gradient(lambda v: -np.log(softmax(v)[2]), z)
         np.testing.assert_allclose(ce_softmax_gradient(z, 2), fd, atol=1e-6)
 
     def test_kl_gradient_zero_at_optimum(self):

@@ -1,0 +1,131 @@
+"""The shared SGD loop behind ``train_teacher`` and ``distill``: its rows and its bits."""
+
+import numpy as np
+import pytest
+
+from rectidistill import model
+from rectidistill.data import batch_iter, make_blobs
+from rectidistill.numerics import log_softmax_rows, softmax_rows
+from rectidistill.schedule import MODES, EpochSchedule, compute_batch_loss
+from rectidistill.train import (
+    METRICS_COLUMNS,
+    TEACHER_METRICS_COLUMNS,
+    TrainConfig,
+    distill,
+    train_teacher,
+)
+
+EPOCHS = 4
+
+
+@pytest.fixture(scope="module")
+def setup():
+    train = make_blobs(3, 12, 2, 1.0, seed=5)
+    val = make_blobs(3, 4, 2, 1.0, seed=6)
+    cfg = TrainConfig(epochs=EPOCHS, batch_size=8, seed=2)
+    teacher, _ = train_teacher(train, [2, 6, 3], cfg, val)
+    return train, val, teacher
+
+
+def two_loop_teacher(train_ds, dims, cfg, val_ds):
+    """Oracle: the separate teacher loop that the shared loop replaced."""
+    params = model.init(dims, cfg.seed)
+    velocity = model.init_velocity(params)
+    rows = []
+    for epoch in range(cfg.epochs):
+        loss_sum = 0.0
+        for idx in batch_iter(train_ds, cfg.batch_size, cfg.seed, epoch):
+            x, y = train_ds.features[idx], train_ds.labels[idx]
+            logits = model.forward(params, x)
+            true_class = (np.arange(len(idx)), y)
+            loss_sum += float(-log_softmax_rows(logits)[true_class].sum())
+            upstream = softmax_rows(logits)
+            upstream[true_class] -= 1.0
+            grads = model.backward(params, x, upstream / len(idx))
+            model.sgd_step(params, grads, velocity, cfg.learning_rate, cfg.momentum)
+        rows.append({
+            "epoch": epoch,
+            "loss_ce": loss_sum / train_ds.n,
+            "train_acc": model.evaluate(params, train_ds.features, train_ds.labels),
+            "val_acc": model.evaluate(params, val_ds.features, val_ds.labels),
+        })
+    return params, rows
+
+
+def two_loop_distill(teacher, student_dims, train_ds, cfg, val_ds):
+    """Oracle: the separate distillation loop that the shared loop replaced."""
+    student = model.init(student_dims, cfg.seed)
+    velocity = model.init_velocity(student)
+    rows = []
+    for epoch in range(cfg.epochs):
+        sched = EpochSchedule(epoch=epoch, total_epochs=cfg.epochs)
+        sums = {"loss_total": 0.0, "loss_ce": 0.0, "loss_easy": 0.0, "loss_hard": 0.0}
+        n_right = 0
+        epoch_gamma = 0.0
+        for idx in batch_iter(train_ds, cfg.batch_size, cfg.seed, epoch):
+            x, y = train_ds.features[idx], train_ds.labels[idx]
+            teacher_probs = softmax_rows(model.forward(teacher, x), cfg.tau)
+            breakdown = compute_batch_loss(
+                model.forward(student, x), teacher_probs, y, sched, cfg.tau, cfg.mode,
+                cfg.fixed_gamma,
+            )
+            grads = model.backward(student, x, breakdown.grad)
+            model.sgd_step(student, grads, velocity, cfg.learning_rate, cfg.momentum)
+            for key, value in (("loss_total", breakdown.l_all), ("loss_ce", breakdown.l_ce),
+                               ("loss_easy", breakdown.l_easy), ("loss_hard", breakdown.l_hard)):
+                sums[key] += value * len(idx)
+            n_right += breakdown.n_right
+            epoch_gamma = breakdown.gamma
+        rows.append({
+            "epoch": epoch,
+            "gamma": epoch_gamma,
+            **{key: value / train_ds.n for key, value in sums.items()},
+            "train_acc": model.evaluate(student, train_ds.features, train_ds.labels),
+            "val_acc": model.evaluate(student, val_ds.features, val_ds.labels),
+            "teacher_right_fraction": n_right / train_ds.n,
+        })
+    return student, rows
+
+
+def assert_same_bits(params_a, rows_a, params_b, rows_b):
+    assert np.array_equal(model.flatten_params(params_a), model.flatten_params(params_b))
+    assert [sorted(r.items()) for r in rows_a] == [sorted(r.items()) for r in rows_b]
+
+
+def test_teacher_rows_carry_exactly_the_teacher_columns(setup):
+    train, val, _ = setup
+    _, rows = train_teacher(train, [2, 6, 3], TrainConfig(epochs=EPOCHS, batch_size=8), val)
+    assert [r["epoch"] for r in rows] == list(range(EPOCHS))
+    for row in rows:
+        assert set(row) == set(TEACHER_METRICS_COLUMNS)
+
+
+def test_teacher_matches_the_two_loop_oracle(setup):
+    train, val, _ = setup
+    cfg = TrainConfig(epochs=EPOCHS, batch_size=8, seed=3)
+    assert_same_bits(*train_teacher(train, [2, 6, 3], cfg, val),
+                     *two_loop_teacher(train, [2, 6, 3], cfg, val))
+
+
+@pytest.mark.parametrize("mode", MODES)
+def test_distill_rows_and_gamma_column(setup, mode):
+    train, val, teacher = setup
+    fixed = 0.3 if mode == "fixed_gamma" else None
+    cfg = TrainConfig(epochs=EPOCHS, batch_size=8, seed=4, mode=mode, fixed_gamma=fixed)
+    student, rows = distill(teacher, [2, 5, 3], train, cfg, val)
+    for row in rows:
+        assert set(row) == set(METRICS_COLUMNS)
+    if mode in ("full", "step_b_ablation"):
+        want = [e / EPOCHS for e in range(EPOCHS)]
+    elif mode == "fixed_gamma":
+        want = [0.3] * EPOCHS
+    else:
+        want = [0.0] * EPOCHS
+    assert [r["gamma"] for r in rows] == want
+    assert_same_bits(student, rows, *two_loop_distill(teacher, [2, 5, 3], train, cfg, val))
+
+
+def test_missing_val_split_gives_nan_val_acc(setup):
+    train, _, teacher = setup
+    _, rows = distill(teacher, [2, 5, 3], train, TrainConfig(epochs=1, batch_size=8))
+    assert np.isnan(rows[0]["val_acc"]) and 0.0 <= rows[0]["train_acc"] <= 1.0
