@@ -12,8 +12,10 @@ the digest of those lines. The calls run inside <out> on relative paths, so
 
 The package is imported from the ``src/`` next to this script: a copy of the
 script in another checkout digests that checkout's code, and equal listing
-digests mean every CSV, checkpoint, metrics, summary and config file is
-byte-identical.
+digests mean every CSV, ``.rows`` sidecar, checkpoint, metrics, summary and
+config file is byte-identical. gen-data writes six files per workload: each
+split's CSV and its ``<csv>.rows`` sidecar (the CSV's sha256, then its rows as
+one ``.npy`` record), ``config.txt`` and ``manifest.json``.
 """
 
 import contextlib

@@ -2,12 +2,20 @@
 
 CSV schema: header ``label,f0,f1,...``; one sample per row; an integer label, then
 decimal floats. Every parse error names its file line, and every artifact the
-package writes goes through ``atomic_write``. Batching permutes indices with a
-Fisher-Yates shuffle whose swap indices come from one draw of a PCG64 stream keyed
-by (seed, epoch), so every epoch visits each sample once, reproducibly bit-for-bit.
+package writes goes through ``atomic_write``.
+
+``save_csv`` also writes a sidecar ``<csv>.rows``: the 32-byte sha256 of the CSV's
+bytes, then one ``np.save`` record of the parsed row array. ``load_csv`` reads the
+rows from the sidecar instead of parsing only while that digest matches the CSV,
+so the CSV stays the one source of truth.
+
+Batching permutes indices with a Fisher-Yates shuffle whose swap indices come from
+one draw of a PCG64 stream keyed by (seed, epoch), so every epoch visits each
+sample once, reproducibly bit-for-bit.
 """
 
 import contextlib
+import hashlib
 import os
 import re
 from dataclasses import dataclass
@@ -65,11 +73,14 @@ def make_blobs(n_classes: int, per_class: int, dim: int, spread: float, seed: in
 
 
 @contextlib.contextmanager
-def atomic_write(path):
-    """Stream into ``path.tmp``, then rename it over ``path``; on error the old file stays."""
+def atomic_write(path, mode: str = "w"):
+    """Stream into ``path.tmp``, then rename it over ``path``; on error the old file stays.
+
+    ``mode`` is ``"w"`` (text, no newline translation) or ``"wb"``.
+    """
     tmp = f"{path}.tmp"
     try:
-        with open(tmp, "w", newline="") as fh:
+        with open(tmp, mode, newline=None if "b" in mode else "") as fh:
             yield fh
         os.replace(tmp, path)
     finally:
@@ -77,11 +88,47 @@ def atomic_write(path):
             os.remove(tmp)
 
 
+def _row_type(dim: int) -> np.dtype:
+    """One parsed CSV row: the label, then the ``dim`` features."""
+    return np.dtype([("label", np.int64), ("x", np.float64, (dim,))])
+
+
+def _sha256(path) -> bytes:
+    digest = hashlib.sha256()
+    with open(path, "rb") as fh:
+        while chunk := fh.read(1 << 20):
+            digest.update(chunk)
+    return digest.digest()
+
+
 def save_csv(ds: Dataset, path) -> None:
+    """Write the CSV, then its ``<path>.rows`` sidecar bound to the CSV's sha256."""
     with atomic_write(path) as fh:
         fh.write(",".join(["label"] + [f"f{i}" for i in range(ds.features.shape[1])]) + "\n")
         fh.writelines(f"{label},{','.join(map(repr, row.tolist()))}\n"
                       for label, row in zip(ds.labels.tolist(), ds.features))
+    rows = np.empty(ds.n, dtype=_row_type(ds.features.shape[1]))
+    rows["label"], rows["x"] = ds.labels, ds.features
+    with atomic_write(f"{path}.rows", "wb") as fh:
+        fh.write(_sha256(path))
+        np.save(fh, rows, allow_pickle=False)
+
+
+def _sidecar_rows(path, row_type: np.dtype):
+    """The rows stored in ``<path>.rows``, or None unless it is bound to the CSV's bytes.
+
+    A missing, unreadable or stale sidecar, or one that holds anything but a 1-D
+    ``row_type`` array, is not an error: the caller parses the CSV instead.
+    """
+    try:
+        with open(f"{path}.rows", "rb") as fh:
+            digest = fh.read(32)
+            rows = np.load(fh, allow_pickle=False)
+    except (OSError, ValueError, EOFError):
+        return None
+    if not (isinstance(rows, np.ndarray) and rows.ndim == 1 and rows.dtype == row_type):
+        return None
+    return rows if digest == _sha256(path) else None
 
 
 # loadtxt's bad-cell error, with its 0-based row among the lines given; ours never match.
@@ -101,21 +148,28 @@ def _data_lines(fh, path, n_cells: int):
 
 
 def load_csv(path, n_classes: int) -> Dataset:
-    """Parse a dataset CSV; ``n_classes`` comes from the model, not from the largest label."""
+    """Load a dataset CSV; ``n_classes`` comes from the model, not from the largest label.
+
+    The rows come from the ``save_csv`` sidecar when it is bound to the CSV's
+    current bytes, else from parsing the CSV. The label and finiteness checks
+    run on both.
+    """
     with open(path) as fh:
         names = fh.readline().rstrip("\r\n").split(",")
         if len(names) < 2 or names[0] != "label":
             raise DataParseError(f"{path}:1: header must be 'label,f0,f1,...'")
-        row_type = np.dtype([("label", np.int64), ("x", np.float64, (len(names) - 1,))])
-        try:
-            rows = np.loadtxt(_data_lines(fh, path, len(names)), dtype=row_type, delimiter=",",
-                              comments=None, quotechar=None, ndmin=1)
-        except ValueError as exc:
-            cell = _CELL_ERROR.fullmatch(str(exc))
-            if cell is None:
-                raise
-            raise DataParseError(f"{path}:{int(cell[2]) + 2}: non-numeric cell in column "
-                                 f"{cell[3]}: {cell[1]}") from exc
+        row_type = _row_type(len(names) - 1)
+        rows = _sidecar_rows(path, row_type)
+        if rows is None:
+            try:
+                rows = np.loadtxt(_data_lines(fh, path, len(names)), dtype=row_type,
+                                  delimiter=",", comments=None, quotechar=None, ndmin=1)
+            except ValueError as exc:
+                cell = _CELL_ERROR.fullmatch(str(exc))
+                if cell is None:
+                    raise
+                raise DataParseError(f"{path}:{int(cell[2]) + 2}: non-numeric cell in column "
+                                     f"{cell[3]}: {cell[1]}") from exc
     labels, features = rows["label"].copy(), np.ascontiguousarray(rows["x"])
     finite = np.isfinite(features).all(axis=1)
     bad = ~finite | (labels < 0) | (labels >= n_classes)

@@ -57,8 +57,13 @@ def init(dims, seed: int) -> MlpParams:
     return MlpParams(weights=weights, biases=biases)
 
 
-def _forward_cached(p: MlpParams, x: np.ndarray):
-    """Return (logits, per-layer activations); x is (n, d)."""
+def forward_cached(p: MlpParams, x):
+    """Logits (n, k) and per-layer activations ``[x, h_1, ..., logits]`` for rows (n, d)."""
+    x = np.asarray(x, dtype=np.float64)
+    if x.ndim != 2 or x.shape[1] != p.weights[0].shape[1]:
+        raise InvalidInputError(
+            f"input shape {x.shape} is not (n, {p.weights[0].shape[1]})"
+        )
     acts = [x]
     h = x
     last = len(p.weights) - 1
@@ -71,20 +76,15 @@ def _forward_cached(p: MlpParams, x: np.ndarray):
 
 def forward(p: MlpParams, x) -> np.ndarray:
     """Logits (n, k) for a batch of feature rows (n, d); one row is (1, d)."""
-    x = np.asarray(x, dtype=np.float64)
-    if x.ndim != 2 or x.shape[1] != p.weights[0].shape[1]:
-        raise InvalidInputError(
-            f"input shape {x.shape} is not (n, {p.weights[0].shape[1]})"
-        )
-    logits, _ = _forward_cached(p, x)
-    return logits
+    return forward_cached(p, x)[0]
 
 
-def backward(p: MlpParams, x, upstream) -> list[tuple[np.ndarray, np.ndarray]]:
+def backward(p: MlpParams, x, upstream, acts=None) -> list[tuple[np.ndarray, np.ndarray]]:
     """Parameter gradients given d(loss)/d(logits), summed over the batch.
 
-    The upstream already carries any 1/n weighting. ReLU subgradient at 0
-    is taken as 0.
+    ``acts`` are the activations ``forward_cached(p, x)`` returned; they are
+    recomputed when not given. The upstream already carries any 1/n
+    weighting. ReLU subgradient at 0 is taken as 0.
     """
     x = np.asarray(x, dtype=np.float64)
     upstream = np.asarray(upstream, dtype=np.float64)
@@ -92,7 +92,8 @@ def backward(p: MlpParams, x, upstream) -> list[tuple[np.ndarray, np.ndarray]]:
         raise InvalidInputError(
             f"input {x.shape} and upstream {upstream.shape} are not an (n, d) and (n, k) batch"
         )
-    _, acts = _forward_cached(p, x)
+    if acts is None:
+        _, acts = forward_cached(p, x)
     grads: list[tuple[np.ndarray, np.ndarray]] = [None] * len(p.weights)  # type: ignore[list-item]
     delta = upstream
     for i in range(len(p.weights) - 1, -1, -1):

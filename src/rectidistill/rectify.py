@@ -29,9 +29,6 @@ class RectifiedTarget:
     """Teacher distribution after step b (over-sums) or step c (simplex)."""
 
     values: np.ndarray
-    stage: str
-    a: int  # true-class index
-    b: int  # teacher-argmax index
 
 
 def rectify_rows(teacher_probs: np.ndarray, labels: np.ndarray, stage: str = STEP_C) -> np.ndarray:
@@ -61,10 +58,9 @@ def rectify_rows(teacher_probs: np.ndarray, labels: np.ndarray, stage: str = STE
 def rectify_sample(t, label: int, mode: str = STEP_C) -> RectifiedTarget:
     """Full rectification of one wrong prediction; b is recomputed as argmax."""
     t = as_prob_vector(t)
-    a, b = int(label), int(np.argmax(t))
-    if a == b:
+    a = int(label)
+    if a == int(np.argmax(t)):
         raise RectifyNotApplicableError(f"teacher already predicts the true class {a}")
     if not 0 <= a < t.shape[0]:
         raise InvalidInputError(f"true-class index {a} outside [0, {t.shape[0]})")
-    values = rectify_rows(t[None, :], np.array([a]), mode)[0]
-    return RectifiedTarget(values=values, stage=mode, a=a, b=b)
+    return RectifiedTarget(values=rectify_rows(t[None, :], np.array([a]), mode)[0])

@@ -68,8 +68,9 @@ def _fit(params: model.MlpParams, train_ds: Dataset, cfg: TrainConfig, val_ds, b
         sums = {}
         for idx in batch_iter(train_ds, cfg.batch_size, cfg.seed, epoch):
             x, y = train_ds.features[idx], train_ds.labels[idx]
-            grad, batch_sums = batch_loss(epoch, x, y, model.forward(params, x))
-            grads = model.backward(params, x, grad)
+            logits, acts = model.forward_cached(params, x)
+            grad, batch_sums = batch_loss(epoch, x, y, logits)
+            grads = model.backward(params, x, grad, acts)
             model.sgd_step(params, grads, velocity, cfg.learning_rate, cfg.momentum)
             for key, value in batch_sums.items():
                 sums[key] = sums.get(key, 0.0) + value

@@ -1,6 +1,8 @@
 """Blob generation, CSV round-trips, and deterministic batching."""
 
 import csv
+import hashlib
+import pickle
 import warnings
 
 import numpy as np
@@ -240,6 +242,168 @@ class TestCsv:
         assert np.array_equal(ds.features, back.features)
         assert np.array_equal(ds.labels, back.labels)
         assert back.n_classes == 3
+
+
+AWKWARD = Dataset(
+    np.array([AWKWARD_FLOATS, AWKWARD_FLOATS[::-1], [-x for x in AWKWARD_FLOATS]]),
+    np.array([2, 0, 1]),
+    3,
+)
+
+
+@pytest.fixture
+def parses(monkeypatch):
+    """The number of CSV parses load_csv has run, as a one-item list."""
+    count = [0]
+    loadtxt = np.loadtxt
+
+    def counting_loadtxt(*args, **kwargs):
+        count[0] += 1
+        return loadtxt(*args, **kwargs)
+
+    monkeypatch.setattr(np, "loadtxt", counting_loadtxt)
+    return count
+
+
+def write_sidecar(path, digest: bytes, rows: np.ndarray) -> None:
+    """Replace ``path``'s sidecar with ``digest`` followed by ``rows`` in ``.npy`` form."""
+    with open(f"{path}.rows", "wb") as fh:
+        fh.write(digest)
+        np.save(fh, rows, allow_pickle=rows.dtype.hasobject)
+
+
+def csv_digest(path) -> bytes:
+    return hashlib.sha256(path.read_bytes()).digest()
+
+
+def assert_same_dataset(got: Dataset, want: Dataset) -> None:
+    assert got.features.dtype == np.float64 and got.labels.dtype == np.int64
+    assert np.array_equal(got.features, want.features)
+    assert np.array_equal(np.signbit(got.features), np.signbit(want.features))
+    assert np.array_equal(got.labels, want.labels)
+    assert got.features.flags.c_contiguous and got.n_classes == want.n_classes
+
+
+class TestSidecar:
+    @pytest.mark.parametrize("ds", [make_blobs(3, 20, 4, 0.8, seed=9), AWKWARD],
+                             ids=["blobs", "awkward-floats"])
+    def test_hit_equals_the_parse_without_parsing(self, tmp_path, ds, parses):
+        path = tmp_path / "split.csv"
+        save_csv(ds, path)
+        hit = load_csv(path, 3)
+        assert parses[0] == 0
+        (tmp_path / "split.csv.rows").unlink()
+        parsed = load_csv(path, 3)
+        assert parses[0] == 1
+        assert_same_dataset(hit, parsed)
+        assert_same_dataset(hit, ds)
+
+    def test_layout_is_csv_digest_then_one_npy_record(self, tmp_path):
+        path = tmp_path / "split.csv"
+        save_csv(AWKWARD, path)
+        with open(tmp_path / "split.csv.rows", "rb") as fh:
+            assert fh.read(32) == csv_digest(path)
+            rows = np.load(fh, allow_pickle=False)
+            assert fh.read() == b""
+        assert rows.dtype == np.dtype([("label", np.int64), ("x", np.float64, (6,))])
+        assert np.array_equal(rows["label"], AWKWARD.labels)
+        assert np.array_equal(rows["x"], AWKWARD.features)
+
+    def test_two_saves_give_byte_identical_sidecars(self, tmp_path):
+        ds = make_blobs(4, 25, 3, 1.2, seed=5)
+        for name in ("a", "b"):
+            (tmp_path / name).mkdir()
+            save_csv(ds, tmp_path / name / "train.csv")
+        first, second = (tmp_path / name / "train.csv.rows" for name in ("a", "b"))
+        assert first.read_bytes() == second.read_bytes()
+        assert sorted(p.name for p in (tmp_path / "a").iterdir()) == ["train.csv",
+                                                                      "train.csv.rows"]
+
+    def test_changed_cell_falls_back_to_the_parse(self, tmp_path, parses):
+        path = tmp_path / "split.csv"
+        save_csv(Dataset(np.array([[1.5, -2.0], [0.25, 3.0]]), np.array([0, 1]), 2), path)
+        path.write_text(path.read_text().replace("0.25", "0.75"))
+        ds = load_csv(path, 2)
+        assert parses[0] == 1
+        np.testing.assert_array_equal(ds.features, [[1.5, -2.0], [0.75, 3.0]])
+
+    @pytest.mark.parametrize("cell,error", [("abc", ":3: non-numeric"), ("nan", ":3: non-finite")])
+    def test_bad_cell_after_save_raises_its_parse_error(self, tmp_path, cell, error):
+        path = tmp_path / "split.csv"
+        save_csv(Dataset(np.array([[1.5, -2.0], [0.25, 3.0]]), np.array([0, 1]), 2), path)
+        path.write_text(path.read_text().replace("0.25", cell))
+        with pytest.raises(DataParseError, match=error):
+            load_csv(path, 2)
+
+    @pytest.mark.parametrize("kind", ["empty", "digest-only", "truncated-header", "truncated-data",
+                                      "garbage", "pickled", "object-array", "npz"])
+    def test_unreadable_sidecar_falls_back_to_the_parse(self, tmp_path, kind, parses):
+        ds = make_blobs(3, 10, 4, 0.8, seed=2)
+        path = tmp_path / "split.csv"
+        save_csv(ds, path)
+        sidecar = tmp_path / "split.csv.rows"
+        stored, digest = sidecar.read_bytes(), csv_digest(path)
+        # right dtype and shape, wrong values: only ever loading without pickle rejects it
+        forged = np.zeros(ds.n, dtype=[("label", np.int64), ("x", np.float64, (4,))])
+        if kind == "object-array":
+            write_sidecar(path, digest, np.array([ds.features, 1], dtype=object))
+        elif kind == "npz":
+            with open(sidecar, "wb") as fh:
+                fh.write(digest)
+                np.savez(fh, rows=np.zeros(3))
+        else:
+            sidecar.write_bytes({
+                "empty": b"",
+                "digest-only": digest,
+                "truncated-header": stored[:60],
+                "truncated-data": stored[:-8],
+                "garbage": digest + bytes(range(256)) * 8,
+                "pickled": digest + pickle.dumps(forged),
+            }[kind])
+        assert_same_dataset(load_csv(path, 3), ds)
+        assert parses[0] == 1
+
+    @pytest.mark.parametrize("kind", ["float32-features", "int32-labels", "wider-rows",
+                                      "swapped-byte-order", "two-dimensional", "plain-floats"])
+    def test_wrong_dtype_or_shape_falls_back_to_the_parse(self, tmp_path, kind, parses):
+        ds = make_blobs(3, 10, 4, 0.8, seed=2)
+        path = tmp_path / "split.csv"
+        save_csv(ds, path)
+        dtype = {"float32-features": [("label", np.int64), ("x", np.float32, (4,))],
+                 "int32-labels": [("label", np.int32), ("x", np.float64, (4,))],
+                 "wider-rows": [("label", np.int64), ("x", np.float64, (5,))],
+                 "swapped-byte-order": [("label", ">i8"), ("x", ">f8", (4,))],
+                 "two-dimensional": [("label", np.int64), ("x", np.float64, (4,))],
+                 "plain-floats": np.float64}[kind]
+        shape = (ds.n, 1) if kind == "two-dimensional" else (ds.n,)
+        rows = np.zeros(shape, dtype=dtype)
+        if rows.dtype.names:
+            rows["label"] = 2  # every stored label differs from the CSV's
+        write_sidecar(path, csv_digest(path), rows)
+        assert_same_dataset(load_csv(path, 3), ds)
+        assert parses[0] == 1
+
+    def test_missing_sidecar_parses_as_before(self, tmp_path, parses):
+        ds = make_blobs(3, 10, 4, 0.8, seed=2)
+        path = tmp_path / "split.csv"
+        save_csv(ds, path)
+        (tmp_path / "split.csv.rows").unlink()
+        assert_same_dataset(load_csv(path, 3), ds)
+        assert parses[0] == 1
+
+    def test_label_at_class_count_names_the_same_line_either_way(self, tmp_path, parses):
+        ds = Dataset(np.zeros((4, 2)), np.array([0, 1, 2, 1]), 3)
+        path = tmp_path / "split.csv"
+        save_csv(ds, path)
+        with pytest.raises(DataParseError) as via_sidecar:
+            load_csv(path, 2)
+        assert parses[0] == 0
+        (tmp_path / "split.csv.rows").unlink()
+        with pytest.raises(DataParseError) as via_parse:
+            load_csv(path, 2)
+        assert parses[0] == 1
+        assert str(via_sidecar.value) == str(via_parse.value)
+        assert ":4: label 2 outside [0, 2)" in str(via_sidecar.value)
 
 
 class TestBatchIter:

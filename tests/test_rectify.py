@@ -22,7 +22,8 @@ def wrong_prediction(draw, min_classes=2, max_classes=20):
 
 def test_step_b_hand_example():
     out = rectify_sample(np.array([0.1, 0.7, 0.2]), 0, mode=STEP_B)
-    assert (out.a, out.b, out.stage) == (0, 1, STEP_B)
+    # b is the teacher argmax (index 1), halved; the other wrong class stays
+    assert (out.values[1], out.values[2]) == (0.7 / 2.0, 0.2)
     np.testing.assert_allclose(out.values, [0.55, 0.35, 0.2], atol=1e-15)
     assert out.values.sum() == pytest.approx(1.1, abs=1e-15)
     # entry a is the mean of t[a] and 1
@@ -57,7 +58,7 @@ def test_sample_rejects_bad_label_and_mode():
 def test_step_c_hand_example():
     t = np.array([0.1, 0.7, 0.2])
     out = rectify_sample(t, 0, mode=STEP_C)
-    assert out.stage == STEP_C
+    assert not np.array_equal(out.values, rectify_sample(t, 0, mode=STEP_B).values)
     np.testing.assert_allclose(out.values, [0.55 * 8 / 9, 0.35 * 8 / 9, 0.2], atol=1e-15)
     assert out.values.sum() == pytest.approx(1.0, abs=1e-12)
 
