@@ -4,18 +4,21 @@
     python3 scripts/artifact_digest.py <out>
 
 Runs gen-data -> train-teacher -> distill for the two benchmark shapes
-(paper-k4 in all six modes, wide-k100 in mode full) at seed 1, writing under
-<out>, which must not exist yet or be empty. Prints ``<sha256>  <path>`` for
-every file written, with paths relative to <out>, then ``<sha256>  listing``,
-the digest of those lines. The calls run inside <out> on relative paths, so
-``config.txt`` does not depend on where <out> is.
+(paper-k4 in all six modes, wide-k100 in mode full) at seed 1, then
+``prop-check --out prop-check`` once, writing under <out>, which must not
+exist yet or be empty. Prints ``<sha256>  <path>`` for every file written,
+with paths relative to <out>, then ``<sha256>  listing``, the digest of those
+lines. The calls run inside <out> on relative paths, so ``config.txt`` does
+not depend on where <out> is.
 
 The package is imported from the ``src/`` next to this script: a copy of the
 script in another checkout digests that checkout's code, and equal listing
 digests mean every CSV, ``.rows`` sidecar, checkpoint, metrics, summary and
-config file is byte-identical. gen-data writes six files per workload: each
-split's CSV and its ``<csv>.rows`` sidecar (the CSV's sha256, then its rows as
-one ``.npy`` record), ``config.txt`` and ``manifest.json``.
+config file, and the two-class ``sweep.csv``, is byte-identical. gen-data
+writes six files per workload: each split's CSV and its ``<csv>.rows``
+sidecar (the CSV's sha256, then its rows as one ``.npy`` record),
+``config.txt`` and ``manifest.json``; prop-check writes ``sweep.csv`` and
+``config.txt``.
 """
 
 import contextlib
@@ -92,6 +95,7 @@ def artifact_digests(out, workloads=WORKLOADS) -> list[str]:
     try:
         for wl in workloads:
             run_workload(wl)
+        _run(["prop-check", "--out", "prop-check"])
     finally:
         os.chdir(cwd)
     files = sorted(p for p in out.rglob("*") if p.is_file())

@@ -1,6 +1,6 @@
 """Bias-rectified knowledge distillation, desk-scale.
 
-Subpackages:
+Modules:
 
 * ``numerics``  -- the one log-space softmax / CE / KL core, 1-D wrappers
 * ``rectify``   -- two-step rectification of biased teacher targets
@@ -8,7 +8,7 @@ Subpackages:
   targets, dynamic easy/hard weighting (gamma = e/E), loss and gradient
 * ``model``     -- minimal MLPs, SGD, checkpoints
 * ``data``      -- blob datasets, CSV I/O, deterministic batching
-* ``analysis``  -- two-class closed-form / descent verification
+* ``analysis``  -- two-class closed-form optimum, checked by descent
 * ``train``     -- one SGD loop for teacher training and distillation
 * ``cli``       -- experiment driver (``rectidistill`` entry point)
 """

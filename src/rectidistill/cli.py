@@ -131,7 +131,7 @@ def _persist_config(cfg: dict) -> None:
 
 def _write_json(path: str, obj: dict) -> None:
     with atomic_write(path) as fh:
-        json.dump(obj, fh, sort_keys=True)
+        json.dump(obj, fh, sort_keys=True, allow_nan=False)
         fh.write("\n")
 
 
@@ -228,7 +228,8 @@ def cmd_distill(cfg: dict) -> int:
     final = rows[-1]
     summary = {
         "mode": cfg["mode"], "seed": cfg["seed"], "epochs": cfg["epochs"],
-        "final_val_acc": final["val_acc"], "final_train_acc": final["train_acc"],
+        "final_val_acc": None if val_ds is None else final["val_acc"],
+        "final_train_acc": final["train_acc"],
         "final_loss_total": final["loss_total"],
     }
     _write_json(os.path.join(cfg["out"], "summary.json"), summary)
@@ -282,14 +283,12 @@ def cmd_prop_check(cfg: dict) -> int:
     rows = analysis.sweep(grid)
     analysis.write_sweep_csv(rows, os.path.join(cfg["out"], "sweep.csv"))
 
-    # One descent over every (t_a, 1 - t_a) pair; the setup supplies the sweep's
-    # default weights, rate and steps.
     targets = np.array([(row.t_a, 1.0 - row.t_a) for row in rows])
-    s_final = analysis.descend(targets, analysis.TwoClassSetup(t_a=grid[0]))[-1]
+    s_final = analysis.descend(targets)[-1]
     failures = []
     for row, s_converged in zip(rows, s_final):
         if abs(s_converged - row.s_unrect) > 1e-4:
-            failures.append((row.t_a, "descent disagrees with grid optimum"))
+            failures.append((row.t_a, "descent disagrees with closed-form optimum"))
         if row.t_a > 0.5 and not (row.t_a < row.s_unrect < 1.0):
             failures.append((row.t_a, "correct-teacher ordering violated"))
         if row.t_a < 0.5 and not row.s_rect > row.s_unrect:

@@ -118,17 +118,20 @@ def _sidecar_rows(path, row_type: np.dtype):
     """The rows stored in ``<path>.rows``, or None unless it is bound to the CSV's bytes.
 
     A missing, unreadable or stale sidecar, or one that holds anything but a 1-D
-    ``row_type`` array, is not an error: the caller parses the CSV instead.
+    ``row_type`` array, is not an error: the caller parses the CSV instead. The
+    digest is compared before the array is read, so a stale sidecar's header
+    never decides what is allocated.
     """
     try:
         with open(f"{path}.rows", "rb") as fh:
-            digest = fh.read(32)
+            if fh.read(32) != _sha256(path):
+                return None
             rows = np.load(fh, allow_pickle=False)
     except (OSError, ValueError, EOFError):
         return None
     if not (isinstance(rows, np.ndarray) and rows.ndim == 1 and rows.dtype == row_type):
         return None
-    return rows if digest == _sha256(path) else None
+    return rows
 
 
 # loadtxt's bad-cell error, with its 0-based row among the lines given; ours never match.

@@ -183,8 +183,6 @@ def load_checkpoint(path) -> MlpParams:
         return CheckpointParseError(f"{path}:{lineno}: {msg}")
 
     def floats(lineno: int, expected: int) -> np.ndarray:
-        if lineno > len(lines):
-            raise parse_error(lineno, "unexpected end of file")
         parts = lines[lineno - 1].split()
         if len(parts) != expected:
             raise parse_error(lineno, f"expected {expected} values, got {len(parts)}")
@@ -221,15 +219,13 @@ def load_checkpoint(path) -> MlpParams:
             raise parse_error(lineno, "malformed layer dims") from exc
         if out_w < 1 or in_w < 1:
             raise parse_error(lineno, f"layer dims must be positive, got {out_w}x{in_w}")
-        lineno += 1
-        w = np.empty((out_w, in_w))
-        for r in range(out_w):
-            w[r] = floats(lineno, in_w)
-            lineno += 1
-        b = floats(lineno, out_w)
-        lineno += 1
-        weights.append(w)
-        biases.append(b)
+        # the header's dims size nothing until the file is known to hold its rows
+        if len(lines) - lineno < out_w + 1:
+            raise parse_error(lineno, f"layer needs {out_w + 1} lines, "
+                                      f"the file has {len(lines) - lineno} after it")
+        weights.append(np.array([floats(lineno + 1 + r, in_w) for r in range(out_w)]))
+        biases.append(floats(lineno + 1 + out_w, out_w))
+        lineno += out_w + 2
     if any(line.strip() for line in lines[lineno - 1 :]):
         raise parse_error(lineno, "trailing content after final layer")
     for prev, nxt in zip(weights[:-1], weights[1:]):

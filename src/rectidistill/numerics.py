@@ -20,6 +20,7 @@ from .errors import (
 )
 
 PROB_SUM_TOL = 1e-9
+FD_STEP = 1e-5
 
 
 def as_logits(z) -> np.ndarray:
@@ -137,20 +138,16 @@ def kl_softmax_gradient(t, z, tau: float = 1.0) -> np.ndarray:
     return (s - t) / tau
 
 
-def finite_difference_gradient(
-    f: Callable[[np.ndarray], float], x, h: float = 1e-5
-) -> np.ndarray:
-    """Central-difference gradient estimate of a scalar function of a vector."""
+def finite_difference_gradient(f: Callable[[np.ndarray], float], x) -> np.ndarray:
+    """Central-difference gradient estimate, step ``FD_STEP``, of a scalar function of a vector."""
     x = np.asarray(x, dtype=np.float64)
-    if not np.isfinite(h) or h <= 0.0:
-        raise InvalidParameterError(f"step size must be positive, got {h}")
     g = np.empty_like(x)
     for i in range(x.shape[0]):
         step = np.zeros_like(x)
-        step[i] = h
+        step[i] = FD_STEP
         fp = float(f(x + step))
         fm = float(f(x - step))
         if not (np.isfinite(fp) and np.isfinite(fm)):
             raise OracleFailureError(f"non-finite evaluation while differencing coordinate {i}")
-        g[i] = (fp - fm) / (2.0 * h)
+        g[i] = (fp - fm) / (2.0 * FD_STEP)
     return g

@@ -1,16 +1,19 @@
 """Two-class optimum / dynamics tests against an independent grid oracle."""
 
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from rectidistill import analysis
 from rectidistill.analysis import (
+    LEARNING_RATE,
     TwoClassSetup,
     VERDICT_BETWEEN,
     VERDICT_PULLED_BELOW_CE,
     descend,
-    objective,
     rectified_kl_target,
     sweep,
     two_class_optimum,
@@ -24,69 +27,40 @@ GRID = np.arange(1e-6, 1.0, 1e-6)
 def grid_oracle(setup: TwoClassSetup, kl_target=None) -> float:
     """Vectorized 1-D grid search at 1e-6 resolution."""
     ta, tb = kl_target if kl_target is not None else (setup.t_a, setup.t_b)
-    vals = np.zeros_like(GRID)
+    vals = -np.log(GRID)
     if ta > 0:
-        vals += setup.w_kl * ta * np.log(ta / GRID)
+        vals += ta * np.log(ta / GRID)
     if tb > 0:
-        vals += setup.w_kl * tb * np.log(tb / (1.0 - GRID))
-    vals += setup.w_ce * (-np.log(GRID))
+        vals += tb * np.log(tb / (1.0 - GRID))
     return float(GRID[np.argmin(vals)])
-
-
-def closed_form_optimum(setup: TwoClassSetup, kl_target=None) -> float:
-    """Stationarity solution s* = (w_kl*ta + w_ce)/(w_kl + w_ce)."""
-    ta = kl_target[0] if kl_target is not None else setup.t_a
-    return (setup.w_kl * ta + setup.w_ce) / (setup.w_kl + setup.w_ce)
 
 
 def descended(setup: TwoClassSetup, kl_target=None) -> float:
     """Final true-class probability of one descent against the raw or given pair."""
     target = kl_target if kl_target is not None else (setup.t_a, setup.t_b)
-    return float(descend([target], setup)[-1, 0])
+    return float(descend([target])[-1, 0])
 
 
-def per_pair_descent(setup: TwoClassSetup, kl_target) -> np.ndarray:
+def per_pair_descent(kl_target, steps: int) -> np.ndarray:
     """Oracle: the one-pair descent loop that ``descend`` batches, kept verbatim."""
     target = np.array(kl_target)
     label = np.array([1.0, 0.0])
     z = np.zeros(2)
-    trajectory = np.empty(setup.steps)
-    for step in range(setup.steps):
+    trajectory = np.empty(steps)
+    for step in range(steps):
         e = np.exp(z - z.max())
         s = e / e.sum()
-        grad = setup.w_kl * (s - target) + setup.w_ce * (s - label)
-        z = z - setup.learning_rate * grad
+        grad = (s - target) + (s - label)
+        z = z - LEARNING_RATE * grad
         trajectory[step] = s[0]
     return trajectory
 
 
 class TestOptimum:
-    def test_ce_only_reports_supremum_one(self):
-        assert two_class_optimum(TwoClassSetup(t_a=0.4, w_kl=0.0, w_ce=1.0)) == 1.0
-
-    def test_kl_only_matches_teacher(self):
-        assert two_class_optimum(TwoClassSetup(t_a=0.4, w_kl=1.0, w_ce=0.0)) == 0.4
-
     def test_worked_value_t_a_030(self):
         s = two_class_optimum(TwoClassSetup(t_a=0.3))
         assert s == pytest.approx(0.65, abs=1e-4)
         assert s == pytest.approx(grid_oracle(TwoClassSetup(t_a=0.3)), abs=1e-4)
-
-    def test_golden_section_agrees_with_closed_form(self):
-        for ta in np.linspace(0.05, 0.95, 19):
-            setup = TwoClassSetup(t_a=float(ta))
-            assert two_class_optimum(setup) == pytest.approx(
-                closed_form_optimum(setup), abs=1e-8
-            )
-
-    def test_unequal_weights(self):
-        setup = TwoClassSetup(t_a=0.2, w_kl=2.0, w_ce=1.0)
-        assert two_class_optimum(setup) == pytest.approx(grid_oracle(setup), abs=1e-4)
-        assert two_class_optimum(setup) == pytest.approx((2 * 0.2 + 1) / 3, abs=1e-8)
-
-    def test_degenerate_weights_raise(self):
-        with pytest.raises(InvalidSetupError):
-            TwoClassSetup(t_a=0.5, w_kl=0.0, w_ce=0.0)
 
     def test_t_a_outside_open_interval_raises(self):
         with pytest.raises(InvalidSetupError):
@@ -107,22 +81,22 @@ class TestDynamics:
         setup = TwoClassSetup(t_a=0.3)
         s = descended(setup)
         assert s == pytest.approx(0.65, abs=1e-4)
-        assert s < two_class_optimum(TwoClassSetup(t_a=0.3, w_kl=0.0)) == 1.0
+        assert s < 1.0  # the CE-only optimum
         assert abs(s - two_class_optimum(setup)) <= 1e-4
 
     def test_boundary_midpoint(self):
         assert descended(TwoClassSetup(t_a=0.5)) == pytest.approx(0.75, abs=1e-4)
 
     def test_trajectory_stays_in_open_interval(self):
-        trajectory = descend([[0.2, 0.8]], TwoClassSetup(t_a=0.2))
+        trajectory = descend([[0.2, 0.8]])
         assert np.all(trajectory > 0.0)
         assert np.all(trajectory < 1.0)
 
     def test_descent_agrees_with_closed_form_on_grid(self):
         t_a = np.linspace(0.05, 0.95, 20)
-        final = descend(np.column_stack([t_a, 1.0 - t_a]), TwoClassSetup(t_a=0.5))[-1]
+        final = descend(np.column_stack([t_a, 1.0 - t_a]))[-1]
         for ta, s in zip(t_a, final):
-            assert abs(s - closed_form_optimum(TwoClassSetup(t_a=float(ta)))) <= 1e-4
+            assert abs(s - two_class_optimum(TwoClassSetup(t_a=float(ta)))) <= 1e-4
 
 
 unit = st.floats(0.0, 1.0)
@@ -131,19 +105,14 @@ unit = st.floats(0.0, 1.0)
 @settings(max_examples=25, deadline=None)
 @given(
     targets=st.lists(st.tuples(unit, unit), min_size=1, max_size=6),
-    w_kl=st.floats(0.0, 3.0),
-    w_ce=st.floats(0.01, 3.0),
-    learning_rate=st.floats(0.01, 1.0),
     steps=st.integers(1, 500),
 )
-def test_descend_is_bit_identical_to_per_pair_loop(targets, w_kl, w_ce, learning_rate, steps):
-    setup = TwoClassSetup(
-        t_a=0.5, w_kl=w_kl, w_ce=w_ce, learning_rate=learning_rate, steps=steps
-    )
-    trajectory = descend(np.array(targets), setup)
+def test_descend_is_bit_identical_to_per_pair_loop(targets, steps):
+    with mock.patch.object(analysis, "STEPS", steps):
+        trajectory = descend(np.array(targets))
     assert trajectory.shape == (steps, len(targets))
     for g, target in enumerate(targets):
-        assert np.array_equal(trajectory[:, g], per_pair_descent(setup, target))
+        assert np.array_equal(trajectory[:, g], per_pair_descent(target, steps))
 
 
 class TestRectifiedDynamics:
@@ -186,6 +155,17 @@ class TestRectifiedDynamics:
             for ta in np.arange(0.05, 0.50, 0.05)
         ]
         assert all(b > a for a, b in zip(optima, optima[1:]))
+
+
+class TestSweep:
+    def test_rows_are_the_closed_form_exactly(self):
+        for row in sweep([round(0.05 * i, 2) for i in range(1, 20)]):
+            assert row.s_unrect == (row.t_a + 1.0) / 2.0
+            if row.t_a < 0.5:
+                rect_t_a = rectified_kl_target(TwoClassSetup(t_a=row.t_a))[0]
+                assert row.s_rect == (rect_t_a + 1.0) / 2.0
+            else:
+                assert np.isnan(row.s_rect)
 
 
 class TestSweepCsv:

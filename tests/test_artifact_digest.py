@@ -30,8 +30,9 @@ def test_two_runs_give_the_same_listing_digest(tmp_path):
     assert "toy-k3/distill-fixed-gamma-0.5/student.ckpt" in paths
     assert "toy-wide/teacher/teacher.ckpt" in paths
     assert "toy-k3/data/train.csv.rows" in paths
-    # per workload: gen-data 6 files, train-teacher 3, each distill 4
-    assert len(paths) == (6 + 3 + 4 * 6) + (6 + 3 + 4)
+    assert "prop-check/sweep.csv" in paths
+    # per workload: gen-data 6 files, train-teacher 3, each distill 4; then prop-check 2
+    assert len(paths) == (6 + 3 + 4 * 6) + (6 + 3 + 4) + 2
     assert not any(path.endswith(".tmp") for path in paths)
 
 

@@ -235,6 +235,38 @@ class TestDistill:
             summary = json.loads((out / "summary.json").read_text())
             assert 0.0 <= summary["final_val_acc"] <= 1.0
 
+    def test_summary_without_val_is_strict_json_with_null_accuracy(self, setup):
+        tmp, data, teacher = setup
+        out = tmp / "no-val"
+        rc = cli.main([
+            "distill", "--train", str(data / "train.csv"), "--teacher", str(teacher),
+            "--dims", "2,4,3", "--epochs", "2", "--out", str(out),
+        ])
+        assert rc == cli.EXIT_OK
+
+        def reject(constant):
+            raise ValueError(f"non-standard JSON constant {constant}")
+
+        summary = json.loads((out / "summary.json").read_text(), parse_constant=reject)
+        assert summary["final_val_acc"] is None
+        assert 0.0 <= summary["final_train_acc"] <= 1.0
+
+    @pytest.mark.parametrize("dims", ["1000000000 1000000", "8 1000000000000"])
+    def test_huge_teacher_layer_is_an_error_line_not_a_traceback(self, setup, capsys, dims):
+        tmp, data, teacher = setup
+        lines = teacher.read_text().splitlines()
+        assert lines[2] == "layer 8 2"
+        huge = tmp / f"huge-{dims.split()[0]}.ckpt"
+        huge.write_text("\n".join([*lines[:2], f"layer {dims}", *lines[3:]]) + "\n")
+        out = tmp / "huge-teacher"
+        rc = cli.main([
+            "distill", "--train", str(data / "train.csv"), "--teacher", str(huge),
+            "--dims", "2,4,3", "--out", str(out),
+        ])
+        assert rc == cli.EXIT_INTERNAL == 1
+        assert capsys.readouterr().err.startswith(f"error: {huge}:")
+        assert not out.exists()
+
     def test_unknown_mode_is_usage_error(self, setup):
         tmp, data, teacher = setup
         rc = cli.main([

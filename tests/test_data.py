@@ -383,6 +383,21 @@ class TestSidecar:
         assert_same_dataset(load_csv(path, 3), ds)
         assert parses[0] == 1
 
+    def test_stale_sidecar_is_not_read_past_its_digest(self, tmp_path, parses):
+        # a header declaring 10**12 rows would ask np.load for 36 TiB
+        ds = make_blobs(3, 10, 4, 0.8, seed=2)
+        path = tmp_path / "split.csv"
+        save_csv(ds, path)
+        row_type = np.dtype([("label", np.int64), ("x", np.float64, (4,))])
+        with open(tmp_path / "split.csv.rows", "wb") as fh:
+            fh.write(bytes(32))
+            np.lib.format.write_array_header_1_0(fh, {
+                "descr": np.lib.format.dtype_to_descr(row_type),
+                "fortran_order": False, "shape": (10**12,)})
+            fh.write(bytes(row_type.itemsize))
+        assert_same_dataset(load_csv(path, 3), ds)
+        assert parses[0] == 1
+
     def test_missing_sidecar_parses_as_before(self, tmp_path, parses):
         ds = make_blobs(3, 10, 4, 0.8, seed=2)
         path = tmp_path / "split.csv"

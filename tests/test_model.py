@@ -304,6 +304,18 @@ class TestCheckpoint:
         with pytest.raises(CheckpointParseError, match=":4:"):
             model.load_checkpoint(path)
 
+    @pytest.mark.parametrize("dims,lineno,message", [
+        ("1000000000 1000000", 3, "layer needs 1000000001 lines, the file has 3 after it"),
+        ("2 1000000000000", 4, "expected 1000000000000 values, got 2"),
+    ])
+    def test_huge_layer_dims_fail_on_their_line_without_allocating(
+        self, tmp_path, dims, lineno, message
+    ):
+        path = tmp_path / "huge.ckpt"
+        path.write_text(f"rectidistill-mlp v1\nlayers 1\nlayer {dims}\n1.0 2.0\n0.0 0.0\n0.0 0.0\n")
+        with pytest.raises(CheckpointParseError, match=f":{lineno}: {message}$"):
+            model.load_checkpoint(path)
+
     @pytest.mark.parametrize(
         "cells,lineno", [("inf 1", 4), ("1 nan", 4), ("0.0 -inf", 6), ("nan 0.0", 6)]
     )

@@ -324,7 +324,3 @@ class TestFiniteDifferences:
     def test_nonfinite_evaluation_raises(self):
         with pytest.raises(OracleFailureError):
             finite_difference_gradient(lambda v: float("nan"), np.array([1.0, 2.0]))
-
-    def test_rejects_nonpositive_step(self):
-        with pytest.raises(InvalidParameterError):
-            finite_difference_gradient(lambda v: 0.0, np.array([1.0, 2.0]), h=0.0)
