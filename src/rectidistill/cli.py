@@ -54,8 +54,6 @@ def _parse_mode(flag: str) -> tuple[str, float | None]:
             g = float(flag.split("=", 1)[1])
         except ValueError:
             raise ConfigError(f"malformed fixed-gamma value in {flag!r}") from None
-        if not 0.0 <= g < 1.0:
-            raise ConfigError(f"fixed-gamma must lie in [0, 1), got {g}")
         return "fixed_gamma", g
     raise ConfigError(
         f"unknown mode {flag!r}; expected one of "

@@ -21,16 +21,8 @@ class OracleFailureError(RectiDistillError, RuntimeError):
     """A verification oracle (finite differences) hit a non-finite evaluation."""
 
 
-class InvalidBatchError(RectiDistillError, ValueError):
-    """Batch-shaped inputs disagree in size."""
-
-
 class RectifyNotApplicableError(RectiDistillError, ValueError):
     """Rectification requested for a sample the teacher already predicts correctly."""
-
-
-class InvalidScheduleError(RectiDistillError, ValueError):
-    """Epoch schedule outside 0 <= e < E."""
 
 
 class InvalidArchitectureError(RectiDistillError, ValueError):
@@ -38,7 +30,7 @@ class InvalidArchitectureError(RectiDistillError, ValueError):
 
 
 class TrainingDivergedError(RectiDistillError, RuntimeError):
-    """Non-finite gradients or parameters during optimization."""
+    """Non-finite logits or gradients during optimization."""
 
 
 class CheckpointParseError(RectiDistillError, ValueError):
@@ -46,7 +38,7 @@ class CheckpointParseError(RectiDistillError, ValueError):
 
 
 class InvalidSetupError(RectiDistillError, ValueError):
-    """Degenerate two-class analysis setup (e.g. both loss weights zero)."""
+    """Degenerate two-class analysis setup: t_a outside (0, 1)."""
 
 
 class DataParseError(RectiDistillError, ValueError):

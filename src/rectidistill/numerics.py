@@ -1,10 +1,12 @@
 """Stable probability, loss, and gradient primitives: the one numerical source.
 
-Training runs the row-wise functions. CE and KL are taken from
-``log_softmax_rows`` (shifted logits minus their logsumexp) through
-``kl_rows``, so they stay finite where the softmax underflows, with no
-clamp. The 1-D ``softmax`` and ``kl_divergence`` are checked batch-of-one
-wrappers over them.
+Training runs the row-wise functions, which check nothing: their inputs
+were checked where they entered the program (``TrainConfig``, the data
+and checkpoint loaders) or built by it. ``log_softmax_rows`` returns ln s
+(shifted logits minus their logsumexp) and s from one pass; CE and KL are
+taken from ln s through ``kl_rows``, so they stay finite where the softmax
+underflows, with no clamp. The 1-D ``softmax``, ``kl_divergence`` and the
+two gradients are checked batch-of-one wrappers over them.
 Both analytic gradients are checked against a finite-difference oracle.
 """
 
@@ -33,60 +35,40 @@ def as_logits(z) -> np.ndarray:
     return z
 
 
-def as_prob_rows(p) -> np.ndarray:
-    """Validate each row of a (n, k) array, k >= 2, as a point on the simplex.
-
-    The error names the first bad row.
-    """
+def as_prob_vector(p) -> np.ndarray:
+    """Validate a point on the probability simplex: 1-D, length >= 2, sum within 1e-9 of 1."""
     p = np.asarray(p, dtype=np.float64)
-    if p.ndim != 2 or p.shape[1] < 2:
-        raise InvalidInputError(f"probability rows must be (n, k) with k >= 2, got shape {p.shape}")
-    finite = np.isfinite(p).all(axis=1)
-    negative = (p < 0.0).any(axis=1)
-    totals = p.sum(axis=1)
-    bad = ~finite | negative | (np.abs(totals - 1.0) > PROB_SUM_TOL)
-    if bad.any():
-        i = int(np.argmax(bad))
-        if not finite[i]:
-            problem = "contains non-finite entries"
-        elif negative[i]:
-            problem = "has negative entries"
-        else:
-            problem = f"sums to {float(totals[i])}, not 1"
-        raise InvalidInputError(f"sample {i}: probability vector {problem}")
+    if p.ndim != 1 or p.shape[0] < 2:
+        raise InvalidInputError(
+            f"probability vector must be 1-D with length >= 2, got shape {p.shape}"
+        )
+    if not np.all(np.isfinite(p)):
+        raise InvalidInputError("probability vector contains non-finite entries")
+    if np.any(p < 0.0):
+        raise InvalidInputError("probability vector has negative entries")
+    total = float(p.sum())
+    if abs(total - 1.0) > PROB_SUM_TOL:
+        raise InvalidInputError(f"probability vector sums to {total}, not 1")
     return p
 
 
-def as_prob_vector(p) -> np.ndarray:
-    """Validate a point on the probability simplex (sum within 1e-9 of 1)."""
-    p = np.asarray(p, dtype=np.float64)
-    if p.ndim != 1:
-        raise InvalidInputError(f"probability vector must be 1-D, got shape {p.shape}")
-    return as_prob_rows(p[None, :])[0]
+def log_softmax_rows(logits, tau: float = 1.0) -> tuple[np.ndarray, np.ndarray]:
+    """Row-wise (ln softmax(z / tau), softmax(z / tau)) over a (n, k) logit matrix.
 
-
-def _shifted_rows(logits, tau: float) -> np.ndarray:
-    """z / tau minus its row maximum, over a (n, k) logit matrix."""
-    logits = np.asarray(logits, dtype=np.float64)
-    if not np.isfinite(tau) or tau <= 0.0:
-        raise InvalidParameterError(f"temperature must be a positive finite scalar, got {tau}")
-    scaled = logits / tau
-    return scaled - scaled.max(axis=1, keepdims=True)
+    One shift by the row maximum, one ``exp`` and one row sum serve both:
+    ln s is the shifted logits minus the log of that sum, finite for every
+    finite logit row, also where s is 0.
+    """
+    scaled = np.asarray(logits, dtype=np.float64) / tau
+    shifted = scaled - scaled.max(axis=1, keepdims=True)
+    e = np.exp(shifted)
+    total = e.sum(axis=1, keepdims=True)
+    return shifted - np.log(total), e / total
 
 
 def softmax_rows(logits, tau: float = 1.0) -> np.ndarray:
     """Row-wise softmax(z / tau) over a (n, k) logit matrix."""
-    e = np.exp(_shifted_rows(logits, tau))
-    return e / e.sum(axis=1, keepdims=True)
-
-
-def log_softmax_rows(logits, tau: float = 1.0) -> np.ndarray:
-    """Row-wise ln softmax(z / tau): shifted logits minus their logsumexp.
-
-    Finite for every finite logit row, also where ``softmax_rows`` is 0.
-    """
-    shifted = _shifted_rows(logits, tau)
-    return shifted - np.log(np.exp(shifted).sum(axis=1, keepdims=True))
+    return log_softmax_rows(logits, tau)[1]
 
 
 def kl_rows(targets, log_probs) -> np.ndarray:
@@ -94,7 +76,7 @@ def kl_rows(targets, log_probs) -> np.ndarray:
 
     Target rows need not sum to 1 (the step-b ablation uses them
     unnormalized); an entry with t_i = 0 adds exactly 0. ``log_probs``
-    must be finite, as ``log_softmax_rows`` is.
+    must be finite, as the ln s of ``log_softmax_rows`` is.
     """
     log_t = np.log(np.where(targets > 0.0, targets, 1.0))
     return (targets * (log_t - log_probs)).sum(axis=1)
@@ -102,7 +84,10 @@ def kl_rows(targets, log_probs) -> np.ndarray:
 
 def softmax(z, tau: float = 1.0) -> np.ndarray:
     """softmax(z / tau) of one logit vector; argmax is invariant in tau."""
-    return softmax_rows(as_logits(z)[None, :], tau)[0]
+    z = as_logits(z)
+    if not np.isfinite(tau) or tau <= 0.0:
+        raise InvalidParameterError(f"temperature must be a positive finite scalar, got {tau}")
+    return softmax_rows(z[None, :], tau)[0]
 
 
 def kl_divergence(t, s) -> float:

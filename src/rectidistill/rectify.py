@@ -34,11 +34,10 @@ class RectifiedTarget:
 def rectify_rows(teacher_probs: np.ndarray, labels: np.ndarray, stage: str = STEP_C) -> np.ndarray:
     """Rectify every row of a bias subset at once; b is each row's argmax.
 
-    The caller guarantees valid simplex rows and labels in range with
-    argmax(row) != label. Other entries come back bit-identical.
+    The caller guarantees valid simplex rows, labels in range with
+    argmax(row) != label, and a stage of ``STEP_B`` or ``STEP_C``. Other
+    entries come back bit-identical.
     """
-    if stage not in (STEP_B, STEP_C):
-        raise InvalidInputError(f"unknown rectification mode {stage!r}")
     rows = np.arange(labels.shape[0])
     b = np.argmax(teacher_probs, axis=1)
     t_a = teacher_probs[rows, labels]
@@ -57,6 +56,8 @@ def rectify_rows(teacher_probs: np.ndarray, labels: np.ndarray, stage: str = STE
 
 def rectify_sample(t, label: int, mode: str = STEP_C) -> RectifiedTarget:
     """Full rectification of one wrong prediction; b is recomputed as argmax."""
+    if mode not in (STEP_B, STEP_C):
+        raise InvalidInputError(f"unknown rectification mode {mode!r}")
     t = as_prob_vector(t)
     a = int(label)
     if a == int(np.argmax(t)):

@@ -12,9 +12,9 @@ import numpy as np
 
 from . import model
 from .data import Dataset, atomic_write, batch_iter
-from .errors import ConfigError
+from .errors import ConfigError, TrainingDivergedError
 from .numerics import log_softmax_rows, softmax_rows
-from .schedule import EpochSchedule, compute_batch_loss, resolve_gamma
+from .schedule import MODES, EpochSchedule, compute_batch_loss, resolve_gamma
 
 METRICS_COLUMNS = (
     "epoch",
@@ -52,15 +52,25 @@ class TrainConfig:
             raise ConfigError("epochs and batch size must be >= 1")
         if not 0.0 < self.tau < math.inf:
             raise ConfigError(f"temperature must be finite and > 0, got {self.tau}")
+        if self.mode not in MODES:
+            raise ConfigError(f"unknown mode {self.mode!r}; expected one of {MODES}")
+        gamma_ok = self.fixed_gamma is not None and 0.0 <= self.fixed_gamma < 1.0
+        if self.mode == "fixed_gamma" and not gamma_ok:
+            raise ConfigError(f"mode fixed_gamma needs a gamma in [0, 1), got {self.fixed_gamma}")
 
 
+# A diverging run is reported once, as the non-finite logits checked below
+# (or the non-finite gradients ``model.sgd_step`` rejects), not also as
+# numpy's overflow warnings on the way there.
+@np.errstate(over="ignore", invalid="ignore")
 def _fit(params: model.MlpParams, train_ds: Dataset, cfg: TrainConfig, val_ds, batch_loss):
     """The one SGD loop: trains ``params`` in place; returns (params, per-epoch rows).
 
     ``batch_loss(epoch, x, y, logits)`` returns the logit gradient (already
     carrying its 1/n weighting) and a dict of that batch's loss sums. Each
     epoch row holds those sums divided by the training-set size, plus the
-    train and validation accuracies.
+    train and validation accuracies. Non-finite logits of the trained
+    model raise ``TrainingDivergedError`` naming the epoch.
     """
     velocity = model.init_velocity(params)
     rows = []
@@ -69,6 +79,10 @@ def _fit(params: model.MlpParams, train_ds: Dataset, cfg: TrainConfig, val_ds, b
         for idx in batch_iter(train_ds, cfg.batch_size, cfg.seed, epoch):
             x, y = train_ds.features[idx], train_ds.labels[idx]
             logits, acts = model.forward_cached(params, x)
+            if not np.isfinite(logits).all():
+                raise TrainingDivergedError(
+                    f"training diverged in epoch {epoch}: non-finite logits"
+                )
             grad, batch_sums = batch_loss(epoch, x, y, logits)
             grads = model.backward(params, x, grad, acts)
             model.sgd_step(params, grads, velocity, cfg.learning_rate, cfg.momentum)
@@ -86,8 +100,8 @@ def train_teacher(train_ds: Dataset, dims, cfg: TrainConfig, val_ds: Dataset | N
 
     def ce_loss(epoch, x, y, logits):
         true_class = (np.arange(len(y)), y)
-        loss_sum = float(-log_softmax_rows(logits)[true_class].sum())
-        upstream = softmax_rows(logits)
+        log_s, upstream = log_softmax_rows(logits)
+        loss_sum = float(-log_s[true_class].sum())
         upstream[true_class] -= 1.0
         return upstream / len(y), {"loss_ce": loss_sum}
 

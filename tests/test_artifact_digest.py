@@ -19,12 +19,18 @@ TOY = (
     Workload("toy-wide", 6, 10, 4, 5, "5,8,6", 2, "5,4,6", 2, 0.05, 16, ("full",)),
 )
 
+# The listing digest of TOY's 48 files. It depends on the numpy/BLAS build it
+# was recorded with; a change that alters artifact bits on purpose updates it
+# and says so.
+TOY_LISTING_DIGEST = "66b68a288fe4fc4e88aea32b010147caf5a19c4a607cfb927838413d8dfe06ce"
+
 
 def test_two_runs_give_the_same_listing_digest(tmp_path):
     first = artifact_digest.artifact_digests(tmp_path / "a", TOY)
     second = artifact_digest.artifact_digests(tmp_path / "b", TOY)
     assert first == second
     assert artifact_digest.listing_digest(first) == artifact_digest.listing_digest(second)
+    assert artifact_digest.listing_digest(first) == TOY_LISTING_DIGEST
     paths = [line.split("  ", 1)[1] for line in first]
     assert "toy-k3/data/train.csv" in paths
     assert "toy-k3/distill-fixed-gamma-0.5/student.ckpt" in paths

@@ -3,6 +3,7 @@
 import contextlib
 import io
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -45,6 +46,14 @@ def train_tiny_teacher(tmp_path, data):
     ])
     assert rc == cli.EXIT_OK
     return out / "teacher.ckpt"
+
+
+def twenty_row_split(data):
+    """Every third row of a 75-row tiny train split: 20 rows of all 3 classes."""
+    header, *rows = (data / "train.csv").read_text().splitlines()
+    path = data / "train20.csv"
+    path.write_text("\n".join([header, *rows[::3][:20]]) + "\n")
+    return path
 
 
 class TestGenData:
@@ -162,6 +171,19 @@ class TestTrainTeacher:
         assert "train.csv:52: label 2 outside [0, 2)" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_diverging_run_is_one_error_line_naming_the_epoch(self, setup, capsys):
+        tmp, data, _ = setup
+        out = tmp / "teacher-diverges"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # a numpy RuntimeWarning fails the test
+            rc = cli.main([
+                "train-teacher", "--train", str(twenty_row_split(data)), "--dims", "2,8,3",
+                "--lr", "1e6", "--out", str(out),
+            ])
+        assert rc == cli.EXIT_INTERNAL
+        err = capsys.readouterr().err
+        assert err == "error: training diverged in epoch 26: non-finite logits\n"
+
     def test_produces_checkpoint_and_metrics(self, tmp_path):
         data = gen_tiny_data(tmp_path)
         ckpt = train_tiny_teacher(tmp_path, data)
@@ -267,6 +289,19 @@ class TestDistill:
         assert capsys.readouterr().err.startswith(f"error: {huge}:")
         assert not out.exists()
 
+    def test_diverging_run_is_one_error_line_naming_the_epoch(self, setup, capsys):
+        tmp, data, teacher = setup
+        out = tmp / "distill-diverges"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # a numpy RuntimeWarning fails the test
+            rc = cli.main([
+                "distill", "--train", str(twenty_row_split(data)), "--teacher", str(teacher),
+                "--dims", "2,4,3", "--lr", "1e6", "--out", str(out),
+            ])
+        assert rc == cli.EXIT_INTERNAL
+        err = capsys.readouterr().err
+        assert err == "error: training diverged in epoch 25: non-finite logits\n"
+
     def test_unknown_mode_is_usage_error(self, setup):
         tmp, data, teacher = setup
         rc = cli.main([
@@ -303,6 +338,7 @@ class TestDistill:
             ("--momentum", "-0.5"),
             ("--tau", "nan"), ("--tau", "inf"), ("--tau", "0"), ("--tau", "-1"),
             ("--epochs", "0"), ("--batch-size", "0"),
+            ("--mode", "fixed-gamma=1"), ("--mode", "fixed-gamma=nan"),
         ],
     )
     def test_bad_training_flag_is_usage_error(self, setup, flag, value):

@@ -10,7 +10,6 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from rectidistill.errors import InvalidBatchError
 from rectidistill.numerics import kl_divergence, softmax
 from rectidistill.rectify import rectify_sample
 from rectidistill.schedule import EpochSchedule, compute_batch_loss
@@ -35,11 +34,6 @@ def test_tie_breaks_toward_lowest_index():
     # exhaustive 2-class tie check: class 0 wins the tie
     assert split_sizes([[0.5, 0.5]], [0]) == (1, 0)
     assert split_sizes([[0.5, 0.5]], [1]) == (0, 1)
-
-
-def test_size_mismatch_raises():
-    with pytest.raises(InvalidBatchError):
-        split_sizes([[0.5, 0.5]], [0, 1])
 
 
 def test_split_preserves_order():

@@ -5,6 +5,7 @@ import pytest
 
 from rectidistill import model
 from rectidistill.data import batch_iter, make_blobs
+from rectidistill.errors import ConfigError
 from rectidistill.numerics import log_softmax_rows, softmax_rows
 from rectidistill.schedule import MODES, EpochSchedule, compute_batch_loss
 from rectidistill.train import (
@@ -38,7 +39,7 @@ def two_loop_teacher(train_ds, dims, cfg, val_ds):
             x, y = train_ds.features[idx], train_ds.labels[idx]
             logits = model.forward(params, x)
             true_class = (np.arange(len(idx)), y)
-            loss_sum += float(-log_softmax_rows(logits)[true_class].sum())
+            loss_sum += float(-log_softmax_rows(logits)[0][true_class].sum())
             upstream = softmax_rows(logits)
             upstream[true_class] -= 1.0
             grads = model.backward(params, x, upstream / len(idx))
@@ -129,3 +130,12 @@ def test_missing_val_split_gives_nan_val_acc(setup):
     train, _, teacher = setup
     _, rows = distill(teacher, [2, 5, 3], train, TrainConfig(epochs=1, batch_size=8))
     assert np.isnan(rows[0]["val_acc"]) and 0.0 <= rows[0]["train_acc"] <= 1.0
+
+
+@pytest.mark.parametrize(
+    "mode,fixed_gamma",
+    [("bogus", None), ("fixed_gamma", None), ("fixed_gamma", 1.0), ("fixed_gamma", float("nan"))],
+)
+def test_config_rejects_unknown_mode_and_bad_fixed_gamma(mode, fixed_gamma):
+    with pytest.raises(ConfigError):
+        TrainConfig(mode=mode, fixed_gamma=fixed_gamma)
