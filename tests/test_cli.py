@@ -302,6 +302,26 @@ class TestDistill:
         err = capsys.readouterr().err
         assert err == "error: training diverged in epoch 25: non-finite logits\n"
 
+    def test_non_finite_gradients_name_the_epoch(self, tmp_path, capsys):
+        # the logits stay finite, but at tau=1e-3 logits/tau overflows in the loss
+        data, teacher_out = tmp_path / "data", tmp_path / "teacher"
+        assert cli.main(["gen-data", "--classes", "3", "--per-class", "20",
+                         "--val-per-class", "20", "--seed", "1", "--out", str(data)]) == 0
+        assert cli.main(["train-teacher", "--train", str(data / "train.csv"),
+                         "--dims", "2,8,3", "--epochs", "2", "--out", str(teacher_out)]) == 0
+        capsys.readouterr()
+        out = tmp_path / "distill-diverges"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # a numpy RuntimeWarning fails the test
+            rc = cli.main([
+                "distill", "--train", str(data / "train.csv"), "--val", str(data / "val.csv"),
+                "--teacher", str(teacher_out / "teacher.ckpt"), "--dims", "2,8,3",
+                "--lr", "1e2", "--tau", "1e-3", "--seed", "4", "--out", str(out),
+            ])
+        assert rc == cli.EXIT_INTERNAL
+        err = capsys.readouterr().err
+        assert err == "error: training diverged in epoch 14: non-finite gradients\n"
+
     def test_unknown_mode_is_usage_error(self, setup):
         tmp, data, teacher = setup
         rc = cli.main([

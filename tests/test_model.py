@@ -1,15 +1,12 @@
 """MLP forward/backward, SGD, evaluation, and checkpoint round-trips."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from rectidistill import model
-from rectidistill.errors import (
-    CheckpointParseError,
-    InvalidArchitectureError,
-    InvalidInputError,
-    TrainingDivergedError,
-)
+from rectidistill.errors import CheckpointParseError, InvalidArchitectureError, InvalidInputError
 from rectidistill.numerics import finite_difference_gradient, softmax
 
 
@@ -172,12 +169,6 @@ class TestSgd:
         expected = w0 - 0.05 * (g1 + 0.9 * g1 + g2)
         np.testing.assert_allclose(p.weights[0], expected, atol=1e-15)
 
-    def test_nonfinite_gradients_raise(self):
-        p = model.init([2, 2], seed=0)
-        bad = [(np.full((2, 2), np.nan), np.zeros(2))]
-        with pytest.raises(TrainingDivergedError):
-            model.sgd_step(p, bad, model.init_velocity(p), lr=0.1)
-
 
 class TestEvaluate:
     def test_oracle_labels_as_logits(self):
@@ -228,9 +219,25 @@ class TestEvaluate:
         calls = []
         forward = model.forward
         monkeypatch.setattr(model, "forward", lambda q, x: calls.append(len(x)) or forward(q, x))
-        monkeypatch.setattr(model, "EVAL_CHUNK_ROWS", 10)
+        monkeypatch.setattr(model, "EVAL_CHUNK_BYTES", 8 * 5 * 10)  # 10 rows of the width-5 layer
         assert model.evaluate(p, feats, labels) == whole
         assert calls == [10] * 10 + [3]
+
+    @pytest.mark.parametrize("dims,n", [([2, 64, 4], 2000), ([32, 256, 100], 5000)])
+    def test_peak_memory_stays_within_a_few_chunks(self, dims, n):
+        # each layer temporary stays under glibc's mmap threshold, so eval
+        # timings do not depend on what an earlier phase allocated
+        p = model.init(dims, seed=0)
+        rng = np.random.default_rng(9)
+        feats = rng.normal(size=(n, dims[0]))
+        labels = rng.integers(0, dims[-1], size=n)
+        tracemalloc.start()
+        try:
+            model.evaluate(p, feats, labels)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * model.EVAL_CHUNK_BYTES
 
 
 class TestCheckpoint:
