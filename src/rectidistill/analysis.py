@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .data import atomic_write
-from .errors import InvalidSetupError, RectifyNotApplicableError
+from .errors import InvalidInputError, RectifyNotApplicableError
 from .rectify import rectify_sample
 
 VERDICT_BETWEEN = "between"
@@ -41,7 +41,7 @@ class TwoClassSetup:
 
     def __post_init__(self):
         if not 0.0 < self.t_a < 1.0:
-            raise InvalidSetupError(f"t_a must lie in (0, 1), got {self.t_a}")
+            raise InvalidInputError(f"t_a must lie in (0, 1), got {self.t_a}")
 
     @property
     def t_b(self) -> float:

@@ -6,27 +6,20 @@ class RectiDistillError(Exception):
 
 
 class InvalidInputError(RectiDistillError, ValueError):
-    """Non-finite, malformed, or out-of-domain input."""
+    """Non-finite, malformed, or out-of-domain input.
+
+    Raised for bad vectors and class indices, layer widths, two-class
+    set-ups, a KL with infinite divergence, and a function that the
+    finite-difference oracle evaluates to a non-finite value.
+    """
 
 
 class InvalidParameterError(RectiDistillError, ValueError):
     """A scalar knob (temperature, spread, counts, ...) is out of range."""
 
 
-class DivergenceInfiniteError(RectiDistillError, ValueError):
-    """A KL term is infinite (zero probability where mass is required)."""
-
-
-class OracleFailureError(RectiDistillError, RuntimeError):
-    """A verification oracle (finite differences) hit a non-finite evaluation."""
-
-
 class RectifyNotApplicableError(RectiDistillError, ValueError):
     """Rectification requested for a sample the teacher already predicts correctly."""
-
-
-class InvalidArchitectureError(RectiDistillError, ValueError):
-    """MLP layer widths are empty or non-positive."""
 
 
 class TrainingDivergedError(RectiDistillError, RuntimeError):
@@ -35,10 +28,6 @@ class TrainingDivergedError(RectiDistillError, RuntimeError):
 
 class CheckpointParseError(RectiDistillError, ValueError):
     """Malformed checkpoint file; message carries the offending line number."""
-
-
-class InvalidSetupError(RectiDistillError, ValueError):
-    """Degenerate two-class analysis setup: t_a outside (0, 1)."""
 
 
 class DataParseError(RectiDistillError, ValueError):

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .data import atomic_write
-from .errors import CheckpointParseError, InvalidArchitectureError, InvalidInputError
+from .errors import CheckpointParseError, InvalidInputError
 from .rng import generator
 
 _MAGIC = "rectidistill-mlp v1"
@@ -45,7 +45,7 @@ def init(dims, seed: int) -> MlpParams:
     """Glorot-uniform weights, zero biases, fully determined by the seed."""
     dims = [int(d) for d in dims]
     if len(dims) < 2 or any(d < 1 for d in dims):
-        raise InvalidArchitectureError(f"need >= 2 positive layer widths, got {dims}")
+        raise InvalidInputError(f"need >= 2 positive layer widths, got {dims}")
     rng = generator(int(seed))
     weights, biases = [], []
     for fan_in, fan_out in zip(dims[:-1], dims[1:]):

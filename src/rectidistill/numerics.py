@@ -14,12 +14,7 @@ from collections.abc import Callable
 
 import numpy as np
 
-from .errors import (
-    DivergenceInfiniteError,
-    InvalidInputError,
-    InvalidParameterError,
-    OracleFailureError,
-)
+from .errors import InvalidInputError, InvalidParameterError
 
 PROB_SUM_TOL = 1e-9
 FD_STEP = 1e-5
@@ -97,7 +92,7 @@ def kl_divergence(t, s) -> float:
     if t.shape != s.shape:
         raise InvalidInputError(f"length mismatch: {t.shape[0]} vs {s.shape[0]}")
     if np.any(s[t > 0.0] == 0.0):
-        raise DivergenceInfiniteError("target has mass where the second distribution is exactly 0")
+        raise InvalidInputError("target has mass where the second distribution is exactly 0")
     # any remaining s_i = 0 has t_i = 0: ln 1 keeps its (zero) term finite
     log_s = np.log(np.where(s > 0.0, s, 1.0))
     return float(kl_rows(t[None, :], log_s[None, :])[0])
@@ -133,6 +128,6 @@ def finite_difference_gradient(f: Callable[[np.ndarray], float], x) -> np.ndarra
         fp = float(f(x + step))
         fm = float(f(x - step))
         if not (np.isfinite(fp) and np.isfinite(fm)):
-            raise OracleFailureError(f"non-finite evaluation while differencing coordinate {i}")
+            raise InvalidInputError(f"non-finite evaluation while differencing coordinate {i}")
         g[i] = (fp - fm) / (2.0 * FD_STEP)
     return g

@@ -17,12 +17,16 @@ label (ties broken toward the lowest class index, everywhere). The two
 subsets are gathered by index instead of multiplying by a 0/1 mask, which
 fixes the summation order the outputs depend on.
 
-``compute_batch_loss`` is the one batched core: it partitions the batch,
-rectifies all biased rows in one array operation and returns the loss
-terms together with their gradient w.r.t. the logits. It checks none of
-its inputs, each checked once where it enters: ``tau``, ``mode`` and
-``fixed_gamma`` by ``TrainConfig``, labels by the data loaders, the teacher
-by ``model.load_checkpoint``, non-finite student logits by ``train._fit``.
+The batched core is two steps. ``teacher_targets`` partitions the rows
+and rectifies all biased ones in one array operation; it reads only the
+teacher and the labels, and each output row depends only on its own input
+row, so ``train.distill`` can compute it once per training row.
+``target_loss`` returns the loss terms together with their gradient
+w.r.t. the logits. ``compute_batch_loss`` is the two composed. None of
+them checks its inputs, each checked once where it enters: ``tau``,
+``mode`` and ``fixed_gamma`` by ``TrainConfig``, labels by the data
+loaders, the teacher by ``model.load_checkpoint``, non-finite student
+logits by ``train._fit``.
 CE and KL come from the ln s of ``numerics.log_softmax_rows``, so they stay
 finite where the student softmax underflows; the gradient uses the s of
 the same pass.
@@ -91,50 +95,67 @@ def resolve_gamma(mode: str, sched, fixed_gamma) -> float:
     return 0.0
 
 
-def compute_batch_loss(
+def teacher_targets(teacher_probs, labels, mode: str):
+    """Partition rows by the teacher's argmax and rectify the biased ones.
+
+    Returns ``(targets, right)``: ``right`` marks the rows whose argmax is
+    the label; ``targets`` holds the teacher rows, with every other row
+    rectified to step c (step b in ``step_b_ablation``). Modes that never
+    read a rectified row, and batches without a biased row, get
+    ``teacher_probs`` itself back, uncopied. Every output row depends only
+    on its own input row and label.
+    """
+    right = np.argmax(teacher_probs, axis=1) == labels
+    if mode in ("vanilla_kd", "eliminate_only") or right.all():
+        return teacher_probs, right
+    bias = ~right
+    stage = rectify.STEP_B if mode == "step_b_ablation" else rectify.STEP_C
+    targets = teacher_probs.copy()
+    targets[bias] = rectify.rectify_rows(teacher_probs[bias], labels[bias], stage)
+    return targets, right
+
+
+def target_loss(
     student_logits,
-    teacher_probs,
+    targets,
+    right,
     labels,
     sched: EpochSchedule | None = None,
     tau: float = 1.0,
     mode: str = "full",
     fixed_gamma: float | None = None,
 ) -> LossBreakdown:
-    """Per-batch loss components, the assembled total and its logit gradient."""
-    teacher_probs = np.asarray(teacher_probs, dtype=np.float64)
-    labels = np.asarray(labels, dtype=np.int64)
+    """Loss components, the assembled total and its logit gradient.
+
+    ``targets`` and ``right`` are what ``teacher_targets`` returns for
+    these rows and this mode.
+    """
     n = labels.shape[0]
     rows = np.arange(n)
     g = resolve_gamma(mode, sched, fixed_gamma)
     log_s, s = log_softmax_rows(student_logits, tau)
-    right_mask = np.argmax(teacher_probs, axis=1) == labels
-    right, bias = rows[right_mask], rows[~right_mask]
+    right_rows, bias = rows[right], rows[~right]
 
     l_ce = float(-log_s[rows, labels].mean())
     onehot = np.zeros_like(s)
     onehot[rows, labels] = 1.0
     grad = (1.0 - g) / n * (s - onehot) / tau
 
-    if mode == "vanilla_kd":
-        l_easy = float(kl_rows(teacher_probs, log_s).mean())
-        l_hard = 0.0
-        grad += (s - teacher_probs) / (tau * n)
-    elif mode == "rectify_only":
-        targets = teacher_probs.copy()
-        targets[bias] = rectify.rectify_rows(teacher_probs[bias], labels[bias], rectify.STEP_C)
+    if mode in ("vanilla_kd", "rectify_only"):
+        # one unmasked KL: raw teacher rows, or rectified biased rows
         l_easy = float(kl_rows(targets, log_s).mean())
         l_hard = 0.0
         grad += (s - targets) / (tau * n)
     else:
         l_easy = 0.0
-        if right.size:
-            l_easy = float(kl_rows(teacher_probs[right], log_s[right]).sum() / n)
-            grad[right] += (1.0 - g) / n * (s[right] - teacher_probs[right]) / tau
+        if right_rows.size:
+            easy_targets = targets[right_rows]
+            l_easy = float(kl_rows(easy_targets, log_s[right_rows]).sum() / n)
+            grad[right_rows] += (1.0 - g) / n * (s[right_rows] - easy_targets) / tau
         if mode == "eliminate_only" or not bias.size:
             l_hard = 0.0
         else:
-            stage = rectify.STEP_B if mode == "step_b_ablation" else rectify.STEP_C
-            hard_targets = rectify.rectify_rows(teacher_probs[bias], labels[bias], stage)
+            hard_targets = targets[bias]
             l_hard = float(kl_rows(hard_targets, log_s[bias]).sum() / n)
             if g != 0.0:
                 mass = hard_targets.sum(axis=1, keepdims=True)
@@ -147,10 +168,25 @@ def compute_batch_loss(
         l_hard=l_hard,
         gamma=g,
         l_all=l_all,
-        n_right=int(right.size),
+        n_right=int(right_rows.size),
         n_bias=int(bias.size),
         grad=grad,
     )
+
+
+def compute_batch_loss(
+    student_logits,
+    teacher_probs,
+    labels,
+    sched: EpochSchedule | None = None,
+    tau: float = 1.0,
+    mode: str = "full",
+    fixed_gamma: float | None = None,
+) -> LossBreakdown:
+    """Per-batch loss components, the assembled total and its logit gradient."""
+    labels = np.asarray(labels, dtype=np.int64)
+    targets, right = teacher_targets(np.asarray(teacher_probs, dtype=np.float64), labels, mode)
+    return target_loss(student_logits, targets, right, labels, sched, tau, mode, fixed_gamma)
 
 
 def batch_loss_gradient(

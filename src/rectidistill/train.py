@@ -2,7 +2,9 @@
 
 Single-threaded by contract; every run is fully determined by
 (config, datasets). The teacher is frozen during distillation: it is only
-ever read through ``model.forward``.
+ever read through ``model.forward``. So every row's KD target is a constant
+of the run, and ``distill`` computes it once, into a per-row target table,
+when the table fits in ``TARGET_TABLE_BYTES``.
 """
 
 import math
@@ -14,7 +16,7 @@ from . import model
 from .data import Dataset, atomic_write, batch_iter
 from .errors import ConfigError, TrainingDivergedError
 from .numerics import log_softmax_rows, softmax_rows
-from .schedule import MODES, EpochSchedule, compute_batch_loss, resolve_gamma
+from .schedule import MODES, EpochSchedule, resolve_gamma, target_loss, teacher_targets
 
 METRICS_COLUMNS = (
     "epoch",
@@ -29,6 +31,11 @@ METRICS_COLUMNS = (
 )
 
 TEACHER_METRICS_COLUMNS = ("epoch", "loss_ce", "train_acc", "val_acc")
+
+# Largest per-row target table ``distill`` builds, in bytes of its (n, k)
+# float64 targets. A bigger training split forwards the teacher per batch,
+# so the table never dominates the memory of a wide run.
+TARGET_TABLE_BYTES = 1 << 20
 
 
 @dataclass(frozen=True)
@@ -67,7 +74,7 @@ class TrainConfig:
 def _fit(params: model.MlpParams, train_ds: Dataset, cfg: TrainConfig, val_ds, batch_loss):
     """The one SGD loop: trains ``params`` in place; returns (params, per-epoch rows).
 
-    ``batch_loss(epoch, x, y, logits)`` returns the logit gradient (already
+    ``batch_loss(epoch, idx, x, y, logits)`` returns the logit gradient (already
     carrying its 1/n weighting) and a dict of that batch's loss sums. Each
     epoch row holds those sums divided by the training-set size, plus the
     train and validation accuracies. Non-finite logits of the trained
@@ -85,7 +92,7 @@ def _fit(params: model.MlpParams, train_ds: Dataset, cfg: TrainConfig, val_ds, b
                 raise TrainingDivergedError(
                     f"training diverged in epoch {epoch}: non-finite logits"
                 )
-            grad, batch_sums = batch_loss(epoch, x, y, logits)
+            grad, batch_sums = batch_loss(epoch, idx, x, y, logits)
             if not np.isfinite(grad).all():
                 raise TrainingDivergedError(
                     f"training diverged in epoch {epoch}: non-finite gradients"
@@ -104,7 +111,7 @@ def _fit(params: model.MlpParams, train_ds: Dataset, cfg: TrainConfig, val_ds, b
 def train_teacher(train_ds: Dataset, dims, cfg: TrainConfig, val_ds: Dataset | None = None):
     """Plain cross-entropy training; returns (params, per-epoch metric rows)."""
 
-    def ce_loss(epoch, x, y, logits):
+    def ce_loss(epoch, idx, x, y, logits):
         true_class = (np.arange(len(y)), y)
         log_s, upstream = log_softmax_rows(logits)
         loss_sum = float(-log_s[true_class].sum())
@@ -112,6 +119,32 @@ def train_teacher(train_ds: Dataset, dims, cfg: TrainConfig, val_ds: Dataset | N
         return upstream / len(y), {"loss_ce": loss_sum}
 
     return _fit(model.init(dims, cfg.seed), train_ds, cfg, val_ds, ce_loss)
+
+
+def _target_table(train_ds: Dataset, m: int, teacher_probs, mode: str):
+    """Every training row's target and right flag from m-row teacher forwards, or None.
+
+    A matmul's bits can depend on its row count, and on a row's position
+    among those rows: OpenBLAS computes trailing rows with an edge kernel,
+    whose sum order can differ (it does for a 2-32-3 teacher at 5, 6 or 7
+    rows). So each chunk has exactly the row count of a full training
+    batch, gathered the way training gathers it: [0, m), [m, 2m), ..., and
+    a last chunk [n - m, n) that may overlap the one before it. Each chunk
+    is forwarded a second time with its rows reversed. If any row differs,
+    a row's teacher output depends on where the shuffle puts it, and there
+    is no table. Otherwise a full batch reads bit for bit the targets a
+    per-batch forward would give it, since ``teacher_targets`` is row-local.
+    """
+    n = train_ds.n
+    probs = np.empty((n, train_ds.n_classes))
+    for start in range(0, n, m):
+        first = min(start, n - m)
+        idx = np.arange(first, first + m)
+        chunk = teacher_probs(train_ds.features[idx])
+        if not np.array_equal(chunk, teacher_probs(train_ds.features[idx[::-1]])[::-1]):
+            return None
+        probs[idx] = chunk
+    return teacher_targets(probs, train_ds.labels, mode)
 
 
 def distill(
@@ -126,10 +159,21 @@ def distill(
         if width != train_ds.n_classes:
             raise ConfigError(f"{role} output width {width} != dataset classes {train_ds.n_classes}")
 
-    def kd_loss(epoch, x, y, logits):
-        teacher_probs = softmax_rows(model.forward(teacher, x), cfg.tau)
-        out = compute_batch_loss(
-            logits, teacher_probs, y, EpochSchedule(epoch, cfg.epochs),
+    def teacher_probs(x):
+        return softmax_rows(model.forward(teacher, x), cfg.tau)
+
+    m = min(cfg.batch_size, train_ds.n)
+    table = None
+    if train_ds.n * train_ds.n_classes * 8 <= TARGET_TABLE_BYTES:
+        table = _target_table(train_ds, m, teacher_probs, cfg.mode)
+
+    def kd_loss(epoch, idx, x, y, logits):
+        if table is not None and len(idx) == m:
+            targets, right = table[0][idx], table[1][idx]
+        else:
+            targets, right = teacher_targets(teacher_probs(x), y, cfg.mode)
+        out = target_loss(
+            logits, targets, right, y, EpochSchedule(epoch, cfg.epochs),
             cfg.tau, cfg.mode, cfg.fixed_gamma,
         )
         w = len(y)

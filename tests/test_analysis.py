@@ -20,7 +20,7 @@ from rectidistill.analysis import (
     two_class_optimum,
     write_sweep_csv,
 )
-from rectidistill.errors import InvalidSetupError, RectifyNotApplicableError
+from rectidistill.errors import InvalidInputError, RectifyNotApplicableError
 
 GRID = np.arange(1e-6, 1.0, 1e-6)
 
@@ -64,10 +64,9 @@ class TestOptimum:
         assert s == pytest.approx(grid_oracle(TwoClassSetup(t_a=0.3)), abs=1e-4)
 
     def test_t_a_outside_open_interval_raises(self):
-        with pytest.raises(InvalidSetupError):
-            TwoClassSetup(t_a=0.0)
-        with pytest.raises(InvalidSetupError):
-            TwoClassSetup(t_a=1.0)
+        for t_a in (0.0, 1.0):
+            with pytest.raises(InvalidInputError, match=r"t_a must lie in \(0, 1\)"):
+                TwoClassSetup(t_a=t_a)
 
 
 class TestDynamics:

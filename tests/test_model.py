@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from rectidistill import model
-from rectidistill.errors import CheckpointParseError, InvalidArchitectureError, InvalidInputError
+from rectidistill.errors import CheckpointParseError, InvalidInputError
 from rectidistill.numerics import finite_difference_gradient, softmax
 
 
@@ -52,12 +52,9 @@ class TestInit:
             assert np.all(b == 0.0)
 
     def test_invalid_dims_raise(self):
-        with pytest.raises(InvalidArchitectureError):
-            model.init([], seed=0)
-        with pytest.raises(InvalidArchitectureError):
-            model.init([3], seed=0)
-        with pytest.raises(InvalidArchitectureError):
-            model.init([3, 0, 2], seed=0)
+        for dims in ([], [3], [3, 0, 2]):
+            with pytest.raises(InvalidInputError, match="need >= 2 positive layer widths"):
+                model.init(dims, seed=0)
 
 
 class TestForward:

@@ -18,6 +18,7 @@ from rectidistill.schedule import (
     batch_loss_gradient,
     compute_batch_loss,
     gamma,
+    teacher_targets,
 )
 
 
@@ -173,6 +174,47 @@ class TestComputeBatchLoss:
         assert out.l_ce >= 0 and out.l_easy >= -1e-12 and out.l_hard >= -1e-12
         assert out.n_right == np.sum(np.argmax(teacher, axis=1) == labels)
         assert out.n_right + out.n_bias == n
+
+
+class TestTeacherTargets:
+    @settings(max_examples=100, deadline=None)
+    @given(
+        seed=st.integers(0, 10_000),
+        n=st.integers(1, 12),
+        k=st.integers(2, 6),
+        m=st.integers(1, 12),
+        mode=st.sampled_from(MODES),
+    )
+    def test_rows_are_local(self, seed, n, k, m, mode):
+        # the per-row target table rests on this: a row's target does not
+        # depend on which other rows share its batch
+        rng = np.random.default_rng(seed)
+        probs = rng.dirichlet(np.ones(k), size=n)
+        labels = rng.integers(0, k, size=n)
+        idx = rng.integers(0, n, size=m)
+        whole, whole_right = teacher_targets(probs, labels, mode)
+        part, part_right = teacher_targets(probs[idx], labels[idx], mode)
+        assert np.array_equal(whole[idx], part)
+        assert np.array_equal(whole_right[idx], part_right)
+
+    @pytest.mark.parametrize("mode", MODES)
+    def test_copies_nothing_without_a_biased_row(self, mode):
+        probs = np.array([[0.7, 0.2, 0.1], [0.1, 0.1, 0.8]])
+        targets, right = teacher_targets(probs, np.array([0, 2]), mode)
+        assert targets is probs and right.all()
+
+    @pytest.mark.parametrize("mode,want", [
+        ("full", [0.6 * 0.8 / 0.9, 0.3 * 0.8 / 0.9, 0.2]),  # step c: pair rescaled to 0.8
+        ("rectify_only", [0.6 * 0.8 / 0.9, 0.3 * 0.8 / 0.9, 0.2]),
+        ("step_b_ablation", [0.6, 0.3, 0.2]),  # step b: over-sums by 0.1
+        ("vanilla_kd", [0.2, 0.6, 0.2]),  # never rectified
+    ])
+    def test_biased_rows_take_their_mode_s_target(self, mode, want):
+        probs = np.array([[0.2, 0.6, 0.2], [0.7, 0.2, 0.1]])
+        targets, right = teacher_targets(probs, np.array([0, 0]), mode)
+        assert right.tolist() == [False, True]
+        np.testing.assert_allclose(targets[0], want, rtol=1e-15)
+        assert np.array_equal(targets[1], probs[1])
 
 
 class TestBatchLossGradient:

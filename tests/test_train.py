@@ -1,9 +1,11 @@
 """The shared SGD loop behind ``train_teacher`` and ``distill``: its rows and its bits."""
 
+import math
+
 import numpy as np
 import pytest
 
-from rectidistill import model
+from rectidistill import model, train as train_module
 from rectidistill.data import batch_iter, make_blobs
 from rectidistill.errors import ConfigError
 from rectidistill.numerics import log_softmax_rows, softmax_rows
@@ -124,6 +126,83 @@ def test_distill_rows_and_gamma_column(setup, mode):
         want = [0.0] * EPOCHS
     assert [r["gamma"] for r in rows] == want
     assert_same_bits(student, rows, *two_loop_distill(teacher, [2, 5, 3], train, cfg, val))
+
+
+@pytest.fixture(scope="module")
+def wide_teacher(setup):
+    # at a hidden width of 32, OpenBLAS can give a row other bits at 5, 6 or
+    # 7 rows depending on its position among them (the 6-wide teacher's rows
+    # keep theirs); distill must then keep the per-batch path
+    train, val, _ = setup
+    return train_teacher(train, [2, 32, 3], TrainConfig(epochs=EPOCHS, batch_size=8), val)[0]
+
+
+# (batch size, tau) on the 36-row split: one-row batches, n % B == 0,
+# n % B == 1 with an odd B (a 1-row last batch), n % B == 3, B == n and B > n
+TABLE_CASES = [(1, 1.0), (6, 1.0), (7, 1.0), (11, 0.5), (36, 1.0), (50, 0.5)]
+
+
+def _cfg(mode, batch_size, tau=1.0):
+    fixed = 0.3 if mode == "fixed_gamma" else None
+    return TrainConfig(epochs=EPOCHS, batch_size=batch_size, seed=4, tau=tau, mode=mode,
+                       fixed_gamma=fixed)
+
+
+@pytest.mark.parametrize("wide", [False, True])
+@pytest.mark.parametrize("mode", MODES)
+@pytest.mark.parametrize("batch_size,tau", TABLE_CASES)
+def test_target_table_is_bit_identical_to_per_batch_targets(setup, wide_teacher, monkeypatch,
+                                                            wide, mode, batch_size, tau):
+    train, val, teacher = setup
+    teacher = wide_teacher if wide else teacher
+    cfg = _cfg(mode, batch_size, tau)
+    with_table = distill(teacher, [2, 5, 3], train, cfg, val)
+    monkeypatch.setattr(train_module, "TARGET_TABLE_BYTES", 0)
+    assert_same_bits(*with_table, *distill(teacher, [2, 5, 3], train, cfg, val))
+
+
+@pytest.mark.parametrize("m", [7, 36])
+def test_no_table_when_a_row_s_bits_depend_on_its_position(setup, m):
+    train, _, teacher = setup
+
+    def probs(x):
+        return softmax_rows(model.forward(teacher, x))
+
+    def positional(x):
+        # the last of the m rows takes other bits, as from a BLAS edge kernel
+        out = probs(x)
+        out[-1] = np.nextafter(out[-1], 2.0)
+        return out
+
+    assert train_module._target_table(train, m, probs, "full") is not None
+    assert train_module._target_table(train, m, positional, "full") is None
+
+
+@pytest.mark.parametrize("table_bytes", [train_module.TARGET_TABLE_BYTES, 0])
+@pytest.mark.parametrize("batch_size", [6, 7, 50])
+def test_teacher_forward_count_under_and_over_the_budget(setup, monkeypatch, table_bytes,
+                                                        batch_size):
+    train, _, teacher = setup
+    calls = []
+    forward = model.forward
+
+    def counting_forward(p, x):
+        if p is teacher:
+            calls.append(len(x))
+        return forward(p, x)
+
+    monkeypatch.setattr(model, "forward", counting_forward)
+    monkeypatch.setattr(train_module, "TARGET_TABLE_BYTES", table_bytes)
+    distill(teacher, [2, 5, 3], train, _cfg("full", batch_size))
+    m = min(batch_size, train.n)
+    short = [train.n % m] if train.n % m else []
+    if table_bytes:
+        # ceil(n/m) chunks of m rows, each forwarded twice (the position
+        # check), then only the short last batch of each epoch
+        want = [m] * (2 * math.ceil(train.n / m)) + short * EPOCHS
+    else:
+        want = ([m] * (train.n // m) + short) * EPOCHS
+    assert calls == want
 
 
 def test_missing_val_split_gives_nan_val_acc(setup):
