@@ -5,7 +5,7 @@
 
 Runs gen-data -> train-teacher -> distill for the two benchmark shapes
 (paper-k4 in all six modes, wide-k100 in mode full) at seed 1, then
-``prop-check --out prop-check`` once, writing under <out>, which must not
+``ablate --seeds 2`` on paper-k4, then ``prop-check --out prop-check`` once, writing under <out>, which must not
 exist yet or be empty. Prints ``<sha256>  <path>`` for every file written,
 with paths relative to <out>, then ``<sha256>  listing``, the digest of those
 lines. The calls run inside <out> on relative paths, so ``config.txt`` does
@@ -14,11 +14,12 @@ not depend on where <out> is.
 The package is imported from the ``src/`` next to this script: a copy of the
 script in another checkout digests that checkout's code, and equal listing
 digests mean every CSV, ``.rows`` sidecar, checkpoint, metrics, summary and
-config file, and the two-class ``sweep.csv``, is byte-identical. gen-data
+config file, the ``ablation.csv`` and the two-class ``sweep.csv``, is
+byte-identical. gen-data
 writes six files per workload: each split's CSV and its ``<csv>.rows``
 sidecar (the CSV's sha256, then its rows as one ``.npy`` record),
-``config.txt`` and ``manifest.json``; prop-check writes ``sweep.csv`` and
-``config.txt``.
+``config.txt`` and ``manifest.json``; ablate writes ``ablation.csv`` and
+``config.txt``; prop-check writes ``sweep.csv`` and ``config.txt``.
 """
 
 import contextlib
@@ -49,12 +50,13 @@ class Workload(NamedTuple):
     distill_lr: float
     batch_size: int
     modes: tuple
+    ablate_seeds: int = 0  # 0: no ablate call
 
 
 # The shapes and flags of perfbench/run.py's two workloads.
 WORKLOADS = (
     Workload("paper-k4", 4, 100, 500, 2, "2,64,4", 200, "2,8,4", 60, 0.005, 32,
-             ("full", "eliminate", "rectify", "vanilla", "step-b", "fixed-gamma=0.5")),
+             ("full", "eliminate", "rectify", "vanilla", "step-b", "fixed-gamma=0.5"), 2),
     Workload("wide-k100", 100, 200, 50, 32, "32,256,100", 2, "32,32,100", 2, 0.05, 256,
              ("full",)),
 )
@@ -77,11 +79,14 @@ def run_workload(wl: Workload) -> None:
               "--batch-size", str(wl.batch_size), "--seed", str(SEED)]
     _run(["train-teacher", *common, "--dims", wl.teacher_dims,
           "--epochs", str(wl.teacher_epochs), "--lr", "0.1", "--out", f"{wl.name}/teacher"])
+    student = [*common, "--teacher", f"{wl.name}/teacher/teacher.ckpt",
+               "--dims", wl.student_dims, "--epochs", str(wl.distill_epochs),
+               "--lr", repr(wl.distill_lr)]
     for mode in wl.modes:
-        _run(["distill", *common, "--teacher", f"{wl.name}/teacher/teacher.ckpt",
-              "--dims", wl.student_dims, "--epochs", str(wl.distill_epochs),
-              "--lr", repr(wl.distill_lr), "--mode", mode,
+        _run(["distill", *student, "--mode", mode,
               "--out", f"{wl.name}/distill-{mode.replace('=', '-')}"])
+    if wl.ablate_seeds:
+        _run(["ablate", *student, "--seeds", str(wl.ablate_seeds), "--out", f"{wl.name}/ablate"])
 
 
 def artifact_digests(out, workloads=WORKLOADS) -> list[str]:

@@ -15,14 +15,14 @@ Workload = artifact_digest.Workload
 # The two benchmark shapes at toy size: few classes, rows and epochs.
 TOY = (
     Workload("toy-k3", 3, 12, 6, 2, "2,8,3", 3, "2,4,3", 3, 0.05, 8,
-             ("full", "eliminate", "rectify", "vanilla", "step-b", "fixed-gamma=0.5")),
+             ("full", "eliminate", "rectify", "vanilla", "step-b", "fixed-gamma=0.5"), 2),
     Workload("toy-wide", 6, 10, 4, 5, "5,8,6", 2, "5,4,6", 2, 0.05, 16, ("full",)),
 )
 
-# The listing digest of TOY's 48 files. It depends on the numpy/BLAS build it
+# The listing digest of TOY's 50 files. It depends on the numpy/BLAS build it
 # was recorded with; a change that alters artifact bits on purpose updates it
 # and says so.
-TOY_LISTING_DIGEST = "66b68a288fe4fc4e88aea32b010147caf5a19c4a607cfb927838413d8dfe06ce"
+TOY_LISTING_DIGEST = "4f804a8c8571d78e468ea4bc21251e5a947b4c851ef81c03a6af1c177c977ceb"
 
 
 def test_two_runs_give_the_same_listing_digest(tmp_path):
@@ -36,9 +36,11 @@ def test_two_runs_give_the_same_listing_digest(tmp_path):
     assert "toy-k3/distill-fixed-gamma-0.5/student.ckpt" in paths
     assert "toy-wide/teacher/teacher.ckpt" in paths
     assert "toy-k3/data/train.csv.rows" in paths
+    assert "toy-k3/ablate/ablation.csv" in paths
     assert "prop-check/sweep.csv" in paths
-    # per workload: gen-data 6 files, train-teacher 3, each distill 4; then prop-check 2
-    assert len(paths) == (6 + 3 + 4 * 6) + (6 + 3 + 4) + 2
+    # per workload: gen-data 6 files, train-teacher 3, each distill 4, ablate 2;
+    # then prop-check 2
+    assert len(paths) == (6 + 3 + 4 * 6 + 2) + (6 + 3 + 4) + 2
     assert not any(path.endswith(".tmp") for path in paths)
 
 
