@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DataParseError, InvalidInputError, InvalidParameterError
+from .errors import DataParseError, InvalidInputError
 from .rng import generator
 
 
@@ -60,11 +60,11 @@ def class_centers(n_classes: int, dim: int, seed: int) -> np.ndarray:
 def make_blobs(n_classes: int, per_class: int, dim: int, spread: float, seed: int) -> Dataset:
     """Gaussian blobs around deterministic class centers, fully seeded."""
     if n_classes < 2 or per_class < 1 or dim < 1:
-        raise InvalidParameterError(
+        raise InvalidInputError(
             f"invalid counts: n_classes={n_classes}, per_class={per_class}, dim={dim}"
         )
     if not spread > 0.0:
-        raise InvalidParameterError(f"spread must be positive, got {spread}")
+        raise InvalidInputError(f"spread must be positive, got {spread}")
     centers = class_centers(n_classes, dim, seed)
     noise = generator(seed, 0xB1).standard_normal((n_classes * per_class, dim))
     features = np.repeat(centers, per_class, axis=0) + spread * noise
@@ -195,6 +195,6 @@ def epoch_permutation(n: int, seed: int, epoch: int) -> np.ndarray:
 def batch_iter(ds: Dataset, batch_size: int, seed: int, epoch: int) -> list[np.ndarray]:
     """Ordered list of index batches; the last batch may be short."""
     if batch_size < 1:
-        raise InvalidParameterError(f"batch size must be >= 1, got {batch_size}")
+        raise InvalidInputError(f"batch size must be >= 1, got {batch_size}")
     perm = epoch_permutation(ds.n, seed, epoch)
     return [perm[i : i + batch_size] for i in range(0, ds.n, batch_size)]

@@ -8,14 +8,12 @@ class RectiDistillError(Exception):
 class InvalidInputError(RectiDistillError, ValueError):
     """Non-finite, malformed, or out-of-domain input.
 
-    Raised for bad vectors and class indices, layer widths, two-class
-    set-ups, a KL with infinite divergence, and a function that the
-    finite-difference oracle evaluates to a non-finite value.
+    Raised for bad vectors and class indices, layer widths, flat parameter
+    vectors, two-class set-ups, a KL with infinite divergence, and a
+    function that the finite-difference oracle evaluates to a non-finite
+    value; and for an out-of-range scalar knob: a temperature, a blob
+    spread, class, row or feature counts, or a batch size.
     """
-
-
-class InvalidParameterError(RectiDistillError, ValueError):
-    """A scalar knob (temperature, spread, counts, ...) is out of range."""
 
 
 class RectifyNotApplicableError(RectiDistillError, ValueError):

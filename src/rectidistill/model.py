@@ -12,9 +12,17 @@ human-readable text checkpoint format (documented in the README):
     <out> rows of <in> weight values      (shortest round-trip decimal)
     1 row of <out> bias values
     ... repeated per layer
+
+A model's parameters live in one flat float64 vector, ``MlpParams.flat``,
+laid out as the checkpoint is: w_1 row by row, b_1, w_2, b_2, ... Its
+``weights`` and ``biases`` are reshaped views of that vector, and a
+gradient or a velocity is a flat vector of the same layout, so one SGD
+step is three whole-vector operations. ``forward`` and ``backward`` check
+their shapes; the training loop calls the unchecked ``_forward_cached``
+and ``_backward_into`` on rows it built itself.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -31,14 +39,37 @@ EVAL_CHUNK_BYTES = 128 * 1024
 
 @dataclass
 class MlpParams:
-    """Per-layer (out x in) weight matrices and (out,) bias vectors."""
+    """Per-layer (out x in) weight matrices and (out,) bias vectors.
+
+    Construction copies them into ``flat`` and rebinds ``weights`` and
+    ``biases`` to views of it, so an in-place update of ``flat`` is an
+    update of every layer.
+    """
 
     weights: list[np.ndarray]
     biases: list[np.ndarray]
+    flat: np.ndarray = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        self.flat = np.concatenate(
+            [np.ravel(a) for w, b in zip(self.weights, self.biases) for a in (w, b)]
+        ).astype(np.float64, copy=False)
+        views = self.layer_views(self.flat)
+        self.weights = [w for w, _ in views]
+        self.biases = [b for _, b in views]
 
     @property
     def dims(self) -> list[int]:
         return [self.weights[0].shape[1]] + [w.shape[0] for w in self.weights]
+
+    def layer_views(self, flat: np.ndarray) -> list[tuple[np.ndarray, np.ndarray]]:
+        """Per-layer (weight, bias) views of a flat vector in this model's layout."""
+        views, k = [], 0
+        for out_w, in_w in (np.shape(w) for w in self.weights):
+            end = k + out_w * in_w
+            views.append((flat[k:end].reshape(out_w, in_w), flat[end : end + out_w]))
+            k = end + out_w
+        return views
 
 
 def init(dims, seed: int) -> MlpParams:
@@ -55,34 +86,57 @@ def init(dims, seed: int) -> MlpParams:
     return MlpParams(weights=weights, biases=biases)
 
 
-def forward_cached(p: MlpParams, x):
-    """Logits (n, k) and per-layer activations ``[x, h_1, ..., logits]`` for rows (n, d)."""
-    x = np.asarray(x, dtype=np.float64)
-    if x.ndim != 2 or x.shape[1] != p.weights[0].shape[1]:
-        raise InvalidInputError(
-            f"input shape {x.shape} is not (n, {p.weights[0].shape[1]})"
-        )
+def _forward_cached(p: MlpParams, x: np.ndarray):
+    """Logits (n, k) and per-layer activations ``[x, h_1, ..., logits]``, unchecked.
+
+    Each layer's bias add and ReLU run in place on its fresh matmul output.
+    """
     acts = [x]
     h = x
     last = len(p.weights) - 1
     for i, (w, b) in enumerate(zip(p.weights, p.biases)):
-        z = h @ w.T + b
-        h = z if i == last else np.maximum(z, 0.0)
+        h = h @ w.T
+        h += b
+        if i != last:
+            np.maximum(h, 0.0, out=h)
         acts.append(h)
     return h, acts
 
 
 def forward(p: MlpParams, x) -> np.ndarray:
     """Logits (n, k) for a batch of feature rows (n, d); one row is (1, d)."""
-    return forward_cached(p, x)[0]
+    x = np.asarray(x, dtype=np.float64)
+    if x.ndim != 2 or x.shape[1] != p.weights[0].shape[1]:
+        raise InvalidInputError(
+            f"input shape {x.shape} is not (n, {p.weights[0].shape[1]})"
+        )
+    return _forward_cached(p, x)[0]
+
+
+def _backward_into(p: MlpParams, grads, upstream: np.ndarray, acts) -> None:
+    """Write the batch-summed parameter gradients into ``grads``, unchecked.
+
+    ``grads`` holds per-layer (gw, gb) views of a flat gradient buffer
+    (``p.layer_views``); ``acts`` are the activations ``_forward_cached``
+    returned. ReLU subgradient at 0 is taken as 0.
+    """
+    delta = upstream
+    for i in range(len(p.weights) - 1, -1, -1):
+        gw, gb = grads[i]
+        np.matmul(delta.T, acts[i], out=gw)
+        delta.sum(axis=0, out=gb)
+        if i > 0:
+            delta = delta @ p.weights[i]
+            delta *= acts[i] > 0.0
 
 
 def backward(p: MlpParams, x, upstream, acts=None) -> list[tuple[np.ndarray, np.ndarray]]:
     """Parameter gradients given d(loss)/d(logits), summed over the batch.
 
-    ``acts`` are the activations ``forward_cached(p, x)`` returned; they are
+    ``acts`` are the activations of a forward pass over ``x``; they are
     recomputed when not given. The upstream already carries any 1/n
-    weighting. ReLU subgradient at 0 is taken as 0.
+    weighting. Returns per-layer (gw, gb) pairs, views of one fresh flat
+    vector in the layout of ``p.flat``.
     """
     x = np.asarray(x, dtype=np.float64)
     upstream = np.asarray(upstream, dtype=np.float64)
@@ -91,30 +145,17 @@ def backward(p: MlpParams, x, upstream, acts=None) -> list[tuple[np.ndarray, np.
             f"input {x.shape} and upstream {upstream.shape} are not an (n, d) and (n, k) batch"
         )
     if acts is None:
-        _, acts = forward_cached(p, x)
-    grads: list[tuple[np.ndarray, np.ndarray]] = [None] * len(p.weights)  # type: ignore[list-item]
-    delta = upstream
-    for i in range(len(p.weights) - 1, -1, -1):
-        grads[i] = (delta.T @ acts[i], delta.sum(axis=0))
-        if i > 0:
-            delta = (delta @ p.weights[i]) * (acts[i] > 0.0)
+        _, acts = _forward_cached(p, x)
+    grads = p.layer_views(np.empty_like(p.flat))
+    _backward_into(p, grads, upstream, acts)
     return grads
 
 
-def init_velocity(p: MlpParams) -> list[tuple[np.ndarray, np.ndarray]]:
-    return [(np.zeros_like(w), np.zeros_like(b)) for w, b in zip(p.weights, p.biases)]
-
-
-def sgd_step(p: MlpParams, grads, velocity, lr: float, momentum: float = 0.0) -> None:
-    """In-place heavy-ball update: v <- momentum*v + g; p <- p - lr*v."""
-    for (gw, gb), (vw, vb) in zip(grads, velocity):
-        vw *= momentum
-        vw += gw
-        vb *= momentum
-        vb += gb
-    for (w, b), (vw, vb) in zip(zip(p.weights, p.biases), velocity):
-        w -= lr * vw
-        b -= lr * vb
+def sgd_step(p: MlpParams, grad, velocity, lr: float, momentum: float = 0.0) -> None:
+    """In-place heavy-ball update of flat vectors: v <- momentum*v + g; p <- p - lr*v."""
+    velocity *= momentum
+    velocity += grad
+    p.flat -= lr * velocity
 
 
 def evaluate(p: MlpParams, features, labels) -> float:
@@ -140,20 +181,19 @@ def evaluate(p: MlpParams, features, labels) -> float:
 
 
 def flatten_params(p: MlpParams) -> np.ndarray:
-    return np.concatenate([a.ravel() for w, b in zip(p.weights, p.biases) for a in (w, b)])
+    """A copy of the flat parameter vector."""
+    return p.flat.copy()
 
 
 def unflatten_params(template: MlpParams, vec) -> MlpParams:
+    """A model of the template's shapes whose parameters are a copy of ``vec``."""
     vec = np.asarray(vec, dtype=np.float64)
-    weights, biases, k = [], [], 0
-    for w, b in zip(template.weights, template.biases):
-        weights.append(vec[k : k + w.size].reshape(w.shape).copy())
-        k += w.size
-        biases.append(vec[k : k + b.size].copy())
-        k += b.size
-    if k != vec.size:
-        raise InvalidInputError(f"flat vector length {vec.size} does not match template ({k})")
-    return MlpParams(weights=weights, biases=biases)
+    if vec.shape != template.flat.shape:
+        raise InvalidInputError(
+            f"flat vector shape {vec.shape} does not match template ({template.flat.size},)"
+        )
+    weights, biases = zip(*template.layer_views(vec))
+    return MlpParams(weights=list(weights), biases=list(biases))
 
 
 def _fmt_row(row: np.ndarray) -> str:

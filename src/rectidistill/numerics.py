@@ -14,7 +14,7 @@ from collections.abc import Callable
 
 import numpy as np
 
-from .errors import InvalidInputError, InvalidParameterError
+from .errors import InvalidInputError
 
 PROB_SUM_TOL = 1e-9
 FD_STEP = 1e-5
@@ -54,11 +54,13 @@ def log_softmax_rows(logits, tau: float = 1.0) -> tuple[np.ndarray, np.ndarray]:
     ln s is the shifted logits minus the log of that sum, finite for every
     finite logit row, also where s is 0.
     """
-    scaled = np.asarray(logits, dtype=np.float64) / tau
-    shifted = scaled - scaled.max(axis=1, keepdims=True)
+    shifted = np.asarray(logits, dtype=np.float64) / tau
+    shifted -= shifted.max(axis=1, keepdims=True)
     e = np.exp(shifted)
     total = e.sum(axis=1, keepdims=True)
-    return shifted - np.log(total), e / total
+    shifted -= np.log(total)
+    e /= total
+    return shifted, e
 
 
 def softmax_rows(logits, tau: float = 1.0) -> np.ndarray:
@@ -81,7 +83,7 @@ def softmax(z, tau: float = 1.0) -> np.ndarray:
     """softmax(z / tau) of one logit vector; argmax is invariant in tau."""
     z = as_logits(z)
     if not np.isfinite(tau) or tau <= 0.0:
-        raise InvalidParameterError(f"temperature must be a positive finite scalar, got {tau}")
+        raise InvalidInputError(f"temperature must be a positive finite scalar, got {tau}")
     return softmax_rows(z[None, :], tau)[0]
 
 

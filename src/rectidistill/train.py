@@ -68,7 +68,7 @@ class TrainConfig:
 
 # A diverging run is reported once, as the non-finite logits or logit
 # gradients checked below, not also as numpy's overflow warnings on the way
-# there. Parameter gradients are not checked: an overflow in ``backward``
+# there. Parameter gradients are not checked: an overflow in the backward pass
 # makes the parameters, and so the next batch's logits, non-finite.
 @np.errstate(over="ignore", invalid="ignore")
 def _fit(params: model.MlpParams, train_ds: Dataset, cfg: TrainConfig, val_ds, batch_loss):
@@ -81,24 +81,26 @@ def _fit(params: model.MlpParams, train_ds: Dataset, cfg: TrainConfig, val_ds, b
     model, or a non-finite logit gradient, raise ``TrainingDivergedError``
     naming the epoch.
     """
-    velocity = model.init_velocity(params)
+    grad = np.empty_like(params.flat)
+    grad_views = params.layer_views(grad)
+    velocity = np.zeros_like(params.flat)
     rows = []
     for epoch in range(cfg.epochs):
         sums = {}
         for idx in batch_iter(train_ds, cfg.batch_size, cfg.seed, epoch):
             x, y = train_ds.features[idx], train_ds.labels[idx]
-            logits, acts = model.forward_cached(params, x)
+            logits, acts = model._forward_cached(params, x)
             if not np.isfinite(logits).all():
                 raise TrainingDivergedError(
                     f"training diverged in epoch {epoch}: non-finite logits"
                 )
-            grad, batch_sums = batch_loss(epoch, idx, x, y, logits)
-            if not np.isfinite(grad).all():
+            upstream, batch_sums = batch_loss(epoch, idx, x, y, logits)
+            if not np.isfinite(upstream).all():
                 raise TrainingDivergedError(
                     f"training diverged in epoch {epoch}: non-finite gradients"
                 )
-            grads = model.backward(params, x, grad, acts)
-            model.sgd_step(params, grads, velocity, cfg.learning_rate, cfg.momentum)
+            model._backward_into(params, grad_views, upstream, acts)
+            model.sgd_step(params, grad, velocity, cfg.learning_rate, cfg.momentum)
             for key, value in batch_sums.items():
                 sums[key] = sums.get(key, 0.0) + value
         row = {"epoch": epoch, **{key: value / train_ds.n for key, value in sums.items()}}
@@ -116,7 +118,8 @@ def train_teacher(train_ds: Dataset, dims, cfg: TrainConfig, val_ds: Dataset | N
         log_s, upstream = log_softmax_rows(logits)
         loss_sum = float(-log_s[true_class].sum())
         upstream[true_class] -= 1.0
-        return upstream / len(y), {"loss_ce": loss_sum}
+        upstream /= len(y)
+        return upstream, {"loss_ce": loss_sum}
 
     return _fit(model.init(dims, cfg.seed), train_ds, cfg, val_ds, ce_loss)
 

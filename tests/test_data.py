@@ -20,7 +20,7 @@ from rectidistill.data import (
     make_blobs,
     save_csv,
 )
-from rectidistill.errors import DataParseError, InvalidInputError, InvalidParameterError
+from rectidistill.errors import DataParseError, InvalidInputError
 from rectidistill.rng import generator
 from rectidistill.train import TEACHER_METRICS_COLUMNS, write_metrics_csv
 
@@ -104,11 +104,11 @@ class TestMakeBlobs:
         assert np.array_equal(ds.labels, labels) and ds.labels.dtype == np.int64
 
     def test_invalid_parameters_raise(self):
-        with pytest.raises(InvalidParameterError):
+        with pytest.raises(InvalidInputError, match="invalid counts: n_classes=1"):
             make_blobs(1, 10, 2, 0.5, seed=0)
-        with pytest.raises(InvalidParameterError):
+        with pytest.raises(InvalidInputError, match="invalid counts: .*per_class=0"):
             make_blobs(3, 0, 2, 0.5, seed=0)
-        with pytest.raises(InvalidParameterError):
+        with pytest.raises(InvalidInputError, match="spread must be positive, got 0.0"):
             make_blobs(3, 10, 2, 0.0, seed=0)
 
 
@@ -457,7 +457,7 @@ class TestBatchIter:
             assert np.array_equal(got, scalar_fisher_yates(n, seed, epoch)), n
 
     def test_invalid_batch_size(self):
-        with pytest.raises(InvalidParameterError):
+        with pytest.raises(InvalidInputError, match="batch size must be >= 1, got 0"):
             batch_iter(self._tiny(), 0, seed=1, epoch=0)
 
     @settings(max_examples=50, deadline=None)

@@ -4,6 +4,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rectidistill import model
 from rectidistill.errors import CheckpointParseError, InvalidInputError
@@ -143,15 +145,15 @@ class TestSgd:
     def test_vanilla_step(self):
         p = model.init([2, 3], seed=0)
         w0 = p.weights[0].copy()
-        grads = [(np.ones((3, 2)), np.ones(3))]
-        model.sgd_step(p, grads, model.init_velocity(p), lr=0.1, momentum=0.0)
+        grad = np.ones_like(p.flat)
+        model.sgd_step(p, grad, np.zeros_like(p.flat), lr=0.1, momentum=0.0)
         np.testing.assert_allclose(p.weights[0], w0 - 0.1, atol=1e-15)
 
     def test_zero_grads_leave_params_unchanged(self):
         p = model.init([2, 3], seed=0)
         w0 = p.weights[0].copy()
-        grads = [(np.zeros((3, 2)), np.zeros(3))]
-        model.sgd_step(p, grads, model.init_velocity(p), lr=0.1, momentum=0.9)
+        grad = np.zeros_like(p.flat)
+        model.sgd_step(p, grad, np.zeros_like(p.flat), lr=0.1, momentum=0.9)
         assert np.array_equal(p.weights[0], w0)
 
     def test_two_momentum_steps_match_hand_unrolled_recurrence(self):
@@ -159,12 +161,148 @@ class TestSgd:
         w0 = p.weights[0].copy()
         rng = np.random.default_rng(3)
         g1, g2 = rng.normal(size=(2, 2)), rng.normal(size=(2, 2))
-        vel = model.init_velocity(p)
-        model.sgd_step(p, [(g1, np.zeros(2))], vel, lr=0.05, momentum=0.9)
-        model.sgd_step(p, [(g2, np.zeros(2))], vel, lr=0.05, momentum=0.9)
+        vel = np.zeros_like(p.flat)
+        # the flat layout is w_1 row by row, then b_1
+        model.sgd_step(p, np.concatenate([g1.ravel(), np.zeros(2)]), vel, lr=0.05, momentum=0.9)
+        model.sgd_step(p, np.concatenate([g2.ravel(), np.zeros(2)]), vel, lr=0.05, momentum=0.9)
         # v1 = g1; v2 = 0.9*g1 + g2; w = w0 - lr*(v1 + v2)
         expected = w0 - 0.05 * (g1 + 0.9 * g1 + g2)
         np.testing.assert_allclose(p.weights[0], expected, atol=1e-15)
+
+
+def allocating_forward_cached(weights, biases, x):
+    """Oracle: the forward that allocated a temporary per bias add and per ReLU."""
+    acts = [x]
+    h = x
+    last = len(weights) - 1
+    for i, (w, b) in enumerate(zip(weights, biases)):
+        z = h @ w.T + b
+        h = z if i == last else np.maximum(z, 0.0)
+        acts.append(h)
+    return h, acts
+
+
+def allocating_backward(weights, upstream, acts):
+    """Oracle: the backward that allocated every gradient."""
+    grads = [None] * len(weights)
+    delta = upstream
+    for i in range(len(weights) - 1, -1, -1):
+        grads[i] = (delta.T @ acts[i], delta.sum(axis=0))
+        if i > 0:
+            delta = (delta @ weights[i]) * (acts[i] > 0.0)
+    return grads
+
+
+def per_layer_sgd_step(weights, biases, grads, velocity, lr, momentum):
+    """Oracle: the heavy-ball update run tensor by tensor."""
+    for (gw, gb), (vw, vb) in zip(grads, velocity):
+        vw *= momentum
+        vw += gw
+        vb *= momentum
+        vb += gb
+    for (w, b), (vw, vb) in zip(zip(weights, biases), velocity):
+        w -= lr * vw
+        b -= lr * vb
+
+
+def flat(pairs):
+    return np.concatenate([a.ravel() for pair in pairs for a in pair])
+
+
+class TestFlatStep:
+    # row counts 1, 5, 6, 7, 11 and 33 reach OpenBLAS's edge kernels
+    @settings(max_examples=60, deadline=None)
+    @given(
+        dims=st.lists(st.integers(1, 40), min_size=3, max_size=5),
+        rows=st.sampled_from([1, 5, 6, 7, 11, 32, 33]),
+        momentum=st.floats(0.0, 1.0, exclude_max=True),
+        lr=st.floats(1e-4, 1.0),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_three_steps_are_bit_identical_to_the_allocating_step(
+        self, dims, rows, momentum, lr, seed
+    ):
+        p = model.init(dims, seed=seed)
+        weights = [w.copy() for w in p.weights]
+        biases = [b.copy() for b in p.biases]
+        velocity = [(np.zeros_like(w), np.zeros_like(b)) for w, b in zip(weights, biases)]
+        grad = np.empty_like(p.flat)
+        grad_views = p.layer_views(grad)
+        flat_velocity = np.zeros_like(p.flat)
+        rng = np.random.default_rng(seed)
+        for _ in range(3):
+            x = rng.normal(size=(rows, dims[0]))
+            upstream = rng.normal(size=(rows, dims[-1])) / rows
+            # no op writes into an array its caller passed in
+            x.flags.writeable = upstream.flags.writeable = False
+            want, acts = allocating_forward_cached(weights, biases, x)
+            per_layer_sgd_step(weights, biases, allocating_backward(weights, upstream, acts),
+                               velocity, lr, momentum)
+            logits, acts = model._forward_cached(p, x)
+            model._backward_into(p, grad_views, upstream, acts)
+            model.sgd_step(p, grad, flat_velocity, lr, momentum)
+            assert np.array_equal(logits, want)
+            assert np.array_equal(p.flat, flat(zip(weights, biases)))
+            assert np.array_equal(flat_velocity, flat(velocity))
+
+    def test_public_backward_matches_the_allocating_backward(self):
+        p = model.init([3, 7, 5, 2], seed=4)
+        rng = np.random.default_rng(5)
+        x = rng.normal(size=(6, 3))
+        upstream = rng.normal(size=(6, 2))
+        x.flags.writeable = upstream.flags.writeable = False
+        grads = model.backward(p, x, upstream)
+        _, acts = allocating_forward_cached(p.weights, p.biases, x)
+        for (gw, gb), (ow, ob) in zip(grads, allocating_backward(p.weights, upstream, acts)):
+            assert np.array_equal(gw, ow) and np.array_equal(gb, ob)
+        # the pairs are views of one fresh flat vector, not of the parameters
+        fresh = grads[0][0].base
+        assert fresh.shape == p.flat.shape and not np.shares_memory(fresh, p.flat)
+        assert all(a.base is fresh for pair in grads for a in pair)
+
+
+def shares_flat(p):
+    return all(np.shares_memory(a, p.flat) for a in (*p.weights, *p.biases))
+
+
+class TestFlatLayout:
+    def test_init_layers_are_views_of_flat(self):
+        p = model.init([2, 5, 3], seed=1)
+        assert shares_flat(p)
+        assert p.flat.shape == (2 * 5 + 5 + 5 * 3 + 3,)
+        p.flat[:] = 7.0
+        assert all(np.all(a == 7.0) for a in (*p.weights, *p.biases))
+
+    def test_direct_construction_copies_into_flat(self):
+        w, b = np.eye(3), np.arange(3.0)
+        p = model.MlpParams(weights=[w], biases=[b])
+        assert shares_flat(p)
+        assert not np.shares_memory(p.weights[0], w)
+        np.testing.assert_array_equal(p.flat, [*w.ravel(), *b])
+
+    def test_load_checkpoint_layers_are_views_of_flat(self, tmp_path):
+        model.save_checkpoint(model.init([2, 4, 3], seed=2), tmp_path / "net.ckpt")
+        assert shares_flat(model.load_checkpoint(tmp_path / "net.ckpt"))
+
+    def test_unflatten_copies_and_layers_are_views_of_flat(self):
+        p = model.init([2, 4, 3], seed=3)
+        vec = np.arange(p.flat.size, dtype=np.float64)
+        q = model.unflatten_params(p, vec)
+        assert shares_flat(q)
+        assert not np.shares_memory(q.flat, vec)
+        np.testing.assert_array_equal(q.flat, vec)
+
+    def test_unflatten_rejects_a_wrong_length(self):
+        p = model.init([2, 4, 3], seed=3)
+        with pytest.raises(InvalidInputError, match="does not match template"):
+            model.unflatten_params(p, np.zeros(p.flat.size + 1))
+
+    def test_flatten_returns_a_copy(self):
+        p = model.init([2, 4, 3], seed=3)
+        vec = model.flatten_params(p)
+        assert np.array_equal(vec, p.flat) and not np.shares_memory(vec, p.flat)
+        vec[:] = 0.0
+        assert not np.all(p.flat == 0.0)
 
 
 class TestEvaluate:

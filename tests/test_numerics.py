@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rectidistill.errors import InvalidInputError, InvalidParameterError
+from rectidistill.errors import InvalidInputError
 from rectidistill.numerics import (
     PROB_SUM_TOL,
     as_prob_vector,
@@ -119,9 +119,9 @@ class TestSoftmax:
             assert int(np.argmax(out)) == int(np.argmax(z))
 
     def test_rejects_nonpositive_temperature(self):
-        with pytest.raises(InvalidParameterError):
+        with pytest.raises(InvalidInputError, match="temperature must be a positive finite"):
             softmax([1.0, 2.0], tau=0.0)
-        with pytest.raises(InvalidParameterError):
+        with pytest.raises(InvalidInputError, match="temperature must be a positive finite"):
             softmax([1.0, 2.0], tau=-1.0)
 
     def test_rejects_nonfinite_input(self):

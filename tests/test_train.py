@@ -30,10 +30,25 @@ def setup():
     return train, val, teacher
 
 
+def heavy_ball(params, grads, velocity, cfg):
+    """The momentum update written out per layer: v = m*v + g; w -= lr*v."""
+    for i, (gw, gb) in enumerate(grads):
+        vw, vb = velocity[i]
+        vw = cfg.momentum * vw + gw
+        vb = cfg.momentum * vb + gb
+        params.weights[i] -= cfg.learning_rate * vw
+        params.biases[i] -= cfg.learning_rate * vb
+        velocity[i] = (vw, vb)
+
+
+def zero_velocity(params):
+    return [(np.zeros_like(w), np.zeros_like(b)) for w, b in zip(params.weights, params.biases)]
+
+
 def two_loop_teacher(train_ds, dims, cfg, val_ds):
     """Oracle: the separate teacher loop that the shared loop replaced."""
     params = model.init(dims, cfg.seed)
-    velocity = model.init_velocity(params)
+    velocity = zero_velocity(params)
     rows = []
     for epoch in range(cfg.epochs):
         loss_sum = 0.0
@@ -44,8 +59,7 @@ def two_loop_teacher(train_ds, dims, cfg, val_ds):
             loss_sum += float(-log_softmax_rows(logits)[0][true_class].sum())
             upstream = softmax_rows(logits)
             upstream[true_class] -= 1.0
-            grads = model.backward(params, x, upstream / len(idx))
-            model.sgd_step(params, grads, velocity, cfg.learning_rate, cfg.momentum)
+            heavy_ball(params, model.backward(params, x, upstream / len(idx)), velocity, cfg)
         rows.append({
             "epoch": epoch,
             "loss_ce": loss_sum / train_ds.n,
@@ -58,7 +72,7 @@ def two_loop_teacher(train_ds, dims, cfg, val_ds):
 def two_loop_distill(teacher, student_dims, train_ds, cfg, val_ds):
     """Oracle: the separate distillation loop that the shared loop replaced."""
     student = model.init(student_dims, cfg.seed)
-    velocity = model.init_velocity(student)
+    velocity = zero_velocity(student)
     rows = []
     for epoch in range(cfg.epochs):
         sched = EpochSchedule(epoch=epoch, total_epochs=cfg.epochs)
@@ -72,8 +86,7 @@ def two_loop_distill(teacher, student_dims, train_ds, cfg, val_ds):
                 model.forward(student, x), teacher_probs, y, sched, cfg.tau, cfg.mode,
                 cfg.fixed_gamma,
             )
-            grads = model.backward(student, x, breakdown.grad)
-            model.sgd_step(student, grads, velocity, cfg.learning_rate, cfg.momentum)
+            heavy_ball(student, model.backward(student, x, breakdown.grad), velocity, cfg)
             for key, value in (("loss_total", breakdown.l_all), ("loss_ce", breakdown.l_ce),
                                ("loss_easy", breakdown.l_easy), ("loss_hard", breakdown.l_hard)):
                 sums[key] += value * len(idx)
