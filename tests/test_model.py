@@ -210,7 +210,8 @@ def flat(pairs):
 
 
 class TestFlatStep:
-    # row counts 1, 5, 6, 7, 11 and 33 reach OpenBLAS's edge kernels
+    # one row, the training batch of 32, and counts that leave trailing rows
+    # to OpenBLAS's edge kernels
     @settings(max_examples=60, deadline=None)
     @given(
         dims=st.lists(st.integers(1, 40), min_size=3, max_size=5),
