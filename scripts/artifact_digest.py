@@ -4,22 +4,28 @@
     python3 scripts/artifact_digest.py <out>
 
 Runs gen-data -> train-teacher -> distill for the two benchmark shapes
-(paper-k4 in all six modes, wide-k100 in mode full) at seed 1, then
-``ablate --seeds 2`` on paper-k4, then ``prop-check --out prop-check`` once, writing under <out>, which must not
-exist yet or be empty. Prints ``<sha256>  <path>`` for every file written,
-with paths relative to <out>, then ``<sha256>  listing``, the digest of those
-lines. The calls run inside <out> on relative paths, so ``config.txt`` does
-not depend on where <out> is.
+(paper-k4 in all six modes, wide-k100 in mode full) at seed 1, then the six
+paper-k4 modes again at ``--tau 2 --batch-size 24``, then ``ablate --seeds 2``
+on paper-k4, then ``prop-check --out prop-check`` once, writing under <out>,
+which must not exist yet or be empty. Prints ``<sha256>  <path>`` for every
+file written, with paths relative to <out>, then ``<sha256>  listing``, the
+digest of those lines. The calls run inside <out> on relative paths, so
+``config.txt`` does not depend on where <out> is.
+
+At tau 1 and batch sizes that are powers of two, ``x / n`` and
+``x * (1 / n)`` agree bit for bit. The second set of paper-k4 distills (16
+batches of 24 and one of 16 per epoch, tau 2) is there so that a reordered
+division in the loss changes the listing.
 
 The package is imported from the ``src/`` next to this script: a copy of the
 script in another checkout digests that checkout's code, and equal listing
 digests mean every CSV, ``.rows`` sidecar, checkpoint, metrics, summary and
 config file, the ``ablation.csv`` and the two-class ``sweep.csv``, is
-byte-identical. gen-data
-writes six files per workload: each split's CSV and its ``<csv>.rows``
-sidecar (the CSV's sha256, then its rows as one ``.npy`` record),
-``config.txt`` and ``manifest.json``; ablate writes ``ablation.csv`` and
-``config.txt``; prop-check writes ``sweep.csv`` and ``config.txt``.
+byte-identical. gen-data writes six files per workload: each split's CSV and
+its ``<csv>.rows`` sidecar (the CSV's sha256, then its rows as one ``.npy``
+record), ``config.txt`` and ``manifest.json``; each distill writes four;
+ablate writes ``ablation.csv`` and ``config.txt``; prop-check writes
+``sweep.csv`` and ``config.txt``.
 """
 
 import contextlib
@@ -51,12 +57,13 @@ class Workload(NamedTuple):
     batch_size: int
     modes: tuple
     ablate_seeds: int = 0  # 0: no ablate call
+    tau2_batch_size: int = 0  # > 0: every mode again at --tau 2 with this batch size
 
 
 # The shapes and flags of perfbench/run.py's two workloads.
 WORKLOADS = (
     Workload("paper-k4", 4, 100, 500, 2, "2,64,4", 200, "2,8,4", 60, 0.005, 32,
-             ("full", "eliminate", "rectify", "vanilla", "step-b", "fixed-gamma=0.5"), 2),
+             ("full", "eliminate", "rectify", "vanilla", "step-b", "fixed-gamma=0.5"), 2, 24),
     Workload("wide-k100", 100, 200, 50, 32, "32,256,100", 2, "32,32,100", 2, 0.05, 256,
              ("full",)),
 )
@@ -75,18 +82,24 @@ def run_workload(wl: Workload) -> None:
     _run(["gen-data", "--classes", str(wl.classes), "--per-class", str(wl.per_class),
           "--val-per-class", str(wl.val_per_class), "--dim", str(wl.dim),
           "--spread", "1.2", "--seed", str(SEED), "--out", data])
-    common = ["--train", f"{data}/train.csv", "--val", f"{data}/val.csv",
-              "--batch-size", str(wl.batch_size), "--seed", str(SEED)]
-    _run(["train-teacher", *common, "--dims", wl.teacher_dims,
+    common = ["--train", f"{data}/train.csv", "--val", f"{data}/val.csv", "--seed", str(SEED)]
+    batch = ["--batch-size", str(wl.batch_size)]
+    _run(["train-teacher", *common, *batch, "--dims", wl.teacher_dims,
           "--epochs", str(wl.teacher_epochs), "--lr", "0.1", "--out", f"{wl.name}/teacher"])
     student = [*common, "--teacher", f"{wl.name}/teacher/teacher.ckpt",
                "--dims", wl.student_dims, "--epochs", str(wl.distill_epochs),
                "--lr", repr(wl.distill_lr)]
-    for mode in wl.modes:
-        _run(["distill", *student, "--mode", mode,
-              "--out", f"{wl.name}/distill-{mode.replace('=', '-')}"])
+    runs = [(batch, "")]
+    if wl.tau2_batch_size:
+        runs.append((["--tau", "2", "--batch-size", str(wl.tau2_batch_size)],
+                     f"-tau2-b{wl.tau2_batch_size}"))
+    for flags, suffix in runs:
+        for mode in wl.modes:
+            _run(["distill", *student, *flags, "--mode", mode,
+                  "--out", f"{wl.name}/distill-{mode.replace('=', '-')}{suffix}"])
     if wl.ablate_seeds:
-        _run(["ablate", *student, "--seeds", str(wl.ablate_seeds), "--out", f"{wl.name}/ablate"])
+        _run(["ablate", *student, *batch, "--seeds", str(wl.ablate_seeds),
+              "--out", f"{wl.name}/ablate"])
 
 
 def artifact_digests(out, workloads=WORKLOADS) -> list[str]:

@@ -12,17 +12,18 @@ spec.loader.exec_module(artifact_digest)
 
 Workload = artifact_digest.Workload
 
-# The two benchmark shapes at toy size: few classes, rows and epochs.
+# The two benchmark shapes at toy size: few classes, rows and epochs. toy-k3
+# also distills every mode at tau 2 in batches of 10 (three of 10, one of 6).
 TOY = (
     Workload("toy-k3", 3, 12, 6, 2, "2,8,3", 3, "2,4,3", 3, 0.05, 8,
-             ("full", "eliminate", "rectify", "vanilla", "step-b", "fixed-gamma=0.5"), 2),
+             ("full", "eliminate", "rectify", "vanilla", "step-b", "fixed-gamma=0.5"), 2, 10),
     Workload("toy-wide", 6, 10, 4, 5, "5,8,6", 2, "5,4,6", 2, 0.05, 16, ("full",)),
 )
 
-# The listing digest of TOY's 50 files. It depends on the numpy/BLAS build it
+# The listing digest of TOY's 74 files. It depends on the numpy/BLAS build it
 # was recorded with; a change that alters artifact bits on purpose updates it
 # and says so.
-TOY_LISTING_DIGEST = "4f804a8c8571d78e468ea4bc21251e5a947b4c851ef81c03a6af1c177c977ceb"
+TOY_LISTING_DIGEST = "5dae622eb60b1c2cd55530b34ff4833af49d602a5fc05d2be2762401669275d4"
 
 
 def test_two_runs_give_the_same_listing_digest(tmp_path):
@@ -37,10 +38,11 @@ def test_two_runs_give_the_same_listing_digest(tmp_path):
     assert "toy-wide/teacher/teacher.ckpt" in paths
     assert "toy-k3/data/train.csv.rows" in paths
     assert "toy-k3/ablate/ablation.csv" in paths
+    assert "toy-k3/distill-step-b-tau2-b10/student.ckpt" in paths
     assert "prop-check/sweep.csv" in paths
     # per workload: gen-data 6 files, train-teacher 3, each distill 4, ablate 2;
     # then prop-check 2
-    assert len(paths) == (6 + 3 + 4 * 6 + 2) + (6 + 3 + 4) + 2
+    assert len(paths) == (6 + 3 + 4 * 12 + 2) + (6 + 3 + 4) + 2
     assert not any(path.endswith(".tmp") for path in paths)
 
 
