@@ -73,6 +73,7 @@ def descend(targets) -> np.ndarray:
     label = np.array([1.0, 0.0])
     z = np.zeros_like(targets)
     for _ in range(STEPS):
+        # not numerics.softmax_rows: same bits, but its ln s costs ~10% of prop-check
         e = np.exp(z - z.max(axis=1, keepdims=True))
         s = e / e.sum(axis=1, keepdims=True)
         grad = (s - targets) + (s - label)

@@ -130,13 +130,12 @@ def _backward_into(p: MlpParams, grads, upstream: np.ndarray, acts) -> None:
             delta *= acts[i] > 0.0
 
 
-def backward(p: MlpParams, x, upstream, acts=None) -> list[tuple[np.ndarray, np.ndarray]]:
+def backward(p: MlpParams, x, upstream) -> list[tuple[np.ndarray, np.ndarray]]:
     """Parameter gradients given d(loss)/d(logits), summed over the batch.
 
-    ``acts`` are the activations of a forward pass over ``x``; they are
-    recomputed when not given. The upstream already carries any 1/n
-    weighting. Returns per-layer (gw, gb) pairs, views of one fresh flat
-    vector in the layout of ``p.flat``.
+    Runs its own forward pass over ``x`` for the activations. The upstream
+    already carries any 1/n weighting. Returns per-layer (gw, gb) pairs,
+    views of one fresh flat vector in the layout of ``p.flat``.
     """
     x = np.asarray(x, dtype=np.float64)
     upstream = np.asarray(upstream, dtype=np.float64)
@@ -144,8 +143,7 @@ def backward(p: MlpParams, x, upstream, acts=None) -> list[tuple[np.ndarray, np.
         raise InvalidInputError(
             f"input {x.shape} and upstream {upstream.shape} are not an (n, d) and (n, k) batch"
         )
-    if acts is None:
-        _, acts = _forward_cached(p, x)
+    _, acts = _forward_cached(p, x)
     grads = p.layer_views(np.empty_like(p.flat))
     _backward_into(p, grads, upstream, acts)
     return grads

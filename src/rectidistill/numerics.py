@@ -3,10 +3,12 @@
 Training runs the row-wise functions, which check nothing: their inputs
 were checked where they entered the program (``TrainConfig``, the data
 and checkpoint loaders) or built by it. ``log_softmax_rows`` returns ln s
-(shifted logits minus their logsumexp) and s from one pass; CE and KL are
-taken from ln s through ``kl_rows``, so they stay finite where the softmax
-underflows, with no clamp. The 1-D ``softmax``, ``kl_divergence`` and the
-two gradients are checked batch-of-one wrappers over them.
+(shifted logits minus their logsumexp) and s from one pass. CE and KL are
+taken from ln s, so they stay finite where the softmax underflows, with no
+clamp: ``ce_rows`` is the one cross-entropy (summed loss and the gradient
+s - onehot, used by the teacher loss and the distillation loss) and
+``kl_rows`` the one forward KL. The 1-D ``softmax``, ``kl_divergence`` and
+the two gradients are checked batch-of-one wrappers over them.
 Both analytic gradients are checked against a finite-difference oracle.
 """
 
@@ -79,12 +81,31 @@ def kl_rows(targets, log_probs) -> np.ndarray:
     return (targets * (log_t - log_probs)).sum(axis=1)
 
 
-def softmax(z, tau: float = 1.0) -> np.ndarray:
-    """softmax(z / tau) of one logit vector; argmax is invariant in tau."""
+def ce_rows(log_probs, probs, labels) -> tuple[float, np.ndarray]:
+    """Summed cross-entropy of integer labels under s, and its gradient s - onehot.
+
+    ``log_probs`` and ``probs`` are the ln s and s of one
+    ``log_softmax_rows`` pass. The gradient, per row and w.r.t. the logits
+    divided by tau, is a fresh array that a caller may scale in place.
+    """
+    rows = np.arange(labels.shape[0])
+    loss_sum = float(-log_probs[rows, labels].sum())
+    grad = probs.copy()
+    grad[rows, labels] -= 1.0
+    return loss_sum, grad
+
+
+def _log_softmax(z, tau: float) -> tuple[np.ndarray, np.ndarray]:
+    """Checked (ln s, s) of one logit vector, each as a (1, k) row."""
     z = as_logits(z)
     if not np.isfinite(tau) or tau <= 0.0:
         raise InvalidInputError(f"temperature must be a positive finite scalar, got {tau}")
-    return softmax_rows(z[None, :], tau)[0]
+    return log_softmax_rows(z[None, :], tau)
+
+
+def softmax(z, tau: float = 1.0) -> np.ndarray:
+    """softmax(z / tau) of one logit vector; argmax is invariant in tau."""
+    return _log_softmax(z, tau)[1][0]
 
 
 def kl_divergence(t, s) -> float:
@@ -102,13 +123,11 @@ def kl_divergence(t, s) -> float:
 
 def ce_softmax_gradient(z, class_index: int, tau: float = 1.0) -> np.ndarray:
     """Gradient of CE(onehot(c), softmax(z/tau)) w.r.t. z: (s - onehot(c)) / tau."""
-    s = softmax(z, tau)
+    log_s, s = _log_softmax(z, tau)
     c = int(class_index)
-    if not 0 <= c < s.shape[0]:
-        raise InvalidInputError(f"class index {c} outside [0, {s.shape[0]})")
-    g = s.copy()
-    g[c] -= 1.0
-    return g / tau
+    if not 0 <= c < s.shape[1]:
+        raise InvalidInputError(f"class index {c} outside [0, {s.shape[1]})")
+    return ce_rows(log_s, s, np.array([c]))[1][0] / tau
 
 
 def kl_softmax_gradient(t, z, tau: float = 1.0) -> np.ndarray:

@@ -13,28 +13,37 @@ subset size instead makes the hard term explode whenever the bias subset
 is small and destabilizes the end of training, where gamma -> 1.
 
 A sample carries right knowledge when the teacher's argmax matches its
-label (ties broken toward the lowest class index, everywhere). The two
-subsets are gathered by index instead of multiplying by a 0/1 mask, which
-fixes the summation order the outputs depend on.
+label (ties broken toward the lowest class index, everywhere). The loss
+is a per-sample weighting: right rows are distilled with weight
+(1 - gamma) / n, rectified biased rows with gamma / n, and eliminated
+rows with 0. ``target_loss`` takes one KL pass over the whole batch;
+l_easy and l_hard are the sums of that vector over the right and the
+biased rows, and the KL gradient is one weighted term per row. A row's
+KL does not depend on the other rows of the batch, so the sums see the
+same values, in the same order, as KL passes over each subset would.
 
 The batched core is two steps. ``teacher_targets`` partitions the rows
-and rectifies all biased ones in one array operation; it reads only the
-teacher and the labels, and each output row depends only on its own input
-row, so ``train.distill`` can compute it once per training row.
-``target_loss`` returns the loss terms together with their gradient
-w.r.t. the logits. ``compute_batch_loss`` is the two composed. None of
-them checks its inputs, each checked once where it enters: ``tau``,
-``mode`` and ``fixed_gamma`` by ``TrainConfig``, labels by the data
-loaders, the teacher by ``model.load_checkpoint``, non-finite student
-logits by ``train._fit``.
-CE and KL come from the ln s of ``numerics.log_softmax_rows``, so they stay
-finite where the student softmax underflows; the gradient uses the s of
-the same pass.
+and rectifies all biased ones in one array operation, or, in
+``eliminate_only``, sets their targets to zero, so that their KL and
+gradient term are exactly 0; it reads only the teacher and the labels,
+and each output row depends only on its own input row, so
+``train.distill`` can compute it once per training row. ``target_loss``
+returns the loss terms together with their gradient w.r.t. the logits, at
+the epoch's gamma, which the caller resolves (``resolve_gamma``).
+``compute_batch_loss`` is the two composed. None of them checks its
+inputs, each checked once where it enters: ``tau``, ``mode`` and
+``fixed_gamma`` by ``TrainConfig``, labels by the data loaders, the
+teacher by ``model.load_checkpoint``, non-finite student logits by
+``train._fit``.
+CE (``numerics.ce_rows``) and KL come from the ln s of
+``numerics.log_softmax_rows``, so they stay finite where the student
+softmax underflows; the gradient uses the s of the same pass.
 
 Modes:
 
 * ``full``            -- elimination + rectification + dynamic gamma.
-* ``eliminate_only``  -- bias samples dropped from KL; gamma forced to 0.
+* ``eliminate_only``  -- bias samples dropped from KL (a zero target);
+                         gamma forced to 0.
 * ``rectify_only``    -- no elimination: one full-batch KL where bias
                          samples use rectified (step-c) targets; gamma 0.
 * ``vanilla_kd``      -- unmasked KL + CE baseline; gamma 0.
@@ -49,7 +58,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import rectify
-from .numerics import kl_rows, log_softmax_rows
+from .numerics import ce_rows, kl_rows, log_softmax_rows
 
 MODES = (
     "full",
@@ -96,80 +105,70 @@ def resolve_gamma(mode: str, sched, fixed_gamma) -> float:
 
 
 def teacher_targets(teacher_probs, labels, mode: str):
-    """Partition rows by the teacher's argmax and rectify the biased ones.
+    """Partition rows by the teacher's argmax and rectify or eliminate the biased ones.
 
     Returns ``(targets, right)``: ``right`` marks the rows whose argmax is
     the label; ``targets`` holds the teacher rows, with every other row
-    rectified to step c (step b in ``step_b_ablation``). Modes that never
-    read a rectified row, and batches without a biased row, get
-    ``teacher_probs`` itself back, uncopied. Every output row depends only
-    on its own input row and label.
+    rectified to step c (step b in ``step_b_ablation``), or all zeros in
+    ``eliminate_only``, so that its KL and gradient term are exactly 0.
+    ``vanilla_kd``, and batches without a biased row, get ``teacher_probs``
+    itself back, uncopied. Every output row depends only on its own input
+    row and label.
     """
     right = np.argmax(teacher_probs, axis=1) == labels
-    if mode in ("vanilla_kd", "eliminate_only") or right.all():
+    if mode == "vanilla_kd" or right.all():
         return teacher_probs, right
     bias = ~right
-    stage = rectify.STEP_B if mode == "step_b_ablation" else rectify.STEP_C
     targets = teacher_probs.copy()
-    targets[bias] = rectify.rectify_rows(teacher_probs[bias], labels[bias], stage)
+    if mode == "eliminate_only":
+        targets[bias] = 0.0
+    else:
+        stage = rectify.STEP_B if mode == "step_b_ablation" else rectify.STEP_C
+        targets[bias] = rectify.rectify_rows(teacher_probs[bias], labels[bias], stage)
     return targets, right
 
 
-def target_loss(
-    student_logits,
-    targets,
-    right,
-    labels,
-    sched: EpochSchedule | None = None,
-    tau: float = 1.0,
-    mode: str = "full",
-    fixed_gamma: float | None = None,
-) -> LossBreakdown:
-    """Loss components, the assembled total and its logit gradient.
+def target_loss(student_logits, targets, right, labels, g: float, tau: float,
+                mode: str) -> LossBreakdown:
+    """Loss components, the assembled total and its logit gradient at gamma ``g``.
 
     ``targets`` and ``right`` are what ``teacher_targets`` returns for
     these rows and this mode.
     """
     n = labels.shape[0]
-    rows = np.arange(n)
-    g = resolve_gamma(mode, sched, fixed_gamma)
     log_s, s = log_softmax_rows(student_logits, tau)
-    right_rows, bias = rows[right], rows[~right]
-
-    l_ce = float(-log_s[rows, labels].mean())
-    onehot = np.zeros_like(s)
-    onehot[rows, labels] = 1.0
-    grad = (1.0 - g) / n * (s - onehot) / tau
-
+    ce_sum, grad = ce_rows(log_s, s, labels)
+    grad *= (1.0 - g) / n
+    grad /= tau
+    kl = kl_rows(targets, log_s)
     if mode in ("vanilla_kd", "rectify_only"):
-        # one unmasked KL: raw teacher rows, or rectified biased rows
-        l_easy = float(kl_rows(targets, log_s).mean())
+        # one unmasked KL: raw teacher rows, or rectified biased rows. Its
+        # 1/(tau n) is one division; as w / tau it would round differently
+        # at tau != 1 or n not a power of two.
+        l_easy = float(kl.mean())
         l_hard = 0.0
         grad += (s - targets) / (tau * n)
     else:
-        l_easy = 0.0
-        if right_rows.size:
-            easy_targets = targets[right_rows]
-            l_easy = float(kl_rows(easy_targets, log_s[right_rows]).sum() / n)
-            grad[right_rows] += (1.0 - g) / n * (s[right_rows] - easy_targets) / tau
-        if mode == "eliminate_only" or not bias.size:
-            l_hard = 0.0
-        else:
-            hard_targets = targets[bias]
-            l_hard = float(kl_rows(hard_targets, log_s[bias]).sum() / n)
-            if g != 0.0:
-                mass = hard_targets.sum(axis=1, keepdims=True)
-                grad[bias] += g / n * (mass * s[bias] - hard_targets) / tau
+        l_easy = float(kl[right].sum() / n)
+        l_hard = float(kl[~right].sum() / n)
+        # per-row weights: (1 - g)/n right, g/n biased (0 when eliminated).
+        # A teacher row sums to 1 only within rounding, so a right row's mass
+        # is exactly 1; a step-b row's is its sum, which exceeds 1.
+        w = np.where(right, (1.0 - g) / n, g / n)[:, None]
+        mass = np.where(right, 1.0, targets.sum(axis=1))[:, None]
+        grad += w * (mass * s - targets) / tau
 
+    l_ce = ce_sum / n
     l_all = (1.0 - g) * (l_ce + l_easy) + g * l_hard
+    n_right = int(right.sum())
     return LossBreakdown(
         l_ce=l_ce,
         l_easy=l_easy,
         l_hard=l_hard,
         gamma=g,
         l_all=l_all,
-        n_right=int(right_rows.size),
-        n_bias=int(bias.size),
+        n_right=n_right,
+        n_bias=n - n_right,
         grad=grad,
     )
 
@@ -186,7 +185,8 @@ def compute_batch_loss(
     """Per-batch loss components, the assembled total and its logit gradient."""
     labels = np.asarray(labels, dtype=np.int64)
     targets, right = teacher_targets(np.asarray(teacher_probs, dtype=np.float64), labels, mode)
-    return target_loss(student_logits, targets, right, labels, sched, tau, mode, fixed_gamma)
+    g = resolve_gamma(mode, sched, fixed_gamma)
+    return target_loss(student_logits, targets, right, labels, g, tau, mode)
 
 
 def batch_loss_gradient(

@@ -15,7 +15,7 @@ import numpy as np
 from . import model
 from .data import Dataset, atomic_write, batch_iter
 from .errors import ConfigError, TrainingDivergedError
-from .numerics import log_softmax_rows, softmax_rows
+from .numerics import ce_rows, log_softmax_rows, softmax_rows
 from .schedule import MODES, EpochSchedule, resolve_gamma, target_loss, teacher_targets
 
 METRICS_COLUMNS = (
@@ -114,10 +114,7 @@ def train_teacher(train_ds: Dataset, dims, cfg: TrainConfig, val_ds: Dataset | N
     """Plain cross-entropy training; returns (params, per-epoch metric rows)."""
 
     def ce_loss(epoch, idx, x, y, logits):
-        true_class = (np.arange(len(y)), y)
-        log_s, upstream = log_softmax_rows(logits)
-        loss_sum = float(-log_s[true_class].sum())
-        upstream[true_class] -= 1.0
+        loss_sum, upstream = ce_rows(*log_softmax_rows(logits), y)
         upstream /= len(y)
         return upstream, {"loss_ce": loss_sum}
 
@@ -165,6 +162,8 @@ def distill(
     def teacher_probs(x):
         return softmax_rows(model.forward(teacher, x), cfg.tau)
 
+    gammas = [resolve_gamma(cfg.mode, EpochSchedule(e, cfg.epochs), cfg.fixed_gamma)
+              for e in range(cfg.epochs)]
     m = min(cfg.batch_size, train_ds.n)
     table = None
     if train_ds.n * train_ds.n_classes * 8 <= TARGET_TABLE_BYTES:
@@ -175,10 +174,7 @@ def distill(
             targets, right = table[0][idx], table[1][idx]
         else:
             targets, right = teacher_targets(teacher_probs(x), y, cfg.mode)
-        out = target_loss(
-            logits, targets, right, y, EpochSchedule(epoch, cfg.epochs),
-            cfg.tau, cfg.mode, cfg.fixed_gamma,
-        )
+        out = target_loss(logits, targets, right, y, gammas[epoch], cfg.tau, cfg.mode)
         w = len(y)
         return out.grad, {"loss_total": out.l_all * w, "loss_ce": out.l_ce * w,
                           "loss_easy": out.l_easy * w, "loss_hard": out.l_hard * w,
@@ -186,8 +182,7 @@ def distill(
 
     student, rows = _fit(model.init(student_dims, cfg.seed), train_ds, cfg, val_ds, kd_loss)
     for row in rows:
-        sched = EpochSchedule(row["epoch"], cfg.epochs)
-        row["gamma"] = resolve_gamma(cfg.mode, sched, cfg.fixed_gamma)
+        row["gamma"] = gammas[row["epoch"]]
     return student, rows
 
 

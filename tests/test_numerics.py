@@ -190,6 +190,17 @@ class TestKlRows:
         expected = sum(ti * math.log(ti / si) for ti, si in zip(t[0], [0.5, 0.25, 0.25]))
         assert kl_rows(t, log_probs)[0] == pytest.approx(expected, rel=1e-14)
 
+    @settings(max_examples=200, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 40), k=st.integers(2, 100),
+           scale=st.floats(0.0, 300.0))
+    def test_a_row_does_not_depend_on_the_other_rows(self, seed, n, k, scale):
+        # the loss takes one KL pass over the batch and sums its subsets
+        rng = np.random.default_rng(seed)
+        t = rng.dirichlet(np.ones(k), size=n) * (rng.random((n, k)) > 0.2)
+        log_probs = log_softmax_rows(rng.uniform(-scale, scale, size=(n, k)))[0]
+        mask = rng.random(n) < 0.5
+        assert np.array_equal(kl_rows(t, log_probs)[mask], kl_rows(t[mask], log_probs[mask]))
+
 
 class TestProbVector:
     def test_accepts_sum_within_tolerance(self):

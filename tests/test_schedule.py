@@ -5,9 +5,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from rectidistill import rectify
 from rectidistill.numerics import (
     finite_difference_gradient,
     kl_divergence,
+    kl_rows,
+    log_softmax_rows,
     softmax,
     softmax_rows,
 )
@@ -15,9 +18,11 @@ from rectidistill.rectify import rectify_sample
 from rectidistill.schedule import (
     MODES,
     EpochSchedule,
+    LossBreakdown,
     batch_loss_gradient,
     compute_batch_loss,
     gamma,
+    resolve_gamma,
     teacher_targets,
 )
 
@@ -176,6 +181,86 @@ class TestComputeBatchLoss:
         assert out.n_right + out.n_bias == n
 
 
+def oracle_teacher_targets(teacher_probs, labels, mode):
+    """The loss's targets as the subset-gathering loss read them: biased rows kept in eliminate."""
+    right = np.argmax(teacher_probs, axis=1) == labels
+    if mode in ("vanilla_kd", "eliminate_only") or right.all():
+        return teacher_probs, right
+    bias = ~right
+    stage = rectify.STEP_B if mode == "step_b_ablation" else rectify.STEP_C
+    targets = teacher_probs.copy()
+    targets[bias] = rectify.rectify_rows(teacher_probs[bias], labels[bias], stage)
+    return targets, right
+
+
+def oracle_loss(student_logits, teacher_probs, labels, sched, tau, mode, fixed_gamma):
+    """Oracle: the loss with one KL per index-gathered subset and per-subset gradient terms."""
+    targets, right = oracle_teacher_targets(teacher_probs, labels, mode)
+    n = labels.shape[0]
+    rows = np.arange(n)
+    g = resolve_gamma(mode, sched, fixed_gamma)
+    log_s, s = log_softmax_rows(student_logits, tau)
+    right_rows, bias = rows[right], rows[~right]
+
+    l_ce = float(-log_s[rows, labels].mean())
+    onehot = np.zeros_like(s)
+    onehot[rows, labels] = 1.0
+    grad = (1.0 - g) / n * (s - onehot) / tau
+
+    if mode in ("vanilla_kd", "rectify_only"):
+        l_easy = float(kl_rows(targets, log_s).mean())
+        l_hard = 0.0
+        grad += (s - targets) / (tau * n)
+    else:
+        l_easy = 0.0
+        if right_rows.size:
+            easy_targets = targets[right_rows]
+            l_easy = float(kl_rows(easy_targets, log_s[right_rows]).sum() / n)
+            grad[right_rows] += (1.0 - g) / n * (s[right_rows] - easy_targets) / tau
+        if mode == "eliminate_only" or not bias.size:
+            l_hard = 0.0
+        else:
+            hard_targets = targets[bias]
+            l_hard = float(kl_rows(hard_targets, log_s[bias]).sum() / n)
+            if g != 0.0:
+                mass = hard_targets.sum(axis=1, keepdims=True)
+                grad[bias] += g / n * (mass * s[bias] - hard_targets) / tau
+
+    l_all = (1.0 - g) * (l_ce + l_easy) + g * l_hard
+    return LossBreakdown(l_ce=l_ce, l_easy=l_easy, l_hard=l_hard, gamma=g, l_all=l_all,
+                         n_right=int(right_rows.size), n_bias=int(bias.size), grad=grad)
+
+
+class TestAgainstTheGatheringOracle:
+    @settings(max_examples=300, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        n=st.integers(1, 40),
+        k=st.integers(2, 100),
+        mode=st.sampled_from(MODES),
+        tau=st.floats(0.1, 3.0),
+        scale=st.floats(0.0, 300.0),
+        all_right=st.sampled_from([True, False, False, False, False]),
+        total_epochs=st.integers(1, 60),
+        epoch_frac=st.floats(0.0, 1.0, exclude_max=True),
+        fixed_gamma=st.sampled_from([0.0, 0.37, 0.99]),
+    )
+    def test_bit_for_bit(self, seed, n, k, mode, tau, scale, all_right, total_epochs,
+                         epoch_frac, fixed_gamma):
+        # one weighted KL pass and a zeroed eliminate target give every bit the
+        # subset-gathering loss gave; epoch 0 (gamma 0) included
+        rng = np.random.default_rng(seed)
+        logits = rng.uniform(-scale, scale, size=(n, k))
+        teacher = rng.dirichlet(np.ones(k), size=n)
+        labels = np.argmax(teacher, axis=1) if all_right else rng.integers(0, k, size=n)
+        sched = EpochSchedule(int(epoch_frac * total_epochs), total_epochs)
+        got = compute_batch_loss(logits, teacher, labels, sched, tau, mode, fixed_gamma)
+        want = oracle_loss(logits, teacher, labels, sched, tau, mode, fixed_gamma)
+        assert np.array_equal(got.grad, want.grad)
+        for field in ("l_ce", "l_easy", "l_hard", "gamma", "l_all", "n_right", "n_bias"):
+            assert getattr(got, field) == getattr(want, field), field
+
+
 class TestTeacherTargets:
     @settings(max_examples=100, deadline=None)
     @given(
@@ -208,6 +293,7 @@ class TestTeacherTargets:
         ("rectify_only", [0.6 * 0.8 / 0.9, 0.3 * 0.8 / 0.9, 0.2]),
         ("step_b_ablation", [0.6, 0.3, 0.2]),  # step b: over-sums by 0.1
         ("vanilla_kd", [0.2, 0.6, 0.2]),  # never rectified
+        ("eliminate_only", [0.0, 0.0, 0.0]),  # eliminated: zero KL, zero gradient term
     ])
     def test_biased_rows_take_their_mode_s_target(self, mode, want):
         probs = np.array([[0.2, 0.6, 0.2], [0.7, 0.2, 0.1]])
