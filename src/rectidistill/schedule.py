@@ -14,22 +14,25 @@ is small and destabilizes the end of training, where gamma -> 1.
 
 A sample carries right knowledge when the teacher's argmax matches its
 label (ties broken toward the lowest class index, everywhere). The loss
-is a per-sample weighting: right rows are distilled with weight
-(1 - gamma) / n, rectified biased rows with gamma / n, and eliminated
-rows with 0. ``target_loss`` takes one KL pass over the whole batch;
-l_easy and l_hard are the sums of that vector over the right and the
-biased rows, and the KL gradient is one weighted term per row. A row's
+is a per-sample weighting in two weight classes: easy rows are distilled
+with weight (1 - gamma) / n and hard rows with gamma / n. In the masked
+modes the hard rows are the biased ones, rectified or, in
+``eliminate_only``, given a zero target, so that their KL and gradient
+term are exactly 0. In ``vanilla_kd`` and ``rectify_only`` every row is
+easy, and gamma is 0. ``target_loss`` takes one KL pass over the whole
+batch; l_easy and l_hard are the sums of that vector over the easy and
+the hard rows, and the KL gradient is one weighted term per row. A row's
 KL does not depend on the other rows of the batch, so the sums see the
 same values, in the same order, as KL passes over each subset would.
 
-The batched core is two steps. ``teacher_targets`` partitions the rows
-and rectifies all biased ones in one array operation, or, in
-``eliminate_only``, sets their targets to zero, so that their KL and
-gradient term are exactly 0; it reads only the teacher and the labels,
-and each output row depends only on its own input row, so
+The batched core is two steps. ``teacher_targets`` partitions the rows,
+decides each row's weight class once and rectifies or eliminates all
+biased ones in one array operation; it reads only the teacher and the
+labels, and each output row depends only on its own input row, so
 ``train.distill`` can compute it once per training row. ``target_loss``
 returns the loss terms together with their gradient w.r.t. the logits, at
-the epoch's gamma, which the caller resolves (``resolve_gamma``).
+the epoch's gamma, which the caller resolves (``resolve_gamma``); it
+reads the weight classes, not the mode.
 ``compute_batch_loss`` is the two composed. None of them checks its
 inputs, each checked once where it enters: ``tau``, ``mode`` and
 ``fixed_gamma`` by ``TrainConfig``, labels by the data loaders, the
@@ -88,10 +91,7 @@ class LossBreakdown:
     l_ce: float
     l_easy: float
     l_hard: float
-    gamma: float
     l_all: float
-    n_right: int
-    n_bias: int
     grad: np.ndarray  # d l_all / d student logits, shape (n, k)
 
 
@@ -105,35 +105,39 @@ def resolve_gamma(mode: str, sched, fixed_gamma) -> float:
 
 
 def teacher_targets(teacher_probs, labels, mode: str):
-    """Partition rows by the teacher's argmax and rectify or eliminate the biased ones.
+    """Partition rows by the teacher's argmax, decide their weight class, rectify or eliminate.
 
-    Returns ``(targets, right)``: ``right`` marks the rows whose argmax is
-    the label; ``targets`` holds the teacher rows, with every other row
-    rectified to step c (step b in ``step_b_ablation``), or all zeros in
+    Returns ``(targets, right, hard)``: ``right`` marks the rows whose
+    argmax is the label; ``hard`` marks the rows the loss weights with
+    gamma, ``~right`` in the masked modes and none in ``vanilla_kd`` and
+    ``rectify_only``, which distill every row as easy knowledge.
+    ``targets`` holds the teacher rows, with every other row rectified to
+    step c (step b in ``step_b_ablation``), or all zeros in
     ``eliminate_only``, so that its KL and gradient term are exactly 0.
     ``vanilla_kd``, and batches without a biased row, get ``teacher_probs``
     itself back, uncopied. Every output row depends only on its own input
     row and label.
     """
     right = np.argmax(teacher_probs, axis=1) == labels
-    if mode == "vanilla_kd" or right.all():
-        return teacher_probs, right
     bias = ~right
+    hard = np.zeros_like(right) if mode in ("vanilla_kd", "rectify_only") else bias
+    if mode == "vanilla_kd" or right.all():
+        return teacher_probs, right, hard
     targets = teacher_probs.copy()
     if mode == "eliminate_only":
         targets[bias] = 0.0
     else:
         stage = rectify.STEP_B if mode == "step_b_ablation" else rectify.STEP_C
         targets[bias] = rectify.rectify_rows(teacher_probs[bias], labels[bias], stage)
-    return targets, right
+    return targets, right, hard
 
 
-def target_loss(student_logits, targets, right, labels, g: float, tau: float,
-                mode: str) -> LossBreakdown:
+def target_loss(student_logits, targets, hard, labels, g: float, tau: float) -> LossBreakdown:
     """Loss components, the assembled total and its logit gradient at gamma ``g``.
 
-    ``targets`` and ``right`` are what ``teacher_targets`` returns for
-    these rows and this mode.
+    ``targets`` and ``hard`` are what ``teacher_targets`` returns for these
+    rows. Easy rows (``~hard``) are weighted (1 - g) / n and make up
+    l_easy, hard rows g / n and make up l_hard.
     """
     n = labels.shape[0]
     log_s, s = log_softmax_rows(student_logits, tau)
@@ -141,59 +145,41 @@ def target_loss(student_logits, targets, right, labels, g: float, tau: float,
     grad *= (1.0 - g) / n
     grad /= tau
     kl = kl_rows(targets, log_s)
-    if mode in ("vanilla_kd", "rectify_only"):
-        # one unmasked KL: raw teacher rows, or rectified biased rows. Its
-        # 1/(tau n) is one division; as w / tau it would round differently
-        # at tau != 1 or n not a power of two.
-        l_easy = float(kl.mean())
-        l_hard = 0.0
-        grad += (s - targets) / (tau * n)
-    else:
-        l_easy = float(kl[right].sum() / n)
-        l_hard = float(kl[~right].sum() / n)
-        # per-row weights: (1 - g)/n right, g/n biased (0 when eliminated).
-        # A teacher row sums to 1 only within rounding, so a right row's mass
-        # is exactly 1; a step-b row's is its sum, which exceeds 1.
-        w = np.where(right, (1.0 - g) / n, g / n)[:, None]
-        mass = np.where(right, 1.0, targets.sum(axis=1))[:, None]
-        grad += w * (mass * s - targets) / tau
+    l_easy = float(kl[~hard].sum() / n)
+    l_hard = float(kl[hard].sum() / n)
+    # A teacher or step-c row sums to 1 only within rounding, so an easy
+    # row's mass is exactly 1; a hard row's is its target's sum (0 when
+    # eliminated, above 1 at step b).
+    w = np.where(hard, g / n, (1.0 - g) / n)[:, None]
+    mass = np.where(hard, targets.sum(axis=1), 1.0)[:, None]
+    grad += w * (mass * s - targets) / tau
 
     l_ce = ce_sum / n
     l_all = (1.0 - g) * (l_ce + l_easy) + g * l_hard
-    n_right = int(right.sum())
-    return LossBreakdown(
-        l_ce=l_ce,
-        l_easy=l_easy,
-        l_hard=l_hard,
-        gamma=g,
-        l_all=l_all,
-        n_right=n_right,
-        n_bias=n - n_right,
-        grad=grad,
-    )
+    return LossBreakdown(l_ce=l_ce, l_easy=l_easy, l_hard=l_hard, l_all=l_all, grad=grad)
 
 
 def compute_batch_loss(
     student_logits,
     teacher_probs,
     labels,
-    sched: EpochSchedule | None = None,
+    sched: EpochSchedule,
     tau: float = 1.0,
     mode: str = "full",
     fixed_gamma: float | None = None,
 ) -> LossBreakdown:
     """Per-batch loss components, the assembled total and its logit gradient."""
     labels = np.asarray(labels, dtype=np.int64)
-    targets, right = teacher_targets(np.asarray(teacher_probs, dtype=np.float64), labels, mode)
+    targets, _, hard = teacher_targets(np.asarray(teacher_probs, dtype=np.float64), labels, mode)
     g = resolve_gamma(mode, sched, fixed_gamma)
-    return target_loss(student_logits, targets, right, labels, g, tau, mode)
+    return target_loss(student_logits, targets, hard, labels, g, tau)
 
 
 def batch_loss_gradient(
     student_logits,
     teacher_probs,
     labels,
-    sched: EpochSchedule | None = None,
+    sched: EpochSchedule,
     tau: float = 1.0,
     mode: str = "full",
     fixed_gamma: float | None = None,

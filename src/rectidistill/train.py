@@ -122,7 +122,7 @@ def train_teacher(train_ds: Dataset, dims, cfg: TrainConfig, val_ds: Dataset | N
 
 
 def _target_table(train_ds: Dataset, m: int, teacher_probs, mode: str):
-    """Every training row's target and right flag from m-row teacher forwards, or None.
+    """Every training row's ``teacher_targets`` from m-row teacher forwards, or None.
 
     A matmul's bits can depend on its row count, and on a row's position
     among those rows: OpenBLAS computes trailing rows with an edge kernel,
@@ -171,14 +171,14 @@ def distill(
 
     def kd_loss(epoch, idx, x, y, logits):
         if table is not None and len(idx) == m:
-            targets, right = table[0][idx], table[1][idx]
+            targets, right, hard = (column[idx] for column in table)
         else:
-            targets, right = teacher_targets(teacher_probs(x), y, cfg.mode)
-        out = target_loss(logits, targets, right, y, gammas[epoch], cfg.tau, cfg.mode)
+            targets, right, hard = teacher_targets(teacher_probs(x), y, cfg.mode)
+        out = target_loss(logits, targets, hard, y, gammas[epoch], cfg.tau)
         w = len(y)
         return out.grad, {"loss_total": out.l_all * w, "loss_ce": out.l_ce * w,
                           "loss_easy": out.l_easy * w, "loss_hard": out.l_hard * w,
-                          "teacher_right_fraction": out.n_right}
+                          "teacher_right_fraction": int(right.sum())}
 
     student, rows = _fit(model.init(student_dims, cfg.seed), train_ds, cfg, val_ds, kd_loss)
     for row in rows:

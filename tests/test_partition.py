@@ -1,8 +1,8 @@
 """The right/bias partition as the batch loss core applies it.
 
 A sample carries right knowledge when the teacher argmax equals its label,
-ties broken toward the lowest class index; ``compute_batch_loss`` reports
-the two subset sizes as ``n_right`` and ``n_bias``.
+ties broken toward the lowest class index; ``teacher_targets`` returns the
+split as its ``right`` mask.
 """
 
 import numpy as np
@@ -12,14 +12,13 @@ from hypothesis import strategies as st
 
 from rectidistill.numerics import kl_divergence, softmax
 from rectidistill.rectify import rectify_sample
-from rectidistill.schedule import EpochSchedule, compute_batch_loss
+from rectidistill.schedule import EpochSchedule, compute_batch_loss, teacher_targets
 
 
 def split_sizes(teacher, labels):
     teacher = np.asarray(teacher, dtype=np.float64)
-    logits = np.zeros_like(teacher)
-    out = compute_batch_loss(logits, teacher, labels, EpochSchedule(1, 2), mode="full")
-    return out.n_right, out.n_bias
+    right = teacher_targets(teacher, np.asarray(labels, dtype=np.int64), "full")[1]
+    return int(right.sum()), int((~right).sum())
 
 
 def test_mask_direct_argmax():
@@ -45,7 +44,7 @@ def test_split_preserves_order():
     s = [softmax(z) for z in logits]
     l_easy = (kl_divergence(teacher[0], s[0]) + kl_divergence(teacher[2], s[2])) / 3
     l_hard = kl_divergence(rectify_sample(teacher[1], 2).values, s[1]) / 3
-    assert (out.n_right, out.n_bias) == (2, 1)
+    assert teacher_targets(teacher, labels, "full")[1].tolist() == [True, False, True]
     assert out.l_easy == pytest.approx(l_easy, abs=1e-12)
     assert out.l_hard == pytest.approx(l_hard, abs=1e-12)
 
@@ -89,5 +88,7 @@ def test_mask_is_deterministic():
     logits = rng.normal(size=(32, 4))
     a = compute_batch_loss(logits, probs, labels, EpochSchedule(1, 2))
     b = compute_batch_loss(logits, probs, labels, EpochSchedule(1, 2))
-    assert (a.n_right, a.l_all) == (b.n_right, b.l_all)
+    assert np.array_equal(teacher_targets(probs, labels, "full")[1],
+                          teacher_targets(probs, labels, "full")[1])
+    assert a.l_all == b.l_all
     assert np.array_equal(a.grad, b.grad)

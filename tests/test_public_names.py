@@ -5,6 +5,11 @@ or docstring) anywhere under ``src/`` or ``scripts/``, or in
 ``tests/test_acceptance.py``, other than at its own definition. A name that
 only the other tests reach is test-only code: move it into the tests that
 need it, or delete it.
+
+The same holds for the annotated fields of the package's public classes
+(its dataclasses): each must be read as an attribute (``obj.field`` in a
+load, not only assigned) somewhere in those files. A field that only the
+other tests read is filled on every call for nothing.
 """
 
 import ast
@@ -40,6 +45,23 @@ def referenced_names(path: Path) -> set[str]:
     return names
 
 
+def public_fields(path: Path) -> set[tuple[str, str]]:
+    fields = set()
+    for node in ast.parse(path.read_text()).body:
+        if isinstance(node, ast.ClassDef) and not node.name.startswith("_"):
+            fields.update(
+                (node.name, item.target.id) for item in node.body
+                if isinstance(item, ast.AnnAssign) and isinstance(item.target, ast.Name)
+                and not item.target.id.startswith("_")
+            )
+    return fields
+
+
+def attribute_reads(path: Path) -> set[str]:
+    return {node.attr for node in ast.walk(ast.parse(path.read_text()))
+            if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)}
+
+
 def test_every_public_name_is_used_outside_the_unit_tests():
     used = set().union(*(referenced_names(path) for path in USERS))
     unused = sorted(
@@ -55,3 +77,21 @@ def test_a_docstring_mention_does_not_count(tmp_path):
     source.write_text('"""helper is documented here."""\n\ndef helper():\n    pass\n')
     assert public_names(source) == {"helper"}
     assert "helper" not in referenced_names(source)
+
+
+def test_every_public_field_is_read_outside_the_unit_tests():
+    read = set().union(*(attribute_reads(path) for path in USERS))
+    unread = sorted(
+        f"{path.stem}.{cls}.{field}"
+        for path in sorted(PACKAGE.glob("*.py"))
+        for cls, field in public_fields(path)
+        if field not in read
+    )
+    assert unread == []
+
+
+def test_an_assignment_does_not_count_as_a_read(tmp_path):
+    source = tmp_path / "mod.py"
+    source.write_text("class Box:\n    size: int\n\ndef fill(box):\n    box.size = 3\n")
+    assert public_fields(source) == {("Box", "size")}
+    assert "size" not in attribute_reads(source)

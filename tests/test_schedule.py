@@ -57,7 +57,7 @@ class TestComputeBatchLoss:
         sched = EpochSchedule(1, 2)  # gamma = 0.5
         out = compute_batch_loss(logits, teacher, labels, sched, mode="full")
         assert out.l_hard == 0.0
-        assert out.n_bias == 0
+        assert not teacher_targets(teacher, labels, "full")[2].any()
         assert out.l_all == pytest.approx(0.5 * (out.l_ce + out.l_easy), abs=1e-12)
 
     def test_global_optimum_is_zero(self):
@@ -101,38 +101,43 @@ class TestComputeBatchLoss:
         assert out.l_easy == pytest.approx(l_easy, abs=1e-12)
         assert out.l_hard == pytest.approx(l_hard, abs=1e-12)
         assert out.l_all == pytest.approx(0.5 * (l_ce + l_easy) + 0.5 * l_hard, abs=1e-12)
-        assert (out.n_right, out.n_bias) == (1, 1)
+        assert teacher_targets(teacher, labels, "full")[1].tolist() == [True, False]
 
     def test_eliminate_only_forces_gamma_zero(self):
         rng = np.random.default_rng(1)
         logits, teacher, labels = _random_batch(rng, 8, 4)
-        out = compute_batch_loss(logits, teacher, labels, mode="eliminate_only")
-        assert out.gamma == 0.0
+        sched = EpochSchedule(30, 60)
+        out = compute_batch_loss(logits, teacher, labels, sched, mode="eliminate_only")
+        assert resolve_gamma("eliminate_only", sched, None) == 0.0
+        assert out.l_all == out.l_ce + out.l_easy
         assert out.l_hard == 0.0
 
     def test_eliminate_only_equals_full_at_gamma_zero(self):
         rng = np.random.default_rng(2)
         logits, teacher, labels = _random_batch(rng, 10, 4)
         a = compute_batch_loss(logits, teacher, labels, EpochSchedule(0, 60), mode="full")
-        b = compute_batch_loss(logits, teacher, labels, mode="eliminate_only")
+        b = compute_batch_loss(logits, teacher, labels, EpochSchedule(30, 60),
+                               mode="eliminate_only")
         assert a.l_all == pytest.approx(b.l_all, abs=1e-12)
         assert a.l_ce == b.l_ce and a.l_easy == b.l_easy
 
     def test_vanilla_is_unmasked_loss(self):
         rng = np.random.default_rng(3)
         logits, teacher, labels = _random_batch(rng, 5, 3)
-        out = compute_batch_loss(logits, teacher, labels, mode="vanilla_kd")
+        sched = EpochSchedule(30, 60)
+        out = compute_batch_loss(logits, teacher, labels, sched, mode="vanilla_kd")
         expected = np.mean(
             [kl_divergence(t, softmax(z)) for t, z in zip(teacher, logits)]
         )
         assert out.l_easy == pytest.approx(expected, abs=1e-12)
-        assert out.gamma == 0.0 and out.l_hard == 0.0
+        assert resolve_gamma("vanilla_kd", sched, None) == 0.0 and out.l_hard == 0.0
+        assert out.l_all == out.l_ce + out.l_easy
 
     def test_vanilla_equals_full_gamma_zero_for_perfect_teacher(self):
         rng = np.random.default_rng(4)
         logits, teacher, _ = _random_batch(rng, 6, 3)
         labels = np.argmax(teacher, axis=1)
-        a = compute_batch_loss(logits, teacher, labels, mode="vanilla_kd")
+        a = compute_batch_loss(logits, teacher, labels, EpochSchedule(30, 60), mode="vanilla_kd")
         b = compute_batch_loss(logits, teacher, labels, EpochSchedule(0, 60), mode="full")
         assert a.l_all == pytest.approx(b.l_all, abs=1e-12)
 
@@ -152,10 +157,16 @@ class TestComputeBatchLoss:
         # TrainConfig rejects a missing value (tests/test_train.py); the loss uses it
         rng = np.random.default_rng(5)
         logits, teacher, labels = _random_batch(rng, 4, 3)
+        sched = EpochSchedule(30, 60)
         out = compute_batch_loss(
-            logits, teacher, labels, mode="fixed_gamma", fixed_gamma=0.5
+            logits, teacher, labels, sched, mode="fixed_gamma", fixed_gamma=0.5
         )
-        assert out.gamma == 0.5
+        assert resolve_gamma("fixed_gamma", sched, 0.5) == 0.5
+        assert out.l_all == 0.5 * (out.l_ce + out.l_easy) + 0.5 * out.l_hard
+
+    def test_a_schedule_is_required(self):
+        with pytest.raises(TypeError):
+            compute_batch_loss(np.zeros((2, 3)), np.full((2, 3), 1 / 3), np.array([0, 1]))
 
     @settings(max_examples=100, deadline=None)
     @given(
@@ -168,17 +179,17 @@ class TestComputeBatchLoss:
     def test_loss_identity_holds(self, seed, n, k, mode, epoch):
         rng = np.random.default_rng(seed)
         logits, teacher, labels = _random_batch(rng, n, k)
-        out = compute_batch_loss(
-            logits, teacher, labels,
-            EpochSchedule(epoch, 60), mode=mode,
-            fixed_gamma=0.5 if mode == "fixed_gamma" else None,
-        )
+        sched = EpochSchedule(epoch, 60)
+        fixed = 0.5 if mode == "fixed_gamma" else None
+        out = compute_batch_loss(logits, teacher, labels, sched, mode=mode, fixed_gamma=fixed)
+        g = resolve_gamma(mode, sched, fixed)
         lhs = out.l_all
-        rhs = (1 - out.gamma) * (out.l_ce + out.l_easy) + out.gamma * out.l_hard
+        rhs = (1 - g) * (out.l_ce + out.l_easy) + g * out.l_hard
         assert lhs == pytest.approx(rhs, abs=1e-12)
         assert out.l_ce >= 0 and out.l_easy >= -1e-12 and out.l_hard >= -1e-12
-        assert out.n_right == np.sum(np.argmax(teacher, axis=1) == labels)
-        assert out.n_right + out.n_bias == n
+        _, right, hard = teacher_targets(teacher, labels, mode)
+        assert right.sum() == np.sum(np.argmax(teacher, axis=1) == labels)
+        assert not (hard & right).any()
 
 
 def oracle_teacher_targets(teacher_probs, labels, mode):
@@ -210,7 +221,7 @@ def oracle_loss(student_logits, teacher_probs, labels, sched, tau, mode, fixed_g
     if mode in ("vanilla_kd", "rectify_only"):
         l_easy = float(kl_rows(targets, log_s).mean())
         l_hard = 0.0
-        grad += (s - targets) / (tau * n)
+        grad += (1.0 / n) * (s - targets) / tau
     else:
         l_easy = 0.0
         if right_rows.size:
@@ -227,8 +238,7 @@ def oracle_loss(student_logits, teacher_probs, labels, sched, tau, mode, fixed_g
                 grad[bias] += g / n * (mass * s[bias] - hard_targets) / tau
 
     l_all = (1.0 - g) * (l_ce + l_easy) + g * l_hard
-    return LossBreakdown(l_ce=l_ce, l_easy=l_easy, l_hard=l_hard, gamma=g, l_all=l_all,
-                         n_right=int(right_rows.size), n_bias=int(bias.size), grad=grad)
+    return LossBreakdown(l_ce=l_ce, l_easy=l_easy, l_hard=l_hard, l_all=l_all, grad=grad)
 
 
 class TestAgainstTheGatheringOracle:
@@ -257,8 +267,35 @@ class TestAgainstTheGatheringOracle:
         got = compute_batch_loss(logits, teacher, labels, sched, tau, mode, fixed_gamma)
         want = oracle_loss(logits, teacher, labels, sched, tau, mode, fixed_gamma)
         assert np.array_equal(got.grad, want.grad)
-        for field in ("l_ce", "l_easy", "l_hard", "gamma", "l_all", "n_right", "n_bias"):
+        for field in ("l_ce", "l_easy", "l_hard", "l_all"):
             assert getattr(got, field) == getattr(want, field), field
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        log2_n=st.integers(0, 6),
+        k=st.integers(2, 100),
+        mode=st.sampled_from(["vanilla_kd", "rectify_only"]),
+        tau=st.floats(0.1, 3.0),
+        scale=st.floats(0.0, 300.0),
+    )
+    def test_unmasked_modes_keep_their_bits_at_power_of_two_batches(self, seed, log2_n, k,
+                                                                     mode, tau, scale):
+        # (1/n) * x / tau and x / (tau * n) round alike when n is a power of
+        # two, so every batch of the benchmark's sizes keeps its bits
+        n = 2**log2_n
+        rng = np.random.default_rng(seed)
+        logits = rng.uniform(-scale, scale, size=(n, k))
+        teacher = rng.dirichlet(np.ones(k), size=n)
+        labels = rng.integers(0, k, size=n)
+        got = compute_batch_loss(logits, teacher, labels, EpochSchedule(0, 1), tau, mode)
+        targets, _ = oracle_teacher_targets(teacher, labels, mode)
+        log_s, s = log_softmax_rows(logits, tau)
+        onehot = np.zeros_like(s)
+        onehot[np.arange(n), labels] = 1.0
+        want = 1.0 / n * (s - onehot) / tau
+        want += (s - targets) / (tau * n)
+        assert np.array_equal(got.grad, want)
 
 
 class TestTeacherTargets:
@@ -277,15 +314,15 @@ class TestTeacherTargets:
         probs = rng.dirichlet(np.ones(k), size=n)
         labels = rng.integers(0, k, size=n)
         idx = rng.integers(0, n, size=m)
-        whole, whole_right = teacher_targets(probs, labels, mode)
-        part, part_right = teacher_targets(probs[idx], labels[idx], mode)
-        assert np.array_equal(whole[idx], part)
-        assert np.array_equal(whole_right[idx], part_right)
+        whole = teacher_targets(probs, labels, mode)
+        part = teacher_targets(probs[idx], labels[idx], mode)
+        for whole_column, part_column in zip(whole, part):
+            assert np.array_equal(whole_column[idx], part_column)
 
     @pytest.mark.parametrize("mode", MODES)
     def test_copies_nothing_without_a_biased_row(self, mode):
         probs = np.array([[0.7, 0.2, 0.1], [0.1, 0.1, 0.8]])
-        targets, right = teacher_targets(probs, np.array([0, 2]), mode)
+        targets, right, _ = teacher_targets(probs, np.array([0, 2]), mode)
         assert targets is probs and right.all()
 
     @pytest.mark.parametrize("mode,want", [
@@ -297,7 +334,7 @@ class TestTeacherTargets:
     ])
     def test_biased_rows_take_their_mode_s_target(self, mode, want):
         probs = np.array([[0.2, 0.6, 0.2], [0.7, 0.2, 0.1]])
-        targets, right = teacher_targets(probs, np.array([0, 0]), mode)
+        targets, right, _ = teacher_targets(probs, np.array([0, 0]), mode)
         assert right.tolist() == [False, True]
         np.testing.assert_allclose(targets[0], want, rtol=1e-15)
         assert np.array_equal(targets[1], probs[1])

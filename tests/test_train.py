@@ -9,7 +9,7 @@ from rectidistill import model, train as train_module
 from rectidistill.data import batch_iter, make_blobs
 from rectidistill.errors import ConfigError
 from rectidistill.numerics import log_softmax_rows, softmax_rows
-from rectidistill.schedule import MODES, EpochSchedule, compute_batch_loss
+from rectidistill.schedule import MODES, EpochSchedule, compute_batch_loss, resolve_gamma
 from rectidistill.train import (
     METRICS_COLUMNS,
     TEACHER_METRICS_COLUMNS,
@@ -78,7 +78,6 @@ def two_loop_distill(teacher, student_dims, train_ds, cfg, val_ds):
         sched = EpochSchedule(epoch=epoch, total_epochs=cfg.epochs)
         sums = {"loss_total": 0.0, "loss_ce": 0.0, "loss_easy": 0.0, "loss_hard": 0.0}
         n_right = 0
-        epoch_gamma = 0.0
         for idx in batch_iter(train_ds, cfg.batch_size, cfg.seed, epoch):
             x, y = train_ds.features[idx], train_ds.labels[idx]
             teacher_probs = softmax_rows(model.forward(teacher, x), cfg.tau)
@@ -90,11 +89,10 @@ def two_loop_distill(teacher, student_dims, train_ds, cfg, val_ds):
             for key, value in (("loss_total", breakdown.l_all), ("loss_ce", breakdown.l_ce),
                                ("loss_easy", breakdown.l_easy), ("loss_hard", breakdown.l_hard)):
                 sums[key] += value * len(idx)
-            n_right += breakdown.n_right
-            epoch_gamma = breakdown.gamma
+            n_right += int(np.sum(np.argmax(teacher_probs, axis=1) == y))
         rows.append({
             "epoch": epoch,
-            "gamma": epoch_gamma,
+            "gamma": resolve_gamma(cfg.mode, sched, cfg.fixed_gamma),
             **{key: value / train_ds.n for key, value in sums.items()},
             "train_acc": model.evaluate(student, train_ds.features, train_ds.labels),
             "val_acc": model.evaluate(student, val_ds.features, val_ds.labels),
