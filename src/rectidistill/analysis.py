@@ -23,8 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import atomic_write
-from .errors import InvalidInputError, RectifyNotApplicableError
+from .errors import InvalidInputError
 from .rectify import rectify_sample
 
 VERDICT_BETWEEN = "between"
@@ -84,7 +83,7 @@ def descend(targets) -> np.ndarray:
 def rectified_kl_target(setup: TwoClassSetup) -> tuple[float, float]:
     """Step b + c rectification of the wrong two-class teacher pair."""
     if setup.t_a >= 0.5:
-        raise RectifyNotApplicableError(
+        raise InvalidInputError(
             f"teacher is not wrong at t_a={setup.t_a}; rectification needs t_a < 0.5"
         )
     rect = rectify_sample(np.array([setup.t_a, setup.t_b]), label=0)
@@ -121,9 +120,3 @@ def sweep(t_a_values) -> list[SweepRow]:
         )
     return rows
 
-
-def write_sweep_csv(rows: list[SweepRow], path) -> None:
-    with atomic_write(path) as fh:
-        fh.write("t_a,s_unrect,s_rect,s_ce_only,verdict\n")
-        for r in rows:
-            fh.write(f"{r.t_a!r},{r.s_unrect!r},{r.s_rect!r},{r.s_ce_only!r},{r.verdict}\n")

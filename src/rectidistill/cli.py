@@ -25,7 +25,7 @@ import sys
 import numpy as np
 
 from . import analysis, model, train
-from .data import Dataset, atomic_write, load_csv, make_blobs, save_csv
+from .data import Dataset, atomic_write, load_csv, make_blobs, save_csv, write_table
 from .errors import ConfigError, RectiDistillError
 
 EXIT_OK = 0
@@ -175,7 +175,8 @@ def _train_config(cfg: dict, **extra) -> train.TrainConfig:
 
 
 def cmd_gen_data(cfg: dict) -> int:
-    for key, low in (("classes", 2), ("per-class", 1), ("val-per-class", 1), ("dim", 1)):
+    for key, low in (("classes", 2), ("per-class", 1), ("val-per-class", 1), ("dim", 1),
+                     ("seed", 0)):
         if cfg[key] < low:
             raise ConfigError(f"{key} must be >= {low}, got {cfg[key]}")
     if not 0.0 < cfg["spread"] < math.inf:
@@ -206,10 +207,8 @@ def cmd_train_teacher(cfg: dict) -> int:
 
     params, rows = train.train_teacher(train_ds, dims, tc, val_ds)
     model.save_checkpoint(params, os.path.join(cfg["out"], "teacher.ckpt"))
-    train.write_metrics_csv(
-        rows, os.path.join(cfg["out"], "teacher_metrics.csv"),
-        columns=train.TEACHER_METRICS_COLUMNS,
-    )
+    write_table(os.path.join(cfg["out"], "teacher_metrics.csv"), train.TEACHER_METRICS_COLUMNS,
+                [[row[c] for c in train.TEACHER_METRICS_COLUMNS] for row in rows])
     final = rows[-1]
     print(f"teacher train_acc={final['train_acc']:.4f} val_acc={final['val_acc']:.4f}")
     return EXIT_OK
@@ -222,7 +221,8 @@ def cmd_distill(cfg: dict) -> int:
     student, rows = train.distill(teacher, dims, train_ds, tc, val_ds)
     _persist_config(cfg)
     model.save_checkpoint(student, os.path.join(cfg["out"], "student.ckpt"))
-    train.write_metrics_csv(rows, os.path.join(cfg["out"], "metrics.csv"))
+    write_table(os.path.join(cfg["out"], "metrics.csv"), train.METRICS_COLUMNS,
+                [[row[c] for c in train.METRICS_COLUMNS] for row in rows])
     final = rows[-1]
     summary = {
         "mode": cfg["mode"], "seed": cfg["seed"], "epochs": cfg["epochs"],
@@ -254,10 +254,8 @@ def cmd_ablate(cfg: dict) -> int:
     }
 
     _persist_config(cfg)
-    with atomic_write(os.path.join(cfg["out"], "ablation.csv")) as fh:
-        fh.write("seed,mode,val_acc\n")
-        fh.writelines(f"{s},{m},{acc!r}\n" for s, m, acc in results)
-        fh.writelines(f"median,{label},{med!r}\n" for label, med in medians.items())
+    write_table(os.path.join(cfg["out"], "ablation.csv"), ("seed", "mode", "val_acc"),
+                [*results, *(("median", label, med) for label, med in medians.items())])
 
     print(f"{'seed':>6}  {'mode':<7} val_acc")
     for s, m, acc in results:
@@ -279,7 +277,9 @@ def cmd_prop_check(cfg: dict) -> int:
     _persist_config(cfg)
     grid = [round(0.05 * i, 2) for i in range(1, 20)]
     rows = analysis.sweep(grid)
-    analysis.write_sweep_csv(rows, os.path.join(cfg["out"], "sweep.csv"))
+    write_table(os.path.join(cfg["out"], "sweep.csv"),
+                ("t_a", "s_unrect", "s_rect", "s_ce_only", "verdict"),
+                [(r.t_a, r.s_unrect, r.s_rect, r.s_ce_only, r.verdict) for r in rows])
 
     targets = np.array([(row.t_a, 1.0 - row.t_a) for row in rows])
     s_final = analysis.descend(targets)

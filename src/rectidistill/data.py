@@ -2,7 +2,7 @@
 
 CSV schema: header ``label,f0,f1,...``; one sample per row; an integer label, then
 decimal floats. Every parse error names its file line, and every artifact the
-package writes goes through ``atomic_write``.
+package writes goes through ``atomic_write``, every run table through ``write_table``.
 
 ``save_csv`` also writes a sidecar ``<csv>.rows``: the 32-byte sha256 of the CSV's
 bytes, then one ``np.save`` record of the parsed row array. ``load_csv`` reads the
@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DataParseError, InvalidInputError
+from .errors import InvalidInputError
 from .rng import generator
 
 
@@ -88,6 +88,17 @@ def atomic_write(path, mode: str = "w"):
             os.remove(tmp)
 
 
+def write_table(path, columns, rows) -> None:
+    """Atomically write ``columns`` as a header line, then each row's cells in column order.
+
+    A ``str`` cell is written as is, an ``int`` in decimal, anything else as ``repr(float(v))``.
+    """
+    with atomic_write(path) as fh:
+        fh.write(",".join(columns) + "\n")
+        fh.writelines(",".join(v if isinstance(v, str) else str(v) if isinstance(v, int)
+                               else repr(float(v)) for v in row) + "\n" for row in rows)
+
+
 def _row_type(dim: int) -> np.dtype:
     """One parsed CSV row: the label, then the ``dim`` features."""
     return np.dtype([("label", np.int64), ("x", np.float64, (dim,))])
@@ -144,7 +155,7 @@ def _data_lines(fh, path, n_cells: int):
     for lineno, line in enumerate(fh, start=2):
         if line.count(",") != n_cells - 1:
             got = f"{line.count(',') + 1} cells" if line.strip() else "a blank line"
-            raise DataParseError(f"{path}:{lineno}: expected {n_cells} cells, got {got}")
+            raise InvalidInputError(f"{path}:{lineno}: expected {n_cells} cells, got {got}")
         yield line
     if lineno == 1:
         raise InvalidInputError(f"{path}: no data rows")
@@ -160,7 +171,7 @@ def load_csv(path, n_classes: int) -> Dataset:
     with open(path) as fh:
         names = fh.readline().rstrip("\r\n").split(",")
         if len(names) < 2 or names[0] != "label":
-            raise DataParseError(f"{path}:1: header must be 'label,f0,f1,...'")
+            raise InvalidInputError(f"{path}:1: header must be 'label,f0,f1,...'")
         row_type = _row_type(len(names) - 1)
         rows = _sidecar_rows(path, row_type)
         if rows is None:
@@ -171,15 +182,15 @@ def load_csv(path, n_classes: int) -> Dataset:
                 cell = _CELL_ERROR.fullmatch(str(exc))
                 if cell is None:
                     raise
-                raise DataParseError(f"{path}:{int(cell[2]) + 2}: non-numeric cell in column "
-                                     f"{cell[3]}: {cell[1]}") from exc
+                raise InvalidInputError(f"{path}:{int(cell[2]) + 2}: non-numeric cell in column "
+                                        f"{cell[3]}: {cell[1]}") from exc
     labels, features = rows["label"].copy(), np.ascontiguousarray(rows["x"])
     finite = np.isfinite(features).all(axis=1)
     bad = ~finite | (labels < 0) | (labels >= n_classes)
     if bad.any():
         i = int(np.argmax(bad))
         what = f"label {labels[i]} outside [0, {n_classes})" if finite[i] else "non-finite feature"
-        raise DataParseError(f"{path}:{i + 2}: {what}")
+        raise InvalidInputError(f"{path}:{i + 2}: {what}")
     return Dataset(features=features, labels=labels, n_classes=n_classes)
 
 

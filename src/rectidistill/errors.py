@@ -11,25 +11,16 @@ class InvalidInputError(RectiDistillError, ValueError):
     Raised for bad vectors and class indices, layer widths, flat parameter
     vectors, two-class set-ups, a KL with infinite divergence, and a
     function that the finite-difference oracle evaluates to a non-finite
-    value; and for an out-of-range scalar knob: a temperature, a blob
-    spread, class, row or feature counts, or a batch size.
+    value; for an out-of-range scalar knob: a temperature, a blob spread,
+    class, row or feature counts, a batch size, or a missing or negative
+    seed component; for a malformed dataset CSV or checkpoint line, whose
+    message names ``path:line``; and for rectifying a row the teacher
+    already predicts correctly.
     """
-
-
-class RectifyNotApplicableError(RectiDistillError, ValueError):
-    """Rectification requested for a sample the teacher already predicts correctly."""
 
 
 class TrainingDivergedError(RectiDistillError, RuntimeError):
     """Non-finite logits or gradients during optimization."""
-
-
-class CheckpointParseError(RectiDistillError, ValueError):
-    """Malformed checkpoint file; message carries the offending line number."""
-
-
-class DataParseError(RectiDistillError, ValueError):
-    """Malformed dataset CSV; message carries the offending row number."""
 
 
 class ConfigError(RectiDistillError, ValueError):

@@ -27,7 +27,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .data import atomic_write
-from .errors import CheckpointParseError, InvalidInputError
+from .errors import InvalidInputError
 from .rng import generator
 
 _MAGIC = "rectidistill-mlp v1"
@@ -213,7 +213,7 @@ def load_checkpoint(path) -> MlpParams:
         lines = fh.read().splitlines()
 
     def parse_error(lineno: int, msg: str):
-        return CheckpointParseError(f"{path}:{lineno}: {msg}")
+        return InvalidInputError(f"{path}:{lineno}: {msg}")
 
     def floats(lineno: int, expected: int) -> np.ndarray:
         parts = lines[lineno - 1].split()
@@ -263,7 +263,7 @@ def load_checkpoint(path) -> MlpParams:
         raise parse_error(lineno, "trailing content after final layer")
     for prev, nxt in zip(weights[:-1], weights[1:]):
         if nxt.shape[1] != prev.shape[0]:
-            raise CheckpointParseError(
+            raise InvalidInputError(
                 f"{path}: layer widths do not chain ({prev.shape} -> {nxt.shape})"
             )
     return MlpParams(weights=weights, biases=biases)

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidInputError, RectifyNotApplicableError
+from .errors import InvalidInputError
 from .numerics import as_prob_vector
 
 STEP_B = "step_b"
@@ -61,7 +61,7 @@ def rectify_sample(t, label: int, mode: str = STEP_C) -> RectifiedTarget:
     t = as_prob_vector(t)
     a = int(label)
     if a == int(np.argmax(t)):
-        raise RectifyNotApplicableError(f"teacher already predicts the true class {a}")
+        raise InvalidInputError(f"teacher already predicts the true class {a}")
     if not 0 <= a < t.shape[0]:
         raise InvalidInputError(f"true-class index {a} outside [0, {t.shape[0]})")
     return RectifiedTarget(values=rectify_rows(t[None, :], np.array([a]), mode)[0])

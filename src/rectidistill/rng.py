@@ -7,9 +7,13 @@ entropy anywhere: same key, same stream, on any machine.
 
 import numpy as np
 
+from .errors import InvalidInputError
+
 
 def generator(*key: int) -> np.random.Generator:
     """Return a PCG64 generator deterministically keyed by `key`."""
     if not key:
-        raise ValueError("generator() requires at least one seed component")
+        raise InvalidInputError("generator() requires at least one seed component")
+    if min(key) < 0:
+        raise InvalidInputError(f"seed components must be >= 0, got {key}")
     return np.random.Generator(np.random.PCG64(np.random.SeedSequence(list(key))))

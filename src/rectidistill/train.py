@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import model
-from .data import Dataset, atomic_write, batch_iter
+from .data import Dataset, batch_iter
 from .errors import ConfigError, TrainingDivergedError
 from .numerics import ce_rows, log_softmax_rows, softmax_rows
 from .schedule import MODES, EpochSchedule, resolve_gamma, target_loss, teacher_targets
@@ -57,6 +57,8 @@ class TrainConfig:
             raise ConfigError(f"momentum must lie in [0, 1), got {self.momentum}")
         if self.epochs < 1 or self.batch_size < 1:
             raise ConfigError("epochs and batch size must be >= 1")
+        if self.seed < 0:
+            raise ConfigError(f"seed must be >= 0, got {self.seed}")
         if not 0.0 < self.tau < math.inf:
             raise ConfigError(f"temperature must be finite and > 0, got {self.tau}")
         if self.mode not in MODES:
@@ -68,8 +70,10 @@ class TrainConfig:
 
 # A diverging run is reported once, as the non-finite logits or logit
 # gradients checked below, not also as numpy's overflow warnings on the way
-# there. Parameter gradients are not checked: an overflow in the backward pass
-# makes the parameters, and so the next batch's logits, non-finite.
+# there; ``distill`` fills its target table under the same errstate, since a
+# tiny tau overflows the teacher's logits / tau there first. Parameter
+# gradients are not checked: an overflow in the backward pass makes the
+# parameters, and so the next batch's logits, non-finite.
 @np.errstate(over="ignore", invalid="ignore")
 def _fit(params: model.MlpParams, train_ds: Dataset, cfg: TrainConfig, val_ds, batch_loss):
     """The one SGD loop: trains ``params`` in place; returns (params, per-epoch rows).
@@ -121,6 +125,7 @@ def train_teacher(train_ds: Dataset, dims, cfg: TrainConfig, val_ds: Dataset | N
     return _fit(model.init(dims, cfg.seed), train_ds, cfg, val_ds, ce_loss)
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def _target_table(train_ds: Dataset, m: int, teacher_probs, mode: str):
     """Every training row's ``teacher_targets`` from m-row teacher forwards, or None.
 
@@ -185,12 +190,3 @@ def distill(
         row["gamma"] = gammas[row["epoch"]]
     return student, rows
 
-
-def write_metrics_csv(rows, path, columns=METRICS_COLUMNS) -> None:
-    """Deterministic decimal-text CSV, fixed column order."""
-    with atomic_write(path) as fh:
-        fh.write(",".join(columns) + "\n")
-        for row in rows:
-            values = (row[col] for col in columns)
-            fh.write(",".join(str(v) if isinstance(v, int) else repr(float(v)) for v in values))
-            fh.write("\n")

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rectidistill import analysis
+from rectidistill import analysis, cli
 from rectidistill.analysis import (
     LEARNING_RATE,
     TwoClassSetup,
@@ -18,9 +18,8 @@ from rectidistill.analysis import (
     rectified_kl_target,
     sweep,
     two_class_optimum,
-    write_sweep_csv,
 )
-from rectidistill.errors import InvalidInputError, RectifyNotApplicableError
+from rectidistill.errors import InvalidInputError
 
 GRID = np.arange(1e-6, 1.0, 1e-6)
 
@@ -162,7 +161,7 @@ class TestRectifiedDynamics:
             )
 
     def test_correct_teacher_rejected(self):
-        with pytest.raises(RectifyNotApplicableError):
+        with pytest.raises(InvalidInputError, match=r"not wrong at t_a=0\.7; .* needs t_a < 0\.5$"):
             rectified_kl_target(TwoClassSetup(t_a=0.7))
 
     def test_wrong_teacher_monotone_pull(self):
@@ -186,11 +185,11 @@ class TestSweep:
 
 class TestSweepCsv:
     def test_schema_and_verdicts(self, tmp_path):
-        rows = sweep([0.25, 0.75])
-        path = tmp_path / "sweep.csv"
-        write_sweep_csv(rows, path)
-        lines = path.read_text().splitlines()
+        # prop-check writes sweep.csv through data.write_table
+        assert cli.main(["prop-check", "--out", str(tmp_path)]) == cli.EXIT_OK
+        lines = (tmp_path / "sweep.csv").read_text().splitlines()
+        by_t_a = {line.split(",")[0]: line for line in lines[1:]}
         assert lines[0] == "t_a,s_unrect,s_rect,s_ce_only,verdict"
-        assert lines[1].endswith(VERDICT_PULLED_BELOW_CE)
-        assert lines[2].endswith(VERDICT_BETWEEN)
-        assert "nan" in lines[2]  # no rectification for a correct teacher
+        assert by_t_a["0.25"].endswith(VERDICT_PULLED_BELOW_CE)
+        assert by_t_a["0.75"].endswith(VERDICT_BETWEEN)
+        assert "nan" in by_t_a["0.75"]  # no rectification for a correct teacher

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from rectidistill import cli
+from rectidistill import analysis, cli
 
 
 @pytest.fixture(autouse=True)
@@ -111,6 +111,12 @@ class TestGenData:
         assert cli.main(["gen-data", flag, value, "--out", str(out)]) == cli.EXIT_USAGE
         assert f"{flag[2:]} must be" in capsys.readouterr().err  # names the flag's own value
         assert not out.exists()
+
+    def test_unwritable_output_directory_is_an_io_error(self, tmp_path, capsys):
+        blocker = tmp_path / "a-file"
+        blocker.write_text("")
+        assert cli.main(["gen-data", "--out", str(blocker / "data")]) == cli.EXIT_INTERNAL == 1
+        assert capsys.readouterr().err.startswith("I/O error: ")
 
 
 class TestTrainTeacher:
@@ -322,6 +328,21 @@ class TestDistill:
         err = capsys.readouterr().err
         assert err == "error: training diverged in epoch 14: non-finite gradients\n"
 
+    def test_subnormal_tau_diverges_without_a_warning_from_the_target_table(self, setup, capsys):
+        # logits / 1e-320 overflows while the per-row target table is filled, before any batch
+        tmp, data, teacher = setup
+        out = tmp / "distill-subnormal-tau"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # a numpy RuntimeWarning fails the test
+            rc = cli.main([
+                "distill", "--train", str(data / "train.csv"), "--teacher", str(teacher),
+                "--dims", "2,4,3", "--tau", "1e-320", "--out", str(out),
+            ])
+        assert rc == cli.EXIT_INTERNAL
+        err = capsys.readouterr().err
+        assert err == "error: training diverged in epoch 0: non-finite gradients\n"
+        assert not out.exists()
+
     def test_unknown_mode_is_usage_error(self, setup):
         tmp, data, teacher = setup
         rc = cli.main([
@@ -496,6 +517,15 @@ class TestPropCheck:
         assert lines[0] == "t_a,s_unrect,s_rect,s_ce_only,verdict"
         assert len(lines) == 1 + 19  # t_a grid 0.05..0.95
 
+    def test_failed_invariant_exits_3_and_still_writes_the_sweep(self, tmp_path, capsys,
+                                                                 monkeypatch):
+        # a descent that lands off the closed form breaks the first invariant at every point
+        monkeypatch.setattr(analysis, "descend", lambda targets: np.zeros(len(targets)))
+        out = tmp_path / "prop"
+        assert cli.main(["prop-check", "--out", str(out)]) == cli.EXIT_VERIFICATION == 3
+        assert "FAIL at t_a points:" in capsys.readouterr().out
+        assert len((out / "sweep.csv").read_text().splitlines()) == 1 + 19
+
     def test_config_txt_keys(self, sweep_run):
         _, _, out = sweep_run
         assert config_keys(out) == ["out", "ta"]
@@ -508,6 +538,17 @@ class TestUsage:
 
     def test_unknown_command_is_usage_error(self):
         assert cli.main(["frobnicate"]) == cli.EXIT_USAGE
+
+
+@pytest.mark.parametrize("command", ["gen-data", "train-teacher", "distill", "ablate"])
+def test_negative_seed_is_usage_error_before_output(setup, capsys, command):
+    tmp, data, teacher = setup
+    out = tmp / f"{command}-negative-seed"
+    inputs = {"gen-data": [], "train-teacher": ["--train", str(data / "train.csv")]}.get(
+        command, ["--train", str(data / "train.csv"), "--teacher", str(teacher), "--dims", "2,4,3"])
+    assert cli.main([command, *inputs, "--seed", "-1", "--out", str(out)]) == cli.EXIT_USAGE
+    assert capsys.readouterr().err == "error: seed must be >= 0, got -1\n"
+    assert not out.exists()
 
 
 # Every int/float flag of every subcommand, read off the flag table itself.

@@ -19,10 +19,10 @@ from rectidistill.data import (
     load_csv,
     make_blobs,
     save_csv,
+    write_table,
 )
-from rectidistill.errors import DataParseError, InvalidInputError
+from rectidistill.errors import InvalidInputError
 from rectidistill.rng import generator
-from rectidistill.train import TEACHER_METRICS_COLUMNS, write_metrics_csv
 
 # Values whose shortest repr is awkward: signed zero, the smallest subnormal,
 # a near-overflow magnitude, non-terminating binary fractions, a tiny negative.
@@ -134,25 +134,25 @@ class TestCsv:
     def test_ragged_row_reports_row_number(self, tmp_path):
         path = tmp_path / "ragged.csv"
         path.write_text("label,f0,f1\n0,1.0,2.0\n1,3.0\n")
-        with pytest.raises(DataParseError, match=":3:"):
+        with pytest.raises(InvalidInputError, match=":3:"):
             load_csv(path, 2)
 
     def test_non_numeric_cell_raises(self, tmp_path):
         path = tmp_path / "bad.csv"
         path.write_text("label,f0\n0,abc\n")
-        with pytest.raises(DataParseError, match=":2:"):
+        with pytest.raises(InvalidInputError, match=":2:"):
             load_csv(path, 2)
 
     def test_negative_label_raises(self, tmp_path):
         path = tmp_path / "neg.csv"
         path.write_text("label,f0\n-1,0.5\n")
-        with pytest.raises(DataParseError):
+        with pytest.raises(InvalidInputError, match=r":2: label -1 outside \[0, 2\)$"):
             load_csv(path, 2)
 
     def test_label_at_class_count_reports_row_number(self, tmp_path):
         path = tmp_path / "wide.csv"
         path.write_text("label,f0\n0,0.5\n1,0.5\n2,0.5\n")
-        with pytest.raises(DataParseError, match=":4: label 2 outside"):
+        with pytest.raises(InvalidInputError, match=":4: label 2 outside"):
             load_csv(path, 2)
 
     def test_class_count_comes_from_caller_not_largest_label(self, tmp_path):
@@ -179,7 +179,7 @@ class TestCsv:
     def test_malformed_line_reports_line_number(self, tmp_path, text, lineno):
         path = tmp_path / "bad.csv"
         path.write_text(text)
-        with pytest.raises(DataParseError, match=f":{lineno}:"):
+        with pytest.raises(InvalidInputError, match=f":{lineno}:"):
             load_csv(path, 2)
 
     @pytest.mark.parametrize(
@@ -194,14 +194,14 @@ class TestCsv:
     def test_quoted_and_underscore_cells_are_rejected(self, tmp_path, text, lineno):
         path = tmp_path / "quirk.csv"
         path.write_text(text)
-        with pytest.raises(DataParseError, match=f":{lineno}:"):
+        with pytest.raises(InvalidInputError, match=f":{lineno}:"):
             load_csv(path, 20)
 
     @pytest.mark.parametrize("cell", ["nan", "inf", "-inf"])
     def test_non_finite_feature_reports_line_number(self, tmp_path, cell):
         path = tmp_path / "nonfinite.csv"
         path.write_text(f"label,f0,f1\n0,1.0,2.0\n1,3.0,4.0\n1,0.5,{cell}\n")
-        with pytest.raises(DataParseError, match=":4: non-finite"):
+        with pytest.raises(InvalidInputError, match=":4: non-finite"):
             load_csv(path, 2)
 
     def test_single_row_and_crlf_line_endings(self, tmp_path):
@@ -332,7 +332,7 @@ class TestSidecar:
         path = tmp_path / "split.csv"
         save_csv(Dataset(np.array([[1.5, -2.0], [0.25, 3.0]]), np.array([0, 1]), 2), path)
         path.write_text(path.read_text().replace("0.25", cell))
-        with pytest.raises(DataParseError, match=error):
+        with pytest.raises(InvalidInputError, match=error):
             load_csv(path, 2)
 
     @pytest.mark.parametrize("kind", ["empty", "digest-only", "truncated-header", "truncated-data",
@@ -410,11 +410,11 @@ class TestSidecar:
         ds = Dataset(np.zeros((4, 2)), np.array([0, 1, 2, 1]), 3)
         path = tmp_path / "split.csv"
         save_csv(ds, path)
-        with pytest.raises(DataParseError) as via_sidecar:
+        with pytest.raises(InvalidInputError, match=":4: label 2 outside") as via_sidecar:
             load_csv(path, 2)
         assert parses[0] == 0
         (tmp_path / "split.csv.rows").unlink()
-        with pytest.raises(DataParseError) as via_parse:
+        with pytest.raises(InvalidInputError, match=":4: label 2 outside") as via_parse:
             load_csv(path, 2)
         assert parses[0] == 1
         assert str(via_sidecar.value) == str(via_parse.value)
@@ -485,11 +485,34 @@ class TestAtomicWrite:
 
     def test_writer_raising_mid_write_keeps_previous_file(self, tmp_path):
         path = tmp_path / "metrics.csv"
-        good = [{"epoch": 0, "loss_ce": 1.0, "train_acc": 0.5, "val_acc": 0.5}]
-        write_metrics_csv(good, path, columns=TEACHER_METRICS_COLUMNS)
+        columns = ("epoch", "loss_ce", "train_acc", "val_acc")
+        good = [(0, 1.0, 0.5, 0.5)]
+        write_table(path, columns, good)
         before = path.read_bytes()
-        # the second row lacks a column, so the writer raises after streaming the first
-        with pytest.raises(KeyError):
-            write_metrics_csv(good + [{"epoch": 1}], path, columns=TEACHER_METRICS_COLUMNS)
+        # the second row's cell is no number, so the writer raises after streaming the first
+        with pytest.raises(TypeError):
+            write_table(path, columns, good + [(1, None, 0.5, 0.5)])
         assert path.read_bytes() == before
         assert list(tmp_path.iterdir()) == [path]
+
+
+class TestWriteTable:
+    def test_cell_rule(self, tmp_path):
+        path = tmp_path / "table.csv"
+        write_table(path, ("i", "x", "missing", "np", "name"),
+                    [(3, 0.1, float("nan"), np.float64(1 / 3), "full"),
+                     (-7, 5e-324, 2.0, np.float64(-0.0), "step-b")])
+        assert path.read_text() == ("i,x,missing,np,name\n"
+                                    "3,0.1,nan,0.3333333333333333,full\n"
+                                    "-7,5e-324,2.0,-0.0,step-b\n")
+
+
+class TestGenerator:
+    @pytest.mark.parametrize("key,message", [
+        ((), "requires at least one seed component"),
+        ((-1,), r"seed components must be >= 0, got \(-1,\)"),
+        ((4, -2), r"seed components must be >= 0, got \(4, -2\)"),
+    ])
+    def test_missing_or_negative_component_is_invalid_input(self, key, message):
+        with pytest.raises(InvalidInputError, match=message):
+            generator(*key)

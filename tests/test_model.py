@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rectidistill import model
-from rectidistill.errors import CheckpointParseError, InvalidInputError
+from rectidistill.errors import InvalidInputError
 from rectidistill.numerics import finite_difference_gradient, softmax
 
 
@@ -416,7 +416,8 @@ class TestCheckpoint:
         model.save_checkpoint(p, path)
         text = path.read_text()
         path.write_text(text[: len(text) // 2])
-        with pytest.raises(CheckpointParseError):
+        with pytest.raises(InvalidInputError,
+                           match=":13: layer needs 5 lines, the file has 1 after it$"):
             model.load_checkpoint(path)
 
     def test_hand_written_fixture(self, tmp_path):
@@ -436,7 +437,7 @@ class TestCheckpoint:
     def test_bad_header_raises(self, tmp_path):
         path = tmp_path / "bad.ckpt"
         path.write_text("not a checkpoint\n")
-        with pytest.raises(CheckpointParseError, match=":1:"):
+        with pytest.raises(InvalidInputError, match=":1:"):
             model.load_checkpoint(path)
 
     def test_non_numeric_cell_reports_line(self, tmp_path):
@@ -444,7 +445,7 @@ class TestCheckpoint:
         path.write_text(
             "rectidistill-mlp v1\nlayers 1\nlayer 2 2\n1.0 oops\n0.0 0.0\n0.0 0.0\n"
         )
-        with pytest.raises(CheckpointParseError, match=":4:"):
+        with pytest.raises(InvalidInputError, match=":4:"):
             model.load_checkpoint(path)
 
     @pytest.mark.parametrize("dims,lineno,message", [
@@ -456,7 +457,7 @@ class TestCheckpoint:
     ):
         path = tmp_path / "huge.ckpt"
         path.write_text(f"rectidistill-mlp v1\nlayers 1\nlayer {dims}\n1.0 2.0\n0.0 0.0\n0.0 0.0\n")
-        with pytest.raises(CheckpointParseError, match=f":{lineno}: {message}$"):
+        with pytest.raises(InvalidInputError, match=f":{lineno}: {message}$"):
             model.load_checkpoint(path)
 
     @pytest.mark.parametrize(
@@ -467,5 +468,5 @@ class TestCheckpoint:
         rows[lineno - 4] = cells
         path = tmp_path / "bad.ckpt"
         path.write_text("rectidistill-mlp v1\nlayers 1\nlayer 2 2\n" + "\n".join(rows) + "\n")
-        with pytest.raises(CheckpointParseError, match=f":{lineno}: non-finite"):
+        with pytest.raises(InvalidInputError, match=f":{lineno}: non-finite"):
             model.load_checkpoint(path)

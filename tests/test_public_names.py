@@ -10,9 +10,14 @@ The same holds for the annotated fields of the package's public classes
 (its dataclasses): each must be read as an attribute (``obj.field`` in a
 load, not only assigned) somewhere in those files. A field that only the
 other tests read is filled on every call for nothing.
+
+And no ``raise`` under ``src/`` names a Python builtin exception class: every
+error the package raises derives from ``errors.RectiDistillError``, so the
+CLI maps it to an exit code. A bare re-raise is allowed.
 """
 
 import ast
+import builtins
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -95,3 +100,35 @@ def test_an_assignment_does_not_count_as_a_read(tmp_path):
     source.write_text("class Box:\n    size: int\n\ndef fill(box):\n    box.size = 3\n")
     assert public_fields(source) == {("Box", "size")}
     assert "size" not in attribute_reads(source)
+
+
+def builtin_raises(path: Path) -> list[str]:
+    """``path:line`` of each ``raise`` that names a builtin exception class."""
+    found = []
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.Raise) and node.exc is not None:
+            exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+            cls = getattr(builtins, exc.id, None) if isinstance(exc, ast.Name) else None
+            if isinstance(cls, type) and issubclass(cls, BaseException):
+                found.append(f"{path.name}:{node.lineno}")
+    return found
+
+
+def test_no_raise_names_a_builtin_exception():
+    hits = [hit for path in sorted((ROOT / "src").rglob("*.py")) for hit in builtin_raises(path)]
+    assert hits == []
+
+
+def test_builtin_raise_guard_allows_a_bare_reraise(tmp_path):
+    source = tmp_path / "mod.py"
+    source.write_text(
+        "def f(x):\n"
+        "    try:\n"
+        "        return int(x)\n"
+        "    except ValueError:\n"
+        "        raise\n"
+        "    raise InvalidInputError('bad')\n"
+        "    raise ValueError('bad')\n"
+        "    raise KeyError\n"
+    )
+    assert builtin_raises(source) == ["mod.py:7", "mod.py:8"]

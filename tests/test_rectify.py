@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rectidistill.errors import InvalidInputError, RectifyNotApplicableError
+from rectidistill.errors import InvalidInputError
 from rectidistill.rectify import STEP_B, STEP_C, rectify_rows, rectify_sample
 
 
@@ -42,7 +42,7 @@ def test_step_b_four_class_example():
 
 
 def test_step_b_rejects_correct_teacher():
-    with pytest.raises(RectifyNotApplicableError):
+    with pytest.raises(InvalidInputError, match="teacher already predicts the true class 0"):
         rectify_sample(np.array([0.7, 0.3]), 0, mode=STEP_B)
 
 

@@ -229,3 +229,8 @@ def test_missing_val_split_gives_nan_val_acc(setup):
 def test_config_rejects_unknown_mode_and_bad_fixed_gamma(mode, fixed_gamma):
     with pytest.raises(ConfigError):
         TrainConfig(mode=mode, fixed_gamma=fixed_gamma)
+
+
+def test_config_rejects_a_negative_seed():
+    with pytest.raises(ConfigError, match="seed must be >= 0, got -1"):
+        TrainConfig(seed=-1)
