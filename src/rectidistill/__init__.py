@@ -8,7 +8,7 @@ Modules:
   targets, dynamic easy/hard weighting (gamma = e/E), loss and gradient
 * ``model``     -- minimal MLPs, SGD, checkpoints
 * ``data``      -- blob datasets, CSV I/O, deterministic batching
-* ``analysis``  -- two-class closed-form optimum, checked by descent
+* ``analysis``  -- two-class closed-form optimum, checked against the training loss
 * ``train``     -- one SGD loop for teacher training and distillation
 * ``cli``       -- experiment driver (``rectidistill`` entry point)
 """

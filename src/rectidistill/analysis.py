@@ -8,10 +8,10 @@ factor 1 - gamma does not move the optimum),
 
 has the closed-form interior minimizer s* = (t_a + 1)/2: its derivative
 (s - t_a)/(s(1-s)) - 1/s vanishes only there. ``two_class_optimum`` returns
-that formula; ``descend`` checks it numerically by gradient descent on a
-softmax logit pair. It keeps no trajectory and returns only the final
-true-class probabilities. On prop-check's grid they lie within 1e-4 of
-the closed form after 110 steps and within 1.1e-16 after ``STEPS`` = 1000.
+that formula; ``optimum_gradients`` checks it against the loss that training
+runs, ``schedule.compute_batch_loss``, at the logit pair (ln s* - ln(1-s*), 0).
+CE plus KL(t || softmax(z)) is convex in the logits z, so a zero gradient
+there proves that s* is the minimum.
 The sweep then shows:
 
 * correct teacher (t_a > 0.5): t_a < s* < 1 -- the teacher helps;
@@ -23,15 +23,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import schedule
 from .errors import InvalidInputError
 from .rectify import rectify_sample
 
 VERDICT_BETWEEN = "between"
 VERDICT_PULLED_BELOW_CE = "pulled_below_ce"
 VERDICT_BOUNDARY = "boundary"
-
-LEARNING_RATE = 0.5
-STEPS = 1000
 
 
 @dataclass(frozen=True)
@@ -59,25 +57,6 @@ def _verdict(t_a: float) -> str:
     if t_a < 0.5:
         return VERDICT_PULLED_BELOW_CE
     return VERDICT_BOUNDARY
-
-
-def descend(targets) -> np.ndarray:
-    """Gradient descent on G softmax logit pairs at once, one per KL target row.
-
-    ``targets`` is a (G, 2) array. Runs ``STEPS`` steps at ``LEARNING_RATE``
-    and returns the true-class probability before the last step's update,
-    shape (G,).
-    """
-    targets = np.asarray(targets, dtype=float)
-    label = np.array([1.0, 0.0])
-    z = np.zeros_like(targets)
-    for _ in range(STEPS):
-        # not numerics.softmax_rows: same bits, but its ln s costs ~10% of prop-check
-        e = np.exp(z - z.max(axis=1, keepdims=True))
-        s = e / e.sum(axis=1, keepdims=True)
-        grad = (s - targets) + (s - label)
-        z = z - LEARNING_RATE * grad
-    return s[:, 0]
 
 
 def rectified_kl_target(setup: TwoClassSetup) -> tuple[float, float]:
@@ -120,3 +99,21 @@ def sweep(t_a_values) -> list[SweepRow]:
         )
     return rows
 
+
+def optimum_gradients(rows) -> np.ndarray:
+    """G times the training loss's logit gradient at each row's closed form, shape (2, G, 2).
+
+    At gamma 0, every label on class a: ``vanilla_kd`` at ``s_unrect``, then
+    ``rectify_only``, which partitions and rectifies as training does, at
+    ``s_rect`` (``s_unrect`` where the teacher is right). G undoes the batch mean.
+    """
+    t_a, s_unrect, s_rect = np.array([(r.t_a, r.s_unrect, r.s_rect) for r in rows]).T
+    teacher, labels = np.column_stack([t_a, 1.0 - t_a]), np.zeros(len(rows), dtype=np.int64)
+    sched = schedule.EpochSchedule(epoch=0, total_epochs=1)
+    blocks = []
+    for mode, s in (("vanilla_kd", s_unrect),
+                    ("rectify_only", np.where(np.isnan(s_rect), s_unrect, s_rect))):
+        logits = np.column_stack([np.log(s) - np.log(1.0 - s), np.zeros_like(s)])
+        loss = schedule.compute_batch_loss(logits, teacher, labels, sched, mode=mode)
+        blocks.append(len(rows) * loss.grad)
+    return np.stack(blocks)

@@ -203,9 +203,8 @@ def cmd_train_teacher(cfg: dict) -> int:
     tc = _train_config(cfg)
     dims = _parse_dims(cfg["dims"])
     train_ds, val_ds = _load_datasets(cfg, dims[0], dims[-1])
-    _persist_config(cfg)
-
     params, rows = train.train_teacher(train_ds, dims, tc, val_ds)
+    _persist_config(cfg)
     model.save_checkpoint(params, os.path.join(cfg["out"], "teacher.ckpt"))
     write_table(os.path.join(cfg["out"], "teacher_metrics.csv"), train.TEACHER_METRICS_COLUMNS,
                 [[row[c] for c in train.TEACHER_METRICS_COLUMNS] for row in rows])
@@ -241,6 +240,8 @@ def cmd_ablate(cfg: dict) -> int:
         raise ConfigError(f"seeds must be >= 1, got {cfg['seeds']}")
     tc = _train_config(cfg, tau=cfg["tau"])
     dims, teacher, train_ds, val_ds = _load_distill_inputs(cfg)
+    if val_ds is None:
+        raise ConfigError("ablate compares validation accuracy and needs --val")
 
     results = []  # (seed, mode_label, val_acc)
     for seed in range(cfg["seed"], cfg["seed"] + cfg["seeds"]):
@@ -281,12 +282,11 @@ def cmd_prop_check(cfg: dict) -> int:
                 ("t_a", "s_unrect", "s_rect", "s_ce_only", "verdict"),
                 [(r.t_a, r.s_unrect, r.s_rect, r.s_ce_only, r.verdict) for r in rows])
 
-    targets = np.array([(row.t_a, 1.0 - row.t_a) for row in rows])
-    s_final = analysis.descend(targets)
+    largest = np.abs(analysis.optimum_gradients(rows)).max(axis=(0, 2))
     failures = []
-    for row, s_converged in zip(rows, s_final):
-        if abs(s_converged - row.s_unrect) > 1e-4:
-            failures.append((row.t_a, "descent disagrees with closed-form optimum"))
+    for row, grad in zip(rows, largest):
+        if not grad <= 1e-12:  # nan fails too
+            failures.append((row.t_a, "training-loss gradient is not zero at the closed form"))
         if row.t_a > 0.5 and not (row.t_a < row.s_unrect < 1.0):
             failures.append((row.t_a, "correct-teacher ordering violated"))
         if row.t_a < 0.5 and not row.s_rect > row.s_unrect:

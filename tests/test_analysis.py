@@ -1,20 +1,16 @@
 """Two-class optimum / dynamics tests against an independent grid oracle."""
 
-import tracemalloc
-from unittest import mock
+import dataclasses
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
-from rectidistill import analysis, cli
+from rectidistill import cli
 from rectidistill.analysis import (
-    LEARNING_RATE,
     TwoClassSetup,
     VERDICT_BETWEEN,
     VERDICT_PULLED_BELOW_CE,
-    descend,
+    optimum_gradients,
     rectified_kl_target,
     sweep,
     two_class_optimum,
@@ -35,25 +31,9 @@ def grid_oracle(setup: TwoClassSetup, kl_target=None) -> float:
     return float(GRID[np.argmin(vals)])
 
 
-def descended(setup: TwoClassSetup, kl_target=None) -> float:
-    """Final true-class probability of one descent against the raw or given pair."""
-    target = kl_target if kl_target is not None else (setup.t_a, setup.t_b)
-    return float(descend([target])[0])
-
-
-def per_pair_descent(kl_target, steps: int) -> np.ndarray:
-    """Oracle: the one-pair descent loop that ``descend`` batches, kept verbatim."""
-    target = np.array(kl_target)
-    label = np.array([1.0, 0.0])
-    z = np.zeros(2)
-    trajectory = np.empty(steps)
-    for step in range(steps):
-        e = np.exp(z - z.max())
-        s = e / e.sum()
-        grad = (s - target) + (s - label)
-        z = z - LEARNING_RATE * grad
-        trajectory[step] = s[0]
-    return trajectory
+def largest_gradient(t_a_values) -> np.ndarray:
+    """Largest |component| of ``optimum_gradients`` per point, both blocks, shape (G,)."""
+    return np.abs(optimum_gradients(sweep(t_a_values))).max(axis=(0, 2))
 
 
 class TestOptimum:
@@ -70,75 +50,46 @@ class TestOptimum:
 
 class TestDynamics:
     def test_correct_teacher_lands_between(self):
-        setup = TwoClassSetup(t_a=0.9)
-        s = descended(setup)
+        s = two_class_optimum(TwoClassSetup(t_a=0.9))
         assert s == pytest.approx(0.95, abs=1e-4)
         assert 0.9 < s < 1.0
-        assert abs(s - two_class_optimum(setup)) <= 1e-4
+        assert largest_gradient([0.9])[0] <= 1e-12
 
     def test_wrong_teacher_pulled_below_ce_optimum(self):
-        setup = TwoClassSetup(t_a=0.3)
-        s = descended(setup)
+        s = two_class_optimum(TwoClassSetup(t_a=0.3))
         assert s == pytest.approx(0.65, abs=1e-4)
         assert s < 1.0  # the CE-only optimum
-        assert abs(s - two_class_optimum(setup)) <= 1e-4
+        assert largest_gradient([0.3])[0] <= 1e-12
 
     def test_boundary_midpoint(self):
-        assert descended(TwoClassSetup(t_a=0.5)) == pytest.approx(0.75, abs=1e-4)
+        assert two_class_optimum(TwoClassSetup(t_a=0.5)) == pytest.approx(0.75, abs=1e-4)
+        assert largest_gradient([0.5])[0] <= 1e-12
 
-    def test_trajectory_stays_in_open_interval(self):
-        trajectory = per_pair_descent([0.2, 0.8], analysis.STEPS)
-        assert np.all(trajectory > 0.0)
-        assert np.all(trajectory < 1.0)
+    def test_closed_form_is_stationary_on_grid(self):
+        assert np.all(largest_gradient(np.linspace(0.05, 0.95, 20)) <= 1e-12)
 
-    def test_descent_agrees_with_closed_form_on_grid(self):
-        t_a = np.linspace(0.05, 0.95, 20)
-        final = descend(np.column_stack([t_a, 1.0 - t_a]))
-        for ta, s in zip(t_a, final):
-            assert abs(s - two_class_optimum(TwoClassSetup(t_a=float(ta)))) <= 1e-4
-
-
-unit = st.floats(0.0, 1.0)
-
-
-@settings(max_examples=25, deadline=None)
-@given(
-    targets=st.lists(st.tuples(unit, unit), min_size=1, max_size=6),
-    steps=st.integers(1, 500),
-)
-def test_descend_is_bit_identical_to_per_pair_loop(targets, steps):
-    with mock.patch.object(analysis, "STEPS", steps):
-        final = descend(np.array(targets))
-    assert np.array_equal(final, [per_pair_descent(g, steps)[-1] for g in targets])
-
-
-def test_descend_memory_does_not_grow_with_steps():
-    # a kept (STEPS, G) trajectory would take 8 * 19 * STEPS bytes
-    t_a = np.linspace(0.05, 0.95, 19)
-    targets = np.column_stack([t_a, 1.0 - t_a])
-    descend(targets)  # first-call allocations are not the descent's
-    peaks = {}
-    for steps in (100, 1000):
-        with mock.patch.object(analysis, "STEPS", steps):
-            tracemalloc.start()
-            try:
-                descend(targets)
-                peaks[steps] = tracemalloc.get_traced_memory()[1]
-            finally:
-                tracemalloc.stop()
-    assert max(peaks.values()) < 16 * 1024
-    assert peaks[1000] - peaks[100] < 1024
+    def test_moved_closed_form_is_not_stationary(self):
+        rows = sweep([0.1, 0.3, 0.7, 0.9])
+        moved_unrect = [dataclasses.replace(r, s_unrect=r.s_unrect + 1e-6) for r in rows]
+        assert np.all(np.abs(optimum_gradients(moved_unrect)[0]).max(axis=1) > 1e-7)
+        # rectify_only is checked at s_rect where there is one, so moving s_rect
+        # alone fails there and leaves the vanilla_kd block at zero
+        moved_rect = [dataclasses.replace(r, s_rect=r.s_rect + 1e-6) for r in rows]
+        grads = np.abs(optimum_gradients(moved_rect)).max(axis=2)
+        assert np.all(grads[0] <= 1e-12)
+        assert np.all(grads[1, :2] > 1e-7) and np.all(grads[1, 2:] <= 1e-12)
 
 
 class TestRectifiedDynamics:
     def test_worked_example_t_a_010(self):
         setup = TwoClassSetup(t_a=0.1)
         assert rectified_kl_target(setup) == pytest.approx((0.55, 0.45), abs=1e-12)
-        unrect = descended(setup)
-        rect = descended(setup, rectified_kl_target(setup))
+        unrect = two_class_optimum(setup)
+        rect = two_class_optimum(setup, kl_target=rectified_kl_target(setup))
         assert unrect == pytest.approx(0.55, abs=1e-4)
         assert rect == pytest.approx(0.775, abs=1e-4)
         assert rect > unrect
+        assert largest_gradient([0.1])[0] <= 1e-12
 
     def test_optimum_gap_is_quarter_of_teacher_error(self):
         # rectified target (t_a+1)/2 lifts s* by exactly (1-t_a)/4

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from rectidistill import analysis, cli
+from rectidistill import cli, schedule
 
 
 @pytest.fixture(autouse=True)
@@ -189,6 +189,7 @@ class TestTrainTeacher:
         assert rc == cli.EXIT_INTERNAL
         err = capsys.readouterr().err
         assert err == "error: training diverged in epoch 26: non-finite logits\n"
+        assert not out.exists()
 
     def test_produces_checkpoint_and_metrics(self, tmp_path):
         data = gen_tiny_data(tmp_path)
@@ -307,6 +308,7 @@ class TestDistill:
         assert rc == cli.EXIT_INTERNAL
         err = capsys.readouterr().err
         assert err == "error: training diverged in epoch 25: non-finite logits\n"
+        assert not out.exists()
 
     def test_non_finite_gradients_name_the_epoch(self, tmp_path, capsys):
         # the logits stay finite, but at tau=1e-3 logits/tau overflows in the loss
@@ -456,7 +458,8 @@ class TestDistill:
         out = tmp / "ablate-keys"
         rc = cli.main([
             "ablate", "--train", str(data / "train.csv"), "--teacher", str(teacher),
-            "--dims", "2,4,3", "--epochs", "1", "--seeds", "1", "--out", str(out),
+            "--val", str(data / "val.csv"), "--dims", "2,4,3", "--epochs", "1", "--seeds", "1",
+            "--out", str(out),
         ])
         assert rc == cli.EXIT_OK
         assert config_keys(out) == [
@@ -474,6 +477,19 @@ class TestDistill:
         assert rc == cli.EXIT_USAGE
         assert not out.exists()
 
+    def test_ablate_without_val_is_usage_error_before_output(self, setup, capsys):
+        # it would train 2 x seeds students for an ablation.csv of nan accuracies
+        tmp, data, teacher = setup
+        out = tmp / "ablate-no-val"
+        rc = cli.main([
+            "ablate", "--train", str(data / "train.csv"), "--teacher", str(teacher),
+            "--dims", "2,4,3", "--seeds", "1", "--out", str(out),
+        ])
+        assert rc == cli.EXIT_USAGE
+        assert capsys.readouterr().err == (
+            "error: ablate compares validation accuracy and needs --val\n")
+        assert not out.exists()
+
     def test_ablate_smoke(self, setup):
         tmp, data, teacher = setup
         out = tmp / "ablate"
@@ -489,6 +505,36 @@ class TestDistill:
         # 2 seeds x 2 modes + 2 median rows
         assert len(lines) == 1 + 4 + 2
         assert sum(line.startswith("median,") for line in lines) == 2
+
+
+# prop-check's sweep lines: t_a 0.05..0.95, closed-form optima and verdicts
+SWEEP_STDOUT = (
+    "t_a=0.05 s*=0.525000 s_rect=0.762500 [pulled_below_ce]\n"
+    "t_a=0.10 s*=0.550000 s_rect=0.775000 [pulled_below_ce]\n"
+    "t_a=0.15 s*=0.575000 s_rect=0.787500 [pulled_below_ce]\n"
+    "t_a=0.20 s*=0.600000 s_rect=0.800000 [pulled_below_ce]\n"
+    "t_a=0.25 s*=0.625000 s_rect=0.812500 [pulled_below_ce]\n"
+    "t_a=0.30 s*=0.650000 s_rect=0.825000 [pulled_below_ce]\n"
+    "t_a=0.35 s*=0.675000 s_rect=0.837500 [pulled_below_ce]\n"
+    "t_a=0.40 s*=0.700000 s_rect=0.850000 [pulled_below_ce]\n"
+    "t_a=0.45 s*=0.725000 s_rect=0.862500 [pulled_below_ce]\n"
+    "t_a=0.50 s*=0.750000 [boundary]\n"
+    "t_a=0.55 s*=0.775000 [between]\n"
+    "t_a=0.60 s*=0.800000 [between]\n"
+    "t_a=0.65 s*=0.825000 [between]\n"
+    "t_a=0.70 s*=0.850000 [between]\n"
+    "t_a=0.75 s*=0.875000 [between]\n"
+    "t_a=0.80 s*=0.900000 [between]\n"
+    "t_a=0.85 s*=0.925000 [between]\n"
+    "t_a=0.90 s*=0.950000 [between]\n"
+    "t_a=0.95 s*=0.975000 [between]\n"
+)
+
+
+def not_stationary_at(grid_indices) -> str:
+    """prop-check's failure lines for the t_a = 0.05 * i points of ``grid_indices``."""
+    return "".join(f"  t_a={0.05 * i:.2f}: training-loss gradient is not zero at the closed form\n"
+                   for i in grid_indices)
 
 
 @pytest.fixture(scope="module")
@@ -512,19 +558,40 @@ class TestPropCheck:
     def test_full_sweep_passes(self, sweep_run):
         rc, stdout, out = sweep_run
         assert rc == cli.EXIT_OK
-        assert "PASS" in stdout
+        assert stdout == SWEEP_STDOUT + "PASS: all two-class invariants hold\n"
         lines = (out / "sweep.csv").read_text().splitlines()
         assert lines[0] == "t_a,s_unrect,s_rect,s_ce_only,verdict"
         assert len(lines) == 1 + 19  # t_a grid 0.05..0.95
 
     def test_failed_invariant_exits_3_and_still_writes_the_sweep(self, tmp_path, capsys,
                                                                  monkeypatch):
-        # a descent that lands off the closed form breaks the first invariant at every point
-        monkeypatch.setattr(analysis, "descend", lambda targets: np.zeros(len(targets)))
+        # a doubled CE gradient in the training loss moves its minimum off the closed form
+        ce_rows = schedule.ce_rows
+
+        def doubled_ce_rows(log_s, s, labels):
+            ce_sum, grad = ce_rows(log_s, s, labels)
+            return ce_sum, 2.0 * grad
+
+        monkeypatch.setattr(schedule, "ce_rows", doubled_ce_rows)
         out = tmp_path / "prop"
         assert cli.main(["prop-check", "--out", str(out)]) == cli.EXIT_VERIFICATION == 3
-        assert "FAIL at t_a points:" in capsys.readouterr().out
+        assert capsys.readouterr().out == (
+            SWEEP_STDOUT + "FAIL at t_a points:\n" + not_stationary_at(range(1, 20)))
         assert len((out / "sweep.csv").read_text().splitlines()) == 1 + 19
+
+    def test_training_loss_that_skips_rectification_fails_the_wrong_teacher_points(
+            self, capsys, monkeypatch):
+        # rectify_only is checked at s_rect: a partition that leaves every row
+        # unrectified moves its minimum exactly where the teacher is wrong
+        teacher_targets = schedule.teacher_targets
+
+        def unrectified(probs, labels, mode):
+            return teacher_targets(probs, labels, "vanilla_kd")
+
+        monkeypatch.setattr(schedule, "teacher_targets", unrectified)
+        assert cli.main(["prop-check"]) == cli.EXIT_VERIFICATION
+        out = capsys.readouterr().out
+        assert out.split("FAIL at t_a points:\n")[1] == not_stationary_at(range(1, 10))
 
     def test_config_txt_keys(self, sweep_run):
         _, _, out = sweep_run
