@@ -17,6 +17,10 @@ The sweep then shows:
 * correct teacher (t_a > 0.5): t_a < s* < 1 -- the teacher helps;
 * wrong teacher (t_a < 0.5): s* is pulled below the CE-only optimum 1;
 * rectifying the wrong pair (step b + c on [t_a, t_b]) strictly raises s*.
+
+``sweep`` rectifies every wrong pair in one call of ``rectify.rectify_rows``,
+the rectification that training runs, and takes s* = (t + 1)/2 on arrays,
+t the rectified target's true-class mass.
 """
 
 from dataclasses import dataclass
@@ -25,7 +29,7 @@ import numpy as np
 
 from . import schedule
 from .errors import InvalidInputError
-from .rectify import rectify_sample
+from .rectify import rectify_rows
 
 VERDICT_BETWEEN = "between"
 VERDICT_PULLED_BELOW_CE = "pulled_below_ce"
@@ -45,9 +49,13 @@ class TwoClassSetup:
         return 1.0 - self.t_a
 
 
-def two_class_optimum(setup: TwoClassSetup, kl_target: tuple[float, float] | None = None) -> float:
-    """Minimizer s* = (t + 1)/2 of the joint objective, t the KL target's true-class mass."""
-    t = kl_target[0] if kl_target is not None else setup.t_a
+def two_class_optimum(setup: TwoClassSetup) -> float:
+    """Minimizer s* of the joint objective, the KL target being the teacher pair itself."""
+    return _optimum(setup.t_a)
+
+
+def _optimum(t):
+    """s* = (t + 1)/2, t the KL target's true-class mass: a float or an array."""
     return (t + 1.0) / 2.0
 
 
@@ -57,16 +65,6 @@ def _verdict(t_a: float) -> str:
     if t_a < 0.5:
         return VERDICT_PULLED_BELOW_CE
     return VERDICT_BOUNDARY
-
-
-def rectified_kl_target(setup: TwoClassSetup) -> tuple[float, float]:
-    """Step b + c rectification of the wrong two-class teacher pair."""
-    if setup.t_a >= 0.5:
-        raise InvalidInputError(
-            f"teacher is not wrong at t_a={setup.t_a}; rectification needs t_a < 0.5"
-        )
-    rect = rectify_sample(np.array([setup.t_a, setup.t_b]), label=0)
-    return float(rect.values[0]), float(rect.values[1])
 
 
 @dataclass(frozen=True)
@@ -79,25 +77,15 @@ class SweepRow:
 
 
 def sweep(t_a_values) -> list[SweepRow]:
-    rows = []
-    for ta in t_a_values:
-        setup = TwoClassSetup(t_a=float(ta))
-        s_unrect = two_class_optimum(setup)
-        s_rect = (
-            two_class_optimum(setup, kl_target=rectified_kl_target(setup))
-            if setup.t_a < 0.5
-            else float("nan")
-        )
-        rows.append(
-            SweepRow(
-                t_a=float(ta),
-                s_unrect=s_unrect,
-                s_rect=s_rect,
-                s_ce_only=1.0,
-                verdict=_verdict(float(ta)),
-            )
-        )
-    return rows
+    """One row per point; every wrong pair is rectified by one production ``rectify_rows`` call."""
+    t_a = np.array([TwoClassSetup(t_a=float(ta)).t_a for ta in t_a_values])
+    wrong = t_a < 0.5
+    pairs = np.column_stack([t_a, 1.0 - t_a])[wrong]
+    kl_t_a = np.full_like(t_a, np.nan)  # the rectified target's true-class mass
+    kl_t_a[wrong] = rectify_rows(pairs, np.zeros(len(pairs), dtype=np.int64))[:, 0]
+    return [SweepRow(t_a=float(t), s_unrect=float(u), s_rect=float(r), s_ce_only=1.0,
+                     verdict=_verdict(float(t)))
+            for t, u, r in zip(t_a, _optimum(t_a), _optimum(kl_t_a))]
 
 
 def optimum_gradients(rows) -> np.ndarray:

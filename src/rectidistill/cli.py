@@ -73,9 +73,13 @@ def _parse_dims(text: str) -> list[int]:
     return dims
 
 
+def _require_file(path: str, what: str) -> None:
+    if not path or not os.path.isfile(path):  # a directory is a usage error too, not an I/O one
+        raise ConfigError(f"{what} is not an existing file: {path!r}")
+
+
 def _read_config_file(path: str) -> dict[str, str]:
-    if not os.path.exists(path):
-        raise ConfigError(f"config file not found: {path}")
+    _require_file(path, "config file")
     values: dict[str, str] = {}
     with open(path) as fh:
         for lineno, line in enumerate(fh, start=1):
@@ -131,11 +135,6 @@ def _write_json(path: str, obj: dict) -> None:
     with atomic_write(path) as fh:
         json.dump(obj, fh, sort_keys=True, allow_nan=False)
         fh.write("\n")
-
-
-def _require_file(path: str, what: str) -> None:
-    if not path or not os.path.exists(path):
-        raise ConfigError(f"{what} not found: {path!r}")
 
 
 def _load_dataset(path: str, what: str, width: int, n_classes: int) -> Dataset:
@@ -331,11 +330,18 @@ COMMANDS = {
 }
 
 
-def build_parser() -> argparse.ArgumentParser:
+def build_parser(only: str | None = None) -> argparse.ArgumentParser:
+    """The parser of every subcommand, or of the subcommand ``only`` alone.
+
+    A one-subcommand parser names all of them in its usage line, so its
+    messages match the full parser's.
+    """
     parser = argparse.ArgumentParser(prog="rectidistill")
-    subs = parser.add_subparsers(dest="command", required=True)
-    for command, (_, help_text, _, _) in COMMANDS.items():
-        sub = subs.add_parser(command, help=help_text)
+    subs = parser.add_subparsers(
+        dest="command", required=True,
+        metavar=None if only is None else "{" + ",".join(COMMANDS) + "}")
+    for command in COMMANDS if only is None else (only,):
+        sub = subs.add_parser(command, help=COMMANDS[command][1])
         sub.add_argument("--config", help="flat key=value config file")
         for key, (typ, _) in _flags(command).items():
             sub.add_argument(f"--{key}", type=typ)
@@ -343,7 +349,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
+    argv = sys.argv[1:] if argv is None else argv
+    # Only a call that names no subcommand needs them all (top-level help and errors).
+    parser = build_parser(argv[0] if argv and argv[0] in COMMANDS else None)
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:

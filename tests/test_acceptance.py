@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from rectidistill import cli, model, train
-from rectidistill.analysis import TwoClassSetup, rectified_kl_target, sweep, two_class_optimum
+from rectidistill.analysis import TwoClassSetup, sweep, two_class_optimum
 from rectidistill.data import Dataset, make_blobs
 from rectidistill.numerics import (
     ce_softmax_gradient,

@@ -11,11 +11,11 @@ from rectidistill.analysis import (
     VERDICT_BETWEEN,
     VERDICT_PULLED_BELOW_CE,
     optimum_gradients,
-    rectified_kl_target,
     sweep,
     two_class_optimum,
 )
 from rectidistill.errors import InvalidInputError
+from rectidistill.rectify import rectify_sample
 
 GRID = np.arange(1e-6, 1.0, 1e-6)
 
@@ -29,6 +29,11 @@ def grid_oracle(setup: TwoClassSetup, kl_target=None) -> float:
     if tb > 0:
         vals += tb * np.log(tb / (1.0 - GRID))
     return float(GRID[np.argmin(vals)])
+
+
+def checked_pair(t_a: float) -> tuple[float, float]:
+    """The wrong pair [t_a, 1 - t_a] rectified by the checked 1-D ``rectify_sample``."""
+    return tuple(rectify_sample([t_a, 1.0 - t_a], 0).values)
 
 
 def largest_gradient(t_a_values) -> np.ndarray:
@@ -82,38 +87,30 @@ class TestDynamics:
 
 class TestRectifiedDynamics:
     def test_worked_example_t_a_010(self):
-        setup = TwoClassSetup(t_a=0.1)
-        assert rectified_kl_target(setup) == pytest.approx((0.55, 0.45), abs=1e-12)
-        unrect = two_class_optimum(setup)
-        rect = two_class_optimum(setup, kl_target=rectified_kl_target(setup))
-        assert unrect == pytest.approx(0.55, abs=1e-4)
-        assert rect == pytest.approx(0.775, abs=1e-4)
-        assert rect > unrect
+        assert checked_pair(0.1) == pytest.approx((0.55, 0.45), abs=1e-12)
+        (row,) = sweep([0.1])
+        assert row.s_unrect == pytest.approx(0.55, abs=1e-4)
+        assert row.s_rect == pytest.approx(0.775, abs=1e-4)
+        assert row.s_rect > row.s_unrect
         assert largest_gradient([0.1])[0] <= 1e-12
 
     def test_optimum_gap_is_quarter_of_teacher_error(self):
         # rectified target (t_a+1)/2 lifts s* by exactly (1-t_a)/4
-        for ta in (0.05, 0.25, 0.499):
-            setup = TwoClassSetup(t_a=ta)
-            gap = (
-                two_class_optimum(setup, kl_target=rectified_kl_target(setup))
-                - two_class_optimum(setup)
-            )
-            assert gap == pytest.approx((1.0 - ta) / 4.0, abs=1e-7)
+        for ta, row in zip((0.05, 0.25, 0.499), sweep([0.05, 0.25, 0.499])):
+            assert row.s_rect - row.s_unrect == pytest.approx((1.0 - ta) / 4.0, abs=1e-7)
 
     def test_dominance_across_wrong_teacher_sweep(self):
-        for ta in np.arange(0.05, 0.50, 0.05):
-            setup = TwoClassSetup(t_a=float(ta))
-            s_rect = two_class_optimum(setup, kl_target=rectified_kl_target(setup))
-            s_unrect = two_class_optimum(setup)
-            assert s_rect > s_unrect
-            assert s_rect == pytest.approx(
-                grid_oracle(setup, rectified_kl_target(setup)), abs=1e-4
+        for row in sweep(np.arange(0.05, 0.50, 0.05)):
+            assert row.s_rect > row.s_unrect
+            assert row.s_rect == pytest.approx(
+                grid_oracle(TwoClassSetup(t_a=row.t_a), checked_pair(row.t_a)), abs=1e-4
             )
 
     def test_correct_teacher_rejected(self):
-        with pytest.raises(InvalidInputError, match=r"not wrong at t_a=0\.7; .* needs t_a < 0\.5$"):
-            rectified_kl_target(TwoClassSetup(t_a=0.7))
+        # the checked path refuses a correct pair; the sweep leaves it unrectified
+        with pytest.raises(InvalidInputError, match=r"^teacher already predicts the true class 0$"):
+            rectify_sample([0.7, 0.3], 0)
+        assert [np.isnan(row.s_rect) for row in sweep([0.3, 0.5, 0.7])] == [False, True, True]
 
     def test_wrong_teacher_monotone_pull(self):
         optima = [
@@ -128,10 +125,22 @@ class TestSweep:
         for row in sweep([round(0.05 * i, 2) for i in range(1, 20)]):
             assert row.s_unrect == (row.t_a + 1.0) / 2.0
             if row.t_a < 0.5:
-                rect_t_a = rectified_kl_target(TwoClassSetup(t_a=row.t_a))[0]
-                assert row.s_rect == (rect_t_a + 1.0) / 2.0
+                assert row.s_rect == (checked_pair(row.t_a)[0] + 1.0) / 2.0
             else:
                 assert np.isnan(row.s_rect)
+
+    def test_batched_rectification_matches_the_checked_path_at_any_point_order(self):
+        # wrong and right points interleaved, so each rectified row must land on its own point
+        t_a = np.random.default_rng(0).uniform(1e-6, 1.0 - 1e-6, size=500)
+        for row in sweep(t_a):
+            if row.t_a < 0.5:
+                assert row.s_rect == (checked_pair(row.t_a)[0] + 1.0) / 2.0
+            else:
+                assert np.isnan(row.s_rect)
+
+    def test_point_outside_open_interval_raises(self):
+        with pytest.raises(InvalidInputError, match=r"t_a must lie in \(0, 1\), got 1\.0"):
+            sweep([0.3, 1.0])
 
 
 class TestSweepCsv:

@@ -1,5 +1,6 @@
 """End-to-end CLI tests on tiny deterministic configurations."""
 
+import argparse
 import contextlib
 import io
 import json
@@ -555,6 +556,15 @@ class TestPropCheck:
     def test_out_of_range_point(self):
         assert cli.main(["prop-check", "--ta", "1.5"]) == cli.EXIT_USAGE
 
+    @pytest.mark.parametrize("ta,line", [
+        ("0.1", "t_a=0.1 s*=0.550000\n"), ("0.3", "t_a=0.3 s*=0.650000\n"),
+        ("0.5", "t_a=0.5 s*=0.750000\n"), ("0.9", "t_a=0.9 s*=0.950000\n"),
+    ])
+    def test_worked_point_stdout(self, capsys, ta, line):
+        # the points of scripts/run_two_class_analysis.py
+        assert cli.main(["prop-check", "--ta", ta]) == cli.EXIT_OK
+        assert capsys.readouterr().out == line
+
     def test_full_sweep_passes(self, sweep_run):
         rc, stdout, out = sweep_run
         assert rc == cli.EXIT_OK
@@ -599,12 +609,76 @@ class TestPropCheck:
         assert (out / "config.txt").read_text().endswith("\nta=None\n")
 
 
+def parsed(call, argv):
+    """(exit code, stdout, stderr) of ``call(argv)``: its return value, or argparse's SystemExit."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = call(argv)
+        except SystemExit as exc:
+            code = exc.code
+    return code, out.getvalue(), err.getvalue()
+
+
+ALL_COMMANDS = "{gen-data,train-teacher,distill,ablate,prop-check}"
+
+
 class TestUsage:
     def test_no_command_is_usage_error(self):
         assert cli.main([]) == cli.EXIT_USAGE
 
     def test_unknown_command_is_usage_error(self):
         assert cli.main(["frobnicate"]) == cli.EXIT_USAGE
+
+    @pytest.mark.parametrize("argv,code", [
+        (["--help"], cli.EXIT_OK), ([], cli.EXIT_USAGE), (["frobnicate"], cli.EXIT_USAGE),
+    ])
+    def test_a_call_naming_no_subcommand_lists_all_five(self, argv, code):
+        rc, out, err = parsed(cli.main, argv)
+        assert rc == code
+        assert ALL_COMMANDS in out + err
+        assert (out, err) == parsed(cli.build_parser().parse_args, argv)[1:]
+
+    @pytest.mark.parametrize("command", list(cli.COMMANDS))
+    @pytest.mark.parametrize("flag", ["--help", "--no-such-flag"])
+    def test_subcommand_call_matches_the_full_parser(self, command, flag):
+        # main builds only this subcommand's parser; its messages must not show it
+        full_code, full_out, full_err = parsed(cli.build_parser().parse_args, [command, flag])
+        rc, out, err = parsed(cli.main, [command, flag])
+        expected_rc = cli.EXIT_OK if full_code == 0 else cli.EXIT_USAGE
+        assert (rc, out, err) == (expected_rc, full_out, full_err)
+        if flag == "--help":
+            assert full_code == 0 and out.startswith(f"usage: rectidistill {command} [-h]")
+        else:
+            assert full_code == 2 and ALL_COMMANDS in err
+            assert err.endswith("error: unrecognized arguments: --no-such-flag\n")
+
+    @pytest.mark.parametrize("command", list(cli.COMMANDS))
+    def test_a_call_naming_a_subcommand_builds_no_other(self, command, monkeypatch):
+        built = []
+        add_parser = argparse._SubParsersAction.add_parser
+
+        def recording_add_parser(self, name, **kwargs):
+            built.append(name)
+            return add_parser(self, name, **kwargs)
+
+        monkeypatch.setattr(argparse._SubParsersAction, "add_parser", recording_add_parser)
+        parsed(cli.main, [command, "--help"])
+        assert built == [command]
+        parsed(cli.main, ["--help"])
+        assert built == [command, *cli.COMMANDS]
+
+
+@pytest.mark.parametrize("flag", ["--train", "--val", "--teacher", "--config"])
+def test_directory_as_input_file_is_usage_error_before_output(setup, capsys, flag):
+    tmp, data, teacher = setup
+    out = tmp / f"directory-as{flag}"
+    inputs = {"--train": str(data / "train.csv"), "--teacher": str(teacher), flag: str(data)}
+    argv = ["distill", *(v for kv in inputs.items() for v in kv), "--dims", "2,4,3",
+            "--out", str(out)]
+    assert cli.main(argv) == cli.EXIT_USAGE
+    assert capsys.readouterr().err.endswith(f" is not an existing file: {str(data)!r}\n")
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("command", ["gen-data", "train-teacher", "distill", "ablate"])
