@@ -22,10 +22,10 @@ script in another checkout digests that checkout's code, and equal listing
 digests mean every CSV, ``.rows`` sidecar, checkpoint, metrics, summary and
 config file, the ``ablation.csv`` and the two-class ``sweep.csv``, is
 byte-identical. gen-data writes six files per workload: each split's CSV and
-its ``<csv>.rows`` sidecar (the CSV's sha256, then its rows as one ``.npy``
-record), ``config.txt`` and ``manifest.json``; each distill writes four;
-ablate writes ``ablation.csv`` and ``config.txt``; prop-check writes
-``sweep.csv`` and ``config.txt``.
+its ``<csv>.rows`` sidecar (the CSV's sha256, then its labels and its
+features as two ``.npy`` records), ``config.txt`` and ``manifest.json``;
+each distill writes four; ablate writes ``ablation.csv`` and
+``config.txt``; prop-check writes ``sweep.csv`` and ``config.txt``.
 """
 
 import contextlib

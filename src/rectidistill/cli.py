@@ -25,7 +25,7 @@ import sys
 import numpy as np
 
 from . import analysis, model, train
-from .data import Dataset, atomic_write, load_csv, make_blobs, save_csv, write_table
+from .data import Dataset, atomic_write, blob_splits, load_csv, save_csv, write_table
 from .errors import ConfigError, RectiDistillError
 
 EXIT_OK = 0
@@ -78,6 +78,14 @@ def _require_file(path: str, what: str) -> None:
         raise ConfigError(f"{what} is not an existing file: {path!r}")
 
 
+def _require_out_dir(path: str) -> None:
+    head = path  # the run writes there, so it and each existing parent must be directories
+    while head and not os.path.isdir(head):
+        if os.path.lexists(head):
+            raise ConfigError(f"--out {path!r}: {head!r} is not a directory")
+        head = os.path.dirname(head)
+
+
 def _read_config_file(path: str) -> dict[str, str]:
     _require_file(path, "config file")
     values: dict[str, str] = {}
@@ -121,6 +129,7 @@ def _merge_config(args: argparse.Namespace) -> dict:
         if not isinstance(value, typ):  # argparse yields [] for --flag=--, skipping the type
             raise ConfigError(f"--{key} needs a {typ.__name__} value, got {value!r}")
         merged[key] = value
+    _require_out_dir(merged["out"])
     return merged
 
 
@@ -181,16 +190,11 @@ def cmd_gen_data(cfg: dict) -> int:
     if not 0.0 < cfg["spread"] < math.inf:
         raise ConfigError(f"spread must be finite and > 0, got {cfg['spread']}")
     # One draw shared by both splits so class centers match exactly.
-    per_total = cfg["per-class"] + cfg["val-per-class"]
-    full = make_blobs(cfg["classes"], per_total, cfg["dim"], cfg["spread"], cfg["seed"])
-    by_class = np.arange(full.n).reshape(cfg["classes"], per_total)
-    splits = {"train": by_class[:, :cfg["per-class"]], "val": by_class[:, cfg["per-class"]:]}
-
+    splits = blob_splits(cfg["classes"], (cfg["per-class"], cfg["val-per-class"]), cfg["dim"],
+                         cfg["spread"], cfg["seed"])
     _persist_config(cfg)
-    for name, idx in splits.items():
-        idx = idx.ravel()
-        subset = Dataset(full.features[idx], full.labels[idx], full.n_classes)
-        save_csv(subset, os.path.join(cfg["out"], f"{name}.csv"))
+    for name, split in zip(("train", "val"), splits):
+        save_csv(split, os.path.join(cfg["out"], f"{name}.csv"))
     manifest = {k: cfg[k] for k in cfg if k != "out"}
     _write_json(os.path.join(cfg["out"], "manifest.json"), manifest)
     print(f"wrote train.csv ({cfg['classes'] * cfg['per-class']} rows) and "

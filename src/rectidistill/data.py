@@ -5,9 +5,9 @@ decimal floats. Every parse error names its file line, and every artifact the
 package writes goes through ``atomic_write``, every run table through ``write_table``.
 
 ``save_csv`` also writes a sidecar ``<csv>.rows``: the 32-byte sha256 of the CSV's
-bytes, then one ``np.save`` record of the parsed row array. ``load_csv`` reads the
-rows from the sidecar instead of parsing only while that digest matches the CSV,
-so the CSV stays the one source of truth.
+bytes, then the int64 ``(n,)`` labels and the float64 ``(n, d)`` features as two
+``np.save`` records. ``load_csv`` loads those as the dataset's arrays, instead of
+parsing, only while that digest matches the CSV, so the CSV stays the one source of truth.
 
 Batching permutes indices with a Fisher-Yates shuffle whose swap indices come from
 one draw of a PCG64 stream keyed by (seed, epoch), so every epoch visits each
@@ -59,17 +59,28 @@ def class_centers(n_classes: int, dim: int, seed: int) -> np.ndarray:
 
 def make_blobs(n_classes: int, per_class: int, dim: int, spread: float, seed: int) -> Dataset:
     """Gaussian blobs around deterministic class centers, fully seeded."""
-    if n_classes < 2 or per_class < 1 or dim < 1:
-        raise InvalidInputError(
-            f"invalid counts: n_classes={n_classes}, per_class={per_class}, dim={dim}"
-        )
+    return blob_splits(n_classes, (per_class,), dim, spread, seed)[0]
+
+
+def blob_splits(n_classes: int, per_class: tuple[int, ...], dim: int, spread: float,
+                seed: int) -> list[Dataset]:
+    """The rows ``make_blobs(n_classes, sum(per_class), ...)`` draws, split by class in order,
+    each split's features filled in place class by class: no array holds the whole draw."""
+    if n_classes < 2 or min(per_class) < 1 or dim < 1:
+        raise InvalidInputError(f"invalid counts: n_classes={n_classes}, "
+                                f"per_class={','.join(map(str, per_class))}, dim={dim}")
     if not spread > 0.0:
         raise InvalidInputError(f"spread must be positive, got {spread}")
     centers = class_centers(n_classes, dim, seed)
-    noise = generator(seed, 0xB1).standard_normal((n_classes * per_class, dim))
-    features = np.repeat(centers, per_class, axis=0) + spread * noise
-    labels = np.repeat(np.arange(n_classes, dtype=np.int64), per_class)
-    return Dataset(features=features, labels=labels, n_classes=n_classes)
+    rng = generator(seed, 0xB1)
+    splits = [np.empty((n_classes * m, dim)) for m in per_class]
+    for c in range(n_classes):
+        for m, features in zip(per_class, splits):
+            block = rng.standard_normal(out=features[c * m:(c + 1) * m])
+            block *= spread
+            block += centers[c]
+    return [Dataset(features, np.repeat(np.arange(n_classes, dtype=np.int64), m), n_classes)
+            for m, features in zip(per_class, splits)]
 
 
 @contextlib.contextmanager
@@ -107,7 +118,7 @@ def _row_type(dim: int) -> np.dtype:
 def _sha256(path) -> bytes:
     digest = hashlib.sha256()
     with open(path, "rb") as fh:
-        while chunk := fh.read(1 << 20):
+        while chunk := fh.read(1 << 16):
             digest.update(chunk)
     return digest.digest()
 
@@ -118,31 +129,33 @@ def save_csv(ds: Dataset, path) -> None:
         fh.write(",".join(["label"] + [f"f{i}" for i in range(ds.features.shape[1])]) + "\n")
         fh.writelines(f"{label},{','.join(map(repr, row.tolist()))}\n"
                       for label, row in zip(ds.labels.tolist(), ds.features))
-    rows = np.empty(ds.n, dtype=_row_type(ds.features.shape[1]))
-    rows["label"], rows["x"] = ds.labels, ds.features
     with atomic_write(f"{path}.rows", "wb") as fh:
         fh.write(_sha256(path))
-        np.save(fh, rows, allow_pickle=False)
+        np.save(fh, np.ascontiguousarray(ds.labels, dtype=np.int64), allow_pickle=False)
+        np.save(fh, np.ascontiguousarray(ds.features, dtype=np.float64), allow_pickle=False)
 
 
-def _sidecar_rows(path, row_type: np.dtype):
-    """The rows stored in ``<path>.rows``, or None unless it is bound to the CSV's bytes.
+def _sidecar_rows(path, dim: int):
+    """The (labels, features) stored in ``<path>.rows``, or None unless bound to the CSV's bytes.
 
-    A missing, unreadable or stale sidecar, or one that holds anything but a 1-D
-    ``row_type`` array, is not an error: the caller parses the CSV instead. The
-    digest is compared before the array is read, so a stale sidecar's header
-    never decides what is allocated.
+    A missing, unreadable or stale sidecar, one that holds anything but int64 ``(n,)``
+    labels, then float64 ``(n, dim)`` features in C order, or one whose header asks
+    for more memory than there is, is not an error: the caller parses the CSV. The
+    digest is compared first, so a stale sidecar's headers never size an allocation.
     """
     try:
         with open(f"{path}.rows", "rb") as fh:
             if fh.read(32) != _sha256(path):
                 return None
-            rows = np.load(fh, allow_pickle=False)
-    except (OSError, ValueError, EOFError):
-        return None
-    if not (isinstance(rows, np.ndarray) and rows.ndim == 1 and rows.dtype == row_type):
-        return None
-    return rows
+            labels = np.lib.format.read_array(fh, allow_pickle=False)
+            features = np.lib.format.read_array(fh, allow_pickle=False)
+            if (not fh.read(1) and labels.dtype == np.int64 and labels.ndim == 1
+                    and features.dtype == np.float64 and features.shape == (len(labels), dim)
+                    and features.flags.c_contiguous):
+                return labels, features
+    except (OSError, ValueError, MemoryError):
+        pass
+    return None
 
 
 # loadtxt's bad-cell error, with its 0-based row among the lines given; ours never match.
@@ -172,11 +185,11 @@ def load_csv(path, n_classes: int) -> Dataset:
         names = fh.readline().rstrip("\r\n").split(",")
         if len(names) < 2 or names[0] != "label":
             raise InvalidInputError(f"{path}:1: header must be 'label,f0,f1,...'")
-        row_type = _row_type(len(names) - 1)
-        rows = _sidecar_rows(path, row_type)
-        if rows is None:
+        dim = len(names) - 1
+        stored = _sidecar_rows(path, dim)
+        if stored is None:
             try:
-                rows = np.loadtxt(_data_lines(fh, path, len(names)), dtype=row_type,
+                rows = np.loadtxt(_data_lines(fh, path, len(names)), dtype=_row_type(dim),
                                   delimiter=",", comments=None, quotechar=None, ndmin=1)
             except ValueError as exc:
                 cell = _CELL_ERROR.fullmatch(str(exc))
@@ -184,7 +197,8 @@ def load_csv(path, n_classes: int) -> Dataset:
                     raise
                 raise InvalidInputError(f"{path}:{int(cell[2]) + 2}: non-numeric cell in column "
                                         f"{cell[3]}: {cell[1]}") from exc
-    labels, features = rows["label"].copy(), np.ascontiguousarray(rows["x"])
+            stored = rows["label"].copy(), np.ascontiguousarray(rows["x"])
+    labels, features = stored
     finite = np.isfinite(features).all(axis=1)
     bad = ~finite | (labels < 0) | (labels >= n_classes)
     if bad.any():

@@ -23,7 +23,7 @@ TOY = (
 # The listing digest of TOY's 74 files. It depends on the numpy/BLAS build it
 # was recorded with; a change that alters artifact bits on purpose updates it
 # and says so.
-TOY_LISTING_DIGEST = "25a4d76bbad6eed19f134b5a1c641db7c527e9af13f2b709a30ff0bf3bfffa39"
+TOY_LISTING_DIGEST = "55d7c3542538fd9abbeda518d2a9efb33d3f500afc405b6025a1ecc72aaaa74c"
 
 
 def test_two_runs_give_the_same_listing_digest(tmp_path):

@@ -4,6 +4,7 @@ import argparse
 import contextlib
 import io
 import json
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -11,7 +12,8 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from rectidistill import cli, schedule
+from rectidistill import analysis, cli, schedule, train
+from rectidistill.data import Dataset, load_csv, make_blobs, save_csv
 
 
 @pytest.fixture(autouse=True)
@@ -31,6 +33,15 @@ def gen_tiny_data(tmp_path, per_class=25, val_per_class=25):
     ])
     assert rc == cli.EXIT_OK
     return out
+
+
+def one_draw_cut_by_class(classes, per, val, dim, spread, seed):
+    """gen-data's former splits, kept as the oracle: one make_blobs draw of ``per + val``
+    rows a class, whose first ``per`` rows of each class are train and the rest val."""
+    full = make_blobs(classes, per + val, dim, spread, seed)
+    by_class = np.arange(full.n).reshape(classes, per + val)
+    return [Dataset(full.features[idx.ravel()], full.labels[idx.ravel()], classes)
+            for idx in (by_class[:, :per], by_class[:, per:])]
 
 
 def config_keys(out):
@@ -114,10 +125,44 @@ class TestGenData:
         assert not out.exists()
 
     def test_unwritable_output_directory_is_an_io_error(self, tmp_path, capsys):
-        blocker = tmp_path / "a-file"
-        blocker.write_text("")
-        assert cli.main(["gen-data", "--out", str(blocker / "data")]) == cli.EXIT_INTERNAL == 1
+        # a directory where train.csv goes: --out passes its check, the write fails
+        out = tmp_path / "data"
+        (out / "train.csv").mkdir(parents=True)
+        assert cli.main(["gen-data", "--out", str(out)]) == cli.EXIT_INTERNAL == 1
         assert capsys.readouterr().err.startswith("I/O error: ")
+        assert sorted(p.name for p in out.iterdir()) == ["config.txt", "train.csv"]
+
+    @pytest.mark.parametrize("shape", [(2, 1, 9, 1, 0.5, 0), (3, 25, 25, 2, 0.8, 4),
+                                       (7, 13, 1, 5, 0.3, 42), (100, 200, 50, 32, 1.2, 1)])
+    def test_splits_equal_one_draw_cut_by_class(self, tmp_path, shape):
+        classes, per, val, dim, spread, seed = shape
+        out = tmp_path / "data"
+        assert cli.main(["gen-data", "--classes", str(classes), "--per-class", str(per),
+                         "--val-per-class", str(val), "--dim", str(dim), "--spread", repr(spread),
+                         "--seed", str(seed), "--out", str(out)]) == cli.EXIT_OK
+        want = one_draw_cut_by_class(classes, per, val, dim, spread, seed)
+        for name, split in zip(("train", "val"), want):
+            save_csv(split, tmp_path / f"want-{name}.csv")
+            for suffix in (".csv", ".csv.rows"):
+                got = (out / f"{name}{suffix}").read_bytes()
+                assert got == (tmp_path / f"want-{name}{suffix}").read_bytes(), (name, suffix)
+            got = load_csv(out / f"{name}.csv", classes)
+            assert np.array_equal(got.features, split.features)
+            assert np.array_equal(got.labels, split.labels)
+
+    def test_peak_memory_is_about_the_two_splits(self, tmp_path):
+        # the splits are filled in place and written without a copy or a row array
+        classes, per, val, dim = 100, 200, 50, 32
+        argv = ["gen-data", "--classes", str(classes), "--per-class", str(per),
+                "--val-per-class", str(val), "--dim", str(dim), "--out", str(tmp_path / "data")]
+        tracemalloc.start()
+        try:
+            assert cli.main(argv) == cli.EXIT_OK
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        splits = classes * (per + val) * (dim + 1) * 8  # float64 features, int64 labels
+        assert peak <= 1.25 * splits
 
 
 class TestTrainTeacher:
@@ -679,6 +724,34 @@ def test_directory_as_input_file_is_usage_error_before_output(setup, capsys, fla
     assert cli.main(argv) == cli.EXIT_USAGE
     assert capsys.readouterr().err.endswith(f" is not an existing file: {str(data)!r}\n")
     assert not out.exists()
+
+
+@pytest.mark.parametrize("under", [False, True], ids=["file", "path-under-file"])
+@pytest.mark.parametrize("command", list(cli.COMMANDS))
+def test_out_naming_a_file_is_usage_error_before_any_work(setup, capsys, monkeypatch, command,
+                                                          under):
+    tmp, data, teacher = setup
+    blocker = tmp / f"{command}-out-file-{under}"
+    blocker.write_text("not a directory\n")
+    out = blocker / "sub" if under else blocker
+
+    def no_work(*args, **kwargs):
+        raise AssertionError("the run started")
+
+    for owner, name in ((cli, "blob_splits"), (train, "train_teacher"), (train, "distill"),
+                        (analysis, "sweep"), (cli, "load_csv")):
+        monkeypatch.setattr(owner, name, no_work)
+    inputs = {
+        "gen-data": [],
+        "train-teacher": ["--train", str(data / "train.csv"), "--epochs", "50"],
+        "prop-check": [],
+    }.get(command, ["--train", str(data / "train.csv"), "--val", str(data / "val.csv"),
+                    "--teacher", str(teacher), "--dims", "2,4,3", "--epochs", "30"])
+    assert cli.main([command, *inputs, "--out", str(out)]) == cli.EXIT_USAGE
+    err = capsys.readouterr().err
+    assert err == f"error: --out {str(out)!r}: {str(blocker)!r} is not a directory\n"
+    assert blocker.read_text() == "not a directory\n"
+    assert not any(p.name.startswith(blocker.name) and p != blocker for p in tmp.iterdir())
 
 
 @pytest.mark.parametrize("command", ["gen-data", "train-teacher", "distill", "ablate"])

@@ -3,6 +3,7 @@
 import csv
 import hashlib
 import pickle
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -102,6 +103,11 @@ class TestMakeBlobs:
         features, labels = per_class_blobs(*shape)
         assert np.array_equal(ds.features, features)
         assert np.array_equal(ds.labels, labels) and ds.labels.dtype == np.int64
+
+    def test_peak_memory_is_about_the_output(self):
+        # each class's rows are drawn, scaled and shifted in place in the output
+        ds, peak = peak_bytes(make_blobs, 100, 250, 32, 1.2, 3)
+        assert peak <= 1.25 * dataset_bytes(ds)
 
     def test_invalid_parameters_raise(self):
         with pytest.raises(InvalidInputError, match="invalid counts: n_classes=1"):
@@ -265,11 +271,35 @@ def parses(monkeypatch):
     return count
 
 
-def write_sidecar(path, digest: bytes, rows: np.ndarray) -> None:
-    """Replace ``path``'s sidecar with ``digest`` followed by ``rows`` in ``.npy`` form."""
+def write_sidecar(path, digest: bytes, *records: np.ndarray) -> None:
+    """Replace ``path``'s sidecar with ``digest`` followed by ``records`` in ``.npy`` form."""
     with open(f"{path}.rows", "wb") as fh:
         fh.write(digest)
-        np.save(fh, rows, allow_pickle=rows.dtype.hasobject)
+        for record in records:
+            np.save(fh, record, allow_pickle=record.dtype.hasobject)
+
+
+def forged_records(n: int, dim: int) -> tuple[np.ndarray, np.ndarray]:
+    """Labels and features of the stored dtypes and shapes whose every value differs from a split's.
+
+    Every label is 2 and every feature 0, so a sidecar of these records that
+    load_csv used would show in the dataset it returns.
+    """
+    return np.full(n, 2, dtype=np.int64), np.zeros((n, dim))
+
+
+def peak_bytes(fn, *args):
+    """What ``fn(*args)`` returns, and the tracemalloc peak of the call."""
+    tracemalloc.start()
+    try:
+        out = fn(*args)
+        return out, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def dataset_bytes(ds: Dataset) -> int:
+    return ds.features.nbytes + ds.labels.nbytes
 
 
 def csv_digest(path) -> bytes:
@@ -298,16 +328,39 @@ class TestSidecar:
         assert_same_dataset(hit, parsed)
         assert_same_dataset(hit, ds)
 
-    def test_layout_is_csv_digest_then_one_npy_record(self, tmp_path):
+    def test_layout_is_csv_digest_then_labels_and_features_records(self, tmp_path):
         path = tmp_path / "split.csv"
         save_csv(AWKWARD, path)
         with open(tmp_path / "split.csv.rows", "rb") as fh:
             assert fh.read(32) == csv_digest(path)
-            rows = np.load(fh, allow_pickle=False)
+            labels = np.load(fh, allow_pickle=False)
+            features = np.load(fh, allow_pickle=False)
             assert fh.read() == b""
-        assert rows.dtype == np.dtype([("label", np.int64), ("x", np.float64, (6,))])
-        assert np.array_equal(rows["label"], AWKWARD.labels)
-        assert np.array_equal(rows["x"], AWKWARD.features)
+        assert labels.dtype == np.dtype(np.int64) and labels.shape == (3,)
+        assert features.dtype == np.dtype(np.float64) and features.shape == (3, 6)
+        assert features.flags.c_contiguous
+        assert np.array_equal(labels, AWKWARD.labels)
+        assert np.array_equal(features, AWKWARD.features)
+        assert np.array_equal(np.signbit(features), np.signbit(AWKWARD.features))
+
+    def test_sidecar_bytes_do_not_depend_on_the_arrays_memory_layout(self, tmp_path):
+        # int32 labels and Fortran-ordered features store as int64 and C order
+        ds = make_blobs(4, 25, 3, 1.2, seed=5)
+        other = Dataset(np.asfortranarray(ds.features), ds.labels.astype(np.int32), 4)
+        for name, split in (("a", ds), ("b", other)):
+            (tmp_path / name).mkdir()
+            save_csv(split, tmp_path / name / "train.csv")
+        first, second = (tmp_path / name / "train.csv.rows" for name in ("a", "b"))
+        assert first.read_bytes() == second.read_bytes()
+
+    def test_hit_holds_the_dataset_once(self, tmp_path):
+        # the two records load into the dataset's own arrays: no row array, no copy
+        ds = make_blobs(20, 500, 32, 1.2, seed=3)
+        path = tmp_path / "split.csv"
+        save_csv(ds, path)
+        hit, peak = peak_bytes(load_csv, path, 20)
+        assert_same_dataset(hit, ds)
+        assert peak <= 1.25 * dataset_bytes(ds)
 
     def test_two_saves_give_byte_identical_sidecars(self, tmp_path):
         ds = make_blobs(4, 25, 3, 1.2, seed=5)
@@ -336,21 +389,29 @@ class TestSidecar:
             load_csv(path, 2)
 
     @pytest.mark.parametrize("kind", ["empty", "digest-only", "truncated-header", "truncated-data",
-                                      "garbage", "pickled", "object-array", "npz"])
+                                      "garbage", "pickled", "object-array", "npz",
+                                      "missing-second-record", "trailing-bytes", "old-layout"])
     def test_unreadable_sidecar_falls_back_to_the_parse(self, tmp_path, kind, parses):
         ds = make_blobs(3, 10, 4, 0.8, seed=2)
         path = tmp_path / "split.csv"
         save_csv(ds, path)
         sidecar = tmp_path / "split.csv.rows"
         stored, digest = sidecar.read_bytes(), csv_digest(path)
-        # right dtype and shape, wrong values: only ever loading without pickle rejects it
-        forged = np.zeros(ds.n, dtype=[("label", np.int64), ("x", np.float64, (4,))])
+        # right dtypes and shapes, wrong values: only ever loading without pickle rejects them
+        labels, features = forged_records(ds.n, 4)
         if kind == "object-array":
-            write_sidecar(path, digest, np.array([ds.features, 1], dtype=object))
+            write_sidecar(path, digest, np.array([ds.features, 1], dtype=object), features)
         elif kind == "npz":
             with open(sidecar, "wb") as fh:
                 fh.write(digest)
-                np.savez(fh, rows=np.zeros(3))
+                np.savez(fh, labels=labels, features=features)
+        elif kind == "missing-second-record":
+            write_sidecar(path, digest, labels)
+        elif kind == "old-layout":
+            # one structured record of the rows, as save_csv wrote it before the two records
+            rows = np.empty(ds.n, dtype=[("label", np.int64), ("x", np.float64, (4,))])
+            rows["label"], rows["x"] = ds.labels, ds.features
+            write_sidecar(path, digest, rows)
         else:
             sidecar.write_bytes({
                 "empty": b"",
@@ -358,43 +419,70 @@ class TestSidecar:
                 "truncated-header": stored[:60],
                 "truncated-data": stored[:-8],
                 "garbage": digest + bytes(range(256)) * 8,
-                "pickled": digest + pickle.dumps(forged),
+                "pickled": digest + pickle.dumps((labels, features)),
+                "trailing-bytes": stored + b"\0",
             }[kind])
         assert_same_dataset(load_csv(path, 3), ds)
         assert parses[0] == 1
 
     @pytest.mark.parametrize("kind", ["float32-features", "int32-labels", "wider-rows",
-                                      "swapped-byte-order", "two-dimensional", "plain-floats"])
+                                      "swapped-byte-order", "swapped-labels", "swapped-features",
+                                      "two-dimensional", "one-dimensional-features",
+                                      "plain-floats", "length-mismatch", "fortran-order"])
     def test_wrong_dtype_or_shape_falls_back_to_the_parse(self, tmp_path, kind, parses):
         ds = make_blobs(3, 10, 4, 0.8, seed=2)
         path = tmp_path / "split.csv"
         save_csv(ds, path)
-        dtype = {"float32-features": [("label", np.int64), ("x", np.float32, (4,))],
-                 "int32-labels": [("label", np.int32), ("x", np.float64, (4,))],
-                 "wider-rows": [("label", np.int64), ("x", np.float64, (5,))],
-                 "swapped-byte-order": [("label", ">i8"), ("x", ">f8", (4,))],
-                 "two-dimensional": [("label", np.int64), ("x", np.float64, (4,))],
-                 "plain-floats": np.float64}[kind]
-        shape = (ds.n, 1) if kind == "two-dimensional" else (ds.n,)
-        rows = np.zeros(shape, dtype=dtype)
-        if rows.dtype.names:
-            rows["label"] = 2  # every stored label differs from the CSV's
-        write_sidecar(path, csv_digest(path), rows)
+        labels, features = forged_records(ds.n, 4)
+        records = {"float32-features": (labels, features.astype(np.float32)),
+                   "int32-labels": (labels.astype(np.int32), features),
+                   "wider-rows": (labels, np.zeros((ds.n, 5))),
+                   "swapped-byte-order": (labels.astype(">i8"), features.astype(">f8")),
+                   "swapped-labels": (labels.astype(">i8"), features),
+                   "swapped-features": (labels, features.astype(">f8")),
+                   "two-dimensional": (labels[:, None], features),
+                   "one-dimensional-features": (labels, features.ravel()),
+                   "plain-floats": (labels.astype(np.float64), features),
+                   "length-mismatch": (labels[:-1], features),
+                   "fortran-order": (labels, np.asfortranarray(features))}[kind]
+        write_sidecar(path, csv_digest(path), *records)
         assert_same_dataset(load_csv(path, 3), ds)
         assert parses[0] == 1
 
-    def test_stale_sidecar_is_not_read_past_its_digest(self, tmp_path, parses):
-        # a header declaring 10**12 rows would ask np.load for 36 TiB
+    def _sidecar_with_a_huge_header(self, tmp_path, record: int, stale: bool = True):
+        """A sidecar whose ``record`` (0: labels, 1: features) claims 10**12 rows."""
+        # that header would ask numpy for 7.3 TiB of labels or 29 TiB of features
         ds = make_blobs(3, 10, 4, 0.8, seed=2)
         path = tmp_path / "split.csv"
         save_csv(ds, path)
-        row_type = np.dtype([("label", np.int64), ("x", np.float64, (4,))])
+        labels, features = forged_records(ds.n, 4)
         with open(tmp_path / "split.csv.rows", "wb") as fh:
-            fh.write(bytes(32))
+            fh.write(bytes(32) if stale else csv_digest(path))
+            if record == 1:
+                np.save(fh, labels)
+            huge = (labels, features)[record]
             np.lib.format.write_array_header_1_0(fh, {
-                "descr": np.lib.format.dtype_to_descr(row_type),
-                "fortran_order": False, "shape": (10**12,)})
-            fh.write(bytes(row_type.itemsize))
+                "descr": np.lib.format.dtype_to_descr(huge.dtype),
+                "fortran_order": False, "shape": (10**12, *huge.shape[1:])})
+            fh.write(huge.tobytes())
+        return path, ds
+
+    def test_stale_sidecar_is_not_read_past_its_digest(self, tmp_path, parses):
+        path, ds = self._sidecar_with_a_huge_header(tmp_path, record=0)
+        assert_same_dataset(load_csv(path, 3), ds)
+        assert parses[0] == 1
+
+    def test_stale_sidecar_second_record_is_not_read_past_its_digest(self, tmp_path, parses):
+        path, ds = self._sidecar_with_a_huge_header(tmp_path, record=1)
+        assert_same_dataset(load_csv(path, 3), ds)
+        assert parses[0] == 1
+
+    @pytest.mark.parametrize("record", [0, 1], ids=["labels", "features"])
+    def test_bound_sidecar_with_a_huge_header_falls_back_to_the_parse(self, tmp_path, record,
+                                                                      parses):
+        # the allocation fails (or, where memory is overcommitted, the short read
+        # does), so the header never reaches the caller as a MemoryError
+        path, ds = self._sidecar_with_a_huge_header(tmp_path, record, stale=False)
         assert_same_dataset(load_csv(path, 3), ds)
         assert parses[0] == 1
 
