@@ -25,7 +25,7 @@ import sys
 import numpy as np
 
 from . import analysis, model, train
-from .data import Dataset, atomic_write, blob_splits, load_csv, save_csv, write_table
+from .data import TEXT, Dataset, atomic_write, blob_splits, load_csv, save_csv, write_table
 from .errors import ConfigError, RectiDistillError
 
 EXIT_OK = 0
@@ -79,6 +79,8 @@ def _require_file(path: str, what: str) -> None:
 
 
 def _require_out_dir(path: str) -> None:
+    if not path:
+        raise ConfigError("--out is empty; it must name a directory")
     head = path  # the run writes there, so it and each existing parent must be directories
     while head and not os.path.isdir(head):
         if os.path.lexists(head):
@@ -89,7 +91,7 @@ def _require_out_dir(path: str) -> None:
 def _read_config_file(path: str) -> dict[str, str]:
     _require_file(path, "config file")
     values: dict[str, str] = {}
-    with open(path) as fh:
+    with open(path, **TEXT) as fh:
         for lineno, line in enumerate(fh, start=1):
             line = line.strip()
             if not line or line.startswith("#"):
@@ -146,20 +148,17 @@ def _write_json(path: str, obj: dict) -> None:
         fh.write("\n")
 
 
-def _load_dataset(path: str, what: str, width: int, n_classes: int) -> Dataset:
+def _load_dataset(path: str, what: str, n_classes: int) -> Dataset:
     _require_file(path, what)
-    ds = load_csv(path, n_classes)
-    if ds.features.shape[1] != width:
-        raise ConfigError(f"{what} has {ds.features.shape[1]} features, dims start at {width}")
-    return ds
+    return load_csv(path, n_classes)
 
 
-def _load_datasets(cfg: dict, width: int, n_classes: int) -> tuple[Dataset, Dataset | None]:
-    """Load --train and --val; the model fixes the feature width and the class count."""
-    train_ds = _load_dataset(cfg["train"], "training dataset", width, n_classes)
+def _load_datasets(cfg: dict, n_classes: int) -> tuple[Dataset, Dataset | None]:
+    """Load --train and --val; the model fixes the class count, ``train._fit`` the width."""
+    train_ds = _load_dataset(cfg["train"], "training dataset", n_classes)
     val_ds = None
     if cfg["val"]:
-        val_ds = _load_dataset(cfg["val"], "validation dataset", width, n_classes)
+        val_ds = _load_dataset(cfg["val"], "validation dataset", n_classes)
     return train_ds, val_ds
 
 
@@ -172,7 +171,7 @@ def _load_distill_inputs(cfg: dict):
         raise ConfigError(
             f"teacher checkpoint takes {teacher.dims[0]} inputs, dims start at {dims[0]}"
         )
-    return (dims, teacher, *_load_datasets(cfg, dims[0], teacher.dims[-1]))
+    return (dims, teacher, *_load_datasets(cfg, teacher.dims[-1]))
 
 
 def _train_config(cfg: dict, **extra) -> train.TrainConfig:
@@ -189,7 +188,7 @@ def cmd_gen_data(cfg: dict) -> int:
             raise ConfigError(f"{key} must be >= {low}, got {cfg[key]}")
     if not 0.0 < cfg["spread"] < math.inf:
         raise ConfigError(f"spread must be finite and > 0, got {cfg['spread']}")
-    # One draw shared by both splits so class centers match exactly.
+    # Both splits come from one (seed, 0xB1) stream around the same class_centers(seed).
     splits = blob_splits(cfg["classes"], (cfg["per-class"], cfg["val-per-class"]), cfg["dim"],
                          cfg["spread"], cfg["seed"])
     _persist_config(cfg)
@@ -205,7 +204,7 @@ def cmd_gen_data(cfg: dict) -> int:
 def cmd_train_teacher(cfg: dict) -> int:
     tc = _train_config(cfg)
     dims = _parse_dims(cfg["dims"])
-    train_ds, val_ds = _load_datasets(cfg, dims[0], dims[-1])
+    train_ds, val_ds = _load_datasets(cfg, dims[-1])
     params, rows = train.train_teacher(train_ds, dims, tc, val_ds)
     _persist_config(cfg)
     model.save_checkpoint(params, os.path.join(cfg["out"], "teacher.ckpt"))

@@ -25,6 +25,10 @@ import numpy as np
 from .errors import InvalidInputError
 from .rng import generator
 
+# Every text file the package reads or writes: a byte that is not UTF-8 becomes a lone
+# surrogate, which fails the parse of its line, and is written back as the same byte.
+TEXT = {"encoding": "utf-8", "errors": "surrogateescape"}
+
 
 @dataclass(frozen=True)
 class Dataset:
@@ -91,7 +95,7 @@ def atomic_write(path, mode: str = "w"):
     """
     tmp = f"{path}.tmp"
     try:
-        with open(tmp, mode, newline=None if "b" in mode else "") as fh:
+        with open(tmp, mode, **({} if "b" in mode else {"newline": "", **TEXT})) as fh:
             yield fh
         os.replace(tmp, path)
     finally:
@@ -181,7 +185,7 @@ def load_csv(path, n_classes: int) -> Dataset:
     current bytes, else from parsing the CSV. The label and finiteness checks
     run on both.
     """
-    with open(path) as fh:
+    with open(path, **TEXT) as fh:
         names = fh.readline().rstrip("\r\n").split(",")
         if len(names) < 2 or names[0] != "label":
             raise InvalidInputError(f"{path}:1: header must be 'label,f0,f1,...'")

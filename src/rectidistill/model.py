@@ -26,7 +26,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .data import atomic_write
+from .data import TEXT, atomic_write
 from .errors import InvalidInputError
 from .rng import generator
 
@@ -209,7 +209,7 @@ def save_checkpoint(p: MlpParams, path) -> None:
 
 
 def load_checkpoint(path) -> MlpParams:
-    with open(path) as fh:
+    with open(path, **TEXT) as fh:
         lines = fh.read().splitlines()
 
     def parse_error(lineno: int, msg: str):

@@ -49,14 +49,6 @@ def as_prob_vector(p) -> np.ndarray:
     return p
 
 
-def _shifted_exp_rows(logits, tau: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """z / tau shifted by its row maximum, its ``exp``, and that exp's (n, 1) row sum."""
-    shifted = np.asarray(logits, dtype=np.float64) / tau
-    shifted -= shifted.max(axis=1, keepdims=True)
-    e = np.exp(shifted)
-    return shifted, e, e.sum(axis=1, keepdims=True)
-
-
 def log_softmax_rows(logits, tau: float = 1.0) -> tuple[np.ndarray, np.ndarray]:
     """Row-wise (ln softmax(z / tau), softmax(z / tau)) over a (n, k) logit matrix.
 
@@ -64,17 +56,13 @@ def log_softmax_rows(logits, tau: float = 1.0) -> tuple[np.ndarray, np.ndarray]:
     ln s is the shifted logits minus the log of that sum, finite for every
     finite logit row, also where s is 0.
     """
-    shifted, e, total = _shifted_exp_rows(logits, tau)
+    shifted = np.asarray(logits, dtype=np.float64) / tau
+    shifted -= shifted.max(axis=1, keepdims=True)
+    e = np.exp(shifted)
+    total = e.sum(axis=1, keepdims=True)
     shifted -= np.log(total)
     e /= total
     return shifted, e
-
-
-def softmax_rows(logits, tau: float = 1.0) -> np.ndarray:
-    """Row-wise softmax(z / tau) over a (n, k) logit matrix, with no ln s."""
-    _, e, total = _shifted_exp_rows(logits, tau)
-    e /= total
-    return e
 
 
 def kl_rows(targets, log_probs) -> np.ndarray:

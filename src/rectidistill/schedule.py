@@ -114,14 +114,14 @@ def teacher_targets(teacher_probs, labels, mode: str):
     ``targets`` holds the teacher rows, with every other row rectified to
     step c (step b in ``step_b_ablation``), or all zeros in
     ``eliminate_only``, so that its KL and gradient term are exactly 0.
-    ``vanilla_kd``, and batches without a biased row, get ``teacher_probs``
-    itself back, uncopied. Every output row depends only on its own input
-    row and label.
+    ``vanilla_kd`` gets ``teacher_probs`` itself back; every other mode a
+    fresh array. Every output row depends only on its own input row and
+    label.
     """
     right = np.argmax(teacher_probs, axis=1) == labels
     bias = ~right
     hard = np.zeros_like(right) if mode in ("vanilla_kd", "rectify_only") else bias
-    if mode == "vanilla_kd" or right.all():
+    if mode == "vanilla_kd":
         return teacher_probs, right, hard
     targets = teacher_probs.copy()
     if mode == "eliminate_only":

@@ -15,7 +15,7 @@ import numpy as np
 from . import model
 from .data import Dataset, batch_iter
 from .errors import ConfigError, TrainingDivergedError
-from .numerics import ce_rows, log_softmax_rows, softmax_rows
+from .numerics import ce_rows, log_softmax_rows
 from .schedule import MODES, EpochSchedule, resolve_gamma, target_loss, teacher_targets
 
 METRICS_COLUMNS = (
@@ -68,6 +68,14 @@ class TrainConfig:
             raise ConfigError(f"mode fixed_gamma needs a gamma in [0, 1), got {self.fixed_gamma}")
 
 
+def _require_fit(role: str, dims, *splits) -> None:
+    """Raise ``ConfigError`` unless widths ``dims`` take each split's features to its classes."""
+    for ds in splits:
+        if ds is not None and (ds.features.shape[1], ds.n_classes) != (dims[0], dims[-1]):
+            raise ConfigError(f"{role} maps {dims[0]} inputs to {dims[-1]} classes, but the data "
+                              f"has {ds.features.shape[1]} features and {ds.n_classes} classes")
+
+
 # A diverging run is reported once, as the non-finite logits or logit
 # gradients checked below, not also as numpy's overflow warnings on the way
 # there; ``distill`` fills its target table under the same errstate, since a
@@ -75,16 +83,18 @@ class TrainConfig:
 # gradients are not checked: an overflow in the backward pass makes the
 # parameters, and so the next batch's logits, non-finite.
 @np.errstate(over="ignore", invalid="ignore")
-def _fit(params: model.MlpParams, train_ds: Dataset, cfg: TrainConfig, val_ds, batch_loss):
-    """The one SGD loop: trains ``params`` in place; returns (params, per-epoch rows).
+def _fit(role: str, dims, train_ds: Dataset, cfg: TrainConfig, val_ds, batch_loss):
+    """The one SGD loop: trains a fresh ``role`` model of widths ``dims``; returns (params, rows).
 
     ``batch_loss(epoch, idx, x, y, logits)`` returns the logit gradient (already
     carrying its 1/n weighting) and a dict of that batch's loss sums. Each
     epoch row holds those sums divided by the training-set size, plus the
     train and validation accuracies. Non-finite logits of the trained
     model, or a non-finite logit gradient, raise ``TrainingDivergedError``
-    naming the epoch.
+    naming the epoch; a model that does not fit both splits, ``ConfigError``.
     """
+    params = model.init(dims, cfg.seed)
+    _require_fit(role, params.dims, train_ds, val_ds)
     grad = np.empty_like(params.flat)
     grad_views = params.layer_views(grad)
     velocity = np.zeros_like(params.flat)
@@ -122,7 +132,7 @@ def train_teacher(train_ds: Dataset, dims, cfg: TrainConfig, val_ds: Dataset | N
         upstream /= len(y)
         return upstream, {"loss_ce": loss_sum}
 
-    return _fit(model.init(dims, cfg.seed), train_ds, cfg, val_ds, ce_loss)
+    return _fit("teacher", dims, train_ds, cfg, val_ds, ce_loss)
 
 
 @np.errstate(over="ignore", invalid="ignore")
@@ -160,12 +170,10 @@ def distill(
     val_ds: Dataset | None = None,
 ):
     """Distill the frozen teacher into a fresh student; returns (params, rows)."""
-    for role, width in (("teacher", teacher.dims[-1]), ("student", student_dims[-1])):
-        if width != train_ds.n_classes:
-            raise ConfigError(f"{role} output width {width} != dataset classes {train_ds.n_classes}")
+    _require_fit("teacher", teacher.dims, train_ds, val_ds)
 
     def teacher_probs(x):
-        return softmax_rows(model.forward(teacher, x), cfg.tau)
+        return log_softmax_rows(model.forward(teacher, x), cfg.tau)[1]
 
     gammas = [resolve_gamma(cfg.mode, EpochSchedule(e, cfg.epochs), cfg.fixed_gamma)
               for e in range(cfg.epochs)]
@@ -185,7 +193,7 @@ def distill(
                           "loss_easy": out.l_easy * w, "loss_hard": out.l_hard * w,
                           "teacher_right_fraction": int(right.sum())}
 
-    student, rows = _fit(model.init(student_dims, cfg.seed), train_ds, cfg, val_ds, kd_loss)
+    student, rows = _fit("student", student_dims, train_ds, cfg, val_ds, kd_loss)
     for row in rows:
         row["gamma"] = gammas[row["epoch"]]
     return student, rows

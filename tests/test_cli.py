@@ -4,6 +4,7 @@ import argparse
 import contextlib
 import io
 import json
+import os
 import tracemalloc
 import warnings
 
@@ -726,6 +727,26 @@ def test_directory_as_input_file_is_usage_error_before_output(setup, capsys, fla
     assert not out.exists()
 
 
+def refuse_work(monkeypatch):
+    """Fail the test if the run starts: the draw, a data load, training or the sweep."""
+    def no_work(*args, **kwargs):
+        raise AssertionError("the run started")
+
+    for owner, name in ((cli, "blob_splits"), (train, "train_teacher"), (train, "distill"),
+                        (analysis, "sweep"), (cli, "load_csv")):
+        monkeypatch.setattr(owner, name, no_work)
+
+
+def working_inputs(command, data, teacher):
+    """Input flags with which ``command`` would otherwise do its work."""
+    return {
+        "gen-data": [],
+        "train-teacher": ["--train", str(data / "train.csv"), "--epochs", "50"],
+        "prop-check": [],
+    }.get(command, ["--train", str(data / "train.csv"), "--val", str(data / "val.csv"),
+                    "--teacher", str(teacher), "--dims", "2,4,3", "--epochs", "30"])
+
+
 @pytest.mark.parametrize("under", [False, True], ids=["file", "path-under-file"])
 @pytest.mark.parametrize("command", list(cli.COMMANDS))
 def test_out_naming_a_file_is_usage_error_before_any_work(setup, capsys, monkeypatch, command,
@@ -734,24 +755,86 @@ def test_out_naming_a_file_is_usage_error_before_any_work(setup, capsys, monkeyp
     blocker = tmp / f"{command}-out-file-{under}"
     blocker.write_text("not a directory\n")
     out = blocker / "sub" if under else blocker
-
-    def no_work(*args, **kwargs):
-        raise AssertionError("the run started")
-
-    for owner, name in ((cli, "blob_splits"), (train, "train_teacher"), (train, "distill"),
-                        (analysis, "sweep"), (cli, "load_csv")):
-        monkeypatch.setattr(owner, name, no_work)
-    inputs = {
-        "gen-data": [],
-        "train-teacher": ["--train", str(data / "train.csv"), "--epochs", "50"],
-        "prop-check": [],
-    }.get(command, ["--train", str(data / "train.csv"), "--val", str(data / "val.csv"),
-                    "--teacher", str(teacher), "--dims", "2,4,3", "--epochs", "30"])
+    refuse_work(monkeypatch)
+    inputs = working_inputs(command, data, teacher)
     assert cli.main([command, *inputs, "--out", str(out)]) == cli.EXIT_USAGE
     err = capsys.readouterr().err
     assert err == f"error: --out {str(out)!r}: {str(blocker)!r} is not a directory\n"
     assert blocker.read_text() == "not a directory\n"
     assert not any(p.name.startswith(blocker.name) and p != blocker for p in tmp.iterdir())
+
+
+@pytest.mark.parametrize("via", ["argv", "config"])
+@pytest.mark.parametrize("command", list(cli.COMMANDS))
+def test_empty_out_is_usage_error_before_any_work(setup, tmp_path, capsys, monkeypatch, command,
+                                                  via):
+    _, data, teacher = setup
+    conf = tmp_path / "empty-out.conf"
+    conf.write_text("out=\n")
+    refuse_work(monkeypatch)
+    out = ["--out", ""] if via == "argv" else ["--config", str(conf)]
+    before = sorted(tmp_path.iterdir())  # the working directory
+    assert cli.main([command, *working_inputs(command, data, teacher), *out]) == cli.EXIT_USAGE
+    assert capsys.readouterr().err == "error: --out is empty; it must name a directory\n"
+    assert sorted(tmp_path.iterdir()) == before
+
+
+class TestStrayBytes:
+    """Every text file is read and written as UTF-8; a byte that is not is a parse error
+    naming its line, and a non-UTF-8 path round-trips byte for byte."""
+
+    @pytest.mark.parametrize("raw,want", [
+        (b"label,f0,f1\n0,1.0,2\xff.0\n", ":2: non-numeric cell in column 3: "),
+        (b"label,f0,f1\n0,1.0,2.0\n\xff1,1.0,2.0\n", ":3: non-numeric cell in column 1: "),
+        (b"label\xff,f0,f1\n0,1.0,2.0\n", ":1: header must be 'label,f0,f1,...'\n"),
+    ], ids=["feature", "label", "header"])
+    def test_in_a_csv_row(self, tmp_path, capsys, raw, want):
+        csv = tmp_path / "badrow.csv"
+        csv.write_bytes(raw)
+        out = tmp_path / "teacher"
+        rc = cli.main(["train-teacher", "--train", str(csv), "--dims", "2,4,3", "--epochs", "1",
+                       "--out", str(out)])
+        assert rc == cli.EXIT_INTERNAL
+        assert capsys.readouterr().err.startswith(f"error: {csv}{want}")
+        assert not out.exists()
+
+    def test_in_a_checkpoint_line(self, setup, tmp_path, capsys):
+        _, data, teacher = setup
+        lines = teacher.read_bytes().split(b"\n")
+        lines[3] = b"\xff" + lines[3]  # the first weight row, under 'layer <out> <in>'
+        bad = tmp_path / "teacher.ckpt"
+        bad.write_bytes(b"\n".join(lines))
+        out = tmp_path / "student"
+        rc = cli.main(["distill", "--train", str(data / "train.csv"), "--teacher", str(bad),
+                       "--dims", "2,4,3", "--epochs", "1", "--out", str(out)])
+        assert rc == cli.EXIT_INTERNAL
+        assert capsys.readouterr().err.startswith(f"error: {bad}:4: non-numeric value: ")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("line,want", [
+        (b"\xff\xfe", ":2: expected key=value, got '\\udcff\\udcfe'"),
+        (b"seed=1\xff", ": seed='1\\udcff' is not a valid int"),
+        (b"se\xffed=1", ": unknown config key 'se\\udcffed'"),
+    ], ids=["line", "value", "key"])
+    def test_in_a_config_file(self, tmp_path, capsys, line, want):
+        conf = tmp_path / "bin.conf"
+        conf.write_bytes(b"classes=3\n" + line + b"\n")
+        out = tmp_path / "data"
+        assert cli.main(["gen-data", "--config", str(conf), "--out", str(out)]) == cli.EXIT_USAGE
+        assert capsys.readouterr().err == f"error: {conf}{want}\n"
+        assert not out.exists()
+
+    def test_non_utf8_out_round_trips_through_config_txt(self, tmp_path):
+        out = tmp_path / os.fsdecode(b"data-\xff")
+        argv = ["gen-data", "--classes", "3", "--per-class", "5", "--val-per-class", "5"]
+        assert cli.main([*argv, "--out", str(out)]) == cli.EXIT_OK
+        written = (out / "config.txt").read_bytes()
+        assert b"out=" + os.fsencode(out) + b"\n" in written
+        csv = (out / "train.csv").read_bytes()
+        # config.txt read back as a config file names the same directory, byte for byte
+        assert cli.main(["gen-data", "--config", str(out / "config.txt")]) == cli.EXIT_OK
+        assert (out / "config.txt").read_bytes() == written
+        assert (out / "train.csv").read_bytes() == csv
 
 
 @pytest.mark.parametrize("command", ["gen-data", "train-teacher", "distill", "ablate"])

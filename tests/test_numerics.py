@@ -24,7 +24,6 @@ from rectidistill.numerics import (
     kl_softmax_gradient,
     log_softmax_rows,
     softmax,
-    softmax_rows,
 )
 
 
@@ -34,6 +33,18 @@ def softmax_oracle(z, tau=1.0):
         e = [mpmath.exp(mpmath.mpf(v) / mpmath.mpf(tau)) for v in z]
         total = mpmath.fsum(e)
         return np.array([float(v / total) for v in e])
+
+
+def shifted_exp_softmax_rows(logits, tau=1.0):
+    """Row-wise softmax(z / tau) with no ln s: shift by the row maximum, exp, divide by the sum.
+
+    The bit-level reference for the s of ``log_softmax_rows``.
+    """
+    shifted = np.asarray(logits, dtype=np.float64) / tau
+    shifted -= shifted.max(axis=1, keepdims=True)
+    e = np.exp(shifted)
+    e /= e.sum(axis=1, keepdims=True)
+    return e
 
 
 def _mp_log_softmax(z, tau):
@@ -135,7 +146,7 @@ class TestSoftmax:
     def test_rows_agree_with_vector_form(self):
         rng = np.random.default_rng(3)
         z = rng.normal(size=(5, 4))
-        rows = softmax_rows(z, 0.7)
+        rows = log_softmax_rows(z, 0.7)[1]
         for i in range(5):
             np.testing.assert_allclose(rows[i], softmax(z[i], 0.7), atol=1e-15)
 
@@ -153,13 +164,22 @@ class TestLogSoftmaxRows:
     def test_exp_matches_softmax_rows(self, tau):
         np.testing.assert_allclose(
             np.exp(log_softmax_rows(EXTREME_LOGITS, tau)[0]),
-            softmax_rows(EXTREME_LOGITS, tau),
+            log_softmax_rows(EXTREME_LOGITS, tau)[1],
             rtol=1e-12, atol=1e-300,
         )
 
+    @pytest.mark.parametrize("tau", TAUS)
+    def test_probs_are_bit_equal_to_the_shifted_exp_formula(self, tau):
+        # extreme rows, then rows of the shape and scale of a wide teacher's logits
+        rng = np.random.default_rng(11)
+        for logits in (EXTREME_LOGITS, rng.normal(scale=5.0, size=(256, 100)),
+                       np.array([[0.0, 800.0], [-745.0, 0.0]])):
+            got = log_softmax_rows(logits, tau)[1]
+            assert got.tobytes() == shifted_exp_softmax_rows(logits, tau).tobytes()
+
     def test_finite_where_softmax_underflows(self):
         logits = np.array([[0.0, 800.0]])
-        assert softmax_rows(logits)[0, 0] == 0.0
+        assert log_softmax_rows(logits)[1][0, 0] == 0.0
         assert log_softmax_rows(logits)[0][0, 0] == -800.0
 
 

@@ -12,7 +12,6 @@ from rectidistill.numerics import (
     kl_rows,
     log_softmax_rows,
     softmax,
-    softmax_rows,
 )
 from rectidistill.rectify import rectify_sample
 from rectidistill.schedule import (
@@ -63,7 +62,7 @@ class TestComputeBatchLoss:
     def test_global_optimum_is_zero(self):
         # student logits so extreme the softmax equals the one-hot teacher
         logits = np.array([[800.0, 0.0, 0.0], [0.0, 800.0, 0.0]])
-        teacher = softmax_rows(logits)
+        teacher = log_softmax_rows(logits)[1]
         labels = np.array([0, 1])
         out = compute_batch_loss(logits, teacher, labels, EpochSchedule(1, 2), mode="full")
         assert out.l_all == pytest.approx(0.0, abs=1e-12)
@@ -74,7 +73,7 @@ class TestComputeBatchLoss:
         logits = np.array([[0.0, 800.0]])
         teacher = np.array([[0.75, 0.25]])
         labels = np.array([0])
-        assert softmax_rows(logits)[0, 0] == 0.0
+        assert log_softmax_rows(logits)[1][0, 0] == 0.0
         out = compute_batch_loss(logits, teacher, labels, EpochSchedule(1, 2), tau=1.0,
                                  mode=mode, fixed_gamma=0.5)
         assert out.l_ce == 800.0
@@ -319,11 +318,20 @@ class TestTeacherTargets:
         for whole_column, part_column in zip(whole, part):
             assert np.array_equal(whole_column[idx], part_column)
 
-    @pytest.mark.parametrize("mode", MODES)
-    def test_copies_nothing_without_a_biased_row(self, mode):
+    @pytest.mark.parametrize("labels", [[0, 2], [1, 2]], ids=["all-right", "one-biased"])
+    def test_vanilla_kd_returns_the_teacher_rows_themselves(self, labels):
         probs = np.array([[0.7, 0.2, 0.1], [0.1, 0.1, 0.8]])
-        targets, right, _ = teacher_targets(probs, np.array([0, 2]), mode)
-        assert targets is probs and right.all()
+        targets, right, _ = teacher_targets(probs, np.array(labels), "vanilla_kd")
+        assert targets is probs and right.tolist() == [labels[0] == 0, True]
+
+    @pytest.mark.parametrize("mode", [m for m in MODES if m != "vanilla_kd"])
+    def test_fresh_array_of_equal_values_without_a_biased_row(self, mode):
+        probs = np.array([[0.7, 0.2, 0.1], [0.1, 0.1, 0.8]])
+        kept = probs.copy()
+        targets, right, hard = teacher_targets(probs, np.array([0, 2]), mode)
+        assert right.all() and not hard.any()
+        assert not np.shares_memory(targets, probs)
+        assert targets.tobytes() == kept.tobytes() == probs.tobytes()
 
     @pytest.mark.parametrize("mode,want", [
         ("full", [0.6 * 0.8 / 0.9, 0.3 * 0.8 / 0.9, 0.2]),  # step c: pair rescaled to 0.8
@@ -356,7 +364,7 @@ class TestBatchLossGradient:
 
     def test_zero_loss_configuration_has_zero_gradient(self):
         logits = np.array([[800.0, 0.0, 0.0]])
-        teacher = softmax_rows(logits)
+        teacher = log_softmax_rows(logits)[1]
         labels = np.array([0])
         g = batch_loss_gradient(logits, teacher, labels, EpochSchedule(1, 2), mode="full")
         np.testing.assert_allclose(g, 0.0, atol=1e-12)

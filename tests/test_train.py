@@ -8,7 +8,7 @@ import pytest
 from rectidistill import model, train as train_module
 from rectidistill.data import batch_iter, make_blobs
 from rectidistill.errors import ConfigError
-from rectidistill.numerics import log_softmax_rows, softmax_rows
+from rectidistill.numerics import log_softmax_rows
 from rectidistill.schedule import MODES, EpochSchedule, compute_batch_loss, resolve_gamma
 from rectidistill.train import (
     METRICS_COLUMNS,
@@ -57,7 +57,7 @@ def two_loop_teacher(train_ds, dims, cfg, val_ds):
             logits = model.forward(params, x)
             true_class = (np.arange(len(idx)), y)
             loss_sum += float(-log_softmax_rows(logits)[0][true_class].sum())
-            upstream = softmax_rows(logits)
+            upstream = log_softmax_rows(logits)[1]
             upstream[true_class] -= 1.0
             heavy_ball(params, model.backward(params, x, upstream / len(idx)), velocity, cfg)
         rows.append({
@@ -80,7 +80,7 @@ def two_loop_distill(teacher, student_dims, train_ds, cfg, val_ds):
         n_right = 0
         for idx in batch_iter(train_ds, cfg.batch_size, cfg.seed, epoch):
             x, y = train_ds.features[idx], train_ds.labels[idx]
-            teacher_probs = softmax_rows(model.forward(teacher, x), cfg.tau)
+            teacher_probs = log_softmax_rows(model.forward(teacher, x), cfg.tau)[1]
             breakdown = compute_batch_loss(
                 model.forward(student, x), teacher_probs, y, sched, cfg.tau, cfg.mode,
                 cfg.fixed_gamma,
@@ -177,7 +177,7 @@ def test_no_table_when_a_row_s_bits_depend_on_its_position(setup, m):
     train, _, teacher = setup
 
     def probs(x):
-        return softmax_rows(model.forward(teacher, x))
+        return log_softmax_rows(model.forward(teacher, x))[1]
 
     def positional(x):
         # the last of the m rows takes other bits, as from a BLAS edge kernel
@@ -234,3 +234,64 @@ def test_config_rejects_unknown_mode_and_bad_fixed_gamma(mode, fixed_gamma):
 def test_config_rejects_a_negative_seed():
     with pytest.raises(ConfigError, match="seed must be >= 0, got -1"):
         TrainConfig(seed=-1)
+
+
+def _refuse(*args):
+    raise AssertionError("the model was run before the fit check")
+
+
+@pytest.fixture
+def no_training(monkeypatch):
+    """Fail any SGD step: a model that does not fit the data is refused before one."""
+    monkeypatch.setattr(model, "sgd_step", _refuse)
+
+
+@pytest.fixture
+def no_forward(no_training, monkeypatch):
+    """Fail any forward pass too, the teacher's included."""
+    monkeypatch.setattr(model, "_forward_cached", _refuse)
+
+
+def _misfit(role, dims, split):
+    d, k = split.features.shape[1], split.n_classes
+    return (f"{role} maps {dims[0]} inputs to {dims[-1]} classes, but the data has {d} "
+            f"features and {k} classes")
+
+
+# a 4-class, 2-feature split; a label past the output width once escaped as a raw
+# IndexError, an input width mismatch as numpy's matmul ValueError
+FOUR_BLOBS = make_blobs(4, 10, 2, 1.0, 1)
+MISFIT_DIMS = [[2, 8, 3], [3, 8, 4], [2, 8, 5], [3, 8, 3]]
+
+
+@pytest.mark.parametrize("dims", MISFIT_DIMS)
+def test_teacher_that_does_not_fit_the_training_split_is_a_config_error(no_forward, dims):
+    with pytest.raises(ConfigError) as exc:
+        train_teacher(FOUR_BLOBS, dims, TrainConfig(epochs=1))
+    assert str(exc.value) == _misfit("teacher", dims, FOUR_BLOBS)
+
+
+@pytest.mark.parametrize("val", [make_blobs(4, 3, 3, 1.0, 2), make_blobs(3, 3, 2, 1.0, 2)],
+                         ids=["wider", "fewer-classes"])
+def test_a_validation_split_that_does_not_fit_is_a_config_error(no_forward, val):
+    with pytest.raises(ConfigError) as exc:
+        train_teacher(FOUR_BLOBS, [2, 8, 4], TrainConfig(epochs=1), val)
+    assert str(exc.value) == _misfit("teacher", [2, 8, 4], val)
+    with pytest.raises(ConfigError) as exc:
+        distill(model.init([2, 6, 4], 0), [2, 5, 4], FOUR_BLOBS, TrainConfig(epochs=1), val)
+    assert str(exc.value) == _misfit("teacher", [2, 6, 4], val)
+
+
+@pytest.mark.parametrize("dims", MISFIT_DIMS)
+def test_student_that_does_not_fit_the_training_split_is_a_config_error(no_training, dims):
+    with pytest.raises(ConfigError) as exc:
+        distill(model.init([2, 6, 4], 0), dims, FOUR_BLOBS, TrainConfig(epochs=1))
+    assert str(exc.value) == _misfit("student", dims, FOUR_BLOBS)
+
+
+@pytest.mark.parametrize("dims", MISFIT_DIMS)
+def test_teacher_that_does_not_fit_is_refused_before_distilling(no_forward, dims):
+    # the student fits; only the teacher's widths are wrong
+    with pytest.raises(ConfigError) as exc:
+        distill(model.init(dims, 0), [2, 5, 4], FOUR_BLOBS, TrainConfig(epochs=1))
+    assert str(exc.value) == _misfit("teacher", dims, FOUR_BLOBS)
