@@ -154,7 +154,7 @@ def _load_dataset(path: str, what: str, n_classes: int) -> Dataset:
 
 
 def _load_datasets(cfg: dict, n_classes: int) -> tuple[Dataset, Dataset | None]:
-    """Load --train and --val; the model fixes the class count, ``train._fit`` the width."""
+    """Load --train and --val at the model's class count; ``train`` checks that the model fits."""
     train_ds = _load_dataset(cfg["train"], "training dataset", n_classes)
     val_ds = None
     if cfg["val"]:
@@ -167,10 +167,6 @@ def _load_distill_inputs(cfg: dict):
     dims = _parse_dims(cfg["dims"])
     _require_file(cfg["teacher"], "teacher checkpoint")
     teacher = model.load_checkpoint(cfg["teacher"])
-    if teacher.dims[0] != dims[0]:
-        raise ConfigError(
-            f"teacher checkpoint takes {teacher.dims[0]} inputs, dims start at {dims[0]}"
-        )
     return (dims, teacher, *_load_datasets(cfg, teacher.dims[-1]))
 
 
@@ -241,9 +237,9 @@ def cmd_ablate(cfg: dict) -> int:
     if cfg["seeds"] < 1:
         raise ConfigError(f"seeds must be >= 1, got {cfg['seeds']}")
     tc = _train_config(cfg, tau=cfg["tau"])
-    dims, teacher, train_ds, val_ds = _load_distill_inputs(cfg)
-    if val_ds is None:
+    if not cfg["val"]:
         raise ConfigError("ablate compares validation accuracy and needs --val")
+    dims, teacher, train_ds, val_ds = _load_distill_inputs(cfg)
 
     results = []  # (seed, mode_label, val_acc)
     for seed in range(cfg["seed"], cfg["seed"] + cfg["seeds"]):

@@ -83,18 +83,17 @@ def _require_fit(role: str, dims, *splits) -> None:
 # gradients are not checked: an overflow in the backward pass makes the
 # parameters, and so the next batch's logits, non-finite.
 @np.errstate(over="ignore", invalid="ignore")
-def _fit(role: str, dims, train_ds: Dataset, cfg: TrainConfig, val_ds, batch_loss):
-    """The one SGD loop: trains a fresh ``role`` model of widths ``dims``; returns (params, rows).
+def _fit(params: model.MlpParams, train_ds: Dataset, cfg: TrainConfig, val_ds, batch_loss):
+    """The one SGD loop: trains ``params`` in place; returns its per-epoch rows.
 
+    The caller builds the model and checks that it fits both splits.
     ``batch_loss(epoch, idx, x, y, logits)`` returns the logit gradient (already
     carrying its 1/n weighting) and a dict of that batch's loss sums. Each
     epoch row holds those sums divided by the training-set size, plus the
     train and validation accuracies. Non-finite logits of the trained
     model, or a non-finite logit gradient, raise ``TrainingDivergedError``
-    naming the epoch; a model that does not fit both splits, ``ConfigError``.
+    naming the epoch.
     """
-    params = model.init(dims, cfg.seed)
-    _require_fit(role, params.dims, train_ds, val_ds)
     grad = np.empty_like(params.flat)
     grad_views = params.layer_views(grad)
     velocity = np.zeros_like(params.flat)
@@ -121,18 +120,20 @@ def _fit(role: str, dims, train_ds: Dataset, cfg: TrainConfig, val_ds, batch_los
         for key, ds in (("train_acc", train_ds), ("val_acc", val_ds)):
             row[key] = float("nan") if ds is None else model.evaluate(params, ds.features, ds.labels)
         rows.append(row)
-    return params, rows
+    return rows
 
 
 def train_teacher(train_ds: Dataset, dims, cfg: TrainConfig, val_ds: Dataset | None = None):
     """Plain cross-entropy training; returns (params, per-epoch metric rows)."""
+    params = model.init(dims, cfg.seed)
+    _require_fit("teacher", params.dims, train_ds, val_ds)
 
     def ce_loss(epoch, idx, x, y, logits):
         loss_sum, upstream = ce_rows(*log_softmax_rows(logits), y)
         upstream /= len(y)
         return upstream, {"loss_ce": loss_sum}
 
-    return _fit("teacher", dims, train_ds, cfg, val_ds, ce_loss)
+    return params, _fit(params, train_ds, cfg, val_ds, ce_loss)
 
 
 @np.errstate(over="ignore", invalid="ignore")
@@ -171,6 +172,8 @@ def distill(
 ):
     """Distill the frozen teacher into a fresh student; returns (params, rows)."""
     _require_fit("teacher", teacher.dims, train_ds, val_ds)
+    student = model.init(student_dims, cfg.seed)
+    _require_fit("student", student.dims, train_ds, val_ds)
 
     def teacher_probs(x):
         return log_softmax_rows(model.forward(teacher, x), cfg.tau)[1]
@@ -193,7 +196,7 @@ def distill(
                           "loss_easy": out.l_easy * w, "loss_hard": out.l_hard * w,
                           "teacher_right_fraction": int(right.sum())}
 
-    student, rows = _fit("student", student_dims, train_ds, cfg, val_ds, kd_loss)
+    rows = _fit(student, train_ds, cfg, val_ds, kd_loss)
     for row in rows:
         row["gamma"] = gammas[row["epoch"]]
     return student, rows

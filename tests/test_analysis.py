@@ -16,6 +16,7 @@ from rectidistill.analysis import (
 )
 from rectidistill.errors import InvalidInputError
 from rectidistill.rectify import rectify_sample
+from rectidistill.schedule import EpochSchedule, compute_batch_loss
 
 GRID = np.arange(1e-6, 1.0, 1e-6)
 
@@ -153,3 +154,79 @@ class TestSweepCsv:
         assert by_t_a["0.25"].endswith(VERDICT_PULLED_BELOW_CE)
         assert by_t_a["0.75"].endswith(VERDICT_BETWEEN)
         assert "nan" in by_t_a["0.75"]  # no rectification for a correct teacher
+
+
+NOISY_ROWS = 10
+NOISY_EPOCHS = 60
+
+
+def noisy_gradient(s, t, nb, epoch, mode="full", fixed_gamma=None) -> np.ndarray:
+    """NOISY_ROWS times the batch's summed logit gradient at student pair (s, 1 - s).
+
+    Every teacher row is (t, 1 - t); the first ``nb`` rows are labelled 1, the rest 0.
+    """
+    teacher = np.tile([t, 1.0 - t], (NOISY_ROWS, 1))
+    labels = np.zeros(NOISY_ROWS, dtype=np.int64)
+    labels[:nb] = 1
+    logits = np.tile([np.log(s) - np.log(1.0 - s), 0.0], (NOISY_ROWS, 1))
+    loss = compute_batch_loss(logits, teacher, labels, EpochSchedule(epoch, NOISY_EPOCHS),
+                              mode=mode, fixed_gamma=fixed_gamma)
+    return NOISY_ROWS * loss.grad.sum(axis=0)
+
+
+def noisy_optimum(t, q, g):
+    """s*(g): the weighted mean of the targets' class-0 mass, each CE term a one-hot target."""
+    return ((1 - g) * (1 - q) * (1 + t) + g * q * t / 2) / ((1 - g) * (2 - q) + g * q)
+
+
+def flip_gamma(t):
+    """g*(t): above it, a calibrated teacher's (q = 1 - t) s*(g) drops below 1/2."""
+    a = (1 + t) * (2 * t - 1)
+    return a / (a + (1 - t) ** 2)
+
+
+class TestLabelNoise:
+    """What ``full`` learns from a right teacher when a share q of the labels is flipped.
+
+    The flipped rows are biased, so ``full`` rectifies them to (t/2, 1 - t/2) and weights
+    them by gamma; at gamma -> 1 they pull the student toward the noisy label. Lukasik et
+    al. 2020 (arXiv:2003.02819) study how soft targets interact with label noise.
+    """
+
+    POINTS = [(t, nb) for t in (0.6, 0.7, 0.8, 0.9) for nb in (1, 2, 3)]
+    EPOCHS = (0, 30, 54, 59)
+
+    def test_full_is_stationary_at_the_closed_form_only(self):
+        for t, nb in self.POINTS:
+            for epoch in self.EPOCHS:
+                s = noisy_optimum(t, nb / NOISY_ROWS, epoch / NOISY_EPOCHS)
+                assert np.abs(noisy_gradient(s, t, nb, epoch)).max() <= 1e-12, (t, nb, epoch)
+                moved = noisy_gradient(s + 1e-6, t, nb, epoch)
+                assert np.abs(moved).max() > 1e-8, (t, nb, epoch)
+
+    def test_vanilla_kd_is_stationary_at_the_mean_target_only(self):
+        for t, nb in self.POINTS:
+            for epoch in self.EPOCHS:
+                s = (t + 1 - nb / NOISY_ROWS) / 2
+                grad = noisy_gradient(s, t, nb, epoch, mode="vanilla_kd")
+                assert np.abs(grad).max() <= 1e-12, (t, nb, epoch)
+                moved = noisy_gradient(s + 1e-6, t, nb, epoch, mode="vanilla_kd")
+                assert np.abs(moved).max() > 1e-8, (t, nb, epoch)
+
+    @pytest.mark.parametrize("nb", [1, 2, 3])
+    def test_calibrated_teacher_is_even_at_the_flip_gamma(self, nb):
+        q = nb / NOISY_ROWS
+        t = 1 - q
+        g = flip_gamma(t)
+        assert noisy_optimum(t, q, g) == pytest.approx(0.5, abs=1e-12)
+        grad = noisy_gradient(0.5, t, nb, 0, mode="fixed_gamma", fixed_gamma=g)
+        assert np.abs(grad).max() <= 1e-12
+
+    @pytest.mark.parametrize("t,g,flips", [(0.6, 0.667, 19), (0.7, 0.883, 7), (0.8, 0.964, 2),
+                                           (0.9, 0.993, 0)])
+    def test_late_epochs_take_the_noisy_label(self, t, g, flips):
+        # the README table: a positive class-0 gradient at s = 1/2 puts the optimum below it
+        assert round(flip_gamma(t), 3) == g
+        nb = round(NOISY_ROWS * (1 - t))
+        flipped = [e for e in range(NOISY_EPOCHS) if noisy_gradient(0.5, t, nb, e)[0] > 1e-12]
+        assert flipped == list(range(NOISY_EPOCHS - flips, NOISY_EPOCHS))

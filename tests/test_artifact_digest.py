@@ -1,6 +1,7 @@
 """scripts/artifact_digest.py: one sha256 listing per run, the same on every run."""
 
 import importlib.util
+import sys
 from pathlib import Path
 
 import pytest
@@ -9,6 +10,8 @@ SCRIPT = Path(__file__).resolve().parent.parent / "scripts" / "artifact_digest.p
 spec = importlib.util.spec_from_file_location("artifact_digest", SCRIPT)
 artifact_digest = importlib.util.module_from_spec(spec)
 spec.loader.exec_module(artifact_digest)
+
+BENCH = SCRIPT.parent.parent / "perfbench" / "run.py"
 
 Workload = artifact_digest.Workload
 
@@ -50,3 +53,20 @@ def test_refuses_a_non_empty_output_directory(tmp_path):
     (tmp_path / "stale.txt").write_text("x\n")
     with pytest.raises(SystemExit, match="not empty"):
         artifact_digest.artifact_digests(tmp_path, TOY)
+
+
+def test_workloads_are_the_benchmarks_shapes_and_flags(monkeypatch):
+    # WORKLOADS is a hand-kept copy of the benchmark's workloads. Loading the benchmark
+    # writes no bytecode next to it, and its sys.path entry is undone after the test.
+    monkeypatch.setattr(sys, "dont_write_bytecode", True)
+    monkeypatch.setattr(sys, "path", [*sys.path])
+    bench_spec = importlib.util.spec_from_file_location("perfbench_run", BENCH)
+    bench = importlib.util.module_from_spec(bench_spec)
+    bench_spec.loader.exec_module(bench)
+    fields = ("name", "classes", "per_class", "val_per_class", "dim", "teacher_dims",
+              "student_dims", "teacher_epochs", "distill_epochs", "distill_lr", "batch_size",
+              "modes")
+    assert [wl.name for wl in artifact_digest.WORKLOADS] == list(bench.WORKLOADS)
+    for wl in artifact_digest.WORKLOADS:
+        bench_wl = bench.WORKLOADS[wl.name]
+        assert [getattr(wl, f) for f in fields] == [getattr(bench_wl, f) for f in fields]

@@ -480,11 +480,13 @@ class TestDistill:
         ]) == cli.EXIT_OK
         out = tmp / f"{command}-3d-teacher-2d"
         rc = cli.main([
-            command, "--train", str(data_3d / "train.csv"), "--teacher", str(teacher),
-            "--dims", "3,4,3", "--out", str(out),
+            command, "--train", str(data_3d / "train.csv"), "--val", str(data_3d / "val.csv"),
+            "--teacher", str(teacher), "--dims", "3,4,3", "--out", str(out),
         ])
         assert rc == cli.EXIT_USAGE
-        assert "teacher checkpoint takes 2 inputs, dims start at 3" in capsys.readouterr().err
+        assert capsys.readouterr().err == (
+            "error: teacher maps 2 inputs to 3 classes, but the data has 3 features and 3 "
+            "classes\n")
         assert not out.exists()
 
     def test_split_lacking_top_class_takes_class_count_from_teacher(self, setup):
@@ -524,9 +526,16 @@ class TestDistill:
         assert rc == cli.EXIT_USAGE
         assert not out.exists()
 
-    def test_ablate_without_val_is_usage_error_before_output(self, setup, capsys):
-        # it would train 2 x seeds students for an ablation.csv of nan accuracies
+    def test_ablate_without_val_is_usage_error_before_output(self, setup, capsys, monkeypatch):
+        # it would train 2 x seeds students for an ablation.csv of nan accuracies;
+        # refused before the teacher or a dataset is read
         tmp, data, teacher = setup
+
+        def no_read(*args):
+            raise AssertionError("an input was read before the --val check")
+
+        monkeypatch.setattr(cli.model, "load_checkpoint", no_read)
+        monkeypatch.setattr(cli, "load_csv", no_read)
         out = tmp / "ablate-no-val"
         rc = cli.main([
             "ablate", "--train", str(data / "train.csv"), "--teacher", str(teacher),
@@ -607,7 +616,6 @@ class TestPropCheck:
         ("0.5", "t_a=0.5 s*=0.750000\n"), ("0.9", "t_a=0.9 s*=0.950000\n"),
     ])
     def test_worked_point_stdout(self, capsys, ta, line):
-        # the points of scripts/run_two_class_analysis.py
         assert cli.main(["prop-check", "--ta", ta]) == cli.EXIT_OK
         assert capsys.readouterr().out == line
 

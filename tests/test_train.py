@@ -283,7 +283,8 @@ def test_a_validation_split_that_does_not_fit_is_a_config_error(no_forward, val)
 
 
 @pytest.mark.parametrize("dims", MISFIT_DIMS)
-def test_student_that_does_not_fit_the_training_split_is_a_config_error(no_training, dims):
+def test_student_that_does_not_fit_the_training_split_is_a_config_error(no_forward, dims):
+    # refused before the target table forwards the teacher over the split
     with pytest.raises(ConfigError) as exc:
         distill(model.init([2, 6, 4], 0), dims, FOUR_BLOBS, TrainConfig(epochs=1))
     assert str(exc.value) == _misfit("student", dims, FOUR_BLOBS)
