@@ -41,6 +41,9 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 from rectidistill.cli import main as cli_main  # noqa: E402
 
 SEED = 1
+# perfbench/run.py's blob spread and teacher learning rate, shared by both workloads.
+SPREAD = 1.2
+TEACHER_LR = 0.1
 
 
 class Workload(NamedTuple):
@@ -81,11 +84,12 @@ def run_workload(wl: Workload) -> None:
     data = f"{wl.name}/data"
     _run(["gen-data", "--classes", str(wl.classes), "--per-class", str(wl.per_class),
           "--val-per-class", str(wl.val_per_class), "--dim", str(wl.dim),
-          "--spread", "1.2", "--seed", str(SEED), "--out", data])
+          "--spread", repr(SPREAD), "--seed", str(SEED), "--out", data])
     common = ["--train", f"{data}/train.csv", "--val", f"{data}/val.csv", "--seed", str(SEED)]
     batch = ["--batch-size", str(wl.batch_size)]
     _run(["train-teacher", *common, *batch, "--dims", wl.teacher_dims,
-          "--epochs", str(wl.teacher_epochs), "--lr", "0.1", "--out", f"{wl.name}/teacher"])
+          "--epochs", str(wl.teacher_epochs), "--lr", repr(TEACHER_LR),
+          "--out", f"{wl.name}/teacher"])
     student = [*common, "--teacher", f"{wl.name}/teacher/teacher.ckpt",
                "--dims", wl.student_dims, "--epochs", str(wl.distill_epochs),
                "--lr", repr(wl.distill_lr)]

@@ -2,7 +2,7 @@
 
 Modules:
 
-* ``numerics``  -- the one log-space softmax / CE / KL core, 1-D wrappers
+* ``numerics``  -- the one row-wise log-space softmax / CE / KL core
 * ``rectify``   -- two-step rectification of biased teacher targets
 * ``schedule``  -- the batched loss core: partition, rectified hard
   targets, dynamic easy/hard weighting (gamma = e/E), loss and gradient

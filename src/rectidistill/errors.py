@@ -8,14 +8,13 @@ class RectiDistillError(Exception):
 class InvalidInputError(RectiDistillError, ValueError):
     """Non-finite, malformed, or out-of-domain input.
 
-    Raised for bad vectors and class indices, layer widths, flat parameter
-    vectors, two-class set-ups, a KL with infinite divergence, and a
-    function that the finite-difference oracle evaluates to a non-finite
-    value; for an out-of-range scalar knob: a temperature, a blob spread,
-    class, row or feature counts, a batch size, or a missing or negative
-    seed component; for a malformed dataset CSV or checkpoint line, whose
-    message names ``path:line``; and for rectifying a row the teacher
-    already predicts correctly.
+    Raised for a bad feature matrix, label vector or input batch, layer
+    widths, flat parameter vectors, two-class set-ups, and a function that
+    the finite-difference oracle evaluates to a non-finite value; for an
+    out-of-range scalar knob: a blob spread, class, row or feature counts,
+    a batch size, or a missing or negative seed component; and for a
+    malformed dataset CSV or checkpoint line, whose message names
+    ``path:line``.
     """
 
 

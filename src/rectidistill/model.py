@@ -178,11 +178,6 @@ def evaluate(p: MlpParams, features, labels) -> float:
     return hits / n
 
 
-def flatten_params(p: MlpParams) -> np.ndarray:
-    """A copy of the flat parameter vector."""
-    return p.flat.copy()
-
-
 def unflatten_params(template: MlpParams, vec) -> MlpParams:
     """A model of the template's shapes whose parameters are a copy of ``vec``."""
     vec = np.asarray(vec, dtype=np.float64)

@@ -10,25 +10,13 @@ For a sample whose teacher argmax b contradicts its label a:
 
 Step-b outputs are kept around (unnormalized) because the ablation mode
 distills directly against them. ``rectify_rows`` is the one implementation
-of this arithmetic; ``rectify_sample`` is its checked batch-of-one form.
+of this arithmetic.
 """
-
-from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidInputError
-from .numerics import as_prob_vector
-
 STEP_B = "step_b"
 STEP_C = "step_c"
-
-
-@dataclass(frozen=True)
-class RectifiedTarget:
-    """Teacher distribution after step b (over-sums) or step c (simplex)."""
-
-    values: np.ndarray
 
 
 def rectify_rows(teacher_probs: np.ndarray, labels: np.ndarray, stage: str = STEP_C) -> np.ndarray:
@@ -52,16 +40,3 @@ def rectify_rows(teacher_probs: np.ndarray, labels: np.ndarray, stage: str = STE
         values[rows, labels] *= scale
         values[rows, b] *= scale
     return values
-
-
-def rectify_sample(t, label: int, mode: str = STEP_C) -> RectifiedTarget:
-    """Full rectification of one wrong prediction; b is recomputed as argmax."""
-    if mode not in (STEP_B, STEP_C):
-        raise InvalidInputError(f"unknown rectification mode {mode!r}")
-    t = as_prob_vector(t)
-    a = int(label)
-    if a == int(np.argmax(t)):
-        raise InvalidInputError(f"teacher already predicts the true class {a}")
-    if not 0 <= a < t.shape[0]:
-        raise InvalidInputError(f"true-class index {a} outside [0, {t.shape[0]})")
-    return RectifiedTarget(values=rectify_rows(t[None, :], np.array([a]), mode)[0])

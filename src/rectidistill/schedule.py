@@ -173,18 +173,3 @@ def compute_batch_loss(
     targets, _, hard = teacher_targets(np.asarray(teacher_probs, dtype=np.float64), labels, mode)
     g = resolve_gamma(mode, sched, fixed_gamma)
     return target_loss(student_logits, targets, hard, labels, g, tau)
-
-
-def batch_loss_gradient(
-    student_logits,
-    teacher_probs,
-    labels,
-    sched: EpochSchedule,
-    tau: float = 1.0,
-    mode: str = "full",
-    fixed_gamma: float | None = None,
-) -> np.ndarray:
-    """Gradient of the assembled batch loss w.r.t. each student logit vector."""
-    return compute_batch_loss(
-        student_logits, teacher_probs, labels, sched, tau, mode, fixed_gamma
-    ).grad

@@ -63,9 +63,12 @@ class TrainConfig:
             raise ConfigError(f"temperature must be finite and > 0, got {self.tau}")
         if self.mode not in MODES:
             raise ConfigError(f"unknown mode {self.mode!r}; expected one of {MODES}")
-        gamma_ok = self.fixed_gamma is not None and 0.0 <= self.fixed_gamma < 1.0
-        if self.mode == "fixed_gamma" and not gamma_ok:
-            raise ConfigError(f"mode fixed_gamma needs a gamma in [0, 1), got {self.fixed_gamma}")
+        if self.mode == "fixed_gamma":
+            if self.fixed_gamma is None or not 0.0 <= self.fixed_gamma < 1.0:
+                raise ConfigError(
+                    f"mode fixed_gamma needs a gamma in [0, 1), got {self.fixed_gamma}")
+        elif self.fixed_gamma is not None:
+            raise ConfigError(f"mode {self.mode} takes no fixed gamma, got {self.fixed_gamma}")
 
 
 def _require_fit(role: str, dims, *splits) -> None:

@@ -13,15 +13,9 @@ import pytest
 from rectidistill import cli, model, train
 from rectidistill.analysis import TwoClassSetup, sweep, two_class_optimum
 from rectidistill.data import Dataset, make_blobs
-from rectidistill.numerics import (
-    ce_softmax_gradient,
-    finite_difference_gradient,
-    kl_divergence,
-    kl_softmax_gradient,
-    softmax,
-)
-from rectidistill.rectify import rectify_sample
-from rectidistill.schedule import MODES, EpochSchedule, batch_loss_gradient, compute_batch_loss
+from rectidistill.numerics import ce_rows, finite_difference_gradient, kl_rows, log_softmax_rows
+from rectidistill.rectify import STEP_B, STEP_C, rectify_rows
+from rectidistill.schedule import MODES, EpochSchedule, compute_batch_loss, target_loss
 
 
 def report(capsys, number: int, name: str, ok: bool, detail: str) -> None:
@@ -87,6 +81,8 @@ def median_final_val(runs, mode: str) -> float:
 # --------------------------------------------------------------------------
 
 def test_criterion_01_gradient_fidelity(capsys):
+    # CE through ce_rows; KL through the gradient training runs: target_loss
+    # with one hard row at g = 1, where CE has weight 0 and l_hard is the KL
     rng = np.random.default_rng(101)
     worst = 0.0
     for _ in range(100):
@@ -96,10 +92,16 @@ def test_criterion_01_gradient_fidelity(capsys):
         c = int(rng.integers(0, k))
         t = rng.dirichlet(np.ones(k))
 
-        fd_ce = finite_difference_gradient(lambda v: -np.log(softmax(v, tau)[c]), z)
-        worst = max(worst, float(np.max(np.abs(ce_softmax_gradient(z, c, tau) - fd_ce))))
-        fd_kl = finite_difference_gradient(lambda v: kl_divergence(t, softmax(v, tau)), z)
-        worst = max(worst, float(np.max(np.abs(kl_softmax_gradient(t, z, tau) - fd_kl))))
+        label = np.array([c])
+        fd_ce = finite_difference_gradient(lambda v: -log_softmax_rows(v[None], tau)[0][0, c], z)
+        ce_grad = ce_rows(*log_softmax_rows(z[None], tau), label)[1][0] / tau
+        worst = max(worst, float(np.max(np.abs(ce_grad - fd_ce))))
+        hard = np.array([True])
+        fd_kl = finite_difference_gradient(
+            lambda v: target_loss(v[None], t[None], hard, label, 1.0, tau).l_hard, z
+        )
+        kl_grad = target_loss(z[None], t[None], hard, label, 1.0, tau).grad[0]
+        worst = max(worst, float(np.max(np.abs(kl_grad - fd_kl))))
     report(capsys, 1, "gradient fidelity", worst <= 1e-6,
            f"max |analytic - finite difference| = {worst:.3e} over 100 cases (tol 1e-6)")
 
@@ -112,8 +114,8 @@ def test_criterion_02_kl_nonnegativity(capsys):
         p = np.maximum(rng.dirichlet(np.ones(k)), 1e-9)
         q = np.maximum(rng.dirichlet(np.ones(k)), 1e-9)
         p, q = p / p.sum(), q / q.sum()
-        worst_pair = min(worst_pair, kl_divergence(p, q))
-        worst_self = max(worst_self, abs(kl_divergence(p, p)))
+        worst_pair = min(worst_pair, kl_rows(p[None], np.log(q)[None])[0])
+        worst_self = max(worst_self, abs(kl_rows(p[None], np.log(p)[None])[0]))
     ok = worst_pair >= -1e-12 and worst_self <= 1e-12
     report(capsys, 2, "KL non-negativity", ok,
            f"min KL(p,q) = {worst_pair:.3e} (>= -1e-12), max |KL(p,p)| = {worst_self:.3e} over 10000 pairs")
@@ -130,14 +132,14 @@ def test_criterion_03_rectification_invariants(capsys):
         if a == b:
             a = (b + 1) % k
         t_a, t_b = t[a], t[b]
-        step_b = rectify_sample(t, a, mode="step_b")
-        step_c = rectify_sample(t, a)
+        step_b = rectify_rows(t[None], np.array([a]), STEP_B)[0]
+        step_c = rectify_rows(t[None], np.array([a]), STEP_C)[0]
         other = np.delete(np.arange(k), [a, b])
-        assert abs(step_b.values.sum() - (1.0 + (1.0 - t_a - t_b) / 2.0)) <= 1e-12
-        assert abs(step_c.values.sum() - 1.0) <= 1e-12
-        assert np.array_equal(step_c.values[other], t[other])  # t_o bit-identical
-        assert step_c.values[a] > step_c.values[b]
-        assert abs((step_c.values[a] + step_c.values[b]) - (t_a + t_b)) <= 1e-12
+        assert abs(step_b.sum() - (1.0 + (1.0 - t_a - t_b) / 2.0)) <= 1e-12
+        assert abs(step_c.sum() - 1.0) <= 1e-12
+        assert np.array_equal(step_c[other], t[other])  # t_o bit-identical
+        assert step_c[a] > step_c[b]
+        assert abs((step_c[a] + step_c[b]) - (t_a + t_b)) <= 1e-12
         checked += 1
     report(capsys, 3, "rectification invariants", checked == 10_000,
            f"{checked} random wrong-prediction vectors (2-20 classes), all invariants exact to 1e-12")
@@ -217,11 +219,11 @@ def test_criterion_09_end_to_end_gradients(capsys):
                                       mode=mode, fixed_gamma=fg).l_all
 
         logits = model.forward(student, x)
-        upstream = batch_loss_gradient(logits, teacher_probs, labels, sched,
-                                       mode=mode, fixed_gamma=fg)
+        upstream = compute_batch_loss(logits, teacher_probs, labels, sched,
+                                      mode=mode, fixed_gamma=fg).grad
         grads = model.backward(student, x, upstream)
         analytic = np.concatenate([a.ravel() for gw, gb in grads for a in (gw, gb)])
-        fd = finite_difference_gradient(loss_at, model.flatten_params(student))
+        fd = finite_difference_gradient(loss_at, student.flat.copy())
         worst = max(worst, float(np.max(np.abs(analytic - fd))))
     report(capsys, 9, "end-to-end gradients", worst <= 1e-5,
            f"max parameter-gradient error over all six modes = {worst:.3e} (tol 1e-5)")

@@ -15,7 +15,7 @@ from rectidistill.analysis import (
     two_class_optimum,
 )
 from rectidistill.errors import InvalidInputError
-from rectidistill.rectify import rectify_sample
+from rectidistill.rectify import rectify_rows
 from rectidistill.schedule import EpochSchedule, compute_batch_loss
 
 GRID = np.arange(1e-6, 1.0, 1e-6)
@@ -30,11 +30,6 @@ def grid_oracle(setup: TwoClassSetup, kl_target=None) -> float:
     if tb > 0:
         vals += tb * np.log(tb / (1.0 - GRID))
     return float(GRID[np.argmin(vals)])
-
-
-def checked_pair(t_a: float) -> tuple[float, float]:
-    """The wrong pair [t_a, 1 - t_a] rectified by the checked 1-D ``rectify_sample``."""
-    return tuple(rectify_sample([t_a, 1.0 - t_a], 0).values)
 
 
 def largest_gradient(t_a_values) -> np.ndarray:
@@ -88,7 +83,8 @@ class TestDynamics:
 
 class TestRectifiedDynamics:
     def test_worked_example_t_a_010(self):
-        assert checked_pair(0.1) == pytest.approx((0.55, 0.45), abs=1e-12)
+        rect = rectify_rows(np.array([[0.1, 0.9]]), np.array([0]))[0]
+        assert tuple(rect) == pytest.approx((0.55, 0.45), abs=1e-12)
         (row,) = sweep([0.1])
         assert row.s_unrect == pytest.approx(0.55, abs=1e-4)
         assert row.s_rect == pytest.approx(0.775, abs=1e-4)
@@ -101,16 +97,16 @@ class TestRectifiedDynamics:
             assert row.s_rect - row.s_unrect == pytest.approx((1.0 - ta) / 4.0, abs=1e-7)
 
     def test_dominance_across_wrong_teacher_sweep(self):
-        for row in sweep(np.arange(0.05, 0.50, 0.05)):
+        t_a = np.arange(0.05, 0.50, 0.05)
+        rect = rectify_rows(np.column_stack([t_a, 1.0 - t_a]), np.zeros(t_a.size, dtype=np.int64))
+        for row, pair in zip(sweep(t_a), rect):
             assert row.s_rect > row.s_unrect
             assert row.s_rect == pytest.approx(
-                grid_oracle(TwoClassSetup(t_a=row.t_a), checked_pair(row.t_a)), abs=1e-4
+                grid_oracle(TwoClassSetup(t_a=row.t_a), tuple(pair)), abs=1e-4
             )
 
     def test_correct_teacher_rejected(self):
-        # the checked path refuses a correct pair; the sweep leaves it unrectified
-        with pytest.raises(InvalidInputError, match=r"^teacher already predicts the true class 0$"):
-            rectify_sample([0.7, 0.3], 0)
+        # the sweep rectifies only a wrong pair and leaves a correct one unrectified
         assert [np.isnan(row.s_rect) for row in sweep([0.3, 0.5, 0.7])] == [False, True, True]
 
     def test_wrong_teacher_monotone_pull(self):
@@ -126,16 +122,19 @@ class TestSweep:
         for row in sweep([round(0.05 * i, 2) for i in range(1, 20)]):
             assert row.s_unrect == (row.t_a + 1.0) / 2.0
             if row.t_a < 0.5:
-                assert row.s_rect == (checked_pair(row.t_a)[0] + 1.0) / 2.0
+                pair = rectify_rows(np.array([[row.t_a, 1.0 - row.t_a]]), np.array([0]))[0]
+                assert row.s_rect == (pair[0] + 1.0) / 2.0
             else:
                 assert np.isnan(row.s_rect)
 
     def test_batched_rectification_matches_the_checked_path_at_any_point_order(self):
-        # wrong and right points interleaved, so each rectified row must land on its own point
+        # wrong and right points interleaved, so each rectified row must land on its own
+        # point: the pair rectified alone, as a one-row slice
         t_a = np.random.default_rng(0).uniform(1e-6, 1.0 - 1e-6, size=500)
         for row in sweep(t_a):
             if row.t_a < 0.5:
-                assert row.s_rect == (checked_pair(row.t_a)[0] + 1.0) / 2.0
+                pair = rectify_rows(np.array([[row.t_a, 1.0 - row.t_a]]), np.array([0]))[0]
+                assert row.s_rect == (pair[0] + 1.0) / 2.0
             else:
                 assert np.isnan(row.s_rect)
 

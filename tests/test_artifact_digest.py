@@ -70,3 +70,4 @@ def test_workloads_are_the_benchmarks_shapes_and_flags(monkeypatch):
     for wl in artifact_digest.WORKLOADS:
         bench_wl = bench.WORKLOADS[wl.name]
         assert [getattr(wl, f) for f in fields] == [getattr(bench_wl, f) for f in fields]
+    assert (artifact_digest.SPREAD, artifact_digest.TEACHER_LR) == (bench.SPREAD, bench.TEACHER_LR)

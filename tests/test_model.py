@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from rectidistill import model
 from rectidistill.errors import InvalidInputError
-from rectidistill.numerics import finite_difference_gradient, softmax
+from rectidistill.numerics import finite_difference_gradient, log_softmax_rows
 
 
 def naive_forward(params, x):
@@ -126,18 +126,18 @@ class TestBackward:
             q = model.unflatten_params(p, flat)
             logits = model.forward(q, x)
             return sum(
-                -np.log(softmax(logits[i])[y[i]]) for i in range(3)
+                -np.log(log_softmax_rows(logits[i : i + 1])[1][0, y[i]]) for i in range(3)
             ) / 3.0
 
         logits = model.forward(p, x)
-        probs = np.array([softmax(row) for row in logits])
+        probs = np.array([log_softmax_rows(row[None])[1][0] for row in logits])
         upstream = probs.copy()
         upstream[np.arange(3), y] -= 1.0
         grads = model.backward(p, x, upstream / 3.0)
         flat_analytic = np.concatenate(
             [a.ravel() for gw, gb in grads for a in (gw, gb)]
         )
-        fd = finite_difference_gradient(loss_at, model.flatten_params(p))
+        fd = finite_difference_gradient(loss_at, p.flat.copy())
         assert np.max(np.abs(flat_analytic - fd)) <= 1e-5
 
 
@@ -297,13 +297,6 @@ class TestFlatLayout:
         p = model.init([2, 4, 3], seed=3)
         with pytest.raises(InvalidInputError, match="does not match template"):
             model.unflatten_params(p, np.zeros(p.flat.size + 1))
-
-    def test_flatten_returns_a_copy(self):
-        p = model.init([2, 4, 3], seed=3)
-        vec = model.flatten_params(p)
-        assert np.array_equal(vec, p.flat) and not np.shares_memory(vec, p.flat)
-        vec[:] = 0.0
-        assert not np.all(p.flat == 0.0)
 
 
 class TestEvaluate:

@@ -14,17 +14,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rectidistill.errors import InvalidInputError
-from rectidistill.numerics import (
-    PROB_SUM_TOL,
-    as_prob_vector,
-    ce_softmax_gradient,
-    finite_difference_gradient,
-    kl_divergence,
-    kl_rows,
-    kl_softmax_gradient,
-    log_softmax_rows,
-    softmax,
-)
+from rectidistill.numerics import ce_rows, finite_difference_gradient, kl_rows, log_softmax_rows
+from rectidistill.schedule import target_loss
 
 
 def softmax_oracle(z, tau=1.0):
@@ -99,18 +90,22 @@ def simplex(draw, min_size=2, max_size=10, floor=1e-6):
 
 
 class TestSoftmax:
+    """The s of ``log_softmax_rows`` on one-row slices."""
+
     def test_uniform_on_equal_logits(self):
-        np.testing.assert_allclose(softmax([0.0, 0.0, 0.0]), np.full(3, 1 / 3), atol=1e-15)
+        out = log_softmax_rows([[0.0, 0.0, 0.0]])[1][0]
+        np.testing.assert_allclose(out, np.full(3, 1 / 3), atol=1e-15)
 
     def test_analytic_two_class(self):
-        np.testing.assert_allclose(softmax([math.log(2), 0.0]), [2 / 3, 1 / 3], atol=1e-15)
+        out = log_softmax_rows([[math.log(2), 0.0]])[1][0]
+        np.testing.assert_allclose(out, [2 / 3, 1 / 3], atol=1e-15)
 
     def test_matches_extended_precision_oracle(self):
         z = [3.0, 1.0, 0.2]
-        np.testing.assert_allclose(softmax(z), softmax_oracle(z), atol=1e-14)
+        np.testing.assert_allclose(log_softmax_rows([z])[1][0], softmax_oracle(z), atol=1e-14)
 
     def test_large_logits_stay_finite(self):
-        out = softmax([1000.0, 999.0, -1000.0])
+        out = log_softmax_rows([[1000.0, 999.0, -1000.0]])[1][0]
         assert np.all(np.isfinite(out))
         assert out.sum() == pytest.approx(1.0, abs=1e-12)
 
@@ -119,7 +114,7 @@ class TestSoftmax:
         tau=st.sampled_from([0.25, 0.5, 1.0, 2.0, 4.0]),
     )
     def test_simplex_and_argmax_invariance(self, z, tau):
-        out = softmax(z, tau)
+        out = log_softmax_rows([z], tau)[1][0]
         assert np.all(out >= 0.0)
         assert out.sum() == pytest.approx(1.0, abs=1e-9)
         # the argmax class attains the maximal probability (logit gaps below
@@ -129,26 +124,14 @@ class TestSoftmax:
         if out[int(np.argmax(z))] > np.sort(out)[-2]:
             assert int(np.argmax(out)) == int(np.argmax(z))
 
-    def test_rejects_nonpositive_temperature(self):
-        with pytest.raises(InvalidInputError, match="temperature must be a positive finite"):
-            softmax([1.0, 2.0], tau=0.0)
-        with pytest.raises(InvalidInputError, match="temperature must be a positive finite"):
-            softmax([1.0, 2.0], tau=-1.0)
-
-    def test_rejects_nonfinite_input(self):
-        with pytest.raises(InvalidInputError):
-            softmax([1.0, float("nan")])
-
-    def test_rejects_short_vector(self):
-        with pytest.raises(InvalidInputError):
-            softmax([1.0])
-
     def test_rows_agree_with_vector_form(self):
+        # a row of a batch is the same as that row passed alone
         rng = np.random.default_rng(3)
         z = rng.normal(size=(5, 4))
         rows = log_softmax_rows(z, 0.7)[1]
         for i in range(5):
-            np.testing.assert_allclose(rows[i], softmax(z[i], 0.7), atol=1e-15)
+            np.testing.assert_allclose(rows[i], log_softmax_rows(z[i : i + 1], 0.7)[1][0],
+                                       atol=1e-15)
 
 
 class TestLogSoftmaxRows:
@@ -222,50 +205,32 @@ class TestKlRows:
         assert np.array_equal(kl_rows(t, log_probs)[mask], kl_rows(t[mask], log_probs[mask]))
 
 
-class TestProbVector:
-    def test_accepts_sum_within_tolerance(self):
-        p = as_prob_vector([0.5, 0.5 + PROB_SUM_TOL / 2])
-        assert p.dtype == np.float64 and p.shape == (2,)
-
-    @pytest.mark.parametrize(
-        "p", [[0.6, 0.5], [1.1, -0.1], [float("nan"), 1.0], [1.0], [[0.5, 0.5]]]
-    )
-    def test_rejects_off_simplex(self, p):
-        with pytest.raises(InvalidInputError):
-            as_prob_vector(p)
-
-
 class TestKlDivergence:
+    """KL(t || s) as ``kl_rows`` of one-row slices, given ln s."""
+
     def test_zero_for_identical(self):
-        assert kl_divergence([0.4, 0.6], [0.4, 0.6]) == pytest.approx(0.0, abs=1e-15)
+        p = np.array([[0.4, 0.6]])
+        assert kl_rows(p, np.log(p))[0] == pytest.approx(0.0, abs=1e-15)
 
     def test_one_hot_against_uniform_is_ln2(self):
-        assert kl_divergence([1.0, 0.0], [0.5, 0.5]) == pytest.approx(math.log(2), abs=1e-12)
+        kl = kl_rows(np.array([[1.0, 0.0]]), np.log([[0.5, 0.5]]))[0]
+        assert kl == pytest.approx(math.log(2), abs=1e-12)
 
     def test_matches_direct_summation_oracle(self):
         t, s = [0.3, 0.7], [0.7, 0.3]
-        assert kl_divergence(t, s) == pytest.approx(kl_oracle(t, s), abs=1e-14)
+        assert kl_rows(np.array([t]), np.log([s]))[0] == pytest.approx(kl_oracle(t, s), abs=1e-14)
 
     def test_zero_target_entry_contributes_nothing(self):
         # limit convention 0*ln(0/s) = 0
-        assert kl_divergence([0.0, 1.0], [0.3, 0.7]) == pytest.approx(
-            math.log(1 / 0.7), abs=1e-12
-        )
-
-    def test_infinite_divergence_raises(self):
-        with pytest.raises(InvalidInputError, match="target has mass where"):
-            kl_divergence([0.5, 0.5], [1.0, 0.0])
-
-    def test_length_mismatch_raises(self):
-        with pytest.raises(InvalidInputError):
-            kl_divergence([0.5, 0.5], [0.2, 0.3, 0.5])
+        kl = kl_rows(np.array([[0.0, 1.0]]), np.log([[0.3, 0.7]]))[0]
+        assert kl == pytest.approx(math.log(1 / 0.7), abs=1e-12)
 
     @settings(max_examples=300)
     @given(t=simplex(), s=simplex())
     def test_nonnegative_on_random_pairs(self, t, s):
         if t.shape != s.shape:
             return
-        assert kl_divergence(t, s) >= -1e-12
+        assert kl_rows(t[None], np.log(s)[None])[0] >= -1e-12
 
 
 class TestCrossEntropy:
@@ -282,43 +247,54 @@ class TestCrossEntropy:
         z = [[0.0, math.log(math.exp(2) - 1.0)]]
         assert -log_softmax_rows(z)[0][0, 0] == pytest.approx(2.0, abs=1e-12)
 
-    def test_out_of_range_class_raises(self):
-        with pytest.raises(InvalidInputError):
-            ce_softmax_gradient([0.0, 0.0], 3)
-
 
 class TestGradients:
+    """CE through ``ce_rows``; KL through ``target_loss``, the gradient training runs.
+
+    ``ce_rows`` returns s - onehot, the gradient w.r.t. z / tau, so the
+    gradient w.r.t. z is that over tau. With one hard row and g = 1,
+    ``target_loss`` weights CE by 0: its ``grad`` is the gradient of that
+    row's KL, its ``l_hard``.
+    """
+
     def test_ce_gradient_zero_at_optimum(self):
         # logits so extreme the softmax is one-hot in float64
-        g = ce_softmax_gradient([800.0, 0.0], 0)
+        g = ce_rows(*log_softmax_rows([[800.0, 0.0]]), np.array([0]))[1][0]
         np.testing.assert_allclose(g, 0.0, atol=1e-12)
 
     def test_ce_gradient_symmetric_two_class(self):
-        np.testing.assert_allclose(
-            ce_softmax_gradient([0.0, 0.0], 0), [-0.5, 0.5], atol=1e-12
-        )
+        g = ce_rows(*log_softmax_rows([[0.0, 0.0]]), np.array([0]))[1][0]
+        np.testing.assert_allclose(g, [-0.5, 0.5], atol=1e-12)
 
     def test_ce_gradient_matches_finite_differences(self):
         z = np.array([2.0, 1.0, 0.0])
-        fd = finite_difference_gradient(lambda v: -np.log(softmax(v)[2]), z)
-        np.testing.assert_allclose(ce_softmax_gradient(z, 2), fd, atol=1e-6)
+        for tau in (0.5, 1.0, 2.0):
+            fd = finite_difference_gradient(lambda v: -log_softmax_rows(v[None], tau)[0][0, 2], z)
+            g = ce_rows(*log_softmax_rows(z[None], tau), np.array([2]))[1][0] / tau
+            np.testing.assert_allclose(g, fd, atol=1e-6)
 
     def test_kl_gradient_zero_at_optimum(self):
-        z = np.array([1.0, -0.5, 0.2])
-        t = softmax(z, 2.0)
-        np.testing.assert_allclose(kl_softmax_gradient(t, z, 2.0), 0.0, atol=1e-12)
+        z = np.array([[1.0, -0.5, 0.2]])
+        t = log_softmax_rows(z, 2.0)[1]
+        g = target_loss(z, t, np.array([True]), np.array([0]), 1.0, 2.0).grad
+        np.testing.assert_allclose(g, 0.0, atol=1e-12)
 
     def test_kl_gradient_one_hot_target(self):
-        np.testing.assert_allclose(
-            kl_softmax_gradient([1.0, 0.0], [0.0, 0.0], 1.0), [-0.5, 0.5], atol=1e-12
-        )
+        t = np.array([[1.0, 0.0]])
+        g = target_loss(np.zeros((1, 2)), t, np.array([True]), np.array([0]), 1.0, 1.0).grad
+        np.testing.assert_allclose(g[0], [-0.5, 0.5], atol=1e-12)
 
     def test_kl_gradient_matches_finite_differences(self):
         rng = np.random.default_rng(7)
-        t = rng.dirichlet(np.ones(5))
+        t = rng.dirichlet(np.ones(5))[None]
         z = rng.normal(size=5)
-        fd = finite_difference_gradient(lambda v: kl_divergence(t, softmax(v)), z)
-        np.testing.assert_allclose(kl_softmax_gradient(t, z), fd, atol=1e-6)
+        hard, label = np.array([True]), np.array([0])
+        for tau in (0.5, 1.0, 2.0):
+            fd = finite_difference_gradient(
+                lambda v: target_loss(v[None], t, hard, label, 1.0, tau).l_hard, z
+            )
+            g = target_loss(z[None], t, hard, label, 1.0, tau).grad[0]
+            np.testing.assert_allclose(g, fd, atol=1e-6)
 
     @given(
         z=st.lists(st.floats(-5, 5), min_size=2, max_size=8),
@@ -327,10 +303,11 @@ class TestGradients:
     )
     def test_gradients_sum_to_zero(self, z, tau, data):
         c = data.draw(st.integers(0, len(z) - 1))
-        assert abs(ce_softmax_gradient(z, c, tau).sum()) <= 1e-12
-        t = np.zeros(len(z))
-        t[c] = 1.0
-        assert abs(kl_softmax_gradient(t, z, tau).sum()) <= 1e-12
+        z, labels = np.array([z]), np.array([c])
+        assert abs(ce_rows(*log_softmax_rows(z, tau), labels)[1].sum() / tau) <= 1e-12
+        t = np.zeros_like(z)
+        t[0, c] = 1.0
+        assert abs(target_loss(z, t, np.array([True]), labels, 1.0, tau).grad.sum()) <= 1e-12
 
 
 class TestFiniteDifferences:

@@ -10,8 +10,8 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from rectidistill.numerics import kl_divergence, softmax
-from rectidistill.rectify import rectify_sample
+from rectidistill.numerics import kl_rows, log_softmax_rows
+from rectidistill.rectify import rectify_rows
 from rectidistill.schedule import EpochSchedule, compute_batch_loss, teacher_targets
 
 
@@ -41,9 +41,9 @@ def test_split_preserves_order():
     teacher = np.array([[0.6, 0.3, 0.1], [0.2, 0.5, 0.3], [0.1, 0.2, 0.7]])
     labels = np.array([0, 2, 2])
     out = compute_batch_loss(logits, teacher, labels, EpochSchedule(1, 2), mode="full")
-    s = [softmax(z) for z in logits]
-    l_easy = (kl_divergence(teacher[0], s[0]) + kl_divergence(teacher[2], s[2])) / 3
-    l_hard = kl_divergence(rectify_sample(teacher[1], 2).values, s[1]) / 3
+    log_s = [np.log(log_softmax_rows(z[None])[1]) for z in logits]
+    l_easy = (kl_rows(teacher[0:1], log_s[0])[0] + kl_rows(teacher[2:3], log_s[2])[0]) / 3
+    l_hard = kl_rows(rectify_rows(teacher[1:2], np.array([2])), log_s[1])[0] / 3
     assert teacher_targets(teacher, labels, "full")[1].tolist() == [True, False, True]
     assert out.l_easy == pytest.approx(l_easy, abs=1e-12)
     assert out.l_hard == pytest.approx(l_hard, abs=1e-12)

@@ -6,19 +6,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rectidistill import rectify
-from rectidistill.numerics import (
-    finite_difference_gradient,
-    kl_divergence,
-    kl_rows,
-    log_softmax_rows,
-    softmax,
-)
-from rectidistill.rectify import rectify_sample
+from rectidistill.numerics import finite_difference_gradient, kl_rows, log_softmax_rows
 from rectidistill.schedule import (
     MODES,
     EpochSchedule,
     LossBreakdown,
-    batch_loss_gradient,
     compute_batch_loss,
     gamma,
     resolve_gamma,
@@ -91,11 +83,11 @@ class TestComputeBatchLoss:
         sched = EpochSchedule(1, 2)  # gamma = 0.5
         out = compute_batch_loss(logits, teacher, labels, sched, mode="full")
 
-        s0, s1 = softmax(logits[0]), softmax(logits[1])
-        l_ce = (-np.log(s0[0]) - np.log(s1[1])) / 2
-        l_easy = kl_divergence(teacher[0], s0) / 2
-        rect = rectify_sample(teacher[1], 1)
-        l_hard = kl_divergence(rect.values, s1) / 2
+        log_s = np.log(log_softmax_rows(logits)[1])
+        l_ce = (-log_s[0, 0] - log_s[1, 1]) / 2
+        l_easy = kl_rows(teacher[:1], log_s[:1])[0] / 2
+        rect = rectify.rectify_rows(teacher[1:], np.array([1]))
+        l_hard = kl_rows(rect, log_s[1:])[0] / 2
         assert out.l_ce == pytest.approx(l_ce, abs=1e-12)
         assert out.l_easy == pytest.approx(l_easy, abs=1e-12)
         assert out.l_hard == pytest.approx(l_hard, abs=1e-12)
@@ -125,9 +117,7 @@ class TestComputeBatchLoss:
         logits, teacher, labels = _random_batch(rng, 5, 3)
         sched = EpochSchedule(30, 60)
         out = compute_batch_loss(logits, teacher, labels, sched, mode="vanilla_kd")
-        expected = np.mean(
-            [kl_divergence(t, softmax(z)) for t, z in zip(teacher, logits)]
-        )
+        expected = np.mean(kl_rows(teacher, np.log(log_softmax_rows(logits)[1])))
         assert out.l_easy == pytest.approx(expected, abs=1e-12)
         assert resolve_gamma("vanilla_kd", sched, None) == 0.0 and out.l_hard == 0.0
         assert out.l_all == out.l_ce + out.l_easy
@@ -147,8 +137,8 @@ class TestComputeBatchLoss:
         out = compute_batch_loss(
             logits, teacher, labels, EpochSchedule(30, 60), mode="step_b_ablation"
         )
-        rect_b = rectify_sample(teacher[0], 0, mode="step_b").values
-        s = softmax(logits[0])
+        rect_b = rectify.rectify_rows(teacher, labels, rectify.STEP_B)[0]
+        s = log_softmax_rows(logits)[1][0]
         expected = float(np.sum(rect_b * np.log(rect_b / s)))
         assert out.l_hard == pytest.approx(expected, abs=1e-12)
 
@@ -350,9 +340,9 @@ class TestTeacherTargets:
 
 class TestBatchLossGradient:
     def _fd_check(self, logits, teacher, labels, sched, mode, fixed_gamma=None, tau=1.0):
-        analytic = batch_loss_gradient(
+        analytic = compute_batch_loss(
             logits, teacher, labels, sched, tau, mode, fixed_gamma
-        )
+        ).grad
 
         def loss_of(flat):
             return compute_batch_loss(
@@ -366,7 +356,7 @@ class TestBatchLossGradient:
         logits = np.array([[800.0, 0.0, 0.0]])
         teacher = log_softmax_rows(logits)[1]
         labels = np.array([0])
-        g = batch_loss_gradient(logits, teacher, labels, EpochSchedule(1, 2), mode="full")
+        g = compute_batch_loss(logits, teacher, labels, EpochSchedule(1, 2), mode="full").grad
         np.testing.assert_allclose(g, 0.0, atol=1e-12)
 
     def test_single_right_sample(self):

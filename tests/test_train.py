@@ -102,7 +102,7 @@ def two_loop_distill(teacher, student_dims, train_ds, cfg, val_ds):
 
 
 def assert_same_bits(params_a, rows_a, params_b, rows_b):
-    assert np.array_equal(model.flatten_params(params_a), model.flatten_params(params_b))
+    assert np.array_equal(params_a.flat, params_b.flat)
     assert [sorted(r.items()) for r in rows_a] == [sorted(r.items()) for r in rows_b]
 
 
@@ -224,7 +224,8 @@ def test_missing_val_split_gives_nan_val_acc(setup):
 
 @pytest.mark.parametrize(
     "mode,fixed_gamma",
-    [("bogus", None), ("fixed_gamma", None), ("fixed_gamma", 1.0), ("fixed_gamma", float("nan"))],
+    [("bogus", None), ("fixed_gamma", None), ("fixed_gamma", 1.0), ("fixed_gamma", float("nan")),
+     ("full", 0.5)],
 )
 def test_config_rejects_unknown_mode_and_bad_fixed_gamma(mode, fixed_gamma):
     with pytest.raises(ConfigError):
