@@ -7,7 +7,7 @@ factor 1 - gamma does not move the optimum),
     t_a ln(t_a/s) + t_b ln(t_b/(1-s)) - ln s
 
 has the closed-form interior minimizer s* = (t_a + 1)/2: its derivative
-(s - t_a)/(s(1-s)) - 1/s vanishes only there. ``two_class_optimum`` returns
+(s - t_a)/(s(1-s)) - 1/s vanishes only there. ``optimum`` returns
 that formula; ``optimum_gradients`` checks it against the loss that training
 runs, ``schedule.compute_batch_loss``, at the logit pair (ln s* - ln(1-s*), 0).
 CE plus KL(t || softmax(z)) is convex in the logits z, so a zero gradient
@@ -21,6 +21,9 @@ The sweep then shows:
 ``sweep`` rectifies every wrong pair in one call of ``rectify.rectify_rows``,
 the rectification that training runs, and takes s* = (t + 1)/2 on arrays,
 t the rectified target's true-class mass.
+
+Every t_a lies in (0, 1): the CLI checks ``--ta``, and the sweep's grid is
+a constant.
 """
 
 from dataclasses import dataclass
@@ -28,7 +31,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import schedule
-from .errors import InvalidInputError
 from .rectify import rectify_rows
 
 VERDICT_BETWEEN = "between"
@@ -36,26 +38,11 @@ VERDICT_PULLED_BELOW_CE = "pulled_below_ce"
 VERDICT_BOUNDARY = "boundary"
 
 
-@dataclass(frozen=True)
-class TwoClassSetup:
-    t_a: float
+def optimum(t):
+    """Minimizer s* = (t + 1)/2 of the joint objective, t the KL target's true-class mass.
 
-    def __post_init__(self):
-        if not 0.0 < self.t_a < 1.0:
-            raise InvalidInputError(f"t_a must lie in (0, 1), got {self.t_a}")
-
-    @property
-    def t_b(self) -> float:
-        return 1.0 - self.t_a
-
-
-def two_class_optimum(setup: TwoClassSetup) -> float:
-    """Minimizer s* of the joint objective, the KL target being the teacher pair itself."""
-    return _optimum(setup.t_a)
-
-
-def _optimum(t):
-    """s* = (t + 1)/2, t the KL target's true-class mass: a float or an array."""
+    ``t`` is a float or an array; the unrectified optimum takes the teacher's t_a.
+    """
     return (t + 1.0) / 2.0
 
 
@@ -78,14 +65,14 @@ class SweepRow:
 
 def sweep(t_a_values) -> list[SweepRow]:
     """One row per point; every wrong pair is rectified by one production ``rectify_rows`` call."""
-    t_a = np.array([TwoClassSetup(t_a=float(ta)).t_a for ta in t_a_values])
+    t_a = np.array(t_a_values, dtype=np.float64)
     wrong = t_a < 0.5
     pairs = np.column_stack([t_a, 1.0 - t_a])[wrong]
     kl_t_a = np.full_like(t_a, np.nan)  # the rectified target's true-class mass
     kl_t_a[wrong] = rectify_rows(pairs, np.zeros(len(pairs), dtype=np.int64))[:, 0]
     return [SweepRow(t_a=float(t), s_unrect=float(u), s_rect=float(r), s_ce_only=1.0,
                      verdict=_verdict(float(t)))
-            for t, u, r in zip(t_a, _optimum(t_a), _optimum(kl_t_a))]
+            for t, u, r in zip(t_a, optimum(t_a), optimum(kl_t_a))]
 
 
 def optimum_gradients(rows) -> np.ndarray:

@@ -136,10 +136,14 @@ def _merge_config(args: argparse.Namespace) -> dict:
 
 
 def _persist_config(cfg: dict) -> None:
-    """Create the output directory and write the merged config to config.txt."""
+    """Create the output directory and write the merged config to config.txt.
+
+    A value left unset (``None``) gets no line, so that ``--config`` reads the
+    file back to the same config.
+    """
     os.makedirs(cfg["out"], exist_ok=True)
     with atomic_write(os.path.join(cfg["out"], "config.txt")) as fh:
-        fh.writelines(f"{k}={cfg[k]}\n" for k in sorted(cfg))
+        fh.writelines(f"{k}={cfg[k]}\n" for k in sorted(cfg) if cfg[k] is not None)
 
 
 def _write_json(path: str, obj: dict) -> None:
@@ -269,7 +273,7 @@ def cmd_prop_check(cfg: dict) -> int:
         ta = cfg["ta"]
         if not 0.0 < ta < 1.0:
             raise ConfigError(f"--ta must lie in (0, 1), got {ta}")
-        s_star = analysis.two_class_optimum(analysis.TwoClassSetup(t_a=ta))
+        s_star = analysis.optimum(ta)
         print(f"t_a={ta} s*={s_star:.6f}")
         return EXIT_OK
 

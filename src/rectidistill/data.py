@@ -70,11 +70,6 @@ def blob_splits(n_classes: int, per_class: tuple[int, ...], dim: int, spread: fl
                 seed: int) -> list[Dataset]:
     """The rows ``make_blobs(n_classes, sum(per_class), ...)`` draws, split by class in order,
     each split's features filled in place class by class: no array holds the whole draw."""
-    if n_classes < 2 or min(per_class) < 1 or dim < 1:
-        raise InvalidInputError(f"invalid counts: n_classes={n_classes}, "
-                                f"per_class={','.join(map(str, per_class))}, dim={dim}")
-    if not spread > 0.0:
-        raise InvalidInputError(f"spread must be positive, got {spread}")
     centers = class_centers(n_classes, dim, seed)
     rng = generator(seed, 0xB1)
     splits = [np.empty((n_classes * m, dim)) for m in per_class]
@@ -223,7 +218,5 @@ def epoch_permutation(n: int, seed: int, epoch: int) -> np.ndarray:
 
 def batch_iter(ds: Dataset, batch_size: int, seed: int, epoch: int) -> list[np.ndarray]:
     """Ordered list of index batches; the last batch may be short."""
-    if batch_size < 1:
-        raise InvalidInputError(f"batch size must be >= 1, got {batch_size}")
     perm = epoch_permutation(ds.n, seed, epoch)
     return [perm[i : i + batch_size] for i in range(0, ds.n, batch_size)]

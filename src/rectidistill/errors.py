@@ -6,15 +6,12 @@ class RectiDistillError(Exception):
 
 
 class InvalidInputError(RectiDistillError, ValueError):
-    """Non-finite, malformed, or out-of-domain input.
+    """Non-finite or malformed input.
 
-    Raised for a bad feature matrix, label vector or input batch, layer
-    widths, flat parameter vectors, two-class set-ups, and a function that
-    the finite-difference oracle evaluates to a non-finite value; for an
-    out-of-range scalar knob: a blob spread, class, row or feature counts,
-    a batch size, or a missing or negative seed component; and for a
-    malformed dataset CSV or checkpoint line, whose message names
-    ``path:line``.
+    Raised for a malformed dataset CSV or checkpoint line, whose message
+    names ``path:line``; for a ``Dataset`` whose features or labels break
+    its invariant; and for a function that the finite-difference oracle
+    evaluates to a non-finite value.
     """
 
 

@@ -17,16 +17,19 @@ A model's parameters live in one flat float64 vector, ``MlpParams.flat``,
 laid out as the checkpoint is: w_1 row by row, b_1, w_2, b_2, ... Its
 ``weights`` and ``biases`` are reshaped views of that vector, and a
 gradient or a velocity is a flat vector of the same layout, so one SGD
-step is three whole-vector operations. ``forward`` and ``backward`` check
-their shapes; the training loop calls the unchecked ``_forward_cached``
-and ``_backward_into`` on rows it built itself.
+step is three whole-vector operations.
+
+Only ``load_checkpoint`` checks its input, a file. Everything else takes
+values checked where they entered the program: layer widths by the CLI,
+a model's fit to each split by ``train`` before any forward, and a
+split's shape by ``Dataset``.
 """
 
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .data import TEXT, atomic_write
+from .data import TEXT, Dataset, atomic_write
 from .errors import InvalidInputError
 from .rng import generator
 
@@ -74,9 +77,6 @@ class MlpParams:
 
 def init(dims, seed: int) -> MlpParams:
     """Glorot-uniform weights, zero biases, fully determined by the seed."""
-    dims = [int(d) for d in dims]
-    if len(dims) < 2 or any(d < 1 for d in dims):
-        raise InvalidInputError(f"need >= 2 positive layer widths, got {dims}")
     rng = generator(int(seed))
     weights, biases = [], []
     for fan_in, fan_out in zip(dims[:-1], dims[1:]):
@@ -87,7 +87,7 @@ def init(dims, seed: int) -> MlpParams:
 
 
 def _forward_cached(p: MlpParams, x: np.ndarray):
-    """Logits (n, k) and per-layer activations ``[x, h_1, ..., logits]``, unchecked.
+    """Logits (n, k) and per-layer activations ``[x, h_1, ..., logits]``.
 
     Each layer's bias add and ReLU run in place on its fresh matmul output.
     """
@@ -103,18 +103,13 @@ def _forward_cached(p: MlpParams, x: np.ndarray):
     return h, acts
 
 
-def forward(p: MlpParams, x) -> np.ndarray:
+def forward(p: MlpParams, x: np.ndarray) -> np.ndarray:
     """Logits (n, k) for a batch of feature rows (n, d); one row is (1, d)."""
-    x = np.asarray(x, dtype=np.float64)
-    if x.ndim != 2 or x.shape[1] != p.weights[0].shape[1]:
-        raise InvalidInputError(
-            f"input shape {x.shape} is not (n, {p.weights[0].shape[1]})"
-        )
     return _forward_cached(p, x)[0]
 
 
 def _backward_into(p: MlpParams, grads, upstream: np.ndarray, acts) -> None:
-    """Write the batch-summed parameter gradients into ``grads``, unchecked.
+    """Write the batch-summed parameter gradients into ``grads``.
 
     ``grads`` holds per-layer (gw, gb) views of a flat gradient buffer
     (``p.layer_views``); ``acts`` are the activations ``_forward_cached``
@@ -130,25 +125,6 @@ def _backward_into(p: MlpParams, grads, upstream: np.ndarray, acts) -> None:
             delta *= acts[i] > 0.0
 
 
-def backward(p: MlpParams, x, upstream) -> list[tuple[np.ndarray, np.ndarray]]:
-    """Parameter gradients given d(loss)/d(logits), summed over the batch.
-
-    Runs its own forward pass over ``x`` for the activations. The upstream
-    already carries any 1/n weighting. Returns per-layer (gw, gb) pairs,
-    views of one fresh flat vector in the layout of ``p.flat``.
-    """
-    x = np.asarray(x, dtype=np.float64)
-    upstream = np.asarray(upstream, dtype=np.float64)
-    if x.ndim != 2 or upstream.shape != (x.shape[0], p.weights[-1].shape[0]):
-        raise InvalidInputError(
-            f"input {x.shape} and upstream {upstream.shape} are not an (n, d) and (n, k) batch"
-        )
-    _, acts = _forward_cached(p, x)
-    grads = p.layer_views(np.empty_like(p.flat))
-    _backward_into(p, grads, upstream, acts)
-    return grads
-
-
 def sgd_step(p: MlpParams, grad, velocity, lr: float, momentum: float = 0.0) -> None:
     """In-place heavy-ball update of flat vectors: v <- momentum*v + g; p <- p - lr*v."""
     velocity *= momentum
@@ -156,37 +132,19 @@ def sgd_step(p: MlpParams, grad, velocity, lr: float, momentum: float = 0.0) -> 
     p.flat -= lr * velocity
 
 
-def evaluate(p: MlpParams, features, labels) -> float:
-    """Top-1 accuracy; argmax ties go to the lowest index.
+def evaluate(p: MlpParams, ds: Dataset) -> float:
+    """Top-1 accuracy on a split; argmax ties go to the lowest index.
 
     The forward runs in chunks of rows whose widest layer temporary fits in
     ``EVAL_CHUNK_BYTES``, so peak memory does not grow with the split size.
     """
-    features = np.asarray(features, dtype=np.float64)
-    labels = np.asarray(labels, dtype=np.int64)
-    n = features.shape[0]
-    if n == 0:
-        raise InvalidInputError("empty dataset")
-    if labels.shape != (n,):
-        raise InvalidInputError(f"labels shape {labels.shape} is not ({n},)")
     rows = max(1, EVAL_CHUNK_BYTES // (8 * max(p.dims)))
     hits = 0
-    for start in range(0, n, rows):
+    for start in range(0, ds.n, rows):
         chunk = slice(start, start + rows)
-        predicted = np.argmax(forward(p, features[chunk]), axis=1)
-        hits += int(np.count_nonzero(predicted == labels[chunk]))
-    return hits / n
-
-
-def unflatten_params(template: MlpParams, vec) -> MlpParams:
-    """A model of the template's shapes whose parameters are a copy of ``vec``."""
-    vec = np.asarray(vec, dtype=np.float64)
-    if vec.shape != template.flat.shape:
-        raise InvalidInputError(
-            f"flat vector shape {vec.shape} does not match template ({template.flat.size},)"
-        )
-    weights, biases = zip(*template.layer_views(vec))
-    return MlpParams(weights=list(weights), biases=list(biases))
+        predicted = np.argmax(forward(p, ds.features[chunk]), axis=1)
+        hits += int(np.count_nonzero(predicted == ds.labels[chunk]))
+    return hits / ds.n
 
 
 def _fmt_row(row: np.ndarray) -> str:

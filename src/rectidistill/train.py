@@ -121,7 +121,7 @@ def _fit(params: model.MlpParams, train_ds: Dataset, cfg: TrainConfig, val_ds, b
                 sums[key] = sums.get(key, 0.0) + value
         row = {"epoch": epoch, **{key: value / train_ds.n for key, value in sums.items()}}
         for key, ds in (("train_acc", train_ds), ("val_acc", val_ds)):
-            row[key] = float("nan") if ds is None else model.evaluate(params, ds.features, ds.labels)
+            row[key] = float("nan") if ds is None else model.evaluate(params, ds)
         rows.append(row)
     return rows
 

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from rectidistill import cli, model, train
-from rectidistill.analysis import TwoClassSetup, sweep, two_class_optimum
+from rectidistill.analysis import optimum, sweep
 from rectidistill.data import Dataset, make_blobs
 from rectidistill.numerics import ce_rows, finite_difference_gradient, kl_rows, log_softmax_rows
 from rectidistill.rectify import STEP_B, STEP_C, rectify_rows
@@ -157,8 +157,7 @@ def test_criterion_04_two_class_sweep(capsys):
     worst = 0.0
     failures = []
     for row in sweep([round(0.05 * i, 2) for i in range(1, 20)]):
-        setup = TwoClassSetup(t_a=row.t_a)
-        worst = max(worst, abs(row.s_unrect - grid_optimum(setup.t_a, setup.t_b)))
+        worst = max(worst, abs(row.s_unrect - grid_optimum(row.t_a, 1 - row.t_a)))
         if row.t_a > 0.5 and not row.t_a < row.s_unrect < 1.0:
             failures.append(f"ordering at t_a={row.t_a}")
         if row.t_a < 0.5 and not row.s_rect > row.s_unrect:
@@ -169,7 +168,7 @@ def test_criterion_04_two_class_sweep(capsys):
 
 
 def test_criterion_05_worked_optimum(capsys):
-    s = two_class_optimum(TwoClassSetup(t_a=0.3))
+    s = optimum(0.3)
     oracle = grid_optimum(0.3, 0.7)
     ok = abs(s - 0.65) <= 1e-4 and abs(s - oracle) <= 1e-4
     report(capsys, 5, "worked optimum", ok,
@@ -211,18 +210,19 @@ def test_criterion_09_end_to_end_gradients(capsys):
     for mode in MODES:
         fg = 0.5 if mode == "fixed_gamma" else None
         student = model.init([2, 4, 3], seed=17)
+        q = model.init([2, 4, 3], seed=17)
 
         def loss_at(flat):
-            q = model.unflatten_params(student, flat)
+            q.flat[:] = flat
             logits = model.forward(q, x)
             return compute_batch_loss(logits, teacher_probs, labels, sched,
                                       mode=mode, fixed_gamma=fg).l_all
 
-        logits = model.forward(student, x)
+        logits, acts = model._forward_cached(student, x)
         upstream = compute_batch_loss(logits, teacher_probs, labels, sched,
                                       mode=mode, fixed_gamma=fg).grad
-        grads = model.backward(student, x, upstream)
-        analytic = np.concatenate([a.ravel() for gw, gb in grads for a in (gw, gb)])
+        analytic = np.empty_like(student.flat)
+        model._backward_into(student, student.layer_views(analytic), upstream, acts)
         fd = finite_difference_gradient(loss_at, student.flat.copy())
         worst = max(worst, float(np.max(np.abs(analytic - fd))))
     report(capsys, 9, "end-to-end gradients", worst <= 1e-5,

@@ -7,23 +7,21 @@ import pytest
 
 from rectidistill import cli
 from rectidistill.analysis import (
-    TwoClassSetup,
     VERDICT_BETWEEN,
     VERDICT_PULLED_BELOW_CE,
+    optimum,
     optimum_gradients,
     sweep,
-    two_class_optimum,
 )
-from rectidistill.errors import InvalidInputError
 from rectidistill.rectify import rectify_rows
 from rectidistill.schedule import EpochSchedule, compute_batch_loss
 
 GRID = np.arange(1e-6, 1.0, 1e-6)
 
 
-def grid_oracle(setup: TwoClassSetup, kl_target=None) -> float:
-    """Vectorized 1-D grid search at 1e-6 resolution."""
-    ta, tb = kl_target if kl_target is not None else (setup.t_a, setup.t_b)
+def grid_oracle(t_a: float, kl_target=None) -> float:
+    """Vectorized 1-D grid search at 1e-6 resolution; the KL target defaults to the teacher pair."""
+    ta, tb = kl_target if kl_target is not None else (t_a, 1.0 - t_a)
     vals = -np.log(GRID)
     if ta > 0:
         vals += ta * np.log(ta / GRID)
@@ -39,31 +37,26 @@ def largest_gradient(t_a_values) -> np.ndarray:
 
 class TestOptimum:
     def test_worked_value_t_a_030(self):
-        s = two_class_optimum(TwoClassSetup(t_a=0.3))
+        s = optimum(0.3)
         assert s == pytest.approx(0.65, abs=1e-4)
-        assert s == pytest.approx(grid_oracle(TwoClassSetup(t_a=0.3)), abs=1e-4)
-
-    def test_t_a_outside_open_interval_raises(self):
-        for t_a in (0.0, 1.0):
-            with pytest.raises(InvalidInputError, match=r"t_a must lie in \(0, 1\)"):
-                TwoClassSetup(t_a=t_a)
+        assert s == pytest.approx(grid_oracle(0.3), abs=1e-4)
 
 
 class TestDynamics:
     def test_correct_teacher_lands_between(self):
-        s = two_class_optimum(TwoClassSetup(t_a=0.9))
+        s = optimum(0.9)
         assert s == pytest.approx(0.95, abs=1e-4)
         assert 0.9 < s < 1.0
         assert largest_gradient([0.9])[0] <= 1e-12
 
     def test_wrong_teacher_pulled_below_ce_optimum(self):
-        s = two_class_optimum(TwoClassSetup(t_a=0.3))
+        s = optimum(0.3)
         assert s == pytest.approx(0.65, abs=1e-4)
         assert s < 1.0  # the CE-only optimum
         assert largest_gradient([0.3])[0] <= 1e-12
 
     def test_boundary_midpoint(self):
-        assert two_class_optimum(TwoClassSetup(t_a=0.5)) == pytest.approx(0.75, abs=1e-4)
+        assert optimum(0.5) == pytest.approx(0.75, abs=1e-4)
         assert largest_gradient([0.5])[0] <= 1e-12
 
     def test_closed_form_is_stationary_on_grid(self):
@@ -102,7 +95,7 @@ class TestRectifiedDynamics:
         for row, pair in zip(sweep(t_a), rect):
             assert row.s_rect > row.s_unrect
             assert row.s_rect == pytest.approx(
-                grid_oracle(TwoClassSetup(t_a=row.t_a), tuple(pair)), abs=1e-4
+                grid_oracle(row.t_a, tuple(pair)), abs=1e-4
             )
 
     def test_correct_teacher_rejected(self):
@@ -110,10 +103,7 @@ class TestRectifiedDynamics:
         assert [np.isnan(row.s_rect) for row in sweep([0.3, 0.5, 0.7])] == [False, True, True]
 
     def test_wrong_teacher_monotone_pull(self):
-        optima = [
-            two_class_optimum(TwoClassSetup(t_a=float(ta)))
-            for ta in np.arange(0.05, 0.50, 0.05)
-        ]
+        optima = [optimum(float(ta)) for ta in np.arange(0.05, 0.50, 0.05)]
         assert all(b > a for a, b in zip(optima, optima[1:]))
 
 
@@ -137,10 +127,6 @@ class TestSweep:
                 assert row.s_rect == (pair[0] + 1.0) / 2.0
             else:
                 assert np.isnan(row.s_rect)
-
-    def test_point_outside_open_interval_raises(self):
-        with pytest.raises(InvalidInputError, match=r"t_a must lie in \(0, 1\), got 1\.0"):
-            sweep([0.3, 1.0])
 
 
 class TestSweepCsv:

@@ -26,7 +26,7 @@ TOY = (
 # The listing digest of TOY's 74 files. It depends on the numpy/BLAS build it
 # was recorded with; a change that alters artifact bits on purpose updates it
 # and says so.
-TOY_LISTING_DIGEST = "55d7c3542538fd9abbeda518d2a9efb33d3f500afc405b6025a1ecc72aaaa74c"
+TOY_LISTING_DIGEST = "f0a32f746bcef2f33993372dd3cac19accd7329e27af738b7cf39991bbcecd82"
 
 
 def test_two_runs_give_the_same_listing_digest(tmp_path):

@@ -658,9 +658,9 @@ class TestPropCheck:
         assert out.split("FAIL at t_a points:\n")[1] == not_stationary_at(range(1, 10))
 
     def test_config_txt_keys(self, sweep_run):
+        # an unset --ta gets no line: "ta=None" would not parse back as a float
         _, _, out = sweep_run
-        assert config_keys(out) == ["out", "ta"]
-        assert (out / "config.txt").read_text().endswith("\nta=None\n")
+        assert config_keys(out) == ["out"]
 
 
 def parsed(call, argv):
@@ -843,6 +843,45 @@ class TestStrayBytes:
         assert cli.main(["gen-data", "--config", str(out / "config.txt")]) == cli.EXIT_OK
         assert (out / "config.txt").read_bytes() == written
         assert (out / "train.csv").read_bytes() == csv
+
+
+@pytest.mark.parametrize("command", ["gen-data", "train-teacher", "distill", "ablate",
+                                     "prop-check"])
+def test_config_txt_read_back_through_config_gives_the_same_config_txt(setup, command):
+    tmp, data, teacher = setup
+    out = tmp / f"{command}-read-back"
+    inputs = {
+        "gen-data": ["--classes", "3", "--per-class", "5", "--val-per-class", "5"],
+        "train-teacher": ["--train", str(data / "train.csv"), "--dims", "2,4,3", "--epochs", "1"],
+        "prop-check": [],
+    }.get(command, ["--train", str(data / "train.csv"), "--val", str(data / "val.csv"),
+                    "--teacher", str(teacher), "--dims", "2,4,3", "--epochs", "1"])
+    if command == "ablate":
+        inputs += ["--seeds", "1"]
+    assert cli.main([command, *inputs, "--out", str(out)]) == cli.EXIT_OK
+    written = (out / "config.txt").read_bytes()
+    assert cli.main([command, "--config", str(out / "config.txt")]) == cli.EXIT_OK
+    assert (out / "config.txt").read_bytes() == written
+
+
+@pytest.mark.parametrize("dims,message", [
+    ("2,0,4", "dims need >= 2 positive widths, got [2, 0, 4]"),
+    ("2,-3,4", "dims need >= 2 positive widths, got [2, -3, 4]"),
+    ("4", "dims need >= 2 positive widths, got [4]"),
+    ("2,x,4", "malformed dims '2,x,4'; expected e.g. 2,64,4"),
+    ("", "malformed dims ''; expected e.g. 2,64,4"),
+])
+@pytest.mark.parametrize("command", ["train-teacher", "distill"])
+def test_bad_dims_is_usage_error_before_output(setup, capsys, command, dims, message):
+    # the CLI is the only check of a model's widths
+    tmp, data, teacher = setup
+    out = tmp / f"{command}-dims-{dims}"
+    inputs = ["--train", str(data / "train.csv")]
+    if command == "distill":
+        inputs += ["--teacher", str(teacher)]
+    assert cli.main([command, *inputs, f"--dims={dims}", "--out", str(out)]) == cli.EXIT_USAGE
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("command", ["gen-data", "train-teacher", "distill", "ablate"])

@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rectidistill import model
+from rectidistill.data import Dataset
 from rectidistill.errors import InvalidInputError
 from rectidistill.numerics import finite_difference_gradient, log_softmax_rows
 
@@ -53,22 +54,18 @@ class TestInit:
         for b in p.biases:
             assert np.all(b == 0.0)
 
-    def test_invalid_dims_raise(self):
-        for dims in ([], [3], [3, 0, 2]):
-            with pytest.raises(InvalidInputError, match="need >= 2 positive layer widths"):
-                model.init(dims, seed=0)
-
 
 class TestForward:
     def test_zero_params_give_zero_logits(self):
         p = model.init([2, 4, 3], seed=0)
         for w in p.weights:
             w[:] = 0.0
-        np.testing.assert_array_equal(model.forward(p, [[1.0, 2.0]]), np.zeros((1, 3)))
+        np.testing.assert_array_equal(model.forward(p, np.array([[1.0, 2.0]])), np.zeros((1, 3)))
 
     def test_identity_single_layer(self):
         p = model.MlpParams(weights=[np.eye(3)], biases=[np.zeros(3)])
-        np.testing.assert_array_equal(model.forward(p, [[1.0, -2.0, 3.0]]), [[1.0, -2.0, 3.0]])
+        x = np.array([[1.0, -2.0, 3.0]])
+        np.testing.assert_array_equal(model.forward(p, x), x)
 
     def test_matches_naive_oracle(self):
         p = model.init([3, 5, 4], seed=11)
@@ -85,23 +82,13 @@ class TestForward:
             # BLAS may pick different kernels for 7-row vs 1-row matmuls
             np.testing.assert_allclose(batch[i], model.forward(p, x[i : i + 1])[0], atol=1e-12)
 
-    def test_dimension_mismatch_raises(self):
-        p = model.init([2, 3], seed=0)
-        with pytest.raises(InvalidInputError):
-            model.forward(p, [[1.0, 2.0, 3.0]])
-
-    def test_1d_input_raises(self):
-        p = model.init([2, 3], seed=0)
-        with pytest.raises(InvalidInputError):
-            model.forward(p, [1.0, 2.0])
-        with pytest.raises(InvalidInputError):
-            model.backward(p, [1.0, 2.0], np.zeros(3))
-
 
 class TestBackward:
     def test_zero_upstream_gives_zero_grads(self):
         p = model.init([2, 4, 3], seed=0)
-        grads = model.backward(p, [[1.0, 2.0]], np.zeros((1, 3)))
+        _, acts = model._forward_cached(p, np.array([[1.0, 2.0]]))
+        grads = p.layer_views(np.full_like(p.flat, np.nan))
+        model._backward_into(p, grads, np.zeros((1, 3)), acts)
         for gw, gb in grads:
             assert np.all(gw == 0.0) and np.all(gb == 0.0)
 
@@ -111,7 +98,10 @@ class TestBackward:
         )
         x = np.array([[1.5, -0.5]])
         up = np.array([[0.2, -0.1, 0.7]])
-        (gw, gb), = model.backward(p, x, up)
+        _, acts = model._forward_cached(p, x)
+        grad = np.empty_like(p.flat)
+        model._backward_into(p, p.layer_views(grad), up, acts)
+        (gw, gb), = p.layer_views(grad)
         np.testing.assert_allclose(gw, np.outer(up, x), atol=1e-15)
         np.testing.assert_allclose(gb, up[0], atol=1e-15)
 
@@ -121,24 +111,23 @@ class TestBackward:
         rng = np.random.default_rng(8)
         x = rng.normal(size=(3, 2))
         y = np.array([0, 2, 1])
+        q = model.init([2, 4, 3], seed=7)
 
         def loss_at(flat):
-            q = model.unflatten_params(p, flat)
+            q.flat[:] = flat
             logits = model.forward(q, x)
             return sum(
                 -np.log(log_softmax_rows(logits[i : i + 1])[1][0, y[i]]) for i in range(3)
             ) / 3.0
 
-        logits = model.forward(p, x)
+        logits, acts = model._forward_cached(p, x)
         probs = np.array([log_softmax_rows(row[None])[1][0] for row in logits])
         upstream = probs.copy()
         upstream[np.arange(3), y] -= 1.0
-        grads = model.backward(p, x, upstream / 3.0)
-        flat_analytic = np.concatenate(
-            [a.ravel() for gw, gb in grads for a in (gw, gb)]
-        )
+        analytic = np.empty_like(p.flat)
+        model._backward_into(p, p.layer_views(analytic), upstream / 3.0, acts)
         fd = finite_difference_gradient(loss_at, p.flat.copy())
-        assert np.max(np.abs(flat_analytic - fd)) <= 1e-5
+        assert np.max(np.abs(analytic - fd)) <= 1e-5
 
 
 class TestSgd:
@@ -252,14 +241,14 @@ class TestFlatStep:
         x = rng.normal(size=(6, 3))
         upstream = rng.normal(size=(6, 2))
         x.flags.writeable = upstream.flags.writeable = False
-        grads = model.backward(p, x, upstream)
+        before = p.flat.copy()
+        _, acts = model._forward_cached(p, x)
+        grads = p.layer_views(np.empty_like(p.flat))
+        model._backward_into(p, grads, upstream, acts)
         _, acts = allocating_forward_cached(p.weights, p.biases, x)
         for (gw, gb), (ow, ob) in zip(grads, allocating_backward(p.weights, upstream, acts)):
             assert np.array_equal(gw, ow) and np.array_equal(gb, ob)
-        # the pairs are views of one fresh flat vector, not of the parameters
-        fresh = grads[0][0].base
-        assert fresh.shape == p.flat.shape and not np.shares_memory(fresh, p.flat)
-        assert all(a.base is fresh for pair in grads for a in pair)
+        assert np.array_equal(p.flat, before)  # the gradient pass leaves the parameters alone
 
 
 def shares_flat(p):
@@ -285,25 +274,12 @@ class TestFlatLayout:
         model.save_checkpoint(model.init([2, 4, 3], seed=2), tmp_path / "net.ckpt")
         assert shares_flat(model.load_checkpoint(tmp_path / "net.ckpt"))
 
-    def test_unflatten_copies_and_layers_are_views_of_flat(self):
-        p = model.init([2, 4, 3], seed=3)
-        vec = np.arange(p.flat.size, dtype=np.float64)
-        q = model.unflatten_params(p, vec)
-        assert shares_flat(q)
-        assert not np.shares_memory(q.flat, vec)
-        np.testing.assert_array_equal(q.flat, vec)
-
-    def test_unflatten_rejects_a_wrong_length(self):
-        p = model.init([2, 4, 3], seed=3)
-        with pytest.raises(InvalidInputError, match="does not match template"):
-            model.unflatten_params(p, np.zeros(p.flat.size + 1))
-
 
 class TestEvaluate:
     def test_oracle_labels_as_logits(self):
         p = model.MlpParams(weights=[np.eye(3)], biases=[np.zeros(3)])
         feats = np.eye(3)
-        acc = model.evaluate(p, feats, np.array([0, 1, 2]))
+        acc = model.evaluate(p, Dataset(feats, np.array([0, 1, 2]), 3))
         assert acc == 1.0
 
     def test_constant_logits_tie_rule(self):
@@ -311,7 +287,7 @@ class TestEvaluate:
         p = model.MlpParams(weights=[np.zeros((4, 2))], biases=[np.zeros(4)])
         feats = np.random.default_rng(0).normal(size=(40, 2))
         labels = np.tile(np.arange(4), 10)
-        acc = model.evaluate(p, feats, labels)
+        acc = model.evaluate(p, Dataset(feats, labels, 4))
         assert acc == 0.25
 
     def test_matches_counting_oracle(self):
@@ -319,15 +295,16 @@ class TestEvaluate:
         rng = np.random.default_rng(7)
         feats = rng.normal(size=(100, 2))
         labels = rng.integers(0, 3, size=100)
-        acc = model.evaluate(p, feats, labels)
+        acc = model.evaluate(p, Dataset(feats, labels, 3))
         logits = model.forward(p, feats)
         hits = sum(1 for i in range(100) if int(np.argmax(logits[i])) == labels[i])
         assert acc == hits / 100
 
     def test_empty_dataset_raises(self):
+        # evaluate takes a Dataset, whose invariant rejects an empty split
         p = model.init([2, 3], seed=0)
-        with pytest.raises(InvalidInputError):
-            model.evaluate(p, np.empty((0, 2)), np.empty(0, dtype=int))
+        with pytest.raises(InvalidInputError, match="nonempty matrix"):
+            model.evaluate(p, Dataset(np.empty((0, 2)), np.empty(0, dtype=np.int64), 3))
 
     @pytest.mark.parametrize("shape", [(6, 1), (1,), (5,), (7,)])
     def test_label_shape_mismatch_raises(self, shape):
@@ -335,21 +312,21 @@ class TestEvaluate:
         p = model.MlpParams(weights=[np.eye(3)], biases=[np.zeros(3)])
         feats = np.eye(3)[[0, 1, 2, 0, 1, 2]]
         labels = np.array([0, 1, 2, 0, 1, 2])
-        assert model.evaluate(p, feats, labels) == 1.0
-        with pytest.raises(InvalidInputError, match="labels shape"):
-            model.evaluate(p, feats, np.resize(labels, shape))
+        assert model.evaluate(p, Dataset(feats, labels, 3)) == 1.0
+        with pytest.raises(InvalidInputError, match="labels length does not match features"):
+            model.evaluate(p, Dataset(feats, np.resize(labels, shape), 3))
 
     def test_chunked_forward_matches_whole_split(self, monkeypatch):
         p = model.init([2, 5, 3], seed=6)
         rng = np.random.default_rng(8)
         feats = rng.normal(size=(103, 2))
-        labels = rng.integers(0, 3, size=103)
-        whole = model.evaluate(p, feats, labels)
+        ds = Dataset(feats, rng.integers(0, 3, size=103), 3)
+        whole = model.evaluate(p, ds)
         calls = []
         forward = model.forward
         monkeypatch.setattr(model, "forward", lambda q, x: calls.append(len(x)) or forward(q, x))
         monkeypatch.setattr(model, "EVAL_CHUNK_BYTES", 8 * 5 * 10)  # 10 rows of the width-5 layer
-        assert model.evaluate(p, feats, labels) == whole
+        assert model.evaluate(p, ds) == whole
         assert calls == [10] * 10 + [3]
 
     @pytest.mark.parametrize("dims,n", [([2, 64, 4], 2000), ([32, 256, 100], 5000)])
@@ -359,10 +336,10 @@ class TestEvaluate:
         p = model.init(dims, seed=0)
         rng = np.random.default_rng(9)
         feats = rng.normal(size=(n, dims[0]))
-        labels = rng.integers(0, dims[-1], size=n)
+        ds = Dataset(feats, rng.integers(0, dims[-1], size=n), dims[-1])
         tracemalloc.start()
         try:
-            model.evaluate(p, feats, labels)
+            model.evaluate(p, ds)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -382,12 +359,12 @@ class TestCheckpoint:
 
     def test_round_trip_preserves_evaluation(self, tmp_path):
         p = model.init([2, 8, 4], seed=13)
-        feats = np.random.default_rng(14).normal(size=(50, 2))
-        labels = np.random.default_rng(15).integers(0, 4, size=50)
+        ds = Dataset(np.random.default_rng(14).normal(size=(50, 2)),
+                     np.random.default_rng(15).integers(0, 4, size=50), 4)
         path = tmp_path / "net.ckpt"
         model.save_checkpoint(p, path)
         q = model.load_checkpoint(path)
-        assert model.evaluate(p, feats, labels) == model.evaluate(q, feats, labels)
+        assert model.evaluate(p, ds) == model.evaluate(q, ds)
 
     def test_save_load_save_is_byte_identical_to_repr_format(self, tmp_path):
         p = model.init([6, 3, 2], seed=13)

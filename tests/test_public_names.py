@@ -14,6 +14,10 @@ other tests read is filled on every call for nothing.
 And no ``raise`` under ``src/`` names a Python builtin exception class: every
 error the package raises derives from ``errors.RectiDistillError``, so the
 CLI maps it to an exit code. A bare re-raise is allowed.
+
+Bad input is rejected once, where it enters the program, so only the file
+readers, the ``Dataset`` invariant and the finite-difference oracle build an
+``InvalidInputError``. The CLI and ``TrainConfig`` raise ``ConfigError``.
 """
 
 import ast
@@ -132,3 +136,58 @@ def test_builtin_raise_guard_allows_a_bare_reraise(tmp_path):
         "    raise KeyError\n"
     )
     assert builtin_raises(source) == ["mod.py:7", "mod.py:8"]
+
+
+# The only functions that build an InvalidInputError; a nested function counts as its parent.
+INPUT_CHECKS = {
+    "data.Dataset.__post_init__",
+    "data._data_lines",
+    "data.load_csv",
+    "model.load_checkpoint",
+    "numerics.finite_difference_gradient",
+}
+
+
+def input_error_sites(path: Path) -> list[tuple[str, int]]:
+    """(qualified name of the enclosing def, line) of each InvalidInputError the code builds."""
+    sites = []
+
+    def visit(node, scope):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                visit(child, f"{scope}.{child.name}")
+                continue
+            # a call builds one, and so does a raise that names the class itself
+            built = child.func if isinstance(child, ast.Call) else (
+                child.exc if isinstance(child, ast.Raise) else None)
+            name = built.attr if isinstance(built, ast.Attribute) else getattr(built, "id", None)
+            if name == "InvalidInputError":
+                sites.append((scope, child.lineno))
+            visit(child, scope)
+
+    visit(ast.parse(path.read_text()), path.stem)
+    return sites
+
+
+def test_invalid_input_error_is_built_only_at_the_boundary():
+    stray = [f"{path.name}:{line} in {scope}"
+             for path in sorted(PACKAGE.glob("*.py"))
+             for scope, line in input_error_sites(path)
+             if not any(scope == f or scope.startswith(f + ".") for f in INPUT_CHECKS)]
+    assert stray == []
+
+
+def test_input_error_sites_name_the_enclosing_def(tmp_path):
+    source = tmp_path / "mod.py"
+    source.write_text(
+        "class Box:\n"
+        "    def check(self):\n"
+        "        def inner():\n"
+        "            return errors.InvalidInputError('a')\n"
+        "        raise InvalidInputError('b')\n"
+        "\n"
+        "def other():\n"
+        "    raise InvalidInputError\n"
+    )
+    assert input_error_sites(source) == [
+        ("mod.Box.check.inner", 4), ("mod.Box.check", 5), ("mod.other", 8)]

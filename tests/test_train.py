@@ -54,17 +54,19 @@ def two_loop_teacher(train_ds, dims, cfg, val_ds):
         loss_sum = 0.0
         for idx in batch_iter(train_ds, cfg.batch_size, cfg.seed, epoch):
             x, y = train_ds.features[idx], train_ds.labels[idx]
-            logits = model.forward(params, x)
+            logits, acts = model._forward_cached(params, x)
             true_class = (np.arange(len(idx)), y)
             loss_sum += float(-log_softmax_rows(logits)[0][true_class].sum())
             upstream = log_softmax_rows(logits)[1]
             upstream[true_class] -= 1.0
-            heavy_ball(params, model.backward(params, x, upstream / len(idx)), velocity, cfg)
+            grads = params.layer_views(np.empty_like(params.flat))
+            model._backward_into(params, grads, upstream / len(idx), acts)
+            heavy_ball(params, grads, velocity, cfg)
         rows.append({
             "epoch": epoch,
             "loss_ce": loss_sum / train_ds.n,
-            "train_acc": model.evaluate(params, train_ds.features, train_ds.labels),
-            "val_acc": model.evaluate(params, val_ds.features, val_ds.labels),
+            "train_acc": model.evaluate(params, train_ds),
+            "val_acc": model.evaluate(params, val_ds),
         })
     return params, rows
 
@@ -81,11 +83,13 @@ def two_loop_distill(teacher, student_dims, train_ds, cfg, val_ds):
         for idx in batch_iter(train_ds, cfg.batch_size, cfg.seed, epoch):
             x, y = train_ds.features[idx], train_ds.labels[idx]
             teacher_probs = log_softmax_rows(model.forward(teacher, x), cfg.tau)[1]
+            logits, acts = model._forward_cached(student, x)
             breakdown = compute_batch_loss(
-                model.forward(student, x), teacher_probs, y, sched, cfg.tau, cfg.mode,
-                cfg.fixed_gamma,
+                logits, teacher_probs, y, sched, cfg.tau, cfg.mode, cfg.fixed_gamma,
             )
-            heavy_ball(student, model.backward(student, x, breakdown.grad), velocity, cfg)
+            grads = student.layer_views(np.empty_like(student.flat))
+            model._backward_into(student, grads, breakdown.grad, acts)
+            heavy_ball(student, grads, velocity, cfg)
             for key, value in (("loss_total", breakdown.l_all), ("loss_ce", breakdown.l_ce),
                                ("loss_easy", breakdown.l_easy), ("loss_hard", breakdown.l_hard)):
                 sums[key] += value * len(idx)
@@ -94,8 +98,8 @@ def two_loop_distill(teacher, student_dims, train_ds, cfg, val_ds):
             "epoch": epoch,
             "gamma": resolve_gamma(cfg.mode, sched, cfg.fixed_gamma),
             **{key: value / train_ds.n for key, value in sums.items()},
-            "train_acc": model.evaluate(student, train_ds.features, train_ds.labels),
-            "val_acc": model.evaluate(student, val_ds.features, val_ds.labels),
+            "train_acc": model.evaluate(student, train_ds),
+            "val_acc": model.evaluate(student, val_ds),
             "teacher_right_fraction": n_right / train_ds.n,
         })
     return student, rows
