@@ -78,17 +78,16 @@ def sweep(t_a_values) -> list[SweepRow]:
 def optimum_gradients(rows) -> np.ndarray:
     """G times the training loss's logit gradient at each row's closed form, shape (2, G, 2).
 
-    At gamma 0, every label on class a: ``vanilla_kd`` at ``s_unrect``, then
-    ``rectify_only``, which partitions and rectifies as training does, at
+    At gamma 0, every label on class a: mode ``vanilla`` at ``s_unrect``, then
+    ``rectify``, which partitions and rectifies as training does, at
     ``s_rect`` (``s_unrect`` where the teacher is right). G undoes the batch mean.
     """
     t_a, s_unrect, s_rect = np.array([(r.t_a, r.s_unrect, r.s_rect) for r in rows]).T
     teacher, labels = np.column_stack([t_a, 1.0 - t_a]), np.zeros(len(rows), dtype=np.int64)
-    sched = schedule.EpochSchedule(epoch=0, total_epochs=1)
     blocks = []
-    for mode, s in (("vanilla_kd", s_unrect),
-                    ("rectify_only", np.where(np.isnan(s_rect), s_unrect, s_rect))):
+    for mode, s in (("vanilla", s_unrect),
+                    ("rectify", np.where(np.isnan(s_rect), s_unrect, s_rect))):
         logits = np.column_stack([np.log(s) - np.log(1.0 - s), np.zeros_like(s)])
-        loss = schedule.compute_batch_loss(logits, teacher, labels, sched, mode=mode)
+        loss = schedule.compute_batch_loss(logits, teacher, labels, 0.0, mode=mode)
         blocks.append(len(rows) * loss.grad)
     return np.stack(blocks)

@@ -33,32 +33,18 @@ EXIT_INTERNAL = 1
 EXIT_USAGE = 2
 EXIT_VERIFICATION = 3
 
-MODE_FLAGS = {
-    "full": "full",
-    "eliminate": "eliminate_only",
-    "rectify": "rectify_only",
-    "vanilla": "vanilla_kd",
-    "step-b": "step_b_ablation",
-}
-
-
 def _out_root() -> str:
     return os.environ.get("RECTIDISTILL_OUT", "runs")
 
 
 def _parse_mode(flag: str) -> tuple[str, float | None]:
-    if flag in MODE_FLAGS:
-        return MODE_FLAGS[flag], None
-    if flag.startswith("fixed-gamma="):
-        try:
-            g = float(flag.split("=", 1)[1])
-        except ValueError:
-            raise ConfigError(f"malformed fixed-gamma value in {flag!r}") from None
-        return "fixed_gamma", g
-    raise ConfigError(
-        f"unknown mode {flag!r}; expected one of "
-        f"{sorted(MODE_FLAGS)} or fixed-gamma=G"
-    )
+    """Split ``fixed-gamma=G`` into the mode and G; any other flag is the mode, unchecked here."""
+    if not flag.startswith("fixed-gamma="):
+        return flag, None
+    try:
+        return "fixed-gamma", float(flag.split("=", 1)[1])
+    except ValueError:
+        raise ConfigError(f"malformed fixed-gamma value in {flag!r}") from None
 
 
 def _parse_dims(text: str) -> list[int]:
@@ -91,6 +77,7 @@ def _require_out_dir(path: str) -> None:
 def _read_config_file(path: str) -> dict[str, str]:
     _require_file(path, "config file")
     values: dict[str, str] = {}
+    first_line: dict[str, int] = {}
     with open(path, **TEXT) as fh:
         for lineno, line in enumerate(fh, start=1):
             line = line.strip()
@@ -98,8 +85,11 @@ def _read_config_file(path: str) -> dict[str, str]:
                 continue
             if "=" not in line:
                 raise ConfigError(f"{path}:{lineno}: expected key=value, got {line!r}")
-            key, value = line.split("=", 1)
-            values[key.strip()] = value.strip()
+            key, value = (part.strip() for part in line.split("=", 1))
+            if key in first_line:
+                raise ConfigError(f"{path}:{lineno}: key {key!r} repeats line {first_line[key]}")
+            first_line[key] = lineno
+            values[key] = value
     return values
 
 
@@ -247,7 +237,7 @@ def cmd_ablate(cfg: dict) -> int:
 
     results = []  # (seed, mode_label, val_acc)
     for seed in range(cfg["seed"], cfg["seed"] + cfg["seeds"]):
-        for label, mode in (("step-b", "step_b_ablation"), ("step-c", "full")):
+        for label, mode in (("step-b", "step-b"), ("step-c", "full")):
             run = dataclasses.replace(tc, seed=seed, mode=mode)
             _, rows = train.distill(teacher, dims, train_ds, run, val_ds)
             results.append((seed, label, rows[-1]["val_acc"]))

@@ -193,7 +193,7 @@ def load_checkpoint(path) -> MlpParams:
 
     weights, biases = [], []
     lineno = 3
-    for _ in range(n_layers):
+    for i in range(n_layers):
         if lineno > len(lines):
             raise parse_error(lineno, "unexpected end of file")
         parts = lines[lineno - 1].split()
@@ -205,6 +205,8 @@ def load_checkpoint(path) -> MlpParams:
             raise parse_error(lineno, "malformed layer dims") from exc
         if out_w < 1 or in_w < 1:
             raise parse_error(lineno, f"layer dims must be positive, got {out_w}x{in_w}")
+        if i == n_layers - 1 and out_w < 2:  # the output width is the class count
+            raise parse_error(lineno, f"the final layer needs >= 2 outputs (classes), got {out_w}")
         # the header's dims size nothing until the file is known to hold its rows
         if len(lines) - lineno < out_w + 1:
             raise parse_error(lineno, f"layer needs {out_w + 1} lines, "

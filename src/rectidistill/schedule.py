@@ -17,8 +17,8 @@ label (ties broken toward the lowest class index, everywhere). The loss
 is a per-sample weighting in two weight classes: easy rows are distilled
 with weight (1 - gamma) / n and hard rows with gamma / n. In the masked
 modes the hard rows are the biased ones, rectified or, in
-``eliminate_only``, given a zero target, so that their KL and gradient
-term are exactly 0. In ``vanilla_kd`` and ``rectify_only`` every row is
+``eliminate``, given a zero target, so that their KL and gradient
+term are exactly 0. In ``vanilla`` and ``rectify`` every row is
 easy, and gamma is 0. ``target_loss`` takes one KL pass over the whole
 batch; l_easy and l_hard are the sums of that vector over the easy and
 the hard rows, and the KL gradient is one weighted term per row. A row's
@@ -31,29 +31,29 @@ biased ones in one array operation; it reads only the teacher and the
 labels, and each output row depends only on its own input row, so
 ``train.distill`` can compute it once per training row. ``target_loss``
 returns the loss terms together with their gradient w.r.t. the logits, at
-the epoch's gamma, which the caller resolves (``resolve_gamma``); it
-reads the weight classes, not the mode.
-``compute_batch_loss`` is the two composed. None of them checks its
-inputs, each checked once where it enters: ``tau``, ``mode`` and
-``fixed_gamma`` by ``TrainConfig``, labels by the data loaders, the
-teacher by ``model.load_checkpoint``, non-finite student logits by
-``train._fit``.
+the epoch's gamma ``g``, which ``gamma`` gives; it reads the weight
+classes, not the mode. ``compute_batch_loss`` is the two composed, at a
+given ``g``. None of them checks its inputs, each checked once where it
+enters: ``tau``, ``mode`` and ``fixed_gamma`` by ``TrainConfig``, labels
+by the data loaders, the teacher by ``model.load_checkpoint``,
+non-finite student logits by ``train._fit``.
 CE (``numerics.ce_rows``) and KL come from the ln s of
 ``numerics.log_softmax_rows``, so they stay finite where the student
 softmax underflows; the gradient uses the s of the same pass.
 
-Modes:
+Modes (the names ``--mode`` takes):
 
-* ``full``            -- elimination + rectification + dynamic gamma.
-* ``eliminate_only``  -- bias samples dropped from KL (a zero target);
-                         gamma forced to 0.
-* ``rectify_only``    -- no elimination: one full-batch KL where bias
-                         samples use rectified (step-c) targets; gamma 0.
-* ``vanilla_kd``      -- unmasked KL + CE baseline; gamma 0.
-* ``step_b_ablation`` -- like full but hard targets are the unnormalized
-                         step-b vectors, used directly in sum t' ln(t'/s).
-* ``fixed_gamma``     -- like full but with a constant gamma (the "normal"
-                         schedule baseline).
+* ``full``        -- elimination + rectification + dynamic gamma.
+* ``eliminate``   -- bias samples dropped from KL (a zero target);
+                     gamma forced to 0.
+* ``rectify``     -- no elimination: one full-batch KL where bias
+                     samples use rectified (step-c) targets; gamma 0.
+* ``vanilla``     -- unmasked KL + CE baseline; gamma 0.
+* ``step-b``      -- like full but hard targets are the unnormalized
+                     step-b vectors, used directly in sum t' ln(t'/s).
+* ``fixed-gamma`` -- like full but with a constant gamma (the "normal"
+                     schedule baseline); the CLI spells it
+                     ``fixed-gamma=G``.
 """
 
 from dataclasses import dataclass
@@ -63,27 +63,7 @@ import numpy as np
 from . import rectify
 from .numerics import ce_rows, kl_rows, log_softmax_rows
 
-MODES = (
-    "full",
-    "eliminate_only",
-    "rectify_only",
-    "vanilla_kd",
-    "step_b_ablation",
-    "fixed_gamma",
-)
-
-
-@dataclass(frozen=True)
-class EpochSchedule:
-    """Position in training: current epoch e in [0, E)."""
-
-    epoch: int
-    total_epochs: int
-
-
-def gamma(sched: EpochSchedule) -> float:
-    """Dynamic adjustment coefficient gamma = e / E in [0, 1 - 1/E]."""
-    return sched.epoch / sched.total_epochs
+MODES = ("full", "eliminate", "rectify", "vanilla", "step-b", "fixed-gamma")
 
 
 @dataclass(frozen=True)
@@ -95,11 +75,12 @@ class LossBreakdown:
     grad: np.ndarray  # d l_all / d student logits, shape (n, k)
 
 
-def resolve_gamma(mode: str, sched, fixed_gamma) -> float:
-    """The epoch's blend weight: e/E, the fixed constant, or 0 by mode."""
-    if mode in ("full", "step_b_ablation"):
-        return gamma(sched)
-    if mode == "fixed_gamma":
+def gamma(mode: str, epoch: int, epochs: int, fixed_gamma) -> float:
+    """Epoch e of E's blend weight: e/E in ``full`` and ``step-b``, the constant in
+    ``fixed-gamma``, 0 in the others."""
+    if mode in ("full", "step-b"):
+        return epoch / epochs
+    if mode == "fixed-gamma":
         return float(fixed_gamma)
     return 0.0
 
@@ -109,25 +90,25 @@ def teacher_targets(teacher_probs, labels, mode: str):
 
     Returns ``(targets, right, hard)``: ``right`` marks the rows whose
     argmax is the label; ``hard`` marks the rows the loss weights with
-    gamma, ``~right`` in the masked modes and none in ``vanilla_kd`` and
-    ``rectify_only``, which distill every row as easy knowledge.
+    gamma, ``~right`` in the masked modes and none in ``vanilla`` and
+    ``rectify``, which distill every row as easy knowledge.
     ``targets`` holds the teacher rows, with every other row rectified to
-    step c (step b in ``step_b_ablation``), or all zeros in
-    ``eliminate_only``, so that its KL and gradient term are exactly 0.
-    ``vanilla_kd`` gets ``teacher_probs`` itself back; every other mode a
+    step c (step b in ``step-b``), or all zeros in ``eliminate``, so that
+    its KL and gradient term are exactly 0.
+    ``vanilla`` gets ``teacher_probs`` itself back; every other mode a
     fresh array. Every output row depends only on its own input row and
     label.
     """
     right = np.argmax(teacher_probs, axis=1) == labels
     bias = ~right
-    hard = np.zeros_like(right) if mode in ("vanilla_kd", "rectify_only") else bias
-    if mode == "vanilla_kd":
+    hard = np.zeros_like(right) if mode in ("vanilla", "rectify") else bias
+    if mode == "vanilla":
         return teacher_probs, right, hard
     targets = teacher_probs.copy()
-    if mode == "eliminate_only":
+    if mode == "eliminate":
         targets[bias] = 0.0
     else:
-        stage = rectify.STEP_B if mode == "step_b_ablation" else rectify.STEP_C
+        stage = rectify.STEP_B if mode == "step-b" else rectify.STEP_C
         targets[bias] = rectify.rectify_rows(teacher_probs[bias], labels[bias], stage)
     return targets, right, hard
 
@@ -160,16 +141,9 @@ def target_loss(student_logits, targets, hard, labels, g: float, tau: float) -> 
 
 
 def compute_batch_loss(
-    student_logits,
-    teacher_probs,
-    labels,
-    sched: EpochSchedule,
-    tau: float = 1.0,
-    mode: str = "full",
-    fixed_gamma: float | None = None,
+    student_logits, teacher_probs, labels, g: float, tau: float = 1.0, mode: str = "full"
 ) -> LossBreakdown:
-    """Per-batch loss components, the assembled total and its logit gradient."""
+    """Per-batch loss components, the assembled total and its logit gradient at gamma ``g``."""
     labels = np.asarray(labels, dtype=np.int64)
     targets, _, hard = teacher_targets(np.asarray(teacher_probs, dtype=np.float64), labels, mode)
-    g = resolve_gamma(mode, sched, fixed_gamma)
     return target_loss(student_logits, targets, hard, labels, g, tau)

@@ -16,7 +16,7 @@ from . import model
 from .data import Dataset, batch_iter
 from .errors import ConfigError, TrainingDivergedError
 from .numerics import ce_rows, log_softmax_rows
-from .schedule import MODES, EpochSchedule, resolve_gamma, target_loss, teacher_targets
+from .schedule import MODES, gamma, target_loss, teacher_targets
 
 METRICS_COLUMNS = (
     "epoch",
@@ -63,10 +63,10 @@ class TrainConfig:
             raise ConfigError(f"temperature must be finite and > 0, got {self.tau}")
         if self.mode not in MODES:
             raise ConfigError(f"unknown mode {self.mode!r}; expected one of {MODES}")
-        if self.mode == "fixed_gamma":
+        if self.mode == "fixed-gamma":
             if self.fixed_gamma is None or not 0.0 <= self.fixed_gamma < 1.0:
                 raise ConfigError(
-                    f"mode fixed_gamma needs a gamma in [0, 1), got {self.fixed_gamma}")
+                    f"mode fixed-gamma needs a gamma in [0, 1), got {self.fixed_gamma}")
         elif self.fixed_gamma is not None:
             raise ConfigError(f"mode {self.mode} takes no fixed gamma, got {self.fixed_gamma}")
 
@@ -181,8 +181,7 @@ def distill(
     def teacher_probs(x):
         return log_softmax_rows(model.forward(teacher, x), cfg.tau)[1]
 
-    gammas = [resolve_gamma(cfg.mode, EpochSchedule(e, cfg.epochs), cfg.fixed_gamma)
-              for e in range(cfg.epochs)]
+    gammas = [gamma(cfg.mode, e, cfg.epochs, cfg.fixed_gamma) for e in range(cfg.epochs)]
     m = min(cfg.batch_size, train_ds.n)
     table = None
     if train_ds.n * train_ds.n_classes * 8 <= TARGET_TABLE_BYTES:

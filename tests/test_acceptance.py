@@ -15,7 +15,7 @@ from rectidistill.analysis import optimum, sweep
 from rectidistill.data import Dataset, make_blobs
 from rectidistill.numerics import ce_rows, finite_difference_gradient, kl_rows, log_softmax_rows
 from rectidistill.rectify import STEP_B, STEP_C, rectify_rows
-from rectidistill.schedule import MODES, EpochSchedule, compute_batch_loss, target_loss
+from rectidistill.schedule import MODES, compute_batch_loss, gamma, target_loss
 
 
 def report(capsys, number: int, name: str, ok: bool, detail: str) -> None:
@@ -30,10 +30,10 @@ def report(capsys, number: int, name: str, ok: bool, detail: str) -> None:
 
 STUDENT_MODES = (
     ("full", None),
-    ("step_b_ablation", None),
-    ("eliminate_only", None),
-    ("vanilla_kd", None),
-    ("fixed_gamma", 0.5),
+    ("step-b", None),
+    ("eliminate", None),
+    ("vanilla", None),
+    ("fixed-gamma", 0.5),
 )
 SEEDS = (1, 2, 3, 4, 5)
 EPOCHS = 60
@@ -177,15 +177,15 @@ def test_criterion_05_worked_optimum(capsys):
 
 def test_criterion_06_rectification_ablation(capsys, experiment):
     step_c = median_final_val(experiment, "full")
-    step_b = median_final_val(experiment, "step_b_ablation")
+    step_b = median_final_val(experiment, "step-b")
     report(capsys, 6, "rectification ablation", step_c >= step_b,
            f"median val acc over 5 seeds: normalized {step_c:.4f} >= unnormalized {step_b:.4f}")
 
 
 def test_criterion_07_module_ablation(capsys, experiment):
     full = median_final_val(experiment, "full")
-    eliminate = median_final_val(experiment, "eliminate_only")
-    vanilla = median_final_val(experiment, "vanilla_kd")
+    eliminate = median_final_val(experiment, "eliminate")
+    vanilla = median_final_val(experiment, "vanilla")
     ok = full >= eliminate - 0.005 and eliminate >= vanilla - 0.005
     report(capsys, 7, "module ablation", ok,
            f"median val acc: full {full:.4f} >= eliminate {eliminate:.4f} >= vanilla {vanilla:.4f} "
@@ -195,7 +195,7 @@ def test_criterion_07_module_ablation(capsys, experiment):
 def test_criterion_08_dynamic_schedule(capsys, experiment):
     epoch = -(-EPOCHS // 10)  # ceil(0.1 * E)
     dynamic = statistics.median(rows[epoch]["val_acc"] for rows in experiment["full"])
-    fixed = statistics.median(rows[epoch]["val_acc"] for rows in experiment["fixed_gamma"])
+    fixed = statistics.median(rows[epoch]["val_acc"] for rows in experiment["fixed-gamma"])
     report(capsys, 8, "dynamic schedule", dynamic >= fixed,
            f"median val acc at epoch {epoch}: dynamic {dynamic:.4f} >= fixed gamma=0.5 {fixed:.4f}")
 
@@ -205,22 +205,19 @@ def test_criterion_09_end_to_end_gradients(capsys):
     x = rng.normal(size=(3, 2))
     teacher_probs = rng.dirichlet(np.ones(3), size=3)
     labels = np.array([0, 2, 1])
-    sched = EpochSchedule(30, 60)
     worst = 0.0
     for mode in MODES:
-        fg = 0.5 if mode == "fixed_gamma" else None
+        g = gamma(mode, 30, 60, 0.5 if mode == "fixed-gamma" else None)
         student = model.init([2, 4, 3], seed=17)
         q = model.init([2, 4, 3], seed=17)
 
         def loss_at(flat):
             q.flat[:] = flat
             logits = model.forward(q, x)
-            return compute_batch_loss(logits, teacher_probs, labels, sched,
-                                      mode=mode, fixed_gamma=fg).l_all
+            return compute_batch_loss(logits, teacher_probs, labels, g, mode=mode).l_all
 
         logits, acts = model._forward_cached(student, x)
-        upstream = compute_batch_loss(logits, teacher_probs, labels, sched,
-                                      mode=mode, fixed_gamma=fg).grad
+        upstream = compute_batch_loss(logits, teacher_probs, labels, g, mode=mode).grad
         analytic = np.empty_like(student.flat)
         model._backward_into(student, student.layer_views(analytic), upstream, acts)
         fd = finite_difference_gradient(loss_at, student.flat.copy())

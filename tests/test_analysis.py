@@ -14,7 +14,7 @@ from rectidistill.analysis import (
     sweep,
 )
 from rectidistill.rectify import rectify_rows
-from rectidistill.schedule import EpochSchedule, compute_batch_loss
+from rectidistill.schedule import compute_batch_loss, gamma
 
 GRID = np.arange(1e-6, 1.0, 1e-6)
 
@@ -66,8 +66,8 @@ class TestDynamics:
         rows = sweep([0.1, 0.3, 0.7, 0.9])
         moved_unrect = [dataclasses.replace(r, s_unrect=r.s_unrect + 1e-6) for r in rows]
         assert np.all(np.abs(optimum_gradients(moved_unrect)[0]).max(axis=1) > 1e-7)
-        # rectify_only is checked at s_rect where there is one, so moving s_rect
-        # alone fails there and leaves the vanilla_kd block at zero
+        # rectify is checked at s_rect where there is one, so moving s_rect
+        # alone fails there and leaves the vanilla block at zero
         moved_rect = [dataclasses.replace(r, s_rect=r.s_rect + 1e-6) for r in rows]
         grads = np.abs(optimum_gradients(moved_rect)).max(axis=2)
         assert np.all(grads[0] <= 1e-12)
@@ -154,8 +154,8 @@ def noisy_gradient(s, t, nb, epoch, mode="full", fixed_gamma=None) -> np.ndarray
     labels = np.zeros(NOISY_ROWS, dtype=np.int64)
     labels[:nb] = 1
     logits = np.tile([np.log(s) - np.log(1.0 - s), 0.0], (NOISY_ROWS, 1))
-    loss = compute_batch_loss(logits, teacher, labels, EpochSchedule(epoch, NOISY_EPOCHS),
-                              mode=mode, fixed_gamma=fixed_gamma)
+    g = gamma(mode, epoch, NOISY_EPOCHS, fixed_gamma)
+    loss = compute_batch_loss(logits, teacher, labels, g, mode=mode)
     return NOISY_ROWS * loss.grad.sum(axis=0)
 
 
@@ -193,9 +193,9 @@ class TestLabelNoise:
         for t, nb in self.POINTS:
             for epoch in self.EPOCHS:
                 s = (t + 1 - nb / NOISY_ROWS) / 2
-                grad = noisy_gradient(s, t, nb, epoch, mode="vanilla_kd")
+                grad = noisy_gradient(s, t, nb, epoch, mode="vanilla")
                 assert np.abs(grad).max() <= 1e-12, (t, nb, epoch)
-                moved = noisy_gradient(s + 1e-6, t, nb, epoch, mode="vanilla_kd")
+                moved = noisy_gradient(s + 1e-6, t, nb, epoch, mode="vanilla")
                 assert np.abs(moved).max() > 1e-8, (t, nb, epoch)
 
     @pytest.mark.parametrize("nb", [1, 2, 3])
@@ -204,7 +204,7 @@ class TestLabelNoise:
         t = 1 - q
         g = flip_gamma(t)
         assert noisy_optimum(t, q, g) == pytest.approx(0.5, abs=1e-12)
-        grad = noisy_gradient(0.5, t, nb, 0, mode="fixed_gamma", fixed_gamma=g)
+        grad = noisy_gradient(0.5, t, nb, 0, mode="fixed-gamma", fixed_gamma=g)
         assert np.abs(grad).max() <= 1e-12
 
     @pytest.mark.parametrize("t,g,flips", [(0.6, 0.667, 19), (0.7, 0.883, 7), (0.8, 0.964, 2),

@@ -6,12 +6,15 @@ from pathlib import Path
 
 import pytest
 
+from rectidistill import schedule
+
 SCRIPT = Path(__file__).resolve().parent.parent / "scripts" / "artifact_digest.py"
 spec = importlib.util.spec_from_file_location("artifact_digest", SCRIPT)
 artifact_digest = importlib.util.module_from_spec(spec)
 spec.loader.exec_module(artifact_digest)
 
 BENCH = SCRIPT.parent.parent / "perfbench" / "run.py"
+EXPERIMENTS = SCRIPT.parent / "run_distillation_experiments.py"
 
 Workload = artifact_digest.Workload
 
@@ -55,14 +58,20 @@ def test_refuses_a_non_empty_output_directory(tmp_path):
         artifact_digest.artifact_digests(tmp_path, TOY)
 
 
-def test_workloads_are_the_benchmarks_shapes_and_flags(monkeypatch):
-    # WORKLOADS is a hand-kept copy of the benchmark's workloads. Loading the benchmark
-    # writes no bytecode next to it, and its sys.path entry is undone after the test.
+def load_script(monkeypatch, name, path):
+    """Run the script at ``path`` as module ``name``. It writes no bytecode next to it,
+    and a sys.path entry it adds is undone after the test."""
     monkeypatch.setattr(sys, "dont_write_bytecode", True)
     monkeypatch.setattr(sys, "path", [*sys.path])
-    bench_spec = importlib.util.spec_from_file_location("perfbench_run", BENCH)
-    bench = importlib.util.module_from_spec(bench_spec)
-    bench_spec.loader.exec_module(bench)
+    script_spec = importlib.util.spec_from_file_location(name, path)
+    module = importlib.util.module_from_spec(script_spec)
+    script_spec.loader.exec_module(module)
+    return module
+
+
+def test_workloads_are_the_benchmarks_shapes_and_flags(monkeypatch):
+    # WORKLOADS is a hand-kept copy of the benchmark's workloads.
+    bench = load_script(monkeypatch, "perfbench_run", BENCH)
     fields = ("name", "classes", "per_class", "val_per_class", "dim", "teacher_dims",
               "student_dims", "teacher_epochs", "distill_epochs", "distill_lr", "batch_size",
               "modes")
@@ -71,3 +80,12 @@ def test_workloads_are_the_benchmarks_shapes_and_flags(monkeypatch):
         bench_wl = bench.WORKLOADS[wl.name]
         assert [getattr(wl, f) for f in fields] == [getattr(bench_wl, f) for f in fields]
     assert (artifact_digest.SPREAD, artifact_digest.TEACHER_LR) == (bench.SPREAD, bench.TEACHER_LR)
+
+
+def test_every_mode_is_benchmarked_digested_and_run_by_the_experiments(monkeypatch):
+    # each hand-kept mode list names schedule.MODES, fixed-gamma as fixed-gamma=G
+    bench = load_script(monkeypatch, "perfbench_run", BENCH)
+    experiments = load_script(monkeypatch, "run_distillation_experiments", EXPERIMENTS)
+    paper = next(wl for wl in artifact_digest.WORKLOADS if wl.name == "paper-k4")
+    for flags in (bench.PAPER_MODES, paper.modes, TOY[0].modes, experiments.MODES):
+        assert {flag.partition("=")[0] for flag in flags} == set(schedule.MODES)

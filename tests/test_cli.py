@@ -107,6 +107,22 @@ class TestGenData:
         conf.write_text("bogus=1\n")
         assert cli.main(["gen-data", "--config", str(conf)]) == cli.EXIT_USAGE
 
+    @pytest.mark.parametrize("text,lineno,first", [
+        ("classes=3\nclasses=5\n", 2, 1),
+        ("classes=3\n# five\n\n  classes = 5\n", 4, 1),  # the key is compared stripped
+        ("seed=2\nclasses=3\nseed=2\n", 3, 1),  # an equal value repeats the key too
+    ], ids=["next-line", "stripped", "equal-value"])
+    def test_repeated_config_key_is_usage_error_naming_both_lines(self, tmp_path, capsys,
+                                                                   text, lineno, first):
+        conf = tmp_path / "dup.conf"
+        conf.write_text(text)
+        out = tmp_path / "dup"
+        assert cli.main(["gen-data", "--config", str(conf), "--out", str(out)]) == cli.EXIT_USAGE
+        key = text.splitlines()[first - 1].split("=")[0]
+        assert capsys.readouterr().err == (
+            f"error: {conf}:{lineno}: key {key!r} repeats line {first}\n")
+        assert not out.exists()
+
     def test_config_txt_keys(self, tmp_path):
         assert config_keys(gen_tiny_data(tmp_path)) == [
             "classes", "dim", "out", "per-class", "seed", "spread", "val-per-class",
@@ -401,6 +417,48 @@ class TestDistill:
         ])
         assert rc == cli.EXIT_USAGE
 
+    # the library's former names of vanilla, step-b and fixed-gamma are unknown modes now
+    @pytest.mark.parametrize("flag", ["vanilla_kd", "step_b_ablation", "fixed_gamma", "bogus",
+                                      "full=1", "fixed-gamma"])
+    def test_bad_mode_is_train_config_s_usage_error_before_output(self, setup, capsys, flag):
+        # TrainConfig is the one mode check: the CLI passes every mode but fixed-gamma=G through
+        message = (f"unknown mode {flag!r}; expected one of ('full', 'eliminate', 'rectify', "
+                   f"'vanilla', 'step-b', 'fixed-gamma')")
+        if flag == "fixed-gamma":
+            message = "mode fixed-gamma needs a gamma in [0, 1), got None"
+        tmp, data, teacher = setup
+        out = tmp / "bad-mode"
+        rc = cli.main([
+            "distill", "--train", str(data / "train.csv"), "--teacher", str(teacher),
+            "--dims", "2,4,3", "--epochs", "1", "--mode", flag, "--out", str(out),
+        ])
+        assert rc == cli.EXIT_USAGE
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("name", schedule.MODES)
+    def test_every_mode_name_runs(self, setup, name):
+        flag = "fixed-gamma=0.5" if name == "fixed-gamma" else name
+        out = self._run(setup, flag, f"each-{name}", extra=("--epochs", "2"))
+        assert json.loads((out / "summary.json").read_text())["mode"] == flag
+
+    @pytest.mark.parametrize("command", ["distill", "ablate"])
+    def test_teacher_of_one_output_is_blamed_on_its_checkpoint(self, setup, capsys, command):
+        # the teacher's output width is the class count; 1 would fail on the labels
+        tmp, data, _ = setup
+        teacher = tmp / "one-output.ckpt"
+        teacher.write_text("rectidistill-mlp v1\nlayers 1\nlayer 1 2\n0.5 -0.5\n0.0\n")
+        out = tmp / f"one-output-{command}"
+        rc = cli.main([
+            command, "--train", str(data / "train.csv"), "--val", str(data / "val.csv"),
+            "--teacher", str(teacher), "--dims", "2,4,2", "--epochs", "1",
+            *(["--seeds", "1"] if command == "ablate" else []), "--out", str(out),
+        ])
+        assert rc == cli.EXIT_INTERNAL == 1
+        assert capsys.readouterr().err == (
+            f"error: {teacher}:3: the final layer needs >= 2 outputs (classes), got 1\n")
+        assert not out.exists()
+
     def test_missing_teacher_is_usage_error(self, setup):
         tmp, data, _ = setup
         rc = cli.main([
@@ -645,12 +703,12 @@ class TestPropCheck:
 
     def test_training_loss_that_skips_rectification_fails_the_wrong_teacher_points(
             self, capsys, monkeypatch):
-        # rectify_only is checked at s_rect: a partition that leaves every row
+        # rectify is checked at s_rect: a partition that leaves every row
         # unrectified moves its minimum exactly where the teacher is wrong
         teacher_targets = schedule.teacher_targets
 
         def unrectified(probs, labels, mode):
-            return teacher_targets(probs, labels, "vanilla_kd")
+            return teacher_targets(probs, labels, "vanilla")
 
         monkeypatch.setattr(schedule, "teacher_targets", unrectified)
         assert cli.main(["prop-check"]) == cli.EXIT_VERIFICATION

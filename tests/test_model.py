@@ -430,6 +430,21 @@ class TestCheckpoint:
         with pytest.raises(InvalidInputError, match=f":{lineno}: {message}$"):
             model.load_checkpoint(path)
 
+    @pytest.mark.parametrize("dims,lineno", [([2, 1], 3), ([2, 3, 1], 8)])
+    def test_final_layer_of_one_output_fails_on_its_layer_line(self, tmp_path, dims, lineno):
+        # the output width is the class count: 1 would blame the dataset's labels
+        path = tmp_path / "one-class.ckpt"
+        model.save_checkpoint(model.init(dims, seed=3), path)
+        with pytest.raises(InvalidInputError) as exc:
+            model.load_checkpoint(path)
+        assert str(exc.value) == (
+            f"{path}:{lineno}: the final layer needs >= 2 outputs (classes), got 1")
+
+    def test_hidden_layer_of_one_unit_loads(self, tmp_path):
+        path = tmp_path / "narrow.ckpt"
+        model.save_checkpoint(model.init([2, 1, 3], seed=3), path)
+        assert model.load_checkpoint(path).dims == [2, 1, 3]
+
     @pytest.mark.parametrize(
         "cells,lineno", [("inf 1", 4), ("1 nan", 4), ("0.0 -inf", 6), ("nan 0.0", 6)]
     )

@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 
 from rectidistill.numerics import kl_rows, log_softmax_rows
 from rectidistill.rectify import rectify_rows
-from rectidistill.schedule import EpochSchedule, compute_batch_loss, teacher_targets
+from rectidistill.schedule import compute_batch_loss, teacher_targets
 
 
 def split_sizes(teacher, labels):
@@ -40,7 +40,7 @@ def test_split_preserves_order():
     logits = np.array([[0.3, -0.2, 0.1], [0.5, 0.0, -0.4], [-0.1, 0.2, 0.6]])
     teacher = np.array([[0.6, 0.3, 0.1], [0.2, 0.5, 0.3], [0.1, 0.2, 0.7]])
     labels = np.array([0, 2, 2])
-    out = compute_batch_loss(logits, teacher, labels, EpochSchedule(1, 2), mode="full")
+    out = compute_batch_loss(logits, teacher, labels, 0.5, mode="full")
     log_s = [np.log(log_softmax_rows(z[None])[1]) for z in logits]
     l_easy = (kl_rows(teacher[0:1], log_s[0])[0] + kl_rows(teacher[2:3], log_s[2])[0]) / 3
     l_hard = kl_rows(rectify_rows(teacher[1:2], np.array([2])), log_s[1])[0] / 3
@@ -86,8 +86,8 @@ def test_mask_is_deterministic():
     probs = rng.dirichlet(np.ones(4), size=32)
     labels = rng.integers(0, 4, size=32)
     logits = rng.normal(size=(32, 4))
-    a = compute_batch_loss(logits, probs, labels, EpochSchedule(1, 2))
-    b = compute_batch_loss(logits, probs, labels, EpochSchedule(1, 2))
+    a = compute_batch_loss(logits, probs, labels, 0.5)
+    b = compute_batch_loss(logits, probs, labels, 0.5)
     assert np.array_equal(teacher_targets(probs, labels, "full")[1],
                           teacher_targets(probs, labels, "full")[1])
     assert a.l_all == b.l_all

@@ -9,27 +9,25 @@ from rectidistill import rectify
 from rectidistill.numerics import finite_difference_gradient, kl_rows, log_softmax_rows
 from rectidistill.schedule import (
     MODES,
-    EpochSchedule,
     LossBreakdown,
     compute_batch_loss,
     gamma,
-    resolve_gamma,
     teacher_targets,
 )
 
 
 class TestGamma:
     def test_training_start(self):
-        assert gamma(EpochSchedule(0, 300)) == 0.0
+        assert gamma("full", 0, 300, None) == 0.0
 
     def test_midpoint(self):
-        assert gamma(EpochSchedule(150, 300)) == 0.5
+        assert gamma("full", 150, 300, None) == 0.5
 
     def test_never_reaches_one(self):
-        assert gamma(EpochSchedule(299, 300)) == pytest.approx(299 / 300, abs=0)
+        assert gamma("full", 299, 300, None) == pytest.approx(299 / 300, abs=0)
 
     def test_strictly_increasing(self):
-        values = [gamma(EpochSchedule(e, 60)) for e in range(60)]
+        values = [gamma("full", e, 60, None) for e in range(60)]
         assert all(b > a for a, b in zip(values, values[1:]))
 
 
@@ -45,8 +43,7 @@ class TestComputeBatchLoss:
         rng = np.random.default_rng(0)
         logits, teacher, _ = _random_batch(rng, 6, 3)
         labels = np.argmax(teacher, axis=1)  # mask all true
-        sched = EpochSchedule(1, 2)  # gamma = 0.5
-        out = compute_batch_loss(logits, teacher, labels, sched, mode="full")
+        out = compute_batch_loss(logits, teacher, labels, 0.5, mode="full")
         assert out.l_hard == 0.0
         assert not teacher_targets(teacher, labels, "full")[2].any()
         assert out.l_all == pytest.approx(0.5 * (out.l_ce + out.l_easy), abs=1e-12)
@@ -56,7 +53,7 @@ class TestComputeBatchLoss:
         logits = np.array([[800.0, 0.0, 0.0], [0.0, 800.0, 0.0]])
         teacher = log_softmax_rows(logits)[1]
         labels = np.array([0, 1])
-        out = compute_batch_loss(logits, teacher, labels, EpochSchedule(1, 2), mode="full")
+        out = compute_batch_loss(logits, teacher, labels, 0.5, mode="full")
         assert out.l_all == pytest.approx(0.0, abs=1e-12)
 
     @pytest.mark.parametrize("mode", MODES)
@@ -66,8 +63,8 @@ class TestComputeBatchLoss:
         teacher = np.array([[0.75, 0.25]])
         labels = np.array([0])
         assert log_softmax_rows(logits)[1][0, 0] == 0.0
-        out = compute_batch_loss(logits, teacher, labels, EpochSchedule(1, 2), tau=1.0,
-                                 mode=mode, fixed_gamma=0.5)
+        out = compute_batch_loss(logits, teacher, labels, gamma(mode, 1, 2, 0.5), tau=1.0,
+                                 mode=mode)
         assert out.l_ce == 800.0
         # the teacher is right, so every mode takes KL(t || s) with ln s = [-800, 0]
         assert out.l_easy == pytest.approx(
@@ -80,8 +77,7 @@ class TestComputeBatchLoss:
         logits = np.array([[1.0, 0.2, -0.5], [0.3, -0.1, 0.8]])
         teacher = np.array([[0.7, 0.2, 0.1], [0.1, 0.2, 0.7]])
         labels = np.array([0, 1])  # sample 1: teacher argmax 2 != 1 -> bias
-        sched = EpochSchedule(1, 2)  # gamma = 0.5
-        out = compute_batch_loss(logits, teacher, labels, sched, mode="full")
+        out = compute_batch_loss(logits, teacher, labels, 0.5, mode="full")
 
         log_s = np.log(log_softmax_rows(logits)[1])
         l_ce = (-log_s[0, 0] - log_s[1, 1]) / 2
@@ -97,46 +93,45 @@ class TestComputeBatchLoss:
     def test_eliminate_only_forces_gamma_zero(self):
         rng = np.random.default_rng(1)
         logits, teacher, labels = _random_batch(rng, 8, 4)
-        sched = EpochSchedule(30, 60)
-        out = compute_batch_loss(logits, teacher, labels, sched, mode="eliminate_only")
-        assert resolve_gamma("eliminate_only", sched, None) == 0.0
+        g = gamma("eliminate", 30, 60, None)
+        out = compute_batch_loss(logits, teacher, labels, g, mode="eliminate")
+        assert g == 0.0
         assert out.l_all == out.l_ce + out.l_easy
         assert out.l_hard == 0.0
 
     def test_eliminate_only_equals_full_at_gamma_zero(self):
         rng = np.random.default_rng(2)
         logits, teacher, labels = _random_batch(rng, 10, 4)
-        a = compute_batch_loss(logits, teacher, labels, EpochSchedule(0, 60), mode="full")
-        b = compute_batch_loss(logits, teacher, labels, EpochSchedule(30, 60),
-                               mode="eliminate_only")
+        a = compute_batch_loss(logits, teacher, labels, gamma("full", 0, 60, None), mode="full")
+        b = compute_batch_loss(logits, teacher, labels, gamma("eliminate", 30, 60, None),
+                               mode="eliminate")
         assert a.l_all == pytest.approx(b.l_all, abs=1e-12)
         assert a.l_ce == b.l_ce and a.l_easy == b.l_easy
 
     def test_vanilla_is_unmasked_loss(self):
         rng = np.random.default_rng(3)
         logits, teacher, labels = _random_batch(rng, 5, 3)
-        sched = EpochSchedule(30, 60)
-        out = compute_batch_loss(logits, teacher, labels, sched, mode="vanilla_kd")
+        g = gamma("vanilla", 30, 60, None)
+        out = compute_batch_loss(logits, teacher, labels, g, mode="vanilla")
         expected = np.mean(kl_rows(teacher, np.log(log_softmax_rows(logits)[1])))
         assert out.l_easy == pytest.approx(expected, abs=1e-12)
-        assert resolve_gamma("vanilla_kd", sched, None) == 0.0 and out.l_hard == 0.0
+        assert g == 0.0 and out.l_hard == 0.0
         assert out.l_all == out.l_ce + out.l_easy
 
     def test_vanilla_equals_full_gamma_zero_for_perfect_teacher(self):
         rng = np.random.default_rng(4)
         logits, teacher, _ = _random_batch(rng, 6, 3)
         labels = np.argmax(teacher, axis=1)
-        a = compute_batch_loss(logits, teacher, labels, EpochSchedule(30, 60), mode="vanilla_kd")
-        b = compute_batch_loss(logits, teacher, labels, EpochSchedule(0, 60), mode="full")
+        a = compute_batch_loss(logits, teacher, labels, gamma("vanilla", 30, 60, None),
+                               mode="vanilla")
+        b = compute_batch_loss(logits, teacher, labels, gamma("full", 0, 60, None), mode="full")
         assert a.l_all == pytest.approx(b.l_all, abs=1e-12)
 
     def test_step_b_targets_are_unnormalized(self):
         logits = np.array([[0.1, 0.4, -0.2]])
         teacher = np.array([[0.1, 0.7, 0.2]])
         labels = np.array([0])
-        out = compute_batch_loss(
-            logits, teacher, labels, EpochSchedule(30, 60), mode="step_b_ablation"
-        )
+        out = compute_batch_loss(logits, teacher, labels, 0.5, mode="step-b")
         rect_b = rectify.rectify_rows(teacher, labels, rectify.STEP_B)[0]
         s = log_softmax_rows(logits)[1][0]
         expected = float(np.sum(rect_b * np.log(rect_b / s)))
@@ -146,14 +141,13 @@ class TestComputeBatchLoss:
         # TrainConfig rejects a missing value (tests/test_train.py); the loss uses it
         rng = np.random.default_rng(5)
         logits, teacher, labels = _random_batch(rng, 4, 3)
-        sched = EpochSchedule(30, 60)
-        out = compute_batch_loss(
-            logits, teacher, labels, sched, mode="fixed_gamma", fixed_gamma=0.5
-        )
-        assert resolve_gamma("fixed_gamma", sched, 0.5) == 0.5
+        g = gamma("fixed-gamma", 30, 60, 0.5)
+        out = compute_batch_loss(logits, teacher, labels, g, mode="fixed-gamma")
+        assert g == 0.5
         assert out.l_all == 0.5 * (out.l_ce + out.l_easy) + 0.5 * out.l_hard
 
     def test_a_schedule_is_required(self):
+        # the epoch's gamma g has no default
         with pytest.raises(TypeError):
             compute_batch_loss(np.zeros((2, 3)), np.full((2, 3), 1 / 3), np.array([0, 1]))
 
@@ -168,10 +162,8 @@ class TestComputeBatchLoss:
     def test_loss_identity_holds(self, seed, n, k, mode, epoch):
         rng = np.random.default_rng(seed)
         logits, teacher, labels = _random_batch(rng, n, k)
-        sched = EpochSchedule(epoch, 60)
-        fixed = 0.5 if mode == "fixed_gamma" else None
-        out = compute_batch_loss(logits, teacher, labels, sched, mode=mode, fixed_gamma=fixed)
-        g = resolve_gamma(mode, sched, fixed)
+        g = gamma(mode, epoch, 60, 0.5 if mode == "fixed-gamma" else None)
+        out = compute_batch_loss(logits, teacher, labels, g, mode=mode)
         lhs = out.l_all
         rhs = (1 - g) * (out.l_ce + out.l_easy) + g * out.l_hard
         assert lhs == pytest.approx(rhs, abs=1e-12)
@@ -184,21 +176,20 @@ class TestComputeBatchLoss:
 def oracle_teacher_targets(teacher_probs, labels, mode):
     """The loss's targets as the subset-gathering loss read them: biased rows kept in eliminate."""
     right = np.argmax(teacher_probs, axis=1) == labels
-    if mode in ("vanilla_kd", "eliminate_only") or right.all():
+    if mode in ("vanilla", "eliminate") or right.all():
         return teacher_probs, right
     bias = ~right
-    stage = rectify.STEP_B if mode == "step_b_ablation" else rectify.STEP_C
+    stage = rectify.STEP_B if mode == "step-b" else rectify.STEP_C
     targets = teacher_probs.copy()
     targets[bias] = rectify.rectify_rows(teacher_probs[bias], labels[bias], stage)
     return targets, right
 
 
-def oracle_loss(student_logits, teacher_probs, labels, sched, tau, mode, fixed_gamma):
+def oracle_loss(student_logits, teacher_probs, labels, g, tau, mode):
     """Oracle: the loss with one KL per index-gathered subset and per-subset gradient terms."""
     targets, right = oracle_teacher_targets(teacher_probs, labels, mode)
     n = labels.shape[0]
     rows = np.arange(n)
-    g = resolve_gamma(mode, sched, fixed_gamma)
     log_s, s = log_softmax_rows(student_logits, tau)
     right_rows, bias = rows[right], rows[~right]
 
@@ -207,7 +198,7 @@ def oracle_loss(student_logits, teacher_probs, labels, sched, tau, mode, fixed_g
     onehot[rows, labels] = 1.0
     grad = (1.0 - g) / n * (s - onehot) / tau
 
-    if mode in ("vanilla_kd", "rectify_only"):
+    if mode in ("vanilla", "rectify"):
         l_easy = float(kl_rows(targets, log_s).mean())
         l_hard = 0.0
         grad += (1.0 / n) * (s - targets) / tau
@@ -217,7 +208,7 @@ def oracle_loss(student_logits, teacher_probs, labels, sched, tau, mode, fixed_g
             easy_targets = targets[right_rows]
             l_easy = float(kl_rows(easy_targets, log_s[right_rows]).sum() / n)
             grad[right_rows] += (1.0 - g) / n * (s[right_rows] - easy_targets) / tau
-        if mode == "eliminate_only" or not bias.size:
+        if mode == "eliminate" or not bias.size:
             l_hard = 0.0
         else:
             hard_targets = targets[bias]
@@ -252,9 +243,9 @@ class TestAgainstTheGatheringOracle:
         logits = rng.uniform(-scale, scale, size=(n, k))
         teacher = rng.dirichlet(np.ones(k), size=n)
         labels = np.argmax(teacher, axis=1) if all_right else rng.integers(0, k, size=n)
-        sched = EpochSchedule(int(epoch_frac * total_epochs), total_epochs)
-        got = compute_batch_loss(logits, teacher, labels, sched, tau, mode, fixed_gamma)
-        want = oracle_loss(logits, teacher, labels, sched, tau, mode, fixed_gamma)
+        g = gamma(mode, int(epoch_frac * total_epochs), total_epochs, fixed_gamma)
+        got = compute_batch_loss(logits, teacher, labels, g, tau, mode)
+        want = oracle_loss(logits, teacher, labels, g, tau, mode)
         assert np.array_equal(got.grad, want.grad)
         for field in ("l_ce", "l_easy", "l_hard", "l_all"):
             assert getattr(got, field) == getattr(want, field), field
@@ -264,7 +255,7 @@ class TestAgainstTheGatheringOracle:
         seed=st.integers(0, 2**32 - 1),
         log2_n=st.integers(0, 6),
         k=st.integers(2, 100),
-        mode=st.sampled_from(["vanilla_kd", "rectify_only"]),
+        mode=st.sampled_from(["vanilla", "rectify"]),
         tau=st.floats(0.1, 3.0),
         scale=st.floats(0.0, 300.0),
     )
@@ -277,7 +268,7 @@ class TestAgainstTheGatheringOracle:
         logits = rng.uniform(-scale, scale, size=(n, k))
         teacher = rng.dirichlet(np.ones(k), size=n)
         labels = rng.integers(0, k, size=n)
-        got = compute_batch_loss(logits, teacher, labels, EpochSchedule(0, 1), tau, mode)
+        got = compute_batch_loss(logits, teacher, labels, 0.0, tau, mode)
         targets, _ = oracle_teacher_targets(teacher, labels, mode)
         log_s, s = log_softmax_rows(logits, tau)
         onehot = np.zeros_like(s)
@@ -311,10 +302,10 @@ class TestTeacherTargets:
     @pytest.mark.parametrize("labels", [[0, 2], [1, 2]], ids=["all-right", "one-biased"])
     def test_vanilla_kd_returns_the_teacher_rows_themselves(self, labels):
         probs = np.array([[0.7, 0.2, 0.1], [0.1, 0.1, 0.8]])
-        targets, right, _ = teacher_targets(probs, np.array(labels), "vanilla_kd")
+        targets, right, _ = teacher_targets(probs, np.array(labels), "vanilla")
         assert targets is probs and right.tolist() == [labels[0] == 0, True]
 
-    @pytest.mark.parametrize("mode", [m for m in MODES if m != "vanilla_kd"])
+    @pytest.mark.parametrize("mode", [m for m in MODES if m != "vanilla"])
     def test_fresh_array_of_equal_values_without_a_biased_row(self, mode):
         probs = np.array([[0.7, 0.2, 0.1], [0.1, 0.1, 0.8]])
         kept = probs.copy()
@@ -325,10 +316,10 @@ class TestTeacherTargets:
 
     @pytest.mark.parametrize("mode,want", [
         ("full", [0.6 * 0.8 / 0.9, 0.3 * 0.8 / 0.9, 0.2]),  # step c: pair rescaled to 0.8
-        ("rectify_only", [0.6 * 0.8 / 0.9, 0.3 * 0.8 / 0.9, 0.2]),
-        ("step_b_ablation", [0.6, 0.3, 0.2]),  # step b: over-sums by 0.1
-        ("vanilla_kd", [0.2, 0.6, 0.2]),  # never rectified
-        ("eliminate_only", [0.0, 0.0, 0.0]),  # eliminated: zero KL, zero gradient term
+        ("rectify", [0.6 * 0.8 / 0.9, 0.3 * 0.8 / 0.9, 0.2]),
+        ("step-b", [0.6, 0.3, 0.2]),  # step b: over-sums by 0.1
+        ("vanilla", [0.2, 0.6, 0.2]),  # never rectified
+        ("eliminate", [0.0, 0.0, 0.0]),  # eliminated: zero KL, zero gradient term
     ])
     def test_biased_rows_take_their_mode_s_target(self, mode, want):
         probs = np.array([[0.2, 0.6, 0.2], [0.7, 0.2, 0.1]])
@@ -339,14 +330,12 @@ class TestTeacherTargets:
 
 
 class TestBatchLossGradient:
-    def _fd_check(self, logits, teacher, labels, sched, mode, fixed_gamma=None, tau=1.0):
-        analytic = compute_batch_loss(
-            logits, teacher, labels, sched, tau, mode, fixed_gamma
-        ).grad
+    def _fd_check(self, logits, teacher, labels, g, mode, tau=1.0):
+        analytic = compute_batch_loss(logits, teacher, labels, g, tau, mode).grad
 
         def loss_of(flat):
             return compute_batch_loss(
-                flat.reshape(logits.shape), teacher, labels, sched, tau, mode, fixed_gamma
+                flat.reshape(logits.shape), teacher, labels, g, tau, mode
             ).l_all
 
         fd = finite_difference_gradient(loss_of, logits.ravel()).reshape(logits.shape)
@@ -356,20 +345,20 @@ class TestBatchLossGradient:
         logits = np.array([[800.0, 0.0, 0.0]])
         teacher = log_softmax_rows(logits)[1]
         labels = np.array([0])
-        g = compute_batch_loss(logits, teacher, labels, EpochSchedule(1, 2), mode="full").grad
+        g = compute_batch_loss(logits, teacher, labels, 0.5, mode="full").grad
         np.testing.assert_allclose(g, 0.0, atol=1e-12)
 
     def test_single_right_sample(self):
         logits = np.array([[0.4, -0.2, 0.1]])
         teacher = np.array([[0.8, 0.1, 0.1]])
         labels = np.array([0])
-        self._fd_check(logits, teacher, labels, EpochSchedule(15, 60), "full")
+        self._fd_check(logits, teacher, labels, 0.25, "full")
 
     def test_single_bias_sample(self):
         logits = np.array([[0.4, -0.2, 0.1]])
         teacher = np.array([[0.1, 0.8, 0.1]])
         labels = np.array([0])
-        self._fd_check(logits, teacher, labels, EpochSchedule(15, 60), "full")
+        self._fd_check(logits, teacher, labels, 0.25, "full")
 
     @pytest.mark.parametrize("mode", MODES)
     @pytest.mark.parametrize("tau", [0.5, 1.0, 2.0])
@@ -380,7 +369,5 @@ class TestBatchLossGradient:
             logits = rng.normal(size=(n, k))
             teacher = rng.dirichlet(np.ones(k), size=n)
             labels = rng.integers(0, k, size=n)
-            self._fd_check(
-                logits, teacher, labels, EpochSchedule(30, 60), mode,
-                fixed_gamma=0.5 if mode == "fixed_gamma" else None, tau=tau,
-            )
+            g = gamma(mode, 30, 60, 0.5 if mode == "fixed-gamma" else None)
+            self._fd_check(logits, teacher, labels, g, mode, tau=tau)

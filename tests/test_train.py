@@ -9,7 +9,7 @@ from rectidistill import model, train as train_module
 from rectidistill.data import batch_iter, make_blobs
 from rectidistill.errors import ConfigError
 from rectidistill.numerics import log_softmax_rows
-from rectidistill.schedule import MODES, EpochSchedule, compute_batch_loss, resolve_gamma
+from rectidistill.schedule import MODES, compute_batch_loss, gamma
 from rectidistill.train import (
     METRICS_COLUMNS,
     TEACHER_METRICS_COLUMNS,
@@ -77,16 +77,14 @@ def two_loop_distill(teacher, student_dims, train_ds, cfg, val_ds):
     velocity = zero_velocity(student)
     rows = []
     for epoch in range(cfg.epochs):
-        sched = EpochSchedule(epoch=epoch, total_epochs=cfg.epochs)
+        g = gamma(cfg.mode, epoch, cfg.epochs, cfg.fixed_gamma)
         sums = {"loss_total": 0.0, "loss_ce": 0.0, "loss_easy": 0.0, "loss_hard": 0.0}
         n_right = 0
         for idx in batch_iter(train_ds, cfg.batch_size, cfg.seed, epoch):
             x, y = train_ds.features[idx], train_ds.labels[idx]
             teacher_probs = log_softmax_rows(model.forward(teacher, x), cfg.tau)[1]
             logits, acts = model._forward_cached(student, x)
-            breakdown = compute_batch_loss(
-                logits, teacher_probs, y, sched, cfg.tau, cfg.mode, cfg.fixed_gamma,
-            )
+            breakdown = compute_batch_loss(logits, teacher_probs, y, g, cfg.tau, cfg.mode)
             grads = student.layer_views(np.empty_like(student.flat))
             model._backward_into(student, grads, breakdown.grad, acts)
             heavy_ball(student, grads, velocity, cfg)
@@ -96,7 +94,7 @@ def two_loop_distill(teacher, student_dims, train_ds, cfg, val_ds):
             n_right += int(np.sum(np.argmax(teacher_probs, axis=1) == y))
         rows.append({
             "epoch": epoch,
-            "gamma": resolve_gamma(cfg.mode, sched, cfg.fixed_gamma),
+            "gamma": g,
             **{key: value / train_ds.n for key, value in sums.items()},
             "train_acc": model.evaluate(student, train_ds),
             "val_acc": model.evaluate(student, val_ds),
@@ -128,14 +126,14 @@ def test_teacher_matches_the_two_loop_oracle(setup):
 @pytest.mark.parametrize("mode", MODES)
 def test_distill_rows_and_gamma_column(setup, mode):
     train, val, teacher = setup
-    fixed = 0.3 if mode == "fixed_gamma" else None
+    fixed = 0.3 if mode == "fixed-gamma" else None
     cfg = TrainConfig(epochs=EPOCHS, batch_size=8, seed=4, mode=mode, fixed_gamma=fixed)
     student, rows = distill(teacher, [2, 5, 3], train, cfg, val)
     for row in rows:
         assert set(row) == set(METRICS_COLUMNS)
-    if mode in ("full", "step_b_ablation"):
+    if mode in ("full", "step-b"):
         want = [e / EPOCHS for e in range(EPOCHS)]
-    elif mode == "fixed_gamma":
+    elif mode == "fixed-gamma":
         want = [0.3] * EPOCHS
     else:
         want = [0.0] * EPOCHS
@@ -158,7 +156,7 @@ TABLE_CASES = [(1, 1.0), (6, 1.0), (7, 1.0), (11, 0.5), (36, 1.0), (50, 0.5)]
 
 
 def _cfg(mode, batch_size, tau=1.0):
-    fixed = 0.3 if mode == "fixed_gamma" else None
+    fixed = 0.3 if mode == "fixed-gamma" else None
     return TrainConfig(epochs=EPOCHS, batch_size=batch_size, seed=4, tau=tau, mode=mode,
                        fixed_gamma=fixed)
 
@@ -228,7 +226,7 @@ def test_missing_val_split_gives_nan_val_acc(setup):
 
 @pytest.mark.parametrize(
     "mode,fixed_gamma",
-    [("bogus", None), ("fixed_gamma", None), ("fixed_gamma", 1.0), ("fixed_gamma", float("nan")),
+    [("bogus", None), ("fixed-gamma", None), ("fixed-gamma", 1.0), ("fixed-gamma", float("nan")),
      ("full", 0.5)],
 )
 def test_config_rejects_unknown_mode_and_bad_fixed_gamma(mode, fixed_gamma):
