@@ -16,23 +16,23 @@ A sample carries right knowledge when the teacher's argmax matches its
 label (ties broken toward the lowest class index, everywhere). The loss
 is a per-sample weighting in two weight classes: easy rows are distilled
 with weight (1 - gamma) / n and hard rows with gamma / n. In the masked
-modes the hard rows are the biased ones, rectified or, in
-``eliminate``, given a zero target, so that their KL and gradient
-term are exactly 0. In ``vanilla`` and ``rectify`` every row is
-easy, and gamma is 0. ``target_loss`` takes one KL pass over the whole
-batch; l_easy and l_hard are the sums of that vector over the easy and
-the hard rows, and the KL gradient is one weighted term per row. A row's
-KL does not depend on the other rows of the batch, so the sums see the
-same values, in the same order, as KL passes over each subset would.
+modes the hard rows are the biased ones, rectified; elimination is
+gamma 0, which weights their KL and gradient term by exactly 0. In
+``vanilla`` and ``rectify`` every row is easy, and gamma is 0.
+``target_loss`` takes one KL pass over the whole batch; l_easy and
+l_hard are the sums of that vector over the easy and the hard rows, and
+the KL gradient is one weighted term per row. A row's KL does not depend
+on the other rows of the batch, so the sums see the same values, in the
+same order, as KL passes over each subset would.
 
 The batched core is two steps. ``teacher_targets`` partitions the rows,
-decides each row's weight class once and rectifies or eliminates all
-biased ones in one array operation; it reads only the teacher and the
-labels, and each output row depends only on its own input row, so
-``train.distill`` can compute it once per training row. ``target_loss``
-returns the loss terms together with their gradient w.r.t. the logits, at
-the epoch's gamma ``g``, which ``gamma`` gives; it reads the weight
-classes, not the mode. ``compute_batch_loss`` is the two composed, at a
+decides each row's weight class once and, in every mode but
+``vanilla``, rectifies all biased ones in one array operation; it reads
+only the teacher and the labels, and each output row depends only on its
+own input row, so ``train.distill`` can compute it once per training
+row. ``target_loss`` returns the loss terms together with their gradient
+w.r.t. the logits, at the epoch's gamma ``g``, which ``gamma`` gives; it
+reads the weight classes, not the mode. ``compute_batch_loss`` is the two composed, at a
 given ``g``. None of them checks its inputs, each checked once where it
 enters: ``tau``, ``mode`` and ``fixed_gamma`` by ``TrainConfig``, labels
 by the data loaders, the teacher by ``model.load_checkpoint``,
@@ -44,8 +44,8 @@ softmax underflows; the gradient uses the s of the same pass.
 Modes (the names ``--mode`` takes):
 
 * ``full``        -- elimination + rectification + dynamic gamma.
-* ``eliminate``   -- bias samples dropped from KL (a zero target);
-                     gamma forced to 0.
+* ``eliminate``   -- bias samples dropped from KL: gamma forced to 0,
+                     so it trains the student ``fixed-gamma=0`` trains.
 * ``rectify``     -- no elimination: one full-batch KL where bias
                      samples use rectified (step-c) targets; gamma 0.
 * ``vanilla``     -- unmasked KL + CE baseline; gamma 0.
@@ -86,28 +86,23 @@ def gamma(mode: str, epoch: int, epochs: int, fixed_gamma) -> float:
 
 
 def teacher_targets(teacher_probs, labels, mode: str):
-    """Partition rows by the teacher's argmax, decide their weight class, rectify or eliminate.
+    """Partition rows by the teacher's argmax, decide their weight class, rectify.
 
     Returns ``(targets, right, hard)``: ``right`` marks the rows whose
     argmax is the label; ``hard`` marks the rows the loss weights with
     gamma, ``~right`` in the masked modes and none in ``vanilla`` and
     ``rectify``, which distill every row as easy knowledge.
-    ``targets`` holds the teacher rows, with every other row rectified to
-    step c (step b in ``step-b``), or all zeros in ``eliminate``, so that
-    its KL and gradient term are exactly 0.
-    ``vanilla`` gets ``teacher_probs`` itself back; every other mode a
-    fresh array. Every output row depends only on its own input row and
-    label.
+    ``targets`` is a fresh array of the teacher rows, with every other row
+    rectified to step c (step b in ``step-b``) in every mode but
+    ``vanilla``. ``eliminate`` drops its biased rows through gamma 0, not
+    through their targets. Every output row depends only on its own input
+    row and label.
     """
     right = np.argmax(teacher_probs, axis=1) == labels
     bias = ~right
     hard = np.zeros_like(right) if mode in ("vanilla", "rectify") else bias
-    if mode == "vanilla":
-        return teacher_probs, right, hard
     targets = teacher_probs.copy()
-    if mode == "eliminate":
-        targets[bias] = 0.0
-    else:
+    if mode != "vanilla":
         stage = rectify.STEP_B if mode == "step-b" else rectify.STEP_C
         targets[bias] = rectify.rectify_rows(teacher_probs[bias], labels[bias], stage)
     return targets, right, hard
@@ -129,8 +124,8 @@ def target_loss(student_logits, targets, hard, labels, g: float, tau: float) -> 
     l_easy = float(kl[~hard].sum() / n)
     l_hard = float(kl[hard].sum() / n)
     # A teacher or step-c row sums to 1 only within rounding, so an easy
-    # row's mass is exactly 1; a hard row's is its target's sum (0 when
-    # eliminated, above 1 at step b).
+    # row's mass is exactly 1; a hard row's is its target's sum (above 1 at
+    # step b).
     w = np.where(hard, g / n, (1.0 - g) / n)[:, None]
     mass = np.where(hard, targets.sum(axis=1), 1.0)[:, None]
     grad += w * (mass * s - targets) / tau

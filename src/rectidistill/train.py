@@ -61,12 +61,14 @@ class TrainConfig:
             raise ConfigError(f"seed must be >= 0, got {self.seed}")
         if not 0.0 < self.tau < math.inf:
             raise ConfigError(f"temperature must be finite and > 0, got {self.tau}")
+        # the messages spell the modes as --mode takes them
         if self.mode not in MODES:
-            raise ConfigError(f"unknown mode {self.mode!r}; expected one of {MODES}")
+            names = ", ".join(f"{m}=G" if m == "fixed-gamma" else m for m in MODES)
+            raise ConfigError(f"unknown mode {self.mode!r}; expected one of {names}")
         if self.mode == "fixed-gamma":
             if self.fixed_gamma is None or not 0.0 <= self.fixed_gamma < 1.0:
-                raise ConfigError(
-                    f"mode fixed-gamma needs a gamma in [0, 1), got {self.fixed_gamma}")
+                got = "no G" if self.fixed_gamma is None else f"G={self.fixed_gamma}"
+                raise ConfigError(f"mode fixed-gamma=G needs G in [0, 1), got {got}")
         elif self.fixed_gamma is not None:
             raise ConfigError(f"mode {self.mode} takes no fixed gamma, got {self.fixed_gamma}")
 

@@ -307,11 +307,31 @@ class TestDistill:
         assert (a / "student.ckpt").read_bytes() == (b / "student.ckpt").read_bytes()
 
     def test_eliminate_mode_zeroes_hard_loss_and_gamma(self, setup):
+        # the tiny teacher gets every row right, so no row is hard
         out = self._run(setup, "eliminate", "eliminate")
         for line in (out / "metrics.csv").read_text().splitlines()[1:]:
             cells = line.split(",")
             assert float(cells[1]) == 0.0  # gamma
             assert float(cells[5]) == 0.0  # loss_hard
+
+    def test_eliminate_trains_what_fixed_gamma_zero_trains(self, setup):
+        # the tiny teacher gets every row right, so every fifth row is
+        # relabelled to the next class to give the biased rows elimination drops
+        tmp, data, teacher = setup
+        header, *rows = (data / "train.csv").read_text().splitlines()
+        rows = [f"{(int(r[0]) + 1) % 3}{r[1:]}" if i % 5 == 0 else r for i, r in enumerate(rows)]
+        train = tmp / "relabelled.csv"
+        train.write_text("\n".join([header, *rows]) + "\n")
+        a, b = tmp / "relabelled-eliminate", tmp / "relabelled-fixed-gamma-0"
+        for mode, out in (("eliminate", a), ("fixed-gamma=0", b)):
+            assert cli.main([
+                "distill", "--train", str(train), "--teacher", str(teacher), "--dims", "2,4,3",
+                "--mode", mode, "--epochs", "4", "--seed", "1", "--out", str(out),
+            ]) == cli.EXIT_OK
+        last = (a / "metrics.csv").read_text().splitlines()[-1].split(",")
+        assert float(last[-1]) == 60 / 75  # teacher_right_fraction
+        assert (a / "student.ckpt").read_bytes() == (b / "student.ckpt").read_bytes()
+        assert (a / "metrics.csv").read_bytes() == (b / "metrics.csv").read_bytes()
 
     def test_fixed_gamma_mode(self, setup):
         out = self._run(setup, "fixed-gamma=0.5", "fixed")
@@ -422,10 +442,10 @@ class TestDistill:
                                       "full=1", "fixed-gamma"])
     def test_bad_mode_is_train_config_s_usage_error_before_output(self, setup, capsys, flag):
         # TrainConfig is the one mode check: the CLI passes every mode but fixed-gamma=G through
-        message = (f"unknown mode {flag!r}; expected one of ('full', 'eliminate', 'rectify', "
-                   f"'vanilla', 'step-b', 'fixed-gamma')")
+        message = (f"unknown mode {flag!r}; expected one of full, eliminate, rectify, "
+                   f"vanilla, step-b, fixed-gamma=G")
         if flag == "fixed-gamma":
-            message = "mode fixed-gamma needs a gamma in [0, 1), got None"
+            message = "mode fixed-gamma=G needs G in [0, 1), got no G"
         tmp, data, teacher = setup
         out = tmp / "bad-mode"
         rc = cli.main([

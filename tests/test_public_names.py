@@ -18,10 +18,16 @@ CLI maps it to an exit code. A bare re-raise is allowed.
 Bad input is rejected once, where it enters the program, so only the file
 readers, the ``Dataset`` invariant and the finite-difference oracle build an
 ``InvalidInputError``. The CLI and ``TrainConfig`` raise ``ConfigError``.
+
+The modes have one set of names, the ones ``--mode`` takes. The library's
+former names stay retired: no string constant under ``src/``, ``scripts/`` or
+``tests/`` equals one, outside the few places listed in ``RETIRED_NAME_SITES``,
+and ``README.md`` names none as a mode.
 """
 
 import ast
 import builtins
+import re
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -191,3 +197,85 @@ def test_input_error_sites_name_the_enclosing_def(tmp_path):
     )
     assert input_error_sites(source) == [
         ("mod.Box.check.inner", 4), ("mod.Box.check", 5), ("mod.other", 8)]
+
+
+RETIRED_MODE_NAMES = {"eliminate_only", "rectify_only", "vanilla_kd", "step_b_ablation",
+                      "fixed_gamma"}
+# (file, enclosing definition) of the only constants that may equal one
+RETIRED_NAME_SITES = {
+    # the bad-mode CLI test's rejected inputs
+    ("test_cli.py", "TestDistill.test_bad_mode_is_train_config_s_usage_error_before_output"),
+    # the ids of the tests parametrized over a mode, kept as the suite has named them
+    ("conftest.py", "MODE_IDS"),
+    ("test_public_names.py", "RETIRED_MODE_NAMES"),
+}
+
+
+def retired_name_constants(path: Path) -> list[tuple[str, int]]:
+    """(enclosing definition, line) of each string constant equal to a retired mode name.
+
+    A definition is a def or class, decorators included, or a module-level
+    assignment's target; constants outside any have the scope ``""``.
+    """
+    found = []
+
+    def visit(node, scope):
+        for child in ast.iter_child_nodes(node):
+            inner = scope
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                inner = f"{scope}.{child.name}".lstrip(".")
+            elif isinstance(child, ast.Assign) and not scope:
+                inner = ",".join(t.id for t in child.targets if isinstance(t, ast.Name))
+            if isinstance(child, ast.Constant) and child.value in RETIRED_MODE_NAMES:
+                found.append((scope, child.lineno))
+            visit(child, inner)
+
+    visit(ast.parse(path.read_text()), "")
+    return sorted(found, key=lambda site: site[1])
+
+
+def test_retired_mode_names_stay_retired():
+    paths = [*sorted((ROOT / "src").rglob("*.py")), *sorted((ROOT / "scripts").glob("*.py")),
+             *sorted((ROOT / "tests").glob("*.py"))]
+    stray = [f"{path.name}:{line} in {scope or '<module>'}"
+             for path in paths
+             for scope, line in retired_name_constants(path)
+             if (path.name, scope) not in RETIRED_NAME_SITES]
+    assert stray == []
+
+
+def test_retired_name_constants_name_the_enclosing_definition(tmp_path):
+    source = tmp_path / "mod.py"
+    source.write_text(
+        "NAMES = ('vanilla_kd', 'vanilla')\n"
+        "\n"
+        "class Box:\n"
+        "    @mark('fixed_gamma')\n"
+        "    def run(self, fixed_gamma=None):\n"
+        "        return 'step_b_ablation'\n"
+        "\n"
+        "print('rectify_only')\n"
+    )
+    assert retired_name_constants(source) == [
+        ("NAMES", 1), ("Box.run", 4), ("Box.run", 6), ("", 8)]
+
+
+def readme_mode_mentions(text: str) -> list[str]:
+    """Each retired name the text uses as a mode: code-quoted, quoted or after ``--mode``.
+
+    ``fixed_gamma`` is also a live field and parameter name, as in
+    ``gamma(mode, epoch, epochs, fixed_gamma)``, which does not count.
+    """
+    names = "|".join(sorted(RETIRED_MODE_NAMES))
+    return [quoted or flag for quoted, flag in
+            re.findall(rf"""[`"']({names})[`"']|--mode[ =]({names})\b""", text)]
+
+
+def test_readme_names_no_retired_mode():
+    assert readme_mode_mentions((ROOT / "README.md").read_text()) == []
+
+
+def test_readme_guard_reads_a_mode_not_a_field():
+    names = sorted(RETIRED_MODE_NAMES)[:3]
+    text = "run `{}`, mode '{}' or --mode {}; gamma(mode, epoch, epochs, fixed_gamma), `fixed-gamma`"
+    assert readme_mode_mentions(text.format(*names)) == names

@@ -97,7 +97,8 @@ class TestComputeBatchLoss:
         out = compute_batch_loss(logits, teacher, labels, g, mode="eliminate")
         assert g == 0.0
         assert out.l_all == out.l_ce + out.l_easy
-        assert out.l_hard == 0.0
+        # the biased rows keep their rectified KL; gamma 0 weights it out
+        assert out.l_hard == compute_batch_loss(logits, teacher, labels, 0.0, mode="full").l_hard
 
     def test_eliminate_only_equals_full_at_gamma_zero(self):
         rng = np.random.default_rng(2)
@@ -174,9 +175,9 @@ class TestComputeBatchLoss:
 
 
 def oracle_teacher_targets(teacher_probs, labels, mode):
-    """The loss's targets as the subset-gathering loss read them: biased rows kept in eliminate."""
+    """The loss's targets as the subset-gathering loss read them."""
     right = np.argmax(teacher_probs, axis=1) == labels
-    if mode in ("vanilla", "eliminate") or right.all():
+    if mode == "vanilla" or right.all():
         return teacher_probs, right
     bias = ~right
     stage = rectify.STEP_B if mode == "step-b" else rectify.STEP_C
@@ -208,7 +209,7 @@ def oracle_loss(student_logits, teacher_probs, labels, g, tau, mode):
             easy_targets = targets[right_rows]
             l_easy = float(kl_rows(easy_targets, log_s[right_rows]).sum() / n)
             grad[right_rows] += (1.0 - g) / n * (s[right_rows] - easy_targets) / tau
-        if mode == "eliminate" or not bias.size:
+        if not bias.size:
             l_hard = 0.0
         else:
             hard_targets = targets[bias]
@@ -237,8 +238,8 @@ class TestAgainstTheGatheringOracle:
     )
     def test_bit_for_bit(self, seed, n, k, mode, tau, scale, all_right, total_epochs,
                          epoch_frac, fixed_gamma):
-        # one weighted KL pass and a zeroed eliminate target give every bit the
-        # subset-gathering loss gave; epoch 0 (gamma 0) included
+        # one weighted KL pass gives every bit the subset-gathering loss
+        # gave; epoch 0 (gamma 0) and eliminate's gamma 0 included
         rng = np.random.default_rng(seed)
         logits = rng.uniform(-scale, scale, size=(n, k))
         teacher = rng.dirichlet(np.ones(k), size=n)
@@ -299,13 +300,7 @@ class TestTeacherTargets:
         for whole_column, part_column in zip(whole, part):
             assert np.array_equal(whole_column[idx], part_column)
 
-    @pytest.mark.parametrize("labels", [[0, 2], [1, 2]], ids=["all-right", "one-biased"])
-    def test_vanilla_kd_returns_the_teacher_rows_themselves(self, labels):
-        probs = np.array([[0.7, 0.2, 0.1], [0.1, 0.1, 0.8]])
-        targets, right, _ = teacher_targets(probs, np.array(labels), "vanilla")
-        assert targets is probs and right.tolist() == [labels[0] == 0, True]
-
-    @pytest.mark.parametrize("mode", [m for m in MODES if m != "vanilla"])
+    @pytest.mark.parametrize("mode", MODES)
     def test_fresh_array_of_equal_values_without_a_biased_row(self, mode):
         probs = np.array([[0.7, 0.2, 0.1], [0.1, 0.1, 0.8]])
         kept = probs.copy()
@@ -319,7 +314,7 @@ class TestTeacherTargets:
         ("rectify", [0.6 * 0.8 / 0.9, 0.3 * 0.8 / 0.9, 0.2]),
         ("step-b", [0.6, 0.3, 0.2]),  # step b: over-sums by 0.1
         ("vanilla", [0.2, 0.6, 0.2]),  # never rectified
-        ("eliminate", [0.0, 0.0, 0.0]),  # eliminated: zero KL, zero gradient term
+        ("eliminate", [0.6 * 0.8 / 0.9, 0.3 * 0.8 / 0.9, 0.2]),  # dropped by gamma 0
     ])
     def test_biased_rows_take_their_mode_s_target(self, mode, want):
         probs = np.array([[0.2, 0.6, 0.2], [0.7, 0.2, 0.1]])
@@ -327,6 +322,17 @@ class TestTeacherTargets:
         assert right.tolist() == [False, True]
         np.testing.assert_allclose(targets[0], want, rtol=1e-15)
         assert np.array_equal(targets[1], probs[1])
+
+    @settings(max_examples=100, deadline=None)
+    @given(seed=st.integers(0, 10_000), n=st.integers(1, 12), k=st.integers(2, 6))
+    def test_eliminate_takes_full_s_targets_and_weight_classes(self, seed, n, k):
+        # elimination is gamma 0, not a target of its own
+        rng = np.random.default_rng(seed)
+        probs = rng.dirichlet(np.ones(k), size=n)
+        labels = rng.integers(0, k, size=n)
+        for got, want in zip(teacher_targets(probs, labels, "eliminate"),
+                             teacher_targets(probs, labels, "full")):
+            assert np.array_equal(got, want)
 
 
 class TestBatchLossGradient:
