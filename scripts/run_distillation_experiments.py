@@ -2,7 +2,7 @@
 """Reproduce the desk-scale distillation experiments end to end.
 
 Generates the 4-class blob task, trains the teacher, distills students
-under every mode, and runs the step-b vs step-c seed ablation. All
+under every mode, and runs the step-b vs full seed ablation. All
 outputs land under $RECTIDISTILL_OUT (default ./runs); every run is
 bit-for-bit reproducible.
 """
@@ -11,12 +11,14 @@ import os
 import sys
 
 from rectidistill.cli import main
+from rectidistill.schedule import FIXED, MODES
 
 OUT = os.environ.get("RECTIDISTILL_OUT", "runs")
 DATA = os.path.join(OUT, "data")
 TEACHER = os.path.join(OUT, "teacher")
 
-MODES = ("full", "eliminate", "rectify", "vanilla", "step-b", "fixed-gamma=0.5")
+# every --mode, the one that takes a fixed gamma at G = 0.5
+MODE_FLAGS = [f"{name}=0.5" if row.gamma == FIXED else name for name, row in MODES.items()]
 
 
 def run(argv):
@@ -39,7 +41,7 @@ def main_script():
         "--val", os.path.join(DATA, "val.csv"),
         "--teacher", os.path.join(TEACHER, "teacher.ckpt"),
     ]
-    for mode in MODES:
+    for mode in MODE_FLAGS:
         out = os.path.join(OUT, f"distill-{mode.replace('=', '-')}")
         run(["distill", *common, "--mode", mode, "--out", out])
     run(["ablate", *common, "--seeds", "5", "--out", os.path.join(OUT, "ablate")])

@@ -235,16 +235,15 @@ def cmd_ablate(cfg: dict) -> int:
         raise ConfigError("ablate compares validation accuracy and needs --val")
     dims, teacher, train_ds, val_ds = _load_distill_inputs(cfg)
 
-    results = []  # (seed, mode_label, val_acc)
+    modes = ("step-b", "full")
+    results = []  # (seed, mode, val_acc)
     for seed in range(cfg["seed"], cfg["seed"] + cfg["seeds"]):
-        for label, mode in (("step-b", "step-b"), ("step-c", "full")):
+        for mode in modes:
             run = dataclasses.replace(tc, seed=seed, mode=mode)
             _, rows = train.distill(teacher, dims, train_ds, run, val_ds)
-            results.append((seed, label, rows[-1]["val_acc"]))
-    medians = {
-        label: statistics.median(acc for _, m, acc in results if m == label)
-        for label in ("step-b", "step-c")
-    }
+            results.append((seed, mode, rows[-1]["val_acc"]))
+    medians = {mode: statistics.median(acc for _, m, acc in results if m == mode)
+               for mode in modes}
 
     _persist_config(cfg)
     write_table(os.path.join(cfg["out"], "ablation.csv"), ("seed", "mode", "val_acc"),
@@ -253,8 +252,8 @@ def cmd_ablate(cfg: dict) -> int:
     print(f"{'seed':>6}  {'mode':<7} val_acc")
     for s, m, acc in results:
         print(f"{s:>6}  {m:<7} {acc:.4f}")
-    for label, med in medians.items():
-        print(f"{'median':>6}  {label:<7} {med:.4f}")
+    for mode, med in medians.items():
+        print(f"{'median':>6}  {mode:<7} {med:.4f}")
     return EXIT_OK
 
 
@@ -296,7 +295,7 @@ def cmd_prop_check(cfg: dict) -> int:
     return EXIT_OK
 
 
-# Flags shared by distill and ablate (ablate is distill over seeds and the two steps).
+# Flags shared by distill and ablate (ablate is distill over seeds in step-b and full).
 _STUDENT_FLAGS = {
     "train": (str, ""), "val": (str, ""), "teacher": (str, ""), "dims": (str, "2,8,4"),
     "epochs": (int, 60), "lr": (float, 0.005), "momentum": (float, 0.9),
@@ -316,7 +315,7 @@ COMMANDS = {
     }),
     "distill": (cmd_distill, "distill the teacher into a student", "distill",
                 {**_STUDENT_FLAGS, "mode": (str, "full")}),
-    "ablate": (cmd_ablate, "compare step-b vs step-c across seeds", "ablate",
+    "ablate": (cmd_ablate, "compare step-b vs full across seeds", "ablate",
                {**_STUDENT_FLAGS, "seeds": (int, 5)}),
     "prop-check": (cmd_prop_check, "verify the two-class bias analysis", "prop-check",
                    {"ta": (float, None)}),

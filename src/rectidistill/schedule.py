@@ -15,10 +15,9 @@ is small and destabilizes the end of training, where gamma -> 1.
 A sample carries right knowledge when the teacher's argmax matches its
 label (ties broken toward the lowest class index, everywhere). The loss
 is a per-sample weighting in two weight classes: easy rows are distilled
-with weight (1 - gamma) / n and hard rows with gamma / n. In the masked
-modes the hard rows are the biased ones, rectified; elimination is
-gamma 0, which weights their KL and gradient term by exactly 0. In
-``vanilla`` and ``rectify`` every row is easy, and gamma is 0.
+with weight (1 - gamma) / n and hard rows with gamma / n. Which rows are
+hard, what their targets are and what gamma is, each mode's row of
+``MODES`` says.
 ``target_loss`` takes one KL pass over the whole batch; l_easy and
 l_hard are the sums of that vector over the easy and the hard rows, and
 the KL gradient is one weighted term per row. A row's KL does not depend
@@ -26,8 +25,8 @@ on the other rows of the batch, so the sums see the same values, in the
 same order, as KL passes over each subset would.
 
 The batched core is two steps. ``teacher_targets`` partitions the rows,
-decides each row's weight class once and, in every mode but
-``vanilla``, rectifies all biased ones in one array operation; it reads
+decides each row's weight class once and, in every mode with a target
+stage, rectifies all biased ones in one array operation; it reads
 only the teacher and the labels, and each output row depends only on its
 own input row, so ``train.distill`` can compute it once per training
 row. ``target_loss`` returns the loss terms together with their gradient
@@ -40,30 +39,36 @@ non-finite student logits by ``train._fit``.
 CE (``numerics.ce_rows``) and KL come from the ln s of
 ``numerics.log_softmax_rows``, so they stay finite where the student
 softmax underflows; the gradient uses the s of the same pass.
-
-Modes (the names ``--mode`` takes):
-
-* ``full``        -- elimination + rectification + dynamic gamma.
-* ``eliminate``   -- bias samples dropped from KL: gamma forced to 0,
-                     so it trains the student ``fixed-gamma=0`` trains.
-* ``rectify``     -- no elimination: one full-batch KL where bias
-                     samples use rectified (step-c) targets; gamma 0.
-* ``vanilla``     -- unmasked KL + CE baseline; gamma 0.
-* ``step-b``      -- like full but hard targets are the unnormalized
-                     step-b vectors, used directly in sum t' ln(t'/s).
-* ``fixed-gamma`` -- like full but with a constant gamma (the "normal"
-                     schedule baseline); the CLI spells it
-                     ``fixed-gamma=G``.
 """
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
 from . import rectify
 from .numerics import ce_rows, kl_rows, log_softmax_rows
 
-MODES = ("full", "eliminate", "rectify", "vanilla", "step-b", "fixed-gamma")
+RAMP, FIXED = "e/E", "G"  # gamma rules: epoch e of E over E, and the G of fixed-gamma=G
+
+
+class Mode(NamedTuple):
+    stage: str | None  # the biased rows' target: rectify.STEP_C, STEP_B, or None (the teacher's)
+    hard: bool  # the biased rows are weighted by gamma, not 1 - gamma
+    gamma: str | float  # RAMP, FIXED or a constant
+
+
+# What each --mode does: the paper's elimination is a hard row at gamma 0,
+# rectification a stage, the dynamic weighting the ramp. So ``eliminate``
+# is ``fixed-gamma`` at G = 0, and trains the same student.
+MODES = {
+    "full": Mode(rectify.STEP_C, True, RAMP),
+    "eliminate": Mode(rectify.STEP_C, True, 0.0),
+    "rectify": Mode(rectify.STEP_C, False, 0.0),
+    "vanilla": Mode(None, False, 0.0),
+    "step-b": Mode(rectify.STEP_B, True, RAMP),
+    "fixed-gamma": Mode(rectify.STEP_C, True, FIXED),
+}
 
 
 @dataclass(frozen=True)
@@ -76,13 +81,13 @@ class LossBreakdown:
 
 
 def gamma(mode: str, epoch: int, epochs: int, fixed_gamma) -> float:
-    """Epoch e of E's blend weight: e/E in ``full`` and ``step-b``, the constant in
-    ``fixed-gamma``, 0 in the others."""
-    if mode in ("full", "step-b"):
+    """Epoch e of E's blend weight under the mode's gamma rule: e/E, G or the constant."""
+    rule = MODES[mode].gamma
+    if rule == RAMP:
         return epoch / epochs
-    if mode == "fixed-gamma":
+    if rule == FIXED:
         return float(fixed_gamma)
-    return 0.0
+    return rule
 
 
 def teacher_targets(teacher_probs, labels, mode: str):
@@ -90,21 +95,18 @@ def teacher_targets(teacher_probs, labels, mode: str):
 
     Returns ``(targets, right, hard)``: ``right`` marks the rows whose
     argmax is the label; ``hard`` marks the rows the loss weights with
-    gamma, ``~right`` in the masked modes and none in ``vanilla`` and
-    ``rectify``, which distill every row as easy knowledge.
+    gamma, ``~right`` where the mode's row is ``hard`` and none elsewhere.
     ``targets`` is a fresh array of the teacher rows, with every other row
-    rectified to step c (step b in ``step-b``) in every mode but
-    ``vanilla``. ``eliminate`` drops its biased rows through gamma 0, not
-    through their targets. Every output row depends only on its own input
-    row and label.
+    rectified to the mode's ``stage`` unless that is None. Every output row
+    depends only on its own input row and label.
     """
+    row = MODES[mode]
     right = np.argmax(teacher_probs, axis=1) == labels
     bias = ~right
-    hard = np.zeros_like(right) if mode in ("vanilla", "rectify") else bias
+    hard = bias if row.hard else np.zeros_like(right)
     targets = teacher_probs.copy()
-    if mode != "vanilla":
-        stage = rectify.STEP_B if mode == "step-b" else rectify.STEP_C
-        targets[bias] = rectify.rectify_rows(teacher_probs[bias], labels[bias], stage)
+    if row.stage is not None:
+        targets[bias] = rectify.rectify_rows(teacher_probs[bias], labels[bias], row.stage)
     return targets, right, hard
 
 

@@ -16,7 +16,7 @@ from . import model
 from .data import Dataset, batch_iter
 from .errors import ConfigError, TrainingDivergedError
 from .numerics import ce_rows, log_softmax_rows
-from .schedule import MODES, gamma, target_loss, teacher_targets
+from .schedule import FIXED, MODES, gamma, target_loss, teacher_targets
 
 METRICS_COLUMNS = (
     "epoch",
@@ -63,12 +63,13 @@ class TrainConfig:
             raise ConfigError(f"temperature must be finite and > 0, got {self.tau}")
         # the messages spell the modes as --mode takes them
         if self.mode not in MODES:
-            names = ", ".join(f"{m}=G" if m == "fixed-gamma" else m for m in MODES)
+            names = ", ".join(f"{m}=G" if row.gamma == FIXED else m
+                              for m, row in MODES.items())
             raise ConfigError(f"unknown mode {self.mode!r}; expected one of {names}")
-        if self.mode == "fixed-gamma":
+        if MODES[self.mode].gamma == FIXED:
             if self.fixed_gamma is None or not 0.0 <= self.fixed_gamma < 1.0:
                 got = "no G" if self.fixed_gamma is None else f"G={self.fixed_gamma}"
-                raise ConfigError(f"mode fixed-gamma=G needs G in [0, 1), got {got}")
+                raise ConfigError(f"mode {self.mode}=G needs G in [0, 1), got {got}")
         elif self.fixed_gamma is not None:
             raise ConfigError(f"mode {self.mode} takes no fixed gamma, got {self.fixed_gamma}")
 

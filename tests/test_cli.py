@@ -273,6 +273,21 @@ def setup(tmp_path_factory):
     return tmp, data, teacher
 
 
+@pytest.fixture(scope="module")
+def relabelled(setup):
+    """setup's training split with every fifth row relabelled to the next class.
+
+    The tiny teacher gets every row of the split right; on this one it is wrong
+    on the 15 relabelled rows, which gives the distill modes biased rows.
+    """
+    tmp, data, _ = setup
+    header, *rows = (data / "train.csv").read_text().splitlines()
+    rows = [f"{(int(r[0]) + 1) % 3}{r[1:]}" if i % 5 == 0 else r for i, r in enumerate(rows)]
+    train = tmp / "relabelled.csv"
+    train.write_text("\n".join([header, *rows]) + "\n")
+    return train
+
+
 class TestDistill:
     def _run(self, setup, mode, out_name, seed="1", extra=()):
         tmp, data, teacher = setup
@@ -314,24 +329,38 @@ class TestDistill:
             assert float(cells[1]) == 0.0  # gamma
             assert float(cells[5]) == 0.0  # loss_hard
 
-    def test_eliminate_trains_what_fixed_gamma_zero_trains(self, setup):
-        # the tiny teacher gets every row right, so every fifth row is
-        # relabelled to the next class to give the biased rows elimination drops
-        tmp, data, teacher = setup
-        header, *rows = (data / "train.csv").read_text().splitlines()
-        rows = [f"{(int(r[0]) + 1) % 3}{r[1:]}" if i % 5 == 0 else r for i, r in enumerate(rows)]
-        train = tmp / "relabelled.csv"
-        train.write_text("\n".join([header, *rows]) + "\n")
-        a, b = tmp / "relabelled-eliminate", tmp / "relabelled-fixed-gamma-0"
-        for mode, out in (("eliminate", a), ("fixed-gamma=0", b)):
-            assert cli.main([
-                "distill", "--train", str(train), "--teacher", str(teacher), "--dims", "2,4,3",
-                "--mode", mode, "--epochs", "4", "--seed", "1", "--out", str(out),
-            ]) == cli.EXIT_OK
-        last = (a / "metrics.csv").read_text().splitlines()[-1].split(",")
-        assert float(last[-1]) == 60 / 75  # teacher_right_fraction
+    def _run_relabelled(self, setup, relabelled, flag, out_name):
+        """Distill 4 epochs on the relabelled split; returns the output directory and
+        the last epoch's metrics row."""
+        tmp, _, teacher = setup
+        out = tmp / out_name
+        assert cli.main([
+            "distill", "--train", str(relabelled), "--teacher", str(teacher), "--dims", "2,4,3",
+            "--mode", flag, "--epochs", "4", "--seed", "1", "--out", str(out),
+        ]) == cli.EXIT_OK
+        header, *_, last = (out / "metrics.csv").read_text().splitlines()
+        return out, dict(zip(header.split(","), map(float, last.split(","))))
+
+    def test_eliminate_trains_what_fixed_gamma_zero_trains(self, setup, relabelled):
+        a, last = self._run_relabelled(setup, relabelled, "eliminate", "relabelled-eliminate")
+        b, _ = self._run_relabelled(setup, relabelled, "fixed-gamma=0", "relabelled-fixed-gamma-0")
+        assert last["teacher_right_fraction"] == 60 / 75
         assert (a / "student.ckpt").read_bytes() == (b / "student.ckpt").read_bytes()
         assert (a / "metrics.csv").read_bytes() == (b / "metrics.csv").read_bytes()
+
+    @pytest.mark.parametrize("flag", ["full", "step-b", "fixed-gamma=0.5"])
+    def test_biased_rows_reach_the_hard_weight(self, setup, relabelled, flag):
+        _, last = self._run_relabelled(setup, relabelled, flag, f"relabelled-{flag}")
+        assert last["teacher_right_fraction"] < 1
+        assert last["gamma"] > 0 and last["loss_hard"] > 0
+
+    def test_step_b_and_full_train_different_students(self, setup, relabelled):
+        outs = []
+        for flag in ("step-b", "full"):
+            out, last = self._run_relabelled(setup, relabelled, flag, f"step-vs-{flag}")
+            assert last["teacher_right_fraction"] < 1
+            outs.append((out / "student.ckpt").read_bytes())
+        assert outs[0] != outs[1]
 
     def test_fixed_gamma_mode(self, setup):
         out = self._run(setup, "fixed-gamma=0.5", "fixed")

@@ -23,12 +23,17 @@ The modes have one set of names, the ones ``--mode`` takes. The library's
 former names stay retired: no string constant under ``src/``, ``scripts/`` or
 ``tests/`` equals one, outside the few places listed in ``RETIRED_NAME_SITES``,
 and ``README.md`` names none as a mode.
+
+What a mode does has one home, its row of ``schedule.MODES``: no code under
+``src/`` or ``scripts/`` compares a value with a mode's name.
 """
 
 import ast
 import builtins
 import re
 from pathlib import Path
+
+from rectidistill.schedule import MODES
 
 ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = ROOT / "src" / "rectidistill"
@@ -279,3 +284,43 @@ def test_readme_guard_reads_a_mode_not_a_field():
     names = sorted(RETIRED_MODE_NAMES)[:3]
     text = "run `{}`, mode '{}' or --mode {}; gamma(mode, epoch, epochs, fixed_gamma), `fixed-gamma`"
     assert readme_mode_mentions(text.format(*names)) == names
+
+
+def mode_comparisons(path: Path) -> list[str]:
+    """``path:line`` of each ``==``, ``!=``, ``in`` or ``not in`` whose operand names a mode:
+    a string constant equal to a key of ``schedule.MODES``, or a tuple, list or set literal
+    that holds one."""
+    def names_a_mode(node):
+        items = node.elts if isinstance(node, (ast.Tuple, ast.List, ast.Set)) else [node]
+        return any(isinstance(item, ast.Constant) and item.value in MODES for item in items)
+
+    found = []
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.Compare):
+            operands = [node.left, *node.comparators]
+            if any(isinstance(op, (ast.Eq, ast.NotEq, ast.In, ast.NotIn))
+                   and (names_a_mode(left) or names_a_mode(right))
+                   for op, left, right in zip(node.ops, operands, operands[1:])):
+                found.append(f"{path.name}:{node.lineno}")
+    return found
+
+
+def test_no_code_branches_on_a_mode_name():
+    paths = [*sorted((ROOT / "src").rglob("*.py")), *sorted((ROOT / "scripts").glob("*.py"))]
+    assert [hit for path in paths for hit in mode_comparisons(path)] == []
+
+
+def test_mode_comparison_guard_reads_comparisons_not_calls_or_loops(tmp_path):
+    source = tmp_path / "mod.py"
+    source.write_text(
+        "a = mode == 'full'\n"
+        "b = 'vanilla' != mode\n"
+        "c = mode in ('step-b', 'other')\n"
+        "d = mode not in {'rectify'}\n"
+        "e = 0 < g < 1 and mode in ['bogus', 'eliminate']\n"
+        "f = flag.startswith('fixed-gamma')\n"
+        "g = mode == 'full-ish' or MODES['full'].hard\n"
+        "for m in ('full', 'vanilla'):\n"
+        "    pass\n"
+    )
+    assert mode_comparisons(source) == ["mod.py:1", "mod.py:2", "mod.py:3", "mod.py:4", "mod.py:5"]

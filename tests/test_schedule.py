@@ -157,7 +157,7 @@ class TestComputeBatchLoss:
         seed=st.integers(0, 10_000),
         n=st.integers(1, 8),
         k=st.integers(2, 6),
-        mode=st.sampled_from(MODES),
+        mode=st.sampled_from(tuple(MODES)),
         epoch=st.integers(0, 59),
     )
     def test_loss_identity_holds(self, seed, n, k, mode, epoch):
@@ -228,7 +228,7 @@ class TestAgainstTheGatheringOracle:
         seed=st.integers(0, 2**32 - 1),
         n=st.integers(1, 40),
         k=st.integers(2, 100),
-        mode=st.sampled_from(MODES),
+        mode=st.sampled_from(tuple(MODES)),
         tau=st.floats(0.1, 3.0),
         scale=st.floats(0.0, 300.0),
         all_right=st.sampled_from([True, False, False, False, False]),
@@ -286,7 +286,7 @@ class TestTeacherTargets:
         n=st.integers(1, 12),
         k=st.integers(2, 6),
         m=st.integers(1, 12),
-        mode=st.sampled_from(MODES),
+        mode=st.sampled_from(tuple(MODES)),
     )
     def test_rows_are_local(self, seed, n, k, m, mode):
         # the per-row target table rests on this: a row's target does not
