@@ -22,8 +22,7 @@ The sweep then shows:
 the rectification that training runs, and takes s* = (t + 1)/2 on arrays,
 t the rectified target's true-class mass.
 
-Every t_a lies in (0, 1): the CLI checks ``--ta``, and the sweep's grid is
-a constant.
+Every t_a lies in (0, 1): the sweep's grid is a constant.
 """
 
 from dataclasses import dataclass

@@ -7,8 +7,9 @@ the config-file keys and types, and the defaults all come from that table.
 Command-line flags override the ``--config`` file (flat ``key=value``
 lines, keys mirror long flag names) which overrides the defaults. The
 merged config is persisted verbatim into the output directory as
-``config.txt``. The default output root is ``$RECTIDISTILL_OUT`` or
-``./runs``.
+``config.txt``, one ``key=value`` line per flag; every flag has a value,
+so ``--config`` reads the file back to the same config. The default
+output root is ``$RECTIDISTILL_OUT`` or ``./runs``.
 
 Exit codes: 0 success, 1 internal error, 2 usage/config error (raised
 before any output is written), 3 verification failure.
@@ -126,14 +127,10 @@ def _merge_config(args: argparse.Namespace) -> dict:
 
 
 def _persist_config(cfg: dict) -> None:
-    """Create the output directory and write the merged config to config.txt.
-
-    A value left unset (``None``) gets no line, so that ``--config`` reads the
-    file back to the same config.
-    """
+    """Create the output directory and write the merged config to config.txt."""
     os.makedirs(cfg["out"], exist_ok=True)
     with atomic_write(os.path.join(cfg["out"], "config.txt")) as fh:
-        fh.writelines(f"{k}={cfg[k]}\n" for k in sorted(cfg) if cfg[k] is not None)
+        fh.writelines(f"{k}={cfg[k]}\n" for k in sorted(cfg))
 
 
 def _write_json(path: str, obj: dict) -> None:
@@ -166,8 +163,8 @@ def _load_distill_inputs(cfg: dict):
 
 def _train_config(cfg: dict, **extra) -> train.TrainConfig:
     return train.TrainConfig(
-        learning_rate=cfg["lr"], momentum=cfg["momentum"], epochs=cfg["epochs"],
-        batch_size=cfg["batch-size"], seed=cfg["seed"], **extra,
+        learning_rate=cfg["lr"], epochs=cfg["epochs"], batch_size=cfg["batch-size"],
+        seed=cfg["seed"], **extra,
     )
 
 
@@ -184,8 +181,6 @@ def cmd_gen_data(cfg: dict) -> int:
     _persist_config(cfg)
     for name, split in zip(("train", "val"), splits):
         save_csv(split, os.path.join(cfg["out"], f"{name}.csv"))
-    manifest = {k: cfg[k] for k in cfg if k != "out"}
-    _write_json(os.path.join(cfg["out"], "manifest.json"), manifest)
     print(f"wrote train.csv ({cfg['classes'] * cfg['per-class']} rows) and "
           f"val.csv ({cfg['classes'] * cfg['val-per-class']} rows) to {cfg['out']}")
     return EXIT_OK
@@ -258,14 +253,6 @@ def cmd_ablate(cfg: dict) -> int:
 
 
 def cmd_prop_check(cfg: dict) -> int:
-    if cfg["ta"] is not None:
-        ta = cfg["ta"]
-        if not 0.0 < ta < 1.0:
-            raise ConfigError(f"--ta must lie in (0, 1), got {ta}")
-        s_star = analysis.optimum(ta)
-        print(f"t_a={ta} s*={s_star:.6f}")
-        return EXIT_OK
-
     _persist_config(cfg)
     grid = [round(0.05 * i, 2) for i in range(1, 20)]
     rows = analysis.sweep(grid)
@@ -298,8 +285,8 @@ def cmd_prop_check(cfg: dict) -> int:
 # Flags shared by distill and ablate (ablate is distill over seeds in step-b and full).
 _STUDENT_FLAGS = {
     "train": (str, ""), "val": (str, ""), "teacher": (str, ""), "dims": (str, "2,8,4"),
-    "epochs": (int, 60), "lr": (float, 0.005), "momentum": (float, 0.9),
-    "batch-size": (int, 32), "seed": (int, 1), "tau": (float, 1.0),
+    "epochs": (int, 60), "lr": (float, 0.005), "batch-size": (int, 32), "seed": (int, 1),
+    "tau": (float, 1.0),
 }
 
 # subcommand -> (handler, help, default output subdirectory, {flag: (type, default)}).
@@ -311,14 +298,13 @@ COMMANDS = {
     }),
     "train-teacher": (cmd_train_teacher, "train the frozen teacher with plain CE", "teacher", {
         "train": (str, ""), "val": (str, ""), "dims": (str, "2,64,4"), "epochs": (int, 200),
-        "lr": (float, 0.1), "momentum": (float, 0.9), "batch-size": (int, 32), "seed": (int, 0),
+        "lr": (float, 0.1), "batch-size": (int, 32), "seed": (int, 0),
     }),
     "distill": (cmd_distill, "distill the teacher into a student", "distill",
                 {**_STUDENT_FLAGS, "mode": (str, "full")}),
     "ablate": (cmd_ablate, "compare step-b vs full across seeds", "ablate",
                {**_STUDENT_FLAGS, "seeds": (int, 5)}),
-    "prop-check": (cmd_prop_check, "verify the two-class bias analysis", "prop-check",
-                   {"ta": (float, None)}),
+    "prop-check": (cmd_prop_check, "verify the two-class bias analysis", "prop-check", {}),
 }
 
 

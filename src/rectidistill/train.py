@@ -37,11 +37,13 @@ TEACHER_METRICS_COLUMNS = ("epoch", "loss_ce", "train_acc", "val_acc")
 # so the table never dominates the memory of a wide run.
 TARGET_TABLE_BYTES = 1 << 20
 
+# The heavy-ball momentum of every SGD run, teacher and student.
+MOMENTUM = 0.9
+
 
 @dataclass(frozen=True)
 class TrainConfig:
     learning_rate: float = 0.1
-    momentum: float = 0.9
     epochs: int = 60
     batch_size: int = 32
     seed: int = 0
@@ -53,8 +55,6 @@ class TrainConfig:
         # chained comparisons are False for nan, so nan fails every check
         if not 0.0 < self.learning_rate < math.inf:
             raise ConfigError(f"learning rate must be finite and > 0, got {self.learning_rate}")
-        if not 0.0 <= self.momentum < 1.0:
-            raise ConfigError(f"momentum must lie in [0, 1), got {self.momentum}")
         if self.epochs < 1 or self.batch_size < 1:
             raise ConfigError("epochs and batch size must be >= 1")
         if self.seed < 0:
@@ -119,7 +119,7 @@ def _fit(params: model.MlpParams, train_ds: Dataset, cfg: TrainConfig, val_ds, b
                     f"training diverged in epoch {epoch}: non-finite gradients"
                 )
             model._backward_into(params, grad_views, upstream, acts)
-            model.sgd_step(params, grad, velocity, cfg.learning_rate, cfg.momentum)
+            model.sgd_step(params, grad, velocity, cfg.learning_rate, MOMENTUM)
             for key, value in batch_sums.items():
                 sums[key] = sums.get(key, 0.0) + value
         row = {"epoch": epoch, **{key: value / train_ds.n for key, value in sums.items()}}

@@ -52,9 +52,7 @@ def experiment():
     train_ds = Dataset(full.features[train_idx], full.labels[train_idx], 4)
     val_ds = Dataset(full.features[val_idx], full.labels[val_idx], 4)
 
-    teacher_cfg = train.TrainConfig(
-        learning_rate=0.1, momentum=0.9, epochs=200, batch_size=32, seed=0
-    )
+    teacher_cfg = train.TrainConfig(learning_rate=0.1, epochs=200, batch_size=32, seed=0)
     teacher, teacher_rows = train.train_teacher(train_ds, [2, 64, 4], teacher_cfg, val_ds)
     assert teacher_rows[-1]["train_acc"] >= 0.90
 
@@ -63,7 +61,7 @@ def experiment():
         per_seed = []
         for seed in SEEDS:
             cfg = train.TrainConfig(
-                learning_rate=0.005, momentum=0.9, epochs=EPOCHS, batch_size=32,
+                learning_rate=0.005, epochs=EPOCHS, batch_size=32,
                 seed=seed, tau=1.0, mode=mode, fixed_gamma=fixed_gamma,
             )
             _, rows = train.distill(teacher, [2, 8, 4], train_ds, cfg, val_ds)

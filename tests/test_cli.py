@@ -71,13 +71,16 @@ def twenty_row_split(data):
 
 class TestGenData:
     def test_row_counts_and_manifest(self, tmp_path):
+        # the manifest of a data directory is its config.txt; there is no other
         out = gen_tiny_data(tmp_path, per_class=50, val_per_class=10)
+        assert sorted(p.name for p in out.iterdir()) == [
+            "config.txt", "train.csv", "train.csv.rows", "val.csv", "val.csv.rows"]
         train_lines = (out / "train.csv").read_text().splitlines()
         val_lines = (out / "val.csv").read_text().splitlines()
         assert len(train_lines) == 1 + 3 * 50
         assert len(val_lines) == 1 + 3 * 10
-        manifest = json.loads((out / "manifest.json").read_text())
-        assert manifest["classes"] == 3 and manifest["seed"] == 4
+        config = dict(line.split("=", 1) for line in (out / "config.txt").read_text().splitlines())
+        assert config["classes"] == "3" and config["seed"] == "4"
 
     def test_reruns_are_byte_identical(self, tmp_path):
         a = gen_tiny_data(tmp_path / "a")
@@ -205,7 +208,7 @@ class TestTrainTeacher:
     def test_config_txt_keys(self, setup):
         _, _, teacher = setup
         assert config_keys(teacher.parent) == [
-            "batch-size", "dims", "epochs", "lr", "momentum", "out", "seed", "train", "val",
+            "batch-size", "dims", "epochs", "lr", "out", "seed", "train", "val",
         ]
 
     def test_dims_wider_than_features_is_usage_error_before_output(self, setup):
@@ -531,8 +534,6 @@ class TestDistill:
         "flag,value",
         [
             ("--lr", "nan"), ("--lr", "inf"), ("--lr", "0"), ("--lr", "-0.1"),
-            ("--momentum", "nan"), ("--momentum", "inf"), ("--momentum", "1"),
-            ("--momentum", "-0.5"),
             ("--tau", "nan"), ("--tau", "inf"), ("--tau", "0"), ("--tau", "-1"),
             ("--epochs", "0"), ("--batch-size", "0"),
             ("--mode", "fixed-gamma=1"), ("--mode", "fixed-gamma=nan"),
@@ -551,7 +552,7 @@ class TestDistill:
     def test_config_txt_keys(self, setup):
         out = self._run(setup, "full", "keys")
         assert config_keys(out) == [
-            "batch-size", "dims", "epochs", "lr", "mode", "momentum", "out", "seed", "tau",
+            "batch-size", "dims", "epochs", "lr", "mode", "out", "seed", "tau",
             "teacher", "train", "val",
         ]
 
@@ -619,7 +620,7 @@ class TestDistill:
         ])
         assert rc == cli.EXIT_OK
         assert config_keys(out) == [
-            "batch-size", "dims", "epochs", "lr", "momentum", "out", "seed", "seeds", "tau",
+            "batch-size", "dims", "epochs", "lr", "out", "seed", "seeds", "tau",
             "teacher", "train", "val",
         ]
 
@@ -711,21 +712,6 @@ def sweep_run(tmp_path_factory):
 
 
 class TestPropCheck:
-    def test_single_point(self, capsys):
-        assert cli.main(["prop-check", "--ta", "0.3"]) == cli.EXIT_OK
-        assert "s*=0.650" in capsys.readouterr().out
-
-    def test_out_of_range_point(self):
-        assert cli.main(["prop-check", "--ta", "1.5"]) == cli.EXIT_USAGE
-
-    @pytest.mark.parametrize("ta,line", [
-        ("0.1", "t_a=0.1 s*=0.550000\n"), ("0.3", "t_a=0.3 s*=0.650000\n"),
-        ("0.5", "t_a=0.5 s*=0.750000\n"), ("0.9", "t_a=0.9 s*=0.950000\n"),
-    ])
-    def test_worked_point_stdout(self, capsys, ta, line):
-        assert cli.main(["prop-check", "--ta", ta]) == cli.EXIT_OK
-        assert capsys.readouterr().out == line
-
     def test_full_sweep_passes(self, sweep_run):
         rc, stdout, out = sweep_run
         assert rc == cli.EXIT_OK
@@ -765,7 +751,6 @@ class TestPropCheck:
         assert out.split("FAIL at t_a points:\n")[1] == not_stationary_at(range(1, 10))
 
     def test_config_txt_keys(self, sweep_run):
-        # an unset --ta gets no line: "ta=None" would not parse back as a float
         _, _, out = sweep_run
         assert config_keys(out) == ["out"]
 
@@ -969,6 +954,35 @@ def test_config_txt_read_back_through_config_gives_the_same_config_txt(setup, co
     written = (out / "config.txt").read_bytes()
     assert cli.main([command, "--config", str(out / "config.txt")]) == cli.EXIT_OK
     assert (out / "config.txt").read_bytes() == written
+
+
+# Momentum is the constant train.MOMENTUM, and prop-check always runs the sweep.
+@pytest.mark.parametrize("command,retired,message", [
+    ("train-teacher", ["--momentum", "0.9"], "unrecognized arguments: --momentum 0.9"),
+    ("distill", ["--momentum", "0.9"], "unrecognized arguments: --momentum 0.9"),
+    ("ablate", ["--momentum", "0.9"], "unrecognized arguments: --momentum 0.9"),
+    ("prop-check", ["--ta", "0.3"], "unrecognized arguments: --ta 0.3"),
+    ("distill", "momentum=0.9", "unknown config key 'momentum'"),
+], ids=["train-teacher-momentum", "distill-momentum", "ablate-momentum", "prop-check-ta",
+        "distill-momentum-config"])
+def test_retired_option_is_usage_error_before_output(setup, capsys, command, retired, message):
+    tmp, data, teacher = setup
+    out = tmp / f"{command}-retired"
+    student = ["--train", str(data / "train.csv"), "--val", str(data / "val.csv"),
+               "--teacher", str(teacher), "--dims", "2,4,3", "--epochs", "1"]
+    inputs = {
+        "train-teacher": ["--train", str(data / "train.csv"), "--dims", "2,4,3", "--epochs", "1"],
+        "distill": student,
+        "ablate": [*student, "--seeds", "1"],
+        "prop-check": [],
+    }[command]
+    if isinstance(retired, str):
+        conf = tmp / "retired.conf"
+        conf.write_text(retired + "\n")
+        retired = ["--config", str(conf)]
+    assert cli.main([command, *inputs, *retired, "--out", str(out)]) == cli.EXIT_USAGE
+    assert message in capsys.readouterr().err
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("dims,message", [

@@ -34,8 +34,8 @@ def heavy_ball(params, grads, velocity, cfg):
     """The momentum update written out per layer: v = m*v + g; w -= lr*v."""
     for i, (gw, gb) in enumerate(grads):
         vw, vb = velocity[i]
-        vw = cfg.momentum * vw + gw
-        vb = cfg.momentum * vb + gb
+        vw = train_module.MOMENTUM * vw + gw
+        vb = train_module.MOMENTUM * vb + gb
         params.weights[i] -= cfg.learning_rate * vw
         params.biases[i] -= cfg.learning_rate * vb
         velocity[i] = (vw, vb)
