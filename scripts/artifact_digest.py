@@ -44,9 +44,28 @@ sys.path.insert(0, str(ROOT / "src"))
 
 from rectidistill.cli import main as cli_main  # noqa: E402
 
-_spec = importlib.util.spec_from_file_location("perfbench_run", ROOT / "perfbench" / "run.py")
-bench = importlib.util.module_from_spec(_spec)
-_spec.loader.exec_module(bench)
+
+def _load_bench():
+    """``perfbench/run.py`` as a module, with ``sys.path`` and ``sys.modules`` left as they were.
+
+    Its top level puts ``perfbench/`` first on ``sys.path`` and imports ``tracer``
+    from there; both are undone, so no later import finds a module of the benchmark.
+    """
+    saved_path, saved_tracer = sys.path[:], sys.modules.get("tracer")
+    spec = importlib.util.spec_from_file_location("perfbench_run", ROOT / "perfbench" / "run.py")
+    module = importlib.util.module_from_spec(spec)
+    try:
+        spec.loader.exec_module(module)
+    finally:
+        sys.path[:] = saved_path
+        if saved_tracer is None:
+            sys.modules.pop("tracer", None)
+        else:
+            sys.modules["tracer"] = saved_tracer
+    return module
+
+
+bench = _load_bench()
 
 SEED = 1
 WORKLOADS = tuple(bench.WORKLOADS.values())

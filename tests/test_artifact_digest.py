@@ -1,6 +1,7 @@
 """scripts/artifact_digest.py: one sha256 listing per run, the same on every run."""
 
 import importlib.util
+import sys
 from pathlib import Path
 
 import pytest
@@ -8,9 +9,16 @@ import pytest
 from rectidistill import schedule
 
 SCRIPT = Path(__file__).resolve().parent.parent / "scripts" / "artifact_digest.py"
-spec = importlib.util.spec_from_file_location("artifact_digest", SCRIPT)
-artifact_digest = importlib.util.module_from_spec(spec)
-spec.loader.exec_module(artifact_digest)
+
+
+def load_script():
+    spec = importlib.util.spec_from_file_location("artifact_digest", SCRIPT)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+artifact_digest = load_script()
 
 Workload = artifact_digest.bench.Workload
 
@@ -63,3 +71,12 @@ def test_every_mode_is_benchmarked_digested_and_run_by_the_experiments():
     # the experiments build theirs from schedule.MODES
     for flags in (artifact_digest.bench.PAPER_MODES, TOY[0].modes):
         assert {flag.partition("=")[0] for flag in flags} == set(schedule.MODES)
+
+
+def test_loading_the_script_leaves_sys_path_and_modules_as_they_were():
+    # perfbench/run.py puts its directory first on sys.path and imports its tracer
+    # from there; the digest undoes both, so they shadow no later import
+    path, tracer = sys.path[:], sys.modules.get("tracer")
+    load_script()
+    assert sys.path == [str(SCRIPT.parent.parent / "src"), *path]
+    assert sys.modules.get("tracer") is tracer
