@@ -53,7 +53,7 @@ def ce_rows(log_probs, probs, labels) -> tuple[float, np.ndarray]:
 
     ``log_probs`` and ``probs`` are the ln s and s of one
     ``log_softmax_rows`` pass. The gradient, per row and w.r.t. the logits
-    divided by tau, is a fresh array that a caller may scale in place.
+    of that pass, is a fresh array that a caller may scale in place.
     """
     rows = np.arange(labels.shape[0])
     loss_sum = float(-log_probs[rows, labels].sum())

@@ -5,7 +5,11 @@ The total loss is
     l_all = (1 - gamma) * (l_ce + l_easy) + gamma * l_hard,   gamma = e / E,
 
 where l_easy is forward KL against the teacher over the right subset and
-l_hard is forward KL against rectified targets over the bias subset. Both
+l_hard is forward KL against rectified targets over the bias subset. As in
+Hinton et al. 2015 (arXiv:1503.02531), the KL compares the softmaxes at
+temperature tau and is multiplied by tau**2, and l_ce is taken against the
+labels at temperature 1. So a KL term's logit gradient is tau times its
+softmax residual, and the KD gradient does not grow as tau shrinks. Both
 subset terms sum their per-sample KL and divide by the FULL batch size
 (an empty subset contributes exactly 0). This matches masking the batch
 with the correctness mask and taking the batch mean; averaging over the
@@ -38,7 +42,8 @@ by the data loaders, the teacher by ``model.load_checkpoint``,
 non-finite student logits by ``train._fit``.
 CE (``numerics.ce_rows``) and KL come from the ln s of
 ``numerics.log_softmax_rows``, so they stay finite where the student
-softmax underflows; the gradient uses the s of the same pass.
+softmax underflows; each gradient uses the s of the same pass. At tau 1
+CE and KL share one pass.
 """
 
 from dataclasses import dataclass
@@ -119,10 +124,12 @@ def target_loss(student_logits, targets, hard, labels, g: float, tau: float) -> 
     """
     n = labels.shape[0]
     log_s, s = log_softmax_rows(student_logits, tau)
-    ce_sum, grad = ce_rows(log_s, s, labels)
+    # CE against the labels at temperature 1, each KL at tau and times tau**2
+    log_s1, s1 = (log_s, s) if tau == 1.0 else log_softmax_rows(student_logits)
+    ce_sum, grad = ce_rows(log_s1, s1, labels)
     grad *= (1.0 - g) / n
-    grad /= tau
     kl = kl_rows(targets, log_s)
+    kl *= tau * tau
     l_easy = float(kl[~hard].sum() / n)
     l_hard = float(kl[hard].sum() / n)
     # A teacher or step-c row sums to 1 only within rounding, so an easy
@@ -130,7 +137,7 @@ def target_loss(student_logits, targets, hard, labels, g: float, tau: float) -> 
     # step b).
     w = np.where(hard, g / n, (1.0 - g) / n)[:, None]
     mass = np.where(hard, targets.sum(axis=1), 1.0)[:, None]
-    grad += w * (mass * s - targets) / tau
+    grad += w * (mass * s - targets) * tau
 
     l_ce = ce_sum / n
     l_all = (1.0 - g) * (l_ce + l_easy) + g * l_hard

@@ -443,7 +443,8 @@ class TestDistill:
             ])
         assert rc == cli.EXIT_INTERNAL
         err = capsys.readouterr().err
-        assert err == "error: training diverged in epoch 14: non-finite gradients\n"
+        # the tau**2-scaled KL no longer drives the student, so lr 1e2 takes 44 epochs
+        assert err == "error: training diverged in epoch 44: non-finite gradients\n"
 
     def test_subnormal_tau_diverges_without_a_warning_from_the_target_table(self, setup, capsys):
         # logits / 1e-320 overflows while the per-row target table is filled, before any batch
@@ -529,6 +530,23 @@ class TestDistill:
         for line in rows[1:]:
             cells = line.split(",")
             assert all(np.isfinite(float(cells[i])) for i in loss_cols)
+
+    def test_tau_1e_4_converges_on_the_relabelled_split(self, setup, relabelled):
+        # KL scaled by tau**2 has a gradient of tau times its residual, and CE is
+        # taken at temperature 1; a KL gradient divided by tau diverged in epoch 30
+        tmp, data, teacher = setup
+        out = tmp / "tau-1e-4"
+        assert cli.main([
+            "distill", "--train", str(relabelled), "--val", str(data / "val.csv"),
+            "--teacher", str(teacher), "--dims", "2,4,3", "--tau", "1e-4", "--seed", "1",
+            "--out", str(out),
+        ]) == cli.EXIT_OK
+        header, *rows = (out / "metrics.csv").read_text().splitlines()
+        assert len(rows) == 60
+        assert np.isfinite([[float(c) for c in row.split(",")] for row in rows]).all()
+        last = dict(zip(header.split(","), map(float, rows[-1].split(","))))
+        assert last["teacher_right_fraction"] == 60 / 75 and last["loss_hard"] > 0.0
+        assert last["val_acc"] >= 0.9
 
     @pytest.mark.parametrize(
         "flag,value",

@@ -187,36 +187,41 @@ def oracle_teacher_targets(teacher_probs, labels, mode):
 
 
 def oracle_loss(student_logits, teacher_probs, labels, g, tau, mode):
-    """Oracle: the loss with one KL per index-gathered subset and per-subset gradient terms."""
+    """Oracle: the loss with one KL per index-gathered subset and per-subset gradient terms.
+
+    CE is taken at temperature 1 and each KL at ``tau``, scaled by tau**2
+    (Hinton et al. 2015), so a KL gradient is tau times the softmax residual.
+    """
     targets, right = oracle_teacher_targets(teacher_probs, labels, mode)
     n = labels.shape[0]
     rows = np.arange(n)
     log_s, s = log_softmax_rows(student_logits, tau)
+    log_s1, s1 = log_softmax_rows(student_logits)
     right_rows, bias = rows[right], rows[~right]
 
-    l_ce = float(-log_s[rows, labels].mean())
+    l_ce = float(-log_s1[rows, labels].mean())
     onehot = np.zeros_like(s)
     onehot[rows, labels] = 1.0
-    grad = (1.0 - g) / n * (s - onehot) / tau
+    grad = (1.0 - g) / n * (s1 - onehot)
 
     if mode in ("vanilla", "rectify"):
-        l_easy = float(kl_rows(targets, log_s).mean())
+        l_easy = float((kl_rows(targets, log_s) * tau**2).mean())
         l_hard = 0.0
-        grad += (1.0 / n) * (s - targets) / tau
+        grad += (1.0 / n) * (s - targets) * tau
     else:
         l_easy = 0.0
         if right_rows.size:
             easy_targets = targets[right_rows]
-            l_easy = float(kl_rows(easy_targets, log_s[right_rows]).sum() / n)
-            grad[right_rows] += (1.0 - g) / n * (s[right_rows] - easy_targets) / tau
+            l_easy = float((kl_rows(easy_targets, log_s[right_rows]) * tau**2).sum() / n)
+            grad[right_rows] += (1.0 - g) / n * (s[right_rows] - easy_targets) * tau
         if not bias.size:
             l_hard = 0.0
         else:
             hard_targets = targets[bias]
-            l_hard = float(kl_rows(hard_targets, log_s[bias]).sum() / n)
+            l_hard = float((kl_rows(hard_targets, log_s[bias]) * tau**2).sum() / n)
             if g != 0.0:
                 mass = hard_targets.sum(axis=1, keepdims=True)
-                grad[bias] += g / n * (mass * s[bias] - hard_targets) / tau
+                grad[bias] += g / n * (mass * s[bias] - hard_targets) * tau
 
     l_all = (1.0 - g) * (l_ce + l_easy) + g * l_hard
     return LossBreakdown(l_ce=l_ce, l_easy=l_easy, l_hard=l_hard, l_all=l_all, grad=grad)
@@ -262,7 +267,7 @@ class TestAgainstTheGatheringOracle:
     )
     def test_unmasked_modes_keep_their_bits_at_power_of_two_batches(self, seed, log2_n, k,
                                                                      mode, tau, scale):
-        # (1/n) * x / tau and x / (tau * n) round alike when n is a power of
+        # (1/n) * x * tau and x * tau / n round alike when n is a power of
         # two, so every batch of the benchmark's sizes keeps its bits
         n = 2**log2_n
         rng = np.random.default_rng(seed)
@@ -271,11 +276,12 @@ class TestAgainstTheGatheringOracle:
         labels = rng.integers(0, k, size=n)
         got = compute_batch_loss(logits, teacher, labels, 0.0, tau, mode)
         targets, _ = oracle_teacher_targets(teacher, labels, mode)
-        log_s, s = log_softmax_rows(logits, tau)
+        s1 = log_softmax_rows(logits)[1]
+        s = log_softmax_rows(logits, tau)[1]
         onehot = np.zeros_like(s)
         onehot[np.arange(n), labels] = 1.0
-        want = 1.0 / n * (s - onehot) / tau
-        want += (s - targets) / (tau * n)
+        want = 1.0 / n * (s1 - onehot)
+        want += (s - targets) * tau / n
         assert np.array_equal(got.grad, want)
 
 
