@@ -205,20 +205,20 @@ def oracle_loss(student_logits, teacher_probs, labels, g, tau, mode):
     grad = (1.0 - g) / n * (s1 - onehot)
 
     if mode in ("vanilla", "rectify"):
-        l_easy = float((kl_rows(targets, log_s) * tau**2).mean())
+        l_easy = float((kl_rows(targets, log_s) * (tau * tau)).mean())
         l_hard = 0.0
         grad += (1.0 / n) * (s - targets) * tau
     else:
         l_easy = 0.0
         if right_rows.size:
             easy_targets = targets[right_rows]
-            l_easy = float((kl_rows(easy_targets, log_s[right_rows]) * tau**2).sum() / n)
+            l_easy = float((kl_rows(easy_targets, log_s[right_rows]) * (tau * tau)).sum() / n)
             grad[right_rows] += (1.0 - g) / n * (s[right_rows] - easy_targets) * tau
         if not bias.size:
             l_hard = 0.0
         else:
             hard_targets = targets[bias]
-            l_hard = float((kl_rows(hard_targets, log_s[bias]) * tau**2).sum() / n)
+            l_hard = float((kl_rows(hard_targets, log_s[bias]) * (tau * tau)).sum() / n)
             if g != 0.0:
                 mass = hard_targets.sum(axis=1, keepdims=True)
                 grad[bias] += g / n * (mass * s[bias] - hard_targets) * tau
