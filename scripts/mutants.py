@@ -1,0 +1,149 @@
+#!/usr/bin/env python3
+"""Check that tier-1 still pins each of the method's mechanisms: ten hand-made mutants.
+
+    python3 scripts/mutants.py [name ...]
+
+Each mutant in ``MUTANTS`` models one way to get the paper's method wrong
+(bias elimination, rectification and the dynamic gamma) in an edit of a
+line or two: ``(name, file, old text, new text)``. For each one, the
+script copies the tree next to it (``COPIED``) into a temporary directory,
+replaces the old text in that copy, runs tier-1 there and prints the tests
+that fail.
+First it runs tier-1 on the unchanged copy, which must pass. Names given
+on the command line run only those mutants.
+
+Exit 0 when every mutant is killed by a test other than the pinned TOY
+listing digest (``test_two_runs_give_the_same_listing_digest``, which any
+change of bits fails); 1 when a mutant survives or that digest is its only
+killer; 2 when the unchanged tree fails, a name is unknown, or a mutant's
+old text is not found exactly once (the list is stale). A run of all ten
+takes several minutes, so it is not part of tier-1.
+"""
+
+import os
+import re
+import shutil
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+from typing import NamedTuple
+
+ROOT = Path(__file__).resolve().parent.parent
+COPIED = ("src", "tests", "scripts", "perfbench", "pyproject.toml", "README.md")
+TIER1 = [sys.executable, "-m", "pytest", "-q", "--continue-on-collection-errors",
+         "-p", "no:cacheprovider", "--tb=no", "-rfE"]
+DIGEST_TEST = "tests/test_artifact_digest.py::test_two_runs_give_the_same_listing_digest"
+
+
+class Mutant(NamedTuple):
+    name: str
+    file: str  # relative to the repository root
+    old: str
+    new: str
+
+
+SCHEDULE = "src/rectidistill/schedule.py"
+_MASS_COMMENT = ("    # A teacher or step-c row sums to 1 only within rounding, so an easy\n"
+                 "    # row's mass is exactly 1; a hard row's is its target's sum (above 1 at\n"
+                 "    # step b).\n")
+MUTANTS = (
+    Mutant("M1 step c rescales only the label", "src/rectidistill/rectify.py",
+           "        values[rows, b] *= scale\n", ""),
+    Mutant("M2 gamma is (e+1)/E", SCHEDULE,
+           "        return epoch / epochs\n", "        return (epoch + 1) / epochs\n"),
+    Mutant("M3 CE not weighted by (1-g)", SCHEDULE,
+           "    grad *= (1.0 - g) / n\n", "    grad *= 1.0 / n\n"),
+    Mutant("M4 anti-curriculum: hard rows weighted 1-g", SCHEDULE,
+           "np.where(hard, g / n, (1.0 - g) / n)", "np.where(hard, (1.0 - g) / n, g / n)"),
+    Mutant("M5 argmax ties go to the highest index", SCHEDULE,
+           "    right = np.argmax(teacher_probs, axis=1) == labels\n",
+           "    right = (teacher_probs.shape[1] - 1\n"
+           "             - np.argmax(teacher_probs[:, ::-1], axis=1)) == labels\n"),
+    Mutant("M6 step-b trains on step-c targets", SCHEDULE,
+           '"step-b": Mode(rectify.STEP_B,', '"step-b": Mode(rectify.STEP_C,'),
+    Mutant("M7 rectify weights biased rows as hard", SCHEDULE,
+           '"rectify": Mode(rectify.STEP_C, False,', '"rectify": Mode(rectify.STEP_C, True,'),
+    Mutant("M8 distill forwards the teacher at tau 1", "src/rectidistill/train.py",
+           "log_softmax_rows(model.forward(teacher, x), cfg.tau)[1]",
+           "log_softmax_rows(model.forward(teacher, x))[1]"),
+    Mutant("M9 hard term averaged over the hard rows", SCHEDULE,
+           "    l_hard = float(kl[hard].sum() / n)\n" + _MASS_COMMENT +
+           "    w = np.where(hard, g / n, (1.0 - g) / n)[:, None]\n",
+           "    n_hard = max(int(hard.sum()), 1)\n"
+           "    l_hard = float(kl[hard].sum() / n_hard)\n"
+           "    w = np.where(hard, g / n_hard, (1.0 - g) / n)[:, None]\n"),
+    Mutant("M10 step-b gradient ignores the target mass", SCHEDULE,
+           "    mass = np.where(hard, targets.sum(axis=1), 1.0)[:, None]\n",
+           "    mass = 1.0\n"),
+)
+
+
+def copy_tree(dest: Path) -> None:
+    for name in COPIED:
+        src = ROOT / name
+        if src.is_dir():
+            shutil.copytree(src, dest / name,
+                            ignore=shutil.ignore_patterns("__pycache__", ".hypothesis"))
+        else:
+            shutil.copy2(src, dest / name)
+
+
+def apply(tree: Path, mutant: Mutant) -> None:
+    path = tree / mutant.file
+    text = path.read_text(encoding="utf-8")
+    if text.count(mutant.old) != 1:
+        raise SystemExit(f"{mutant.name}: its old text is not found exactly once in "
+                         f"{mutant.file}; the mutant list is stale")
+    path.write_text(text.replace(mutant.old, mutant.new), encoding="utf-8")
+
+
+def failing_tests(tree: Path) -> list[str]:
+    """Run tier-1 in ``tree``; return the ids of the tests that fail or error."""
+    env = {**os.environ, "PYTHONPATH": str(tree / "src")}
+    proc = subprocess.run(TIER1, cwd=tree, env=env, capture_output=True, text=True)
+    failed = re.findall(r"^(?:FAILED|ERROR) (\S+)", proc.stdout, flags=re.MULTILINE)
+    if proc.returncode not in (0, 1) or (proc.returncode == 1 and not failed):
+        raise SystemExit(f"tier-1 exited {proc.returncode} without a test to blame:\n"
+                         f"{proc.stdout[-2000:]}{proc.stderr[-2000:]}")
+    return failed
+
+
+def run_mutant(mutant: Mutant | None) -> list[str]:
+    with tempfile.TemporaryDirectory(prefix="mutant-") as tmp:
+        tree = Path(tmp)
+        copy_tree(tree)
+        if mutant is not None:
+            apply(tree, mutant)
+        return failing_tests(tree)
+
+
+def main(argv=None) -> int:
+    argv = sys.argv[1:] if argv is None else argv
+    by_name = {m.name.split()[0]: m for m in MUTANTS}
+    unknown = [name for name in argv if name not in by_name]
+    if unknown:
+        print(f"unknown mutants: {', '.join(unknown)}; expected some of {', '.join(by_name)}",
+              file=sys.stderr)
+        return 2
+    baseline = run_mutant(None)
+    if baseline:
+        print("the unchanged tree fails tier-1:", *baseline, sep="\n  ", file=sys.stderr)
+        return 2
+    table = []
+    for mutant in [by_name[name] for name in argv] or MUTANTS:
+        failed = run_mutant(mutant)
+        print(f"{mutant.name}: {len(failed)} tier-1 tests fail", *failed, sep="\n  ", flush=True)
+        table.append((mutant.name, len(failed), failed == [DIGEST_TEST]))
+    print("\n| mutant | tier-1 failures | the TOY digest its only killer |\n|---|---|---|")
+    for name, count, digest_only in table:
+        print(f"| {name} | {count} | {'yes' if digest_only else 'no'} |")
+    weak = [name for name, count, digest_only in table if not count or digest_only]
+    if weak:
+        print("not pinned by a test of its own:", *weak, sep="\n  ", file=sys.stderr)
+        return 1
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -443,7 +443,7 @@ class TestDistill:
             ])
         assert rc == cli.EXIT_INTERNAL
         err = capsys.readouterr().err
-        # the tau**2-scaled KL no longer drives the student, so lr 1e2 takes 44 epochs
+        # the KL's gradient is tau times its residual, so CE at lr 1e2 drives the student
         assert err == "error: training diverged in epoch 44: non-finite gradients\n"
 
     def test_subnormal_tau_diverges_without_a_warning_from_the_target_table(self, setup, capsys):
@@ -533,7 +533,7 @@ class TestDistill:
 
     def test_tau_1e_4_converges_on_the_relabelled_split(self, setup, relabelled):
         # KL scaled by tau**2 has a gradient of tau times its residual, and CE is
-        # taken at temperature 1; a KL gradient divided by tau diverged in epoch 30
+        # taken at temperature 1; a KL gradient divided by tau diverges in epoch 30
         tmp, data, teacher = setup
         out = tmp / "tau-1e-4"
         assert cli.main([

@@ -174,6 +174,17 @@ def test_target_table_is_bit_identical_to_per_batch_targets(setup, wide_teacher,
     assert_same_bits(*with_table, *distill(teacher, [2, 5, 3], train, cfg, val))
 
 
+@pytest.mark.parametrize("tau", [0.5, 2.0])
+@pytest.mark.parametrize("mode", ["full", "vanilla"])
+def test_distill_matches_the_two_loop_oracle_away_from_tau_1(setup, mode, tau):
+    # the oracle forwards the teacher at tau per batch; a teacher taken at
+    # temperature 1 would change the targets, and with them every bit
+    train, val, teacher = setup
+    cfg = _cfg(mode, 8, tau)
+    assert_same_bits(*distill(teacher, [2, 5, 3], train, cfg, val),
+                     *two_loop_distill(teacher, [2, 5, 3], train, cfg, val))
+
+
 @pytest.mark.parametrize("m", [7, 36])
 def test_no_table_when_a_row_s_bits_depend_on_its_position(setup, m):
     train, _, teacher = setup
