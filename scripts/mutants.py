@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Check that tier-1 still pins each of the method's mechanisms: ten hand-made mutants.
+"""Check that tier-1 still pins each of the method's mechanisms: eleven hand-made mutants.
 
     python3 scripts/mutants.py [name ...]
 
@@ -16,8 +16,8 @@ Exit 0 when every mutant is killed by a test other than the pinned TOY
 listing digest (``test_two_runs_give_the_same_listing_digest``, which any
 change of bits fails); 1 when a mutant survives or that digest is its only
 killer; 2 when the unchanged tree fails, a name is unknown, or a mutant's
-old text is not found exactly once (the list is stale). A run of all ten
-takes several minutes, so it is not part of tier-1.
+old text is not found exactly once (the list is stale). A run of all of
+them takes several minutes, so it is not part of tier-1.
 """
 
 import os
@@ -51,7 +51,7 @@ MUTANTS = (
     Mutant("M1 step c rescales only the label", "src/rectidistill/rectify.py",
            "        values[rows, b] *= scale\n", ""),
     Mutant("M2 gamma is (e+1)/E", SCHEDULE,
-           "        return epoch / epochs\n", "        return (epoch + 1) / epochs\n"),
+           "return epoch / epochs if", "return (epoch + 1) / epochs if"),
     Mutant("M3 CE not weighted by (1-g)", SCHEDULE,
            "    grad *= (1.0 - g) / n\n", "    grad *= 1.0 / n\n"),
     Mutant("M4 anti-curriculum: hard rows weighted 1-g", SCHEDULE,
@@ -76,6 +76,8 @@ MUTANTS = (
     Mutant("M10 step-b gradient ignores the target mass", SCHEDULE,
            "    mass = np.where(hard, targets.sum(axis=1), 1.0)[:, None]\n",
            "    mass = 1.0\n"),
+    Mutant("M11 fixed-gamma=G trains at G = 0", "src/rectidistill/train.py",
+           "row._replace(gamma=g)", "row._replace(gamma=0.0)"),
 )
 
 

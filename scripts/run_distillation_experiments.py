@@ -11,14 +11,14 @@ import os
 import sys
 
 from rectidistill.cli import main
-from rectidistill.schedule import FIXED, MODES
+from rectidistill.schedule import MODES
 
 OUT = os.environ.get("RECTIDISTILL_OUT", "runs")
 DATA = os.path.join(OUT, "data")
 TEACHER = os.path.join(OUT, "teacher")
 
 # every --mode, the one that takes a fixed gamma at G = 0.5
-MODE_FLAGS = [f"{name}=0.5" if row.gamma == FIXED else name for name, row in MODES.items()]
+MODE_FLAGS = [f"{name}=0.5" if row.gamma is None else name for name, row in MODES.items()]
 
 
 def run(argv):

@@ -84,9 +84,9 @@ def optimum_gradients(rows) -> np.ndarray:
     t_a, s_unrect, s_rect = np.array([(r.t_a, r.s_unrect, r.s_rect) for r in rows]).T
     teacher, labels = np.column_stack([t_a, 1.0 - t_a]), np.zeros(len(rows), dtype=np.int64)
     blocks = []
-    for mode, s in (("vanilla", s_unrect),
-                    ("rectify", np.where(np.isnan(s_rect), s_unrect, s_rect))):
+    for row, s in ((schedule.MODES["vanilla"], s_unrect),
+                   (schedule.MODES["rectify"], np.where(np.isnan(s_rect), s_unrect, s_rect))):
         logits = np.column_stack([np.log(s) - np.log(1.0 - s), np.zeros_like(s)])
-        loss = schedule.compute_batch_loss(logits, teacher, labels, 0.0, mode=mode)
+        loss = schedule.compute_batch_loss(logits, teacher, labels, 0.0, row=row)
         blocks.append(len(rows) * loss.grad)
     return np.stack(blocks)

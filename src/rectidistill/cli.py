@@ -9,7 +9,8 @@ lines, keys mirror long flag names) which overrides the defaults. The
 merged config is persisted verbatim into the output directory as
 ``config.txt``, one ``key=value`` line per flag; every flag has a value,
 so ``--config`` reads the file back to the same config. The default
-output root is ``$RECTIDISTILL_OUT`` or ``./runs``.
+output root is ``$RECTIDISTILL_OUT`` or ``./runs``. ``--mode`` passes as
+typed to ``train.TrainConfig``, its one parser and check.
 
 Exit codes: 0 success, 1 internal error, 2 usage/config error (raised
 before any output is written), 3 verification failure.
@@ -36,16 +37,6 @@ EXIT_VERIFICATION = 3
 
 def _out_root() -> str:
     return os.environ.get("RECTIDISTILL_OUT", "runs")
-
-
-def _parse_mode(flag: str) -> tuple[str, float | None]:
-    """Split ``fixed-gamma=G`` into the mode and G; any other flag is the mode, unchecked here."""
-    if not flag.startswith("fixed-gamma="):
-        return flag, None
-    try:
-        return "fixed-gamma", float(flag.split("=", 1)[1])
-    except ValueError:
-        raise ConfigError(f"malformed fixed-gamma value in {flag!r}") from None
 
 
 def _parse_dims(text: str) -> list[int]:
@@ -201,8 +192,7 @@ def cmd_train_teacher(cfg: dict) -> int:
 
 
 def cmd_distill(cfg: dict) -> int:
-    mode, fixed_gamma = _parse_mode(cfg["mode"])
-    tc = _train_config(cfg, tau=cfg["tau"], mode=mode, fixed_gamma=fixed_gamma)
+    tc = _train_config(cfg, tau=cfg["tau"], mode=cfg["mode"])
     dims, teacher, train_ds, val_ds = _load_distill_inputs(cfg)
     student, rows = train.distill(teacher, dims, train_ds, tc, val_ds)
     _persist_config(cfg)

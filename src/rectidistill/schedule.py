@@ -20,8 +20,8 @@ A sample carries right knowledge when the teacher's argmax matches its
 label (ties broken toward the lowest class index, everywhere). The loss
 is a per-sample weighting in two weight classes: easy rows are distilled
 with weight (1 - gamma) / n and hard rows with gamma / n. Which rows are
-hard, what their targets are and what gamma is, each mode's row of
-``MODES`` says.
+hard, what their targets are and what gamma is, the mode's ``Mode`` row
+says, as ``train.TrainConfig`` resolves it from the ``--mode`` text.
 ``target_loss`` takes one KL pass over the whole batch; l_easy and
 l_hard are the sums of that vector over the easy and the hard rows, and
 the KL gradient is one weighted term per row. A row's KL does not depend
@@ -35,11 +35,11 @@ only the teacher and the labels, and each output row depends only on its
 own input row, so ``train.distill`` can compute it once per training
 row. ``target_loss`` returns the loss terms together with their gradient
 w.r.t. the logits, at the epoch's gamma ``g``, which ``gamma`` gives; it
-reads the weight classes, not the mode. ``compute_batch_loss`` is the two composed, at a
-given ``g``. None of them checks its inputs, each checked once where it
-enters: ``tau``, ``mode`` and ``fixed_gamma`` by ``TrainConfig``, labels
-by the data loaders, the teacher by ``model.load_checkpoint``,
-non-finite student logits by ``train._fit``.
+reads the weight classes, not the mode. ``compute_batch_loss`` is the two
+composed, at a given ``g``. None of them checks its inputs, each checked
+once where it enters: ``tau`` and the mode by ``TrainConfig``, labels by
+the data loaders, the teacher by ``model.load_checkpoint``, non-finite
+student logits by ``train._fit``.
 CE (``numerics.ce_rows``) and KL come from the ln s of
 ``numerics.log_softmax_rows``, so they stay finite where the student
 softmax underflows; each gradient uses the s of the same pass. At tau 1
@@ -54,25 +54,25 @@ import numpy as np
 from . import rectify
 from .numerics import ce_rows, kl_rows, log_softmax_rows
 
-RAMP, FIXED = "e/E", "G"  # gamma rules: epoch e of E over E, and the G of fixed-gamma=G
+RAMP = "e/E"  # the dynamic gamma rule: epoch e of E over E
 
 
 class Mode(NamedTuple):
     stage: str | None  # the biased rows' target: rectify.STEP_C, STEP_B, or None (the teacher's)
     hard: bool  # the biased rows are weighted by gamma, not 1 - gamma
-    gamma: str | float  # RAMP, FIXED or a constant
+    gamma: str | float | None  # RAMP, a constant, or None where --mode gives G (fixed-gamma=G)
 
 
 # What each --mode does: the paper's elimination is a hard row at gamma 0,
 # rectification a stage, the dynamic weighting the ramp. So ``eliminate``
-# is ``fixed-gamma`` at G = 0, and trains the same student.
+# is the row ``fixed-gamma=0`` resolves to, and trains the same student.
 MODES = {
     "full": Mode(rectify.STEP_C, True, RAMP),
     "eliminate": Mode(rectify.STEP_C, True, 0.0),
     "rectify": Mode(rectify.STEP_C, False, 0.0),
     "vanilla": Mode(None, False, 0.0),
     "step-b": Mode(rectify.STEP_B, True, RAMP),
-    "fixed-gamma": Mode(rectify.STEP_C, True, FIXED),
+    "fixed-gamma": Mode(rectify.STEP_C, True, None),
 }
 
 
@@ -85,17 +85,12 @@ class LossBreakdown:
     grad: np.ndarray  # d l_all / d student logits, shape (n, k)
 
 
-def gamma(mode: str, epoch: int, epochs: int, fixed_gamma) -> float:
-    """Epoch e of E's blend weight under the mode's gamma rule: e/E, G or the constant."""
-    rule = MODES[mode].gamma
-    if rule == RAMP:
-        return epoch / epochs
-    if rule == FIXED:
-        return float(fixed_gamma)
-    return rule
+def gamma(row: Mode, epoch: int, epochs: int) -> float:
+    """Epoch e of E's blend weight under the row's gamma rule: e/E or the constant."""
+    return epoch / epochs if row.gamma == RAMP else row.gamma
 
 
-def teacher_targets(teacher_probs, labels, mode: str):
+def teacher_targets(teacher_probs, labels, row: Mode):
     """Partition rows by the teacher's argmax, decide their weight class, rectify.
 
     Returns ``(targets, right, hard)``: ``right`` marks the rows whose
@@ -105,7 +100,6 @@ def teacher_targets(teacher_probs, labels, mode: str):
     rectified to the mode's ``stage`` unless that is None. Every output row
     depends only on its own input row and label.
     """
-    row = MODES[mode]
     right = np.argmax(teacher_probs, axis=1) == labels
     bias = ~right
     hard = bias if row.hard else np.zeros_like(right)
@@ -145,9 +139,9 @@ def target_loss(student_logits, targets, hard, labels, g: float, tau: float) -> 
 
 
 def compute_batch_loss(
-    student_logits, teacher_probs, labels, g: float, tau: float = 1.0, mode: str = "full"
+    student_logits, teacher_probs, labels, g: float, tau: float = 1.0, row: Mode = MODES["full"]
 ) -> LossBreakdown:
     """Per-batch loss components, the assembled total and its logit gradient at gamma ``g``."""
     labels = np.asarray(labels, dtype=np.int64)
-    targets, _, hard = teacher_targets(np.asarray(teacher_probs, dtype=np.float64), labels, mode)
+    targets, _, hard = teacher_targets(np.asarray(teacher_probs, dtype=np.float64), labels, row)
     return target_loss(student_logits, targets, hard, labels, g, tau)

@@ -8,7 +8,7 @@ when the table fits in ``TARGET_TABLE_BYTES``.
 """
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -16,7 +16,7 @@ from . import model
 from .data import Dataset, batch_iter
 from .errors import ConfigError, TrainingDivergedError
 from .numerics import ce_rows, log_softmax_rows
-from .schedule import FIXED, MODES, gamma, target_loss, teacher_targets
+from .schedule import MODES, Mode, gamma, target_loss, teacher_targets
 
 METRICS_COLUMNS = (
     "epoch",
@@ -43,13 +43,15 @@ MOMENTUM = 0.9
 
 @dataclass(frozen=True)
 class TrainConfig:
+    """One run's settings, each checked here once; ``row`` is what the ``mode`` text does."""
+
     learning_rate: float = 0.1
     epochs: int = 60
     batch_size: int = 32
     seed: int = 0
     tau: float = 1.0
-    mode: str = "full"
-    fixed_gamma: float | None = None
+    mode: str = "full"  # the --mode text: a name of MODES, or fixed-gamma=G
+    row: Mode = field(init=False)  # what the mode does: its row of MODES, with G in place
 
     def __post_init__(self):
         # chained comparisons are False for nan, so nan fails every check
@@ -62,16 +64,21 @@ class TrainConfig:
         if not 0.0 < self.tau < math.inf:
             raise ConfigError(f"temperature must be finite and > 0, got {self.tau}")
         # the messages spell the modes as --mode takes them
-        if self.mode not in MODES:
-            names = ", ".join(f"{m}=G" if row.gamma == FIXED else m
-                              for m, row in MODES.items())
+        name, has_g, text = self.mode.partition("=")
+        row = MODES.get(name)
+        if row is None or (has_g and row.gamma is not None):
+            names = ", ".join(m if r.gamma is not None else f"{m}=G" for m, r in MODES.items())
             raise ConfigError(f"unknown mode {self.mode!r}; expected one of {names}")
-        if MODES[self.mode].gamma == FIXED:
-            if self.fixed_gamma is None or not 0.0 <= self.fixed_gamma < 1.0:
-                got = "no G" if self.fixed_gamma is None else f"G={self.fixed_gamma}"
-                raise ConfigError(f"mode {self.mode}=G needs G in [0, 1), got {got}")
-        elif self.fixed_gamma is not None:
-            raise ConfigError(f"mode {self.mode} takes no fixed gamma, got {self.fixed_gamma}")
+        if row.gamma is None:
+            try:
+                g = float(text) if has_g else None
+            except ValueError:
+                raise ConfigError(f"malformed {name} value in {self.mode!r}") from None
+            if g is None or not 0.0 <= g < 1.0:
+                got = "no G" if g is None else f"G={g}"
+                raise ConfigError(f"mode {name}=G needs G in [0, 1), got {got}")
+            row = row._replace(gamma=g)
+        object.__setattr__(self, "row", row)
 
 
 def _require_fit(role: str, dims, *splits) -> None:
@@ -143,7 +150,7 @@ def train_teacher(train_ds: Dataset, dims, cfg: TrainConfig, val_ds: Dataset | N
 
 
 @np.errstate(over="ignore", invalid="ignore")
-def _target_table(train_ds: Dataset, m: int, teacher_probs, mode: str):
+def _target_table(train_ds: Dataset, m: int, teacher_probs, row: Mode):
     """Every training row's ``teacher_targets`` from m-row teacher forwards, or None.
 
     A matmul's bits can depend on its row count, and on a row's position
@@ -166,7 +173,7 @@ def _target_table(train_ds: Dataset, m: int, teacher_probs, mode: str):
         if not np.array_equal(chunk, teacher_probs(train_ds.features[idx[::-1]])[::-1]):
             return None
         probs[idx] = chunk
-    return teacher_targets(probs, train_ds.labels, mode)
+    return teacher_targets(probs, train_ds.labels, row)
 
 
 def distill(
@@ -184,17 +191,17 @@ def distill(
     def teacher_probs(x):
         return log_softmax_rows(model.forward(teacher, x), cfg.tau)[1]
 
-    gammas = [gamma(cfg.mode, e, cfg.epochs, cfg.fixed_gamma) for e in range(cfg.epochs)]
+    gammas = [gamma(cfg.row, e, cfg.epochs) for e in range(cfg.epochs)]
     m = min(cfg.batch_size, train_ds.n)
     table = None
     if train_ds.n * train_ds.n_classes * 8 <= TARGET_TABLE_BYTES:
-        table = _target_table(train_ds, m, teacher_probs, cfg.mode)
+        table = _target_table(train_ds, m, teacher_probs, cfg.row)
 
     def kd_loss(epoch, idx, x, y, logits):
         if table is not None and len(idx) == m:
             targets, right, hard = (column[idx] for column in table)
         else:
-            targets, right, hard = teacher_targets(teacher_probs(x), y, cfg.mode)
+            targets, right, hard = teacher_targets(teacher_probs(x), y, cfg.row)
         out = target_loss(logits, targets, hard, y, gammas[epoch], cfg.tau)
         w = len(y)
         return out.grad, {"loss_total": out.l_all * w, "loss_ce": out.l_ce * w,

@@ -15,6 +15,7 @@ from rectidistill.analysis import (
 )
 from rectidistill.rectify import rectify_rows
 from rectidistill.schedule import compute_batch_loss, gamma
+from rectidistill.train import TrainConfig
 
 GRID = np.arange(1e-6, 1.0, 1e-6)
 
@@ -145,17 +146,18 @@ NOISY_ROWS = 10
 NOISY_EPOCHS = 60
 
 
-def noisy_gradient(s, t, nb, epoch, mode="full", fixed_gamma=None) -> np.ndarray:
+def noisy_gradient(s, t, nb, epoch, mode="full") -> np.ndarray:
     """NOISY_ROWS times the batch's summed logit gradient at student pair (s, 1 - s).
 
-    Every teacher row is (t, 1 - t); the first ``nb`` rows are labelled 1, the rest 0.
+    ``mode`` is the ``--mode`` text. Every teacher row is (t, 1 - t); the first
+    ``nb`` rows are labelled 1, the rest 0.
     """
     teacher = np.tile([t, 1.0 - t], (NOISY_ROWS, 1))
     labels = np.zeros(NOISY_ROWS, dtype=np.int64)
     labels[:nb] = 1
     logits = np.tile([np.log(s) - np.log(1.0 - s), 0.0], (NOISY_ROWS, 1))
-    g = gamma(mode, epoch, NOISY_EPOCHS, fixed_gamma)
-    loss = compute_batch_loss(logits, teacher, labels, g, mode=mode)
+    row = TrainConfig(mode=mode).row
+    loss = compute_batch_loss(logits, teacher, labels, gamma(row, epoch, NOISY_EPOCHS), row=row)
     return NOISY_ROWS * loss.grad.sum(axis=0)
 
 
@@ -204,7 +206,7 @@ class TestLabelNoise:
         t = 1 - q
         g = flip_gamma(t)
         assert noisy_optimum(t, q, g) == pytest.approx(0.5, abs=1e-12)
-        grad = noisy_gradient(0.5, t, nb, 0, mode="fixed-gamma", fixed_gamma=g)
+        grad = noisy_gradient(0.5, t, nb, 0, mode=f"fixed-gamma={g}")
         assert np.abs(grad).max() <= 1e-12
 
     @pytest.mark.parametrize("t,g,flips", [(0.6, 0.667, 19), (0.7, 0.883, 7), (0.8, 0.964, 2),

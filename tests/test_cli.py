@@ -15,6 +15,7 @@ from hypothesis import strategies as st
 
 from rectidistill import analysis, cli, schedule, train
 from rectidistill.data import Dataset, load_csv, make_blobs, save_csv
+from rectidistill.errors import ConfigError
 
 
 @pytest.fixture(autouse=True)
@@ -472,13 +473,20 @@ class TestDistill:
 
     # the library's former names of vanilla, step-b and fixed-gamma are unknown modes now
     @pytest.mark.parametrize("flag", ["vanilla_kd", "step_b_ablation", "fixed_gamma", "bogus",
-                                      "full=1", "fixed-gamma"])
+                                      "full=1", "fixed-gamma", "fixed-gamma=abc", "fixed-gamma=",
+                                      "fixed-gamma=1"])
     def test_bad_mode_is_train_config_s_usage_error_before_output(self, setup, capsys, flag):
-        # TrainConfig is the one mode check: the CLI passes every mode but fixed-gamma=G through
-        message = (f"unknown mode {flag!r}; expected one of full, eliminate, rectify, "
-                   f"vanilla, step-b, fixed-gamma=G")
-        if flag == "fixed-gamma":
-            message = "mode fixed-gamma=G needs G in [0, 1), got no G"
+        # TrainConfig is the one parser and check of --mode: the CLI passes it as typed
+        message = {
+            "fixed-gamma": "mode fixed-gamma=G needs G in [0, 1), got no G",
+            "fixed-gamma=abc": "malformed fixed-gamma value in 'fixed-gamma=abc'",
+            "fixed-gamma=": "malformed fixed-gamma value in 'fixed-gamma='",
+            "fixed-gamma=1": "mode fixed-gamma=G needs G in [0, 1), got G=1.0",
+        }.get(flag, f"unknown mode {flag!r}; expected one of full, eliminate, rectify, "
+                    f"vanilla, step-b, fixed-gamma=G")
+        with pytest.raises(ConfigError) as exc:
+            train.TrainConfig(mode=flag)
+        assert str(exc.value) == message
         tmp, data, teacher = setup
         out = tmp / "bad-mode"
         rc = cli.main([
@@ -760,8 +768,8 @@ class TestPropCheck:
         # unrectified moves its minimum exactly where the teacher is wrong
         teacher_targets = schedule.teacher_targets
 
-        def unrectified(probs, labels, mode):
-            return teacher_targets(probs, labels, "vanilla")
+        def unrectified(probs, labels, row):
+            return teacher_targets(probs, labels, schedule.MODES["vanilla"])
 
         monkeypatch.setattr(schedule, "teacher_targets", unrectified)
         assert cli.main(["prop-check"]) == cli.EXIT_VERIFICATION
@@ -956,10 +964,11 @@ class TestStrayBytes:
 
 
 @pytest.mark.parametrize("command", ["gen-data", "train-teacher", "distill", "ablate",
-                                     "prop-check"])
+                                     "prop-check", "distill --mode fixed-gamma=0.5"])
 def test_config_txt_read_back_through_config_gives_the_same_config_txt(setup, command):
     tmp, data, teacher = setup
-    out = tmp / f"{command}-read-back"
+    out = tmp / f"{command.replace(' ', '_')}-read-back"
+    command, *flags = command.split()
     inputs = {
         "gen-data": ["--classes", "3", "--per-class", "5", "--val-per-class", "5"],
         "train-teacher": ["--train", str(data / "train.csv"), "--dims", "2,4,3", "--epochs", "1"],
@@ -968,7 +977,7 @@ def test_config_txt_read_back_through_config_gives_the_same_config_txt(setup, co
                     "--teacher", str(teacher), "--dims", "2,4,3", "--epochs", "1"])
     if command == "ablate":
         inputs += ["--seeds", "1"]
-    assert cli.main([command, *inputs, "--out", str(out)]) == cli.EXIT_OK
+    assert cli.main([command, *inputs, *flags, "--out", str(out)]) == cli.EXIT_OK
     written = (out / "config.txt").read_bytes()
     assert cli.main([command, "--config", str(out / "config.txt")]) == cli.EXIT_OK
     assert (out / "config.txt").read_bytes() == written

@@ -12,12 +12,12 @@ from hypothesis import strategies as st
 
 from rectidistill.numerics import kl_rows, log_softmax_rows
 from rectidistill.rectify import rectify_rows
-from rectidistill.schedule import compute_batch_loss, teacher_targets
+from rectidistill.schedule import MODES, compute_batch_loss, teacher_targets
 
 
 def split_sizes(teacher, labels):
     teacher = np.asarray(teacher, dtype=np.float64)
-    right = teacher_targets(teacher, np.asarray(labels, dtype=np.int64), "full")[1]
+    right = teacher_targets(teacher, np.asarray(labels, dtype=np.int64), MODES["full"])[1]
     return int(right.sum()), int((~right).sum())
 
 
@@ -40,11 +40,11 @@ def test_split_preserves_order():
     logits = np.array([[0.3, -0.2, 0.1], [0.5, 0.0, -0.4], [-0.1, 0.2, 0.6]])
     teacher = np.array([[0.6, 0.3, 0.1], [0.2, 0.5, 0.3], [0.1, 0.2, 0.7]])
     labels = np.array([0, 2, 2])
-    out = compute_batch_loss(logits, teacher, labels, 0.5, mode="full")
+    out = compute_batch_loss(logits, teacher, labels, 0.5, row=MODES["full"])
     log_s = [np.log(log_softmax_rows(z[None])[1]) for z in logits]
     l_easy = (kl_rows(teacher[0:1], log_s[0])[0] + kl_rows(teacher[2:3], log_s[2])[0]) / 3
     l_hard = kl_rows(rectify_rows(teacher[1:2], np.array([2])), log_s[1])[0] / 3
-    assert teacher_targets(teacher, labels, "full")[1].tolist() == [True, False, True]
+    assert teacher_targets(teacher, labels, MODES["full"])[1].tolist() == [True, False, True]
     assert out.l_easy == pytest.approx(l_easy, abs=1e-12)
     assert out.l_hard == pytest.approx(l_hard, abs=1e-12)
 
@@ -88,7 +88,7 @@ def test_mask_is_deterministic():
     logits = rng.normal(size=(32, 4))
     a = compute_batch_loss(logits, probs, labels, 0.5)
     b = compute_batch_loss(logits, probs, labels, 0.5)
-    assert np.array_equal(teacher_targets(probs, labels, "full")[1],
-                          teacher_targets(probs, labels, "full")[1])
+    assert np.array_equal(teacher_targets(probs, labels, MODES["full"])[1],
+                          teacher_targets(probs, labels, MODES["full"])[1])
     assert a.l_all == b.l_all
     assert np.array_equal(a.grad, b.grad)

@@ -268,8 +268,8 @@ def test_retired_name_constants_name_the_enclosing_definition(tmp_path):
 def readme_mode_mentions(text: str) -> list[str]:
     """Each retired name the text uses as a mode: code-quoted, quoted or after ``--mode``.
 
-    ``fixed_gamma`` is also a live field and parameter name, as in
-    ``gamma(mode, epoch, epochs, fixed_gamma)``, which does not count.
+    ``fixed_gamma`` as a bare identifier, as in a signature
+    ``gamma(mode, epoch, epochs, fixed_gamma)``, does not count.
     """
     names = "|".join(sorted(RETIRED_MODE_NAMES))
     return [quoted or flag for quoted, flag in

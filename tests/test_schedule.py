@@ -14,20 +14,26 @@ from rectidistill.schedule import (
     gamma,
     teacher_targets,
 )
+from rectidistill.train import TrainConfig
+
+
+def row_of(mode, g=0.5):
+    """The row ``--mode`` resolves to: ``mode``'s, at G = ``g`` for ``fixed-gamma``."""
+    return TrainConfig(mode=f"{mode}={g}" if MODES[mode].gamma is None else mode).row
 
 
 class TestGamma:
     def test_training_start(self):
-        assert gamma("full", 0, 300, None) == 0.0
+        assert gamma(MODES["full"], 0, 300) == 0.0
 
     def test_midpoint(self):
-        assert gamma("full", 150, 300, None) == 0.5
+        assert gamma(MODES["full"], 150, 300) == 0.5
 
     def test_never_reaches_one(self):
-        assert gamma("full", 299, 300, None) == pytest.approx(299 / 300, abs=0)
+        assert gamma(MODES["full"], 299, 300) == pytest.approx(299 / 300, abs=0)
 
     def test_strictly_increasing(self):
-        values = [gamma("full", e, 60, None) for e in range(60)]
+        values = [gamma(MODES["full"], e, 60) for e in range(60)]
         assert all(b > a for a, b in zip(values, values[1:]))
 
 
@@ -43,9 +49,9 @@ class TestComputeBatchLoss:
         rng = np.random.default_rng(0)
         logits, teacher, _ = _random_batch(rng, 6, 3)
         labels = np.argmax(teacher, axis=1)  # mask all true
-        out = compute_batch_loss(logits, teacher, labels, 0.5, mode="full")
+        out = compute_batch_loss(logits, teacher, labels, 0.5, row=MODES["full"])
         assert out.l_hard == 0.0
-        assert not teacher_targets(teacher, labels, "full")[2].any()
+        assert not teacher_targets(teacher, labels, MODES["full"])[2].any()
         assert out.l_all == pytest.approx(0.5 * (out.l_ce + out.l_easy), abs=1e-12)
 
     def test_global_optimum_is_zero(self):
@@ -53,7 +59,7 @@ class TestComputeBatchLoss:
         logits = np.array([[800.0, 0.0, 0.0], [0.0, 800.0, 0.0]])
         teacher = log_softmax_rows(logits)[1]
         labels = np.array([0, 1])
-        out = compute_batch_loss(logits, teacher, labels, 0.5, mode="full")
+        out = compute_batch_loss(logits, teacher, labels, 0.5, row=MODES["full"])
         assert out.l_all == pytest.approx(0.0, abs=1e-12)
 
     @pytest.mark.parametrize("mode", MODES)
@@ -63,8 +69,8 @@ class TestComputeBatchLoss:
         teacher = np.array([[0.75, 0.25]])
         labels = np.array([0])
         assert log_softmax_rows(logits)[1][0, 0] == 0.0
-        out = compute_batch_loss(logits, teacher, labels, gamma(mode, 1, 2, 0.5), tau=1.0,
-                                 mode=mode)
+        out = compute_batch_loss(logits, teacher, labels, gamma(row_of(mode), 1, 2), tau=1.0,
+                                 row=MODES[mode])
         assert out.l_ce == 800.0
         # the teacher is right, so every mode takes KL(t || s) with ln s = [-800, 0]
         assert out.l_easy == pytest.approx(
@@ -77,7 +83,7 @@ class TestComputeBatchLoss:
         logits = np.array([[1.0, 0.2, -0.5], [0.3, -0.1, 0.8]])
         teacher = np.array([[0.7, 0.2, 0.1], [0.1, 0.2, 0.7]])
         labels = np.array([0, 1])  # sample 1: teacher argmax 2 != 1 -> bias
-        out = compute_batch_loss(logits, teacher, labels, 0.5, mode="full")
+        out = compute_batch_loss(logits, teacher, labels, 0.5, row=MODES["full"])
 
         log_s = np.log(log_softmax_rows(logits)[1])
         l_ce = (-log_s[0, 0] - log_s[1, 1]) / 2
@@ -88,32 +94,34 @@ class TestComputeBatchLoss:
         assert out.l_easy == pytest.approx(l_easy, abs=1e-12)
         assert out.l_hard == pytest.approx(l_hard, abs=1e-12)
         assert out.l_all == pytest.approx(0.5 * (l_ce + l_easy) + 0.5 * l_hard, abs=1e-12)
-        assert teacher_targets(teacher, labels, "full")[1].tolist() == [True, False]
+        assert teacher_targets(teacher, labels, MODES["full"])[1].tolist() == [True, False]
 
     def test_eliminate_only_forces_gamma_zero(self):
         rng = np.random.default_rng(1)
         logits, teacher, labels = _random_batch(rng, 8, 4)
-        g = gamma("eliminate", 30, 60, None)
-        out = compute_batch_loss(logits, teacher, labels, g, mode="eliminate")
+        g = gamma(MODES["eliminate"], 30, 60)
+        out = compute_batch_loss(logits, teacher, labels, g, row=MODES["eliminate"])
         assert g == 0.0
         assert out.l_all == out.l_ce + out.l_easy
         # the biased rows keep their rectified KL; gamma 0 weights it out
-        assert out.l_hard == compute_batch_loss(logits, teacher, labels, 0.0, mode="full").l_hard
+        full = compute_batch_loss(logits, teacher, labels, 0.0, row=MODES["full"])
+        assert out.l_hard == full.l_hard
 
     def test_eliminate_only_equals_full_at_gamma_zero(self):
         rng = np.random.default_rng(2)
         logits, teacher, labels = _random_batch(rng, 10, 4)
-        a = compute_batch_loss(logits, teacher, labels, gamma("full", 0, 60, None), mode="full")
-        b = compute_batch_loss(logits, teacher, labels, gamma("eliminate", 30, 60, None),
-                               mode="eliminate")
+        a = compute_batch_loss(logits, teacher, labels, gamma(MODES["full"], 0, 60),
+                               row=MODES["full"])
+        b = compute_batch_loss(logits, teacher, labels, gamma(MODES["eliminate"], 30, 60),
+                               row=MODES["eliminate"])
         assert a.l_all == pytest.approx(b.l_all, abs=1e-12)
         assert a.l_ce == b.l_ce and a.l_easy == b.l_easy
 
     def test_vanilla_is_unmasked_loss(self):
         rng = np.random.default_rng(3)
         logits, teacher, labels = _random_batch(rng, 5, 3)
-        g = gamma("vanilla", 30, 60, None)
-        out = compute_batch_loss(logits, teacher, labels, g, mode="vanilla")
+        g = gamma(MODES["vanilla"], 30, 60)
+        out = compute_batch_loss(logits, teacher, labels, g, row=MODES["vanilla"])
         expected = np.mean(kl_rows(teacher, np.log(log_softmax_rows(logits)[1])))
         assert out.l_easy == pytest.approx(expected, abs=1e-12)
         assert g == 0.0 and out.l_hard == 0.0
@@ -123,27 +131,29 @@ class TestComputeBatchLoss:
         rng = np.random.default_rng(4)
         logits, teacher, _ = _random_batch(rng, 6, 3)
         labels = np.argmax(teacher, axis=1)
-        a = compute_batch_loss(logits, teacher, labels, gamma("vanilla", 30, 60, None),
-                               mode="vanilla")
-        b = compute_batch_loss(logits, teacher, labels, gamma("full", 0, 60, None), mode="full")
+        a = compute_batch_loss(logits, teacher, labels, gamma(MODES["vanilla"], 30, 60),
+                               row=MODES["vanilla"])
+        b = compute_batch_loss(logits, teacher, labels, gamma(MODES["full"], 0, 60),
+                               row=MODES["full"])
         assert a.l_all == pytest.approx(b.l_all, abs=1e-12)
 
     def test_step_b_targets_are_unnormalized(self):
         logits = np.array([[0.1, 0.4, -0.2]])
         teacher = np.array([[0.1, 0.7, 0.2]])
         labels = np.array([0])
-        out = compute_batch_loss(logits, teacher, labels, 0.5, mode="step-b")
+        out = compute_batch_loss(logits, teacher, labels, 0.5, row=MODES["step-b"])
         rect_b = rectify.rectify_rows(teacher, labels, rectify.STEP_B)[0]
         s = log_softmax_rows(logits)[1][0]
         expected = float(np.sum(rect_b * np.log(rect_b / s)))
         assert out.l_hard == pytest.approx(expected, abs=1e-12)
 
     def test_fixed_gamma_requires_value(self):
-        # TrainConfig rejects a missing value (tests/test_train.py); the loss uses it
+        # TrainConfig rejects a missing value (tests/test_train.py) and puts G in the row
         rng = np.random.default_rng(5)
         logits, teacher, labels = _random_batch(rng, 4, 3)
-        g = gamma("fixed-gamma", 30, 60, 0.5)
-        out = compute_batch_loss(logits, teacher, labels, g, mode="fixed-gamma")
+        row = TrainConfig(mode="fixed-gamma=0.5").row
+        g = gamma(row, 30, 60)
+        out = compute_batch_loss(logits, teacher, labels, g, row=row)
         assert g == 0.5
         assert out.l_all == 0.5 * (out.l_ce + out.l_easy) + 0.5 * out.l_hard
 
@@ -163,13 +173,13 @@ class TestComputeBatchLoss:
     def test_loss_identity_holds(self, seed, n, k, mode, epoch):
         rng = np.random.default_rng(seed)
         logits, teacher, labels = _random_batch(rng, n, k)
-        g = gamma(mode, epoch, 60, 0.5 if mode == "fixed-gamma" else None)
-        out = compute_batch_loss(logits, teacher, labels, g, mode=mode)
+        g = gamma(row_of(mode), epoch, 60)
+        out = compute_batch_loss(logits, teacher, labels, g, row=MODES[mode])
         lhs = out.l_all
         rhs = (1 - g) * (out.l_ce + out.l_easy) + g * out.l_hard
         assert lhs == pytest.approx(rhs, abs=1e-12)
         assert out.l_ce >= 0 and out.l_easy >= -1e-12 and out.l_hard >= -1e-12
-        _, right, hard = teacher_targets(teacher, labels, mode)
+        _, right, hard = teacher_targets(teacher, labels, MODES[mode])
         assert right.sum() == np.sum(np.argmax(teacher, axis=1) == labels)
         assert not (hard & right).any()
 
@@ -249,8 +259,8 @@ class TestAgainstTheGatheringOracle:
         logits = rng.uniform(-scale, scale, size=(n, k))
         teacher = rng.dirichlet(np.ones(k), size=n)
         labels = np.argmax(teacher, axis=1) if all_right else rng.integers(0, k, size=n)
-        g = gamma(mode, int(epoch_frac * total_epochs), total_epochs, fixed_gamma)
-        got = compute_batch_loss(logits, teacher, labels, g, tau, mode)
+        g = gamma(row_of(mode, fixed_gamma), int(epoch_frac * total_epochs), total_epochs)
+        got = compute_batch_loss(logits, teacher, labels, g, tau, MODES[mode])
         want = oracle_loss(logits, teacher, labels, g, tau, mode)
         assert np.array_equal(got.grad, want.grad)
         for field in ("l_ce", "l_easy", "l_hard", "l_all"):
@@ -274,7 +284,7 @@ class TestAgainstTheGatheringOracle:
         logits = rng.uniform(-scale, scale, size=(n, k))
         teacher = rng.dirichlet(np.ones(k), size=n)
         labels = rng.integers(0, k, size=n)
-        got = compute_batch_loss(logits, teacher, labels, 0.0, tau, mode)
+        got = compute_batch_loss(logits, teacher, labels, 0.0, tau, MODES[mode])
         targets, _ = oracle_teacher_targets(teacher, labels, mode)
         s1 = log_softmax_rows(logits)[1]
         s = log_softmax_rows(logits, tau)[1]
@@ -301,8 +311,8 @@ class TestTeacherTargets:
         probs = rng.dirichlet(np.ones(k), size=n)
         labels = rng.integers(0, k, size=n)
         idx = rng.integers(0, n, size=m)
-        whole = teacher_targets(probs, labels, mode)
-        part = teacher_targets(probs[idx], labels[idx], mode)
+        whole = teacher_targets(probs, labels, MODES[mode])
+        part = teacher_targets(probs[idx], labels[idx], MODES[mode])
         for whole_column, part_column in zip(whole, part):
             assert np.array_equal(whole_column[idx], part_column)
 
@@ -310,7 +320,7 @@ class TestTeacherTargets:
     def test_fresh_array_of_equal_values_without_a_biased_row(self, mode):
         probs = np.array([[0.7, 0.2, 0.1], [0.1, 0.1, 0.8]])
         kept = probs.copy()
-        targets, right, hard = teacher_targets(probs, np.array([0, 2]), mode)
+        targets, right, hard = teacher_targets(probs, np.array([0, 2]), MODES[mode])
         assert right.all() and not hard.any()
         assert not np.shares_memory(targets, probs)
         assert targets.tobytes() == kept.tobytes() == probs.tobytes()
@@ -324,7 +334,7 @@ class TestTeacherTargets:
     ])
     def test_biased_rows_take_their_mode_s_target(self, mode, want):
         probs = np.array([[0.2, 0.6, 0.2], [0.7, 0.2, 0.1]])
-        targets, right, _ = teacher_targets(probs, np.array([0, 0]), mode)
+        targets, right, _ = teacher_targets(probs, np.array([0, 0]), MODES[mode])
         assert right.tolist() == [False, True]
         np.testing.assert_allclose(targets[0], want, rtol=1e-15)
         assert np.array_equal(targets[1], probs[1])
@@ -336,18 +346,18 @@ class TestTeacherTargets:
         rng = np.random.default_rng(seed)
         probs = rng.dirichlet(np.ones(k), size=n)
         labels = rng.integers(0, k, size=n)
-        for got, want in zip(teacher_targets(probs, labels, "eliminate"),
-                             teacher_targets(probs, labels, "full")):
+        for got, want in zip(teacher_targets(probs, labels, MODES["eliminate"]),
+                             teacher_targets(probs, labels, MODES["full"])):
             assert np.array_equal(got, want)
 
 
 class TestBatchLossGradient:
     def _fd_check(self, logits, teacher, labels, g, mode, tau=1.0):
-        analytic = compute_batch_loss(logits, teacher, labels, g, tau, mode).grad
+        analytic = compute_batch_loss(logits, teacher, labels, g, tau, MODES[mode]).grad
 
         def loss_of(flat):
             return compute_batch_loss(
-                flat.reshape(logits.shape), teacher, labels, g, tau, mode
+                flat.reshape(logits.shape), teacher, labels, g, tau, MODES[mode]
             ).l_all
 
         fd = finite_difference_gradient(loss_of, logits.ravel()).reshape(logits.shape)
@@ -357,7 +367,7 @@ class TestBatchLossGradient:
         logits = np.array([[800.0, 0.0, 0.0]])
         teacher = log_softmax_rows(logits)[1]
         labels = np.array([0])
-        g = compute_batch_loss(logits, teacher, labels, 0.5, mode="full").grad
+        g = compute_batch_loss(logits, teacher, labels, 0.5, row=MODES["full"]).grad
         np.testing.assert_allclose(g, 0.0, atol=1e-12)
 
     def test_single_right_sample(self):
@@ -381,5 +391,5 @@ class TestBatchLossGradient:
             logits = rng.normal(size=(n, k))
             teacher = rng.dirichlet(np.ones(k), size=n)
             labels = rng.integers(0, k, size=n)
-            g = gamma(mode, 30, 60, 0.5 if mode == "fixed-gamma" else None)
+            g = gamma(row_of(mode), 30, 60)
             self._fd_check(logits, teacher, labels, g, mode, tau=tau)

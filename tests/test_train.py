@@ -77,14 +77,14 @@ def two_loop_distill(teacher, student_dims, train_ds, cfg, val_ds):
     velocity = zero_velocity(student)
     rows = []
     for epoch in range(cfg.epochs):
-        g = gamma(cfg.mode, epoch, cfg.epochs, cfg.fixed_gamma)
+        g = gamma(cfg.row, epoch, cfg.epochs)
         sums = {"loss_total": 0.0, "loss_ce": 0.0, "loss_easy": 0.0, "loss_hard": 0.0}
         n_right = 0
         for idx in batch_iter(train_ds, cfg.batch_size, cfg.seed, epoch):
             x, y = train_ds.features[idx], train_ds.labels[idx]
             teacher_probs = log_softmax_rows(model.forward(teacher, x), cfg.tau)[1]
             logits, acts = model._forward_cached(student, x)
-            breakdown = compute_batch_loss(logits, teacher_probs, y, g, cfg.tau, cfg.mode)
+            breakdown = compute_batch_loss(logits, teacher_probs, y, g, cfg.tau, cfg.row)
             grads = student.layer_views(np.empty_like(student.flat))
             model._backward_into(student, grads, breakdown.grad, acts)
             heavy_ball(student, grads, velocity, cfg)
@@ -126,8 +126,7 @@ def test_teacher_matches_the_two_loop_oracle(setup):
 @pytest.mark.parametrize("mode", MODES)
 def test_distill_rows_and_gamma_column(setup, mode):
     train, val, teacher = setup
-    fixed = 0.3 if mode == "fixed-gamma" else None
-    cfg = TrainConfig(epochs=EPOCHS, batch_size=8, seed=4, mode=mode, fixed_gamma=fixed)
+    cfg = _cfg(mode, 8)
     student, rows = distill(teacher, [2, 5, 3], train, cfg, val)
     for row in rows:
         assert set(row) == set(METRICS_COLUMNS)
@@ -156,9 +155,9 @@ TABLE_CASES = [(1, 1.0), (6, 1.0), (7, 1.0), (11, 0.5), (36, 1.0), (50, 0.5)]
 
 
 def _cfg(mode, batch_size, tau=1.0):
-    fixed = 0.3 if mode == "fixed-gamma" else None
-    return TrainConfig(epochs=EPOCHS, batch_size=batch_size, seed=4, tau=tau, mode=mode,
-                       fixed_gamma=fixed)
+    """Mode ``mode``'s config, at G = 0.3 for ``fixed-gamma``."""
+    flag = "fixed-gamma=0.3" if mode == "fixed-gamma" else mode
+    return TrainConfig(epochs=EPOCHS, batch_size=batch_size, seed=4, tau=tau, mode=flag)
 
 
 @pytest.mark.parametrize("wide", [False, True])
@@ -198,8 +197,8 @@ def test_no_table_when_a_row_s_bits_depend_on_its_position(setup, m):
         out[-1] = np.nextafter(out[-1], 2.0)
         return out
 
-    assert train_module._target_table(train, m, probs, "full") is not None
-    assert train_module._target_table(train, m, positional, "full") is None
+    assert train_module._target_table(train, m, probs, MODES["full"]) is not None
+    assert train_module._target_table(train, m, positional, MODES["full"]) is None
 
 
 @pytest.mark.parametrize("table_bytes", [train_module.TARGET_TABLE_BYTES, 0])
@@ -237,12 +236,17 @@ def test_missing_val_split_gives_nan_val_acc(setup):
 
 @pytest.mark.parametrize(
     "mode,fixed_gamma",
-    [("bogus", None), ("fixed-gamma", None), ("fixed-gamma", 1.0), ("fixed-gamma", float("nan")),
-     ("full", 0.5)],
+    [("bogus", None), ("fixed-gamma", None), ("fixed-gamma", 1.0), ("fixed-gamma", float("nan"))],
 )
 def test_config_rejects_unknown_mode_and_bad_fixed_gamma(mode, fixed_gamma):
     with pytest.raises(ConfigError):
-        TrainConfig(mode=mode, fixed_gamma=fixed_gamma)
+        TrainConfig(mode=mode if fixed_gamma is None else f"{mode}={fixed_gamma}")
+
+
+def test_fixed_gamma_g_is_the_row_s_gamma_and_g_0_is_eliminate():
+    eliminate = TrainConfig(mode="eliminate").row
+    assert eliminate == TrainConfig(mode="fixed-gamma=0").row == MODES["eliminate"]
+    assert TrainConfig(mode="fixed-gamma=0.5").row.gamma == 0.5
 
 
 def test_config_rejects_a_negative_seed():
