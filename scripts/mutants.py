@@ -1,11 +1,12 @@
 #!/usr/bin/env python3
-"""Check that tier-1 still pins each of the method's mechanisms: eleven hand-made mutants.
+"""Check that tier-1 still pins each of the method's mechanisms: seventeen hand-made mutants.
 
     python3 scripts/mutants.py [name ...]
 
 Each mutant in ``MUTANTS`` models one way to get the paper's method wrong
-(bias elimination, rectification and the dynamic gamma) in an edit of a
-line or two: ``(name, file, old text, new text)``. For each one, the
+(bias elimination, rectification and the dynamic gamma), or the per-row
+target table that serves its loss, in an edit of a few lines:
+``(name, file, old text, new text)``. For each one, the
 script copies the tree next to it (``COPIED``) into a temporary directory,
 replaces the old text in that copy, runs tier-1 there and prints the tests
 that fail.
@@ -44,9 +45,7 @@ class Mutant(NamedTuple):
 
 
 SCHEDULE = "src/rectidistill/schedule.py"
-_MASS_COMMENT = ("    # A teacher or step-c row sums to 1 only within rounding, so an easy\n"
-                 "    # row's mass is exactly 1; a hard row's is its target's sum (above 1 at\n"
-                 "    # step b).\n")
+TRAIN = "src/rectidistill/train.py"
 MUTANTS = (
     Mutant("M1 step c rescales only the label", "src/rectidistill/rectify.py",
            "        values[rows, b] *= scale\n", ""),
@@ -64,20 +63,39 @@ MUTANTS = (
            '"step-b": Mode(rectify.STEP_B,', '"step-b": Mode(rectify.STEP_C,'),
     Mutant("M7 rectify weights biased rows as hard", SCHEDULE,
            '"rectify": Mode(rectify.STEP_C, False,', '"rectify": Mode(rectify.STEP_C, True,'),
-    Mutant("M8 distill forwards the teacher at tau 1", "src/rectidistill/train.py",
+    Mutant("M8 distill forwards the teacher at tau 1", TRAIN,
            "log_softmax_rows(model.forward(teacher, x), cfg.tau)[1]",
            "log_softmax_rows(model.forward(teacher, x))[1]"),
     Mutant("M9 hard term averaged over the hard rows", SCHEDULE,
-           "    l_hard = float(kl[hard].sum() / n)\n" + _MASS_COMMENT +
-           "    w = np.where(hard, g / n, (1.0 - g) / n)[:, None]\n",
-           "    n_hard = max(int(hard.sum()), 1)\n"
-           "    l_hard = float(kl[hard].sum() / n_hard)\n"
-           "    w = np.where(hard, g / n_hard, (1.0 - g) / n)[:, None]\n"),
+           "    l_hard = float(kl[rows.hard].sum() / n)\n"
+           "    if w is None:\n"
+           "        w = weights(rows.hard, g, n)\n",
+           "    n_hard = max(int(rows.hard.sum()), 1)\n"
+           "    l_hard = float(kl[rows.hard].sum() / n_hard)\n"
+           "    w = np.where(rows.hard, g / n_hard, (1.0 - g) / n)[:, None]\n"),
     Mutant("M10 step-b gradient ignores the target mass", SCHEDULE,
-           "    mass = np.where(hard, targets.sum(axis=1), 1.0)[:, None]\n",
-           "    mass = 1.0\n"),
-    Mutant("M11 fixed-gamma=G trains at G = 0", "src/rectidistill/train.py",
+           "    kd = w * (rows.mass * s - rows.targets)\n",
+           "    kd = w * (s - rows.targets)\n"),
+    Mutant("M11 fixed-gamma=G trains at G = 0", TRAIN,
            "row._replace(gamma=g)", "row._replace(gamma=0.0)"),
+    Mutant("M12 the weight column keeps epoch 0's gamma", TRAIN,
+           "_epoch_table(table, perm, g, m)", "_epoch_table(table, perm, gammas[0], m)"),
+    Mutant("M13 the short batch reads the table without the r-row check", TRAIN,
+           "    short = r > 0 and all(\n"
+           "        np.array_equal(teacher_probs(x[idx]), probs[idx])\n"
+           "        and np.array_equal(teacher_probs(x[idx[::-1]])[::-1], probs[idx])\n"
+           "        for idx in _chunks(train_ds.n, r)\n"
+           "    )\n",
+           "    short = r > 0\n"),
+    Mutant("M14 a batch reads its slice of the table in fill order", TRAIN,
+           "RowTargets._make(column[perm] for column in table)",
+           "RowTargets._make(column for column in table)"),
+    Mutant("M15 the short batch reads the full batches' weights", TRAIN,
+           "w[pos] if b == m else None", "w[pos]"),
+    Mutant("M16 runs at another tau share the teacher table", TRAIN,
+           "key = (cfg.tau, cfg.batch_size, cfg.epochs)", "key = (cfg.batch_size, cfg.epochs)"),
+    Mutant("M17 the budget counts only the targets", TRAIN,
+           "    return n * (8 * k + 2 * (16 * k + 8 + 2) + 8)\n", "    return n * k * 8\n"),
 )
 
 

@@ -11,7 +11,8 @@ parsing, only while that digest matches the CSV, so the CSV stays the one source
 
 Batching permutes indices with a Fisher-Yates shuffle whose swap indices come from
 one draw of a PCG64 stream keyed by (seed, epoch), so every epoch visits each
-sample once, reproducibly bit-for-bit.
+sample once, reproducibly bit-for-bit; ``batch_slices`` cuts that permutation into
+the epoch's batches.
 """
 
 import contextlib
@@ -216,7 +217,6 @@ def epoch_permutation(n: int, seed: int, epoch: int) -> np.ndarray:
     return np.array(perm, dtype=np.int64)
 
 
-def batch_iter(ds: Dataset, batch_size: int, seed: int, epoch: int) -> list[np.ndarray]:
-    """Ordered list of index batches; the last batch may be short."""
-    perm = epoch_permutation(ds.n, seed, epoch)
-    return [perm[i : i + batch_size] for i in range(0, ds.n, batch_size)]
+def batch_slices(n: int, batch_size: int) -> list[slice]:
+    """Each batch's slice of an epoch's permutation: [0, B), [B, 2B), ...; the last may be short."""
+    return [slice(i, i + batch_size) for i in range(0, n, batch_size)]

@@ -7,7 +7,8 @@ checkpoint loaders) or built by it. ``log_softmax_rows`` returns ln s
 taken from ln s, so they stay finite where the softmax underflows, with no
 clamp: ``ce_rows`` is the one cross-entropy (summed loss and the gradient
 s - onehot, used by the teacher loss and the distillation loss) and
-``kl_rows`` the one forward KL. A single vector is a one-row slice.
+``kl_rows`` the one forward KL, with ``log_targets`` its one ln t. A
+single vector is a one-row slice.
 ``finite_difference_gradient`` is the oracle the analytic gradients are
 checked against.
 """
@@ -37,14 +38,21 @@ def log_softmax_rows(logits, tau: float = 1.0) -> tuple[np.ndarray, np.ndarray]:
     return shifted, e
 
 
-def kl_rows(targets, log_probs) -> np.ndarray:
+def log_targets(targets) -> np.ndarray:
+    """ln t of each target entry, and 0 where t = 0, so that t ln t is exactly 0 there."""
+    return np.log(np.where(targets > 0.0, targets, 1.0))
+
+
+def kl_rows(targets, log_probs, log_t=None) -> np.ndarray:
     """Row-wise forward KL sum t_i (ln t_i - log_probs_i).
 
     Target rows need not sum to 1 (the step-b ablation uses them
     unnormalized); an entry with t_i = 0 adds exactly 0. ``log_probs``
-    must be finite, as the ln s of ``log_softmax_rows`` is.
+    must be finite, as the ln s of ``log_softmax_rows`` is. ``log_t`` is
+    ``log_targets(targets)``, taken here unless the caller holds it.
     """
-    log_t = np.log(np.where(targets > 0.0, targets, 1.0))
+    if log_t is None:
+        log_t = log_targets(targets)
     return (targets * (log_t - log_probs)).sum(axis=1)
 
 

@@ -30,12 +30,16 @@ same order, as KL passes over each subset would.
 
 The batched core is two steps. ``teacher_targets`` partitions the rows,
 decides each row's weight class once and, in every mode with a target
-stage, rectifies all biased ones in one array operation; it reads
-only the teacher and the labels, and each output row depends only on its
-own input row, so ``train.distill`` can compute it once per training
-row. ``target_loss`` returns the loss terms together with their gradient
-w.r.t. the logits, at the epoch's gamma ``g``, which ``gamma`` gives; it
-reads the weight classes, not the mode. ``compute_batch_loss`` is the two
+stage, rectifies all biased ones in one array operation. Through
+``row_targets`` it also takes every other constant the loss reads of a
+row: ln t (0 where t = 0) and the row's mass. It reads only the teacher
+and the labels, and each output row depends only on its own input row, so
+``train.distill`` can compute it once per training row. ``target_loss``
+returns the loss terms together with their gradient w.r.t. the logits,
+at the epoch's gamma ``g``, which ``gamma`` gives; it reads the weight
+classes and the row constants, not the mode, and recomputes none of them.
+``weights`` is the one rule for a row's weight, per batch and for a
+table's per-epoch weight column. ``compute_batch_loss`` is the two steps
 composed, at a given ``g``. None of them checks its inputs, each checked
 once where it enters: ``tau`` and the mode by ``TrainConfig``, labels by
 the data loaders, the teacher by ``model.load_checkpoint``, non-finite
@@ -43,16 +47,16 @@ student logits by ``train._fit``.
 CE (``numerics.ce_rows``) and KL come from the ln s of
 ``numerics.log_softmax_rows``, so they stay finite where the student
 softmax underflows; each gradient uses the s of the same pass. At tau 1
-CE and KL share one pass.
+CE and KL share one pass, and the tau factors, exact identities there,
+are skipped.
 """
 
-from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
 
 from . import rectify
-from .numerics import ce_rows, kl_rows, log_softmax_rows
+from .numerics import ce_rows, kl_rows, log_softmax_rows, log_targets
 
 RAMP = "e/E"  # the dynamic gamma rule: epoch e of E over E
 
@@ -76,8 +80,7 @@ MODES = {
 }
 
 
-@dataclass(frozen=True)
-class LossBreakdown:
+class LossBreakdown(NamedTuple):
     l_ce: float
     l_easy: float
     l_hard: float
@@ -85,20 +88,45 @@ class LossBreakdown:
     grad: np.ndarray  # d l_all / d student logits, shape (n, k)
 
 
+class RowTargets(NamedTuple):
+    """What the loss reads of each row besides its logits, one array per column."""
+
+    targets: np.ndarray  # (n, k): the teacher's row, or its rectified row
+    right: np.ndarray  # (n,) bool: the teacher's argmax is the label
+    hard: np.ndarray  # (n,) bool: weighted by gamma, not 1 - gamma
+    log_targets: np.ndarray  # (n, k): ln t, 0 where t = 0
+    mass: np.ndarray  # (n, 1): a hard row's target sum, 1 for an easy row
+
+
 def gamma(row: Mode, epoch: int, epochs: int) -> float:
     """Epoch e of E's blend weight under the row's gamma rule: e/E or the constant."""
     return epoch / epochs if row.gamma == RAMP else row.gamma
 
 
-def teacher_targets(teacher_probs, labels, row: Mode):
+def row_targets(targets, right, hard) -> RowTargets:
+    """The rows' targets and weight classes, with the constants the loss derives from them.
+
+    A teacher or step-c row sums to 1 only within rounding, so an easy
+    row's mass is exactly 1; a hard row's is its target's sum (above 1 at
+    step b).
+    """
+    mass = np.where(hard, targets.sum(axis=1), 1.0)[:, None]
+    return RowTargets(targets, right, hard, log_targets(targets), mass)
+
+
+def weights(hard, g: float, n: int) -> np.ndarray:
+    """Each row's KL weight in a batch of n rows, as a column: g / n if hard, else (1 - g) / n."""
+    return np.where(hard, g / n, (1.0 - g) / n)[:, None]
+
+
+def teacher_targets(teacher_probs, labels, row: Mode) -> RowTargets:
     """Partition rows by the teacher's argmax, decide their weight class, rectify.
 
-    Returns ``(targets, right, hard)``: ``right`` marks the rows whose
-    argmax is the label; ``hard`` marks the rows the loss weights with
-    gamma, ``~right`` where the mode's row is ``hard`` and none elsewhere.
-    ``targets`` is a fresh array of the teacher rows, with every other row
-    rectified to the mode's ``stage`` unless that is None. Every output row
-    depends only on its own input row and label.
+    ``right`` marks the rows whose argmax is the label; ``hard`` marks the
+    rows the loss weights with gamma, ``~right`` where the mode's row is
+    ``hard`` and none elsewhere. ``targets`` is a fresh array of the teacher
+    rows, with every other row rectified to the mode's ``stage`` unless that
+    is None. Every output row depends only on its own input row and label.
     """
     right = np.argmax(teacher_probs, axis=1) == labels
     bias = ~right
@@ -106,36 +134,39 @@ def teacher_targets(teacher_probs, labels, row: Mode):
     targets = teacher_probs.copy()
     if row.stage is not None:
         targets[bias] = rectify.rectify_rows(teacher_probs[bias], labels[bias], row.stage)
-    return targets, right, hard
+    return row_targets(targets, right, hard)
 
 
-def target_loss(student_logits, targets, hard, labels, g: float, tau: float) -> LossBreakdown:
+def target_loss(student_logits, rows: RowTargets, labels, g: float, tau: float,
+                w=None) -> LossBreakdown:
     """Loss components, the assembled total and its logit gradient at gamma ``g``.
 
-    ``targets`` and ``hard`` are what ``teacher_targets`` returns for these
-    rows. Easy rows (``~hard``) are weighted (1 - g) / n and make up
-    l_easy, hard rows g / n and make up l_hard.
+    ``rows`` is what ``teacher_targets`` returns for these rows, and ``w``
+    their ``weights`` at ``g``, taken here unless the caller holds them.
+    Easy rows (``~hard``) make up l_easy, hard rows l_hard.
     """
     n = labels.shape[0]
     log_s, s = log_softmax_rows(student_logits, tau)
-    # CE against the labels at temperature 1, each KL at tau and times tau**2
+    # CE against the labels at temperature 1, each KL at tau and times tau**2;
+    # at tau 1 the factors are skipped, being exact identities
     log_s1, s1 = (log_s, s) if tau == 1.0 else log_softmax_rows(student_logits)
     ce_sum, grad = ce_rows(log_s1, s1, labels)
     grad *= (1.0 - g) / n
-    kl = kl_rows(targets, log_s)
-    kl *= tau * tau
-    l_easy = float(kl[~hard].sum() / n)
-    l_hard = float(kl[hard].sum() / n)
-    # A teacher or step-c row sums to 1 only within rounding, so an easy
-    # row's mass is exactly 1; a hard row's is its target's sum (above 1 at
-    # step b).
-    w = np.where(hard, g / n, (1.0 - g) / n)[:, None]
-    mass = np.where(hard, targets.sum(axis=1), 1.0)[:, None]
-    grad += w * (mass * s - targets) * tau
+    kl = kl_rows(rows.targets, log_s, rows.log_targets)
+    if tau != 1.0:
+        kl *= tau * tau
+    l_easy = float(kl[~rows.hard].sum() / n)
+    l_hard = float(kl[rows.hard].sum() / n)
+    if w is None:
+        w = weights(rows.hard, g, n)
+    kd = w * (rows.mass * s - rows.targets)
+    if tau != 1.0:
+        kd *= tau
+    grad += kd
 
     l_ce = ce_sum / n
     l_all = (1.0 - g) * (l_ce + l_easy) + g * l_hard
-    return LossBreakdown(l_ce=l_ce, l_easy=l_easy, l_hard=l_hard, l_all=l_all, grad=grad)
+    return LossBreakdown(l_ce, l_easy, l_hard, l_all, grad)
 
 
 def compute_batch_loss(
@@ -143,5 +174,5 @@ def compute_batch_loss(
 ) -> LossBreakdown:
     """Per-batch loss components, the assembled total and its logit gradient at gamma ``g``."""
     labels = np.asarray(labels, dtype=np.int64)
-    targets, _, hard = teacher_targets(np.asarray(teacher_probs, dtype=np.float64), labels, row)
-    return target_loss(student_logits, targets, hard, labels, g, tau)
+    rows = teacher_targets(np.asarray(teacher_probs, dtype=np.float64), labels, row)
+    return target_loss(student_logits, rows, labels, g, tau)

@@ -2,9 +2,13 @@
 
 Single-threaded by contract; every run is fully determined by
 (config, datasets). The teacher is frozen during distillation: it is only
-ever read through ``model.forward``. So every row's KD target is a constant
-of the run, and ``distill`` computes it once, into a per-row target table,
-when the table fits in ``TARGET_TABLE_BYTES``.
+ever read through ``model.forward``. So every row's KD target, and every
+constant the loss derives from it, is a constant of the run. When they fit
+in ``TARGET_TABLE_BYTES``, ``distill`` computes them once, into a per-row
+target table; each epoch puts the table in that epoch's batch order once,
+with its weight column, and a batch reads its rows as one slice of it.
+``distill_runs`` fills the teacher's probabilities once for every run that
+shares a tau, batch size and epoch count, as ``ablate``'s runs do.
 """
 
 import math
@@ -13,10 +17,10 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import model
-from .data import Dataset, batch_iter
+from .data import Dataset, batch_slices, epoch_permutation
 from .errors import ConfigError, TrainingDivergedError
 from .numerics import ce_rows, log_softmax_rows
-from .schedule import MODES, Mode, gamma, target_loss, teacher_targets
+from .schedule import MODES, Mode, RowTargets, gamma, target_loss, teacher_targets, weights
 
 METRICS_COLUMNS = (
     "epoch",
@@ -32,9 +36,9 @@ METRICS_COLUMNS = (
 
 TEACHER_METRICS_COLUMNS = ("epoch", "loss_ce", "train_acc", "val_acc")
 
-# Largest per-row target table ``distill`` builds, in bytes of its (n, k)
-# float64 targets. A bigger training split forwards the teacher per batch,
-# so the table never dominates the memory of a wide run.
+# Largest per-row target table ``distill`` builds, in bytes of everything it
+# holds (``_table_bytes``). A bigger training split forwards the teacher per
+# batch, so the table never dominates the memory of a wide run.
 TARGET_TABLE_BYTES = 1 << 20
 
 # The heavy-ball momentum of every SGD run, teacher and student.
@@ -96,31 +100,36 @@ def _require_fit(role: str, dims, *splits) -> None:
 # gradients are not checked: an overflow in the backward pass makes the
 # parameters, and so the next batch's logits, non-finite.
 @np.errstate(over="ignore", invalid="ignore")
-def _fit(params: model.MlpParams, train_ds: Dataset, cfg: TrainConfig, val_ds, batch_loss):
+def _fit(params: model.MlpParams, train_ds: Dataset, cfg: TrainConfig, val_ds, epoch_loss):
     """The one SGD loop: trains ``params`` in place; returns its per-epoch rows.
 
-    The caller builds the model and checks that it fits both splits.
-    ``batch_loss(epoch, idx, x, y, logits)`` returns the logit gradient (already
-    carrying its 1/n weighting) and a dict of that batch's loss sums. Each
-    epoch row holds those sums divided by the training-set size, plus the
-    train and validation accuracies. Non-finite logits of the trained
-    model, or a non-finite logit gradient, raise ``TrainingDivergedError``
-    naming the epoch.
+    The caller builds the model and checks that it fits both splits. Each
+    epoch takes its ``epoch_permutation`` and cuts it by ``batch_slices``.
+    ``epoch_loss(epoch, perm)`` returns that epoch's ``batch_loss(pos, x, y,
+    logits)``, where ``pos`` is the batch's slice of ``perm``; it returns the
+    logit gradient (already carrying its 1/n weighting) and a dict of that
+    batch's loss sums. Each epoch row holds those sums divided by the
+    training-set size, plus the train and validation accuracies. Non-finite
+    logits of the trained model, or a non-finite logit gradient, raise
+    ``TrainingDivergedError`` naming the epoch.
     """
     grad = np.empty_like(params.flat)
     grad_views = params.layer_views(grad)
     velocity = np.zeros_like(params.flat)
     rows = []
     for epoch in range(cfg.epochs):
+        perm = epoch_permutation(train_ds.n, cfg.seed, epoch)
+        batch_loss = epoch_loss(epoch, perm)
         sums = {}
-        for idx in batch_iter(train_ds, cfg.batch_size, cfg.seed, epoch):
+        for pos in batch_slices(train_ds.n, cfg.batch_size):
+            idx = perm[pos]
             x, y = train_ds.features[idx], train_ds.labels[idx]
             logits, acts = model._forward_cached(params, x)
             if not np.isfinite(logits).all():
                 raise TrainingDivergedError(
                     f"training diverged in epoch {epoch}: non-finite logits"
                 )
-            upstream, batch_sums = batch_loss(epoch, idx, x, y, logits)
+            upstream, batch_sums = batch_loss(pos, x, y, logits)
             if not np.isfinite(upstream).all():
                 raise TrainingDivergedError(
                     f"training diverged in epoch {epoch}: non-finite gradients"
@@ -141,39 +150,120 @@ def train_teacher(train_ds: Dataset, dims, cfg: TrainConfig, val_ds: Dataset | N
     params = model.init(dims, cfg.seed)
     _require_fit("teacher", params.dims, train_ds, val_ds)
 
-    def ce_loss(epoch, idx, x, y, logits):
+    def ce_loss(pos, x, y, logits):
         loss_sum, upstream = ce_rows(*log_softmax_rows(logits), y)
         upstream /= len(y)
         return upstream, {"loss_ce": loss_sum}
 
-    return params, _fit(params, train_ds, cfg, val_ds, ce_loss)
+    return params, _fit(params, train_ds, cfg, val_ds, lambda epoch, perm: ce_loss)
+
+
+def _table_bytes(n: int, k: int) -> int:
+    """Bytes a run's target table holds at once, every column counted, for n rows of k classes.
+
+    The teacher's (n, k) float64 probabilities; the ``RowTargets`` made from
+    them, (n, k) float64 targets and ln t, an (n, 1) float64 mass and two
+    (n,) bool masks; the same columns in the epoch's row order; and that
+    epoch's (n, 1) float64 weight column.
+    """
+    return n * (8 * k + 2 * (16 * k + 8 + 2) + 8)
+
+
+def _chunks(n: int, size: int) -> list[np.ndarray]:
+    """Row indices [0, size), [size, 2 size), ..., and a last [n - size, n) that may overlap."""
+    return [np.arange(first, first + size) for first in
+            (min(start, n - size) for start in range(0, n, size))]
 
 
 @np.errstate(over="ignore", invalid="ignore")
-def _target_table(train_ds: Dataset, m: int, teacher_probs, row: Mode):
-    """Every training row's ``teacher_targets`` from m-row teacher forwards, or None.
+def _target_table(train_ds: Dataset, m: int, r: int, teacher_probs):
+    """``(probs, short)``: every row's teacher probabilities, and whether the r-row batch reads them.
 
-    A matmul's bits can depend on its row count, and on a row's position
+    None where no batch may read them. A matmul's bits can depend on its row count, and on a row's position
     among those rows: OpenBLAS computes trailing rows with an edge kernel,
     whose sum order can differ (it does for a 2-32-3 teacher at 5, 6 or 7
     rows). So each chunk has exactly the row count of a full training
-    batch, gathered the way training gathers it: [0, m), [m, 2m), ..., and
-    a last chunk [n - m, n) that may overlap the one before it. Each chunk
-    is forwarded a second time with its rows reversed. If any row differs,
-    a row's teacher output depends on where the shuffle puts it, and there
-    is no table. Otherwise a full batch reads bit for bit the targets a
-    per-batch forward would give it, since ``teacher_targets`` is row-local.
+    batch, gathered the way training gathers it: ``_chunks(n, m)``. Each
+    chunk is forwarded a second time with its rows reversed. If any row
+    differs, a row's teacher output depends on where the shuffle puts it,
+    and there is no table. Otherwise a full batch reads bit for bit the
+    targets a per-batch forward would give it, since ``teacher_targets`` is
+    row-local. With ``r`` > 0, the r-row chunks ``_chunks(n, r)`` are
+    forwarded the same two ways; the short batch reads the table only if
+    both match its m-row rows bit for bit.
     """
-    n = train_ds.n
-    probs = np.empty((n, train_ds.n_classes))
-    for start in range(0, n, m):
-        first = min(start, n - m)
-        idx = np.arange(first, first + m)
-        chunk = teacher_probs(train_ds.features[idx])
-        if not np.array_equal(chunk, teacher_probs(train_ds.features[idx[::-1]])[::-1]):
+    x = train_ds.features
+    probs = np.empty((train_ds.n, train_ds.n_classes))
+    for idx in _chunks(train_ds.n, m):
+        probs[idx] = teacher_probs(x[idx])
+        if not np.array_equal(teacher_probs(x[idx[::-1]])[::-1], probs[idx]):
             return None
-        probs[idx] = chunk
-    return teacher_targets(probs, train_ds.labels, row)
+    short = r > 0 and all(
+        np.array_equal(teacher_probs(x[idx]), probs[idx])
+        and np.array_equal(teacher_probs(x[idx[::-1]])[::-1], probs[idx])
+        for idx in _chunks(train_ds.n, r)
+    )
+    return probs, short
+
+
+def _teacher_probs(teacher: model.MlpParams, cfg: TrainConfig):
+    """The teacher's softmax at the run's tau, of a batch's features."""
+    return lambda x: log_softmax_rows(model.forward(teacher, x), cfg.tau)[1]
+
+
+def _fill(teacher: model.MlpParams, train_ds: Dataset, cfg: TrainConfig):
+    """``_target_table`` for the run's batches when the table fits the budget, else None.
+
+    The short batch of r = n mod m rows is checked only when the check's
+    2 ceil(n / r) forwards are fewer than the ``epochs`` forwards it saves.
+    """
+    n, m = train_ds.n, min(cfg.batch_size, train_ds.n)
+    if _table_bytes(n, train_ds.n_classes) > TARGET_TABLE_BYTES:
+        return None
+    r = n % m
+    if r and 2 * math.ceil(n / r) >= cfg.epochs:
+        r = 0
+    return _target_table(train_ds, m, r, _teacher_probs(teacher, cfg))
+
+
+def _epoch_table(table: RowTargets, perm, g: float, m: int):
+    """The table in the epoch's row order, and its weight column for m-row batches."""
+    rows = RowTargets._make(column[perm] for column in table)
+    return rows, weights(rows.hard, g, m)
+
+
+def _distill(teacher, student_dims, train_ds: Dataset, cfg: TrainConfig, val_ds, filled):
+    """One run of ``distill`` on the checked models, reading ``_fill``'s output ``filled``."""
+    student = model.init(student_dims, cfg.seed)
+    teacher_probs = _teacher_probs(teacher, cfg)
+    gammas = [gamma(cfg.row, e, cfg.epochs) for e in range(cfg.epochs)]
+    m = min(cfg.batch_size, train_ds.n)
+    probs, short = filled or (None, False)
+    table = None if probs is None else teacher_targets(probs, train_ds.labels, cfg.row)
+
+    def epoch_loss(epoch, perm):
+        g = gammas[epoch]
+        if table is not None:
+            ordered, w = _epoch_table(table, perm, g, m)
+
+        def kd_loss(pos, x, y, logits):
+            b = len(y)
+            if table is not None and (b == m or short):
+                batch = RowTargets._make(column[pos] for column in ordered)
+                out = target_loss(logits, batch, y, g, cfg.tau, w[pos] if b == m else None)
+            else:
+                batch = teacher_targets(teacher_probs(x), y, cfg.row)
+                out = target_loss(logits, batch, y, g, cfg.tau)
+            return out.grad, {"loss_total": out.l_all * b, "loss_ce": out.l_ce * b,
+                              "loss_easy": out.l_easy * b, "loss_hard": out.l_hard * b,
+                              "teacher_right_fraction": int(batch.right.sum())}
+
+        return kd_loss
+
+    rows = _fit(student, train_ds, cfg, val_ds, epoch_loss)
+    for row in rows:
+        row["gamma"] = gammas[row["epoch"]]
+    return student, rows
 
 
 def distill(
@@ -184,32 +274,24 @@ def distill(
     val_ds: Dataset | None = None,
 ):
     """Distill the frozen teacher into a fresh student; returns (params, rows)."""
+    return distill_runs(teacher, student_dims, train_ds, [cfg], val_ds)[0]
+
+
+def distill_runs(teacher: model.MlpParams, student_dims, train_ds: Dataset, cfgs,
+                 val_ds: Dataset | None = None):
+    """``distill`` under each config, in order; a list of (params, rows).
+
+    The models are checked once, before any forward. Runs that share a tau,
+    batch size and epoch count share one fill of the teacher's
+    probabilities; only ``teacher_targets`` depends on the mode.
+    """
     _require_fit("teacher", teacher.dims, train_ds, val_ds)
-    student = model.init(student_dims, cfg.seed)
-    _require_fit("student", student.dims, train_ds, val_ds)
-
-    def teacher_probs(x):
-        return log_softmax_rows(model.forward(teacher, x), cfg.tau)[1]
-
-    gammas = [gamma(cfg.row, e, cfg.epochs) for e in range(cfg.epochs)]
-    m = min(cfg.batch_size, train_ds.n)
-    table = None
-    if train_ds.n * train_ds.n_classes * 8 <= TARGET_TABLE_BYTES:
-        table = _target_table(train_ds, m, teacher_probs, cfg.row)
-
-    def kd_loss(epoch, idx, x, y, logits):
-        if table is not None and len(idx) == m:
-            targets, right, hard = (column[idx] for column in table)
-        else:
-            targets, right, hard = teacher_targets(teacher_probs(x), y, cfg.row)
-        out = target_loss(logits, targets, hard, y, gammas[epoch], cfg.tau)
-        w = len(y)
-        return out.grad, {"loss_total": out.l_all * w, "loss_ce": out.l_ce * w,
-                          "loss_easy": out.l_easy * w, "loss_hard": out.l_hard * w,
-                          "teacher_right_fraction": int(right.sum())}
-
-    rows = _fit(student, train_ds, cfg, val_ds, kd_loss)
-    for row in rows:
-        row["gamma"] = gammas[row["epoch"]]
-    return student, rows
-
+    _require_fit("student", student_dims, train_ds, val_ds)
+    fills = {}
+    runs = []
+    for cfg in cfgs:
+        key = (cfg.tau, cfg.batch_size, cfg.epochs)
+        if key not in fills:
+            fills[key] = _fill(teacher, train_ds, cfg)
+        runs.append(_distill(teacher, student_dims, train_ds, cfg, val_ds, fills[key]))
+    return runs

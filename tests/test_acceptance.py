@@ -15,7 +15,7 @@ from rectidistill.analysis import optimum, sweep
 from rectidistill.data import Dataset, make_blobs
 from rectidistill.numerics import finite_difference_gradient, kl_rows
 from rectidistill.rectify import STEP_B, STEP_C, rectify_rows
-from rectidistill.schedule import MODES, compute_batch_loss, gamma, target_loss
+from rectidistill.schedule import MODES, compute_batch_loss, gamma, row_targets, target_loss
 
 
 def report(capsys, number: int, name: str, ok: bool, detail: str) -> None:
@@ -86,15 +86,16 @@ def test_criterion_01_gradient_fidelity(capsys):
         t = rng.dirichlet(np.ones(k))
 
         label, hard = np.array([c]), np.array([True])
+        rows = row_targets(t[None], ~hard, hard)
         fd_ce = finite_difference_gradient(
-            lambda v: target_loss(v[None], t[None], hard, label, 0.0, tau).l_all, z
+            lambda v: target_loss(v[None], rows, label, 0.0, tau).l_all, z
         )
-        ce_grad = target_loss(z[None], t[None], hard, label, 0.0, tau).grad[0]
+        ce_grad = target_loss(z[None], rows, label, 0.0, tau).grad[0]
         worst = max(worst, float(np.max(np.abs(ce_grad - fd_ce))))
         fd_kl = finite_difference_gradient(
-            lambda v: target_loss(v[None], t[None], hard, label, 1.0, tau).l_hard, z
+            lambda v: target_loss(v[None], rows, label, 1.0, tau).l_hard, z
         )
-        kl_grad = target_loss(z[None], t[None], hard, label, 1.0, tau).grad[0]
+        kl_grad = target_loss(z[None], rows, label, 1.0, tau).grad[0]
         worst = max(worst, float(np.max(np.abs(kl_grad - fd_kl))))
     report(capsys, 1, "gradient fidelity", worst <= 1e-6,
            f"max |analytic - finite difference| = {worst:.3e} over 100 cases (tol 1e-6)")

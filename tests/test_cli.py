@@ -13,7 +13,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from rectidistill import analysis, cli, schedule, train
+from rectidistill import analysis, cli, model, schedule, train
 from rectidistill.data import Dataset, load_csv, make_blobs, save_csv
 from rectidistill.errors import ConfigError
 
@@ -679,6 +679,32 @@ class TestDistill:
         assert capsys.readouterr().err == (
             "error: ablate compares validation accuracy and needs --val\n")
         assert not out.exists()
+
+    @pytest.mark.parametrize("epochs", [5, 15])
+    def test_ablate_fills_the_teacher_table_once_for_all_its_runs(self, setup, monkeypatch,
+                                                                  epochs):
+        # 75 training rows at the default batch of 32: a fill forwards 3 chunks
+        # of 32 rows twice; at 15 epochs it also checks the 11-row short batch
+        # (7 chunks, twice), which then forwards the teacher in no epoch
+        tmp, data, teacher = setup
+        calls = []
+        forward = model.forward
+
+        def counting_forward(p, x):
+            if p.dims == [2, 8, 3]:
+                calls.append(len(x))
+            return forward(p, x)
+
+        monkeypatch.setattr(model, "forward", counting_forward)
+        out = tmp / f"ablate-forwards-{epochs}"
+        assert cli.main([
+            "ablate", "--train", str(data / "train.csv"), "--val", str(data / "val.csv"),
+            "--teacher", str(teacher), "--dims", "2,4,3", "--epochs", str(epochs),
+            "--seeds", "2", "--out", str(out),
+        ]) == cli.EXIT_OK
+        fill = [32] * 6 + ([11] * 14 if epochs == 15 else [])
+        per_batch = [] if epochs == 15 else [11] * (4 * epochs)  # 2 seeds x 2 modes
+        assert calls == fill + per_batch
 
     def test_ablate_smoke(self, setup):
         tmp, data, teacher = setup

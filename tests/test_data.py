@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 from rectidistill.data import (
     Dataset,
     atomic_write,
-    batch_iter,
+    batch_slices,
     class_centers,
     epoch_permutation,
     load_csv,
@@ -502,30 +502,32 @@ class TestSidecar:
 
 
 class TestBatchIter:
-    def _tiny(self, n=17):
-        feats = np.arange(n, dtype=float)[:, None].repeat(2, axis=1)
-        labels = np.zeros(n, dtype=np.int64)
-        labels[0] = 1
-        return Dataset(feats, labels, 2)
+    """An epoch's batches: its ``epoch_permutation`` cut by ``batch_slices``, as training cuts it."""
+
+    @staticmethod
+    def _batches(n, batch_size, seed, epoch):
+        perm = epoch_permutation(n, seed, epoch)
+        return [perm[pos] for pos in batch_slices(n, batch_size)]
 
     def test_single_batch_when_batch_size_covers_all(self):
-        ds = self._tiny(8)
-        batches = batch_iter(ds, 100, seed=1, epoch=0)
+        batches = self._batches(8, 100, seed=1, epoch=0)
         assert len(batches) == 1
         assert sorted(batches[0].tolist()) == list(range(8))
 
     def test_every_sample_exactly_once(self):
-        ds = self._tiny(17)
-        batches = batch_iter(ds, 5, seed=3, epoch=2)
+        batches = self._batches(17, 5, seed=3, epoch=2)
         flat = np.concatenate(batches)
         assert sorted(flat.tolist()) == list(range(17))
         assert [len(b) for b in batches] == [5, 5, 5, 2]
 
+    def test_slices_are_consecutive_and_only_the_last_is_short(self):
+        assert batch_slices(17, 5) == [slice(0, 5), slice(5, 10), slice(10, 15), slice(15, 20)]
+        assert batch_slices(10, 5) == [slice(0, 5), slice(5, 10)]
+
     def test_epoch_changes_permutation_seed_fixes_it(self):
-        ds = self._tiny(30)
-        a0 = np.concatenate(batch_iter(ds, 7, seed=7, epoch=0))
-        a0_again = np.concatenate(batch_iter(ds, 7, seed=7, epoch=0))
-        a1 = np.concatenate(batch_iter(ds, 7, seed=7, epoch=1))
+        a0 = np.concatenate(self._batches(30, 7, seed=7, epoch=0))
+        a0_again = np.concatenate(self._batches(30, 7, seed=7, epoch=0))
+        a1 = np.concatenate(self._batches(30, 7, seed=7, epoch=1))
         assert np.array_equal(a0, a0_again)
         assert not np.array_equal(a0, a1)
 
@@ -544,9 +546,7 @@ class TestBatchIter:
         epoch=st.integers(0, 30),
     )
     def test_permutation_law(self, n, batch, seed, epoch):
-        feats = np.zeros((n, 2))
-        ds = Dataset(feats, np.zeros(n, dtype=np.int64), 2)
-        flat = np.concatenate(batch_iter(ds, batch, seed, epoch))
+        flat = np.concatenate(self._batches(n, batch, seed, epoch))
         assert sorted(flat.tolist()) == list(range(n))
 
 

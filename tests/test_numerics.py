@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 
 from rectidistill.errors import InvalidInputError
 from rectidistill.numerics import ce_rows, finite_difference_gradient, kl_rows, log_softmax_rows
-from rectidistill.schedule import target_loss
+from rectidistill.schedule import row_targets, target_loss
 
 
 def softmax_oracle(z, tau=1.0):
@@ -248,6 +248,11 @@ class TestCrossEntropy:
         assert -log_softmax_rows(z)[0][0, 0] == pytest.approx(2.0, abs=1e-12)
 
 
+def one_hard_row(t):
+    """``target_loss``'s rows for a one-row target ``t`` of the hard weight class."""
+    return row_targets(t, np.array([False]), np.array([True]))
+
+
 class TestGradients:
     """CE through ``ce_rows``; KL through ``target_loss``, the gradient training runs.
 
@@ -276,24 +281,24 @@ class TestGradients:
     def test_kl_gradient_zero_at_optimum(self):
         z = np.array([[1.0, -0.5, 0.2]])
         t = log_softmax_rows(z, 2.0)[1]
-        g = target_loss(z, t, np.array([True]), np.array([0]), 1.0, 2.0).grad
+        g = target_loss(z, one_hard_row(t), np.array([0]), 1.0, 2.0).grad
         np.testing.assert_allclose(g, 0.0, atol=1e-12)
 
     def test_kl_gradient_one_hot_target(self):
         t = np.array([[1.0, 0.0]])
-        g = target_loss(np.zeros((1, 2)), t, np.array([True]), np.array([0]), 1.0, 1.0).grad
+        g = target_loss(np.zeros((1, 2)), one_hard_row(t), np.array([0]), 1.0, 1.0).grad
         np.testing.assert_allclose(g[0], [-0.5, 0.5], atol=1e-12)
 
     def test_kl_gradient_matches_finite_differences(self):
         rng = np.random.default_rng(7)
         t = rng.dirichlet(np.ones(5))[None]
         z = rng.normal(size=5)
-        hard, label = np.array([True]), np.array([0])
+        rows, label = one_hard_row(t), np.array([0])
         for tau in (0.5, 1.0, 2.0):
             fd = finite_difference_gradient(
-                lambda v: target_loss(v[None], t, hard, label, 1.0, tau).l_hard, z
+                lambda v: target_loss(v[None], rows, label, 1.0, tau).l_hard, z
             )
-            g = target_loss(z[None], t, hard, label, 1.0, tau).grad[0]
+            g = target_loss(z[None], rows, label, 1.0, tau).grad[0]
             np.testing.assert_allclose(g, fd, atol=1e-6)
 
     @given(
@@ -307,7 +312,7 @@ class TestGradients:
         assert abs(ce_rows(*log_softmax_rows(z, tau), labels)[1].sum() / tau) <= 1e-12
         t = np.zeros_like(z)
         t[0, c] = 1.0
-        assert abs(target_loss(z, t, np.array([True]), labels, 1.0, tau).grad.sum()) <= 1e-12
+        assert abs(target_loss(z, one_hard_row(t), labels, 1.0, tau).grad.sum()) <= 1e-12
 
 
 class TestFiniteDifferences:

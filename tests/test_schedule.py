@@ -179,7 +179,7 @@ class TestComputeBatchLoss:
         rhs = (1 - g) * (out.l_ce + out.l_easy) + g * out.l_hard
         assert lhs == pytest.approx(rhs, abs=1e-12)
         assert out.l_ce >= 0 and out.l_easy >= -1e-12 and out.l_hard >= -1e-12
-        _, right, hard = teacher_targets(teacher, labels, MODES[mode])
+        _, right, hard, *_ = teacher_targets(teacher, labels, MODES[mode])
         assert right.sum() == np.sum(np.argmax(teacher, axis=1) == labels)
         assert not (hard & right).any()
 
@@ -320,7 +320,7 @@ class TestTeacherTargets:
     def test_fresh_array_of_equal_values_without_a_biased_row(self, mode):
         probs = np.array([[0.7, 0.2, 0.1], [0.1, 0.1, 0.8]])
         kept = probs.copy()
-        targets, right, hard = teacher_targets(probs, np.array([0, 2]), MODES[mode])
+        targets, right, hard, *_ = teacher_targets(probs, np.array([0, 2]), MODES[mode])
         assert right.all() and not hard.any()
         assert not np.shares_memory(targets, probs)
         assert targets.tobytes() == kept.tobytes() == probs.tobytes()
@@ -334,7 +334,7 @@ class TestTeacherTargets:
     ])
     def test_biased_rows_take_their_mode_s_target(self, mode, want):
         probs = np.array([[0.2, 0.6, 0.2], [0.7, 0.2, 0.1]])
-        targets, right, _ = teacher_targets(probs, np.array([0, 0]), MODES[mode])
+        targets, right, *_ = teacher_targets(probs, np.array([0, 0]), MODES[mode])
         assert right.tolist() == [False, True]
         np.testing.assert_allclose(targets[0], want, rtol=1e-15)
         assert np.array_equal(targets[1], probs[1])

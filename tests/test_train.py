@@ -1,15 +1,16 @@
 """The shared SGD loop behind ``train_teacher`` and ``distill``: its rows and its bits."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from rectidistill import model, train as train_module
-from rectidistill.data import batch_iter, make_blobs
+from rectidistill.data import batch_slices, epoch_permutation, make_blobs
 from rectidistill.errors import ConfigError
 from rectidistill.numerics import log_softmax_rows
-from rectidistill.schedule import MODES, compute_batch_loss, gamma
+from rectidistill.schedule import MODES, compute_batch_loss, gamma, teacher_targets
 from rectidistill.train import (
     METRICS_COLUMNS,
     TEACHER_METRICS_COLUMNS,
@@ -52,7 +53,8 @@ def two_loop_teacher(train_ds, dims, cfg, val_ds):
     rows = []
     for epoch in range(cfg.epochs):
         loss_sum = 0.0
-        for idx in batch_iter(train_ds, cfg.batch_size, cfg.seed, epoch):
+        perm = epoch_permutation(train_ds.n, cfg.seed, epoch)
+        for idx in (perm[pos] for pos in batch_slices(train_ds.n, cfg.batch_size)):
             x, y = train_ds.features[idx], train_ds.labels[idx]
             logits, acts = model._forward_cached(params, x)
             true_class = (np.arange(len(idx)), y)
@@ -80,7 +82,8 @@ def two_loop_distill(teacher, student_dims, train_ds, cfg, val_ds):
         g = gamma(cfg.row, epoch, cfg.epochs)
         sums = {"loss_total": 0.0, "loss_ce": 0.0, "loss_easy": 0.0, "loss_hard": 0.0}
         n_right = 0
-        for idx in batch_iter(train_ds, cfg.batch_size, cfg.seed, epoch):
+        perm = epoch_permutation(train_ds.n, cfg.seed, epoch)
+        for idx in (perm[pos] for pos in batch_slices(train_ds.n, cfg.batch_size)):
             x, y = train_ds.features[idx], train_ds.labels[idx]
             teacher_probs = log_softmax_rows(model.forward(teacher, x), cfg.tau)[1]
             logits, acts = model._forward_cached(student, x)
@@ -149,25 +152,33 @@ def wide_teacher(setup):
     return train_teacher(train, [2, 32, 3], TrainConfig(epochs=EPOCHS, batch_size=8), val)[0]
 
 
-# (batch size, tau) on the 36-row split: one-row batches, n % B == 0,
-# n % B == 1 with an odd B (a 1-row last batch), n % B == 3, B == n and B > n
-TABLE_CASES = [(1, 1.0), (6, 1.0), (7, 1.0), (11, 0.5), (36, 1.0), (50, 0.5)]
+# (batch size, tau, epochs) on the 36-row split: one-row batches, n % B == 0,
+# n % B == 1 with an odd B (a 1-row last batch), n % B == 3, B == n and B > n;
+# then short batches of r = n % B rows that the table serves once its r-row
+# check costs fewer forwards than the epochs (2 ceil(n / r) < epochs): r = 16,
+# r = 5 (no table at all for the 32-wide teacher, whose 31-row bits depend on
+# position) and r = 1 (a 1-row forward takes other bits than the 7-row one,
+# so that short batch forwards the teacher itself)
+TABLE_CASES = [(1, 1.0, EPOCHS), (6, 1.0, EPOCHS), (7, 1.0, EPOCHS), (11, 0.5, EPOCHS),
+               (36, 1.0, EPOCHS), (50, 0.5, EPOCHS), (20, 1.0, 8), (31, 0.5, 17), (7, 1.0, 73)]
+TABLE_IDS = [f"{b}-{tau}" + (f"-{epochs}-epochs" if epochs != EPOCHS else "")
+             for b, tau, epochs in TABLE_CASES]
 
 
-def _cfg(mode, batch_size, tau=1.0):
+def _cfg(mode, batch_size, tau=1.0, epochs=EPOCHS):
     """Mode ``mode``'s config, at G = 0.3 for ``fixed-gamma``."""
     flag = "fixed-gamma=0.3" if mode == "fixed-gamma" else mode
-    return TrainConfig(epochs=EPOCHS, batch_size=batch_size, seed=4, tau=tau, mode=flag)
+    return TrainConfig(epochs=epochs, batch_size=batch_size, seed=4, tau=tau, mode=flag)
 
 
 @pytest.mark.parametrize("wide", [False, True])
 @pytest.mark.parametrize("mode", MODES)
-@pytest.mark.parametrize("batch_size,tau", TABLE_CASES)
+@pytest.mark.parametrize("batch_size,tau,epochs", TABLE_CASES, ids=TABLE_IDS)
 def test_target_table_is_bit_identical_to_per_batch_targets(setup, wide_teacher, monkeypatch,
-                                                            wide, mode, batch_size, tau):
+                                                            wide, mode, batch_size, tau, epochs):
     train, val, teacher = setup
     teacher = wide_teacher if wide else teacher
-    cfg = _cfg(mode, batch_size, tau)
+    cfg = _cfg(mode, batch_size, tau, epochs)
     with_table = distill(teacher, [2, 5, 3], train, cfg, val)
     monkeypatch.setattr(train_module, "TARGET_TABLE_BYTES", 0)
     assert_same_bits(*with_table, *distill(teacher, [2, 5, 3], train, cfg, val))
@@ -184,28 +195,37 @@ def test_distill_matches_the_two_loop_oracle_away_from_tau_1(setup, mode, tau):
                      *two_loop_distill(teacher, [2, 5, 3], train, cfg, val))
 
 
-@pytest.mark.parametrize("m", [7, 36])
-def test_no_table_when_a_row_s_bits_depend_on_its_position(setup, m):
+def _positional_at(probs, rows):
+    """``probs``, but the last of exactly ``rows`` rows takes other bits, as from a BLAS edge kernel."""
+    def positional(x):
+        out = probs(x)
+        if len(x) == rows:
+            out[-1] = np.nextafter(out[-1], 2.0)
+        return out
+
+    return positional
+
+
+# (m, r): a full batch only, and full batches with a short one of r rows
+@pytest.mark.parametrize("m,r", [(7, 0), (36, 0), (11, 3), (20, 16)],
+                         ids=["7", "36", "11-3", "20-16"])
+def test_no_table_when_a_row_s_bits_depend_on_its_position(setup, m, r):
     train, _, teacher = setup
 
     def probs(x):
         return log_softmax_rows(model.forward(teacher, x))[1]
 
-    def positional(x):
-        # the last of the m rows takes other bits, as from a BLAS edge kernel
-        out = probs(x)
-        out[-1] = np.nextafter(out[-1], 2.0)
-        return out
+    table, short = train_module._target_table(train, m, r, probs)
+    assert np.array_equal(table, probs(train.features)) and short == (r > 0)
+    # m-row bits that depend on position: no batch reads a table
+    assert train_module._target_table(train, m, r, _positional_at(probs, m)) is None
+    if r:
+        # r-row bits only: full batches read the table, the short batch forwards
+        table_r, short_r = train_module._target_table(train, m, r, _positional_at(probs, r))
+        assert np.array_equal(table_r, table) and not short_r
 
-    assert train_module._target_table(train, m, probs, MODES["full"]) is not None
-    assert train_module._target_table(train, m, positional, MODES["full"]) is None
 
-
-@pytest.mark.parametrize("table_bytes", [train_module.TARGET_TABLE_BYTES, 0])
-@pytest.mark.parametrize("batch_size", [6, 7, 50])
-def test_teacher_forward_count_under_and_over_the_budget(setup, monkeypatch, table_bytes,
-                                                        batch_size):
-    train, _, teacher = setup
+def _counting_teacher_forwards(monkeypatch, teacher):
     calls = []
     forward = model.forward
 
@@ -215,17 +235,87 @@ def test_teacher_forward_count_under_and_over_the_budget(setup, monkeypatch, tab
         return forward(p, x)
 
     monkeypatch.setattr(model, "forward", counting_forward)
+    return calls
+
+
+def _want_forwards(n, batch_size, epochs, table):
+    """The teacher forwards' row counts of a distill, with or without the table."""
+    m = min(batch_size, n)
+    r = n % m
+    short = [r] if r else []
+    if not table:
+        return ([m] * (n // m) + short) * epochs
+    if r and 2 * math.ceil(n / r) < epochs:
+        # ceil(n/m) chunks of m rows and ceil(n/r) of r rows, each forwarded
+        # twice (the position check); then no forward at all (at B = 20, 6
+        # forwards of 16 rows in place of 7)
+        return [m] * (2 * math.ceil(n / m)) + [r] * (2 * math.ceil(n / r))
+    # the m-row chunks, then only the short last batch of each epoch (at
+    # B = 20 and 6 epochs, its check would cost as many forwards)
+    return [m] * (2 * math.ceil(n / m)) + short * epochs
+
+
+@pytest.mark.parametrize("table_bytes", [train_module.TARGET_TABLE_BYTES, 0])
+@pytest.mark.parametrize("batch_size,epochs", [(6, EPOCHS), (7, EPOCHS), (50, EPOCHS), (20, 6),
+                                               (20, 7)],
+                         ids=["6", "7", "50", "20-6-epochs", "20-7-epochs"])
+def test_teacher_forward_count_under_and_over_the_budget(setup, monkeypatch, table_bytes,
+                                                        batch_size, epochs):
+    train, _, teacher = setup
+    calls = _counting_teacher_forwards(monkeypatch, teacher)
     monkeypatch.setattr(train_module, "TARGET_TABLE_BYTES", table_bytes)
-    distill(teacher, [2, 5, 3], train, _cfg("full", batch_size))
-    m = min(batch_size, train.n)
-    short = [train.n % m] if train.n % m else []
-    if table_bytes:
-        # ceil(n/m) chunks of m rows, each forwarded twice (the position
-        # check), then only the short last batch of each epoch
-        want = [m] * (2 * math.ceil(train.n / m)) + short * EPOCHS
-    else:
-        want = ([m] * (train.n // m) + short) * EPOCHS
-    assert calls == want
+    distill(teacher, [2, 5, 3], train, _cfg("full", batch_size, epochs=epochs))
+    assert calls == _want_forwards(train.n, batch_size, epochs, table_bytes > 0)
+
+
+@pytest.mark.parametrize("over_budget", [0, 1])
+def test_the_budget_bounds_the_table_s_every_byte(setup, monkeypatch, over_budget):
+    train, _, teacher = setup
+    exact = train_module._table_bytes(train.n, train.n_classes)
+    monkeypatch.setattr(train_module, "TARGET_TABLE_BYTES", exact - over_budget)
+    calls = _counting_teacher_forwards(monkeypatch, teacher)
+    distill(teacher, [2, 5, 3], train, _cfg("full", 20, epochs=8))
+    assert calls == _want_forwards(train.n, 20, 8, table=not over_budget)
+
+
+def test_table_bytes_count_every_array_the_table_holds(setup):
+    train, _, teacher = setup
+    cfg = _cfg("full", 20, epochs=8)
+    probs, short = train_module._fill(teacher, train, cfg)
+    table = teacher_targets(probs, train.labels, cfg.row)
+    ordered, w = train_module._epoch_table(table, epoch_permutation(train.n, 4, 1), 0.25, 20)
+    held = probs.nbytes + sum(a.nbytes for a in (*table, *ordered, w))
+    assert held == train_module._table_bytes(train.n, train.n_classes) == train.n * (40 * 3 + 28)
+
+
+def test_the_wide_benchmark_shape_forwards_the_teacher_per_batch(monkeypatch):
+    # n = 20 000 rows of k = 100 classes at batch 256: the table would hold 80.6 MB
+    wide = make_blobs(100, 200, 2, 1.0, seed=1)
+    teacher = model.init([2, 8, 100], 0)
+    assert train_module._table_bytes(wide.n, 100) > train_module.TARGET_TABLE_BYTES
+    monkeypatch.setattr(train_module, "_target_table", _refuse)
+    calls = _counting_teacher_forwards(monkeypatch, teacher)
+    distill(teacher, [2, 4, 100], wide, TrainConfig(epochs=1, batch_size=256))
+    assert calls == [256] * 78 + [32]
+
+
+def test_distill_runs_fill_the_teacher_table_once_per_tau_batch_size_and_epochs(
+        setup, monkeypatch):
+    train, val, teacher = setup
+    fills = []
+    fill = train_module._fill
+
+    def counting_fill(teacher, train_ds, cfg):
+        fills.append(cfg)
+        return fill(teacher, train_ds, cfg)
+
+    monkeypatch.setattr(train_module, "_fill", counting_fill)
+    cfgs = [_cfg(mode, 8) for mode in ("step-b", "full", "vanilla")]
+    cfgs += [replace(cfgs[0], seed=5), replace(cfgs[0], tau=2.0), replace(cfgs[0], epochs=2)]
+    runs = train_module.distill_runs(teacher, [2, 5, 3], train, cfgs, val)
+    assert fills == [cfgs[0], cfgs[4], cfgs[5]]
+    for cfg, run in zip(cfgs, runs):
+        assert_same_bits(*run, *distill(teacher, [2, 5, 3], train, cfg, val))
 
 
 def test_missing_val_split_gives_nan_val_acc(setup):
