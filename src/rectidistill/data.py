@@ -62,15 +62,13 @@ def class_centers(n_classes: int, dim: int, seed: int) -> np.ndarray:
     return 3.0 * dirs / np.linalg.norm(dirs, axis=1, keepdims=True)
 
 
-def make_blobs(n_classes: int, per_class: int, dim: int, spread: float, seed: int) -> Dataset:
-    """Gaussian blobs around deterministic class centers, fully seeded."""
-    return blob_splits(n_classes, (per_class,), dim, spread, seed)[0]
-
-
 def blob_splits(n_classes: int, per_class: tuple[int, ...], dim: int, spread: float,
                 seed: int) -> list[Dataset]:
-    """The rows ``make_blobs(n_classes, sum(per_class), ...)`` draws, split by class in order,
-    each split's features filled in place class by class: no array holds the whole draw."""
+    """Gaussian blobs around ``class_centers``, fully seeded; one split per ``per_class`` entry.
+
+    Class by class, each class's ``sum(per_class)`` rows are drawn in turn, the first
+    ``per_class[0]`` into the first split and so on, in place: no array holds the whole draw.
+    """
     centers = class_centers(n_classes, dim, seed)
     rng = generator(seed, 0xB1)
     splits = [np.empty((n_classes * m, dim)) for m in per_class]

@@ -125,7 +125,7 @@ def _backward_into(p: MlpParams, grads, upstream: np.ndarray, acts) -> None:
             delta *= acts[i] > 0.0
 
 
-def sgd_step(p: MlpParams, grad, velocity, lr: float, momentum: float = 0.0) -> None:
+def sgd_step(p: MlpParams, grad, velocity, lr: float, momentum: float) -> None:
     """In-place heavy-ball update of flat vectors: v <- momentum*v + g; p <- p - lr*v."""
     velocity *= momentum
     velocity += grad

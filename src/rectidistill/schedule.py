@@ -39,11 +39,12 @@ returns the loss terms together with their gradient w.r.t. the logits,
 at the epoch's gamma ``g``, which ``gamma`` gives; it reads the weight
 classes and the row constants, not the mode, and recomputes none of them.
 ``weights`` is the one rule for a row's weight, per batch and for a
-table's per-epoch weight column. ``compute_batch_loss`` is the two steps
-composed, at a given ``g``. None of them checks its inputs, each checked
-once where it enters: ``tau`` and the mode by ``TrainConfig``, labels by
-the data loaders, the teacher by ``model.load_checkpoint``, non-finite
-student logits by ``train._fit``.
+table's per-epoch weight column. A caller that has a batch's teacher
+probabilities calls ``teacher_targets``, then ``target_loss``, as
+``train.distill``'s per-batch path does. None of them checks its inputs,
+each checked once where it enters: ``tau`` and the mode by
+``TrainConfig``, labels by the data loaders, the teacher by
+``model.load_checkpoint``, non-finite student logits by ``train._fit``.
 CE (``numerics.ce_rows``) and KL come from the ln s of
 ``numerics.log_softmax_rows``, so they stay finite where the student
 softmax underflows; each gradient uses the s of the same pass. At tau 1
@@ -167,12 +168,3 @@ def target_loss(student_logits, rows: RowTargets, labels, g: float, tau: float,
     l_ce = ce_sum / n
     l_all = (1.0 - g) * (l_ce + l_easy) + g * l_hard
     return LossBreakdown(l_ce, l_easy, l_hard, l_all, grad)
-
-
-def compute_batch_loss(
-    student_logits, teacher_probs, labels, g: float, tau: float = 1.0, row: Mode = MODES["full"]
-) -> LossBreakdown:
-    """Per-batch loss components, the assembled total and its logit gradient at gamma ``g``."""
-    labels = np.asarray(labels, dtype=np.int64)
-    rows = teacher_targets(np.asarray(teacher_probs, dtype=np.float64), labels, row)
-    return target_loss(student_logits, rows, labels, g, tau)

@@ -12,10 +12,10 @@ import pytest
 
 from rectidistill import cli, model, train
 from rectidistill.analysis import optimum, sweep
-from rectidistill.data import Dataset, make_blobs
+from rectidistill.data import Dataset, blob_splits
 from rectidistill.numerics import finite_difference_gradient, kl_rows
 from rectidistill.rectify import STEP_B, STEP_C, rectify_rows
-from rectidistill.schedule import MODES, compute_batch_loss, gamma, row_targets, target_loss
+from rectidistill.schedule import MODES, gamma, row_targets, target_loss, teacher_targets
 
 
 def report(capsys, number: int, name: str, ok: bool, detail: str) -> None:
@@ -37,7 +37,7 @@ EPOCHS = 60
 def experiment():
     per_class_train, per_class_val = 100, 500
     per_total = per_class_train + per_class_val
-    full = make_blobs(4, per_total, 2, spread=1.2, seed=1)
+    full = blob_splits(4, (per_total,), 2, spread=1.2, seed=1)[0]
     train_idx, val_idx = [], []
     for c in range(4):
         start = c * per_total
@@ -204,16 +204,17 @@ def test_criterion_09_end_to_end_gradients(capsys):
     for mode in MODES:
         row = train.TrainConfig(mode="fixed-gamma=0.5" if mode == "fixed-gamma" else mode).row
         g = gamma(row, 30, 60)
+        rows = teacher_targets(teacher_probs, labels, row)
         student = model.init([2, 4, 3], seed=17)
         q = model.init([2, 4, 3], seed=17)
 
         def loss_at(flat):
             q.flat[:] = flat
             logits = model.forward(q, x)
-            return compute_batch_loss(logits, teacher_probs, labels, g, row=row).l_all
+            return target_loss(logits, rows, labels, g, 1.0).l_all
 
         logits, acts = model._forward_cached(student, x)
-        upstream = compute_batch_loss(logits, teacher_probs, labels, g, row=row).grad
+        upstream = target_loss(logits, rows, labels, g, 1.0).grad
         analytic = np.empty_like(student.flat)
         model._backward_into(student, student.layer_views(analytic), upstream, acts)
         fd = finite_difference_gradient(loss_at, student.flat.copy())

@@ -14,7 +14,7 @@ from rectidistill.analysis import (
     sweep,
 )
 from rectidistill.rectify import rectify_rows
-from rectidistill.schedule import compute_batch_loss, gamma
+from rectidistill.schedule import gamma, target_loss, teacher_targets
 from rectidistill.train import TrainConfig
 
 GRID = np.arange(1e-6, 1.0, 1e-6)
@@ -157,7 +157,8 @@ def noisy_gradient(s, t, nb, epoch, mode="full") -> np.ndarray:
     labels[:nb] = 1
     logits = np.tile([np.log(s) - np.log(1.0 - s), 0.0], (NOISY_ROWS, 1))
     row = TrainConfig(mode=mode).row
-    loss = compute_batch_loss(logits, teacher, labels, gamma(row, epoch, NOISY_EPOCHS), row=row)
+    loss = target_loss(logits, teacher_targets(teacher, labels, row), labels,
+                       gamma(row, epoch, NOISY_EPOCHS), 1.0)
     return NOISY_ROWS * loss.grad.sum(axis=0)
 
 
@@ -191,7 +192,7 @@ class TestLabelNoise:
                 moved = noisy_gradient(s + 1e-6, t, nb, epoch)
                 assert np.abs(moved).max() > 1e-8, (t, nb, epoch)
 
-    def test_vanilla_kd_is_stationary_at_the_mean_target_only(self):
+    def test_vanilla_is_stationary_at_the_mean_target_only(self):
         for t, nb in self.POINTS:
             for epoch in self.EPOCHS:
                 s = (t + 1 - nb / NOISY_ROWS) / 2

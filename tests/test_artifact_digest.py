@@ -1,9 +1,15 @@
 """scripts/artifact_digest.py: one sha256 listing per run, the same on every run."""
 
 import importlib.util
+import json
+import os
+import platform
+import re
+import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from rectidistill import schedule
@@ -34,18 +40,57 @@ TOY = (
 # batches of 10 (three of 10, one of 6).
 TOY_EXTRAS = {"toy-k3": artifact_digest.Extra(ablate_seeds=2, tau2_batch_size=10)}
 
-# The listing digest of TOY's 72 files. It depends on the numpy/BLAS build it
-# was recorded with; a change that alters artifact bits on purpose updates it
-# and says so.
-TOY_LISTING_DIGEST = "addf0dbf3489d6e89ebca14ee0904dbc98a07168420a6c968f767030bb8e09ee"
+# Both numpy and OpenBLAS pick their kernels from the CPU's features at run
+# time, and the kernels move bits. The TOY listing is made in a process that
+# forces a set every x86-64-v2 CPU has: OpenBLAS's Prescott kernels, and numpy's
+# baseline with every SIMD dispatch target above it turned off.
+FORCED_KERNELS = {"OPENBLAS_CORETYPE": "Prescott",
+                  "NPY_DISABLE_CPU_FEATURES": "X86_V3 X86_V4 AVX512_ICL AVX512_SPR"}
+
+# The listing digest of TOY's 72 files under FORCED_KERNELS, and what it was
+# recorded with; another numpy or BLAS build may give other bits. A change that
+# alters artifact bits on purpose updates both and says so.
+TOY_LISTING_DIGEST = "9c1230aa0c2be81d6973a8d77b534e923c210c251b6600da4484d1831b33601d"
+PINNED_WITH = ("numpy 2.4.6, scipy-openblas 0.3.31.188.0, numpy dispatch targets none, x86_64, "
+               "OpenBLAS core Katmai")
+
+LISTINGS = "import sys, test_artifact_digest as t; t.print_toy_listings(sys.argv[1])"
+
+
+def print_toy_listings(out) -> None:
+    """Print, as JSON, two TOY listings made under ``out``, and this process's numpy and
+    BLAS builds, the SIMD dispatch targets numpy runs and the CPU architecture."""
+    runs = [artifact_digest.artifact_digests(Path(out) / name, TOY, TOY_EXTRAS)
+            for name in ("a", "b")]
+    blas = np.show_config("dicts")["Build Dependencies"]["blas"]
+    from numpy._core._multiarray_umath import __cpu_dispatch__, __cpu_features__
+    simd = " ".join(f for f in __cpu_dispatch__ if __cpu_features__[f]) or "none"
+    made_with = (f"numpy {np.__version__}, {blas['name']} {blas['version']}, "
+                 f"numpy dispatch targets {simd}, {platform.machine()}")
+    print(json.dumps({"runs": runs, "made_with": made_with}))
+
+
+def forced_kernel_listings(out):
+    """``print_toy_listings`` in a fresh process under FORCED_KERNELS, with the ``src/`` and
+    ``tests/`` next to this file: (the two listings, what they were made with)."""
+    root = Path(__file__).resolve().parent.parent
+    env = {**os.environ, **FORCED_KERNELS, "OPENBLAS_VERBOSE": "2",
+           "PYTHONPATH": os.pathsep.join([str(root / "src"), str(root / "tests")])}
+    proc = subprocess.run([sys.executable, "-c", LISTINGS, str(out)], env=env,
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    made = json.loads(proc.stdout)
+    # OPENBLAS_VERBOSE=2 makes OpenBLAS name the kernels it picked, on stderr
+    core = re.search(r"^Core: (\S+)$", proc.stderr, flags=re.MULTILINE)
+    return made["runs"], f"{made['made_with']}, OpenBLAS core {core[1] if core else 'unknown'}"
 
 
 def test_two_runs_give_the_same_listing_digest(tmp_path):
-    first = artifact_digest.artifact_digests(tmp_path / "a", TOY, TOY_EXTRAS)
-    second = artifact_digest.artifact_digests(tmp_path / "b", TOY, TOY_EXTRAS)
+    (first, second), made_with = forced_kernel_listings(tmp_path)
     assert first == second
-    assert artifact_digest.listing_digest(first) == artifact_digest.listing_digest(second)
-    assert artifact_digest.listing_digest(first) == TOY_LISTING_DIGEST
+    assert artifact_digest.listing_digest(first) == TOY_LISTING_DIGEST, (
+        f"TOY listing {artifact_digest.listing_digest(first)} under {FORCED_KERNELS}, made "
+        f"with {made_with}; pinned {TOY_LISTING_DIGEST}, made with {PINNED_WITH}")
     paths = [line.split("  ", 1)[1] for line in first]
     assert "toy-k3/data/train.csv" in paths
     assert "toy-k3/distill-fixed-gamma-0.5/student.ckpt" in paths

@@ -15,10 +15,10 @@ from rectidistill.data import (
     Dataset,
     atomic_write,
     batch_slices,
+    blob_splits,
     class_centers,
     epoch_permutation,
     load_csv,
-    make_blobs,
     save_csv,
     write_table,
 )
@@ -40,7 +40,7 @@ def csv_writer_save_csv(ds: Dataset, path) -> None:
 
 
 def per_class_blobs(n_classes, per_class, dim, spread, seed):
-    """The class-by-class loop make_blobs replaced, kept as the oracle."""
+    """The class-by-class loop blob_splits replaced, kept as the oracle."""
     centers = class_centers(n_classes, dim, seed)
     rng = generator(seed, 0xB1)
     features = np.empty((n_classes * per_class, dim))
@@ -67,27 +67,27 @@ def nearest_center_accuracy(ds: Dataset, centers: np.ndarray) -> float:
     return float(np.mean(np.argmin(d2, axis=1) == ds.labels))
 
 
-class TestMakeBlobs:
+class TestBlobSplits:
     def test_tiny_spread_is_perfectly_separable(self):
-        ds = make_blobs(4, 25, 2, spread=1e-9, seed=3)
+        ds = blob_splits(4, (25,), 2, spread=1e-9, seed=3)[0]
         centers = class_centers(4, 2, 3)
         assert nearest_center_accuracy(ds, centers) == 1.0
 
     def test_same_seed_same_bytes(self):
-        a = make_blobs(3, 10, 2, 0.5, seed=7)
-        b = make_blobs(3, 10, 2, 0.5, seed=7)
+        a = blob_splits(3, (10,), 2, 0.5, seed=7)[0]
+        b = blob_splits(3, (10,), 2, 0.5, seed=7)[0]
         assert np.array_equal(a.features, b.features)
         assert np.array_equal(a.labels, b.labels)
 
     def test_different_seed_differs(self):
-        a = make_blobs(3, 10, 2, 0.5, seed=7)
-        b = make_blobs(3, 10, 2, 0.5, seed=8)
+        a = blob_splits(3, (10,), 2, 0.5, seed=7)[0]
+        b = blob_splits(3, (10,), 2, 0.5, seed=8)[0]
         assert not np.array_equal(a.features, b.features)
 
     def test_nearest_center_ceiling_at_spread_1_2(self):
         # ~7% Bayes error for 4 blobs on a radius-3 ring with sigma=1.2;
         # this bounds what any teacher can reach on held-out data
-        ds = make_blobs(4, 2500, 2, spread=1.2, seed=1)
+        ds = blob_splits(4, (2500,), 2, spread=1.2, seed=1)[0]
         acc = nearest_center_accuracy(ds, class_centers(4, 2, 1))
         assert 0.88 <= acc <= 0.97
 
@@ -99,14 +99,15 @@ class TestMakeBlobs:
         "shape", [(2, 1, 1, 0.5, 0), (4, 100, 2, 1.2, 1), (7, 13, 5, 0.3, 42), (100, 20, 32, 1.2, 3)]
     )
     def test_matches_per_class_loop(self, shape):
-        ds = make_blobs(*shape)
+        n_classes, per_class, *rest = shape
+        ds = blob_splits(n_classes, (per_class,), *rest)[0]
         features, labels = per_class_blobs(*shape)
         assert np.array_equal(ds.features, features)
         assert np.array_equal(ds.labels, labels) and ds.labels.dtype == np.int64
 
     def test_peak_memory_is_about_the_output(self):
         # each class's rows are drawn, scaled and shifted in place in the output
-        ds, peak = peak_bytes(make_blobs, 100, 250, 32, 1.2, 3)
+        (ds,), peak = peak_bytes(blob_splits, 100, (250,), 32, 1.2, 3)
         assert peak <= 1.25 * dataset_bytes(ds)
 
 
@@ -212,7 +213,7 @@ class TestCsv:
     @pytest.mark.parametrize(
         "ds",
         [
-            make_blobs(3, 20, 4, 0.8, seed=9),
+            blob_splits(3, (20,), 4, 0.8, seed=9)[0],
             Dataset(
                 np.array([AWKWARD_FLOATS, AWKWARD_FLOATS[::-1], [-x for x in AWKWARD_FLOATS]]),
                 np.array([2, 0, 1]),
@@ -232,7 +233,7 @@ class TestCsv:
         assert back.features.flags.c_contiguous
 
     def test_round_trip_of_blobs(self, tmp_path):
-        ds = make_blobs(3, 20, 4, 0.8, seed=9)
+        ds = blob_splits(3, (20,), 4, 0.8, seed=9)[0]
         path = tmp_path / "blobs.csv"
         save_csv(ds, path)
         back = load_csv(path, 3)
@@ -307,7 +308,7 @@ def assert_same_dataset(got: Dataset, want: Dataset) -> None:
 
 
 class TestSidecar:
-    @pytest.mark.parametrize("ds", [make_blobs(3, 20, 4, 0.8, seed=9), AWKWARD],
+    @pytest.mark.parametrize("ds", [blob_splits(3, (20,), 4, 0.8, seed=9)[0], AWKWARD],
                              ids=["blobs", "awkward-floats"])
     def test_hit_equals_the_parse_without_parsing(self, tmp_path, ds, parses):
         path = tmp_path / "split.csv"
@@ -337,7 +338,7 @@ class TestSidecar:
 
     def test_sidecar_bytes_do_not_depend_on_the_arrays_memory_layout(self, tmp_path):
         # int32 labels and Fortran-ordered features store as int64 and C order
-        ds = make_blobs(4, 25, 3, 1.2, seed=5)
+        ds = blob_splits(4, (25,), 3, 1.2, seed=5)[0]
         other = Dataset(np.asfortranarray(ds.features), ds.labels.astype(np.int32), 4)
         for name, split in (("a", ds), ("b", other)):
             (tmp_path / name).mkdir()
@@ -347,7 +348,7 @@ class TestSidecar:
 
     def test_hit_holds_the_dataset_once(self, tmp_path):
         # the two records load into the dataset's own arrays: no row array, no copy
-        ds = make_blobs(20, 500, 32, 1.2, seed=3)
+        ds = blob_splits(20, (500,), 32, 1.2, seed=3)[0]
         path = tmp_path / "split.csv"
         save_csv(ds, path)
         hit, peak = peak_bytes(load_csv, path, 20)
@@ -355,7 +356,7 @@ class TestSidecar:
         assert peak <= 1.25 * dataset_bytes(ds)
 
     def test_two_saves_give_byte_identical_sidecars(self, tmp_path):
-        ds = make_blobs(4, 25, 3, 1.2, seed=5)
+        ds = blob_splits(4, (25,), 3, 1.2, seed=5)[0]
         for name in ("a", "b"):
             (tmp_path / name).mkdir()
             save_csv(ds, tmp_path / name / "train.csv")
@@ -384,7 +385,7 @@ class TestSidecar:
                                       "garbage", "pickled", "object-array", "npz",
                                       "missing-second-record", "trailing-bytes", "old-layout"])
     def test_unreadable_sidecar_falls_back_to_the_parse(self, tmp_path, kind, parses):
-        ds = make_blobs(3, 10, 4, 0.8, seed=2)
+        ds = blob_splits(3, (10,), 4, 0.8, seed=2)[0]
         path = tmp_path / "split.csv"
         save_csv(ds, path)
         sidecar = tmp_path / "split.csv.rows"
@@ -422,7 +423,7 @@ class TestSidecar:
                                       "two-dimensional", "one-dimensional-features",
                                       "plain-floats", "length-mismatch", "fortran-order"])
     def test_wrong_dtype_or_shape_falls_back_to_the_parse(self, tmp_path, kind, parses):
-        ds = make_blobs(3, 10, 4, 0.8, seed=2)
+        ds = blob_splits(3, (10,), 4, 0.8, seed=2)[0]
         path = tmp_path / "split.csv"
         save_csv(ds, path)
         labels, features = forged_records(ds.n, 4)
@@ -444,7 +445,7 @@ class TestSidecar:
     def _sidecar_with_a_huge_header(self, tmp_path, record: int, stale: bool = True):
         """A sidecar whose ``record`` (0: labels, 1: features) claims 10**12 rows."""
         # that header would ask numpy for 7.3 TiB of labels or 29 TiB of features
-        ds = make_blobs(3, 10, 4, 0.8, seed=2)
+        ds = blob_splits(3, (10,), 4, 0.8, seed=2)[0]
         path = tmp_path / "split.csv"
         save_csv(ds, path)
         labels, features = forged_records(ds.n, 4)
@@ -479,7 +480,7 @@ class TestSidecar:
         assert parses[0] == 1
 
     def test_missing_sidecar_parses_as_before(self, tmp_path, parses):
-        ds = make_blobs(3, 10, 4, 0.8, seed=2)
+        ds = blob_splits(3, (10,), 4, 0.8, seed=2)[0]
         path = tmp_path / "split.csv"
         save_csv(ds, path)
         (tmp_path / "split.csv.rows").unlink()
@@ -501,7 +502,7 @@ class TestSidecar:
         assert ":4: label 2 outside [0, 2)" in str(via_sidecar.value)
 
 
-class TestBatchIter:
+class TestBatchSlices:
     """An epoch's batches: its ``epoch_permutation`` cut by ``batch_slices``, as training cuts it."""
 
     @staticmethod

@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 
 from rectidistill.numerics import kl_rows, log_softmax_rows
 from rectidistill.rectify import rectify_rows
-from rectidistill.schedule import MODES, compute_batch_loss, teacher_targets
+from rectidistill.schedule import MODES, target_loss, teacher_targets
 
 
 def split_sizes(teacher, labels):
@@ -40,11 +40,12 @@ def test_split_preserves_order():
     logits = np.array([[0.3, -0.2, 0.1], [0.5, 0.0, -0.4], [-0.1, 0.2, 0.6]])
     teacher = np.array([[0.6, 0.3, 0.1], [0.2, 0.5, 0.3], [0.1, 0.2, 0.7]])
     labels = np.array([0, 2, 2])
-    out = compute_batch_loss(logits, teacher, labels, 0.5, row=MODES["full"])
+    rows = teacher_targets(teacher, labels, MODES["full"])
+    out = target_loss(logits, rows, labels, 0.5, 1.0)
     log_s = [np.log(log_softmax_rows(z[None])[1]) for z in logits]
     l_easy = (kl_rows(teacher[0:1], log_s[0])[0] + kl_rows(teacher[2:3], log_s[2])[0]) / 3
     l_hard = kl_rows(rectify_rows(teacher[1:2], np.array([2])), log_s[1])[0] / 3
-    assert teacher_targets(teacher, labels, MODES["full"])[1].tolist() == [True, False, True]
+    assert rows.right.tolist() == [True, False, True]
     assert out.l_easy == pytest.approx(l_easy, abs=1e-12)
     assert out.l_hard == pytest.approx(l_hard, abs=1e-12)
 
@@ -86,9 +87,10 @@ def test_mask_is_deterministic():
     probs = rng.dirichlet(np.ones(4), size=32)
     labels = rng.integers(0, 4, size=32)
     logits = rng.normal(size=(32, 4))
-    a = compute_batch_loss(logits, probs, labels, 0.5)
-    b = compute_batch_loss(logits, probs, labels, 0.5)
-    assert np.array_equal(teacher_targets(probs, labels, MODES["full"])[1],
-                          teacher_targets(probs, labels, MODES["full"])[1])
+    rows_a = teacher_targets(probs, labels, MODES["full"])
+    rows_b = teacher_targets(probs, labels, MODES["full"])
+    a = target_loss(logits, rows_a, labels, 0.5, 1.0)
+    b = target_loss(logits, rows_b, labels, 0.5, 1.0)
+    assert np.array_equal(rows_a.right, rows_b.right)
     assert a.l_all == b.l_all
     assert np.array_equal(a.grad, b.grad)

@@ -210,8 +210,6 @@ RETIRED_MODE_NAMES = {"eliminate_only", "rectify_only", "vanilla_kd", "step_b_ab
 RETIRED_NAME_SITES = {
     # the bad-mode CLI test's rejected inputs
     ("test_cli.py", "TestDistill.test_bad_mode_is_train_config_s_usage_error_before_output"),
-    # the ids of the tests parametrized over a mode, kept as the suite has named them
-    ("conftest.py", "MODE_IDS"),
     ("test_public_names.py", "RETIRED_MODE_NAMES"),
 }
 

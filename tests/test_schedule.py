@@ -10,8 +10,8 @@ from rectidistill.numerics import finite_difference_gradient, kl_rows, log_softm
 from rectidistill.schedule import (
     MODES,
     LossBreakdown,
-    compute_batch_loss,
     gamma,
+    target_loss,
     teacher_targets,
 )
 from rectidistill.train import TrainConfig
@@ -44,14 +44,15 @@ def _random_batch(rng, n, k):
     return logits, teacher, labels
 
 
-class TestComputeBatchLoss:
+class TestTargetLoss:
     def test_perfect_teacher_has_no_hard_loss(self):
         rng = np.random.default_rng(0)
         logits, teacher, _ = _random_batch(rng, 6, 3)
         labels = np.argmax(teacher, axis=1)  # mask all true
-        out = compute_batch_loss(logits, teacher, labels, 0.5, row=MODES["full"])
+        rows = teacher_targets(teacher, labels, MODES["full"])
+        out = target_loss(logits, rows, labels, 0.5, 1.0)
         assert out.l_hard == 0.0
-        assert not teacher_targets(teacher, labels, MODES["full"])[2].any()
+        assert not rows.hard.any()
         assert out.l_all == pytest.approx(0.5 * (out.l_ce + out.l_easy), abs=1e-12)
 
     def test_global_optimum_is_zero(self):
@@ -59,7 +60,7 @@ class TestComputeBatchLoss:
         logits = np.array([[800.0, 0.0, 0.0], [0.0, 800.0, 0.0]])
         teacher = log_softmax_rows(logits)[1]
         labels = np.array([0, 1])
-        out = compute_batch_loss(logits, teacher, labels, 0.5, row=MODES["full"])
+        out = target_loss(logits, teacher_targets(teacher, labels, MODES["full"]), labels, 0.5, 1.0)
         assert out.l_all == pytest.approx(0.0, abs=1e-12)
 
     @pytest.mark.parametrize("mode", MODES)
@@ -69,8 +70,8 @@ class TestComputeBatchLoss:
         teacher = np.array([[0.75, 0.25]])
         labels = np.array([0])
         assert log_softmax_rows(logits)[1][0, 0] == 0.0
-        out = compute_batch_loss(logits, teacher, labels, gamma(row_of(mode), 1, 2), tau=1.0,
-                                 row=MODES[mode])
+        out = target_loss(logits, teacher_targets(teacher, labels, MODES[mode]), labels,
+                          gamma(row_of(mode), 1, 2), 1.0)
         assert out.l_ce == 800.0
         # the teacher is right, so every mode takes KL(t || s) with ln s = [-800, 0]
         assert out.l_easy == pytest.approx(
@@ -83,7 +84,8 @@ class TestComputeBatchLoss:
         logits = np.array([[1.0, 0.2, -0.5], [0.3, -0.1, 0.8]])
         teacher = np.array([[0.7, 0.2, 0.1], [0.1, 0.2, 0.7]])
         labels = np.array([0, 1])  # sample 1: teacher argmax 2 != 1 -> bias
-        out = compute_batch_loss(logits, teacher, labels, 0.5, row=MODES["full"])
+        rows = teacher_targets(teacher, labels, MODES["full"])
+        out = target_loss(logits, rows, labels, 0.5, 1.0)
 
         log_s = np.log(log_softmax_rows(logits)[1])
         l_ce = (-log_s[0, 0] - log_s[1, 1]) / 2
@@ -94,26 +96,28 @@ class TestComputeBatchLoss:
         assert out.l_easy == pytest.approx(l_easy, abs=1e-12)
         assert out.l_hard == pytest.approx(l_hard, abs=1e-12)
         assert out.l_all == pytest.approx(0.5 * (l_ce + l_easy) + 0.5 * l_hard, abs=1e-12)
-        assert teacher_targets(teacher, labels, MODES["full"])[1].tolist() == [True, False]
+        assert rows.right.tolist() == [True, False]
 
-    def test_eliminate_only_forces_gamma_zero(self):
+    def test_eliminate_forces_gamma_zero(self):
         rng = np.random.default_rng(1)
         logits, teacher, labels = _random_batch(rng, 8, 4)
         g = gamma(MODES["eliminate"], 30, 60)
-        out = compute_batch_loss(logits, teacher, labels, g, row=MODES["eliminate"])
+        out = target_loss(logits, teacher_targets(teacher, labels, MODES["eliminate"]), labels,
+                          g, 1.0)
         assert g == 0.0
         assert out.l_all == out.l_ce + out.l_easy
         # the biased rows keep their rectified KL; gamma 0 weights it out
-        full = compute_batch_loss(logits, teacher, labels, 0.0, row=MODES["full"])
+        full = target_loss(logits, teacher_targets(teacher, labels, MODES["full"]), labels,
+                           0.0, 1.0)
         assert out.l_hard == full.l_hard
 
-    def test_eliminate_only_equals_full_at_gamma_zero(self):
+    def test_eliminate_equals_full_at_gamma_zero(self):
         rng = np.random.default_rng(2)
         logits, teacher, labels = _random_batch(rng, 10, 4)
-        a = compute_batch_loss(logits, teacher, labels, gamma(MODES["full"], 0, 60),
-                               row=MODES["full"])
-        b = compute_batch_loss(logits, teacher, labels, gamma(MODES["eliminate"], 30, 60),
-                               row=MODES["eliminate"])
+        a = target_loss(logits, teacher_targets(teacher, labels, MODES["full"]), labels,
+                        gamma(MODES["full"], 0, 60), 1.0)
+        b = target_loss(logits, teacher_targets(teacher, labels, MODES["eliminate"]), labels,
+                        gamma(MODES["eliminate"], 30, 60), 1.0)
         assert a.l_all == pytest.approx(b.l_all, abs=1e-12)
         assert a.l_ce == b.l_ce and a.l_easy == b.l_easy
 
@@ -121,7 +125,8 @@ class TestComputeBatchLoss:
         rng = np.random.default_rng(3)
         logits, teacher, labels = _random_batch(rng, 5, 3)
         g = gamma(MODES["vanilla"], 30, 60)
-        out = compute_batch_loss(logits, teacher, labels, g, row=MODES["vanilla"])
+        out = target_loss(logits, teacher_targets(teacher, labels, MODES["vanilla"]), labels,
+                          g, 1.0)
         expected = np.mean(kl_rows(teacher, np.log(log_softmax_rows(logits)[1])))
         assert out.l_easy == pytest.approx(expected, abs=1e-12)
         assert g == 0.0 and out.l_hard == 0.0
@@ -131,17 +136,18 @@ class TestComputeBatchLoss:
         rng = np.random.default_rng(4)
         logits, teacher, _ = _random_batch(rng, 6, 3)
         labels = np.argmax(teacher, axis=1)
-        a = compute_batch_loss(logits, teacher, labels, gamma(MODES["vanilla"], 30, 60),
-                               row=MODES["vanilla"])
-        b = compute_batch_loss(logits, teacher, labels, gamma(MODES["full"], 0, 60),
-                               row=MODES["full"])
+        a = target_loss(logits, teacher_targets(teacher, labels, MODES["vanilla"]), labels,
+                        gamma(MODES["vanilla"], 30, 60), 1.0)
+        b = target_loss(logits, teacher_targets(teacher, labels, MODES["full"]), labels,
+                        gamma(MODES["full"], 0, 60), 1.0)
         assert a.l_all == pytest.approx(b.l_all, abs=1e-12)
 
     def test_step_b_targets_are_unnormalized(self):
         logits = np.array([[0.1, 0.4, -0.2]])
         teacher = np.array([[0.1, 0.7, 0.2]])
         labels = np.array([0])
-        out = compute_batch_loss(logits, teacher, labels, 0.5, row=MODES["step-b"])
+        out = target_loss(logits, teacher_targets(teacher, labels, MODES["step-b"]), labels,
+                          0.5, 1.0)
         rect_b = rectify.rectify_rows(teacher, labels, rectify.STEP_B)[0]
         s = log_softmax_rows(logits)[1][0]
         expected = float(np.sum(rect_b * np.log(rect_b / s)))
@@ -153,14 +159,16 @@ class TestComputeBatchLoss:
         logits, teacher, labels = _random_batch(rng, 4, 3)
         row = TrainConfig(mode="fixed-gamma=0.5").row
         g = gamma(row, 30, 60)
-        out = compute_batch_loss(logits, teacher, labels, g, row=row)
+        out = target_loss(logits, teacher_targets(teacher, labels, row), labels, g, 1.0)
         assert g == 0.5
         assert out.l_all == 0.5 * (out.l_ce + out.l_easy) + 0.5 * out.l_hard
 
     def test_a_schedule_is_required(self):
         # the epoch's gamma g has no default
+        labels = np.array([0, 1])
+        rows = teacher_targets(np.full((2, 3), 1 / 3), labels, MODES["full"])
         with pytest.raises(TypeError):
-            compute_batch_loss(np.zeros((2, 3)), np.full((2, 3), 1 / 3), np.array([0, 1]))
+            target_loss(np.zeros((2, 3)), rows, labels)
 
     @settings(max_examples=100, deadline=None)
     @given(
@@ -174,14 +182,14 @@ class TestComputeBatchLoss:
         rng = np.random.default_rng(seed)
         logits, teacher, labels = _random_batch(rng, n, k)
         g = gamma(row_of(mode), epoch, 60)
-        out = compute_batch_loss(logits, teacher, labels, g, row=MODES[mode])
+        rows = teacher_targets(teacher, labels, MODES[mode])
+        out = target_loss(logits, rows, labels, g, 1.0)
         lhs = out.l_all
         rhs = (1 - g) * (out.l_ce + out.l_easy) + g * out.l_hard
         assert lhs == pytest.approx(rhs, abs=1e-12)
         assert out.l_ce >= 0 and out.l_easy >= -1e-12 and out.l_hard >= -1e-12
-        _, right, hard, *_ = teacher_targets(teacher, labels, MODES[mode])
-        assert right.sum() == np.sum(np.argmax(teacher, axis=1) == labels)
-        assert not (hard & right).any()
+        assert rows.right.sum() == np.sum(np.argmax(teacher, axis=1) == labels)
+        assert not (rows.hard & rows.right).any()
 
 
 def oracle_teacher_targets(teacher_probs, labels, mode):
@@ -260,7 +268,7 @@ class TestAgainstTheGatheringOracle:
         teacher = rng.dirichlet(np.ones(k), size=n)
         labels = np.argmax(teacher, axis=1) if all_right else rng.integers(0, k, size=n)
         g = gamma(row_of(mode, fixed_gamma), int(epoch_frac * total_epochs), total_epochs)
-        got = compute_batch_loss(logits, teacher, labels, g, tau, MODES[mode])
+        got = target_loss(logits, teacher_targets(teacher, labels, MODES[mode]), labels, g, tau)
         want = oracle_loss(logits, teacher, labels, g, tau, mode)
         assert np.array_equal(got.grad, want.grad)
         for field in ("l_ce", "l_easy", "l_hard", "l_all"):
@@ -284,7 +292,7 @@ class TestAgainstTheGatheringOracle:
         logits = rng.uniform(-scale, scale, size=(n, k))
         teacher = rng.dirichlet(np.ones(k), size=n)
         labels = rng.integers(0, k, size=n)
-        got = compute_batch_loss(logits, teacher, labels, 0.0, tau, MODES[mode])
+        got = target_loss(logits, teacher_targets(teacher, labels, MODES[mode]), labels, 0.0, tau)
         targets, _ = oracle_teacher_targets(teacher, labels, mode)
         s1 = log_softmax_rows(logits)[1]
         s = log_softmax_rows(logits, tau)[1]
@@ -351,14 +359,13 @@ class TestTeacherTargets:
             assert np.array_equal(got, want)
 
 
-class TestBatchLossGradient:
+class TestTargetLossGradient:
     def _fd_check(self, logits, teacher, labels, g, mode, tau=1.0):
-        analytic = compute_batch_loss(logits, teacher, labels, g, tau, MODES[mode]).grad
+        rows = teacher_targets(teacher, labels, MODES[mode])
+        analytic = target_loss(logits, rows, labels, g, tau).grad
 
         def loss_of(flat):
-            return compute_batch_loss(
-                flat.reshape(logits.shape), teacher, labels, g, tau, MODES[mode]
-            ).l_all
+            return target_loss(flat.reshape(logits.shape), rows, labels, g, tau).l_all
 
         fd = finite_difference_gradient(loss_of, logits.ravel()).reshape(logits.shape)
         np.testing.assert_allclose(analytic, fd, atol=1e-6)
@@ -367,7 +374,8 @@ class TestBatchLossGradient:
         logits = np.array([[800.0, 0.0, 0.0]])
         teacher = log_softmax_rows(logits)[1]
         labels = np.array([0])
-        g = compute_batch_loss(logits, teacher, labels, 0.5, row=MODES["full"]).grad
+        g = target_loss(logits, teacher_targets(teacher, labels, MODES["full"]), labels, 0.5,
+                        1.0).grad
         np.testing.assert_allclose(g, 0.0, atol=1e-12)
 
     def test_single_right_sample(self):

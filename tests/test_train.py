@@ -7,10 +7,10 @@ import numpy as np
 import pytest
 
 from rectidistill import model, train as train_module
-from rectidistill.data import batch_slices, epoch_permutation, make_blobs
+from rectidistill.data import batch_slices, blob_splits, epoch_permutation
 from rectidistill.errors import ConfigError
 from rectidistill.numerics import log_softmax_rows
-from rectidistill.schedule import MODES, compute_batch_loss, gamma, teacher_targets
+from rectidistill.schedule import MODES, gamma, target_loss, teacher_targets
 from rectidistill.train import (
     METRICS_COLUMNS,
     TEACHER_METRICS_COLUMNS,
@@ -24,8 +24,8 @@ EPOCHS = 4
 
 @pytest.fixture(scope="module")
 def setup():
-    train = make_blobs(3, 12, 2, 1.0, seed=5)
-    val = make_blobs(3, 4, 2, 1.0, seed=6)
+    train = blob_splits(3, (12,), 2, 1.0, seed=5)[0]
+    val = blob_splits(3, (4,), 2, 1.0, seed=6)[0]
     cfg = TrainConfig(epochs=EPOCHS, batch_size=8, seed=2)
     teacher, _ = train_teacher(train, [2, 6, 3], cfg, val)
     return train, val, teacher
@@ -87,7 +87,8 @@ def two_loop_distill(teacher, student_dims, train_ds, cfg, val_ds):
             x, y = train_ds.features[idx], train_ds.labels[idx]
             teacher_probs = log_softmax_rows(model.forward(teacher, x), cfg.tau)[1]
             logits, acts = model._forward_cached(student, x)
-            breakdown = compute_batch_loss(logits, teacher_probs, y, g, cfg.tau, cfg.row)
+            targets = teacher_targets(teacher_probs, y, cfg.row)
+            breakdown = target_loss(logits, targets, y, g, cfg.tau)
             grads = student.layer_views(np.empty_like(student.flat))
             model._backward_into(student, grads, breakdown.grad, acts)
             heavy_ball(student, grads, velocity, cfg)
@@ -291,7 +292,7 @@ def test_table_bytes_count_every_array_the_table_holds(setup):
 
 def test_the_wide_benchmark_shape_forwards_the_teacher_per_batch(monkeypatch):
     # n = 20 000 rows of k = 100 classes at batch 256: the table would hold 80.6 MB
-    wide = make_blobs(100, 200, 2, 1.0, seed=1)
+    wide = blob_splits(100, (200,), 2, 1.0, seed=1)[0]
     teacher = model.init([2, 8, 100], 0)
     assert train_module._table_bytes(wide.n, 100) > train_module.TARGET_TABLE_BYTES
     monkeypatch.setattr(train_module, "_target_table", _refuse)
@@ -369,7 +370,7 @@ def _misfit(role, dims, split):
 
 # a 4-class, 2-feature split; a label past the output width once escaped as a raw
 # IndexError, an input width mismatch as numpy's matmul ValueError
-FOUR_BLOBS = make_blobs(4, 10, 2, 1.0, 1)
+FOUR_BLOBS = blob_splits(4, (10,), 2, 1.0, 1)[0]
 MISFIT_DIMS = [[2, 8, 3], [3, 8, 4], [2, 8, 5], [3, 8, 3]]
 
 
@@ -380,8 +381,8 @@ def test_teacher_that_does_not_fit_the_training_split_is_a_config_error(no_forwa
     assert str(exc.value) == _misfit("teacher", dims, FOUR_BLOBS)
 
 
-@pytest.mark.parametrize("val", [make_blobs(4, 3, 3, 1.0, 2), make_blobs(3, 3, 2, 1.0, 2)],
-                         ids=["wider", "fewer-classes"])
+@pytest.mark.parametrize("val", [blob_splits(4, (3,), 3, 1.0, 2)[0],
+                                 blob_splits(3, (3,), 2, 1.0, 2)[0]], ids=["wider", "fewer-classes"])
 def test_a_validation_split_that_does_not_fit_is_a_config_error(no_forward, val):
     with pytest.raises(ConfigError) as exc:
         train_teacher(FOUR_BLOBS, [2, 8, 4], TrainConfig(epochs=1), val)
