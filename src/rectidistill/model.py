@@ -182,12 +182,18 @@ def load_checkpoint(path) -> MlpParams:
 
     if not lines or lines[0] != _MAGIC:
         raise parse_error(1, f"missing header {_MAGIC!r}")
+    # int() and float() also take digit underscores (1_0 is 10) and non-ASCII
+    # digits; save_checkpoint writes neither, and load_csv reads neither
+    for lineno, line in enumerate(lines[1:], start=2):
+        if "_" in line or not line.isascii():
+            raise parse_error(lineno, "non-numeric value: an underscore or a non-ASCII character")
     if len(lines) < 2 or not lines[1].startswith("layers "):
         raise parse_error(2, "missing 'layers <L>' line")
     try:
-        n_layers = int(lines[1].split()[1])
-    except (IndexError, ValueError) as exc:
-        raise parse_error(2, "malformed layer count") from exc
+        _, count = lines[1].split()
+        n_layers = int(count)
+    except ValueError as exc:
+        raise parse_error(2, "malformed layer count: expected 'layers <L>'") from exc
     if n_layers < 1:
         raise parse_error(2, f"layer count must be >= 1, got {n_layers}")
 

@@ -7,8 +7,10 @@ constant the loss derives from it, is a constant of the run. When they fit
 in ``TARGET_TABLE_BYTES``, ``distill`` computes them once, into a per-row
 target table; each epoch puts the table in that epoch's batch order once,
 with its weight column, and a batch reads its rows as one slice of it.
-``distill_runs`` fills the teacher's probabilities once for every run that
-shares a tau, batch size and epoch count, as ``ablate``'s runs do.
+Every teacher forward has the batch's row count: the short last batch
+forwards the epoch's last full batch of rows. ``distill_runs`` fills the
+teacher's probabilities once for every run that shares a tau and batch
+size, as ``ablate``'s runs do.
 """
 
 import math
@@ -169,61 +171,39 @@ def _table_bytes(n: int, k: int) -> int:
     return n * (8 * k + 2 * (16 * k + 8 + 2) + 8)
 
 
-def _chunks(n: int, size: int) -> list[np.ndarray]:
-    """Row indices [0, size), [size, 2 size), ..., and a last [n - size, n) that may overlap."""
-    return [np.arange(first, first + size) for first in
-            (min(start, n - size) for start in range(0, n, size))]
-
-
-@np.errstate(over="ignore", invalid="ignore")
-def _target_table(train_ds: Dataset, m: int, r: int, teacher_probs):
-    """``(probs, short)``: every row's teacher probabilities, and whether the r-row batch reads them.
-
-    None where no batch may read them. A matmul's bits can depend on its row count, and on a row's position
-    among those rows: OpenBLAS computes trailing rows with an edge kernel,
-    whose sum order can differ (it does for a 2-32-3 teacher at 5, 6 or 7
-    rows). So each chunk has exactly the row count of a full training
-    batch, gathered the way training gathers it: ``_chunks(n, m)``. Each
-    chunk is forwarded a second time with its rows reversed. If any row
-    differs, a row's teacher output depends on where the shuffle puts it,
-    and there is no table. Otherwise a full batch reads bit for bit the
-    targets a per-batch forward would give it, since ``teacher_targets`` is
-    row-local. With ``r`` > 0, the r-row chunks ``_chunks(n, r)`` are
-    forwarded the same two ways; the short batch reads the table only if
-    both match its m-row rows bit for bit.
-    """
-    x = train_ds.features
-    probs = np.empty((train_ds.n, train_ds.n_classes))
-    for idx in _chunks(train_ds.n, m):
-        probs[idx] = teacher_probs(x[idx])
-        if not np.array_equal(teacher_probs(x[idx[::-1]])[::-1], probs[idx]):
-            return None
-    short = r > 0 and all(
-        np.array_equal(teacher_probs(x[idx]), probs[idx])
-        and np.array_equal(teacher_probs(x[idx[::-1]])[::-1], probs[idx])
-        for idx in _chunks(train_ds.n, r)
-    )
-    return probs, short
-
-
 def _teacher_probs(teacher: model.MlpParams, cfg: TrainConfig):
     """The teacher's softmax at the run's tau, of a batch's features."""
     return lambda x: log_softmax_rows(model.forward(teacher, x), cfg.tau)[1]
 
 
-def _fill(teacher: model.MlpParams, train_ds: Dataset, cfg: TrainConfig):
-    """``_target_table`` for the run's batches when the table fits the budget, else None.
+@np.errstate(over="ignore", invalid="ignore")
+def _target_table(teacher: model.MlpParams, train_ds: Dataset, cfg: TrainConfig):
+    """Every row's teacher probabilities at the run's tau; None where batches forward their own.
 
-    The short batch of r = n mod m rows is checked only when the check's
-    2 ceil(n / r) forwards are fewer than the ``epochs`` forwards it saves.
+    None when the table would not fit ``TARGET_TABLE_BYTES``. A matmul's bits
+    can depend on its row count, and on a row's position among those rows:
+    OpenBLAS computes trailing rows with an edge kernel, whose sum order can
+    differ (it does for a 2-32-3 teacher at 5, 6 or 7 rows). Every teacher
+    forward in training has m = min(batch size, n) rows, the short last
+    batch's too. So the table is filled by forwards of m rows, chunks
+    [0, m), [m, 2 m), ..., and a last [n - m, n) that may overlap, gathered
+    the way training gathers a batch. Each chunk is forwarded a second time
+    with its rows reversed. If any row differs, a row's teacher output
+    depends on where the shuffle puts it, and the result is None. Otherwise
+    every batch reads bit for bit the targets a per-batch forward would give
+    it, since ``teacher_targets`` is row-local.
     """
     n, m = train_ds.n, min(cfg.batch_size, train_ds.n)
     if _table_bytes(n, train_ds.n_classes) > TARGET_TABLE_BYTES:
         return None
-    r = n % m
-    if r and 2 * math.ceil(n / r) >= cfg.epochs:
-        r = 0
-    return _target_table(train_ds, m, r, _teacher_probs(teacher, cfg))
+    teacher_probs = _teacher_probs(teacher, cfg)
+    probs = np.empty((n, train_ds.n_classes))
+    for end in (*range(m, n, m), n):
+        idx = np.arange(end - m, end)
+        probs[idx] = teacher_probs(train_ds.features[idx])
+        if not np.array_equal(teacher_probs(train_ds.features[idx[::-1]])[::-1], probs[idx]):
+            return None
+    return probs
 
 
 def _epoch_table(table: RowTargets, perm, g: float, m: int):
@@ -232,13 +212,12 @@ def _epoch_table(table: RowTargets, perm, g: float, m: int):
     return rows, weights(rows.hard, g, m)
 
 
-def _distill(teacher, student_dims, train_ds: Dataset, cfg: TrainConfig, val_ds, filled):
-    """One run of ``distill`` on the checked models, reading ``_fill``'s output ``filled``."""
+def _distill(teacher, student_dims, train_ds: Dataset, cfg: TrainConfig, val_ds, probs):
+    """One run of ``distill`` on the checked models, reading ``_target_table``'s ``probs``."""
     student = model.init(student_dims, cfg.seed)
     teacher_probs = _teacher_probs(teacher, cfg)
     gammas = [gamma(cfg.row, e, cfg.epochs) for e in range(cfg.epochs)]
     m = min(cfg.batch_size, train_ds.n)
-    probs, short = filled or (None, False)
     table = None if probs is None else teacher_targets(probs, train_ds.labels, cfg.row)
 
     def epoch_loss(epoch, perm):
@@ -248,11 +227,13 @@ def _distill(teacher, student_dims, train_ds: Dataset, cfg: TrainConfig, val_ds,
 
         def kd_loss(pos, x, y, logits):
             b = len(y)
-            if table is not None and (b == m or short):
+            if table is not None:
                 batch = RowTargets._make(column[pos] for column in ordered)
                 out = target_loss(logits, batch, y, g, cfg.tau, w[pos] if b == m else None)
             else:
-                batch = teacher_targets(teacher_probs(x), y, cfg.row)
+                # the short batch of b rows forwards the epoch's last m rows and keeps its own
+                block = x if b == m else train_ds.features[perm[-m:]]
+                batch = teacher_targets(teacher_probs(block)[m - b:], y, cfg.row)
                 out = target_loss(logits, batch, y, g, cfg.tau)
             return out.grad, {"loss_total": out.l_all * b, "loss_ce": out.l_ce * b,
                               "loss_easy": out.l_easy * b, "loss_hard": out.l_hard * b,
@@ -281,17 +262,17 @@ def distill_runs(teacher: model.MlpParams, student_dims, train_ds: Dataset, cfgs
                  val_ds: Dataset | None = None):
     """``distill`` under each config, in order; a list of (params, rows).
 
-    The models are checked once, before any forward. Runs that share a tau,
-    batch size and epoch count share one fill of the teacher's
-    probabilities; only ``teacher_targets`` depends on the mode.
+    The models are checked once, before any forward. Runs that share a tau
+    and batch size share one fill of the teacher's probabilities; only
+    ``teacher_targets`` depends on the mode.
     """
     _require_fit("teacher", teacher.dims, train_ds, val_ds)
     _require_fit("student", student_dims, train_ds, val_ds)
     fills = {}
     runs = []
     for cfg in cfgs:
-        key = (cfg.tau, cfg.batch_size, cfg.epochs)
+        key = (cfg.tau, cfg.batch_size)
         if key not in fills:
-            fills[key] = _fill(teacher, train_ds, cfg)
+            fills[key] = _target_table(teacher, train_ds, cfg)
         runs.append(_distill(teacher, student_dims, train_ds, cfg, val_ds, fills[key]))
     return runs

@@ -445,6 +445,26 @@ class TestCheckpoint:
         model.save_checkpoint(model.init([2, 1, 3], seed=3), path)
         assert model.load_checkpoint(path).dims == [2, 1, 3]
 
+    def test_layer_count_line_of_three_tokens_reports_line(self, tmp_path):
+        # 'layer <out> <in>' is exactly three tokens; 'layers <L>' is exactly two
+        path = tmp_path / "bad.ckpt"
+        path.write_text("rectidistill-mlp v1\nlayers 1 junk\nlayer 2 2\n"
+                        "1.0 2.0\n0.0 0.0\n0.0 0.0\n")
+        with pytest.raises(InvalidInputError, match=":2: malformed layer count"):
+            model.load_checkpoint(path)
+
+    @pytest.mark.parametrize("cell", ["1_0", "\u0661", "\uff11"],
+                             ids=["underscore", "arabic-indic", "fullwidth"])
+    @pytest.mark.parametrize("lineno", [2, 3, 5])
+    def test_number_only_python_reads_reports_line(self, tmp_path, cell, lineno):
+        # float() and int() take digit underscores (1_0 is 10) and non-ASCII digits
+        rows = ["layers 1", "layer 2 2", "1.0 2.0", "0.0 1", "0.0 0.0"]
+        rows[lineno - 2] = rows[lineno - 2][:-1] + cell
+        path = tmp_path / "bad.ckpt"
+        path.write_text("\n".join(["rectidistill-mlp v1", *rows]) + "\n", encoding="utf-8")
+        with pytest.raises(InvalidInputError, match=f":{lineno}: non-numeric value"):
+            model.load_checkpoint(path)
+
     @pytest.mark.parametrize(
         "cells,lineno", [("inf 1", 4), ("1 nan", 4), ("0.0 -inf", 6), ("nan 0.0", 6)]
     )

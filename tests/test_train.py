@@ -74,8 +74,13 @@ def two_loop_teacher(train_ds, dims, cfg, val_ds):
 
 
 def two_loop_distill(teacher, student_dims, train_ds, cfg, val_ds):
-    """Oracle: the separate distillation loop that the shared loop replaced."""
+    """Oracle: a separate distillation loop that forwards the teacher per batch.
+
+    Every forward has m = min(batch size, n) rows: the short last batch takes
+    its rows of the forward of the epoch's last m rows.
+    """
     student = model.init(student_dims, cfg.seed)
+    m = min(cfg.batch_size, train_ds.n)
     velocity = zero_velocity(student)
     rows = []
     for epoch in range(cfg.epochs):
@@ -85,7 +90,8 @@ def two_loop_distill(teacher, student_dims, train_ds, cfg, val_ds):
         perm = epoch_permutation(train_ds.n, cfg.seed, epoch)
         for idx in (perm[pos] for pos in batch_slices(train_ds.n, cfg.batch_size)):
             x, y = train_ds.features[idx], train_ds.labels[idx]
-            teacher_probs = log_softmax_rows(model.forward(teacher, x), cfg.tau)[1]
+            block = x if len(idx) == m else train_ds.features[perm[-m:]]
+            teacher_probs = log_softmax_rows(model.forward(teacher, block), cfg.tau)[1][m - len(y):]
             logits, acts = model._forward_cached(student, x)
             targets = teacher_targets(teacher_probs, y, cfg.row)
             breakdown = target_loss(logits, targets, y, g, cfg.tau)
@@ -147,20 +153,15 @@ def test_distill_rows_and_gamma_column(setup, mode):
 @pytest.fixture(scope="module")
 def wide_teacher(setup):
     # at a hidden width of 32, OpenBLAS can give a row other bits at 5, 6 or
-    # 7 rows depending on its position among them (the 6-wide teacher's rows
-    # keep theirs); distill must then keep the per-batch path
+    # 7 rows depending on its position among them; distill must then keep
+    # the per-batch path
     train, val, _ = setup
     return train_teacher(train, [2, 32, 3], TrainConfig(epochs=EPOCHS, batch_size=8), val)[0]
 
 
 # (batch size, tau, epochs) on the 36-row split: one-row batches, n % B == 0,
 # n % B == 1 with an odd B (a 1-row last batch), n % B == 3, B == n and B > n;
-# then short batches of r = n % B rows that the table serves once its r-row
-# check costs fewer forwards than the epochs (2 ceil(n / r) < epochs): r = 16,
-# r = 5 (under OpenBLAS, the 32-wide teacher's 31-row bits depend on position,
-# so it gets no table at all) and r = 1 (a 1-row forward takes the
-# matrix-vector kernel, whose bits differ from the 7-row ones, so that short
-# batch forwards the teacher itself)
+# then short batches of r = 16, 5 and 1 rows over more epochs
 TABLE_CASES = [(1, 1.0, EPOCHS), (6, 1.0, EPOCHS), (7, 1.0, EPOCHS), (11, 0.5, EPOCHS),
                (36, 1.0, EPOCHS), (50, 0.5, EPOCHS), (20, 1.0, 8), (31, 0.5, 17), (7, 1.0, 73)]
 TABLE_IDS = [f"{b}-{tau}" + (f"-{epochs}-epochs" if epochs != EPOCHS else "")
@@ -211,20 +212,22 @@ def _positional_at(probs, rows):
 # (m, r): a full batch only, and full batches with a short one of r rows
 @pytest.mark.parametrize("m,r", [(7, 0), (36, 0), (11, 3), (20, 16)],
                          ids=["7", "36", "11-3", "20-16"])
-def test_no_table_when_a_row_s_bits_depend_on_its_position(setup, m, r):
+def test_no_table_when_a_row_s_bits_depend_on_its_position(setup, monkeypatch, m, r):
     train, _, teacher = setup
-
-    def probs(x):
-        return log_softmax_rows(model.forward(teacher, x))[1]
-
-    table, short = train_module._target_table(train, m, r, probs)
-    assert np.array_equal(table, probs(train.features)) and short == (r > 0)
+    cfg = _cfg("full", m)
+    probs = train_module._teacher_probs(teacher, cfg)
+    table = train_module._target_table(teacher, train, cfg)
+    assert np.array_equal(table, probs(train.features))
     # m-row bits that depend on position: no batch reads a table
-    assert train_module._target_table(train, m, r, _positional_at(probs, m)) is None
+    monkeypatch.setattr(train_module, "_teacher_probs", lambda *_: _positional_at(probs, m))
+    assert train_module._target_table(teacher, train, cfg) is None
     if r:
-        # r-row bits only: full batches read the table, the short batch forwards
-        table_r, short_r = train_module._target_table(train, m, r, _positional_at(probs, r))
-        assert np.array_equal(table_r, table) and not short_r
+        # r-row bits only: no forward has r rows, so the table serves every batch
+        monkeypatch.setattr(train_module, "_teacher_probs", lambda *_: _positional_at(probs, r))
+        calls = _counting_teacher_forwards(monkeypatch, teacher)
+        distill(teacher, [2, 5, 3], train, cfg)
+        assert calls == [m] * (2 * math.ceil(train.n / m))
+        assert np.array_equal(train_module._target_table(teacher, train, cfg), table)
 
 
 def _counting_teacher_forwards(monkeypatch, teacher):
@@ -241,20 +244,14 @@ def _counting_teacher_forwards(monkeypatch, teacher):
 
 
 def _want_forwards(n, batch_size, epochs, table):
-    """The teacher forwards' row counts of a distill, with or without the table."""
+    """The teacher forwards' row counts of a distill, with or without the table.
+
+    Every forward has m = min(batch size, n) rows. The table is filled by
+    ceil(n / m) chunks, each forwarded twice (the position check), and then
+    serves every batch; without it, each batch forwards the teacher.
+    """
     m = min(batch_size, n)
-    r = n % m
-    short = [r] if r else []
-    if not table:
-        return ([m] * (n // m) + short) * epochs
-    if r and 2 * math.ceil(n / r) < epochs:
-        # ceil(n/m) chunks of m rows and ceil(n/r) of r rows, each forwarded
-        # twice (the position check); then no forward at all (at B = 20, 6
-        # forwards of 16 rows in place of 7)
-        return [m] * (2 * math.ceil(n / m)) + [r] * (2 * math.ceil(n / r))
-    # the m-row chunks, then only the short last batch of each epoch (at
-    # B = 20 and 6 epochs, its check would cost as many forwards)
-    return [m] * (2 * math.ceil(n / m)) + short * epochs
+    return [m] * (2 * math.ceil(n / m) if table else math.ceil(n / m) * epochs)
 
 
 @pytest.mark.parametrize("table_bytes", [train_module.TARGET_TABLE_BYTES, 0])
@@ -283,7 +280,7 @@ def test_the_budget_bounds_the_table_s_every_byte(setup, monkeypatch, over_budge
 def test_table_bytes_count_every_array_the_table_holds(setup):
     train, _, teacher = setup
     cfg = _cfg("full", 20, epochs=8)
-    probs, _ = train_module._fill(teacher, train, cfg)
+    probs = train_module._target_table(teacher, train, cfg)
     table = teacher_targets(probs, train.labels, cfg.row)
     ordered, w = train_module._epoch_table(table, epoch_permutation(train.n, 4, 1), 0.25, 20)
     held = probs.nbytes + sum(a.nbytes for a in (*table, *ordered, w))
@@ -294,28 +291,30 @@ def test_the_wide_benchmark_shape_forwards_the_teacher_per_batch(monkeypatch):
     # n = 20 000 rows of k = 100 classes at batch 256: the table would hold 80.6 MB
     wide = blob_splits(100, (200,), 2, 1.0, seed=1)[0]
     teacher = model.init([2, 8, 100], 0)
+    cfg = TrainConfig(epochs=1, batch_size=256)
     assert train_module._table_bytes(wide.n, 100) > train_module.TARGET_TABLE_BYTES
-    monkeypatch.setattr(train_module, "_target_table", _refuse)
     calls = _counting_teacher_forwards(monkeypatch, teacher)
-    distill(teacher, [2, 4, 100], wide, TrainConfig(epochs=1, batch_size=256))
-    assert calls == [256] * 78 + [32]
+    assert train_module._target_table(teacher, wide, cfg) is None and calls == []
+    # the short batch of 32 rows forwards the epoch's last 256
+    distill(teacher, [2, 4, 100], wide, cfg)
+    assert calls == [256] * 79
 
 
-def test_distill_runs_fill_the_teacher_table_once_per_tau_batch_size_and_epochs(
-        setup, monkeypatch):
+def test_distill_runs_fill_the_teacher_table_once_per_tau_and_batch_size(setup, monkeypatch):
     train, val, teacher = setup
     fills = []
-    fill = train_module._fill
+    fill = train_module._target_table
 
     def counting_fill(teacher, train_ds, cfg):
         fills.append(cfg)
         return fill(teacher, train_ds, cfg)
 
-    monkeypatch.setattr(train_module, "_fill", counting_fill)
+    monkeypatch.setattr(train_module, "_target_table", counting_fill)
     cfgs = [_cfg(mode, 8) for mode in ("step-b", "full", "vanilla")]
-    cfgs += [replace(cfgs[0], seed=5), replace(cfgs[0], tau=2.0), replace(cfgs[0], epochs=2)]
+    cfgs += [replace(cfgs[0], seed=5), replace(cfgs[0], tau=2.0), replace(cfgs[0], epochs=2),
+             replace(cfgs[0], batch_size=7)]
     runs = train_module.distill_runs(teacher, [2, 5, 3], train, cfgs, val)
-    assert fills == [cfgs[0], cfgs[4], cfgs[5]]
+    assert fills == [cfgs[0], cfgs[4], cfgs[6]]
     for cfg, run in zip(cfgs, runs):
         assert_same_bits(*run, *distill(teacher, [2, 5, 3], train, cfg, val))
 
