@@ -52,9 +52,10 @@ MUTANTS = (
     Mutant("M2 gamma is (e+1)/E", SCHEDULE,
            "return epoch / epochs if", "return (epoch + 1) / epochs if"),
     Mutant("M3 CE not weighted by (1-g)", SCHEDULE,
-           "    grad *= (1.0 - g) / n\n", "    grad *= 1.0 / n\n"),
+           "    ce = (1.0 - g) / n\n", "    ce = 1.0 / n\n"),
     Mutant("M4 anti-curriculum: hard rows weighted 1-g", SCHEDULE,
-           "np.where(hard, g / n, (1.0 - g) / n)", "np.where(hard, (1.0 - g) / n, g / n)"),
+           "np.where(rows.hard, g / n, (1.0 - g) / n)",
+           "np.where(rows.hard, (1.0 - g) / n, g / n)"),
     Mutant("M5 argmax ties go to the highest index", SCHEDULE,
            "    right = np.argmax(teacher_probs, axis=1) == labels\n",
            "    right = (teacher_probs.shape[1] - 1\n"
@@ -67,30 +68,28 @@ MUTANTS = (
            "log_softmax_rows(model.forward(teacher, x), cfg.tau)[1]",
            "log_softmax_rows(model.forward(teacher, x))[1]"),
     Mutant("M9 hard term averaged over the hard rows", SCHEDULE,
-           "    l_hard = float(kl[rows.hard].sum() / n)\n"
-           "    if w is None:\n"
-           "        w = weights(rows.hard, g, n)\n",
-           "    n_hard = max(int(rows.hard.sum()), 1)\n"
-           "    l_hard = float(kl[rows.hard].sum() / n_hard)\n"
-           "    w = np.where(rows.hard, g / n_hard, (1.0 - g) / n)[:, None]\n"),
+           "    w = np.where(rows.hard, g / n, (1.0 - g) / n)[:, None]\n",
+           "    w = np.where(rows.hard, g / max(int(rows.hard.sum()), 1),"
+           " (1.0 - g) / n)[:, None]\n"),
     Mutant("M10 step-b gradient ignores the target mass", SCHEDULE,
-           "    kd = w * (rows.mass * s - rows.targets)\n",
-           "    kd = w * (s - rows.targets)\n"),
+           "    a = w * rows.mass\n", "    a = w.copy()\n"),
     Mutant("M11 fixed-gamma=G trains at G = 0", TRAIN,
            "row._replace(gamma=g)", "row._replace(gamma=0.0)"),
-    Mutant("M12 the weight column keeps epoch 0's gamma", TRAIN,
-           "_epoch_table(table, perm, g, m)", "_epoch_table(table, perm, gammas[0], m)"),
+    Mutant("M12 the epoch's (a, b) keep epoch 0's gamma", TRAIN,
+           "_epoch_table(table, train_ds.labels, perm, g, m, cfg.tau)",
+           "_epoch_table(table, train_ds.labels, perm, gammas[0], m, cfg.tau)"),
     Mutant("M13 the short batch forwards only its own r rows", TRAIN,
-           "teacher_probs(block)[m - b:]", "teacher_probs(x)"),
+           "teacher_probs(block)[m - r:]", "teacher_probs(x)"),
     Mutant("M14 a batch reads its slice of the table in fill order", TRAIN,
            "RowTargets._make(column[perm] for column in table)",
            "RowTargets._make(column for column in table)"),
-    Mutant("M15 the short batch reads the full batches' weights", TRAIN,
-           "w[pos] if b == m else None", "w[pos]"),
+    Mutant("M15 the short batch reads the full batches' (a, b)", TRAIN,
+           "(a[pos], b[pos]) if r == m else None", "(a[pos], b[pos])"),
     Mutant("M16 runs at another tau share the teacher table", TRAIN,
            "key = (cfg.tau, cfg.batch_size)", "key = (cfg.batch_size,)"),
     Mutant("M17 the budget counts only the targets", TRAIN,
-           "    return n * (8 * k + 2 * (16 * k + 8 + 2) + 8)\n", "    return n * k * 8\n"),
+           "    return n * (8 * k + 2 * (8 * k + 8 + 8 + 2) + 8 + 8 + 8 * k)\n",
+           "    return n * k * 8\n"),
 )
 
 

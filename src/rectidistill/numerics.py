@@ -5,10 +5,11 @@ checked where they entered the program (``TrainConfig``, the data and
 checkpoint loaders) or built by it. ``log_softmax_rows`` returns ln s
 (shifted logits minus their logsumexp) and s from one pass. CE and KL are
 taken from ln s, so they stay finite where the softmax underflows, with no
-clamp: ``ce_rows`` is the one cross-entropy (summed loss and the gradient
-s - onehot, used by the teacher loss and the distillation loss) and
-``kl_rows`` the one forward KL, with ``log_targets`` its one ln t. A
-single vector is a one-row slice.
+clamp: ``ce_sum`` is the one cross-entropy, which the distillation loss
+takes, and ``ce_rows`` adds its gradient s - onehot for the teacher loss;
+``kl_rows`` is the one forward KL, sum t ln t - sum t ln s, with
+``t_log_t_rows`` its one per-row constant. A single vector is a one-row
+slice.
 ``finite_difference_gradient`` is the oracle the analytic gradients are
 checked against.
 """
@@ -27,10 +28,12 @@ def log_softmax_rows(logits, tau: float = 1.0) -> tuple[np.ndarray, np.ndarray]:
 
     One shift by the row maximum, one ``exp`` and one row sum serve both:
     ln s is the shifted logits minus the log of that sum, finite for every
-    finite logit row, also where s is 0.
+    finite logit row, also where s is 0. At tau 1 the logits are not divided.
     """
-    shifted = np.asarray(logits, dtype=np.float64) / tau
-    shifted -= shifted.max(axis=1, keepdims=True)
+    z = np.asarray(logits, dtype=np.float64)
+    if tau != 1.0:
+        z = z / tau
+    shifted = z - z.max(axis=1, keepdims=True)
     e = np.exp(shifted)
     total = e.sum(axis=1, keepdims=True)
     shifted -= np.log(total)
@@ -38,22 +41,28 @@ def log_softmax_rows(logits, tau: float = 1.0) -> tuple[np.ndarray, np.ndarray]:
     return shifted, e
 
 
-def log_targets(targets) -> np.ndarray:
-    """ln t of each target entry, and 0 where t = 0, so that t ln t is exactly 0 there."""
-    return np.log(np.where(targets > 0.0, targets, 1.0))
+def t_log_t_rows(targets) -> np.ndarray:
+    """Each row's sum t_i ln t_i, shape (n,), where an entry with t_i = 0 adds exactly 0."""
+    return (targets * np.log(np.where(targets > 0.0, targets, 1.0))).sum(axis=1)
 
 
-def kl_rows(targets, log_probs, log_t=None) -> np.ndarray:
-    """Row-wise forward KL sum t_i (ln t_i - log_probs_i).
+def kl_rows(targets, log_probs, t_log_t=None) -> np.ndarray:
+    """Row-wise forward KL, sum t_i ln t_i - sum t_i log_probs_i.
 
     Target rows need not sum to 1 (the step-b ablation uses them
     unnormalized); an entry with t_i = 0 adds exactly 0. ``log_probs``
-    must be finite, as the ln s of ``log_softmax_rows`` is. ``log_t`` is
-    ``log_targets(targets)``, taken here unless the caller holds it.
+    must be finite, as the ln s of ``log_softmax_rows`` is. ``t_log_t`` is
+    ``t_log_t_rows(targets)``, the row's constant, taken here unless the
+    caller holds it.
     """
-    if log_t is None:
-        log_t = log_targets(targets)
-    return (targets * (log_t - log_probs)).sum(axis=1)
+    if t_log_t is None:
+        t_log_t = t_log_t_rows(targets)
+    return t_log_t - (targets * log_probs).sum(axis=1)
+
+
+def ce_sum(log_probs, labels) -> float:
+    """Summed cross-entropy -sum ln s[label] of integer labels, from the ln s of a pass."""
+    return float(-log_probs[np.arange(labels.shape[0]), labels].sum())
 
 
 def ce_rows(log_probs, probs, labels) -> tuple[float, np.ndarray]:
@@ -63,11 +72,9 @@ def ce_rows(log_probs, probs, labels) -> tuple[float, np.ndarray]:
     ``log_softmax_rows`` pass. The gradient, per row and w.r.t. the logits
     of that pass, is a fresh array that a caller may scale in place.
     """
-    rows = np.arange(labels.shape[0])
-    loss_sum = float(-log_probs[rows, labels].sum())
     grad = probs.copy()
-    grad[rows, labels] -= 1.0
-    return loss_sum, grad
+    grad[np.arange(labels.shape[0]), labels] -= 1.0
+    return ce_sum(log_probs, labels), grad
 
 
 def finite_difference_gradient(f: Callable[[np.ndarray], float], x) -> np.ndarray:

@@ -24,7 +24,7 @@ hard, what their targets are and what gamma is, the mode's ``Mode`` row
 says, as ``train.TrainConfig`` resolves it from the ``--mode`` text.
 ``target_loss`` takes one KL pass over the whole batch; l_easy and
 l_hard are the sums of that vector over the easy and the hard rows, and
-the KL gradient is one weighted term per row. A row's KL does not depend
+the gradient is one linear term per row. A row's KL does not depend
 on the other rows of the batch, so the sums see the same values, in the
 same order, as KL passes over each subset would.
 
@@ -32,24 +32,29 @@ The batched core is two steps. ``teacher_targets`` partitions the rows,
 decides each row's weight class once and, in every mode with a target
 stage, rectifies all biased ones in one array operation. Through
 ``row_targets`` it also takes every other constant the loss reads of a
-row: ln t (0 where t = 0) and the row's mass. It reads only the teacher
+row: sum t ln t (0 ln 0 = 0) and the row's mass. It reads only the teacher
 and the labels, and each output row depends only on its own input row, so
 ``train.distill`` can compute it once per training row. ``target_loss``
 returns the loss terms together with their gradient w.r.t. the logits,
 at the epoch's gamma ``g``, which ``gamma`` gives; it reads the weight
 classes and the row constants, not the mode, and recomputes none of them.
-``weights`` is the one rule for a row's weight, per batch and for a
-table's per-epoch weight column. A caller that has a batch's teacher
-probabilities calls ``teacher_targets``, then ``target_loss``, as
-``train.distill``'s per-batch path does. None of them checks its inputs,
-each checked once where it enters: ``tau`` and the mode by
-``TrainConfig``, labels by the data loaders, the teacher by
-``model.load_checkpoint``, non-finite student logits by ``train._fit``.
-CE (``numerics.ce_rows``) and KL come from the ln s of
-``numerics.log_softmax_rows``, so they stay finite where the student
-softmax underflows; each gradient uses the s of the same pass. At tau 1
-CE and KL share one pass, and the tau factors, exact identities there,
-are skipped.
+
+The objective is linear in its targets: CE reads a one-hot target, and
+each KL is sum t ln t - sum t ln s. So at tau 1 a row's logit gradient is
+a s - b, where ``linear_targets`` makes the row's a and b from its
+targets, weight class and label, ``g`` and the batch's row count; at any
+other tau, CE's share moves onto the temperature-1 softmax. It holds the
+one rule for a row's KL weight, and serves a batch and a table's whole
+epoch alike. A caller that has a batch's teacher probabilities calls
+``teacher_targets``, then ``target_loss``, as ``train.distill``'s
+per-batch path does. None of them checks its inputs, each checked once
+where it enters: ``tau`` and the mode by ``TrainConfig``, labels by the
+data loaders, the teacher by ``model.load_checkpoint``, non-finite
+student logits by ``train._fit``. CE (``numerics.ce_sum``) and KL come
+from the ln s of ``numerics.log_softmax_rows``, so they stay finite where
+the student softmax underflows; the gradient uses the s of the same pass.
+At tau 1 CE and KL share one pass, and the tau factors, exact identities
+there, are skipped.
 """
 
 from typing import NamedTuple
@@ -57,7 +62,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import rectify
-from .numerics import ce_rows, kl_rows, log_softmax_rows, log_targets
+from .numerics import ce_sum, kl_rows, log_softmax_rows, t_log_t_rows
 
 RAMP = "e/E"  # the dynamic gamma rule: epoch e of E over E
 
@@ -95,7 +100,7 @@ class RowTargets(NamedTuple):
     targets: np.ndarray  # (n, k): the teacher's row, or its rectified row
     right: np.ndarray  # (n,) bool: the teacher's argmax is the label
     hard: np.ndarray  # (n,) bool: weighted by gamma, not 1 - gamma
-    log_targets: np.ndarray  # (n, k): ln t, 0 where t = 0
+    t_log_t: np.ndarray  # (n,): sum t ln t, the KL's constant, 0 ln 0 = 0
     mass: np.ndarray  # (n, 1): a hard row's target sum, 1 for an easy row
 
 
@@ -112,12 +117,29 @@ def row_targets(targets, right, hard) -> RowTargets:
     step b).
     """
     mass = np.where(hard, targets.sum(axis=1), 1.0)[:, None]
-    return RowTargets(targets, right, hard, log_targets(targets), mass)
+    return RowTargets(targets, right, hard, t_log_t_rows(targets), mass)
 
 
-def weights(hard, g: float, n: int) -> np.ndarray:
-    """Each row's KL weight in a batch of n rows, as a column: g / n if hard, else (1 - g) / n."""
-    return np.where(hard, g / n, (1.0 - g) / n)[:, None]
+def linear_targets(rows: RowTargets, labels, g: float, n: int,
+                   tau: float) -> tuple[np.ndarray, np.ndarray]:
+    """Each row's (a, b) in a batch of n rows: at tau 1 its logit gradient is a s - b.
+
+    With w the row's KL weight, g / n if hard and (1 - g) / n if not,
+    a = (1 - g) / n + w mass, shape (n, 1), and b = w t, plus (1 - g) / n at
+    the label, shape (n, k). At any other tau each KL term carries a factor
+    tau and CE reads the softmax at temperature 1, so w is tau w and a leaves
+    out the CE share (1 - g) / n, which ``target_loss`` puts on that softmax.
+    """
+    w = np.where(rows.hard, g / n, (1.0 - g) / n)[:, None]
+    if tau != 1.0:
+        w *= tau
+    a = w * rows.mass
+    b = w * rows.targets
+    ce = (1.0 - g) / n
+    if tau == 1.0:
+        a += ce
+    b[np.arange(labels.shape[0]), labels] += ce
+    return a, b
 
 
 def teacher_targets(teacher_probs, labels, row: Mode) -> RowTargets:
@@ -139,32 +161,31 @@ def teacher_targets(teacher_probs, labels, row: Mode) -> RowTargets:
 
 
 def target_loss(student_logits, rows: RowTargets, labels, g: float, tau: float,
-                w=None) -> LossBreakdown:
+                ab=None) -> LossBreakdown:
     """Loss components, the assembled total and its logit gradient at gamma ``g``.
 
-    ``rows`` is what ``teacher_targets`` returns for these rows, and ``w``
-    their ``weights`` at ``g``, taken here unless the caller holds them.
-    Easy rows (``~hard``) make up l_easy, hard rows l_hard.
+    ``rows`` is what ``teacher_targets`` returns for these rows, and ``ab``
+    their ``linear_targets`` at ``g``, taken here unless the caller holds
+    them. Easy rows (``~hard``) make up l_easy, hard rows l_hard.
     """
     n = labels.shape[0]
     log_s, s = log_softmax_rows(student_logits, tau)
+    a, b = linear_targets(rows, labels, g, n, tau) if ab is None else ab
+    grad = a * s
     # CE against the labels at temperature 1, each KL at tau and times tau**2;
     # at tau 1 the factors are skipped, being exact identities
-    log_s1, s1 = (log_s, s) if tau == 1.0 else log_softmax_rows(student_logits)
-    ce_sum, grad = ce_rows(log_s1, s1, labels)
-    grad *= (1.0 - g) / n
-    kl = kl_rows(rows.targets, log_s, rows.log_targets)
+    if tau == 1.0:
+        log_s1 = log_s
+    else:
+        log_s1, s1 = log_softmax_rows(student_logits)
+        grad += (1.0 - g) / n * s1
+    grad -= b
+    kl = kl_rows(rows.targets, log_s, rows.t_log_t)
     if tau != 1.0:
         kl *= tau * tau
     l_easy = float(kl[~rows.hard].sum() / n)
     l_hard = float(kl[rows.hard].sum() / n)
-    if w is None:
-        w = weights(rows.hard, g, n)
-    kd = w * (rows.mass * s - rows.targets)
-    if tau != 1.0:
-        kd *= tau
-    grad += kd
 
-    l_ce = ce_sum / n
+    l_ce = ce_sum(log_s1, labels) / n
     l_all = (1.0 - g) * (l_ce + l_easy) + g * l_hard
     return LossBreakdown(l_ce, l_easy, l_hard, l_all, grad)

@@ -6,7 +6,8 @@ ever read through ``model.forward``. So every row's KD target, and every
 constant the loss derives from it, is a constant of the run. When they fit
 in ``TARGET_TABLE_BYTES``, ``distill`` computes them once, into a per-row
 target table; each epoch puts the table in that epoch's batch order once,
-with its weight column, and a batch reads its rows as one slice of it.
+with the epoch's linear targets (a, b), and a batch reads its rows as one
+slice of them.
 Every teacher forward has the batch's row count: the short last batch
 forwards the epoch's last full batch of rows. ``distill_runs`` fills the
 teacher's probabilities once for every run that shares a tau and batch
@@ -22,7 +23,8 @@ from . import model
 from .data import Dataset, batch_slices, epoch_permutation
 from .errors import ConfigError, TrainingDivergedError
 from .numerics import ce_rows, log_softmax_rows
-from .schedule import MODES, Mode, RowTargets, gamma, target_loss, teacher_targets, weights
+from .schedule import (MODES, Mode, RowTargets, gamma, linear_targets, target_loss,
+                       teacher_targets)
 
 METRICS_COLUMNS = (
     "epoch",
@@ -164,11 +166,12 @@ def _table_bytes(n: int, k: int) -> int:
     """Bytes a run's target table holds at once, every column counted, for n rows of k classes.
 
     The teacher's (n, k) float64 probabilities; the ``RowTargets`` made from
-    them, (n, k) float64 targets and ln t, an (n, 1) float64 mass and two
-    (n,) bool masks; the same columns in the epoch's row order; and that
-    epoch's (n, 1) float64 weight column.
+    them, (n, k) float64 targets, (n,) float64 sum t ln t, an (n, 1) float64
+    mass and two (n,) bool masks; the same columns in the epoch's row order;
+    the (n,) int64 labels in that order; and that epoch's ``linear_targets``,
+    an (n, 1) float64 a and an (n, k) float64 b.
     """
-    return n * (8 * k + 2 * (16 * k + 8 + 2) + 8)
+    return n * (8 * k + 2 * (8 * k + 8 + 8 + 2) + 8 + 8 + 8 * k)
 
 
 def _teacher_probs(teacher: model.MlpParams, cfg: TrainConfig):
@@ -206,10 +209,10 @@ def _target_table(teacher: model.MlpParams, train_ds: Dataset, cfg: TrainConfig)
     return probs
 
 
-def _epoch_table(table: RowTargets, perm, g: float, m: int):
-    """The table in the epoch's row order, and its weight column for m-row batches."""
+def _epoch_table(table: RowTargets, labels, perm, g: float, m: int, tau: float):
+    """The table in the epoch's row order, and its ``linear_targets`` (a, b) for m-row batches."""
     rows = RowTargets._make(column[perm] for column in table)
-    return rows, weights(rows.hard, g, m)
+    return rows, linear_targets(rows, labels[perm], g, m, tau)
 
 
 def _distill(teacher, student_dims, train_ds: Dataset, cfg: TrainConfig, val_ds, probs):
@@ -223,20 +226,21 @@ def _distill(teacher, student_dims, train_ds: Dataset, cfg: TrainConfig, val_ds,
     def epoch_loss(epoch, perm):
         g = gammas[epoch]
         if table is not None:
-            ordered, w = _epoch_table(table, perm, g, m)
+            ordered, (a, b) = _epoch_table(table, train_ds.labels, perm, g, m, cfg.tau)
 
         def kd_loss(pos, x, y, logits):
-            b = len(y)
+            r = len(y)
             if table is not None:
                 batch = RowTargets._make(column[pos] for column in ordered)
-                out = target_loss(logits, batch, y, g, cfg.tau, w[pos] if b == m else None)
+                ab = (a[pos], b[pos]) if r == m else None
+                out = target_loss(logits, batch, y, g, cfg.tau, ab)
             else:
-                # the short batch of b rows forwards the epoch's last m rows and keeps its own
-                block = x if b == m else train_ds.features[perm[-m:]]
-                batch = teacher_targets(teacher_probs(block)[m - b:], y, cfg.row)
+                # the short batch of r rows forwards the epoch's last m rows and keeps its own
+                block = x if r == m else train_ds.features[perm[-m:]]
+                batch = teacher_targets(teacher_probs(block)[m - r:], y, cfg.row)
                 out = target_loss(logits, batch, y, g, cfg.tau)
-            return out.grad, {"loss_total": out.l_all * b, "loss_ce": out.l_ce * b,
-                              "loss_easy": out.l_easy * b, "loss_hard": out.l_hard * b,
+            return out.grad, {"loss_total": out.l_all * r, "loss_ce": out.l_ce * r,
+                              "loss_easy": out.l_easy * r, "loss_hard": out.l_hard * r,
                               "teacher_right_fraction": int(batch.right.sum())}
 
         return kd_loss

@@ -14,7 +14,7 @@ from rectidistill.analysis import (
     sweep,
 )
 from rectidistill.rectify import rectify_rows
-from rectidistill.schedule import gamma, target_loss, teacher_targets
+from rectidistill.schedule import MODES, gamma, linear_targets, target_loss, teacher_targets
 from rectidistill.train import TrainConfig
 
 GRID = np.arange(1e-6, 1.0, 1e-6)
@@ -218,3 +218,39 @@ class TestLabelNoise:
         nb = round(NOISY_ROWS * (1 - t))
         flipped = [e for e in range(NOISY_EPOCHS) if noisy_gradient(0.5, t, nb, e)[0] > 1e-12]
         assert flipped == list(range(NOISY_EPOCHS - flips, NOISY_EPOCHS))
+
+
+def linear_optimum(teacher, labels, row, g) -> np.ndarray:
+    """sum b / sum a of the rows' ``linear_targets``: where their summed gradient is 0.
+
+    Rows that share one input share the student softmax s, so at tau 1 their
+    summed logit gradient is (sum a) s - sum b.
+    """
+    a, b = linear_targets(teacher_targets(teacher, labels, row), labels, g, len(labels), 1.0)
+    return b.sum(axis=0) / a.sum()
+
+
+class TestLinearTargets:
+    """Prop-check's closed form, the label-noise formula and training share one construction."""
+
+    def test_one_row_at_gamma_0_is_the_two_class_optimum(self):
+        labels = np.zeros(1, dtype=np.int64)
+        for r in sweep(np.arange(1, 20) / 20):
+            teacher = np.array([[r.t_a, 1.0 - r.t_a]])
+            s_rect = r.s_unrect if np.isnan(r.s_rect) else r.s_rect
+            for mode, want in (("vanilla", optimum(r.t_a)), ("rectify", s_rect)):
+                s = linear_optimum(teacher, labels, MODES[mode], 0.0)
+                assert abs(s[0] - want) <= 1e-12, (r.t_a, mode)
+
+    def test_the_noisy_population_is_the_readme_s_closed_form(self):
+        for t, nb in TestLabelNoise.POINTS:
+            teacher = np.tile([t, 1.0 - t], (NOISY_ROWS, 1))
+            labels = np.zeros(NOISY_ROWS, dtype=np.int64)
+            labels[:nb] = 1
+            q = nb / NOISY_ROWS
+            for epoch in range(NOISY_EPOCHS):
+                g = gamma(MODES["full"], epoch, NOISY_EPOCHS)
+                s = linear_optimum(teacher, labels, MODES["full"], g)
+                assert abs(s[0] - noisy_optimum(t, q, g)) <= 1e-12, (t, nb, epoch)
+                s = linear_optimum(teacher, labels, MODES["vanilla"], g)
+                assert abs(s[0] - (t + 1 - q) / 2) <= 1e-12, (t, nb, epoch)

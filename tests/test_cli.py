@@ -772,14 +772,16 @@ class TestPropCheck:
 
     def test_failed_invariant_exits_3_and_still_writes_the_sweep(self, tmp_path, capsys,
                                                                  monkeypatch):
-        # a doubled CE gradient in the training loss moves its minimum off the closed form
-        ce_rows = schedule.ce_rows
+        # a doubled CE share in the training loss's (a, b) moves its minimum off the closed form
+        linear_targets = schedule.linear_targets
 
-        def doubled_ce_rows(log_s, s, labels):
-            ce_sum, grad = ce_rows(log_s, s, labels)
-            return ce_sum, 2.0 * grad
+        def doubled_ce_share(rows, labels, g, n, tau):
+            a, b = linear_targets(rows, labels, g, n, tau)
+            ce = (1.0 - g) / n
+            b[np.arange(n), labels] += ce
+            return a + ce, b
 
-        monkeypatch.setattr(schedule, "ce_rows", doubled_ce_rows)
+        monkeypatch.setattr(schedule, "linear_targets", doubled_ce_share)
         out = tmp_path / "prop"
         assert cli.main(["prop-check", "--out", str(out)]) == cli.EXIT_VERIFICATION == 3
         assert capsys.readouterr().out == (

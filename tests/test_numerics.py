@@ -193,7 +193,7 @@ class TestKlRows:
         expected = sum(ti * math.log(ti / si) for ti, si in zip(t[0], [0.5, 0.25, 0.25]))
         assert kl_rows(t, log_probs)[0] == pytest.approx(expected, rel=1e-14)
 
-    @settings(max_examples=200, deadline=None)
+    @settings(max_examples=2 * settings.default.max_examples, deadline=None)
     @given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 40), k=st.integers(2, 100),
            scale=st.floats(0.0, 300.0))
     def test_a_row_does_not_depend_on_the_other_rows(self, seed, n, k, scale):
@@ -225,7 +225,7 @@ class TestKlDivergence:
         kl = kl_rows(np.array([[0.0, 1.0]]), np.log([[0.3, 0.7]]))[0]
         assert kl == pytest.approx(math.log(1 / 0.7), abs=1e-12)
 
-    @settings(max_examples=300)
+    @settings(max_examples=3 * settings.default.max_examples)
     @given(t=simplex(), s=simplex())
     def test_nonnegative_on_random_pairs(self, t, s):
         if t.shape != s.shape:

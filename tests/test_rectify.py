@@ -64,7 +64,7 @@ def test_step_c_does_not_guarantee_global_argmax():
     assert out[0] > out[1]
 
 
-@settings(max_examples=500)
+@settings(max_examples=5 * settings.default.max_examples)
 @given(wrong_prediction())
 def test_invariants_on_random_wrong_predictions(case):
     t, label = case
@@ -89,7 +89,7 @@ def test_batch_empty_subset():
     assert rectify_rows(np.empty((0, 3)), np.empty(0, dtype=np.int64)).shape == (0, 3)
 
 
-@settings(max_examples=200)
+@settings(max_examples=2 * settings.default.max_examples)
 @given(
     st.integers(2, 8).flatmap(
         lambda k: st.lists(wrong_prediction(min_classes=k, max_classes=k), min_size=1, max_size=16)

@@ -282,13 +282,14 @@ def test_table_bytes_count_every_array_the_table_holds(setup):
     cfg = _cfg("full", 20, epochs=8)
     probs = train_module._target_table(teacher, train, cfg)
     table = teacher_targets(probs, train.labels, cfg.row)
-    ordered, w = train_module._epoch_table(table, epoch_permutation(train.n, 4, 1), 0.25, 20)
-    held = probs.nbytes + sum(a.nbytes for a in (*table, *ordered, w))
-    assert held == train_module._table_bytes(train.n, train.n_classes) == train.n * (40 * 3 + 28)
+    perm = epoch_permutation(train.n, 4, 1)
+    ordered, ab = train_module._epoch_table(table, train.labels, perm, 0.25, 20, cfg.tau)
+    held = probs.nbytes + sum(a.nbytes for a in (*table, *ordered, train.labels[perm], *ab))
+    assert held == train_module._table_bytes(train.n, train.n_classes) == train.n * (32 * 3 + 52)
 
 
 def test_the_wide_benchmark_shape_forwards_the_teacher_per_batch(monkeypatch):
-    # n = 20 000 rows of k = 100 classes at batch 256: the table would hold 80.6 MB
+    # n = 20 000 rows of k = 100 classes at batch 256: the table would hold 65.0 MB
     wide = blob_splits(100, (200,), 2, 1.0, seed=1)[0]
     teacher = model.init([2, 8, 100], 0)
     cfg = TrainConfig(epochs=1, batch_size=256)
