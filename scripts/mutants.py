@@ -1,11 +1,12 @@
 #!/usr/bin/env python3
-"""Check that tier-1 still pins each of the method's mechanisms: seventeen hand-made mutants.
+"""Check that tier-1 still pins each of the method's mechanisms: nineteen hand-made mutants.
 
     python3 scripts/mutants.py [name ...]
 
 Each mutant in ``MUTANTS`` models one way to get the paper's method wrong
-(bias elimination, rectification and the dynamic gamma), or the per-row
-target table that serves its loss, in an edit of a few lines:
+(bias elimination, rectification and the dynamic gamma), the per-row
+target table that serves its loss, or the once-per-epoch reduction of its
+loss terms, in an edit of a few lines:
 ``(name, file, old text, new text)``. For each one, the
 script copies the tree next to it (``COPIED``) into a temporary directory,
 replaces the old text in that copy, runs tier-1 there and prints the tests
@@ -76,8 +77,8 @@ MUTANTS = (
     Mutant("M11 fixed-gamma=G trains at G = 0", TRAIN,
            "row._replace(gamma=g)", "row._replace(gamma=0.0)"),
     Mutant("M12 the epoch's (a, b) keep epoch 0's gamma", TRAIN,
-           "_epoch_table(table, train_ds.labels, perm, g, m, cfg.tau)",
-           "_epoch_table(table, train_ds.labels, perm, gammas[0], m, cfg.tau)"),
+           "_epoch_table(table, labels, perm, g, m, cfg.tau)",
+           "_epoch_table(table, labels, perm, gammas[0], m, cfg.tau)"),
     Mutant("M13 the short batch forwards only its own r rows", TRAIN,
            "teacher_probs(block)[m - r:]", "teacher_probs(x)"),
     Mutant("M14 a batch reads its slice of the table in fill order", TRAIN,
@@ -90,6 +91,11 @@ MUTANTS = (
     Mutant("M17 the budget counts only the targets", TRAIN,
            "    return n * (8 * k + 2 * (8 * k + 8 + 8 + 2) + 8 + 8 + 8 * k)\n",
            "    return n * k * 8\n"),
+    Mutant("M18 the epoch's l_easy sums the hard rows", SCHEDULE,
+           "    l_easy = float(kl[~hard].sum() / n)\n",
+           "    l_easy = float(kl[hard].sum() / n)\n"),
+    Mutant("M19 the epoch's terms read the table's weight classes in fill order", TRAIN,
+           "hard if table is None else ordered.hard", "hard if table is None else table.hard"),
 )
 
 

@@ -5,11 +5,12 @@ checked where they entered the program (``TrainConfig``, the data and
 checkpoint loaders) or built by it. ``log_softmax_rows`` returns ln s
 (shifted logits minus their logsumexp) and s from one pass. CE and KL are
 taken from ln s, so they stay finite where the softmax underflows, with no
-clamp: ``ce_sum`` is the one cross-entropy, which the distillation loss
-takes, and ``ce_rows`` adds its gradient s - onehot for the teacher loss;
-``kl_rows`` is the one forward KL, sum t ln t - sum t ln s, with
-``t_log_t_rows`` its one per-row constant. A single vector is a one-row
-slice.
+clamp: ``ce_rows`` is the one cross-entropy, each row's -ln s[label], which
+the teacher and the distillation loss take, and ``ce_gradient_rows`` its
+gradient s - onehot for the teacher loss; ``kl_rows`` is the one forward
+KL, sum t ln t - sum t ln s, with ``t_log_t_rows`` its one per-row
+constant. Each per-row function can write into a caller's (n,) vector. A
+single vector is a one-row slice.
 ``finite_difference_gradient`` is the oracle the analytic gradients are
 checked against.
 """
@@ -46,35 +47,37 @@ def t_log_t_rows(targets) -> np.ndarray:
     return (targets * np.log(np.where(targets > 0.0, targets, 1.0))).sum(axis=1)
 
 
-def kl_rows(targets, log_probs, t_log_t=None) -> np.ndarray:
-    """Row-wise forward KL, sum t_i ln t_i - sum t_i log_probs_i.
+def kl_rows(targets, log_probs, t_log_t=None, out=None) -> np.ndarray:
+    """Row-wise forward KL, sum t_i ln t_i - sum t_i log_probs_i, shape (n,).
 
     Target rows need not sum to 1 (the step-b ablation uses them
     unnormalized); an entry with t_i = 0 adds exactly 0. ``log_probs``
     must be finite, as the ln s of ``log_softmax_rows`` is. ``t_log_t`` is
     ``t_log_t_rows(targets)``, the row's constant, taken here unless the
-    caller holds it.
+    caller holds it. ``out``, an (n,) vector, receives the result if given.
     """
     if t_log_t is None:
         t_log_t = t_log_t_rows(targets)
-    return t_log_t - (targets * log_probs).sum(axis=1)
+    return np.subtract(t_log_t, (targets * log_probs).sum(axis=1), out=out)
 
 
-def ce_sum(log_probs, labels) -> float:
-    """Summed cross-entropy -sum ln s[label] of integer labels, from the ln s of a pass."""
-    return float(-log_probs[np.arange(labels.shape[0]), labels].sum())
+def ce_rows(log_probs, labels, out=None) -> np.ndarray:
+    """Each row's cross-entropy -ln s[label] of integer labels, shape (n,).
+
+    ``log_probs`` is the ln s of a ``log_softmax_rows`` pass. ``out``, an
+    (n,) vector, receives the result if given.
+    """
+    return np.negative(log_probs[np.arange(labels.shape[0]), labels], out=out)
 
 
-def ce_rows(log_probs, probs, labels) -> tuple[float, np.ndarray]:
-    """Summed cross-entropy of integer labels under s, and its gradient s - onehot.
+def ce_gradient_rows(probs, labels) -> np.ndarray:
+    """The cross-entropy's gradient s - onehot, per row and w.r.t. the logits of s's pass.
 
-    ``log_probs`` and ``probs`` are the ln s and s of one
-    ``log_softmax_rows`` pass. The gradient, per row and w.r.t. the logits
-    of that pass, is a fresh array that a caller may scale in place.
+    A fresh array, which a caller may scale in place.
     """
     grad = probs.copy()
     grad[np.arange(labels.shape[0]), labels] -= 1.0
-    return ce_sum(log_probs, labels), grad
+    return grad
 
 
 def finite_difference_gradient(f: Callable[[np.ndarray], float], x) -> np.ndarray:

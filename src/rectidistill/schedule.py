@@ -10,8 +10,9 @@ Hinton et al. 2015 (arXiv:1503.02531), the KL compares the softmaxes at
 temperature tau and is multiplied by tau**2, and l_ce is taken against the
 labels at temperature 1. So a KL term's logit gradient is tau times its
 softmax residual, and the KD gradient does not grow as tau shrinks. Both
-subset terms sum their per-sample KL and divide by the FULL batch size
-(an empty subset contributes exactly 0). This matches masking the batch
+subset terms sum their per-sample KL and divide by the FULL batch size,
+or in an epoch's report by the full row count (an empty subset
+contributes exactly 0). This matches masking the batch
 with the correctness mask and taking the batch mean; averaging over the
 subset size instead makes the hard term explode whenever the bias subset
 is small and destabilizes the end of training, where gamma -> 1.
@@ -22,11 +23,15 @@ is a per-sample weighting in two weight classes: easy rows are distilled
 with weight (1 - gamma) / n and hard rows with gamma / n. Which rows are
 hard, what their targets are and what gamma is, the mode's ``Mode`` row
 says, as ``train.TrainConfig`` resolves it from the ``--mode`` text.
-``target_loss`` takes one KL pass over the whole batch; l_easy and
-l_hard are the sums of that vector over the easy and the hard rows, and
-the gradient is one linear term per row. A row's KL does not depend
-on the other rows of the batch, so the sums see the same values, in the
-same order, as KL passes over each subset would.
+``target_loss`` takes one KL pass over the whole batch and returns the
+gradient, one linear term per row; it writes each row's KL and CE into
+the caller's vectors. ``loss_terms`` reduces those vectors once: l_ce is
+the CE's sum, l_easy and l_hard the KL's sums over the easy and the hard
+rows, each over the row count. ``train._fit`` calls it once per epoch, on
+vectors that every batch wrote its slice of, and a caller with one batch
+calls it on that batch's. A row's KL does not depend on the other rows of
+the batch, so the sums see the same values, in the same order, as KL
+passes over each subset would.
 
 The batched core is two steps. ``teacher_targets`` partitions the rows,
 decides each row's weight class once and, in every mode with a target
@@ -35,9 +40,9 @@ stage, rectifies all biased ones in one array operation. Through
 row: sum t ln t (0 ln 0 = 0) and the row's mass. It reads only the teacher
 and the labels, and each output row depends only on its own input row, so
 ``train.distill`` can compute it once per training row. ``target_loss``
-returns the loss terms together with their gradient w.r.t. the logits,
-at the epoch's gamma ``g``, which ``gamma`` gives; it reads the weight
-classes and the row constants, not the mode, and recomputes none of them.
+returns the gradient w.r.t. the logits at the epoch's gamma ``g``, which
+``gamma`` gives; it reads the weight classes and the row constants, not
+the mode, and recomputes none of them.
 
 The objective is linear in its targets: CE reads a one-hot target, and
 each KL is sum t ln t - sum t ln s. So at tau 1 a row's logit gradient is
@@ -47,12 +52,13 @@ other tau, CE's share moves onto the temperature-1 softmax. It holds the
 one rule for a row's KL weight, and serves a batch and a table's whole
 epoch alike. A caller that has a batch's teacher probabilities calls
 ``teacher_targets``, then ``target_loss``, as ``train.distill``'s
-per-batch path does. None of them checks its inputs, each checked once
-where it enters: ``tau`` and the mode by ``TrainConfig``, labels by the
-data loaders, the teacher by ``model.load_checkpoint``, non-finite
-student logits by ``train._fit``. CE (``numerics.ce_sum``) and KL come
-from the ln s of ``numerics.log_softmax_rows``, so they stay finite where
-the student softmax underflows; the gradient uses the s of the same pass.
+per-batch path does, and reads the terms by ``loss_terms``. None of them
+checks its inputs, each checked once where it enters: ``tau`` and the
+mode by ``TrainConfig``, labels by the data loaders, the teacher by
+``model.load_checkpoint``, non-finite student logits by ``train._fit``.
+CE (``numerics.ce_rows``) and KL come from the ln s of
+``numerics.log_softmax_rows``, so they stay finite where the student
+softmax underflows; the gradient uses the s of the same pass.
 At tau 1 CE and KL share one pass, and the tau factors, exact identities
 there, are skipped.
 """
@@ -62,7 +68,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import rectify
-from .numerics import ce_sum, kl_rows, log_softmax_rows, t_log_t_rows
+from .numerics import ce_rows, kl_rows, log_softmax_rows, t_log_t_rows
 
 RAMP = "e/E"  # the dynamic gamma rule: epoch e of E over E
 
@@ -86,12 +92,11 @@ MODES = {
 }
 
 
-class LossBreakdown(NamedTuple):
+class LossTerms(NamedTuple):
     l_ce: float
     l_easy: float
     l_hard: float
-    l_all: float
-    grad: np.ndarray  # d l_all / d student logits, shape (n, k)
+    l_all: float  # (1 - g) (l_ce + l_easy) + g l_hard
 
 
 class RowTargets(NamedTuple):
@@ -161,12 +166,14 @@ def teacher_targets(teacher_probs, labels, row: Mode) -> RowTargets:
 
 
 def target_loss(student_logits, rows: RowTargets, labels, g: float, tau: float,
-                ab=None) -> LossBreakdown:
-    """Loss components, the assembled total and its logit gradient at gamma ``g``.
+                kl, ce, ab=None) -> np.ndarray:
+    """The logit gradient of l_all at gamma ``g``; each row's KL and CE go into ``kl`` and ``ce``.
 
     ``rows`` is what ``teacher_targets`` returns for these rows, and ``ab``
     their ``linear_targets`` at ``g``, taken here unless the caller holds
-    them. Easy rows (``~hard``) make up l_easy, hard rows l_hard.
+    them. ``kl`` and ``ce`` are (n,) vectors, such as a batch's slice of an
+    epoch's: a row's KL at tau, times tau**2, and its CE at temperature 1,
+    which ``loss_terms`` reduces.
     """
     n = labels.shape[0]
     log_s, s = log_softmax_rows(student_logits, tau)
@@ -180,12 +187,22 @@ def target_loss(student_logits, rows: RowTargets, labels, g: float, tau: float,
         log_s1, s1 = log_softmax_rows(student_logits)
         grad += (1.0 - g) / n * s1
     grad -= b
-    kl = kl_rows(rows.targets, log_s, rows.t_log_t)
+    kl_rows(rows.targets, log_s, rows.t_log_t, out=kl)
     if tau != 1.0:
         kl *= tau * tau
-    l_easy = float(kl[~rows.hard].sum() / n)
-    l_hard = float(kl[rows.hard].sum() / n)
+    ce_rows(log_s1, labels, out=ce)
+    return grad
 
-    l_ce = ce_sum(log_s1, labels) / n
-    l_all = (1.0 - g) * (l_ce + l_easy) + g * l_hard
-    return LossBreakdown(l_ce, l_easy, l_hard, l_all, grad)
+
+def loss_terms(kl, ce, hard, g: float) -> LossTerms:
+    """The loss terms of N rows from their ``target_loss`` KL and CE, at gamma ``g``.
+
+    ``hard`` is the rows' weight class, in the vectors' order. l_ce is the
+    CE's sum over the N rows, l_easy and l_hard are the KL's sums over the
+    easy (``~hard``) and the hard rows, each divided by N.
+    """
+    n = kl.shape[0]
+    l_ce = float(ce.sum() / n)
+    l_easy = float(kl[~hard].sum() / n)
+    l_hard = float(kl[hard].sum() / n)
+    return LossTerms(l_ce, l_easy, l_hard, (1.0 - g) * (l_ce + l_easy) + g * l_hard)

@@ -7,7 +7,10 @@ constant the loss derives from it, is a constant of the run. When they fit
 in ``TARGET_TABLE_BYTES``, ``distill`` computes them once, into a per-row
 target table; each epoch puts the table in that epoch's batch order once,
 with the epoch's linear targets (a, b), and a batch reads its rows as one
-slice of them.
+slice of them. Each SGD step writes its rows' KL and CE into per-run
+vectors, and each epoch's loss columns are one ``schedule.loss_terms``
+reduction of them; the epoch's table state is released before the next
+epoch's is built.
 Every teacher forward has the batch's row count: the short last batch
 forwards the epoch's last full batch of rows. ``distill_runs`` fills the
 teacher's probabilities once for every run that shares a tau and batch
@@ -22,8 +25,8 @@ import numpy as np
 from . import model
 from .data import Dataset, batch_slices, epoch_permutation
 from .errors import ConfigError, TrainingDivergedError
-from .numerics import ce_rows, log_softmax_rows
-from .schedule import (MODES, Mode, RowTargets, gamma, linear_targets, target_loss,
+from .numerics import ce_gradient_rows, ce_rows, log_softmax_rows
+from .schedule import (MODES, Mode, RowTargets, gamma, linear_targets, loss_terms, target_loss,
                        teacher_targets)
 
 METRICS_COLUMNS = (
@@ -108,14 +111,17 @@ def _fit(params: model.MlpParams, train_ds: Dataset, cfg: TrainConfig, val_ds, e
     """The one SGD loop: trains ``params`` in place; returns its per-epoch rows.
 
     The caller builds the model and checks that it fits both splits. Each
-    epoch takes its ``epoch_permutation`` and cuts it by ``batch_slices``.
-    ``epoch_loss(epoch, perm)`` returns that epoch's ``batch_loss(pos, x, y,
-    logits)``, where ``pos`` is the batch's slice of ``perm``; it returns the
-    logit gradient (already carrying its 1/n weighting) and a dict of that
-    batch's loss sums. Each epoch row holds those sums divided by the
-    training-set size, plus the train and validation accuracies. Non-finite
-    logits of the trained model, or a non-finite logit gradient, raise
-    ``TrainingDivergedError`` naming the epoch.
+    epoch takes its ``epoch_permutation``, gathers the labels in that order
+    once, and cuts both by ``batch_slices``. ``epoch_loss(epoch, perm,
+    labels)`` returns that epoch's pair ``(batch_loss, epoch_terms)``.
+    ``batch_loss(pos, x, y, logits)``, where ``pos`` is the batch's slice of
+    ``perm``, returns the logit gradient (already carrying its 1/n
+    weighting) and writes its rows' loss terms at ``pos`` of per-row
+    vectors; after the epoch's last batch, ``epoch_terms()`` reduces them to
+    the epoch's loss columns. Each epoch row holds those columns, plus the
+    train and validation accuracies. Non-finite logits of the trained
+    model, or a non-finite logit gradient, raise ``TrainingDivergedError``
+    naming the epoch.
     """
     grad = np.empty_like(params.flat)
     grad_views = params.layer_views(grad)
@@ -123,26 +129,25 @@ def _fit(params: model.MlpParams, train_ds: Dataset, cfg: TrainConfig, val_ds, e
     rows = []
     for epoch in range(cfg.epochs):
         perm = epoch_permutation(train_ds.n, cfg.seed, epoch)
-        batch_loss = epoch_loss(epoch, perm)
-        sums = {}
+        labels = train_ds.labels[perm]
+        batch_loss, epoch_terms = epoch_loss(epoch, perm, labels)
         for pos in batch_slices(train_ds.n, cfg.batch_size):
-            idx = perm[pos]
-            x, y = train_ds.features[idx], train_ds.labels[idx]
+            x, y = train_ds.features[perm[pos]], labels[pos]
             logits, acts = model._forward_cached(params, x)
             if not np.isfinite(logits).all():
                 raise TrainingDivergedError(
                     f"training diverged in epoch {epoch}: non-finite logits"
                 )
-            upstream, batch_sums = batch_loss(pos, x, y, logits)
+            upstream = batch_loss(pos, x, y, logits)
             if not np.isfinite(upstream).all():
                 raise TrainingDivergedError(
                     f"training diverged in epoch {epoch}: non-finite gradients"
                 )
             model._backward_into(params, grad_views, upstream, acts)
             model.sgd_step(params, grad, velocity, cfg.learning_rate, MOMENTUM)
-            for key, value in batch_sums.items():
-                sums[key] = sums.get(key, 0.0) + value
-        row = {"epoch": epoch, **{key: value / train_ds.n for key, value in sums.items()}}
+        row = {"epoch": epoch, **epoch_terms()}
+        # the epoch's loss, with any per-epoch table it holds, goes before the next is built
+        del batch_loss, epoch_terms
         for key, ds in (("train_acc", train_ds), ("val_acc", val_ds)):
             row[key] = float("nan") if ds is None else model.evaluate(params, ds)
         rows.append(row)
@@ -154,12 +159,20 @@ def train_teacher(train_ds: Dataset, dims, cfg: TrainConfig, val_ds: Dataset | N
     params = model.init(dims, cfg.seed)
     _require_fit("teacher", params.dims, train_ds, val_ds)
 
-    def ce_loss(pos, x, y, logits):
-        loss_sum, upstream = ce_rows(*log_softmax_rows(logits), y)
-        upstream /= len(y)
-        return upstream, {"loss_ce": loss_sum}
+    ce = np.empty(train_ds.n)  # each row's CE in the epoch's order
 
-    return params, _fit(params, train_ds, cfg, val_ds, lambda epoch, perm: ce_loss)
+    def ce_loss(pos, x, y, logits):
+        log_s, s = log_softmax_rows(logits)
+        ce_rows(log_s, y, out=ce[pos])
+        upstream = ce_gradient_rows(s, y)
+        upstream /= len(y)
+        return upstream
+
+    def epoch_terms():
+        return {"loss_ce": float(ce.sum() / train_ds.n)}
+
+    return params, _fit(params, train_ds, cfg, val_ds,
+                        lambda epoch, perm, labels: (ce_loss, epoch_terms))
 
 
 def _table_bytes(n: int, k: int) -> int:
@@ -210,9 +223,12 @@ def _target_table(teacher: model.MlpParams, train_ds: Dataset, cfg: TrainConfig)
 
 
 def _epoch_table(table: RowTargets, labels, perm, g: float, m: int, tau: float):
-    """The table in the epoch's row order, and its ``linear_targets`` (a, b) for m-row batches."""
+    """The table in the epoch's row order, and its ``linear_targets`` (a, b) for m-row batches.
+
+    ``labels`` are the training labels already in that order.
+    """
     rows = RowTargets._make(column[perm] for column in table)
-    return rows, linear_targets(rows, labels[perm], g, m, tau)
+    return rows, linear_targets(rows, labels, g, m, tau)
 
 
 def _distill(teacher, student_dims, train_ds: Dataset, cfg: TrainConfig, val_ds, probs):
@@ -220,30 +236,42 @@ def _distill(teacher, student_dims, train_ds: Dataset, cfg: TrainConfig, val_ds,
     student = model.init(student_dims, cfg.seed)
     teacher_probs = _teacher_probs(teacher, cfg)
     gammas = [gamma(cfg.row, e, cfg.epochs) for e in range(cfg.epochs)]
-    m = min(cfg.batch_size, train_ds.n)
+    n, m = train_ds.n, min(cfg.batch_size, train_ds.n)
     table = None if probs is None else teacher_targets(probs, train_ds.labels, cfg.row)
+    # each row's KL and CE, and on the per-batch path its weight class and
+    # partition, in the epoch's order: every batch writes its slice
+    kl, ce = np.empty(n), np.empty(n)
+    if table is None:
+        hard, right = np.empty(n, dtype=bool), np.empty(n, dtype=bool)
+    else:
+        right_fraction = int(table.right.sum()) / n
 
-    def epoch_loss(epoch, perm):
+    def epoch_loss(epoch, perm, labels):
         g = gammas[epoch]
         if table is not None:
-            ordered, (a, b) = _epoch_table(table, train_ds.labels, perm, g, m, cfg.tau)
+            ordered, (a, b) = _epoch_table(table, labels, perm, g, m, cfg.tau)
 
         def kd_loss(pos, x, y, logits):
             r = len(y)
             if table is not None:
                 batch = RowTargets._make(column[pos] for column in ordered)
                 ab = (a[pos], b[pos]) if r == m else None
-                out = target_loss(logits, batch, y, g, cfg.tau, ab)
             else:
                 # the short batch of r rows forwards the epoch's last m rows and keeps its own
                 block = x if r == m else train_ds.features[perm[-m:]]
                 batch = teacher_targets(teacher_probs(block)[m - r:], y, cfg.row)
-                out = target_loss(logits, batch, y, g, cfg.tau)
-            return out.grad, {"loss_total": out.l_all * r, "loss_ce": out.l_ce * r,
-                              "loss_easy": out.l_easy * r, "loss_hard": out.l_hard * r,
-                              "teacher_right_fraction": int(batch.right.sum())}
+                hard[pos], right[pos] = batch.hard, batch.right
+                ab = None
+            return target_loss(logits, batch, y, g, cfg.tau, kl[pos], ce[pos], ab)
 
-        return kd_loss
+        def epoch_terms():
+            terms = loss_terms(kl, ce, hard if table is None else ordered.hard, g)
+            return {"loss_total": terms.l_all, "loss_ce": terms.l_ce,
+                    "loss_easy": terms.l_easy, "loss_hard": terms.l_hard,
+                    "teacher_right_fraction":
+                        int(right.sum()) / n if table is None else right_fraction}
+
+        return kd_loss, epoch_terms
 
     rows = _fit(student, train_ds, cfg, val_ds, epoch_loss)
     for row in rows:

@@ -15,7 +15,9 @@ from rectidistill.analysis import optimum, sweep
 from rectidistill.data import Dataset, blob_splits
 from rectidistill.numerics import finite_difference_gradient, kl_rows
 from rectidistill.rectify import STEP_B, STEP_C, rectify_rows
-from rectidistill.schedule import MODES, gamma, row_targets, target_loss, teacher_targets
+from rectidistill.schedule import MODES, gamma, row_targets, teacher_targets
+
+from one_batch import one_batch
 
 
 def report(capsys, number: int, name: str, ok: bool, detail: str) -> None:
@@ -73,9 +75,10 @@ def median_final_val(runs, mode: str) -> float:
 # --------------------------------------------------------------------------
 
 def test_criterion_01_gradient_fidelity(capsys):
-    # CE and KL through the gradient training runs, target_loss's, on one
-    # hard row: at g = 0 its KL has weight 0 and l_all is the temperature-1
-    # CE; at g = 1 CE has weight 0 and l_hard is the KL
+    # CE and KL through the gradient training runs, target_loss's, with the
+    # terms loss_terms reduces, on one hard row: at g = 0 its KL has weight 0
+    # and l_all is the temperature-1 CE; at g = 1 CE has weight 0 and l_hard
+    # is the KL
     rng = np.random.default_rng(101)
     worst = 0.0
     for _ in range(100):
@@ -88,14 +91,14 @@ def test_criterion_01_gradient_fidelity(capsys):
         label, hard = np.array([c]), np.array([True])
         rows = row_targets(t[None], ~hard, hard)
         fd_ce = finite_difference_gradient(
-            lambda v: target_loss(v[None], rows, label, 0.0, tau).l_all, z
+            lambda v: one_batch(v[None], rows, label, 0.0, tau).l_all, z
         )
-        ce_grad = target_loss(z[None], rows, label, 0.0, tau).grad[0]
+        ce_grad = one_batch(z[None], rows, label, 0.0, tau).grad[0]
         worst = max(worst, float(np.max(np.abs(ce_grad - fd_ce))))
         fd_kl = finite_difference_gradient(
-            lambda v: target_loss(v[None], rows, label, 1.0, tau).l_hard, z
+            lambda v: one_batch(v[None], rows, label, 1.0, tau).l_hard, z
         )
-        kl_grad = target_loss(z[None], rows, label, 1.0, tau).grad[0]
+        kl_grad = one_batch(z[None], rows, label, 1.0, tau).grad[0]
         worst = max(worst, float(np.max(np.abs(kl_grad - fd_kl))))
     report(capsys, 1, "gradient fidelity", worst <= 1e-6,
            f"max |analytic - finite difference| = {worst:.3e} over 100 cases (tol 1e-6)")
@@ -211,10 +214,10 @@ def test_criterion_09_end_to_end_gradients(capsys):
         def loss_at(flat):
             q.flat[:] = flat
             logits = model.forward(q, x)
-            return target_loss(logits, rows, labels, g, 1.0).l_all
+            return one_batch(logits, rows, labels, g, 1.0).l_all
 
         logits, acts = model._forward_cached(student, x)
-        upstream = target_loss(logits, rows, labels, g, 1.0).grad
+        upstream = one_batch(logits, rows, labels, g, 1.0).grad
         analytic = np.empty_like(student.flat)
         model._backward_into(student, student.layer_views(analytic), upstream, acts)
         fd = finite_difference_gradient(loss_at, student.flat.copy())

@@ -14,8 +14,10 @@ from rectidistill.analysis import (
     sweep,
 )
 from rectidistill.rectify import rectify_rows
-from rectidistill.schedule import MODES, gamma, linear_targets, target_loss, teacher_targets
+from rectidistill.schedule import MODES, gamma, linear_targets, teacher_targets
 from rectidistill.train import TrainConfig
+
+from one_batch import one_batch
 
 GRID = np.arange(1e-6, 1.0, 1e-6)
 
@@ -157,8 +159,8 @@ def noisy_gradient(s, t, nb, epoch, mode="full") -> np.ndarray:
     labels[:nb] = 1
     logits = np.tile([np.log(s) - np.log(1.0 - s), 0.0], (NOISY_ROWS, 1))
     row = TrainConfig(mode=mode).row
-    loss = target_loss(logits, teacher_targets(teacher, labels, row), labels,
-                       gamma(row, epoch, NOISY_EPOCHS), 1.0)
+    loss = one_batch(logits, teacher_targets(teacher, labels, row), labels,
+                     gamma(row, epoch, NOISY_EPOCHS), 1.0)
     return NOISY_ROWS * loss.grad.sum(axis=0)
 
 

@@ -14,8 +14,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rectidistill.errors import InvalidInputError
-from rectidistill.numerics import ce_rows, finite_difference_gradient, kl_rows, log_softmax_rows
-from rectidistill.schedule import row_targets, target_loss
+from rectidistill.numerics import (ce_gradient_rows, finite_difference_gradient, kl_rows,
+                                  log_softmax_rows)
+from rectidistill.schedule import row_targets
+
+from one_batch import one_batch
 
 
 def softmax_oracle(z, tau=1.0):
@@ -254,9 +257,9 @@ def one_hard_row(t):
 
 
 class TestGradients:
-    """CE through ``ce_rows``; KL through ``target_loss``, the gradient training runs.
+    """CE through ``ce_gradient_rows``; KL through ``target_loss``, the gradient training runs.
 
-    ``ce_rows`` returns s - onehot, the gradient w.r.t. z / tau, so the
+    ``ce_gradient_rows`` returns s - onehot, the gradient w.r.t. z / tau, so the
     gradient w.r.t. z is that over tau. With one hard row and g = 1,
     ``target_loss`` weights CE by 0: its ``grad`` is the gradient of that
     row's KL, its ``l_hard``.
@@ -264,29 +267,29 @@ class TestGradients:
 
     def test_ce_gradient_zero_at_optimum(self):
         # logits so extreme the softmax is one-hot in float64
-        g = ce_rows(*log_softmax_rows([[800.0, 0.0]]), np.array([0]))[1][0]
+        g = ce_gradient_rows(log_softmax_rows([[800.0, 0.0]])[1], np.array([0]))[0]
         np.testing.assert_allclose(g, 0.0, atol=1e-12)
 
     def test_ce_gradient_symmetric_two_class(self):
-        g = ce_rows(*log_softmax_rows([[0.0, 0.0]]), np.array([0]))[1][0]
+        g = ce_gradient_rows(log_softmax_rows([[0.0, 0.0]])[1], np.array([0]))[0]
         np.testing.assert_allclose(g, [-0.5, 0.5], atol=1e-12)
 
     def test_ce_gradient_matches_finite_differences(self):
         z = np.array([2.0, 1.0, 0.0])
         for tau in (0.5, 1.0, 2.0):
             fd = finite_difference_gradient(lambda v: -log_softmax_rows(v[None], tau)[0][0, 2], z)
-            g = ce_rows(*log_softmax_rows(z[None], tau), np.array([2]))[1][0] / tau
+            g = ce_gradient_rows(log_softmax_rows(z[None], tau)[1], np.array([2]))[0] / tau
             np.testing.assert_allclose(g, fd, atol=1e-6)
 
     def test_kl_gradient_zero_at_optimum(self):
         z = np.array([[1.0, -0.5, 0.2]])
         t = log_softmax_rows(z, 2.0)[1]
-        g = target_loss(z, one_hard_row(t), np.array([0]), 1.0, 2.0).grad
+        g = one_batch(z, one_hard_row(t), np.array([0]), 1.0, 2.0).grad
         np.testing.assert_allclose(g, 0.0, atol=1e-12)
 
     def test_kl_gradient_one_hot_target(self):
         t = np.array([[1.0, 0.0]])
-        g = target_loss(np.zeros((1, 2)), one_hard_row(t), np.array([0]), 1.0, 1.0).grad
+        g = one_batch(np.zeros((1, 2)), one_hard_row(t), np.array([0]), 1.0, 1.0).grad
         np.testing.assert_allclose(g[0], [-0.5, 0.5], atol=1e-12)
 
     def test_kl_gradient_matches_finite_differences(self):
@@ -296,9 +299,9 @@ class TestGradients:
         rows, label = one_hard_row(t), np.array([0])
         for tau in (0.5, 1.0, 2.0):
             fd = finite_difference_gradient(
-                lambda v: target_loss(v[None], rows, label, 1.0, tau).l_hard, z
+                lambda v: one_batch(v[None], rows, label, 1.0, tau).l_hard, z
             )
-            g = target_loss(z[None], rows, label, 1.0, tau).grad[0]
+            g = one_batch(z[None], rows, label, 1.0, tau).grad[0]
             np.testing.assert_allclose(g, fd, atol=1e-6)
 
     @given(
@@ -309,10 +312,10 @@ class TestGradients:
     def test_gradients_sum_to_zero(self, z, tau, data):
         c = data.draw(st.integers(0, len(z) - 1))
         z, labels = np.array([z]), np.array([c])
-        assert abs(ce_rows(*log_softmax_rows(z, tau), labels)[1].sum() / tau) <= 1e-12
+        assert abs(ce_gradient_rows(log_softmax_rows(z, tau)[1], labels).sum() / tau) <= 1e-12
         t = np.zeros_like(z)
         t[0, c] = 1.0
-        assert abs(target_loss(z, one_hard_row(t), labels, 1.0, tau).grad.sum()) <= 1e-12
+        assert abs(one_batch(z, one_hard_row(t), labels, 1.0, tau).grad.sum()) <= 1e-12
 
 
 class TestFiniteDifferences:

@@ -12,7 +12,9 @@ from hypothesis import strategies as st
 
 from rectidistill.numerics import kl_rows, log_softmax_rows
 from rectidistill.rectify import rectify_rows
-from rectidistill.schedule import MODES, target_loss, teacher_targets
+from rectidistill.schedule import MODES, teacher_targets
+
+from one_batch import one_batch
 
 
 def split_sizes(teacher, labels):
@@ -41,7 +43,7 @@ def test_split_preserves_order():
     teacher = np.array([[0.6, 0.3, 0.1], [0.2, 0.5, 0.3], [0.1, 0.2, 0.7]])
     labels = np.array([0, 2, 2])
     rows = teacher_targets(teacher, labels, MODES["full"])
-    out = target_loss(logits, rows, labels, 0.5, 1.0)
+    out = one_batch(logits, rows, labels, 0.5, 1.0)
     log_s = [np.log(log_softmax_rows(z[None])[1]) for z in logits]
     l_easy = (kl_rows(teacher[0:1], log_s[0])[0] + kl_rows(teacher[2:3], log_s[2])[0]) / 3
     l_hard = kl_rows(rectify_rows(teacher[1:2], np.array([2])), log_s[1])[0] / 3
@@ -89,8 +91,8 @@ def test_mask_is_deterministic():
     logits = rng.normal(size=(32, 4))
     rows_a = teacher_targets(probs, labels, MODES["full"])
     rows_b = teacher_targets(probs, labels, MODES["full"])
-    a = target_loss(logits, rows_a, labels, 0.5, 1.0)
-    b = target_loss(logits, rows_b, labels, 0.5, 1.0)
+    a = one_batch(logits, rows_a, labels, 0.5, 1.0)
+    b = one_batch(logits, rows_b, labels, 0.5, 1.0)
     assert np.array_equal(rows_a.right, rows_b.right)
     assert a.l_all == b.l_all
     assert np.array_equal(a.grad, b.grad)

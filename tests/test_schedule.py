@@ -7,14 +7,10 @@ from hypothesis import strategies as st
 
 from rectidistill import rectify
 from rectidistill.numerics import finite_difference_gradient, kl_rows, log_softmax_rows
-from rectidistill.schedule import (
-    MODES,
-    LossBreakdown,
-    gamma,
-    target_loss,
-    teacher_targets,
-)
+from rectidistill.schedule import MODES, gamma, target_loss, teacher_targets
 from rectidistill.train import TrainConfig
+
+from one_batch import OneBatch, one_batch
 
 
 def row_of(mode, g=0.5):
@@ -50,7 +46,7 @@ class TestTargetLoss:
         logits, teacher, _ = _random_batch(rng, 6, 3)
         labels = np.argmax(teacher, axis=1)  # mask all true
         rows = teacher_targets(teacher, labels, MODES["full"])
-        out = target_loss(logits, rows, labels, 0.5, 1.0)
+        out = one_batch(logits, rows, labels, 0.5, 1.0)
         assert out.l_hard == 0.0
         assert not rows.hard.any()
         assert out.l_all == pytest.approx(0.5 * (out.l_ce + out.l_easy), abs=1e-12)
@@ -60,7 +56,7 @@ class TestTargetLoss:
         logits = np.array([[800.0, 0.0, 0.0], [0.0, 800.0, 0.0]])
         teacher = log_softmax_rows(logits)[1]
         labels = np.array([0, 1])
-        out = target_loss(logits, teacher_targets(teacher, labels, MODES["full"]), labels, 0.5, 1.0)
+        out = one_batch(logits, teacher_targets(teacher, labels, MODES["full"]), labels, 0.5, 1.0)
         assert out.l_all == pytest.approx(0.0, abs=1e-12)
 
     @pytest.mark.parametrize("mode", MODES)
@@ -70,8 +66,8 @@ class TestTargetLoss:
         teacher = np.array([[0.75, 0.25]])
         labels = np.array([0])
         assert log_softmax_rows(logits)[1][0, 0] == 0.0
-        out = target_loss(logits, teacher_targets(teacher, labels, MODES[mode]), labels,
-                          gamma(row_of(mode), 1, 2), 1.0)
+        out = one_batch(logits, teacher_targets(teacher, labels, MODES[mode]), labels,
+                       gamma(row_of(mode), 1, 2), 1.0)
         assert out.l_ce == 800.0
         # the teacher is right, so every mode takes KL(t || s) with ln s = [-800, 0]
         assert out.l_easy == pytest.approx(
@@ -85,7 +81,7 @@ class TestTargetLoss:
         teacher = np.array([[0.7, 0.2, 0.1], [0.1, 0.2, 0.7]])
         labels = np.array([0, 1])  # sample 1: teacher argmax 2 != 1 -> bias
         rows = teacher_targets(teacher, labels, MODES["full"])
-        out = target_loss(logits, rows, labels, 0.5, 1.0)
+        out = one_batch(logits, rows, labels, 0.5, 1.0)
 
         log_s = np.log(log_softmax_rows(logits)[1])
         l_ce = (-log_s[0, 0] - log_s[1, 1]) / 2
@@ -102,22 +98,22 @@ class TestTargetLoss:
         rng = np.random.default_rng(1)
         logits, teacher, labels = _random_batch(rng, 8, 4)
         g = gamma(MODES["eliminate"], 30, 60)
-        out = target_loss(logits, teacher_targets(teacher, labels, MODES["eliminate"]), labels,
-                          g, 1.0)
+        out = one_batch(logits, teacher_targets(teacher, labels, MODES["eliminate"]), labels,
+                       g, 1.0)
         assert g == 0.0
         assert out.l_all == out.l_ce + out.l_easy
         # the biased rows keep their rectified KL; gamma 0 weights it out
-        full = target_loss(logits, teacher_targets(teacher, labels, MODES["full"]), labels,
-                           0.0, 1.0)
+        full = one_batch(logits, teacher_targets(teacher, labels, MODES["full"]), labels,
+                        0.0, 1.0)
         assert out.l_hard == full.l_hard
 
     def test_eliminate_equals_full_at_gamma_zero(self):
         rng = np.random.default_rng(2)
         logits, teacher, labels = _random_batch(rng, 10, 4)
-        a = target_loss(logits, teacher_targets(teacher, labels, MODES["full"]), labels,
-                        gamma(MODES["full"], 0, 60), 1.0)
-        b = target_loss(logits, teacher_targets(teacher, labels, MODES["eliminate"]), labels,
-                        gamma(MODES["eliminate"], 30, 60), 1.0)
+        a = one_batch(logits, teacher_targets(teacher, labels, MODES["full"]), labels,
+                     gamma(MODES["full"], 0, 60), 1.0)
+        b = one_batch(logits, teacher_targets(teacher, labels, MODES["eliminate"]), labels,
+                     gamma(MODES["eliminate"], 30, 60), 1.0)
         assert a.l_all == pytest.approx(b.l_all, abs=1e-12)
         assert a.l_ce == b.l_ce and a.l_easy == b.l_easy
 
@@ -125,8 +121,8 @@ class TestTargetLoss:
         rng = np.random.default_rng(3)
         logits, teacher, labels = _random_batch(rng, 5, 3)
         g = gamma(MODES["vanilla"], 30, 60)
-        out = target_loss(logits, teacher_targets(teacher, labels, MODES["vanilla"]), labels,
-                          g, 1.0)
+        out = one_batch(logits, teacher_targets(teacher, labels, MODES["vanilla"]), labels,
+                       g, 1.0)
         expected = np.mean(kl_rows(teacher, np.log(log_softmax_rows(logits)[1])))
         assert out.l_easy == pytest.approx(expected, abs=1e-12)
         assert g == 0.0 and out.l_hard == 0.0
@@ -136,18 +132,18 @@ class TestTargetLoss:
         rng = np.random.default_rng(4)
         logits, teacher, _ = _random_batch(rng, 6, 3)
         labels = np.argmax(teacher, axis=1)
-        a = target_loss(logits, teacher_targets(teacher, labels, MODES["vanilla"]), labels,
-                        gamma(MODES["vanilla"], 30, 60), 1.0)
-        b = target_loss(logits, teacher_targets(teacher, labels, MODES["full"]), labels,
-                        gamma(MODES["full"], 0, 60), 1.0)
+        a = one_batch(logits, teacher_targets(teacher, labels, MODES["vanilla"]), labels,
+                     gamma(MODES["vanilla"], 30, 60), 1.0)
+        b = one_batch(logits, teacher_targets(teacher, labels, MODES["full"]), labels,
+                     gamma(MODES["full"], 0, 60), 1.0)
         assert a.l_all == pytest.approx(b.l_all, abs=1e-12)
 
     def test_step_b_targets_are_unnormalized(self):
         logits = np.array([[0.1, 0.4, -0.2]])
         teacher = np.array([[0.1, 0.7, 0.2]])
         labels = np.array([0])
-        out = target_loss(logits, teacher_targets(teacher, labels, MODES["step-b"]), labels,
-                          0.5, 1.0)
+        out = one_batch(logits, teacher_targets(teacher, labels, MODES["step-b"]), labels,
+                       0.5, 1.0)
         rect_b = rectify.rectify_rows(teacher, labels, rectify.STEP_B)[0]
         s = log_softmax_rows(logits)[1][0]
         expected = float(np.sum(rect_b * np.log(rect_b / s)))
@@ -159,7 +155,7 @@ class TestTargetLoss:
         logits, teacher, labels = _random_batch(rng, 4, 3)
         row = TrainConfig(mode="fixed-gamma=0.5").row
         g = gamma(row, 30, 60)
-        out = target_loss(logits, teacher_targets(teacher, labels, row), labels, g, 1.0)
+        out = one_batch(logits, teacher_targets(teacher, labels, row), labels, g, 1.0)
         assert g == 0.5
         assert out.l_all == 0.5 * (out.l_ce + out.l_easy) + 0.5 * out.l_hard
 
@@ -183,7 +179,7 @@ class TestTargetLoss:
         logits, teacher, labels = _random_batch(rng, n, k)
         g = gamma(row_of(mode), epoch, 60)
         rows = teacher_targets(teacher, labels, MODES[mode])
-        out = target_loss(logits, rows, labels, g, 1.0)
+        out = one_batch(logits, rows, labels, g, 1.0)
         lhs = out.l_all
         rhs = (1 - g) * (out.l_ce + out.l_easy) + g * out.l_hard
         assert lhs == pytest.approx(rhs, abs=1e-12)
@@ -254,7 +250,7 @@ def oracle_loss(student_logits, teacher_probs, labels, g, tau, mode):
             grad[bias] = subset_grad(bias, g / n, mass)
 
     l_all = (1.0 - g) * (l_ce + l_easy) + g * l_hard
-    return LossBreakdown(l_ce=l_ce, l_easy=l_easy, l_hard=l_hard, l_all=l_all, grad=grad)
+    return OneBatch(l_ce=l_ce, l_easy=l_easy, l_hard=l_hard, l_all=l_all, grad=grad)
 
 
 class TestAgainstTheGatheringOracle:
@@ -280,7 +276,7 @@ class TestAgainstTheGatheringOracle:
         teacher = rng.dirichlet(np.ones(k), size=n)
         labels = np.argmax(teacher, axis=1) if all_right else rng.integers(0, k, size=n)
         g = gamma(row_of(mode, fixed_gamma), int(epoch_frac * total_epochs), total_epochs)
-        got = target_loss(logits, teacher_targets(teacher, labels, MODES[mode]), labels, g, tau)
+        got = one_batch(logits, teacher_targets(teacher, labels, MODES[mode]), labels, g, tau)
         want = oracle_loss(logits, teacher, labels, g, tau, mode)
         assert np.array_equal(got.grad, want.grad)
         for field in ("l_ce", "l_easy", "l_hard", "l_all"):
@@ -305,7 +301,7 @@ class TestAgainstTheGatheringOracle:
         logits = rng.uniform(-scale, scale, size=(n, k))
         teacher = rng.dirichlet(np.ones(k), size=n)
         labels = rng.integers(0, k, size=n)
-        got = target_loss(logits, teacher_targets(teacher, labels, MODES[mode]), labels, 0.0, tau)
+        got = one_batch(logits, teacher_targets(teacher, labels, MODES[mode]), labels, 0.0, tau)
         targets, _ = oracle_teacher_targets(teacher, labels, mode)
         s1 = log_softmax_rows(logits)[1]
         s = log_softmax_rows(logits, tau)[1]
@@ -374,10 +370,10 @@ class TestTeacherTargets:
 class TestTargetLossGradient:
     def _fd_check(self, logits, teacher, labels, g, mode, tau=1.0):
         rows = teacher_targets(teacher, labels, MODES[mode])
-        analytic = target_loss(logits, rows, labels, g, tau).grad
+        analytic = one_batch(logits, rows, labels, g, tau).grad
 
         def loss_of(flat):
-            return target_loss(flat.reshape(logits.shape), rows, labels, g, tau).l_all
+            return one_batch(flat.reshape(logits.shape), rows, labels, g, tau).l_all
 
         fd = finite_difference_gradient(loss_of, logits.ravel()).reshape(logits.shape)
         np.testing.assert_allclose(analytic, fd, atol=1e-6)
@@ -386,8 +382,8 @@ class TestTargetLossGradient:
         logits = np.array([[800.0, 0.0, 0.0]])
         teacher = log_softmax_rows(logits)[1]
         labels = np.array([0])
-        g = target_loss(logits, teacher_targets(teacher, labels, MODES["full"]), labels, 0.5,
-                        1.0).grad
+        g = one_batch(logits, teacher_targets(teacher, labels, MODES["full"]), labels, 0.5,
+                     1.0).grad
         np.testing.assert_allclose(g, 0.0, atol=1e-12)
 
     def test_single_right_sample(self):
