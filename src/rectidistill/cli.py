@@ -221,11 +221,12 @@ def cmd_ablate(cfg: dict) -> int:
     dims, teacher, train_ds, val_ds = _load_distill_inputs(cfg)
 
     modes = ("step-b", "full")
-    runs = [dataclasses.replace(tc, seed=seed, mode=mode)
-            for seed in range(cfg["seed"], cfg["seed"] + cfg["seeds"]) for mode in modes]
     results = []  # (seed, mode, val_acc)
-    for run, (_, rows) in zip(runs, train.distill_runs(teacher, dims, train_ds, runs, val_ds)):
-        results.append((run.seed, run.mode, rows[-1]["val_acc"]))
+    for seed in range(cfg["seed"], cfg["seed"] + cfg["seeds"]):
+        for mode in modes:
+            run = dataclasses.replace(tc, seed=seed, mode=mode)
+            _, rows = train.distill(teacher, dims, train_ds, run, val_ds)
+            results.append((seed, mode, rows[-1]["val_acc"]))
     medians = {mode: statistics.median(acc for _, m, acc in results if m == mode)
                for mode in modes}
 

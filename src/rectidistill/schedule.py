@@ -125,17 +125,20 @@ def row_targets(targets, right, hard) -> RowTargets:
     return RowTargets(targets, right, hard, t_log_t_rows(targets), mass)
 
 
-def linear_targets(rows: RowTargets, labels, g: float, n: int,
+def linear_targets(rows: RowTargets, labels, g: float, n,
                    tau: float) -> tuple[np.ndarray, np.ndarray]:
     """Each row's (a, b) in a batch of n rows: at tau 1 its logit gradient is a s - b.
 
-    With w the row's KL weight, g / n if hard and (1 - g) / n if not,
-    a = (1 - g) / n + w mass, shape (n, 1), and b = w t, plus (1 - g) / n at
-    the label, shape (n, k). At any other tau each KL term carries a factor
-    tau and CE reads the softmax at temperature 1, so w is tau w and a leaves
-    out the CE share (1 - g) / n, which ``target_loss`` puts on that softmax.
+    ``n`` is the batch's row count, or an (N, 1) column of each row's own
+    batch row count, as a table's epoch of batches has. With w the row's KL
+    weight, g / n if hard and (1 - g) / n if not, a = (1 - g) / n + w mass,
+    shape (N, 1), and b = w t, plus (1 - g) / n at the label, shape (N, k).
+    Either way each row's values are what its batch alone would give it. At
+    any other tau each KL term carries a factor tau and CE reads the softmax
+    at temperature 1, so w is tau w and a leaves out the CE share
+    (1 - g) / n, which ``target_loss`` puts on that softmax.
     """
-    w = np.where(rows.hard, g / n, (1.0 - g) / n)[:, None]
+    w = np.where(rows.hard[:, None], g / n, (1.0 - g) / n)
     if tau != 1.0:
         w *= tau
     a = w * rows.mass
@@ -143,7 +146,7 @@ def linear_targets(rows: RowTargets, labels, g: float, n: int,
     ce = (1.0 - g) / n
     if tau == 1.0:
         a += ce
-    b[np.arange(labels.shape[0]), labels] += ce
+    b[np.arange(labels.shape[0]), labels] += np.ravel(ce)
     return a, b
 
 

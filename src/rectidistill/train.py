@@ -12,9 +12,9 @@ vectors, and each epoch's loss columns are one ``schedule.loss_terms``
 reduction of them; the epoch's table state is released before the next
 epoch's is built.
 Every teacher forward has the batch's row count: the short last batch
-forwards the epoch's last full batch of rows. ``distill_runs`` fills the
-teacher's probabilities once for every run that shares a tau and batch
-size, as ``ablate``'s runs do.
+forwards the epoch's last full batch of rows. Each run fills its own table,
+and every batch, the short last one too, reads its rows' slice of the
+epoch's (a, b), each row's built for the row count of its batch.
 """
 
 import math
@@ -178,13 +178,14 @@ def train_teacher(train_ds: Dataset, dims, cfg: TrainConfig, val_ds: Dataset | N
 def _table_bytes(n: int, k: int) -> int:
     """Bytes a run's target table holds at once, every column counted, for n rows of k classes.
 
-    The teacher's (n, k) float64 probabilities; the ``RowTargets`` made from
-    them, (n, k) float64 targets, (n,) float64 sum t ln t, an (n, 1) float64
-    mass and two (n,) bool masks; the same columns in the epoch's row order;
-    the (n,) int64 labels in that order; and that epoch's ``linear_targets``,
-    an (n, 1) float64 a and an (n, k) float64 b.
+    The ``RowTargets`` of every row, (n, k) float64 targets, (n,) float64
+    sum t ln t, an (n, 1) float64 mass and two (n,) bool masks; the same
+    columns in the epoch's row order; the (n,) int64 labels in that order;
+    and that epoch's ``linear_targets``, an (n, 1) float64 a and an (n, k)
+    float64 b. The teacher's probabilities are held only while the table is
+    filled, and each row's batch row count only while (a, b) are built.
     """
-    return n * (8 * k + 2 * (8 * k + 8 + 8 + 2) + 8 + 8 + 8 * k)
+    return n * (2 * (8 * k + 8 + 8 + 2) + 8 + 8 + 8 * k)
 
 
 def _teacher_probs(teacher: model.MlpParams, cfg: TrainConfig):
@@ -194,20 +195,20 @@ def _teacher_probs(teacher: model.MlpParams, cfg: TrainConfig):
 
 @np.errstate(over="ignore", invalid="ignore")
 def _target_table(teacher: model.MlpParams, train_ds: Dataset, cfg: TrainConfig):
-    """Every row's teacher probabilities at the run's tau; None where batches forward their own.
+    """Every row's ``RowTargets`` at the run's tau and mode; None where batches forward their own.
 
     None when the table would not fit ``TARGET_TABLE_BYTES``. A matmul's bits
     can depend on its row count, and on a row's position among those rows:
     OpenBLAS computes trailing rows with an edge kernel, whose sum order can
     differ (it does for a 2-32-3 teacher at 5, 6 or 7 rows). Every teacher
     forward in training has m = min(batch size, n) rows, the short last
-    batch's too. So the table is filled by forwards of m rows, chunks
-    [0, m), [m, 2 m), ..., and a last [n - m, n) that may overlap, gathered
-    the way training gathers a batch. Each chunk is forwarded a second time
-    with its rows reversed. If any row differs, a row's teacher output
-    depends on where the shuffle puts it, and the result is None. Otherwise
-    every batch reads bit for bit the targets a per-batch forward would give
-    it, since ``teacher_targets`` is row-local.
+    batch's too. So the teacher's probabilities are filled by forwards of m
+    rows, chunks [0, m), [m, 2 m), ..., and a last [n - m, n) that may
+    overlap, gathered the way training gathers a batch. Each chunk is
+    forwarded a second time with its rows reversed. If any row differs, a
+    row's teacher output depends on where the shuffle puts it, and the
+    result is None. Otherwise every batch reads bit for bit the targets a
+    per-batch forward would give it, since ``teacher_targets`` is row-local.
     """
     n, m = train_ds.n, min(cfg.batch_size, train_ds.n)
     if _table_bytes(n, train_ds.n_classes) > TARGET_TABLE_BYTES:
@@ -219,64 +220,20 @@ def _target_table(teacher: model.MlpParams, train_ds: Dataset, cfg: TrainConfig)
         probs[idx] = teacher_probs(train_ds.features[idx])
         if not np.array_equal(teacher_probs(train_ds.features[idx[::-1]])[::-1], probs[idx]):
             return None
-    return probs
+    return teacher_targets(probs, train_ds.labels, cfg.row)
 
 
 def _epoch_table(table: RowTargets, labels, perm, g: float, m: int, tau: float):
-    """The table in the epoch's row order, and its ``linear_targets`` (a, b) for m-row batches.
+    """The table in the epoch's row order, and its ``linear_targets`` (a, b) for batches of m.
 
-    ``labels`` are the training labels already in that order.
+    ``labels`` are the training labels already in that order. Each row's
+    (a, b) take its own batch's row count: m in a full batch, and in the
+    short last batch of r = n mod m rows, r.
     """
+    n = perm.shape[0]
     rows = RowTargets._make(column[perm] for column in table)
-    return rows, linear_targets(rows, labels, g, m, tau)
-
-
-def _distill(teacher, student_dims, train_ds: Dataset, cfg: TrainConfig, val_ds, probs):
-    """One run of ``distill`` on the checked models, reading ``_target_table``'s ``probs``."""
-    student = model.init(student_dims, cfg.seed)
-    teacher_probs = _teacher_probs(teacher, cfg)
-    gammas = [gamma(cfg.row, e, cfg.epochs) for e in range(cfg.epochs)]
-    n, m = train_ds.n, min(cfg.batch_size, train_ds.n)
-    table = None if probs is None else teacher_targets(probs, train_ds.labels, cfg.row)
-    # each row's KL and CE, and on the per-batch path its weight class and
-    # partition, in the epoch's order: every batch writes its slice
-    kl, ce = np.empty(n), np.empty(n)
-    if table is None:
-        hard, right = np.empty(n, dtype=bool), np.empty(n, dtype=bool)
-    else:
-        right_fraction = int(table.right.sum()) / n
-
-    def epoch_loss(epoch, perm, labels):
-        g = gammas[epoch]
-        if table is not None:
-            ordered, (a, b) = _epoch_table(table, labels, perm, g, m, cfg.tau)
-
-        def kd_loss(pos, x, y, logits):
-            r = len(y)
-            if table is not None:
-                batch = RowTargets._make(column[pos] for column in ordered)
-                ab = (a[pos], b[pos]) if r == m else None
-            else:
-                # the short batch of r rows forwards the epoch's last m rows and keeps its own
-                block = x if r == m else train_ds.features[perm[-m:]]
-                batch = teacher_targets(teacher_probs(block)[m - r:], y, cfg.row)
-                hard[pos], right[pos] = batch.hard, batch.right
-                ab = None
-            return target_loss(logits, batch, y, g, cfg.tau, kl[pos], ce[pos], ab)
-
-        def epoch_terms():
-            terms = loss_terms(kl, ce, hard if table is None else ordered.hard, g)
-            return {"loss_total": terms.l_all, "loss_ce": terms.l_ce,
-                    "loss_easy": terms.l_easy, "loss_hard": terms.l_hard,
-                    "teacher_right_fraction":
-                        int(right.sum()) / n if table is None else right_fraction}
-
-        return kd_loss, epoch_terms
-
-    rows = _fit(student, train_ds, cfg, val_ds, epoch_loss)
-    for row in rows:
-        row["gamma"] = gammas[row["epoch"]]
-    return student, rows
+    counts = np.minimum(m, n - np.arange(n) // m * m)[:, None]
+    return rows, linear_targets(rows, labels, g, counts, tau)
 
 
 def distill(
@@ -286,25 +243,49 @@ def distill(
     cfg: TrainConfig,
     val_ds: Dataset | None = None,
 ):
-    """Distill the frozen teacher into a fresh student; returns (params, rows)."""
-    return distill_runs(teacher, student_dims, train_ds, [cfg], val_ds)[0]
+    """Distill the frozen teacher into a fresh student; returns (params, rows).
 
-
-def distill_runs(teacher: model.MlpParams, student_dims, train_ds: Dataset, cfgs,
-                 val_ds: Dataset | None = None):
-    """``distill`` under each config, in order; a list of (params, rows).
-
-    The models are checked once, before any forward. Runs that share a tau
-    and batch size share one fill of the teacher's probabilities; only
-    ``teacher_targets`` depends on the mode.
+    Both models are checked against the data before any forward.
     """
     _require_fit("teacher", teacher.dims, train_ds, val_ds)
     _require_fit("student", student_dims, train_ds, val_ds)
-    fills = {}
-    runs = []
-    for cfg in cfgs:
-        key = (cfg.tau, cfg.batch_size)
-        if key not in fills:
-            fills[key] = _target_table(teacher, train_ds, cfg)
-        runs.append(_distill(teacher, student_dims, train_ds, cfg, val_ds, fills[key]))
-    return runs
+    student = model.init(student_dims, cfg.seed)
+    teacher_probs = _teacher_probs(teacher, cfg)
+    n, m = train_ds.n, min(cfg.batch_size, train_ds.n)
+    table = _target_table(teacher, train_ds, cfg)
+    # each row's KL and CE, and on the per-batch path its weight class and
+    # partition, in the epoch's order: every batch writes its slice
+    kl, ce = np.empty(n), np.empty(n)
+    if table is None:
+        hard, right = np.empty(n, dtype=bool), np.empty(n, dtype=bool)
+    else:
+        right_fraction = int(table.right.sum()) / n
+
+    def epoch_loss(epoch, perm, labels):
+        g = gamma(cfg.row, epoch, cfg.epochs)
+        if table is not None:
+            ordered, (a, b) = _epoch_table(table, labels, perm, g, m, cfg.tau)
+
+        def kd_loss(pos, x, y, logits):
+            if table is not None:
+                batch = RowTargets._make(column[pos] for column in ordered)
+                ab = (a[pos], b[pos])
+            else:
+                # the short batch of r rows forwards the epoch's last m rows and keeps its own
+                r = len(y)
+                block = x if r == m else train_ds.features[perm[-m:]]
+                batch = teacher_targets(teacher_probs(block)[m - r:], y, cfg.row)
+                hard[pos], right[pos] = batch.hard, batch.right
+                ab = None
+            return target_loss(logits, batch, y, g, cfg.tau, kl[pos], ce[pos], ab)
+
+        def epoch_terms():
+            terms = loss_terms(kl, ce, hard if table is None else ordered.hard, g)
+            return {"gamma": g, "loss_total": terms.l_all, "loss_ce": terms.l_ce,
+                    "loss_easy": terms.l_easy, "loss_hard": terms.l_hard,
+                    "teacher_right_fraction":
+                        int(right.sum()) / n if table is None else right_fraction}
+
+        return kd_loss, epoch_terms
+
+    return student, _fit(student, train_ds, cfg, val_ds, epoch_loss)

@@ -13,7 +13,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from rectidistill import analysis, cli, model, schedule, train
+from rectidistill import analysis, cli, schedule, train
 from rectidistill.data import Dataset, blob_splits, load_csv, save_csv
 from rectidistill.errors import ConfigError
 
@@ -680,29 +680,26 @@ class TestDistill:
             "error: ablate compares validation accuracy and needs --val\n")
         assert not out.exists()
 
-    @pytest.mark.parametrize("epochs", [5, 15])
-    def test_ablate_fills_the_teacher_table_once_for_all_its_runs(self, setup, monkeypatch,
-                                                                  epochs):
-        # 75 training rows at the default batch of 32: the one fill forwards
-        # 3 chunks of 32 rows twice, and then every batch of the four runs
-        # (2 seeds x 2 modes) reads the table, the 11-row short batch too
+    def test_each_ablate_row_is_the_distill_run_with_its_flags(self, setup, relabelled):
+        # ablate runs distill once per (seed, mode); on the relabelled split
+        # step-b and full train on other targets (at these flags the four
+        # val_acc differ), and at 75 rows a batch of 32 leaves a short batch of 11
         tmp, data, teacher = setup
-        calls = []
-        forward = model.forward
-
-        def counting_forward(p, x):
-            if p.dims == [2, 8, 3]:
-                calls.append(len(x))
-            return forward(p, x)
-
-        monkeypatch.setattr(model, "forward", counting_forward)
-        out = tmp / f"ablate-forwards-{epochs}"
-        assert cli.main([
-            "ablate", "--train", str(data / "train.csv"), "--val", str(data / "val.csv"),
-            "--teacher", str(teacher), "--dims", "2,4,3", "--epochs", str(epochs),
-            "--seeds", "2", "--out", str(out),
-        ]) == cli.EXIT_OK
-        assert calls == [32] * 6
+        flags = ["--train", str(relabelled), "--val", str(data / "val.csv"),
+                 "--teacher", str(teacher), "--dims", "2,4,3", "--epochs", "5", "--tau", "4",
+                 "--lr", "0.5"]
+        out = tmp / "ablate-vs-distill"
+        assert cli.main(["ablate", *flags, "--seeds", "2", "--out", str(out)]) == cli.EXIT_OK
+        lines = (out / "ablation.csv").read_text().splitlines()[1:5]
+        assert [line.split(",")[:2] for line in lines] == [
+            ["1", "step-b"], ["1", "full"], ["2", "step-b"], ["2", "full"]]
+        for line in lines:
+            seed, mode, val_acc = line.split(",")
+            run = tmp / f"ablate-vs-distill-{seed}-{mode}"
+            assert cli.main(["distill", *flags, "--seed", seed, "--mode", mode,
+                             "--out", str(run)]) == cli.EXIT_OK
+            header, *metrics = (run / "metrics.csv").read_text().splitlines()
+            assert metrics[-1].split(",")[header.split(",").index("val_acc")] == val_acc
 
     def test_ablate_smoke(self, setup):
         tmp, data, teacher = setup

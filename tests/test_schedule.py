@@ -7,7 +7,8 @@ from hypothesis import strategies as st
 
 from rectidistill import rectify
 from rectidistill.numerics import finite_difference_gradient, kl_rows, log_softmax_rows
-from rectidistill.schedule import MODES, gamma, target_loss, teacher_targets
+from rectidistill.schedule import (MODES, RowTargets, gamma, linear_targets, target_loss,
+                                   teacher_targets)
 from rectidistill.train import TrainConfig
 
 from one_batch import OneBatch, one_batch
@@ -309,6 +310,36 @@ class TestAgainstTheGatheringOracle:
         onehot[np.arange(n), labels] = 1.0
         want = (tau * s + s1 - (tau * targets + onehot)) / n
         assert np.array_equal(got.grad, want)
+
+
+class TestLinearTargets:
+    @settings(deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        n=st.integers(1, 40),
+        m=st.integers(1, 40),
+        k=st.integers(2, 10),
+        mode=st.sampled_from([name for name, row in MODES.items() if row.hard]),
+        tau=st.sampled_from([1.0, 2.0]),
+        g=st.sampled_from([0.0, 0.37, 0.75]),
+    )
+    def test_a_column_of_row_counts_gives_every_batch_its_own_bits(self, seed, n, m, k, mode,
+                                                                   tau, g):
+        # a table's epoch takes (a, b) once, each row at its own batch's row
+        # count: m in the full batches, and r = n mod m in a short last one
+        rng = np.random.default_rng(seed)
+        teacher = rng.dirichlet(np.ones(k), size=n)
+        labels = rng.integers(0, k, size=n)
+        labels[0] = (np.argmax(teacher[0]) + 1) % k  # at least one hard row
+        rows = teacher_targets(teacher, labels, MODES[mode])
+        m = min(m, n)
+        counts = np.minimum(m, n - np.arange(n) // m * m)[:, None]
+        a, b = linear_targets(rows, labels, g, counts, tau)
+        for start in range(0, n, m):
+            pos = slice(start, start + m)
+            batch = RowTargets._make(column[pos] for column in rows)
+            want_a, want_b = linear_targets(batch, labels[pos], g, len(labels[pos]), tau)
+            assert np.array_equal(a[pos], want_a) and np.array_equal(b[pos], want_b)
 
 
 class TestTeacherTargets:

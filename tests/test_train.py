@@ -2,7 +2,6 @@
 
 import math
 import weakref
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -136,6 +135,10 @@ def two_loop_distill(teacher, student_dims, train_ds, cfg, val_ds, per_batch_sum
     return student, rows
 
 
+def assert_same_columns(rows_a, rows_b):
+    assert all(np.array_equal(a, b) for a, b in zip(rows_a, rows_b, strict=True))
+
+
 def assert_same_bits(params_a, rows_a, params_b, rows_b):
     assert np.array_equal(params_a.flat, params_b.flat)
     assert [sorted(r.items()) for r in rows_a] == [sorted(r.items()) for r in rows_b]
@@ -182,13 +185,11 @@ def wide_teacher(setup):
     return train_teacher(train, [2, 32, 3], TrainConfig(epochs=EPOCHS, batch_size=8), val)[0]
 
 
-# (batch size, tau, epochs) on the 36-row split: one-row batches, n % B == 0,
-# n % B == 1 with an odd B (a 1-row last batch), n % B == 3, B == n and B > n;
-# then short batches of r = 16 and 5 rows over more epochs
-TABLE_CASES = [(1, 1.0, EPOCHS), (6, 1.0, EPOCHS), (7, 1.0, EPOCHS), (11, 0.5, EPOCHS),
-               (36, 1.0, EPOCHS), (50, 0.5, EPOCHS), (20, 1.0, 8), (31, 0.5, 17)]
-TABLE_IDS = [f"{b}-{tau}" + (f"-{epochs}-epochs" if epochs != EPOCHS else "")
-             for b, tau, epochs in TABLE_CASES]
+# (batch size, tau) on the 36-row split: one-row batches, n % B == 0,
+# n % B == 1 with an odd B (a 1-row last batch), n % B == 3, B == n and B > n,
+# and short batches of r = 16 and 5 rows
+TABLE_CASES = [(1, 1.0), (6, 1.0), (7, 1.0), (11, 0.5), (36, 1.0), (50, 0.5), (20, 1.0),
+               (31, 0.5)]
 
 
 def _cfg(mode, batch_size, tau=1.0, epochs=EPOCHS):
@@ -199,12 +200,15 @@ def _cfg(mode, batch_size, tau=1.0, epochs=EPOCHS):
 
 @pytest.mark.parametrize("wide", [False, True])
 @pytest.mark.parametrize("mode", MODES)
-@pytest.mark.parametrize("batch_size,tau,epochs", TABLE_CASES, ids=TABLE_IDS)
-def test_target_table_is_bit_identical_to_per_batch_targets(setup, wide_teacher, monkeypatch,
-                                                            wide, mode, batch_size, tau, epochs):
-    train, val, teacher = setup
-    teacher = wide_teacher if wide else teacher
-    cfg = _cfg(mode, batch_size, tau, epochs)
+@pytest.mark.parametrize("batch_size,tau", TABLE_CASES, ids=[f"{b}-{t}" for b, t in TABLE_CASES])
+def test_target_table_is_bit_identical_to_per_batch_targets(setup, biased_teacher, wide_teacher,
+                                                            monkeypatch, wide, mode, batch_size,
+                                                            tau):
+    # the biased teacher gives hard and rectified rows; the wide one may
+    # give no table at all, and then both runs take the per-batch path
+    train, val, _ = setup
+    teacher = wide_teacher if wide else biased_teacher
+    cfg = _cfg(mode, batch_size, tau)
     with_table = distill(teacher, [2, 5, 3], train, cfg, val)
     monkeypatch.setattr(train_module, "TARGET_TABLE_BYTES", 0)
     assert_same_bits(*with_table, *distill(teacher, [2, 5, 3], train, cfg, val))
@@ -293,7 +297,7 @@ def test_no_table_when_a_row_s_bits_depend_on_its_position(setup, monkeypatch, m
     cfg = _cfg("full", m)
     probs = train_module._teacher_probs(teacher, cfg)
     table = train_module._target_table(teacher, train, cfg)
-    assert np.array_equal(table, probs(train.features))
+    assert_same_columns(table, teacher_targets(probs(train.features), train.labels, cfg.row))
     # m-row bits that depend on position: no batch reads a table
     monkeypatch.setattr(train_module, "_teacher_probs", lambda *_: _positional_at(probs, m))
     assert train_module._target_table(teacher, train, cfg) is None
@@ -303,7 +307,7 @@ def test_no_table_when_a_row_s_bits_depend_on_its_position(setup, monkeypatch, m
         calls = _counting_teacher_forwards(monkeypatch, teacher)
         distill(teacher, [2, 5, 3], train, cfg)
         assert calls == [m] * (2 * math.ceil(train.n / m))
-        assert np.array_equal(train_module._target_table(teacher, train, cfg), table)
+        assert_same_columns(train_module._target_table(teacher, train, cfg), table)
 
 
 def _counting_teacher_forwards(monkeypatch, teacher):
@@ -356,16 +360,15 @@ def test_the_budget_bounds_the_table_s_every_byte(setup, monkeypatch, over_budge
 def test_table_bytes_count_every_array_the_table_holds(setup):
     train, _, teacher = setup
     cfg = _cfg("full", 20, epochs=8)
-    probs = train_module._target_table(teacher, train, cfg)
-    table = teacher_targets(probs, train.labels, cfg.row)
+    table = train_module._target_table(teacher, train, cfg)
     perm = epoch_permutation(train.n, 4, 1)
     ordered, ab = train_module._epoch_table(table, train.labels[perm], perm, 0.25, 20, cfg.tau)
-    held = probs.nbytes + sum(a.nbytes for a in (*table, *ordered, train.labels[perm], *ab))
-    assert held == train_module._table_bytes(train.n, train.n_classes) == train.n * (32 * 3 + 52)
+    held = sum(a.nbytes for a in (*table, *ordered, train.labels[perm], *ab))
+    assert held == train_module._table_bytes(train.n, train.n_classes) == train.n * (24 * 3 + 52)
 
 
 def test_the_wide_benchmark_shape_forwards_the_teacher_per_batch(monkeypatch):
-    # n = 20 000 rows of k = 100 classes at batch 256: the table would hold 65.0 MB
+    # n = 20 000 rows of k = 100 classes at batch 256: the table would hold 49.0 MB
     wide = blob_splits(100, (200,), 2, 1.0, seed=1)[0]
     teacher = model.init([2, 8, 100], 0)
     cfg = TrainConfig(epochs=1, batch_size=256)
@@ -375,25 +378,6 @@ def test_the_wide_benchmark_shape_forwards_the_teacher_per_batch(monkeypatch):
     # the short batch of 32 rows forwards the epoch's last 256
     distill(teacher, [2, 4, 100], wide, cfg)
     assert calls == [256] * 79
-
-
-def test_distill_runs_fill_the_teacher_table_once_per_tau_and_batch_size(setup, monkeypatch):
-    train, val, teacher = setup
-    fills = []
-    fill = train_module._target_table
-
-    def counting_fill(teacher, train_ds, cfg):
-        fills.append(cfg)
-        return fill(teacher, train_ds, cfg)
-
-    monkeypatch.setattr(train_module, "_target_table", counting_fill)
-    cfgs = [_cfg(mode, 8) for mode in ("step-b", "full", "vanilla")]
-    cfgs += [replace(cfgs[0], seed=5), replace(cfgs[0], tau=2.0), replace(cfgs[0], epochs=2),
-             replace(cfgs[0], batch_size=7)]
-    runs = train_module.distill_runs(teacher, [2, 5, 3], train, cfgs, val)
-    assert fills == [cfgs[0], cfgs[4], cfgs[6]]
-    for cfg, run in zip(cfgs, runs):
-        assert_same_bits(*run, *distill(teacher, [2, 5, 3], train, cfg, val))
 
 
 def test_missing_val_split_gives_nan_val_acc(setup):
