@@ -1,12 +1,13 @@
 #!/usr/bin/env python3
-"""Check that tier-1 still pins each of the method's mechanisms: eighteen hand-made mutants.
+"""Check that tier-1 still pins each of the method's mechanisms: twenty-two hand-made mutants.
 
     python3 scripts/mutants.py [name ...]
 
 Each mutant in ``MUTANTS`` models one way to get the paper's method wrong
 (bias elimination, rectification and the dynamic gamma), the per-row
-target table that serves its loss, or the once-per-epoch reduction of its
-loss terms, in an edit of a few lines:
+target table that serves its loss, the once-per-epoch reduction of its
+loss terms, or a check at the boundary of its inputs (a CSV, a config
+file, a checkpoint, the splits a model must fit), in an edit of a few lines:
 ``(name, file, old text, new text)``. For each one, the
 script copies the tree next to it (``COPIED``) into a temporary directory,
 replaces the old text in that copy, runs tier-1 there and prints the tests
@@ -93,7 +94,18 @@ MUTANTS = (
            "    l_easy = float(kl[~hard].sum() / n)\n",
            "    l_easy = float(kl[hard].sum() / n)\n"),
     Mutant("M19 the epoch's terms read the table's weight classes in fill order", TRAIN,
-           "hard if table is None else ordered.hard", "hard if table is None else table.hard"),
+           "hard[:], right[:] = ordered.hard, ordered.right",
+           "hard[:], right[:] = table.hard, table.right"),
+    Mutant("M20 load_csv names the line before the bad one", "src/rectidistill/data.py",
+           'f"{path}:{i + 2}: {what}"', 'f"{path}:{i + 1}: {what}"'),
+    Mutant("M21 _require_fit checks only the training split", TRAIN,
+           "    for ds in splits:\n", "    for ds in splits[:1]:\n"),
+    Mutant("M22 a repeated config key passes", "src/rectidistill/cli.py",
+           "            if key in first_line:\n"
+           "                raise ConfigError(f\"{path}:{lineno}: key {key!r} repeats line "
+           "{first_line[key]}\")\n", ""),
+    Mutant("M23 load_checkpoint accepts a 1-output last layer", "src/rectidistill/model.py",
+           "if i == n_layers - 1 and out_w < 2:", "if i == n_layers - 1 and out_w < 1:"),
 )
 
 

@@ -8,9 +8,10 @@ in ``TARGET_TABLE_BYTES``, ``distill`` computes them once, into a per-row
 target table; each epoch puts the table in that epoch's batch order once,
 with the epoch's linear targets (a, b), and a batch reads its rows as one
 slice of them. Each SGD step writes its rows' KL and CE into per-run
-vectors, and each epoch's loss columns are one ``schedule.loss_terms``
-reduction of them; the epoch's table state is released before the next
-epoch's is built.
+vectors, beside the rows' weight classes and partition (which a table
+epoch copies in once), and each epoch's report reads only those vectors:
+one ``schedule.loss_terms`` reduction and the partition's count. The
+epoch's table state is released before the next epoch's is built.
 Every teacher forward has the batch's row count: the short last batch
 forwards the epoch's last full batch of rows. Each run fills its own table,
 and every batch, the short last one too, reads its rows' slice of the
@@ -253,18 +254,17 @@ def distill(
     teacher_probs = _teacher_probs(teacher, cfg)
     n, m = train_ds.n, min(cfg.batch_size, train_ds.n)
     table = _target_table(teacher, train_ds, cfg)
-    # each row's KL and CE, and on the per-batch path its weight class and
-    # partition, in the epoch's order: every batch writes its slice
+    # each row's KL, CE, weight class and partition in the epoch's order, the one
+    # source of the epoch's report: every batch writes its KL and CE slice, and
+    # its masks on the per-batch path; a table epoch copies its ordered masks once
     kl, ce = np.empty(n), np.empty(n)
-    if table is None:
-        hard, right = np.empty(n, dtype=bool), np.empty(n, dtype=bool)
-    else:
-        right_fraction = int(table.right.sum()) / n
+    hard, right = np.empty(n, dtype=bool), np.empty(n, dtype=bool)
 
     def epoch_loss(epoch, perm, labels):
         g = gamma(cfg.row, epoch, cfg.epochs)
         if table is not None:
             ordered, (a, b) = _epoch_table(table, labels, perm, g, m, cfg.tau)
+            hard[:], right[:] = ordered.hard, ordered.right
 
         def kd_loss(pos, x, y, logits):
             if table is not None:
@@ -280,11 +280,10 @@ def distill(
             return target_loss(logits, batch, y, g, cfg.tau, kl[pos], ce[pos], ab)
 
         def epoch_terms():
-            terms = loss_terms(kl, ce, hard if table is None else ordered.hard, g)
+            terms = loss_terms(kl, ce, hard, g)
             return {"gamma": g, "loss_total": terms.l_all, "loss_ce": terms.l_ce,
                     "loss_easy": terms.l_easy, "loss_hard": terms.l_hard,
-                    "teacher_right_fraction":
-                        int(right.sum()) / n if table is None else right_fraction}
+                    "teacher_right_fraction": int(right.sum()) / n}
 
         return kd_loss, epoch_terms
 

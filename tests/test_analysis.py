@@ -256,3 +256,16 @@ class TestLinearTargets:
                 assert abs(s[0] - noisy_optimum(t, q, g)) <= 1e-12, (t, nb, epoch)
                 s = linear_optimum(teacher, labels, MODES["vanilla"], g)
                 assert abs(s[0] - (t + 1 - q) / 2) <= 1e-12, (t, nb, epoch)
+
+    def test_step_c_can_leave_a_third_class_on_top(self):
+        # step c rescales only the label and the teacher's argmax, so class 2 keeps its
+        # bits and stays highest; in full it becomes argmax b, so the row's optimum,
+        # once g passes the crossing 1 / (1 + t_2 - t'_label), where the two entries meet
+        teacher, labels = np.array([[0.495, 0.015, 0.490]]), np.array([1])
+        rows = teacher_targets(teacher, labels, MODES["full"])
+        np.testing.assert_allclose(rows.targets[0, :2], [0.16719, 0.34281], atol=1e-5)
+        assert rows.targets[0, 2] == teacher[0, 2]
+        assert int(np.argmax(rows.targets[0])) == 2
+        assert 1.0 / (1.0 + 0.490 - rows.targets[0, 1]) == pytest.approx(0.87170, abs=1e-5)
+        for g, want in ((0.87, 1), (0.88, 2)):
+            assert int(np.argmax(linear_targets(rows, labels, g, 1, 1.0)[1])) == want
