@@ -1,13 +1,14 @@
 #!/usr/bin/env python3
-"""Check that tier-1 still pins each of the method's mechanisms: twenty-two hand-made mutants.
+"""Check that tier-1 still pins each of the method's mechanisms: twenty-three hand-made mutants.
 
     python3 scripts/mutants.py [name ...]
 
 Each mutant in ``MUTANTS`` models one way to get the paper's method wrong
 (bias elimination, rectification and the dynamic gamma), the per-row
 target table that serves its loss, the once-per-epoch reduction of its
-loss terms, or a check at the boundary of its inputs (a CSV, a config
-file, a checkpoint, the splits a model must fit), in an edit of a few lines:
+loss terms, a check at the boundary of its inputs (a CSV, a config
+file, a checkpoint, the splits a model must fit), or the key that gives the
+epoch's shuffle a stream of its own, in an edit of a few lines:
 ``(name, file, old text, new text)``. For each one, the
 script copies the tree next to it (``COPIED``) into a temporary directory,
 replaces the old text in that copy, runs tier-1 there and prints the tests
@@ -106,6 +107,8 @@ MUTANTS = (
            "{first_line[key]}\")\n", ""),
     Mutant("M23 load_checkpoint accepts a 1-output last layer", "src/rectidistill/model.py",
            "if i == n_layers - 1 and out_w < 2:", "if i == n_layers - 1 and out_w < 1:"),
+    Mutant("M24 the shuffle drops its key tag", "src/rectidistill/data.py",
+           "generator(seed, SHUFFLE, epoch).permutation(n)", "generator(seed, epoch).permutation(n)"),
 )
 
 

@@ -9,10 +9,11 @@ bytes, then the int64 ``(n,)`` labels and the float64 ``(n, d)`` features as two
 ``np.save`` records. ``load_csv`` loads those as the dataset's arrays, instead of
 parsing, only while that digest matches the CSV, so the CSV stays the one source of truth.
 
-Batching permutes indices with a Fisher-Yates shuffle whose swap indices come from
-one draw of a PCG64 stream keyed by (seed, epoch), so every epoch visits each
-sample once, reproducibly bit-for-bit; ``batch_slices`` cuts that permutation into
-the epoch's batches.
+Batching permutes indices with numpy's ``Generator.permutation`` on the PCG64 stream
+keyed by ``(seed, SHUFFLE, epoch)``, ``SHUFFLE = 0x5F``, so every epoch visits each
+sample once, reproducibly bit-for-bit under one numpy version (NEP 19 keeps no stream
+across versions; see ``rng``); ``batch_slices`` cuts that permutation into the epoch's
+batches.
 """
 
 import contextlib
@@ -24,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidInputError
-from .rng import generator
+from .rng import BLOBS, CENTRES, SHUFFLE, generator
 
 # Every text file the package reads or writes: a byte that is not UTF-8 becomes a lone
 # surrogate, which fails the parse of its line, and is written back as the same byte.
@@ -57,7 +58,7 @@ def class_centers(n_classes: int, dim: int, seed: int) -> np.ndarray:
     if dim == 2:
         angles = 2.0 * np.pi * np.arange(n_classes) / n_classes
         return 3.0 * np.stack([np.cos(angles), np.sin(angles)], axis=1)
-    rng = generator(seed, 0xC3)
+    rng = generator(seed, CENTRES)
     dirs = rng.standard_normal((n_classes, dim))
     return 3.0 * dirs / np.linalg.norm(dirs, axis=1, keepdims=True)
 
@@ -70,7 +71,7 @@ def blob_splits(n_classes: int, per_class: tuple[int, ...], dim: int, spread: fl
     ``per_class[0]`` into the first split and so on, in place: no array holds the whole draw.
     """
     centers = class_centers(n_classes, dim, seed)
-    rng = generator(seed, 0xB1)
+    rng = generator(seed, BLOBS)
     splits = [np.empty((n_classes * m, dim)) for m in per_class]
     for c in range(n_classes):
         for m, features in zip(per_class, splits):
@@ -207,12 +208,8 @@ def load_csv(path, n_classes: int) -> Dataset:
 
 
 def epoch_permutation(n: int, seed: int, epoch: int) -> np.ndarray:
-    """Fisher-Yates permutation of range(n) keyed by (seed, epoch); one draw gives every swap."""
-    swaps = generator(seed, epoch).integers(0, np.arange(n, 1, -1)).tolist()
-    perm = list(range(n))
-    for i, j in zip(range(n - 1, 0, -1), swaps):
-        perm[i], perm[j] = perm[j], perm[i]
-    return np.array(perm, dtype=np.int64)
+    """The int64 permutation of range(n) drawn from the stream keyed by (seed, SHUFFLE, epoch)."""
+    return generator(seed, SHUFFLE, epoch).permutation(n)
 
 
 def batch_slices(n: int, batch_size: int) -> list[slice]:

@@ -1,22 +1,22 @@
 """Acceptance suite: one criterion per test, one PASS/FAIL line each.
 
-Criteria 6-8 share a module-scoped experiment fixture: a 4-class blob
-task (spread 1.2), a 2-64-4 teacher trained to >= 90% train accuracy,
-and 2-8-4 students distilled for 60 epochs under five modes x five seeds.
+Criteria 6-8 share a module-scoped experiment fixture, ``gate.experiment``:
+a 4-class blob task (spread 1.2), a 2-64-4 teacher trained to >= 90% train
+accuracy, and 2-8-4 students distilled for 60 epochs under five modes x five
+seeds. ``gate`` also holds the three criteria's inequalities, which
+``scripts/gate_margins.py`` applies to other teacher and student seeds.
 """
-
-import statistics
 
 import numpy as np
 import pytest
 
 from rectidistill import cli, model, train
 from rectidistill.analysis import optimum, sweep
-from rectidistill.data import Dataset, blob_splits
 from rectidistill.numerics import finite_difference_gradient, kl_rows
 from rectidistill.rectify import STEP_B, STEP_C, rectify_rows
 from rectidistill.schedule import MODES, gamma, row_targets, teacher_targets
 
+import gate
 from one_batch import one_batch
 
 
@@ -30,44 +30,9 @@ def report(capsys, number: int, name: str, ok: bool, detail: str) -> None:
 # shared experiment: teacher + 5 modes x 5 seeds of distilled students
 # --------------------------------------------------------------------------
 
-STUDENT_MODES = ("full", "step-b", "eliminate", "vanilla", "fixed-gamma=0.5")
-SEEDS = (1, 2, 3, 4, 5)
-EPOCHS = 60
-
-
 @pytest.fixture(scope="module")
 def experiment():
-    per_class_train, per_class_val = 100, 500
-    per_total = per_class_train + per_class_val
-    full = blob_splits(4, (per_total,), 2, spread=1.2, seed=1)[0]
-    train_idx, val_idx = [], []
-    for c in range(4):
-        start = c * per_total
-        train_idx.extend(range(start, start + per_class_train))
-        val_idx.extend(range(start + per_class_train, start + per_total))
-    train_ds = Dataset(full.features[train_idx], full.labels[train_idx], 4)
-    val_ds = Dataset(full.features[val_idx], full.labels[val_idx], 4)
-
-    teacher_cfg = train.TrainConfig(learning_rate=0.1, epochs=200, batch_size=32, seed=0)
-    teacher, teacher_rows = train.train_teacher(train_ds, [2, 64, 4], teacher_cfg, val_ds)
-    assert teacher_rows[-1]["train_acc"] >= 0.90
-
-    runs: dict[str, list[list[dict]]] = {}
-    for mode in STUDENT_MODES:
-        per_seed = []
-        for seed in SEEDS:
-            cfg = train.TrainConfig(
-                learning_rate=0.005, epochs=EPOCHS, batch_size=32,
-                seed=seed, tau=1.0, mode=mode,
-            )
-            _, rows = train.distill(teacher, [2, 8, 4], train_ds, cfg, val_ds)
-            per_seed.append(rows)
-        runs[mode] = per_seed
-    return runs
-
-
-def median_final_val(runs, mode: str) -> float:
-    return statistics.median(rows[-1]["val_acc"] for rows in runs[mode])
+    return gate.experiment()
 
 
 # --------------------------------------------------------------------------
@@ -174,28 +139,23 @@ def test_criterion_05_worked_optimum(capsys):
 
 
 def test_criterion_06_rectification_ablation(capsys, experiment):
-    step_c = median_final_val(experiment, "full")
-    step_b = median_final_val(experiment, "step-b")
-    report(capsys, 6, "rectification ablation", step_c >= step_b,
+    ok, (step_c, step_b) = gate.criterion_6(experiment)
+    report(capsys, 6, "rectification ablation", ok,
            f"median val acc over 5 seeds: normalized {step_c:.4f} >= unnormalized {step_b:.4f}")
 
 
 def test_criterion_07_module_ablation(capsys, experiment):
-    full = median_final_val(experiment, "full")
-    eliminate = median_final_val(experiment, "eliminate")
-    vanilla = median_final_val(experiment, "vanilla")
-    ok = full >= eliminate - 0.005 and eliminate >= vanilla - 0.005
+    ok, (full, eliminate, vanilla) = gate.criterion_7(experiment)
     report(capsys, 7, "module ablation", ok,
            f"median val acc: full {full:.4f} >= eliminate {eliminate:.4f} >= vanilla {vanilla:.4f} "
            f"(inversions up to 0.5pp tolerated)")
 
 
 def test_criterion_08_dynamic_schedule(capsys, experiment):
-    epoch = -(-EPOCHS // 10)  # ceil(0.1 * E)
-    dynamic = statistics.median(rows[epoch]["val_acc"] for rows in experiment["full"])
-    fixed = statistics.median(rows[epoch]["val_acc"] for rows in experiment["fixed-gamma=0.5"])
-    report(capsys, 8, "dynamic schedule", dynamic >= fixed,
-           f"median val acc at epoch {epoch}: dynamic {dynamic:.4f} >= fixed gamma=0.5 {fixed:.4f}")
+    ok, (dynamic, fixed) = gate.criterion_8(experiment)
+    report(capsys, 8, "dynamic schedule", ok,
+           f"median val acc at epoch {gate.EARLY_EPOCH}: dynamic {dynamic:.4f} "
+           f">= fixed gamma=0.5 {fixed:.4f}")
 
 
 def test_criterion_09_end_to_end_gradients(capsys):

@@ -50,7 +50,7 @@ FORCED_KERNELS = {"OPENBLAS_CORETYPE": "Prescott",
 # The listing digest of TOY's 72 files under FORCED_KERNELS, and what it was
 # recorded with; another numpy or BLAS build may give other bits. A change that
 # alters artifact bits on purpose updates both and says so.
-TOY_LISTING_DIGEST = "6f41ef765b5286c7e0dd60568d218edab409ab21a4a73d1cee65e7e458f05a77"
+TOY_LISTING_DIGEST = "275eaa40f589e93908fc5ef73f680a12551d069ad121ead257cbfbf94ec30efd"
 PINNED_WITH = ("numpy 2.4.6, scipy-openblas 0.3.31.188.0, numpy dispatch targets none, x86_64, "
                "OpenBLAS core Katmai")
 

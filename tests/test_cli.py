@@ -445,7 +445,7 @@ class TestDistill:
         assert rc == cli.EXIT_INTERNAL
         err = capsys.readouterr().err
         # the KL's gradient is tau times its residual, so CE at lr 1e2 drives the student
-        assert err == "error: training diverged in epoch 44: non-finite gradients\n"
+        assert err == "error: training diverged in epoch 43: non-finite gradients\n"
 
     def test_subnormal_tau_diverges_without_a_warning_from_the_target_table(self, setup, capsys):
         # logits / 1e-320 overflows while the per-row target table is filled, before any batch
