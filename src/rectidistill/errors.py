@@ -9,9 +9,8 @@ class InvalidInputError(RectiDistillError, ValueError):
     """Non-finite or malformed input.
 
     Raised for a malformed dataset CSV or checkpoint line, whose message
-    names ``path:line``; for a ``Dataset`` whose features or labels break
-    its invariant; and for a function that the finite-difference oracle
-    evaluates to a non-finite value.
+    names ``path:line``, and for a ``Dataset`` whose features or labels
+    break its invariant: only for input from outside the program.
     """
 
 

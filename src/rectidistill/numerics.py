@@ -11,17 +11,9 @@ gradient s - onehot for the teacher loss; ``kl_rows`` is the one forward
 KL, sum t ln t - sum t ln s, with ``t_log_t_rows`` its one per-row
 constant. Each per-row function can write into a caller's (n,) vector. A
 single vector is a one-row slice.
-``finite_difference_gradient`` is the oracle the analytic gradients are
-checked against.
 """
 
-from collections.abc import Callable
-
 import numpy as np
-
-from .errors import InvalidInputError
-
-FD_STEP = 1e-5
 
 
 def log_softmax_rows(logits, tau: float = 1.0) -> tuple[np.ndarray, np.ndarray]:
@@ -78,18 +70,3 @@ def ce_gradient_rows(probs, labels) -> np.ndarray:
     grad = probs.copy()
     grad[np.arange(labels.shape[0]), labels] -= 1.0
     return grad
-
-
-def finite_difference_gradient(f: Callable[[np.ndarray], float], x) -> np.ndarray:
-    """Central-difference gradient estimate, step ``FD_STEP``, of a scalar function of a vector."""
-    x = np.asarray(x, dtype=np.float64)
-    g = np.empty_like(x)
-    for i in range(x.shape[0]):
-        step = np.zeros_like(x)
-        step[i] = FD_STEP
-        fp = float(f(x + step))
-        fm = float(f(x - step))
-        if not (np.isfinite(fp) and np.isfinite(fm)):
-            raise InvalidInputError(f"non-finite evaluation while differencing coordinate {i}")
-        g[i] = (fp - fm) / (2.0 * FD_STEP)
-    return g

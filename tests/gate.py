@@ -1,17 +1,17 @@
 """The acceptance gate's experiment and its criteria 6-8, for the gate and for ``gate_margins.py``.
 
 ``experiment`` trains a 2-64-4 teacher on a 4-class blob task (spread 1.2, 100
-training and 500 validation rows per class) to >= 90% train accuracy, then
-distills 2-8-4 students for 60 epochs under five modes, one run per student
-seed. Each criterion compares medians over those seeds and returns its
-verdict with the values it compared.
+training and 500 validation rows per class: the split ``gen-data`` draws with
+its defaults) to >= 90% train accuracy, then distills 2-8-4 students for 60
+epochs under five modes, one run per student seed. Each criterion compares
+medians over those seeds and returns its verdict with the values it compared.
 """
 
 import statistics
 from typing import NamedTuple
 
 from rectidistill import train
-from rectidistill.data import Dataset, blob_splits
+from rectidistill.data import blob_splits
 
 STUDENT_MODES = ("full", "step-b", "eliminate", "vanilla", "fixed-gamma=0.5")
 SEEDS = (1, 2, 3, 4, 5)
@@ -21,16 +21,7 @@ EARLY_EPOCH = -(-EPOCHS // 10)  # ceil(0.1 * E), where criterion 8 reads val_acc
 
 def experiment(teacher_seed: int = 0, seeds=SEEDS) -> dict[str, list[list[dict]]]:
     """Each student mode's metric rows, one list per seed in ``seeds``."""
-    per_class_train, per_class_val = 100, 500
-    per_total = per_class_train + per_class_val
-    full = blob_splits(4, (per_total,), 2, spread=1.2, seed=1)[0]
-    train_idx, val_idx = [], []
-    for c in range(4):
-        start = c * per_total
-        train_idx.extend(range(start, start + per_class_train))
-        val_idx.extend(range(start + per_class_train, start + per_total))
-    train_ds = Dataset(full.features[train_idx], full.labels[train_idx], 4)
-    val_ds = Dataset(full.features[val_idx], full.labels[val_idx], 4)
+    train_ds, val_ds = blob_splits(4, (100, 500), 2, spread=1.2, seed=1)
 
     teacher_cfg = train.TrainConfig(learning_rate=0.1, epochs=200, batch_size=32, seed=teacher_seed)
     teacher, teacher_rows = train.train_teacher(train_ds, [2, 64, 4], teacher_cfg, val_ds)

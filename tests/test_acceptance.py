@@ -12,11 +12,12 @@ import pytest
 
 from rectidistill import cli, model, train
 from rectidistill.analysis import optimum, sweep
-from rectidistill.numerics import finite_difference_gradient, kl_rows
+from rectidistill.numerics import kl_rows
 from rectidistill.rectify import STEP_B, STEP_C, rectify_rows
 from rectidistill.schedule import MODES, gamma, row_targets, teacher_targets
 
 import gate
+from finite_differences import finite_difference_gradient
 from one_batch import one_batch
 
 

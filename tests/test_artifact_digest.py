@@ -12,7 +12,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from rectidistill import schedule
+from rectidistill import schedule, train
 
 SCRIPT = Path(__file__).resolve().parent.parent / "scripts" / "artifact_digest.py"
 
@@ -28,13 +28,15 @@ artifact_digest = load_script()
 
 Workload = artifact_digest.bench.Workload
 
-# The two benchmark shapes at toy size: few classes, rows and epochs. Fields:
-# name, why, classes, per_class, val_per_class, dim, teacher_hidden,
-# teacher_epochs, student_hidden, distill_epochs, distill_lr, batch_size, modes.
+# The two benchmark shapes at toy size: few rows and epochs. Fields: name, why,
+# classes, per_class, val_per_class, dim, teacher_hidden, teacher_epochs,
+# student_hidden, distill_epochs, distill_lr, batch_size, modes. Like paper-k4,
+# toy-k3 fits the target table; like wide-k100, toy-wide's 100 classes do not,
+# so its distill forwards the teacher per batch.
 TOY = (
     Workload("toy-k3", "", 3, 12, 6, 2, 8, 3, 4, 3, 0.05, 8,
              ("full", "eliminate", "rectify", "vanilla", "step-b", "fixed-gamma=0.5")),
-    Workload("toy-wide", "", 6, 10, 4, 5, 8, 2, 4, 2, 0.05, 16, ("full",)),
+    Workload("toy-wide", "", 100, 5, 4, 5, 8, 2, 4, 2, 0.05, 16, ("full",)),
 )
 # toy-k3 also runs ablate over 2 seeds, and distills every mode at tau 2 in
 # batches of 10 (three of 10, one of 6).
@@ -50,7 +52,7 @@ FORCED_KERNELS = {"OPENBLAS_CORETYPE": "Prescott",
 # The listing digest of TOY's 72 files under FORCED_KERNELS, and what it was
 # recorded with; another numpy or BLAS build may give other bits. A change that
 # alters artifact bits on purpose updates both and says so.
-TOY_LISTING_DIGEST = "275eaa40f589e93908fc5ef73f680a12551d069ad121ead257cbfbf94ec30efd"
+TOY_LISTING_DIGEST = "0944b5be5f69c9ce80004f022669661e0eafffd30e4c15399e39c409be7de2ef"
 PINNED_WITH = ("numpy 2.4.6, scipy-openblas 0.3.31.188.0, numpy dispatch targets none, x86_64, "
                "OpenBLAS core Katmai")
 
@@ -103,6 +105,13 @@ def test_two_runs_give_the_same_listing_digest(tmp_path):
     # then prop-check 2
     assert len(paths) == (5 + 3 + 4 * 12 + 2) + (5 + 3 + 4) + 2
     assert not any(path.endswith(".tmp") for path in paths)
+
+
+def test_toy_k3_fits_the_target_table_and_toy_wide_does_not():
+    k3, wide = TOY
+    assert train._table_bytes(k3.classes * k3.per_class, k3.classes) <= train.TARGET_TABLE_BYTES
+    assert train._table_bytes(wide.classes * wide.per_class, wide.classes) > (
+        train.TARGET_TABLE_BYTES)
 
 
 def test_refuses_a_non_empty_output_directory(tmp_path):

@@ -10,7 +10,9 @@ from hypothesis import strategies as st
 from rectidistill import model
 from rectidistill.data import Dataset
 from rectidistill.errors import InvalidInputError
-from rectidistill.numerics import finite_difference_gradient, log_softmax_rows
+from rectidistill.numerics import log_softmax_rows
+
+from finite_differences import finite_difference_gradient
 
 
 def naive_forward(params, x):

@@ -13,11 +13,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rectidistill.errors import InvalidInputError
-from rectidistill.numerics import (ce_gradient_rows, finite_difference_gradient, kl_rows,
-                                  log_softmax_rows)
+from rectidistill.numerics import ce_gradient_rows, kl_rows, log_softmax_rows
 from rectidistill.schedule import row_targets
 
+from finite_differences import finite_difference_gradient
 from one_batch import one_batch
 
 
@@ -317,16 +316,3 @@ class TestGradients:
         t[0, c] = 1.0
         assert abs(one_batch(z, one_hard_row(t), labels, 1.0, tau).grad.sum()) <= 1e-12
 
-
-class TestFiniteDifferences:
-    def test_linear_function(self):
-        g = finite_difference_gradient(lambda v: float(v.sum()), np.array([3.0, -1.0, 2.0]))
-        np.testing.assert_allclose(g, 1.0, atol=1e-9)
-
-    def test_quadratic(self):
-        g = finite_difference_gradient(lambda v: float(v @ v), np.array([1.0, 2.0]))
-        np.testing.assert_allclose(g, [2.0, 4.0], atol=1e-8)
-
-    def test_nonfinite_evaluation_raises(self):
-        with pytest.raises(InvalidInputError, match="non-finite evaluation while differencing"):
-            finite_difference_gradient(lambda v: float("nan"), np.array([1.0, 2.0]))

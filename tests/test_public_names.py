@@ -16,8 +16,8 @@ error the package raises derives from ``errors.RectiDistillError``, so the
 CLI maps it to an exit code. A bare re-raise is allowed.
 
 Bad input is rejected once, where it enters the program, so only the file
-readers, the ``Dataset`` invariant and the finite-difference oracle build an
-``InvalidInputError``. The CLI and ``TrainConfig`` raise ``ConfigError``.
+readers and the ``Dataset`` invariant build an ``InvalidInputError``. The CLI
+and ``TrainConfig`` raise ``ConfigError``.
 
 The modes have one set of names, the ones ``--mode`` takes. The library's
 former names stay retired: no string constant under ``src/``, ``scripts/`` or
@@ -155,7 +155,6 @@ INPUT_CHECKS = {
     "data._data_lines",
     "data.load_csv",
     "model.load_checkpoint",
-    "numerics.finite_difference_gradient",
 }
 
 

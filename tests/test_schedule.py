@@ -6,11 +6,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rectidistill import rectify
-from rectidistill.numerics import finite_difference_gradient, kl_rows, log_softmax_rows
+from rectidistill.numerics import kl_rows, log_softmax_rows
 from rectidistill.schedule import (MODES, RowTargets, gamma, linear_targets, target_loss,
                                    teacher_targets)
 from rectidistill.train import TrainConfig
 
+from finite_differences import finite_difference_gradient
 from one_batch import OneBatch, one_batch
 
 
