@@ -1,14 +1,15 @@
 #!/usr/bin/env python3
-"""Check that tier-1 still pins each of the method's mechanisms: twenty-three hand-made mutants.
+"""Check that tier-1 still pins each of the method's mechanisms: twenty-seven hand-made mutants.
 
     python3 scripts/mutants.py [name ...]
 
 Each mutant in ``MUTANTS`` models one way to get the paper's method wrong
 (bias elimination, rectification and the dynamic gamma), the per-row
 target table that serves its loss, the once-per-epoch reduction of its
-loss terms, a check at the boundary of its inputs (a CSV, a config
-file, a checkpoint, the splits a model must fit), or the key that gives the
-epoch's shuffle a stream of its own, in an edit of a few lines:
+loss terms, a check at the boundary of its inputs (a CSV and its sidecar,
+a config file, a flag's number, ``--dims``, ``tau``, a checkpoint, the
+splits a model must fit), or the key that gives the epoch's shuffle a
+stream of its own, in an edit of a few lines:
 ``(name, file, old text, new text)``. For each one, the
 script copies the tree next to it (``COPIED``) into a temporary directory,
 replaces the old text in that copy, runs tier-1 there and prints the tests
@@ -49,6 +50,7 @@ class Mutant(NamedTuple):
 
 SCHEDULE = "src/rectidistill/schedule.py"
 TRAIN = "src/rectidistill/train.py"
+DATA = "src/rectidistill/data.py"
 MUTANTS = (
     Mutant("M1 step c rescales only the label", "src/rectidistill/rectify.py",
            "        values[rows, b] *= scale\n", ""),
@@ -75,7 +77,8 @@ MUTANTS = (
            "    w = np.where(rows.hard[:, None], g / max(int(rows.hard.sum()), 1),"
            " (1.0 - g) / n)\n"),
     Mutant("M10 step-b gradient ignores the target mass", SCHEDULE,
-           "    a = w * rows.mass\n", "    a = w.copy()\n"),
+           "    a = w * np.where(rows.hard, rows.targets.sum(axis=1), 1.0)[:, None]\n",
+           "    a = w.copy()\n"),
     Mutant("M11 fixed-gamma=G trains at G = 0", TRAIN,
            "row._replace(gamma=g)", "row._replace(gamma=0.0)"),
     Mutant("M12 the epoch's (a, b) keep epoch 0's gamma", TRAIN,
@@ -89,15 +92,15 @@ MUTANTS = (
     Mutant("M15 the epoch's (a, b) take m for every row", TRAIN,
            "counts = np.minimum(m, n - np.arange(n) // m * m)[:, None]", "counts = m"),
     Mutant("M17 the budget counts only the targets", TRAIN,
-           "    return n * (2 * (8 * k + 8 + 8 + 2) + 8 + 8 + 8 * k)\n",
+           "    return n * (2 * (8 * k + 8 + 2) + 8 + 8 + 8 * k)\n",
            "    return n * k * 8\n"),
-    Mutant("M18 the epoch's l_easy sums the hard rows", SCHEDULE,
+    Mutant("M18 the epoch's loss_easy sums the hard rows", SCHEDULE,
            "    l_easy = float(kl[~hard].sum() / n)\n",
            "    l_easy = float(kl[hard].sum() / n)\n"),
     Mutant("M19 the epoch's terms read the table's weight classes in fill order", TRAIN,
            "hard[:], right[:] = ordered.hard, ordered.right",
            "hard[:], right[:] = table.hard, table.right"),
-    Mutant("M20 load_csv names the line before the bad one", "src/rectidistill/data.py",
+    Mutant("M20 load_csv names the line before the bad one", DATA,
            'f"{path}:{i + 2}: {what}"', 'f"{path}:{i + 1}: {what}"'),
     Mutant("M21 _require_fit checks only the training split", TRAIN,
            "    for ds in splits:\n", "    for ds in splits[:1]:\n"),
@@ -107,8 +110,17 @@ MUTANTS = (
            "{first_line[key]}\")\n", ""),
     Mutant("M23 load_checkpoint accepts a 1-output last layer", "src/rectidistill/model.py",
            "if i == n_layers - 1 and out_w < 2:", "if i == n_layers - 1 and out_w < 1:"),
-    Mutant("M24 the shuffle drops its key tag", "src/rectidistill/data.py",
+    Mutant("M24 the shuffle drops its key tag", DATA,
            "generator(seed, SHUFFLE, epoch).permutation(n)", "generator(seed, epoch).permutation(n)"),
+    Mutant("M25 flag and config numbers take 1_0 and non-ASCII digits", DATA,
+           "    if plain_number_text(text):\n", "    if True:\n"),
+    Mutant("M26 _parse_dims accepts an output width of 1", "src/rectidistill/cli.py",
+           "    if dims[-1] < 2:\n", "    if dims[-1] < 1:\n"),
+    Mutant("M27 _sidecar_rows skips its digest compare", DATA,
+           "            if fh.read(32) != _sha256(path):\n                return None\n",
+           "            fh.read(32)\n"),
+    Mutant("M28 TrainConfig accepts tau = 0", TRAIN,
+           "if not 0.0 < self.tau < math.inf:", "if not 0.0 <= self.tau < math.inf:"),
 )
 
 

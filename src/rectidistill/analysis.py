@@ -9,8 +9,8 @@ factor 1 - gamma does not move the optimum),
 has the closed-form interior minimizer s* = (t_a + 1)/2: its derivative
 (s - t_a)/(s(1-s)) - 1/s vanishes only there. ``optimum`` returns
 that formula; ``optimum_gradients`` checks it against the loss that training
-runs, ``schedule.teacher_targets`` then ``schedule.target_loss``, at the logit
-pair (ln s* - ln(1-s*), 0).
+runs, ``schedule.teacher_targets``, ``linear_targets`` then ``target_loss``,
+at the logit pair (ln s* - ln(1-s*), 0).
 CE plus KL(t || softmax(z)) is convex in the logits z, so a zero gradient
 there proves that s* is the minimum.
 The sweep then shows:
@@ -88,7 +88,8 @@ def optimum_gradients(rows) -> np.ndarray:
     for row, s in ((schedule.MODES["vanilla"], s_unrect),
                    (schedule.MODES["rectify"], np.where(np.isnan(s_rect), s_unrect, s_rect))):
         logits = np.column_stack([np.log(s) - np.log(1.0 - s), np.zeros_like(s)])
-        grad = schedule.target_loss(logits, schedule.teacher_targets(teacher, labels, row),
-                                    labels, 0.0, 1.0, np.empty(len(rows)), np.empty(len(rows)))
+        targets = schedule.teacher_targets(teacher, labels, row)
+        grad = schedule.target_loss(logits, targets, labels, 0.0, 1.0, *np.empty((2, len(rows))),
+                                    schedule.linear_targets(targets, labels, 0.0, len(rows), 1.0))
         blocks.append(len(rows) * grad)
     return np.stack(blocks)

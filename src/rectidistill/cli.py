@@ -8,7 +8,10 @@ Command-line flags override the ``--config`` file (flat ``key=value``
 lines, keys mirror long flag names) which overrides the defaults. The
 merged config is persisted verbatim into the output directory as
 ``config.txt``, one ``key=value`` line per flag; every flag has a value,
-so ``--config`` reads the file back to the same config. The default
+so ``--config`` reads the file back to the same config. The parser passes
+each flag's text through, and ``_merge_config`` converts flag and config
+text alike: an int or float flag by ``data.parse_number``, which, as the
+file readers do, takes no ``_`` and no non-ASCII digit. The default
 output root is ``$RECTIDISTILL_OUT`` or ``./runs``. ``--mode`` passes as
 typed to ``train.TrainConfig``, its one parser and check.
 
@@ -27,7 +30,8 @@ import sys
 import numpy as np
 
 from . import analysis, model, train
-from .data import TEXT, Dataset, atomic_write, blob_splits, load_csv, save_csv, write_table
+from .data import (TEXT, Dataset, atomic_write, blob_splits, load_csv, parse_number, save_csv,
+                   write_table)
 from .errors import ConfigError, RectiDistillError
 
 EXIT_OK = 0
@@ -40,10 +44,9 @@ def _out_root() -> str:
 
 
 def _parse_dims(text: str) -> list[int]:
-    try:
-        dims = [int(v) for v in text.split(",")]
-    except ValueError:
-        raise ConfigError(f"malformed dims {text!r}; expected e.g. 2,64,4") from None
+    dims = [parse_number(int, v) for v in text.split(",")]
+    if None in dims:
+        raise ConfigError(f"malformed dims {text!r}; expected e.g. 2,64,4")
     if len(dims) < 2 or any(d < 1 for d in dims):
         raise ConfigError(f"dims need >= 2 positive widths, got {dims}")
     if dims[-1] < 2:
@@ -92,26 +95,21 @@ def _flags(command: str) -> dict:
 
 
 def _merge_config(args: argparse.Namespace) -> dict:
-    """defaults < config file < explicit command-line flags."""
+    """defaults < config file < explicit command-line flags, each text converted one way."""
     flags = _flags(args.command)
     merged = {key: default for key, (_, default) in flags.items()}
-    if args.config:
-        for key, raw in _read_config_file(args.config).items():
-            if key not in flags:
-                raise ConfigError(f"{args.config}: unknown config key {key!r}")
-            typ = flags[key][0]
-            try:
-                merged[key] = typ(raw)
-            except ValueError:
-                raise ConfigError(
-                    f"{args.config}: {key}={raw!r} is not a valid {typ.__name__}"
-                ) from None
-    for key, (typ, _) in flags.items():
-        value = getattr(args, key.replace("-", "_"))
-        if value is None:
-            continue
-        if not isinstance(value, typ):  # argparse yields [] for --flag=--, skipping the type
-            raise ConfigError(f"--{key} needs a {typ.__name__} value, got {value!r}")
+    given = []  # (key, text, where the text came from), in the order they override
+    for key, raw in (_read_config_file(args.config) if args.config else {}).items():
+        if key not in flags:
+            raise ConfigError(f"{args.config}: unknown config key {key!r}")
+        given.append((key, raw, f"{args.config}: {key}={raw!r}"))
+    given += [(key, raw, f"--{key} {raw!r}") for key in flags
+              if (raw := getattr(args, key.replace("-", "_"))) is not None]
+    for key, raw, where in given:
+        typ = flags[key][0]
+        value = raw if typ is str or not isinstance(raw, str) else parse_number(typ, raw)
+        if not isinstance(value, typ):  # argparse yields [] for --flag=--
+            raise ConfigError(f"{where} is not a valid {typ.__name__}")
         merged[key] = value
     _require_out_dir(merged["out"])
     return merged
@@ -311,8 +309,8 @@ def build_parser(only: str | None = None) -> argparse.ArgumentParser:
     for command in COMMANDS if only is None else (only,):
         sub = subs.add_parser(command, help=COMMANDS[command][1])
         sub.add_argument("--config", help="flat key=value config file")
-        for key, (typ, _) in _flags(command).items():
-            sub.add_argument(f"--{key}", type=typ)
+        for key in _flags(command):
+            sub.add_argument(f"--{key}")  # the text, which _merge_config converts
     return parser
 
 

@@ -32,6 +32,19 @@ from .rng import BLOBS, CENTRES, SHUFFLE, generator
 TEXT = {"encoding": "utf-8", "errors": "surrogateescape"}
 
 
+def plain_number_text(text: str) -> bool:
+    """ASCII without ``_``, as every number read: int() also reads 1_0 and non-ASCII digits."""
+    return text.isascii() and "_" not in text
+
+
+def parse_number(typ, text: str):
+    """``typ(text)``, ``typ`` int or float, of ``plain_number_text``; else None."""
+    if plain_number_text(text):
+        with contextlib.suppress(ValueError):
+            return typ(text)
+    return None
+
+
 @dataclass(frozen=True)
 class Dataset:
     features: np.ndarray  # (n, d)

@@ -29,7 +29,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .data import TEXT, Dataset, atomic_write
+from .data import TEXT, Dataset, atomic_write, batch_slices, plain_number_text
 from .errors import InvalidInputError
 from .rng import generator
 
@@ -138,10 +138,8 @@ def evaluate(p: MlpParams, ds: Dataset) -> float:
     The forward runs in chunks of rows whose widest layer temporary fits in
     ``EVAL_CHUNK_BYTES``, so peak memory does not grow with the split size.
     """
-    rows = max(1, EVAL_CHUNK_BYTES // (8 * max(p.dims)))
     hits = 0
-    for start in range(0, ds.n, rows):
-        chunk = slice(start, start + rows)
+    for chunk in batch_slices(ds.n, max(1, EVAL_CHUNK_BYTES // (8 * max(p.dims)))):
         predicted = np.argmax(forward(p, ds.features[chunk]), axis=1)
         hits += int(np.count_nonzero(predicted == ds.labels[chunk]))
     return hits / ds.n
@@ -182,10 +180,8 @@ def load_checkpoint(path) -> MlpParams:
 
     if not lines or lines[0] != _MAGIC:
         raise parse_error(1, f"missing header {_MAGIC!r}")
-    # int() and float() also take digit underscores (1_0 is 10) and non-ASCII
-    # digits; save_checkpoint writes neither, and load_csv reads neither
     for lineno, line in enumerate(lines[1:], start=2):
-        if "_" in line or not line.isascii():
+        if not plain_number_text(line):
             raise parse_error(lineno, "non-numeric value: an underscore or a non-ASCII character")
     if len(lines) < 2 or not lines[1].startswith("layers "):
         raise parse_error(2, "missing 'layers <L>' line")

@@ -2,20 +2,21 @@
 
 The total loss is
 
-    l_all = (1 - gamma) * (l_ce + l_easy) + gamma * l_hard,   gamma = e / E,
+    loss_total = (1 - gamma) * (loss_ce + loss_easy) + gamma * loss_hard,   gamma = e / E,
 
-where l_easy is forward KL against the teacher over the right subset and
-l_hard is forward KL against rectified targets over the bias subset. As in
-Hinton et al. 2015 (arXiv:1503.02531), the KL compares the softmaxes at
-temperature tau and is multiplied by tau**2, and l_ce is taken against the
-labels at temperature 1. So a KL term's logit gradient is tau times its
-softmax residual, and the KD gradient does not grow as tau shrinks. Both
-subset terms sum their per-sample KL and divide by the FULL batch size,
-or in an epoch's report by the full row count (an empty subset
-contributes exactly 0). This matches masking the batch
-with the correctness mask and taking the batch mean; averaging over the
-subset size instead makes the hard term explode whenever the bias subset
-is small and destabilizes the end of training, where gamma -> 1.
+each term named by its ``metrics.csv`` column: loss_easy is forward KL
+against the teacher over the right subset, loss_hard forward KL against
+rectified targets over the bias subset. As in Hinton et al. 2015
+(arXiv:1503.02531), the KL compares the softmaxes at temperature tau and
+is multiplied by tau**2, and loss_ce is taken against the labels at
+temperature 1. So a KL term's logit gradient is tau times its softmax
+residual, and the KD gradient does not grow as tau shrinks. Both subset
+terms sum their per-sample KL and divide by the FULL batch size, or in an
+epoch's report by the full row count (an empty subset contributes exactly
+0). This matches masking the batch with the correctness mask and taking
+the batch mean; averaging over the subset size instead makes the hard
+term explode whenever the bias subset is small and destabilizes the end
+of training, where gamma -> 1.
 
 A sample carries right knowledge when the teacher's argmax matches its
 label (ties broken toward the lowest class index, everywhere). The loss
@@ -25,24 +26,24 @@ hard, what their targets are and what gamma is, the mode's ``Mode`` row
 says, as ``train.TrainConfig`` resolves it from the ``--mode`` text.
 ``target_loss`` takes one KL pass over the whole batch and returns the
 gradient, one linear term per row; it writes each row's KL and CE into
-the caller's vectors. ``loss_terms`` reduces those vectors once: l_ce is
-the CE's sum, l_easy and l_hard the KL's sums over the easy and the hard
-rows, each over the row count. ``train._fit`` calls it once per epoch, on
-vectors that every batch wrote its slice of, and a caller with one batch
-calls it on that batch's. A row's KL does not depend on the other rows of
-the batch, so the sums see the same values, in the same order, as KL
-passes over each subset would.
+the caller's vectors. ``loss_terms`` reduces those vectors once: loss_ce
+is the CE's sum, loss_easy and loss_hard the KL's sums over the easy and
+the hard rows, each over the row count. ``train._fit`` calls it once per
+epoch, on vectors that every batch wrote its slice of, and a caller with
+one batch calls it on that batch's. A row's KL does not depend on the
+other rows of the batch, so the sums see the same values, in the same
+order, as KL passes over each subset would.
 
-The batched core is two steps. ``teacher_targets`` partitions the rows,
+The batched core is three steps. ``teacher_targets`` partitions the rows,
 decides each row's weight class once and, in every mode with a target
 stage, rectifies all biased ones in one array operation. Through
-``row_targets`` it also takes every other constant the loss reads of a
-row: sum t ln t (0 ln 0 = 0) and the row's mass. It reads only the teacher
-and the labels, and each output row depends only on its own input row, so
-``train.distill`` can compute it once per training row. ``target_loss``
-returns the gradient w.r.t. the logits at the epoch's gamma ``g``, which
-``gamma`` gives; it reads the weight classes and the row constants, not
-the mode, and recomputes none of them.
+``row_targets`` it also takes each row's KL constant sum t ln t (0 ln 0 =
+0). It reads only the teacher and the labels, and each output row depends
+only on its own input row, so ``train.distill`` can compute it once per
+training row. ``linear_targets`` turns the rows into the linear terms of
+their gradient at the epoch's gamma ``g``, which ``gamma`` gives, and
+``target_loss`` returns the gradient w.r.t. the logits from those terms;
+neither reads the mode.
 
 The objective is linear in its targets: CE reads a one-hot target, and
 each KL is sum t ln t - sum t ln s. So at tau 1 a row's logit gradient is
@@ -51,16 +52,18 @@ targets, weight class and label, ``g`` and the batch's row count; at any
 other tau, CE's share moves onto the temperature-1 softmax. It holds the
 one rule for a row's KL weight, and serves a batch and a table's whole
 epoch alike. A caller that has a batch's teacher probabilities calls
-``teacher_targets``, then ``target_loss``, as ``train.distill``'s
-per-batch path does, and reads the terms by ``loss_terms``. None of them
-checks its inputs, each checked once where it enters: ``tau`` and the
-mode by ``TrainConfig``, labels by the data loaders, the teacher by
+``teacher_targets``, ``linear_targets``, then ``target_loss``, as
+``train.distill``'s per-batch path does; a table epoch passes its batch's
+slice of the rows and of their (a, b), so both end in the same
+``target_loss`` call. ``loss_terms`` reads the terms. None of them checks
+its inputs, each checked once where it enters: ``tau`` and the mode by
+``TrainConfig``, labels by the data loaders, the teacher by
 ``model.load_checkpoint``, non-finite student logits by ``train._fit``.
 CE (``numerics.ce_rows``) and KL come from the ln s of
 ``numerics.log_softmax_rows``, so they stay finite where the student
-softmax underflows; the gradient uses the s of the same pass.
-At tau 1 CE and KL share one pass, and the tau factors, exact identities
-there, are skipped.
+softmax underflows; the gradient uses the s of the same pass. At tau 1 CE
+and KL share one pass, and the tau factors, exact identities there, are
+skipped.
 """
 
 from typing import NamedTuple
@@ -92,13 +95,6 @@ MODES = {
 }
 
 
-class LossTerms(NamedTuple):
-    l_ce: float
-    l_easy: float
-    l_hard: float
-    l_all: float  # (1 - g) (l_ce + l_easy) + g l_hard
-
-
 class RowTargets(NamedTuple):
     """What the loss reads of each row besides its logits, one array per column."""
 
@@ -106,7 +102,6 @@ class RowTargets(NamedTuple):
     right: np.ndarray  # (n,) bool: the teacher's argmax is the label
     hard: np.ndarray  # (n,) bool: weighted by gamma, not 1 - gamma
     t_log_t: np.ndarray  # (n,): sum t ln t, the KL's constant, 0 ln 0 = 0
-    mass: np.ndarray  # (n, 1): a hard row's target sum, 1 for an easy row
 
 
 def gamma(row: Mode, epoch: int, epochs: int) -> float:
@@ -115,14 +110,8 @@ def gamma(row: Mode, epoch: int, epochs: int) -> float:
 
 
 def row_targets(targets, right, hard) -> RowTargets:
-    """The rows' targets and weight classes, with the constants the loss derives from them.
-
-    A teacher or step-c row sums to 1 only within rounding, so an easy
-    row's mass is exactly 1; a hard row's is its target's sum (above 1 at
-    step b).
-    """
-    mass = np.where(hard, targets.sum(axis=1), 1.0)[:, None]
-    return RowTargets(targets, right, hard, t_log_t_rows(targets), mass)
+    """The rows' targets and weight classes, with the KL's constant sum t ln t of each."""
+    return RowTargets(targets, right, hard, t_log_t_rows(targets))
 
 
 def linear_targets(rows: RowTargets, labels, g: float, n,
@@ -132,16 +121,17 @@ def linear_targets(rows: RowTargets, labels, g: float, n,
     ``n`` is the batch's row count, or an (N, 1) column of each row's own
     batch row count, as a table's epoch of batches has. With w the row's KL
     weight, g / n if hard and (1 - g) / n if not, a = (1 - g) / n + w mass,
-    shape (N, 1), and b = w t, plus (1 - g) / n at the label, shape (N, k).
-    Either way each row's values are what its batch alone would give it. At
-    any other tau each KL term carries a factor tau and CE reads the softmax
-    at temperature 1, so w is tau w and a leaves out the CE share
-    (1 - g) / n, which ``target_loss`` puts on that softmax.
+    shape (N, 1), and b = w t, plus (1 - g) / n at the label, shape (N, k);
+    a hard row's mass is its target's sum (above 1 at step b), an easy
+    row's exactly 1. Either way each row's values are what its batch alone
+    would give it. At any other tau each KL term carries a factor tau and
+    CE reads the softmax at temperature 1, so w is tau w and a leaves out
+    the CE share (1 - g) / n, which ``target_loss`` puts on that softmax.
     """
     w = np.where(rows.hard[:, None], g / n, (1.0 - g) / n)
     if tau != 1.0:
         w *= tau
-    a = w * rows.mass
+    a = w * np.where(rows.hard, rows.targets.sum(axis=1), 1.0)[:, None]
     b = w * rows.targets
     ce = (1.0 - g) / n
     if tau == 1.0:
@@ -169,18 +159,17 @@ def teacher_targets(teacher_probs, labels, row: Mode) -> RowTargets:
 
 
 def target_loss(student_logits, rows: RowTargets, labels, g: float, tau: float,
-                kl, ce, ab=None) -> np.ndarray:
-    """The logit gradient of l_all at gamma ``g``; each row's KL and CE go into ``kl`` and ``ce``.
+                kl, ce, ab) -> np.ndarray:
+    """The logit gradient of loss_total at gamma ``g``; each row's KL and CE go into ``kl``, ``ce``.
 
     ``rows`` is what ``teacher_targets`` returns for these rows, and ``ab``
-    their ``linear_targets`` at ``g``, taken here unless the caller holds
-    them. ``kl`` and ``ce`` are (n,) vectors, such as a batch's slice of an
-    epoch's: a row's KL at tau, times tau**2, and its CE at temperature 1,
-    which ``loss_terms`` reduces.
+    their ``linear_targets`` at ``g``. ``kl`` and ``ce`` are (n,) vectors,
+    such as a batch's slice of an epoch's: a row's KL at tau, times tau**2,
+    and its CE at temperature 1, which ``loss_terms`` reduces.
     """
     n = labels.shape[0]
     log_s, s = log_softmax_rows(student_logits, tau)
-    a, b = linear_targets(rows, labels, g, n, tau) if ab is None else ab
+    a, b = ab
     grad = a * s
     # CE against the labels at temperature 1, each KL at tau and times tau**2;
     # at tau 1 the factors are skipped, being exact identities
@@ -197,15 +186,16 @@ def target_loss(student_logits, rows: RowTargets, labels, g: float, tau: float,
     return grad
 
 
-def loss_terms(kl, ce, hard, g: float) -> LossTerms:
-    """The loss terms of N rows from their ``target_loss`` KL and CE, at gamma ``g``.
+def loss_terms(kl, ce, hard, g: float) -> dict[str, float]:
+    """The loss terms of N rows from their ``target_loss`` KL and CE at ``g``, by column.
 
-    ``hard`` is the rows' weight class, in the vectors' order. l_ce is the
-    CE's sum over the N rows, l_easy and l_hard are the KL's sums over the
-    easy (``~hard``) and the hard rows, each divided by N.
+    ``hard`` is the rows' weight class, in the vectors' order. loss_ce is the
+    CE's sum over the N rows, loss_easy and loss_hard are the KL's sums over
+    the easy (``~hard``) and the hard rows, each divided by N.
     """
     n = kl.shape[0]
     l_ce = float(ce.sum() / n)
     l_easy = float(kl[~hard].sum() / n)
     l_hard = float(kl[hard].sum() / n)
-    return LossTerms(l_ce, l_easy, l_hard, (1.0 - g) * (l_ce + l_easy) + g * l_hard)
+    return {"loss_total": (1.0 - g) * (l_ce + l_easy) + g * l_hard, "loss_ce": l_ce,
+            "loss_easy": l_easy, "loss_hard": l_hard}

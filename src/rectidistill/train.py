@@ -7,15 +7,17 @@ constant the loss derives from it, is a constant of the run. When they fit
 in ``TARGET_TABLE_BYTES``, ``distill`` computes them once, into a per-row
 target table; each epoch puts the table in that epoch's batch order once,
 with the epoch's linear targets (a, b), and a batch reads its rows as one
-slice of them. Each SGD step writes its rows' KL and CE into per-run
-vectors, beside the rows' weight classes and partition (which a table
-epoch copies in once), and each epoch's report reads only those vectors:
-one ``schedule.loss_terms`` reduction and the partition's count. The
-epoch's table state is released before the next epoch's is built.
-Every teacher forward has the batch's row count: the short last batch
-forwards the epoch's last full batch of rows. Each run fills its own table,
-and every batch, the short last one too, reads its rows' slice of the
-epoch's (a, b), each row's built for the row count of its batch.
+slice of them. Otherwise each batch builds its own rows and their (a, b).
+Both paths end in the same ``schedule.target_loss`` call, with each row's
+(a, b) built for the row count of its batch, the short last one's too.
+Each SGD step writes its rows' KL and CE into per-run vectors, beside the
+rows' weight classes and partition (which a table epoch copies in once),
+and each epoch's report reads only those vectors: one
+``schedule.loss_terms`` reduction, whose keys are the loss columns of
+``METRICS_COLUMNS``, and the partition's count. The epoch's table state is
+released before the next epoch's is built. Every teacher forward has the
+batch's row count: the short last batch forwards the epoch's last full
+batch of rows. Each run fills its own table.
 """
 
 import math
@@ -24,7 +26,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import model
-from .data import Dataset, batch_slices, epoch_permutation
+from .data import Dataset, batch_slices, epoch_permutation, parse_number
 from .errors import ConfigError, TrainingDivergedError
 from .numerics import ce_gradient_rows, ce_rows, log_softmax_rows
 from .schedule import (MODES, Mode, RowTargets, gamma, linear_targets, loss_terms, target_loss,
@@ -82,10 +84,9 @@ class TrainConfig:
             names = ", ".join(m if r.gamma is not None else f"{m}=G" for m, r in MODES.items())
             raise ConfigError(f"unknown mode {self.mode!r}; expected one of {names}")
         if row.gamma is None:
-            try:
-                g = float(text) if has_g else None
-            except ValueError:
-                raise ConfigError(f"malformed {name} value in {self.mode!r}") from None
+            g = parse_number(float, text) if has_g else None
+            if has_g and g is None:
+                raise ConfigError(f"malformed {name} value in {self.mode!r}")
             if g is None or not 0.0 <= g < 1.0:
                 got = "no G" if g is None else f"G={g}"
                 raise ConfigError(f"mode {name}=G needs G in [0, 1), got {got}")
@@ -180,13 +181,13 @@ def _table_bytes(n: int, k: int) -> int:
     """Bytes a run's target table holds at once, every column counted, for n rows of k classes.
 
     The ``RowTargets`` of every row, (n, k) float64 targets, (n,) float64
-    sum t ln t, an (n, 1) float64 mass and two (n,) bool masks; the same
-    columns in the epoch's row order; the (n,) int64 labels in that order;
-    and that epoch's ``linear_targets``, an (n, 1) float64 a and an (n, k)
-    float64 b. The teacher's probabilities are held only while the table is
-    filled, and each row's batch row count only while (a, b) are built.
+    sum t ln t and two (n,) bool masks; the same columns in the epoch's row
+    order; the (n,) int64 labels in that order; and that epoch's
+    ``linear_targets``, an (n, 1) float64 a and an (n, k) float64 b. The
+    teacher's probabilities are held only while the table is filled, and
+    each row's batch row count only while (a, b) are built.
     """
-    return n * (2 * (8 * k + 8 + 8 + 2) + 8 + 8 + 8 * k)
+    return n * (2 * (8 * k + 8 + 2) + 8 + 8 + 8 * k)
 
 
 def _teacher_probs(teacher: model.MlpParams, cfg: TrainConfig):
@@ -276,13 +277,11 @@ def distill(
                 block = x if r == m else train_ds.features[perm[-m:]]
                 batch = teacher_targets(teacher_probs(block)[m - r:], y, cfg.row)
                 hard[pos], right[pos] = batch.hard, batch.right
-                ab = None
+                ab = linear_targets(batch, y, g, r, cfg.tau)
             return target_loss(logits, batch, y, g, cfg.tau, kl[pos], ce[pos], ab)
 
         def epoch_terms():
-            terms = loss_terms(kl, ce, hard, g)
-            return {"gamma": g, "loss_total": terms.l_all, "loss_ce": terms.l_ce,
-                    "loss_easy": terms.l_easy, "loss_hard": terms.l_hard,
+            return {"gamma": g, **loss_terms(kl, ce, hard, g),
                     "teacher_right_fraction": int(right.sum()) / n}
 
         return kd_loss, epoch_terms

@@ -4,20 +4,21 @@ from typing import NamedTuple
 
 import numpy as np
 
-from rectidistill.schedule import loss_terms, target_loss
+from rectidistill.schedule import linear_targets, loss_terms, target_loss
 
 
 class OneBatch(NamedTuple):
-    l_ce: float
-    l_easy: float
-    l_hard: float
-    l_all: float
-    grad: np.ndarray  # d l_all / d student logits, shape (n, k)
+    loss_total: float
+    loss_ce: float
+    loss_easy: float
+    loss_hard: float
+    grad: np.ndarray  # d loss_total / d student logits, shape (n, k)
 
 
 def one_batch(logits, rows, labels, g, tau) -> OneBatch:
     """The batch's ``loss_terms``, each a sum over its rows / its row count, and its gradient."""
     n = labels.shape[0]
     kl, ce = np.empty(n), np.empty(n)
-    grad = target_loss(logits, rows, labels, g, tau, kl, ce)
-    return OneBatch(*loss_terms(kl, ce, rows.hard, g), grad)
+    grad = target_loss(logits, rows, labels, g, tau, kl, ce,
+                       linear_targets(rows, labels, g, n, tau))
+    return OneBatch(**loss_terms(kl, ce, rows.hard, g), grad=grad)

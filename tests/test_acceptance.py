@@ -43,7 +43,7 @@ def experiment():
 def test_criterion_01_gradient_fidelity(capsys):
     # CE and KL through the gradient training runs, target_loss's, with the
     # terms loss_terms reduces, on one hard row: at g = 0 its KL has weight 0
-    # and l_all is the temperature-1 CE; at g = 1 CE has weight 0 and l_hard
+    # and loss_total is the temperature-1 CE; at g = 1 CE has weight 0 and loss_hard
     # is the KL
     rng = np.random.default_rng(101)
     worst = 0.0
@@ -57,12 +57,12 @@ def test_criterion_01_gradient_fidelity(capsys):
         label, hard = np.array([c]), np.array([True])
         rows = row_targets(t[None], ~hard, hard)
         fd_ce = finite_difference_gradient(
-            lambda v: one_batch(v[None], rows, label, 0.0, tau).l_all, z
+            lambda v: one_batch(v[None], rows, label, 0.0, tau).loss_total, z
         )
         ce_grad = one_batch(z[None], rows, label, 0.0, tau).grad[0]
         worst = max(worst, float(np.max(np.abs(ce_grad - fd_ce))))
         fd_kl = finite_difference_gradient(
-            lambda v: one_batch(v[None], rows, label, 1.0, tau).l_hard, z
+            lambda v: one_batch(v[None], rows, label, 1.0, tau).loss_hard, z
         )
         kl_grad = one_batch(z[None], rows, label, 1.0, tau).grad[0]
         worst = max(worst, float(np.max(np.abs(kl_grad - fd_kl))))
@@ -175,7 +175,7 @@ def test_criterion_09_end_to_end_gradients(capsys):
         def loss_at(flat):
             q.flat[:] = flat
             logits = model.forward(q, x)
-            return one_batch(logits, rows, labels, g, 1.0).l_all
+            return one_batch(logits, rows, labels, g, 1.0).loss_total
 
         logits, acts = model._forward_cached(student, x)
         upstream = one_batch(logits, rows, labels, g, 1.0).grad

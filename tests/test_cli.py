@@ -1076,6 +1076,10 @@ NUMERIC_FLAGS = [
 
 
 def parses(typ, text):
+    """Whether ``text`` is a number of ``typ``: ``typ(text)`` reads it, and it is ASCII
+    without ``_``, as the CSV and checkpoint readers take numbers."""
+    if not text.isascii() or "_" in text:
+        return False
     try:
         typ(text)
     except ValueError:
@@ -1090,17 +1094,47 @@ def parses(typ, text):
 @given(data=st.data())
 def test_unparsable_number_is_usage_error_before_output(tmp_path, command, flag, typ, via, data):
     text = st.text(st.characters(min_codepoint=1, max_codepoint=127, exclude_characters="\r\n"))
+    # int() and float() read 1_0 as 10 and the Arabic-Indic digit three as 3
     value = data.draw(
-        st.one_of(st.sampled_from(["abc", "1.5", "", "1e", "0x10", "--"]), text).filter(
-            lambda v: not parses(typ, v) and not parses(typ, v.strip())
-        )
+        st.one_of(st.sampled_from(["abc", "1.5", "", "1e", "0x10", "--", "1_0", "\u0663"]),
+                  text).filter(lambda v: not parses(typ, v) and not parses(typ, v.strip()))
     )
     out = tmp_path / "out"
     if via == "argv":
         argv = [command, f"--{flag}={value}", "--out", str(out)]
     else:
         conf = tmp_path / "bad.conf"
-        conf.write_text(f"{flag}={value}\n", encoding="ascii")
+        conf.write_text(f"{flag}={value}\n", encoding="utf-8")
         argv = [command, "--config", str(conf), "--out", str(out)]
     assert cli.main(argv) == cli.EXIT_USAGE
+    assert not out.exists()
+
+
+# Text that int() or float() reads, but that no file reader takes as a number.
+@pytest.mark.parametrize("command,key,value,message", [
+    ("gen-data", "classes", "1_0", "'1_0' is not a valid int"),
+    ("gen-data", "per-class", "\u0663", "'\u0663' is not a valid int"),
+    ("gen-data", "spread", "1_0.5", "'1_0.5' is not a valid float"),
+    ("distill", "dims", "2,1_0,3", "malformed dims '2,1_0,3'; expected e.g. 2,64,4"),
+    ("distill", "dims", "2,\u0663,3", "malformed dims '2,\u0663,3'; expected e.g. 2,64,4"),
+    ("distill", "mode", "fixed-gamma=.\u0665",
+     "malformed fixed-gamma value in 'fixed-gamma=.\u0665'"),
+], ids=["underscore-int", "non-ascii-int", "underscore-float", "underscore-dims",
+        "non-ascii-dims", "non-ascii-gamma"])
+@pytest.mark.parametrize("via", ["argv", "config"])
+def test_number_only_python_reads_is_usage_error_before_output(setup, tmp_path, capsys, command,
+                                                              key, value, message, via):
+    _, data, teacher = setup
+    inputs = [] if command == "gen-data" else [
+        "--train", str(data / "train.csv"), "--teacher", str(teacher), "--epochs", "1"]
+    if via == "argv":
+        given = [f"--{key}={value}"]
+    else:
+        conf = tmp_path / "number.conf"
+        conf.write_text(f"{key}={value}\n", encoding="utf-8")
+        given = ["--config", str(conf)]
+    out = tmp_path / "out"
+    assert cli.main([command, *inputs, *given, "--out", str(out)]) == cli.EXIT_USAGE
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.endswith(f"{message}\n")
     assert not out.exists()

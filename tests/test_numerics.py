@@ -261,7 +261,7 @@ class TestGradients:
     ``ce_gradient_rows`` returns s - onehot, the gradient w.r.t. z / tau, so the
     gradient w.r.t. z is that over tau. With one hard row and g = 1,
     ``target_loss`` weights CE by 0: its ``grad`` is the gradient of that
-    row's KL, its ``l_hard``.
+    row's KL, its ``loss_hard``.
     """
 
     def test_ce_gradient_zero_at_optimum(self):
@@ -298,7 +298,7 @@ class TestGradients:
         rows, label = one_hard_row(t), np.array([0])
         for tau in (0.5, 1.0, 2.0):
             fd = finite_difference_gradient(
-                lambda v: one_batch(v[None], rows, label, 1.0, tau).l_hard, z
+                lambda v: one_batch(v[None], rows, label, 1.0, tau).loss_hard, z
             )
             g = one_batch(z[None], rows, label, 1.0, tau).grad[0]
             np.testing.assert_allclose(g, fd, atol=1e-6)

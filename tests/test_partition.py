@@ -48,8 +48,8 @@ def test_split_preserves_order():
     l_easy = (kl_rows(teacher[0:1], log_s[0])[0] + kl_rows(teacher[2:3], log_s[2])[0]) / 3
     l_hard = kl_rows(rectify_rows(teacher[1:2], np.array([2])), log_s[1])[0] / 3
     assert rows.right.tolist() == [True, False, True]
-    assert out.l_easy == pytest.approx(l_easy, abs=1e-12)
-    assert out.l_hard == pytest.approx(l_hard, abs=1e-12)
+    assert out.loss_easy == pytest.approx(l_easy, abs=1e-12)
+    assert out.loss_hard == pytest.approx(l_hard, abs=1e-12)
 
 
 def test_split_all_true_and_all_false():
@@ -94,5 +94,5 @@ def test_mask_is_deterministic():
     a = one_batch(logits, rows_a, labels, 0.5, 1.0)
     b = one_batch(logits, rows_b, labels, 0.5, 1.0)
     assert np.array_equal(rows_a.right, rows_b.right)
-    assert a.l_all == b.l_all
+    assert a.loss_total == b.loss_total
     assert np.array_equal(a.grad, b.grad)

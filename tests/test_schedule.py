@@ -49,9 +49,9 @@ class TestTargetLoss:
         labels = np.argmax(teacher, axis=1)  # mask all true
         rows = teacher_targets(teacher, labels, MODES["full"])
         out = one_batch(logits, rows, labels, 0.5, 1.0)
-        assert out.l_hard == 0.0
+        assert out.loss_hard == 0.0
         assert not rows.hard.any()
-        assert out.l_all == pytest.approx(0.5 * (out.l_ce + out.l_easy), abs=1e-12)
+        assert out.loss_total == pytest.approx(0.5 * (out.loss_ce + out.loss_easy), abs=1e-12)
 
     def test_global_optimum_is_zero(self):
         # student logits so extreme the softmax equals the one-hot teacher
@@ -59,7 +59,7 @@ class TestTargetLoss:
         teacher = log_softmax_rows(logits)[1]
         labels = np.array([0, 1])
         out = one_batch(logits, teacher_targets(teacher, labels, MODES["full"]), labels, 0.5, 1.0)
-        assert out.l_all == pytest.approx(0.0, abs=1e-12)
+        assert out.loss_total == pytest.approx(0.0, abs=1e-12)
 
     @pytest.mark.parametrize("mode", MODES)
     def test_true_class_softmax_underflow_stays_finite(self, mode):
@@ -70,12 +70,12 @@ class TestTargetLoss:
         assert log_softmax_rows(logits)[1][0, 0] == 0.0
         out = one_batch(logits, teacher_targets(teacher, labels, MODES[mode]), labels,
                        gamma(row_of(mode), 1, 2), 1.0)
-        assert out.l_ce == 800.0
+        assert out.loss_ce == 800.0
         # the teacher is right, so every mode takes KL(t || s) with ln s = [-800, 0]
-        assert out.l_easy == pytest.approx(
+        assert out.loss_easy == pytest.approx(
             0.75 * (np.log(0.75) + 800.0) + 0.25 * np.log(0.25), rel=1e-14
         )
-        assert np.isfinite(out.l_all) and np.all(np.isfinite(out.grad))
+        assert np.isfinite(out.loss_total) and np.all(np.isfinite(out.grad))
 
     def test_two_sample_composition_oracle(self):
         # one right, one wrong sample; oracle composes the primitives by hand
@@ -90,10 +90,10 @@ class TestTargetLoss:
         l_easy = kl_rows(teacher[:1], log_s[:1])[0] / 2
         rect = rectify.rectify_rows(teacher[1:], np.array([1]))
         l_hard = kl_rows(rect, log_s[1:])[0] / 2
-        assert out.l_ce == pytest.approx(l_ce, abs=1e-12)
-        assert out.l_easy == pytest.approx(l_easy, abs=1e-12)
-        assert out.l_hard == pytest.approx(l_hard, abs=1e-12)
-        assert out.l_all == pytest.approx(0.5 * (l_ce + l_easy) + 0.5 * l_hard, abs=1e-12)
+        assert out.loss_ce == pytest.approx(l_ce, abs=1e-12)
+        assert out.loss_easy == pytest.approx(l_easy, abs=1e-12)
+        assert out.loss_hard == pytest.approx(l_hard, abs=1e-12)
+        assert out.loss_total == pytest.approx(0.5 * (l_ce + l_easy) + 0.5 * l_hard, abs=1e-12)
         assert rows.right.tolist() == [True, False]
 
     def test_eliminate_forces_gamma_zero(self):
@@ -103,11 +103,11 @@ class TestTargetLoss:
         out = one_batch(logits, teacher_targets(teacher, labels, MODES["eliminate"]), labels,
                        g, 1.0)
         assert g == 0.0
-        assert out.l_all == out.l_ce + out.l_easy
+        assert out.loss_total == out.loss_ce + out.loss_easy
         # the biased rows keep their rectified KL; gamma 0 weights it out
         full = one_batch(logits, teacher_targets(teacher, labels, MODES["full"]), labels,
                         0.0, 1.0)
-        assert out.l_hard == full.l_hard
+        assert out.loss_hard == full.loss_hard
 
     def test_eliminate_equals_full_at_gamma_zero(self):
         rng = np.random.default_rng(2)
@@ -116,8 +116,8 @@ class TestTargetLoss:
                      gamma(MODES["full"], 0, 60), 1.0)
         b = one_batch(logits, teacher_targets(teacher, labels, MODES["eliminate"]), labels,
                      gamma(MODES["eliminate"], 30, 60), 1.0)
-        assert a.l_all == pytest.approx(b.l_all, abs=1e-12)
-        assert a.l_ce == b.l_ce and a.l_easy == b.l_easy
+        assert a.loss_total == pytest.approx(b.loss_total, abs=1e-12)
+        assert a.loss_ce == b.loss_ce and a.loss_easy == b.loss_easy
 
     def test_vanilla_is_unmasked_loss(self):
         rng = np.random.default_rng(3)
@@ -126,9 +126,9 @@ class TestTargetLoss:
         out = one_batch(logits, teacher_targets(teacher, labels, MODES["vanilla"]), labels,
                        g, 1.0)
         expected = np.mean(kl_rows(teacher, np.log(log_softmax_rows(logits)[1])))
-        assert out.l_easy == pytest.approx(expected, abs=1e-12)
-        assert g == 0.0 and out.l_hard == 0.0
-        assert out.l_all == out.l_ce + out.l_easy
+        assert out.loss_easy == pytest.approx(expected, abs=1e-12)
+        assert g == 0.0 and out.loss_hard == 0.0
+        assert out.loss_total == out.loss_ce + out.loss_easy
 
     def test_vanilla_equals_full_gamma_zero_for_perfect_teacher(self):
         rng = np.random.default_rng(4)
@@ -138,7 +138,7 @@ class TestTargetLoss:
                      gamma(MODES["vanilla"], 30, 60), 1.0)
         b = one_batch(logits, teacher_targets(teacher, labels, MODES["full"]), labels,
                      gamma(MODES["full"], 0, 60), 1.0)
-        assert a.l_all == pytest.approx(b.l_all, abs=1e-12)
+        assert a.loss_total == pytest.approx(b.loss_total, abs=1e-12)
 
     def test_step_b_targets_are_unnormalized(self):
         logits = np.array([[0.1, 0.4, -0.2]])
@@ -149,7 +149,7 @@ class TestTargetLoss:
         rect_b = rectify.rectify_rows(teacher, labels, rectify.STEP_B)[0]
         s = log_softmax_rows(logits)[1][0]
         expected = float(np.sum(rect_b * np.log(rect_b / s)))
-        assert out.l_hard == pytest.approx(expected, abs=1e-12)
+        assert out.loss_hard == pytest.approx(expected, abs=1e-12)
 
     def test_fixed_gamma_requires_value(self):
         # TrainConfig rejects a missing value (tests/test_train.py) and puts G in the row
@@ -159,14 +159,16 @@ class TestTargetLoss:
         g = gamma(row, 30, 60)
         out = one_batch(logits, teacher_targets(teacher, labels, row), labels, g, 1.0)
         assert g == 0.5
-        assert out.l_all == 0.5 * (out.l_ce + out.l_easy) + 0.5 * out.l_hard
+        assert out.loss_total == 0.5 * (out.loss_ce + out.loss_easy) + 0.5 * out.loss_hard
 
     def test_a_schedule_is_required(self):
-        # the epoch's gamma g has no default
+        # the epoch's gamma g has no default, nor do the rows' linear targets (a, b)
         labels = np.array([0, 1])
         rows = teacher_targets(np.full((2, 3), 1 / 3), labels, MODES["full"])
         with pytest.raises(TypeError):
             target_loss(np.zeros((2, 3)), rows, labels)
+        with pytest.raises(TypeError):
+            target_loss(np.zeros((2, 3)), rows, labels, 0.5, 1.0, np.empty(2), np.empty(2))
 
     @settings(deadline=None)
     @given(
@@ -182,10 +184,10 @@ class TestTargetLoss:
         g = gamma(row_of(mode), epoch, 60)
         rows = teacher_targets(teacher, labels, MODES[mode])
         out = one_batch(logits, rows, labels, g, 1.0)
-        lhs = out.l_all
-        rhs = (1 - g) * (out.l_ce + out.l_easy) + g * out.l_hard
+        lhs = out.loss_total
+        rhs = (1 - g) * (out.loss_ce + out.loss_easy) + g * out.loss_hard
         assert lhs == pytest.approx(rhs, abs=1e-12)
-        assert out.l_ce >= 0 and out.l_easy >= -1e-12 and out.l_hard >= -1e-12
+        assert out.loss_ce >= 0 and out.loss_easy >= -1e-12 and out.loss_hard >= -1e-12
         assert rows.right.sum() == np.sum(np.argmax(teacher, axis=1) == labels)
         assert not (rows.hard & rows.right).any()
 
@@ -252,7 +254,8 @@ def oracle_loss(student_logits, teacher_probs, labels, g, tau, mode):
             grad[bias] = subset_grad(bias, g / n, mass)
 
     l_all = (1.0 - g) * (l_ce + l_easy) + g * l_hard
-    return OneBatch(l_ce=l_ce, l_easy=l_easy, l_hard=l_hard, l_all=l_all, grad=grad)
+    return OneBatch(loss_total=l_all, loss_ce=l_ce, loss_easy=l_easy, loss_hard=l_hard,
+                    grad=grad)
 
 
 class TestAgainstTheGatheringOracle:
@@ -281,7 +284,7 @@ class TestAgainstTheGatheringOracle:
         got = one_batch(logits, teacher_targets(teacher, labels, MODES[mode]), labels, g, tau)
         want = oracle_loss(logits, teacher, labels, g, tau, mode)
         assert np.array_equal(got.grad, want.grad)
-        for field in ("l_ce", "l_easy", "l_hard", "l_all"):
+        for field in ("loss_ce", "loss_easy", "loss_hard", "loss_total"):
             assert getattr(got, field) == getattr(want, field), field
 
     @settings(max_examples=2 * settings.default.max_examples, deadline=None)
@@ -405,7 +408,7 @@ class TestTargetLossGradient:
         analytic = one_batch(logits, rows, labels, g, tau).grad
 
         def loss_of(flat):
-            return one_batch(flat.reshape(logits.shape), rows, labels, g, tau).l_all
+            return one_batch(flat.reshape(logits.shape), rows, labels, g, tau).loss_total
 
         fd = finite_difference_gradient(loss_of, logits.ravel()).reshape(logits.shape)
         np.testing.assert_allclose(analytic, fd, atol=1e-6)

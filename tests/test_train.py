@@ -10,7 +10,8 @@ from rectidistill import model, train as train_module
 from rectidistill.data import batch_slices, blob_splits, epoch_permutation
 from rectidistill.errors import ConfigError
 from rectidistill.numerics import log_softmax_rows
-from rectidistill.schedule import MODES, gamma, target_loss, teacher_targets
+from rectidistill.schedule import (MODES, gamma, linear_targets, loss_terms, target_loss,
+                                   teacher_targets)
 from rectidistill.train import (
     METRICS_COLUMNS,
     TEACHER_METRICS_COLUMNS,
@@ -115,7 +116,8 @@ def two_loop_distill(teacher, student_dims, train_ds, cfg, val_ds, per_batch_sum
             teacher_probs = log_softmax_rows(model.forward(teacher, block), cfg.tau)[1][m - len(y):]
             logits, acts = model._forward_cached(student, x)
             targets = teacher_targets(teacher_probs, y, cfg.row)
-            upstream = target_loss(logits, targets, y, g, cfg.tau, kl[pos], ce[pos])
+            upstream = target_loss(logits, targets, y, g, cfg.tau, kl[pos], ce[pos],
+                                   linear_targets(targets, y, g, len(y), cfg.tau))
             hard[pos] = targets.hard
             grads = student.layer_views(np.empty_like(student.flat))
             model._backward_into(student, grads, upstream, acts)
@@ -174,6 +176,12 @@ def test_distill_rows_and_gamma_column(setup, mode):
         want = [0.0] * EPOCHS
     assert [r["gamma"] for r in rows] == want
     assert_same_bits(student, rows, *two_loop_distill(teacher, [2, 5, 3], train, cfg, val))
+
+
+def test_each_loss_term_is_named_by_its_metrics_column():
+    # distill spreads loss_terms into its rows: one name per term, no renaming
+    terms = loss_terms(np.array([0.5, 0.25]), np.array([1.0, 2.0]), np.array([False, True]), 0.5)
+    assert list(terms) == [c for c in METRICS_COLUMNS if c.startswith("loss_")]
 
 
 @pytest.fixture(scope="module")
@@ -264,7 +272,7 @@ def test_an_epoch_s_table_is_released_before_the_next_is_built(setup, monkeypatc
 
     monkeypatch.setattr(train_module, "_epoch_table", tracking_build)
     distill(teacher, [2, 5, 3], train, _cfg("full", 8), val)
-    assert alive == [[]] + [[False] * 7] * (EPOCHS - 1)
+    assert alive == [[]] + [[False] * 6] * (EPOCHS - 1)
 
 
 @pytest.mark.parametrize("tau", [0.5, 2.0])
@@ -364,11 +372,11 @@ def test_table_bytes_count_every_array_the_table_holds(setup):
     perm = epoch_permutation(train.n, 4, 1)
     ordered, ab = train_module._epoch_table(table, train.labels[perm], perm, 0.25, 20, cfg.tau)
     held = sum(a.nbytes for a in (*table, *ordered, train.labels[perm], *ab))
-    assert held == train_module._table_bytes(train.n, train.n_classes) == train.n * (24 * 3 + 52)
+    assert held == train_module._table_bytes(train.n, train.n_classes) == train.n * (24 * 3 + 36)
 
 
 def test_the_wide_benchmark_shape_forwards_the_teacher_per_batch(monkeypatch):
-    # n = 20 000 rows of k = 100 classes at batch 256: the table would hold 49.0 MB
+    # n = 20 000 rows of k = 100 classes at batch 256: the table would hold 48.7 MB
     wide = blob_splits(100, (200,), 2, 1.0, seed=1)[0]
     teacher = model.init([2, 8, 100], 0)
     cfg = TrainConfig(epochs=1, batch_size=256)
