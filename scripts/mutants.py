@@ -1,12 +1,12 @@
 #!/usr/bin/env python3
-"""Check that tier-1 still pins each of the method's mechanisms: twenty-seven hand-made mutants.
+"""Check that tier-1 still pins each of the method's mechanisms: thirty hand-made mutants.
 
     python3 scripts/mutants.py [name ...]
 
 Each mutant in ``MUTANTS`` models one way to get the paper's method wrong
 (bias elimination, rectification and the dynamic gamma), the per-row
-target table that serves its loss, the once-per-epoch reduction of its
-loss terms, a check at the boundary of its inputs (a CSV and its sidecar,
+target table that serves its loss, the once-per-epoch pass that takes
+and reduces its loss terms, a check at the boundary of its inputs (a CSV and its sidecar,
 a config file, a flag's number, ``--dims``, ``tau``, a checkpoint, the
 splits a model must fit), or the key that gives the epoch's shuffle a
 stream of its own, in an edit of a few lines:
@@ -92,7 +92,8 @@ MUTANTS = (
     Mutant("M15 the epoch's (a, b) take m for every row", TRAIN,
            "counts = np.minimum(m, n - np.arange(n) // m * m)[:, None]", "counts = m"),
     Mutant("M17 the budget counts only the targets", TRAIN,
-           "    return n * (2 * (8 * k + 8 + 2) + 8 + 8 + 8 * k)\n",
+           "    return n * (2 * (8 * k + 8 + 2) + 8 + 8 + 8 * k"
+           " + 8 * k * (1 if tau == 1.0 else 2))\n",
            "    return n * k * 8\n"),
     Mutant("M18 the epoch's loss_easy sums the hard rows", SCHEDULE,
            "    l_easy = float(kl[~hard].sum() / n)\n",
@@ -121,6 +122,13 @@ MUTANTS = (
            "            fh.read(32)\n"),
     Mutant("M28 TrainConfig accepts tau = 0", TRAIN,
            "if not 0.0 < self.tau < math.inf:", "if not 0.0 <= self.tau < math.inf:"),
+    Mutant("M29 the epoch's report reads the table's rows in fill order", TRAIN,
+           "loss_rows(ordered, labels, cfg.tau, log_s, kl, ce)",
+           "loss_rows(table, labels, cfg.tau, log_s, kl, ce)"),
+    Mutant("M30 a table step writes its ln s at the buffer's first rows", TRAIN,
+           "log_s[:, pos])", "log_s[:, :len(y)])"),
+    Mutant("M31 the epoch's report drops the tau**2 factor", SCHEDULE,
+           "    if tau != 1.0:\n        kl *= tau * tau\n", ""),
 )
 
 

@@ -89,7 +89,8 @@ def optimum_gradients(rows) -> np.ndarray:
                    (schedule.MODES["rectify"], np.where(np.isnan(s_rect), s_unrect, s_rect))):
         logits = np.column_stack([np.log(s) - np.log(1.0 - s), np.zeros_like(s)])
         targets = schedule.teacher_targets(teacher, labels, row)
-        grad = schedule.target_loss(logits, targets, labels, 0.0, 1.0, *np.empty((2, len(rows))),
-                                    schedule.linear_targets(targets, labels, 0.0, len(rows), 1.0))
+        grad = schedule.target_loss(logits, 0.0, 1.0,
+                                    schedule.linear_targets(targets, labels, 0.0, len(rows), 1.0),
+                                    schedule.empty_log_s(len(rows), 2, 1.0))
         blocks.append(len(rows) * grad)
     return np.stack(blocks)

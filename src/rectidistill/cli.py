@@ -103,12 +103,15 @@ def _merge_config(args: argparse.Namespace) -> dict:
         if key not in flags:
             raise ConfigError(f"{args.config}: unknown config key {key!r}")
         given.append((key, raw, f"{args.config}: {key}={raw!r}"))
-    given += [(key, raw, f"--{key} {raw!r}") for key in flags
-              if (raw := getattr(args, key.replace("-", "_"))) is not None]
+    for key in flags:
+        raw = getattr(args, key.replace("-", "_"))
+        if raw is not None:
+            # argparse yields [] for --flag=--, which no flag takes; quote what was typed
+            given.append((key, raw, f"--{key} {raw if isinstance(raw, str) else '--'!r}"))
     for key, raw, where in given:
         typ = flags[key][0]
         value = raw if typ is str or not isinstance(raw, str) else parse_number(typ, raw)
-        if not isinstance(value, typ):  # argparse yields [] for --flag=--
+        if not isinstance(value, typ):
             raise ConfigError(f"{where} is not a valid {typ.__name__}")
         merged[key] = value
     _require_out_dir(merged["out"])

@@ -9,24 +9,26 @@ clamp: ``ce_rows`` is the one cross-entropy, each row's -ln s[label], which
 the teacher and the distillation loss take, and ``ce_gradient_rows`` its
 gradient s - onehot for the teacher loss; ``kl_rows`` is the one forward
 KL, sum t ln t - sum t ln s, with ``t_log_t_rows`` its one per-row
-constant. Each per-row function can write into a caller's (n,) vector. A
-single vector is a one-row slice.
+constant. Each per-row function can write into a caller's (n,) vector,
+and ``log_softmax_rows`` its ln s into a caller's (n, k) array. A single
+vector is a one-row slice.
 """
 
 import numpy as np
 
 
-def log_softmax_rows(logits, tau: float = 1.0) -> tuple[np.ndarray, np.ndarray]:
+def log_softmax_rows(logits, tau: float = 1.0, out=None) -> tuple[np.ndarray, np.ndarray]:
     """Row-wise (ln softmax(z / tau), softmax(z / tau)) over a (n, k) logit matrix.
 
     One shift by the row maximum, one ``exp`` and one row sum serve both:
     ln s is the shifted logits minus the log of that sum, finite for every
     finite logit row, also where s is 0. At tau 1 the logits are not divided.
+    ``out``, an (n, k) array, receives ln s if given.
     """
     z = np.asarray(logits, dtype=np.float64)
     if tau != 1.0:
         z = z / tau
-    shifted = z - z.max(axis=1, keepdims=True)
+    shifted = np.subtract(z, z.max(axis=1, keepdims=True), out=out)
     e = np.exp(shifted)
     total = e.sum(axis=1, keepdims=True)
     shifted -= np.log(total)

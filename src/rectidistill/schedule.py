@@ -24,15 +24,18 @@ is a per-sample weighting in two weight classes: easy rows are distilled
 with weight (1 - gamma) / n and hard rows with gamma / n. Which rows are
 hard, what their targets are and what gamma is, the mode's ``Mode`` row
 says, as ``train.TrainConfig`` resolves it from the ``--mode`` text.
-``target_loss`` takes one KL pass over the whole batch and returns the
-gradient, one linear term per row; it writes each row's KL and CE into
-the caller's vectors. ``loss_terms`` reduces those vectors once: loss_ce
-is the CE's sum, loss_easy and loss_hard the KL's sums over the easy and
-the hard rows, each over the row count. ``train._fit`` calls it once per
-epoch, on vectors that every batch wrote its slice of, and a caller with
-one batch calls it on that batch's. A row's KL does not depend on the
-other rows of the batch, so the sums see the same values, in the same
-order, as KL passes over each subset would.
+``target_loss`` returns the gradient, one linear term per row, and
+computes nothing else; it writes each row's ln s into the caller's
+``empty_log_s`` buffer. ``loss_rows`` takes one KL pass over any span of
+rows from those ln s, and writes each row's KL and CE into the caller's
+vectors. ``loss_terms`` reduces those vectors once: loss_ce is the CE's
+sum, loss_easy and loss_hard the KL's sums over the easy and the hard
+rows, each over the row count. ``train._fit`` calls it once per epoch, on
+vectors that hold the epoch's rows, and a caller with one batch calls it
+on that batch's. A row's KL does not depend on the other rows of the
+batch, so the sums see the same values, in the same order, as KL passes
+over each subset would, and one ``loss_rows`` pass over an epoch's rows
+gives each row the bits that passes over its batches would.
 
 The batched core is three steps. ``teacher_targets`` partitions the rows,
 decides each row's weight class once and, in every mode with a target
@@ -52,18 +55,19 @@ targets, weight class and label, ``g`` and the batch's row count; at any
 other tau, CE's share moves onto the temperature-1 softmax. It holds the
 one rule for a row's KL weight, and serves a batch and a table's whole
 epoch alike. A caller that has a batch's teacher probabilities calls
-``teacher_targets``, ``linear_targets``, then ``target_loss``, as
-``train.distill``'s per-batch path does; a table epoch passes its batch's
-slice of the rows and of their (a, b), so both end in the same
-``target_loss`` call. ``loss_terms`` reads the terms. None of them checks
-its inputs, each checked once where it enters: ``tau`` and the mode by
-``TrainConfig``, labels by the data loaders, the teacher by
+``teacher_targets``, ``linear_targets``, ``target_loss``, then
+``loss_rows``, as ``train.distill``'s per-batch path does; a table step
+passes its batch's slice of the rows' (a, b) and of an epoch's ln s
+buffer, so both take the gradient from the same ``target_loss`` call, and
+its epoch calls ``loss_rows`` once. ``loss_terms`` reads the terms. None
+of them checks its inputs, each checked once where it enters: ``tau`` and
+the mode by ``TrainConfig``, labels by the data loaders, the teacher by
 ``model.load_checkpoint``, non-finite student logits by ``train._fit``.
 CE (``numerics.ce_rows``) and KL come from the ln s of
 ``numerics.log_softmax_rows``, so they stay finite where the student
 softmax underflows; the gradient uses the s of the same pass. At tau 1 CE
-and KL share one pass, and the tau factors, exact identities there, are
-skipped.
+and KL share one pass, and one ln s plane, and the tau factors, exact
+identities there, are skipped.
 """
 
 from typing import NamedTuple
@@ -158,36 +162,48 @@ def teacher_targets(teacher_probs, labels, row: Mode) -> RowTargets:
     return row_targets(targets, right, hard)
 
 
-def target_loss(student_logits, rows: RowTargets, labels, g: float, tau: float,
-                kl, ce, ab) -> np.ndarray:
-    """The logit gradient of loss_total at gamma ``g``; each row's KL and CE go into ``kl``, ``ce``.
+def empty_log_s(n: int, k: int, tau: float) -> np.ndarray:
+    """A buffer for ``target_loss``'s ln s of n rows of k classes, shape (1, n, k) or (2, n, k).
 
-    ``rows`` is what ``teacher_targets`` returns for these rows, and ``ab``
-    their ``linear_targets`` at ``g``. ``kl`` and ``ce`` are (n,) vectors,
-    such as a batch's slice of an epoch's: a row's KL at tau, times tau**2,
-    and its CE at temperature 1, which ``loss_terms`` reduces.
+    Plane 0 takes each row's ln s at tau and, unless tau is 1, plane 1 its
+    ln s at temperature 1, which CE reads.
     """
-    n = labels.shape[0]
-    log_s, s = log_softmax_rows(student_logits, tau)
+    return np.empty((1 if tau == 1.0 else 2, n, k))
+
+
+def target_loss(student_logits, g: float, tau: float, ab, log_s) -> np.ndarray:
+    """The logit gradient of loss_total at gamma ``g``; each row's ln s goes into ``log_s``.
+
+    ``ab`` is the rows' ``linear_targets`` at ``g``, and ``log_s`` an
+    ``empty_log_s`` buffer of these rows, such as a batch's slice of an
+    epoch's, from which ``loss_rows`` takes their KL and CE.
+    """
+    s = log_softmax_rows(student_logits, tau, out=log_s[0])[1]
     a, b = ab
     grad = a * s
-    # CE against the labels at temperature 1, each KL at tau and times tau**2;
-    # at tau 1 the factors are skipped, being exact identities
-    if tau == 1.0:
-        log_s1 = log_s
-    else:
-        log_s1, s1 = log_softmax_rows(student_logits)
-        grad += (1.0 - g) / n * s1
-    grad -= b
-    kl_rows(rows.targets, log_s, rows.t_log_t, out=kl)
+    # CE reads the softmax at temperature 1; at tau 1 that is s
     if tau != 1.0:
-        kl *= tau * tau
-    ce_rows(log_s1, labels, out=ce)
+        grad += (1.0 - g) / s.shape[0] * log_softmax_rows(student_logits, out=log_s[1])[1]
+    grad -= b
     return grad
 
 
+def loss_rows(rows: RowTargets, labels, tau: float, log_s, kl, ce) -> None:
+    """Each row's KL at tau, times tau**2, into ``kl`` and its CE at temperature 1 into ``ce``.
+
+    ``log_s`` is what ``target_loss`` wrote for these rows, in the order of
+    ``rows`` and ``labels``; ``kl`` and ``ce`` are (n,) vectors, which
+    ``loss_terms`` reduces. At tau 1 the factor is skipped, being an exact
+    identity, and CE reads the one plane.
+    """
+    kl_rows(rows.targets, log_s[0], rows.t_log_t, out=kl)
+    if tau != 1.0:
+        kl *= tau * tau
+    ce_rows(log_s[-1], labels, out=ce)
+
+
 def loss_terms(kl, ce, hard, g: float) -> dict[str, float]:
-    """The loss terms of N rows from their ``target_loss`` KL and CE at ``g``, by column.
+    """The loss terms of N rows from their ``loss_rows`` KL and CE at ``g``, by column.
 
     ``hard`` is the rows' weight class, in the vectors' order. loss_ce is the
     CE's sum over the N rows, loss_easy and loss_hard are the KL's sums over

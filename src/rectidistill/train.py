@@ -6,18 +6,22 @@ ever read through ``model.forward``. So every row's KD target, and every
 constant the loss derives from it, is a constant of the run. When they fit
 in ``TARGET_TABLE_BYTES``, ``distill`` computes them once, into a per-row
 target table; each epoch puts the table in that epoch's batch order once,
-with the epoch's linear targets (a, b), and a batch reads its rows as one
-slice of them. Otherwise each batch builds its own rows and their (a, b).
-Both paths end in the same ``schedule.target_loss`` call, with each row's
-(a, b) built for the row count of its batch, the short last one's too.
-Each SGD step writes its rows' KL and CE into per-run vectors, beside the
-rows' weight classes and partition (which a table epoch copies in once),
-and each epoch's report reads only those vectors: one
-``schedule.loss_terms`` reduction, whose keys are the loss columns of
-``METRICS_COLUMNS``, and the partition's count. The epoch's table state is
-released before the next epoch's is built. Every teacher forward has the
-batch's row count: the short last batch forwards the epoch's last full
-batch of rows. Each run fills its own table.
+with the epoch's linear targets (a, b), and a batch reads its (a, b) as
+one slice of them. Otherwise each batch builds its own rows and their
+(a, b). Both paths take the gradient from ``schedule.target_loss``, with
+each row's (a, b) built for the row count of its batch, the short last
+one's too, and it writes the batch's ln s into a per-run buffer. A table
+step computes nothing else: its epoch's report takes every row's KL and
+CE from that buffer in one ``schedule.loss_rows`` call, in the epoch's
+order, and a per-batch step calls ``loss_rows`` on its own rows. Either
+way each row's KL and CE land in per-run vectors, beside the rows' weight
+classes and partition (which a table epoch copies in once), and each
+epoch's report reads only those vectors: one ``schedule.loss_terms``
+reduction, whose keys are the loss columns of ``METRICS_COLUMNS``, and
+the partition's count. The epoch's table state is released before the
+next epoch's is built. Every teacher forward has the batch's row count:
+the short last batch forwards the epoch's last full batch of rows. Each
+run fills its own table.
 """
 
 import math
@@ -29,8 +33,8 @@ from . import model
 from .data import Dataset, batch_slices, epoch_permutation, parse_number
 from .errors import ConfigError, TrainingDivergedError
 from .numerics import ce_gradient_rows, ce_rows, log_softmax_rows
-from .schedule import (MODES, Mode, RowTargets, gamma, linear_targets, loss_terms, target_loss,
-                       teacher_targets)
+from .schedule import (MODES, Mode, RowTargets, empty_log_s, gamma, linear_targets, loss_rows,
+                       loss_terms, target_loss, teacher_targets)
 
 METRICS_COLUMNS = (
     "epoch",
@@ -118,9 +122,9 @@ def _fit(params: model.MlpParams, train_ds: Dataset, cfg: TrainConfig, val_ds, e
     labels)`` returns that epoch's pair ``(batch_loss, epoch_terms)``.
     ``batch_loss(pos, x, y, logits)``, where ``pos`` is the batch's slice of
     ``perm``, returns the logit gradient (already carrying its 1/n
-    weighting) and writes its rows' loss terms at ``pos`` of per-row
-    vectors; after the epoch's last batch, ``epoch_terms()`` reduces them to
-    the epoch's loss columns. Each epoch row holds those columns, plus the
+    weighting) and leaves what the epoch's report reads of its rows at
+    ``pos`` of per-run arrays; after the epoch's last batch,
+    ``epoch_terms()`` turns them into the epoch's loss columns. Each epoch row holds those columns, plus the
     train and validation accuracies. Non-finite logits of the trained
     model, or a non-finite logit gradient, raise ``TrainingDivergedError``
     naming the epoch.
@@ -177,17 +181,20 @@ def train_teacher(train_ds: Dataset, dims, cfg: TrainConfig, val_ds: Dataset | N
                         lambda epoch, perm, labels: (ce_loss, epoch_terms))
 
 
-def _table_bytes(n: int, k: int) -> int:
-    """Bytes a run's target table holds at once, every column counted, for n rows of k classes.
+def _table_bytes(n: int, k: int, tau: float) -> int:
+    """Bytes a run's target table holds at once, every array counted, for n rows of k classes.
 
     The ``RowTargets`` of every row, (n, k) float64 targets, (n,) float64
     sum t ln t and two (n,) bool masks; the same columns in the epoch's row
-    order; the (n,) int64 labels in that order; and that epoch's
-    ``linear_targets``, an (n, 1) float64 a and an (n, k) float64 b. The
-    teacher's probabilities are held only while the table is filled, and
-    each row's batch row count only while (a, b) are built.
+    order; the (n,) int64 labels in that order; that epoch's
+    ``linear_targets``, an (n, 1) float64 a and an (n, k) float64 b; and the
+    run's ``empty_log_s`` buffer of n rows, one (n, k) float64 plane at tau
+    1 and two at any other tau. The teacher's probabilities are held only
+    while the table is filled, each row's batch row count only while (a, b)
+    are built, and the KL's (n, k) products only while an epoch's report is
+    taken.
     """
-    return n * (2 * (8 * k + 8 + 2) + 8 + 8 + 8 * k)
+    return n * (2 * (8 * k + 8 + 2) + 8 + 8 + 8 * k + 8 * k * (1 if tau == 1.0 else 2))
 
 
 def _teacher_probs(teacher: model.MlpParams, cfg: TrainConfig):
@@ -213,7 +220,7 @@ def _target_table(teacher: model.MlpParams, train_ds: Dataset, cfg: TrainConfig)
     per-batch forward would give it, since ``teacher_targets`` is row-local.
     """
     n, m = train_ds.n, min(cfg.batch_size, train_ds.n)
-    if _table_bytes(n, train_ds.n_classes) > TARGET_TABLE_BYTES:
+    if _table_bytes(n, train_ds.n_classes, cfg.tau) > TARGET_TABLE_BYTES:
         return None
     teacher_probs = _teacher_probs(teacher, cfg)
     probs = np.empty((n, train_ds.n_classes))
@@ -258,8 +265,10 @@ def distill(
     # each row's KL, CE, weight class and partition in the epoch's order, the one
     # source of the epoch's report: every batch writes its KL and CE slice, and
     # its masks on the per-batch path; a table epoch copies its ordered masks once
+    # and takes its KL and CE once, from the ln s each of its batches wrote
     kl, ce = np.empty(n), np.empty(n)
     hard, right = np.empty(n, dtype=bool), np.empty(n, dtype=bool)
+    log_s = empty_log_s(m if table is None else n, train_ds.n_classes, cfg.tau)
 
     def epoch_loss(epoch, perm, labels):
         g = gamma(cfg.row, epoch, cfg.epochs)
@@ -269,18 +278,20 @@ def distill(
 
         def kd_loss(pos, x, y, logits):
             if table is not None:
-                batch = RowTargets._make(column[pos] for column in ordered)
-                ab = (a[pos], b[pos])
-            else:
-                # the short batch of r rows forwards the epoch's last m rows and keeps its own
-                r = len(y)
-                block = x if r == m else train_ds.features[perm[-m:]]
-                batch = teacher_targets(teacher_probs(block)[m - r:], y, cfg.row)
-                hard[pos], right[pos] = batch.hard, batch.right
-                ab = linear_targets(batch, y, g, r, cfg.tau)
-            return target_loss(logits, batch, y, g, cfg.tau, kl[pos], ce[pos], ab)
+                return target_loss(logits, g, cfg.tau, (a[pos], b[pos]), log_s[:, pos])
+            # the short batch of r rows forwards the epoch's last m rows and keeps its own
+            r = len(y)
+            block = x if r == m else train_ds.features[perm[-m:]]
+            batch = teacher_targets(teacher_probs(block)[m - r:], y, cfg.row)
+            hard[pos], right[pos] = batch.hard, batch.right
+            grad = target_loss(logits, g, cfg.tau, linear_targets(batch, y, g, r, cfg.tau),
+                               log_s[:, :r])
+            loss_rows(batch, y, cfg.tau, log_s[:, :r], kl[pos], ce[pos])
+            return grad
 
         def epoch_terms():
+            if table is not None:
+                loss_rows(ordered, labels, cfg.tau, log_s, kl, ce)
             return {"gamma": g, **loss_terms(kl, ce, hard, g),
                     "teacher_right_fraction": int(right.sum()) / n}
 

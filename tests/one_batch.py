@@ -1,10 +1,10 @@
-"""One batch's loss as the tests read it: ``target_loss``, then ``loss_terms`` on its vectors."""
+"""One batch's loss as the tests read it: ``target_loss``, ``loss_rows``, then ``loss_terms``."""
 
 from typing import NamedTuple
 
 import numpy as np
 
-from rectidistill.schedule import linear_targets, loss_terms, target_loss
+from rectidistill.schedule import empty_log_s, linear_targets, loss_rows, loss_terms, target_loss
 
 
 class OneBatch(NamedTuple):
@@ -17,8 +17,8 @@ class OneBatch(NamedTuple):
 
 def one_batch(logits, rows, labels, g, tau) -> OneBatch:
     """The batch's ``loss_terms``, each a sum over its rows / its row count, and its gradient."""
-    n = labels.shape[0]
-    kl, ce = np.empty(n), np.empty(n)
-    grad = target_loss(logits, rows, labels, g, tau, kl, ce,
-                       linear_targets(rows, labels, g, n, tau))
+    n, k = rows.targets.shape
+    kl, ce, log_s = np.empty(n), np.empty(n), empty_log_s(n, k, tau)
+    grad = target_loss(logits, g, tau, linear_targets(rows, labels, g, n, tau), log_s)
+    loss_rows(rows, labels, tau, log_s, kl, ce)
     return OneBatch(**loss_terms(kl, ce, rows.hard, g), grad=grad)

@@ -108,9 +108,11 @@ def test_two_runs_give_the_same_listing_digest(tmp_path):
 
 
 def test_toy_k3_fits_the_target_table_and_toy_wide_does_not():
+    # away from tau 1 the table holds a second ln s plane: k3 fits with it, wide not without it
     k3, wide = TOY
-    assert train._table_bytes(k3.classes * k3.per_class, k3.classes) <= train.TARGET_TABLE_BYTES
-    assert train._table_bytes(wide.classes * wide.per_class, wide.classes) > (
+    assert train._table_bytes(k3.classes * k3.per_class, k3.classes, 2.0) <= (
+        train.TARGET_TABLE_BYTES)
+    assert train._table_bytes(wide.classes * wide.per_class, wide.classes, 1.0) > (
         train.TARGET_TABLE_BYTES)
 
 

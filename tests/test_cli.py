@@ -1138,3 +1138,18 @@ def test_number_only_python_reads_is_usage_error_before_output(setup, tmp_path, 
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.endswith(f"{message}\n")
     assert not out.exists()
+
+
+@pytest.mark.parametrize("command,flag,typ", [("distill", "epochs", "int"),
+                                              ("gen-data", "spread", "float"),
+                                              ("distill", "mode", "str")])
+def test_a_flag_given_as_double_dash_quotes_what_was_typed(setup, tmp_path, capsys, command,
+                                                           flag, typ):
+    # argparse hands --flag=-- over as [], not as the text '--'
+    _, data, teacher = setup
+    inputs = [] if command == "gen-data" else [
+        "--train", str(data / "train.csv"), "--teacher", str(teacher)]
+    out = tmp_path / "out"
+    assert cli.main([command, *inputs, f"--{flag}=--", "--out", str(out)]) == cli.EXIT_USAGE
+    assert capsys.readouterr().err == f"error: --{flag} '--' is not a valid {typ}\n"
+    assert not out.exists()

@@ -7,8 +7,8 @@ from hypothesis import strategies as st
 
 from rectidistill import rectify
 from rectidistill.numerics import kl_rows, log_softmax_rows
-from rectidistill.schedule import (MODES, RowTargets, gamma, linear_targets, target_loss,
-                                   teacher_targets)
+from rectidistill.schedule import (MODES, RowTargets, empty_log_s, gamma, linear_targets,
+                                   target_loss, teacher_targets)
 from rectidistill.train import TrainConfig
 
 from finite_differences import finite_difference_gradient
@@ -163,12 +163,10 @@ class TestTargetLoss:
 
     def test_a_schedule_is_required(self):
         # the epoch's gamma g has no default, nor do the rows' linear targets (a, b)
-        labels = np.array([0, 1])
-        rows = teacher_targets(np.full((2, 3), 1 / 3), labels, MODES["full"])
         with pytest.raises(TypeError):
-            target_loss(np.zeros((2, 3)), rows, labels)
+            target_loss(np.zeros((2, 3)))
         with pytest.raises(TypeError):
-            target_loss(np.zeros((2, 3)), rows, labels, 0.5, 1.0, np.empty(2), np.empty(2))
+            target_loss(np.zeros((2, 3)), 0.5, 1.0, log_s=empty_log_s(2, 3, 1.0))
 
     @settings(deadline=None)
     @given(

@@ -6,12 +6,12 @@ import weakref
 import numpy as np
 import pytest
 
-from rectidistill import model, train as train_module
+from rectidistill import model, schedule, train as train_module
 from rectidistill.data import batch_slices, blob_splits, epoch_permutation
 from rectidistill.errors import ConfigError
 from rectidistill.numerics import log_softmax_rows
-from rectidistill.schedule import (MODES, gamma, linear_targets, loss_terms, target_loss,
-                                   teacher_targets)
+from rectidistill.schedule import (MODES, empty_log_s, gamma, linear_targets, loss_rows,
+                                   loss_terms, target_loss, teacher_targets)
 from rectidistill.train import (
     METRICS_COLUMNS,
     TEACHER_METRICS_COLUMNS,
@@ -116,8 +116,10 @@ def two_loop_distill(teacher, student_dims, train_ds, cfg, val_ds, per_batch_sum
             teacher_probs = log_softmax_rows(model.forward(teacher, block), cfg.tau)[1][m - len(y):]
             logits, acts = model._forward_cached(student, x)
             targets = teacher_targets(teacher_probs, y, cfg.row)
-            upstream = target_loss(logits, targets, y, g, cfg.tau, kl[pos], ce[pos],
-                                   linear_targets(targets, y, g, len(y), cfg.tau))
+            log_s = empty_log_s(len(y), train_ds.n_classes, cfg.tau)
+            upstream = target_loss(logits, g, cfg.tau,
+                                   linear_targets(targets, y, g, len(y), cfg.tau), log_s)
+            loss_rows(targets, y, cfg.tau, log_s, kl[pos], ce[pos])
             hard[pos] = targets.hard
             grads = student.layer_views(np.empty_like(student.flat))
             model._backward_into(student, grads, upstream, acts)
@@ -235,7 +237,7 @@ def biased_teacher(setup):
 @pytest.mark.parametrize("table_bytes", [train_module.TARGET_TABLE_BYTES, 0],
                          ids=["table", "per-batch"])
 @pytest.mark.parametrize("mode", MODES)
-@pytest.mark.parametrize("batch_size,tau", [(8, 1.0), (10, 2.0)])
+@pytest.mark.parametrize("batch_size,tau", [(8, 1.0), (10, 2.0), (10, 0.5)])
 def test_epoch_losses_stay_within_1e_12_of_per_batch_sums(setup, biased_teacher, monkeypatch,
                                                           table_bytes, mode, batch_size, tau):
     # a loss column is its rows' sum over n, reduced once per epoch; summing
@@ -256,6 +258,47 @@ def test_epoch_losses_stay_within_1e_12_of_per_batch_sums(setup, biased_teacher,
                 assert row[key] == pytest.approx(want[key], rel=1e-12, abs=0.0), key
             else:
                 assert row[key] == want[key], key
+
+
+def _counting_rows(function, rows):
+    """``function``, appending the row count of its first argument to ``rows`` at each call."""
+    def counting(first, *args, **kwargs):
+        rows.append(len(first))
+        return function(first, *args, **kwargs)
+
+    return counting
+
+
+def _counting_loss_rows(monkeypatch):
+    """The row count of every ``kl_rows`` and ``ce_rows`` call the loss makes, by name."""
+    calls = {"kl_rows": [], "ce_rows": []}
+    for name, rows in calls.items():
+        monkeypatch.setattr(schedule, name, _counting_rows(getattr(schedule, name), rows))
+    return calls
+
+
+def test_a_table_epoch_takes_its_rows_kl_and_ce_in_one_pass(monkeypatch):
+    # the paper-k4 shape: 400 rows of 4 classes, 60 epochs of 13 batches of 32
+    train = blob_splits(4, (100,), 2, 1.2, seed=1)[0]
+    teacher = model.init([2, 64, 4], 1)
+    cfg = TrainConfig(learning_rate=0.005, epochs=60, batch_size=32, seed=1)
+    assert train_module._target_table(teacher, train, cfg) is not None
+    calls = _counting_loss_rows(monkeypatch)
+    distill(teacher, [2, 8, 4], train, cfg)
+    assert calls == {"kl_rows": [400] * 60, "ce_rows": [400] * 60}
+
+
+def test_a_per_batch_step_takes_its_rows_kl_and_ce(monkeypatch):
+    # the toy-wide shape: 500 rows of 100 classes, too wide for the table,
+    # in 31 batches of 16 and a short one of 4
+    train = blob_splits(100, (5,), 5, 1.0, seed=1)[0]
+    teacher = model.init([5, 8, 100], 1)
+    cfg = TrainConfig(epochs=2, batch_size=16, seed=1)
+    assert train_module._target_table(teacher, train, cfg) is None
+    calls = _counting_loss_rows(monkeypatch)
+    distill(teacher, [5, 4, 100], train, cfg)
+    want = ([16] * 31 + [4]) * 2
+    assert calls == {"kl_rows": want, "ce_rows": want}
 
 
 def test_an_epoch_s_table_is_released_before_the_next_is_built(setup, monkeypatch):
@@ -358,29 +401,41 @@ def test_teacher_forward_count_under_and_over_the_budget(setup, monkeypatch, tab
 @pytest.mark.parametrize("over_budget", [0, 1])
 def test_the_budget_bounds_the_table_s_every_byte(setup, monkeypatch, over_budget):
     train, _, teacher = setup
-    exact = train_module._table_bytes(train.n, train.n_classes)
+    exact = train_module._table_bytes(train.n, train.n_classes, 1.0)
     monkeypatch.setattr(train_module, "TARGET_TABLE_BYTES", exact - over_budget)
     calls = _counting_teacher_forwards(monkeypatch, teacher)
     distill(teacher, [2, 5, 3], train, _cfg("full", 20, epochs=8))
     assert calls == _want_forwards(train.n, 20, 8, table=not over_budget)
 
 
-def test_table_bytes_count_every_array_the_table_holds(setup):
+def _table_bytes_held(setup, tau):
+    """Bytes of every array a run's table holds at ``tau``, summed, and ``_table_bytes``'s count."""
     train, _, teacher = setup
-    cfg = _cfg("full", 20, epochs=8)
+    cfg = _cfg("full", 20, tau, epochs=8)
     table = train_module._target_table(teacher, train, cfg)
     perm = epoch_permutation(train.n, 4, 1)
     ordered, ab = train_module._epoch_table(table, train.labels[perm], perm, 0.25, 20, cfg.tau)
-    held = sum(a.nbytes for a in (*table, *ordered, train.labels[perm], *ab))
-    assert held == train_module._table_bytes(train.n, train.n_classes) == train.n * (24 * 3 + 36)
+    log_s = empty_log_s(train.n, train.n_classes, tau)
+    held = sum(a.nbytes for a in (*table, *ordered, train.labels[perm], *ab, log_s))
+    return train.n, held, train_module._table_bytes(train.n, train.n_classes, tau)
+
+
+def test_table_bytes_count_every_array_the_table_holds(setup):
+    n, held, counted = _table_bytes_held(setup, 1.0)
+    assert held == counted == n * (32 * 3 + 36)
+
+
+def test_table_bytes_count_the_second_log_plane_away_from_tau_1(setup):
+    n, held, counted = _table_bytes_held(setup, 0.5)
+    assert held == counted == n * (40 * 3 + 36)
 
 
 def test_the_wide_benchmark_shape_forwards_the_teacher_per_batch(monkeypatch):
-    # n = 20 000 rows of k = 100 classes at batch 256: the table would hold 48.7 MB
+    # n = 20 000 rows of k = 100 classes at batch 256: the table would hold 64.7 MB
     wide = blob_splits(100, (200,), 2, 1.0, seed=1)[0]
     teacher = model.init([2, 8, 100], 0)
     cfg = TrainConfig(epochs=1, batch_size=256)
-    assert train_module._table_bytes(wide.n, 100) > train_module.TARGET_TABLE_BYTES
+    assert train_module._table_bytes(wide.n, 100, 1.0) > train_module.TARGET_TABLE_BYTES
     calls = _counting_teacher_forwards(monkeypatch, teacher)
     assert train_module._target_table(teacher, wide, cfg) is None and calls == []
     # the short batch of 32 rows forwards the epoch's last 256
