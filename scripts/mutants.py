@@ -1,16 +1,17 @@
 #!/usr/bin/env python3
-"""Check that tier-1 still pins each of the method's mechanisms: thirty hand-made mutants.
+"""Check that tier-1 still pins each of the method's mechanisms: thirty-two hand-made mutants.
 
     python3 scripts/mutants.py [name ...]
 
 Each mutant in ``MUTANTS`` models one way to get the paper's method wrong
 (bias elimination, rectification and the dynamic gamma), the per-row
 target table that serves its loss, the once-per-epoch pass that takes
-and reduces its loss terms, a check at the boundary of its inputs (a CSV and its sidecar,
-a config file, a flag's number, ``--dims``, ``tau``, a checkpoint, the
-splits a model must fit), or the key that gives the epoch's shuffle a
-stream of its own, in an edit of a few lines:
-``(name, file, old text, new text)``. For each one, the
+and reduces its loss terms, the divergence check after each epoch, a
+check at the boundary of its inputs (a CSV and its sidecar, a config
+file, a flag's number, ``--dims``, ``tau``, a checkpoint, the splits a
+model must fit), or the key that gives the epoch's shuffle a stream of
+its own, in an edit of a few lines: ``(name, file, old text, new
+text)``. For each one, the
 script copies the tree next to it (``COPIED``) into a temporary directory,
 replaces the old text in that copy, runs tier-1 there and prints the tests
 that fail.
@@ -129,6 +130,11 @@ MUTANTS = (
            "log_s[:, pos])", "log_s[:, :len(y)])"),
     Mutant("M31 the epoch's report drops the tau**2 factor", SCHEDULE,
            "    if tau != 1.0:\n        kl *= tau * tau\n", ""),
+    Mutant("M32 the epoch check reads only the parameters", TRAIN,
+           " and all(map(math.isfinite, row.values()))", ""),
+    Mutant("M33 the epoch check skips the final epoch", TRAIN,
+           "        if not (np.isfinite(params.flat).all()",
+           "        if epoch < cfg.epochs - 1 and not (np.isfinite(params.flat).all()"),
 )
 
 

@@ -15,7 +15,7 @@ class InvalidInputError(RectiDistillError, ValueError):
 
 
 class TrainingDivergedError(RectiDistillError, RuntimeError):
-    """Non-finite logits or gradients during optimization."""
+    """Non-finite parameters or loss columns after a training epoch, naming the epoch."""
 
 
 class ConfigError(RectiDistillError, ValueError):

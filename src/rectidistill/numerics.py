@@ -1,4 +1,4 @@
-"""Stable probability, loss, and gradient primitives: the one numerical source.
+"""Stable probability and loss primitives: the one numerical source.
 
 Every function works on (n, k) rows and checks nothing: its inputs were
 checked where they entered the program (``TrainConfig``, the data and
@@ -6,8 +6,8 @@ checkpoint loaders) or built by it. ``log_softmax_rows`` returns ln s
 (shifted logits minus their logsumexp) and s from one pass. CE and KL are
 taken from ln s, so they stay finite where the softmax underflows, with no
 clamp: ``ce_rows`` is the one cross-entropy, each row's -ln s[label], which
-the teacher and the distillation loss take, and ``ce_gradient_rows`` its
-gradient s - onehot for the teacher loss; ``kl_rows`` is the one forward
+the teacher and the distillation loss take; its gradient, the teacher's
+too, is ``schedule.target_loss``'s. ``kl_rows`` is the one forward
 KL, sum t ln t - sum t ln s, with ``t_log_t_rows`` its one per-row
 constant. Each per-row function can write into a caller's (n,) vector,
 and ``log_softmax_rows`` its ln s into a caller's (n, k) array. A single
@@ -63,12 +63,3 @@ def ce_rows(log_probs, labels, out=None) -> np.ndarray:
     """
     return np.negative(log_probs[np.arange(labels.shape[0]), labels], out=out)
 
-
-def ce_gradient_rows(probs, labels) -> np.ndarray:
-    """The cross-entropy's gradient s - onehot, per row and w.r.t. the logits of s's pass.
-
-    A fresh array, which a caller may scale in place.
-    """
-    grad = probs.copy()
-    grad[np.arange(labels.shape[0]), labels] -= 1.0
-    return grad

@@ -59,10 +59,13 @@ epoch alike. A caller that has a batch's teacher probabilities calls
 ``loss_rows``, as ``train.distill``'s per-batch path does; a table step
 passes its batch's slice of the rows' (a, b) and of an epoch's ln s
 buffer, so both take the gradient from the same ``target_loss`` call, and
-its epoch calls ``loss_rows`` once. ``loss_terms`` reads the terms. None
+its epoch calls ``loss_rows`` once. The teacher's loss is CE alone, the
+case tau 1, g 0 and (a, b) = (1, onehot), so ``train.train_teacher`` takes
+its gradient from ``target_loss`` too. ``loss_terms`` reads the terms. None
 of them checks its inputs, each checked once where it enters: ``tau`` and
 the mode by ``TrainConfig``, labels by the data loaders, the teacher by
-``model.load_checkpoint``, non-finite student logits by ``train._fit``.
+``model.load_checkpoint``, and a diverging run by ``train._fit``'s check
+after each epoch.
 CE (``numerics.ce_rows``) and KL come from the ln s of
 ``numerics.log_softmax_rows``, so they stay finite where the student
 softmax underflows; the gradient uses the s of the same pass. At tau 1 CE

@@ -1,13 +1,15 @@
 """Desk-scale training: plain-CE teacher training and distillation, one SGD loop.
 
 Single-threaded by contract; every run is fully determined by
-(config, datasets). The teacher is frozen during distillation: it is only
-ever read through ``model.forward``. So every row's KD target, and every
-constant the loss derives from it, is a constant of the run. When they fit
-in ``TARGET_TABLE_BYTES``, ``distill`` computes them once, into a per-row
-target table; each epoch puts the table in that epoch's batch order once,
-with the epoch's linear targets (a, b), and a batch reads its (a, b) as
-one slice of them. Otherwise each batch builds its own rows and their
+(config, datasets). Both models train in ``_fit``. The teacher's loss is
+the student's with no KD term, so ``schedule.target_loss`` gives its
+gradient too, at tau 1 and gamma 0 with (a, b) = (1, onehot). The frozen
+teacher is only ever read through ``model.forward``. So every row's KD
+target, and every constant the loss derives from it, is a constant of
+the run. When they fit in ``TARGET_TABLE_BYTES``, ``distill`` computes
+them once, into a per-row target table; each epoch puts the table in that
+epoch's batch order once, with the epoch's linear targets (a, b), and a
+batch reads its (a, b) as one slice of them. Otherwise each batch builds its own rows and their
 (a, b). Both paths take the gradient from ``schedule.target_loss``, with
 each row's (a, b) built for the row count of its batch, the short last
 one's too, and it writes the batch's ln s into a per-run buffer. A table
@@ -32,7 +34,7 @@ import numpy as np
 from . import model
 from .data import Dataset, batch_slices, epoch_permutation, parse_number
 from .errors import ConfigError, TrainingDivergedError
-from .numerics import ce_gradient_rows, ce_rows, log_softmax_rows
+from .numerics import ce_rows, log_softmax_rows
 from .schedule import (MODES, Mode, RowTargets, empty_log_s, gamma, linear_targets, loss_rows,
                        loss_terms, target_loss, teacher_targets)
 
@@ -106,12 +108,10 @@ def _require_fit(role: str, dims, *splits) -> None:
                               f"has {ds.features.shape[1]} features and {ds.n_classes} classes")
 
 
-# A diverging run is reported once, as the non-finite logits or logit
-# gradients checked below, not also as numpy's overflow warnings on the way
-# there; ``distill`` fills its target table under the same errstate, since a
-# tiny tau overflows the teacher's logits / tau there first. Parameter
-# gradients are not checked: an overflow in the backward pass makes the
-# parameters, and so the next batch's logits, non-finite.
+# A diverging run is reported once, by the check after each epoch, not also
+# as numpy's overflow warnings on the way there; ``distill`` fills its
+# target table under the same errstate, since a tiny tau overflows the
+# teacher's logits / tau there first.
 @np.errstate(over="ignore", invalid="ignore")
 def _fit(params: model.MlpParams, train_ds: Dataset, cfg: TrainConfig, val_ds, epoch_loss):
     """The one SGD loop: trains ``params`` in place; returns its per-epoch rows.
@@ -125,9 +125,10 @@ def _fit(params: model.MlpParams, train_ds: Dataset, cfg: TrainConfig, val_ds, e
     weighting) and leaves what the epoch's report reads of its rows at
     ``pos`` of per-run arrays; after the epoch's last batch,
     ``epoch_terms()`` turns them into the epoch's loss columns. Each epoch row holds those columns, plus the
-    train and validation accuracies. Non-finite logits of the trained
-    model, or a non-finite logit gradient, raise ``TrainingDivergedError``
-    naming the epoch.
+    train and validation accuracies. A step is forward, loss, backward and
+    update. After an epoch's last step, before its accuracies, non-finite
+    parameters or loss columns raise ``TrainingDivergedError`` naming the
+    epoch: the momentum carries a non-finite step into every later one.
     """
     grad = np.empty_like(params.flat)
     grad_views = params.layer_views(grad)
@@ -140,20 +141,14 @@ def _fit(params: model.MlpParams, train_ds: Dataset, cfg: TrainConfig, val_ds, e
         for pos in batch_slices(train_ds.n, cfg.batch_size):
             x, y = train_ds.features[perm[pos]], labels[pos]
             logits, acts = model._forward_cached(params, x)
-            if not np.isfinite(logits).all():
-                raise TrainingDivergedError(
-                    f"training diverged in epoch {epoch}: non-finite logits"
-                )
-            upstream = batch_loss(pos, x, y, logits)
-            if not np.isfinite(upstream).all():
-                raise TrainingDivergedError(
-                    f"training diverged in epoch {epoch}: non-finite gradients"
-                )
-            model._backward_into(params, grad_views, upstream, acts)
+            model._backward_into(params, grad_views, batch_loss(pos, x, y, logits), acts)
             model.sgd_step(params, grad, velocity, cfg.learning_rate, MOMENTUM)
         row = {"epoch": epoch, **epoch_terms()}
         # the epoch's loss, with any per-epoch table it holds, goes before the next is built
         del batch_loss, epoch_terms
+        if not (np.isfinite(params.flat).all() and all(map(math.isfinite, row.values()))):
+            raise TrainingDivergedError(
+                f"training diverged in epoch {epoch}: non-finite parameters or loss")
         for key, ds in (("train_acc", train_ds), ("val_acc", val_ds)):
             row[key] = float("nan") if ds is None else model.evaluate(params, ds)
         rows.append(row)
@@ -166,12 +161,15 @@ def train_teacher(train_ds: Dataset, dims, cfg: TrainConfig, val_ds: Dataset | N
     _require_fit("teacher", params.dims, train_ds, val_ds)
 
     ce = np.empty(train_ds.n)  # each row's CE in the epoch's order
+    log_s = empty_log_s(min(cfg.batch_size, train_ds.n), train_ds.n_classes, 1.0)
 
     def ce_loss(pos, x, y, logits):
-        log_s, s = log_softmax_rows(logits)
-        ce_rows(log_s, y, out=ce[pos])
-        upstream = ce_gradient_rows(s, y)
-        upstream /= len(y)
+        r = len(y)
+        onehot = np.zeros_like(logits)
+        onehot[np.arange(r), y] = 1.0
+        upstream = target_loss(logits, 0.0, 1.0, (1.0, onehot), log_s[:, :r])
+        ce_rows(log_s[0, :r], y, out=ce[pos])
+        upstream /= r
         return upstream
 
     def epoch_terms():

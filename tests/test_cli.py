@@ -4,7 +4,9 @@ import argparse
 import contextlib
 import io
 import json
+import math
 import os
+import re
 import tracemalloc
 import warnings
 
@@ -255,7 +257,7 @@ class TestTrainTeacher:
             ])
         assert rc == cli.EXIT_INTERNAL
         err = capsys.readouterr().err
-        assert err == "error: training diverged in epoch 26: non-finite logits\n"
+        assert err == "error: training diverged in epoch 26: non-finite parameters or loss\n"
         assert not out.exists()
 
     def test_produces_checkpoint_and_metrics(self, tmp_path):
@@ -423,7 +425,7 @@ class TestDistill:
             ])
         assert rc == cli.EXIT_INTERNAL
         err = capsys.readouterr().err
-        assert err == "error: training diverged in epoch 25: non-finite logits\n"
+        assert err == "error: training diverged in epoch 25: non-finite parameters or loss\n"
         assert not out.exists()
 
     def test_non_finite_gradients_name_the_epoch(self, tmp_path, capsys):
@@ -445,7 +447,7 @@ class TestDistill:
         assert rc == cli.EXIT_INTERNAL
         err = capsys.readouterr().err
         # the KL's gradient is tau times its residual, so CE at lr 1e2 drives the student
-        assert err == "error: training diverged in epoch 43: non-finite gradients\n"
+        assert err == "error: training diverged in epoch 43: non-finite parameters or loss\n"
 
     def test_subnormal_tau_diverges_without_a_warning_from_the_target_table(self, setup, capsys):
         # logits / 1e-320 overflows while the per-row target table is filled, before any batch
@@ -459,8 +461,41 @@ class TestDistill:
             ])
         assert rc == cli.EXIT_INTERNAL
         err = capsys.readouterr().err
-        assert err == "error: training diverged in epoch 0: non-finite gradients\n"
+        assert err == "error: training diverged in epoch 0: non-finite parameters or loss\n"
         assert not out.exists()
+
+    # tau * tau overflows above sqrt(DBL_MAX) ~ 1.34e154, and tau 1e-320 overflows logits / tau
+    @pytest.mark.parametrize("name,tau,epochs", [
+        *((name, tau, "3") for name in schedule.MODES for tau in ("1e154", "1e155", "1e300",
+                                                                   "1e-320")),
+        ("vanilla", "1e155", "1"),  # the check follows the last epoch too
+    ])
+    def test_any_valid_tau_ends_in_finite_artifacts_or_one_error_line(self, setup, capsys, name,
+                                                                      tau, epochs):
+        tmp, data, teacher = setup
+        flag = "fixed-gamma=0.5" if name == "fixed-gamma" else name
+        out = tmp / f"tau-{tau}-{name}-{epochs}"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # a numpy RuntimeWarning fails the test
+            rc = cli.main([
+                "distill", "--train", str(data / "train.csv"), "--val", str(data / "val.csv"),
+                "--teacher", str(teacher), "--dims", "2,4,3", "--mode", flag, "--tau", tau,
+                "--epochs", epochs, "--out", str(out),
+            ])
+        err = capsys.readouterr().err
+        if rc == cli.EXIT_INTERNAL:
+            assert re.fullmatch(
+                r"error: training diverged in epoch \d+: non-finite parameters or loss\n", err)
+            assert not out.exists()
+            return
+        assert rc == cli.EXIT_OK and err == ""
+        assert sorted(p.name for p in out.iterdir()) == [
+            "config.txt", "metrics.csv", "student.ckpt", "summary.json"]
+        _, *rows = (out / "metrics.csv").read_text().splitlines()
+        assert len(rows) == int(epochs)
+        assert np.isfinite([[float(c) for c in row.split(",")] for row in rows]).all()
+        summary = json.loads((out / "summary.json").read_text())
+        assert all(math.isfinite(v) for key, v in summary.items() if key != "mode")
 
     def test_unknown_mode_is_usage_error(self, setup):
         tmp, data, teacher = setup

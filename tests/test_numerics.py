@@ -13,8 +13,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rectidistill.numerics import ce_gradient_rows, kl_rows, log_softmax_rows
-from rectidistill.schedule import row_targets
+from rectidistill.numerics import kl_rows, log_softmax_rows
+from rectidistill.schedule import empty_log_s, row_targets, target_loss
 
 from finite_differences import finite_difference_gradient
 from one_batch import one_batch
@@ -255,29 +255,38 @@ def one_hard_row(t):
     return row_targets(t, np.array([False]), np.array([True]))
 
 
-class TestGradients:
-    """CE through ``ce_gradient_rows``; KL through ``target_loss``, the gradient training runs.
+def teacher_gradient(z, labels):
+    """The teacher's CE gradient s - onehot: ``target_loss`` at tau 1 and g 0 with (1, onehot)."""
+    z = np.asarray(z, dtype=np.float64)
+    onehot = np.zeros_like(z)
+    onehot[np.arange(labels.shape[0]), labels] = 1.0
+    return target_loss(z, 0.0, 1.0, (1.0, onehot), empty_log_s(*z.shape, 1.0))
 
-    ``ce_gradient_rows`` returns s - onehot, the gradient w.r.t. z / tau, so the
-    gradient w.r.t. z is that over tau. With one hard row and g = 1,
-    ``target_loss`` weights CE by 0: its ``grad`` is the gradient of that
-    row's KL, its ``loss_hard``.
+
+class TestGradients:
+    """CE through the teacher's route; KL through ``target_loss``, the gradient training runs.
+
+    ``teacher_gradient`` returns s - onehot of the logits it is given; given
+    z / tau, that is the gradient w.r.t. z / tau, so the gradient w.r.t. z
+    is that over tau. With one hard row and g = 1, ``target_loss`` weights
+    CE by 0: its ``grad`` is the gradient of that row's KL, its
+    ``loss_hard``.
     """
 
     def test_ce_gradient_zero_at_optimum(self):
         # logits so extreme the softmax is one-hot in float64
-        g = ce_gradient_rows(log_softmax_rows([[800.0, 0.0]])[1], np.array([0]))[0]
+        g = teacher_gradient([[800.0, 0.0]], np.array([0]))[0]
         np.testing.assert_allclose(g, 0.0, atol=1e-12)
 
     def test_ce_gradient_symmetric_two_class(self):
-        g = ce_gradient_rows(log_softmax_rows([[0.0, 0.0]])[1], np.array([0]))[0]
+        g = teacher_gradient([[0.0, 0.0]], np.array([0]))[0]
         np.testing.assert_allclose(g, [-0.5, 0.5], atol=1e-12)
 
     def test_ce_gradient_matches_finite_differences(self):
         z = np.array([2.0, 1.0, 0.0])
         for tau in (0.5, 1.0, 2.0):
             fd = finite_difference_gradient(lambda v: -log_softmax_rows(v[None], tau)[0][0, 2], z)
-            g = ce_gradient_rows(log_softmax_rows(z[None], tau)[1], np.array([2]))[0] / tau
+            g = teacher_gradient(z[None] / tau, np.array([2]))[0] / tau
             np.testing.assert_allclose(g, fd, atol=1e-6)
 
     def test_kl_gradient_zero_at_optimum(self):
@@ -311,7 +320,7 @@ class TestGradients:
     def test_gradients_sum_to_zero(self, z, tau, data):
         c = data.draw(st.integers(0, len(z) - 1))
         z, labels = np.array([z]), np.array([c])
-        assert abs(ce_gradient_rows(log_softmax_rows(z, tau)[1], labels).sum() / tau) <= 1e-12
+        assert abs(teacher_gradient(z / tau, labels).sum() / tau) <= 1e-12
         t = np.zeros_like(z)
         t[0, c] = 1.0
         assert abs(one_batch(z, one_hard_row(t), labels, 1.0, tau).grad.sum()) <= 1e-12
